@@ -5,17 +5,18 @@
 //! union-find, exactly the streaming path), while deletions classify
 //! through [`crate::liveness::LivenessTracker`] — a deletion of an absent
 //! or non-forest (cycle) edge is free, and only a *forest* deletion falls
-//! back to recomputing connectivity over the surviving edge set with the
-//! static engine.
+//! back to recomputing connectivity over the surviving edge set: one
+//! union-find pass over the live edge list
+//! ([`LivenessTracker::rebuild`]), which hands back the tracker's new
+//! forest and the labels the incremental path restarts from.
 //!
-//! The recompute path costs `O(n + m)` per forest-deletion batch — fine
+//! The recompute path costs `O(n + m α)` per forest-deletion batch — fine
 //! for workloads where deletions are rare (the paper's motivation: only a
 //! few percent of tweets are ever deleted), and an honest baseline
 //! otherwise.
 
 use crate::liveness::{DeleteClass, InsertClass, LivenessTracker};
-use crate::options::{FinishMethod, SamplingMethod};
-use cc_graph::{build_undirected, VertexId};
+use cc_graph::VertexId;
 use cc_unionfind::parents::{find_root_readonly, parents_from_labels, Parents};
 use cc_unionfind::{KernelVisitor, NoCount, UfSpec, UniteKernel};
 
@@ -27,42 +28,28 @@ pub use crate::streaming::Update as DynUpdate;
 
 /// The incremental fast path's kernel, erased at *operation* granularity
 /// (deletion batches are sequential anyway): one virtual call per insert
-/// with the fully monomorphized, telemetry-free union underneath. Built
-/// through [`UfSpec::dispatch`]; `fresh` rebuilds the same variant with
-/// cleared per-instance state after a rebuild.
+/// with the fully monomorphized, telemetry-free union underneath.
 trait DynKernel: Send + Sync {
     fn unite(&self, p: &Parents, u: VertexId, v: VertexId);
-    fn fresh(&self) -> Box<dyn DynKernel>;
 }
 
-struct KernelHolder<K: UniteKernel> {
-    kernel: K,
-    n: usize,
-    seed: u64,
-}
-
-impl<K: UniteKernel> DynKernel for KernelHolder<K> {
+impl<K: UniteKernel> DynKernel for K {
     fn unite(&self, p: &Parents, u: VertexId, v: VertexId) {
-        self.kernel.unite(p, u, v, &mut NoCount);
-    }
-
-    fn fresh(&self) -> Box<dyn DynKernel> {
-        Box::new(KernelHolder { kernel: K::build(self.n, self.seed), n: self.n, seed: self.seed })
+        UniteKernel::unite(self, p, u, v, &mut NoCount);
     }
 }
 
+/// Builds the `spec` variant through [`UfSpec::dispatch`]; a rebuild calls
+/// it again, because stateful variants (hooks arrays) must start clean.
 fn build_kernel(spec: &UfSpec, n: usize, seed: u64) -> Box<dyn DynKernel> {
-    struct Boxer {
-        n: usize,
-        seed: u64,
-    }
+    struct Boxer;
     impl KernelVisitor for Boxer {
         type Out = Box<dyn DynKernel>;
         fn visit<K: UniteKernel>(self, kernel: K) -> Box<dyn DynKernel> {
-            Box::new(KernelHolder { kernel, n: self.n, seed: self.seed })
+            Box::new(kernel)
         }
     }
-    spec.dispatch(n, seed, Boxer { n, seed })
+    spec.dispatch(n, seed, Boxer)
 }
 
 /// A fully-dynamic connectivity structure: incremental fast path, rebuild
@@ -170,22 +157,17 @@ impl DynamicConnectivity {
         cc_unionfind::parents::snapshot_labels(&self.parents)
     }
 
-    /// Recomputes connectivity from the surviving edge set with the static
-    /// two-phase engine, and re-derives the tracker's spanning forest.
+    /// Recomputes connectivity from the surviving edge set: the tracker's
+    /// rebuild pass yields its new forest and the labeling in one go.
     fn rebuild(&mut self) {
         self.rebuilds += 1;
-        let edge_list = self.tracker.edge_list();
-        let g = build_undirected(self.n, &edge_list);
-        let labels = crate::connectivity_seeded(
-            &g,
-            &SamplingMethod::kout_default(),
-            &FinishMethod::UnionFind(self.spec),
-            self.seed,
-        );
-        self.parents = parents_from_labels(&labels);
-        self.tracker.rebuild_forest();
-        // Fresh instance: stateful variants (hooks arrays) must reset.
-        self.uf = self.uf.fresh();
+        let mut rebuilt = LivenessTracker::rebuild(self.n, &self.tracker.edge_list(), || true)
+            .expect("an unconditional rebuild is never aborted");
+        // ID-linking kernels need `parent(x) <= x`.
+        crate::sampling::normalize_labels_to_min(&mut rebuilt.labels);
+        self.parents = parents_from_labels(&rebuilt.labels);
+        self.tracker.adopt(rebuilt);
+        self.uf = build_kernel(&self.spec, self.n, self.seed);
     }
 }
 

@@ -13,16 +13,20 @@
 //! | [`DeleteClass::NonForest`] | a cycle edge; the forest still spans  | none                |
 //! | [`DeleteClass::Forest`]    | a forest edge; components may split   | rebuild             |
 //!
-//! The forest maintained here is exactly the kind
-//! [`fn@crate::spanning_forest`] produces: when a structure rebuilds from
-//! scratch it can install the recomputed forest with
-//! [`LivenessTracker::rebuild_forest`], restoring the invariant
-//! `forest ⊆ edges` and `forest spans edges`.
+//! A forest deletion is repaired by **one primitive**:
+//! [`LivenessTracker::rebuild`] makes a single union-find pass over a
+//! snapshot of the live edges — the paper's union-find finish
+//! (Algorithm 2) straight off the edge list, no CSR and no sampling — and
+//! yields the new mirror, the forest (the edges whose `union` succeeded)
+//! and the component labels at once. It borrows nothing from the tracker,
+//! so the server runs it outside its writer lock and installs the result
+//! with the O(1) [`LivenessTracker::adopt`], restoring `forest ⊆ edges`
+//! and `forest spans edges`.
 //!
 //! This module is deliberately sequential — it is the *classifier*, not
 //! the engine. Both [`crate::DynamicConnectivity`] and the server's
 //! generation engine consult it before deciding whether a retraction
-//! needs a rebuild.
+//! needs a rebuild, and both rebuild through that primitive.
 
 use cc_graph::VertexId;
 use cc_unionfind::SeqUnionFind;
@@ -71,8 +75,8 @@ pub enum InsertClass {
 /// Invariants between calls: `forest ⊆ edges`; the mirror's partition
 /// equals connectivity over `edges`; `forest` spans that partition.
 /// After a [`DeleteClass::Forest`] removal the mirror and forest are
-/// *stale* (they describe the pre-delete graph) until the caller calls
-/// [`LivenessTracker::rebuild_forest`]; [`LivenessTracker::is_stale`]
+/// *stale* (they describe the pre-delete graph) until the caller installs
+/// a [`LivenessTracker::rebuild`]; [`LivenessTracker::is_stale`]
 /// reports that state, and while stale every further delete of a live
 /// edge conservatively classifies as [`DeleteClass::Forest`].
 pub struct LivenessTracker {
@@ -82,6 +86,20 @@ pub struct LivenessTracker {
     mirror: SeqUnionFind,
     stale: bool,
 }
+
+/// The output of [`LivenessTracker::rebuild`]: the mirror and forest
+/// [`LivenessTracker::adopt`] installs, and the snapshot's labeling.
+pub struct Rebuilt {
+    mirror: SeqUnionFind,
+    forest: HashSet<u64>,
+    /// Canonical (`labels[labels[v]] == labels[v]`); representatives are
+    /// the mirror's roots, not component minima.
+    pub labels: Vec<VertexId>,
+}
+
+/// Edges unioned between two polls of [`LivenessTracker::rebuild`]'s
+/// `keep_going`: the work a doomed rebuild can still waste.
+const REBUILD_POLL_EDGES: usize = 1 << 16;
 
 impl LivenessTracker {
     /// An empty tracker over `n` vertices.
@@ -126,6 +144,11 @@ impl LivenessTracker {
         self.edges.iter().map(|&e| uncanon_edge(e)).collect()
     }
 
+    /// The spanning forest's edges (arbitrary order).
+    pub fn forest_list(&self) -> Vec<(VertexId, VertexId)> {
+        self.forest.iter().map(|&e| uncanon_edge(e)).collect()
+    }
+
     /// Records an insert. Self-loops are never live. While fresh, a
     /// [`InsertClass::Merge`] extends the forest and the mirror, keeping
     /// both exact; while stale, novel edges still enter the live set (the
@@ -164,20 +187,42 @@ impl LivenessTracker {
         DeleteClass::Forest
     }
 
-    /// Installs an externally computed spanning forest — e.g. the output
-    /// of [`fn@crate::spanning_forest`] over a snapshot of
-    /// [`Self::edge_list`] — rebuilding the mirror from it and clearing
-    /// staleness. The caller guarantees the forest spans the partition of
-    /// the edge set it was computed from; edges that went live *after*
-    /// that snapshot are re-admitted with [`Self::reclassify_live`].
-    pub fn adopt_forest(&mut self, forest: &[(VertexId, VertexId)]) {
-        self.mirror = SeqUnionFind::new(self.n);
-        self.forest.clear();
-        for &(u, v) in forest {
-            if self.mirror.union(u, v) {
-                self.forest.insert(canon_edge(u, v));
+    /// The rebuild primitive: one union-find pass over `edges` (a snapshot
+    /// of [`Self::edge_list`]) on `n` vertices. An edge whose `union`
+    /// succeeds is a forest edge, so mirror, forest and labels fall out
+    /// of the same pass. Stops with `None` at the first poll of
+    /// `keep_going` that says no: a caller whose snapshot was invalidated
+    /// mid-pass does not pay for the rest of it.
+    pub fn rebuild(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        keep_going: impl Fn() -> bool,
+    ) -> Option<Rebuilt> {
+        let mut mirror = SeqUnionFind::new(n);
+        let mut forest: Vec<u64> = Vec::new();
+        for chunk in edges.chunks(REBUILD_POLL_EDGES) {
+            if !keep_going() {
+                return None;
+            }
+            for &(u, v) in chunk {
+                if mirror.union(u, v) {
+                    forest.push(canon_edge(u, v));
+                }
             }
         }
+        let labels = mirror.labels();
+        // Collected last, so the table is sized for the forest that exists
+        // rather than the `n - 1` edges it might have had.
+        Some(Rebuilt { mirror, forest: forest.into_iter().collect(), labels })
+    }
+
+    /// Installs a [`Self::rebuild`] of this tracker's live edges and
+    /// clears staleness; O(1), so it is cheap under a lock. The caller
+    /// guarantees no snapshot edge has died since; edges that went live
+    /// after the snapshot are re-admitted with [`Self::reclassify_live`].
+    pub fn adopt(&mut self, rebuilt: Rebuilt) {
+        self.mirror = rebuilt.mirror;
+        self.forest = rebuilt.forest;
         self.stale = false;
     }
 
@@ -189,36 +234,24 @@ impl LivenessTracker {
     /// the adopted forest already spans.
     pub fn reclassify_live(&mut self, u: VertexId, v: VertexId) -> bool {
         debug_assert!(!self.stale, "reclassify_live requires a fresh forest");
-        if u == v || !self.edges.contains(&canon_edge(u, v)) {
-            return false;
+        let key = canon_edge(u, v);
+        let merges = u != v && self.edges.contains(&key) && self.mirror.union(u, v);
+        if merges {
+            self.forest.insert(key);
         }
-        if self.mirror.union(u, v) {
-            self.forest.insert(canon_edge(u, v));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Recomputes the forest and mirror from the current live edge set
-    /// and clears staleness. O(m α) sequential; callers that already ran
-    /// a parallel rebuild of their labeling do this alongside it.
-    pub fn rebuild_forest(&mut self) {
-        self.mirror = SeqUnionFind::new(self.n);
-        self.forest.clear();
-        for &e in &self.edges {
-            let (u, v) = uncanon_edge(e);
-            if self.mirror.union(u, v) {
-                self.forest.insert(e);
-            }
-        }
-        self.stale = false;
+        merges
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rebuilds `t` in place from its own live edge set.
+    fn rebuild_in_place(t: &mut LivenessTracker) {
+        let rebuilt = LivenessTracker::rebuild(t.n, &t.edge_list(), || true).expect("not aborted");
+        t.adopt(rebuilt);
+    }
 
     #[test]
     fn canon_is_order_free_and_invertible() {
@@ -250,7 +283,7 @@ mod tests {
         assert_eq!(t.insert(0, 1), InsertClass::Cycle);
         assert_eq!(t.delete(0, 1), DeleteClass::Forest);
 
-        t.rebuild_forest();
+        rebuild_in_place(&mut t);
         assert!(!t.is_stale());
         assert_eq!(t.num_edges(), 1);
         assert_eq!(t.num_forest_edges(), 1);
@@ -258,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn adopt_forest_and_reclassify_drain_a_stale_window() {
+    fn adopt_and_reclassify_drain_a_stale_window() {
         let mut t = LivenessTracker::new(6);
         for (u, v) in [(0, 1), (1, 2), (3, 4)] {
             t.insert(u, v);
@@ -268,9 +301,12 @@ mod tests {
         // duplicate-in-spirit cycle edge. Both conservatively `Cycle`.
         assert_eq!(t.insert(2, 3), InsertClass::Cycle);
         assert_eq!(t.insert(1, 2), InsertClass::Duplicate);
-        // A rebuild over the *pre-insert* snapshot {1-2, 3-4} adopts
-        // that forest, then the stale-window edges re-admit.
-        t.adopt_forest(&[(1, 2), (3, 4)]);
+        // A rebuild over the *pre-insert* snapshot {1-2, 3-4} is adopted,
+        // then the stale-window edges re-admit.
+        let rebuilt = LivenessTracker::rebuild(6, &[(1, 2), (3, 4)], || true).expect("not aborted");
+        assert_eq!(rebuilt.labels[1], rebuilt.labels[2]);
+        assert_ne!(rebuilt.labels[2], rebuilt.labels[3]);
+        t.adopt(rebuilt);
         assert!(!t.is_stale());
         assert!(t.reclassify_live(2, 3), "bridging edge merges");
         assert!(!t.reclassify_live(2, 3), "second pass is a no-op");
@@ -287,11 +323,61 @@ mod tests {
             t.insert(u, v);
         }
         assert_eq!(t.delete(0, 1), DeleteClass::Forest);
-        t.rebuild_forest();
+        rebuild_in_place(&mut t);
         // Post-rebuild the triangle's surviving edges are both forest
         // edges (1-2, 2-0 now span {0,1,2}).
         assert_eq!(t.delete(1, 2), DeleteClass::Forest);
-        t.rebuild_forest();
+        rebuild_in_place(&mut t);
         assert_eq!(t.delete(3, 4), DeleteClass::Forest);
+    }
+
+    #[test]
+    fn rebuild_yields_mirror_forest_and_labels_from_one_pass() {
+        // Two triangles and an isolated vertex; edge order decides which
+        // two edges of each triangle the forest keeps, never how many.
+        let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
+        let mut t = LivenessTracker::new(7);
+        for &(u, v) in &edges {
+            t.insert(u, v);
+        }
+        t.delete(0, 1);
+        let snapshot = t.edge_list();
+        let rebuilt = LivenessTracker::rebuild(7, &snapshot, || true).expect("not aborted");
+        let labels = rebuilt.labels.clone();
+        assert!(labels.iter().all(|&l| labels[l as usize] == l), "labels are canonical");
+        assert!(cc_graph::stats::same_partition(
+            &labels,
+            &cc_unionfind::oracle_labels(7, &snapshot)
+        ));
+        t.adopt(rebuilt);
+        assert!(!t.is_stale());
+        assert_eq!(t.num_forest_edges(), 4, "n - components = 7 - 3");
+        let g = cc_graph::build_undirected(7, &snapshot);
+        assert!(crate::is_valid_spanning_forest(&g, &t.forest_list()));
+        // The adopted mirror classifies exactly: 1-2 and 2-0 now span
+        // {0, 1, 2}, so a new 0-1 is a cycle edge.
+        assert_eq!(t.insert(0, 1), InsertClass::Cycle);
+        assert_eq!(t.insert(2, 3), InsertClass::Merge);
+    }
+
+    #[test]
+    fn an_aborted_rebuild_stops_at_a_poll_and_leaves_the_tracker_alone() {
+        let n = 3 * REBUILD_POLL_EDGES;
+        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|v| (v, v + 1)).collect();
+        let mut t = LivenessTracker::new(n);
+        for &(u, v) in &edges {
+            t.insert(u, v);
+        }
+        assert_eq!(t.delete(0, 1), DeleteClass::Forest);
+        // Doomed after the second poll: the pass stops there, mid-list.
+        let polls = std::cell::Cell::new(0);
+        let aborted = LivenessTracker::rebuild(n, &edges, || {
+            polls.set(polls.get() + 1);
+            polls.get() < 3
+        });
+        assert!(aborted.is_none());
+        assert_eq!(polls.get(), 3, "stopped at the poll that said no");
+        assert!(t.is_stale(), "nothing was adopted");
+        assert_eq!(t.num_forest_edges(), n - 2);
     }
 }

@@ -32,8 +32,9 @@
 //! Merge deltas are only applied while the generation engine is clean.
 //! A forest deletion seals the generation — the view is republished
 //! with `sealed = true` and frozen — and the commit that follows
-//! resyncs the plane wholesale from the fresh engine's labels, because
-//! a deletion rebuild invalidates every delta derived before it.
+//! replaces the plane wholesale with one recomputed from the rebuilt
+//! labeling ([`Analytics::from_labels`], off the writer lock), because a
+//! deletion rebuild invalidates every delta derived before it.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -185,29 +186,33 @@ impl Analytics {
         }
     }
 
-    /// Rebuilds every aggregate from a label array (one label per
-    /// vertex, `labels[v]` the representative of `v`). Used at
-    /// generation commit and recovery, where deltas are invalid.
-    pub fn resync(&mut self, labels: &[u32]) {
+    /// Every aggregate recomputed from a label array (one label per
+    /// vertex, `labels[v]` the representative of `v`). Used at generation
+    /// commit and recovery, where deltas are invalid; touches no existing
+    /// state, so a rebuild runs it outside the writer lock.
+    pub fn from_labels(labels: &[u32]) -> Analytics {
         // The engines hand out *canonical* labels (a representative's
         // label is itself); `find` termination depends on it.
         debug_assert!(labels.iter().all(|&l| labels[l as usize] == l));
         let core = AnalyticsCore::from_labels(labels);
-        self.components = 0;
-        self.hist = [0; HIST_BUCKETS];
-        self.topset.clear();
-        for v in 0..labels.len() {
-            let size = core.sizes[v].load(Ordering::Relaxed);
+        let mut a = Analytics {
+            components: 0,
+            hist: [0; HIST_BUCKETS],
+            topset: BTreeSet::new(),
+            core: Arc::new(core),
+        };
+        for (v, size) in a.core.sizes.iter().enumerate() {
+            let size = size.load(Ordering::Relaxed);
             if size == 0 {
                 continue; // not a representative
             }
-            self.components += 1;
-            self.hist[hist_bucket(size)] += 1;
+            a.components += 1;
+            a.hist[hist_bucket(size)] += 1;
             if size >= 2 {
-                self.topset.insert((size, v as u32));
+                a.topset.insert((size, v as u32));
             }
         }
-        self.core = Arc::new(core);
+        a
     }
 
     /// Applies one merge delta: unions `u` and `v`'s components and
@@ -350,8 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn resync_matches_fresh_deltas() {
-        // Apply deltas on one instance, resync another from the
+    fn from_labels_matches_fresh_deltas() {
+        // Apply deltas on one instance, recompute another from the
         // resulting labels: aggregates must agree exactly.
         let n = 40usize;
         let mut a = Analytics::fresh(n);
@@ -363,8 +368,7 @@ mod tests {
             let view = a.view(0, 0, false);
             (0..n as u32).map(|v| view.component_of(v).0).collect()
         };
-        let mut b = Analytics::fresh(n);
-        b.resync(&labels);
+        let b = Analytics::from_labels(&labels);
         assert_eq!(a.components(), b.components());
         let (va, vb) = (a.view(1, 2, false), b.view(1, 2, false));
         assert_eq!(va.hist, vb.hist);
@@ -382,7 +386,7 @@ mod tests {
         a.merge(0, 1);
         let old = a.view(3, 0, false);
         assert_eq!(old.components, 7);
-        a.resync(&[0, 0, 2, 2, 2, 5, 6, 7]);
+        a = Analytics::from_labels(&[0, 0, 2, 2, 2, 5, 6, 7]);
         let new = a.view(4, 1, false);
         assert_eq!(new.components, 5);
         // The old view still answers from its own (replaced) core.

@@ -34,6 +34,14 @@
 //! of `w` vertices, plus per-batch novel cycles) — not its raw edge
 //! volume. Over-forwarding is harmless (the spine union is idempotent).
 //!
+//! The same argument lets a rebuilt generation start from a labeling
+//! rather than an edge replay ([`Engine::seed_from_labels`]): only the
+//! spine is seeded. The shards stay empty, so their relation is a subset
+//! of the truth — a same-shard pair the labeling connects merely misses
+//! the local fast path and is answered by the spine, and the first insert
+//! of such a pair looks novel and is forwarded to a spine that already
+//! has it.
+//!
 //! ## Execution modes
 //!
 //! - [`ExecMode::WaitFree`] (paper Type (i)): the whole batch — updates
@@ -129,6 +137,10 @@ pub trait Engine: Send + Sync {
     fn counters(&self) -> &EngineCounters;
     /// Applies a mixed batch; returns query answers in order of appearance.
     fn process_batch(&self, batch: &[Update]) -> Vec<bool>;
+    /// Seeds a *fresh* engine (nothing inserted, not yet shared) with the
+    /// components of an existing labeling, instead of replaying a forest
+    /// of them edge by edge.
+    fn seed_from_labels(&self, labels: &[u32]);
     /// Linearizable connectivity query.
     fn connected(&self, u: u32, v: u32) -> bool;
     /// Current global component label of `v` (exact when quiescent).
@@ -400,6 +412,10 @@ impl<K: UniteKernel> Engine for ShardedEngine<K> {
         results.iter().map(|r| r.load(Ordering::Relaxed) == 1).collect()
     }
 
+    fn seed_from_labels(&self, labels: &[u32]) {
+        self.spine.seed_from_labels(labels);
+    }
+
     /// Linearizable connectivity query. Same-shard pairs that are locally
     /// connected short-circuit without touching the spine; everything else
     /// is answered by the spine, whose relation equals global
@@ -498,6 +514,57 @@ mod tests {
                     "shards={shards}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn seeded_from_labels_is_exact_and_stays_exact_under_inserts() {
+        let el = rmat_default(10, 3_000, 9);
+        let n = el.num_vertices;
+        let (seeded, later) = el.edges.split_at(2_000);
+        // Arbitrary (non-minimum) representatives, as a rebuild pass
+        // hands them over.
+        let labels =
+            connectit::LivenessTracker::rebuild(n, seeded, || true).expect("not aborted").labels;
+        let expect_seeded = oracle_labels(n, seeded);
+        let expect_all = oracle_labels(n, &el.edges);
+        for (spec, mode) in [
+            (UfSpec::fastest(), ExecMode::WaitFree),
+            (
+                UfSpec::rem(UniteKind::RemLock, SpliceKind::SplitOne, FindKind::Naive),
+                ExecMode::WaitFree,
+            ),
+            (splice_spec(), ExecMode::Phased),
+        ] {
+            let e = build_engine(n, 4, &spec, mode, 42).expect("ok");
+            e.seed_from_labels(&labels);
+            let name = spec.name();
+            assert!(same_partition(&expect_seeded, &e.labels_readonly()), "{name}");
+            assert_eq!(
+                e.num_components(),
+                cc_graph::stats::count_distinct_labels(&expect_seeded),
+                "{name}"
+            );
+            // Same-shard and cross-shard pairs alike: the unseeded shards
+            // never answer, the spine always does.
+            for u in (0..n as u32).step_by(7) {
+                let v = (u * 31 + 5) % n as u32;
+                let want = expect_seeded[u as usize] == expect_seeded[v as usize];
+                assert_eq!(e.connected(u, v), want, "{name}: connected({u}, {v})");
+            }
+            let queries: Vec<Update> =
+                seeded.iter().take(64).map(|&(u, v)| Update::Query(u, v)).collect();
+            assert!(e.process_batch(&queries).iter().all(|&a| a), "{name}");
+            for chunk in later.chunks(97) {
+                let batch: Vec<Update> = chunk.iter().map(|&(u, v)| Update::Insert(u, v)).collect();
+                e.process_batch(&batch);
+            }
+            assert!(same_partition(&expect_all, &e.labels_readonly()), "{name} after inserts");
+            assert_eq!(
+                e.num_components(),
+                cc_graph::stats::count_distinct_labels(&expect_all),
+                "{name} after inserts"
+            );
         }
     }
 

@@ -12,10 +12,12 @@
 //!   (cycle) edge cannot change connectivity and is *free* — no rebuild,
 //!   just a counter. Only a *forest* deletion seals the current
 //!   generation: its labels are frozen, the engine is marked dirty, and a
-//!   background worker rebuilds a fresh generation from the surviving
-//!   edge set (k-out-sampled [`mod@connectit::spanning_forest`] keeps the
-//!   recompute cheap — the new engine replays a forest, not the full
-//!   multiset).
+//!   background worker rebuilds from the surviving edge set in **one
+//!   union-find pass** ([`connectit::LivenessTracker::rebuild`]), which
+//!   yields the tracker's next mirror and forest and the labels. The
+//!   fresh engine is *seeded* from the labels (nothing is replayed) and
+//!   the next analytics plane recomputed from them, all outside the
+//!   writer lock; the commit is pointer swaps plus the pending drain.
 //! - **Queries** during a rebuild are answered from the last *sealed*
 //!   generation's labels — consistent, honestly stale, and reported as
 //!   such: the `(epoch, generation)` pair extends the service's
@@ -23,9 +25,11 @@
 //!
 //! Inserts and deletes that land while a rebuild is in flight are not
 //! lost: inserts accumulate in the tracker *and* a pending list drained
-//! into the new generation at the swap; a delete of a live edge
-//! invalidates the in-flight edge snapshot and conservatively re-triggers
-//! the rebuild (the stale forest cannot prove the edge redundant).
+//! into the new generation at the swap; a delete of a live edge dooms the
+//! attempt in flight (its snapshot may span the dead edge). The builder
+//! polls for that, stops at its next chunk, strikes the retracted edges
+//! from its snapshot and goes again — the snapshot is taken once per
+//! dirty window, so a retry costs the writers no O(m) lock hold.
 //!
 //! Readers never block on a rebuild: they clone an `Arc`'d `View`
 //! (live engine or sealed labels) under a short pointer lock, so the
@@ -36,17 +40,12 @@ use crate::engine::{build_engine, Engine, ExecMode, RunMode};
 use crate::obs::{Event, Obs};
 use crate::subs::{PendingEvent, SubInfo, SubKind, SubsCore};
 use cc_unionfind::UfSpec;
-use connectit::{
-    spanning_forest, supports_spanning_forest, DeleteClass, FinishMethod, InsertClass,
-    LivenessTracker, SamplingMethod, Update,
-};
+use connectit::{canon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt, Update};
 use parking_lot::{Condvar, Mutex};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Chunk size for replaying a rebuilt forest into a fresh engine.
-const REBUILD_CHUNK: usize = 1 << 16;
 
 /// Monotone telemetry counters of the generation engine. The
 /// `deletes_nonforest` counter is the load-bearing one: the test harness
@@ -107,10 +106,11 @@ struct WriteState {
     /// Inserts that arrived while a rebuild was in flight; drained into
     /// the fresh generation at the swap (idempotent: the rebuild's edge
     /// snapshot may already contain a prefix of them).
-    pending: Vec<(u32, u32)>,
-    /// A live edge was deleted while a rebuild was in flight: the edge
-    /// snapshot that rebuild is computing over is invalid, go again.
-    retrigger: bool,
+    pending: Edges,
+    /// Live edges deleted while dirty that the rebuild worker has not
+    /// struck from its snapshot yet. Non-empty means the attempt in
+    /// flight computes over a dead edge and must be discarded.
+    retracted: Vec<u64>,
     dirty: bool,
     generation: u64,
     counters: GenCounters,
@@ -125,6 +125,16 @@ struct WriteState {
     /// stream as `analytics`, buffers fires for the batcher to stamp and
     /// dispatch (DESIGN.md §13).
     subs: SubsCore,
+}
+
+/// An edge list, as the tracker snapshots it and writers queue it.
+type Edges = Vec<(u32, u32)>;
+
+/// A generation built outside the writer lock, ready to be swapped in.
+struct NextGeneration {
+    rebuilt: Rebuilt,
+    engine: Arc<dyn Engine>,
+    analytics: Analytics,
 }
 
 struct Shared {
@@ -144,6 +154,9 @@ struct Shared {
     /// The published analytics view (`TOPK`/`HIST`/`SIZE`), swapped
     /// whole like `view` so analytical reads never take `mx`.
     aview: Mutex<Arc<AnalyticsView>>,
+    /// `!retracted.is_empty()`, for the builder to poll without `mx`. It
+    /// publishes nothing (the list is only read under `mx`): `Relaxed`.
+    doomed: AtomicBool,
     /// High-water mark of the epochs handed to
     /// [`GenerationEngine::publish_analytics`]; a publication deferred
     /// by a dirty window is republished at this epoch by the commit.
@@ -160,6 +173,7 @@ impl Shared {
     /// Freezes the current labels as the sealed generation and marks the
     /// engine dirty; the rebuild worker takes it from here.
     fn seal(&self, st: &mut WriteState) {
+        debug_assert!(st.retracted.is_empty(), "edges are only retracted while dirty");
         let labels = st.engine.labels_readonly();
         // The delta-maintained count replaces the old O(n)
         // `count_distinct_labels` scan: the engine-bound run was flushed
@@ -176,7 +190,7 @@ impl Shared {
         st.dirty = true;
         *self.view.lock() = Arc::new(View::Sealed { sealed, generation: st.generation });
         // Freeze the analytics view at the seal-time partition; deltas
-        // are suspended until the commit resyncs wholesale.
+        // are suspended until the commit swaps in a recomputed plane.
         self.publish_analytics_locked(st, true);
         if let Some(o) = &self.obs {
             o.metrics.rebuilds_sealed_total.inc();
@@ -197,32 +211,116 @@ impl Shared {
         }
     }
 
-    /// Builds the next generation from a snapshot of the live edge set:
-    /// a k-out-sampled spanning forest (the cheap part — the fresh engine
-    /// replays at most `n - 1` edges, not the full multiset), then a
-    /// fresh sharded engine seeded with it. Runs outside every lock.
-    fn build_generation(&self, edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, Arc<dyn Engine>) {
-        let g = cc_graph::build_undirected(self.n, edges);
-        // Rem+Splice destroys edges' identity mid-phase and cannot
-        // witness a forest; fall back to the fastest supported variant
-        // for the *forest computation only* — the engine itself is still
-        // built with the configured spec.
-        let configured = FinishMethod::UnionFind(self.spec);
-        let finish = if supports_spanning_forest(&configured) {
-            configured
-        } else {
-            FinishMethod::UnionFind(UfSpec::fastest())
-        };
-        let forest = spanning_forest(&g, &SamplingMethod::kout_default(), &finish, self.seed);
-        let fresh: Arc<dyn Engine> = Arc::from(
+    /// Opens a rebuild attempt (caller holds `mx`): the first of a dirty
+    /// window takes the live-edge snapshot, a retry returns what was
+    /// retracted since, for [`Self::build_generation`] to strike from it.
+    fn begin_attempt(&self, st: &mut WriteState, snapshot: &mut Option<Edges>) -> Vec<u64> {
+        self.doomed.store(false, Ordering::Relaxed);
+        let retracted = std::mem::take(&mut st.retracted);
+        if snapshot.is_some() {
+            return retracted;
+        }
+        // The live set already lacks whatever was retracted so far.
+        *snapshot = Some(st.tracker.edge_list());
+        Vec::new()
+    }
+
+    /// Builds the next generation outside every lock: strike `retracted`
+    /// from the snapshot, one union-find pass for mirror, forest and
+    /// labels, then a fresh engine and analytics plane from the labels.
+    /// `None` once a further retraction (or shutdown) dooms the attempt.
+    fn build_generation(&self, edges: &mut Edges, retracted: &[u64]) -> Option<NextGeneration> {
+        if !retracted.is_empty() {
+            let dead: HashSet<u64> = retracted.iter().copied().collect();
+            edges.retain(|&(u, v)| !dead.contains(&canon_edge(u, v)));
+        }
+        let keep_going =
+            || !self.doomed.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Acquire);
+        let mut rebuilt = LivenessTracker::rebuild(self.n, edges, keep_going)?;
+        let labels = std::mem::take(&mut rebuilt.labels);
+        let engine: Arc<dyn Engine> = Arc::from(
             build_engine(self.n, self.shards, &self.spec, self.mode, self.seed)
                 .expect("generation rebuild: engine parameters were validated at startup"),
         );
-        for chunk in forest.chunks(REBUILD_CHUNK) {
-            let batch: Vec<Update> = chunk.iter().map(|&(u, v)| Update::Insert(u, v)).collect();
-            fresh.process_batch(&batch);
+        engine.seed_from_labels(&labels);
+        if !keep_going() {
+            return None;
         }
-        (forest, fresh)
+        let analytics = Analytics::from_labels(&labels);
+        Some(NextGeneration { rebuilt, engine, analytics })
+    }
+
+    /// Swaps a built generation in (caller holds `mx`; `st.generation` is
+    /// already the number it will serve under) and drains the inserts
+    /// that arrived since its snapshot; returns how many.
+    fn install(&self, st: &mut WriteState, next: NextGeneration, commit_epoch: Option<u64>) -> u64 {
+        st.tracker.adopt(next.rebuilt);
+        Self::retire_engine_counters(st);
+        st.engine = next.engine;
+        st.analytics = next.analytics;
+        // Idempotent: the snapshot may already hold a prefix of `pending`.
+        let drained = std::mem::take(&mut st.pending);
+        let mut merges: Vec<Update> = Vec::new();
+        for &(u, v) in &drained {
+            if st.tracker.reclassify_live(u, v) {
+                st.analytics.merge(u, v);
+                merges.push(Update::Insert(u, v));
+            }
+        }
+        if !merges.is_empty() {
+            st.engine.process_batch(&merges);
+        }
+        *self.view.lock() =
+            Arc::new(View::Live { engine: Arc::clone(&st.engine), generation: st.generation });
+        self.rearm_subs(st, commit_epoch);
+        self.publish_analytics_locked(st, false);
+        drained.len() as u64
+    }
+
+    /// Re-arms the trigger index against the serving labeling (caller
+    /// holds `mx`): pairs the history or the drained inserts connected
+    /// fire, stamped `commit_epoch`, and every component subscription
+    /// observes the identity change. An empty registry needs no labels.
+    fn rearm_subs(&self, st: &mut WriteState, commit_epoch: Option<u64>) {
+        let labels = if st.subs.is_empty() { Vec::new() } else { st.engine.labels_readonly() };
+        let gen = st.generation;
+        st.subs.on_commit(&labels, gen, commit_epoch, true);
+    }
+
+    /// Closes a rebuild attempt (caller holds `mx`): commits `next` as the
+    /// new generation, or, if an edge was retracted since the attempt
+    /// began, discards it (`false`); `pending` stays for the next one.
+    fn finish_attempt(
+        &self,
+        st: &mut WriteState,
+        next: Option<NextGeneration>,
+        build_start: Instant,
+    ) -> bool {
+        let held = Instant::now();
+        let Some(next) = next.filter(|_| st.retracted.is_empty()) else {
+            if let Some(o) = &self.obs {
+                o.metrics.rebuilds_discarded_total.inc();
+            }
+            return false;
+        };
+        st.generation += 1;
+        st.dirty = false;
+        st.sealed = None;
+        st.counters.rebuilds += 1;
+        // The epoch high-water mark the dirty window deferred.
+        let commit_epoch = self.published_epoch.load(Ordering::Acquire);
+        let drained = self.install(st, next, Some(commit_epoch));
+        if let Some(o) = &self.obs {
+            o.metrics.rebuilds_committed_total.inc();
+            o.metrics.generation.set_max(st.generation);
+            o.metrics.gen_dirty.set(0);
+            o.metrics.rebuild_duration_ns.record_duration(build_start.elapsed());
+            o.metrics.rebuild_drained_ops.record(drained);
+            o.metrics.rebuild_commit_hold_ns.record_duration(held.elapsed());
+            o.recorder.record(Event::RebuildCommitted { generation: st.generation, drained });
+        }
+        self.cv.notify_all();
+        true
     }
 
     /// Folds the (about-to-retire) engine's shard counters into the
@@ -237,8 +335,10 @@ impl Shared {
 
 /// The background rebuild loop (one dedicated thread per service).
 fn run_rebuilder(shared: &Arc<Shared>) {
+    // The live-edge snapshot of the dirty window being rebuilt.
+    let mut snapshot: Option<Edges> = None;
     loop {
-        let edges;
+        let retracted;
         {
             let mut st = shared.mx.lock();
             loop {
@@ -250,83 +350,26 @@ fn run_rebuilder(shared: &Arc<Shared>) {
                 }
                 shared.cv.wait(&mut st);
             }
-            st.retrigger = false;
-            edges = st.tracker.edge_list();
+            retracted = shared.begin_attempt(&mut st, &mut snapshot);
         }
-        if !shared.rebuild_hold.is_zero() {
-            // Sleep in slices so a shutdown is not pinned behind a long
-            // hold (tests use holds of many seconds to freeze a dirty
-            // window open).
-            let until = std::time::Instant::now() + shared.rebuild_hold;
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let left = until.saturating_duration_since(std::time::Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                std::thread::sleep(left.min(Duration::from_millis(10)));
+        // The test knob, slept in slices: a shutdown must not wait it out.
+        let until = Instant::now() + shared.rebuild_hold;
+        while let Some(left) = until.checked_duration_since(Instant::now()) {
+            if shared.shutdown.load(Ordering::Acquire) {
+                return;
             }
+            std::thread::sleep(left.min(Duration::from_millis(10)));
         }
         let build_start = Instant::now();
-        let (forest, fresh) = shared.build_generation(&edges);
+        let edges = snapshot.as_mut().expect("begin_attempt took the snapshot");
+        let next = shared.build_generation(edges, &retracted);
         let mut st = shared.mx.lock();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if st.retrigger {
-            // A live edge died mid-rebuild: the snapshot (and its forest)
-            // may span a dead edge. Discard and rebuild from the current
-            // edge set; `pending` stays (the drain below is idempotent).
-            continue;
+        if shared.finish_attempt(&mut st, next, build_start) {
+            snapshot = None;
         }
-        st.tracker.adopt_forest(&forest);
-        let drained: Vec<(u32, u32)> = std::mem::take(&mut st.pending);
-        let num_drained = drained.len() as u64;
-        let mut merges: Vec<Update> = Vec::new();
-        for (u, v) in drained {
-            if st.tracker.reclassify_live(u, v) {
-                merges.push(Update::Insert(u, v));
-            }
-        }
-        if !merges.is_empty() {
-            fresh.process_batch(&merges);
-        }
-        Shared::retire_engine_counters(&mut st);
-        st.engine = fresh;
-        st.generation += 1;
-        st.dirty = false;
-        st.sealed = None;
-        st.counters.rebuilds += 1;
-        *shared.view.lock() =
-            Arc::new(View::Live { engine: Arc::clone(&st.engine), generation: st.generation });
-        // The deletion rebuild invalidated every delta: resync the
-        // analytics plane wholesale from the fresh labels (the drained
-        // pending merges are already in them) and republish at the
-        // epoch high-water mark the dirty window deferred.
-        let labels = st.engine.labels_readonly();
-        st.analytics.resync(&labels);
-        // Re-arm the trigger index against the fresh labeling: pending
-        // pairs the drained inserts connected fire here (stamped at the
-        // deferred epoch high-water mark), and every component
-        // subscription observes the new generation's identity change.
-        let commit_epoch = shared.published_epoch.load(Ordering::Acquire);
-        let gen = st.generation;
-        st.subs.on_commit(&labels, gen, Some(commit_epoch), true);
-        shared.publish_analytics_locked(&st, false);
-        if let Some(o) = &shared.obs {
-            o.metrics.rebuilds_committed_total.inc();
-            o.metrics.generation.set_max(st.generation);
-            o.metrics.gen_dirty.set(0);
-            o.metrics.rebuild_duration_ns.record_duration(build_start.elapsed());
-            o.metrics.rebuild_drained_ops.record(num_drained);
-            o.recorder.record(Event::RebuildCommitted {
-                generation: st.generation,
-                drained: num_drained,
-            });
-        }
-        shared.cv.notify_all();
     }
 }
 
@@ -373,7 +416,7 @@ impl GenerationEngine {
                 tracker: LivenessTracker::new(n),
                 sealed: None,
                 pending: Vec::new(),
-                retrigger: false,
+                retracted: Vec::new(),
                 dirty: false,
                 generation: 0,
                 counters: GenCounters::default(),
@@ -384,6 +427,7 @@ impl GenerationEngine {
             cv: Condvar::new(),
             view: Mutex::new(view),
             aview: Mutex::new(aview),
+            doomed: AtomicBool::new(false),
             published_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             obs,
@@ -514,7 +558,8 @@ impl GenerationEngine {
                                 o.metrics.deletes_forest_total.inc();
                             }
                             if st.dirty {
-                                st.retrigger = true;
+                                st.retracted.push(canon_edge(u, v));
+                                self.shared.doomed.store(true, Ordering::Relaxed);
                             } else {
                                 self.shared.seal(st);
                             }
@@ -724,42 +769,30 @@ impl GenerationEngine {
         }
     }
 
-    /// Finishes recovery: materializes generation 0's engine from the
-    /// recovered edge set (one spanning-forest rebuild, regardless of how
-    /// many deletions the history held) and leaves the engine clean.
+    /// Finishes recovery: materializes generation 0 from the recovered
+    /// edge set (the one-pass rebuild a forest deletion runs — once,
+    /// however many deletions the history held) and leaves the engine
+    /// clean. Recovered durable subscriptions arm against its labels: a
+    /// pair the history connected fires at the first post-recovery drain
+    /// (a possible duplicate of a pre-crash delivery, which the sequence
+    /// numbers let clients absorb), and component subscriptions observe
+    /// the restart's identity reset.
     pub fn finish_recovery(&self) {
-        let edges = { self.shared.mx.lock().tracker.edge_list() };
+        let mut edges = { self.shared.mx.lock().tracker.edge_list() };
         if edges.is_empty() {
+            // Nothing survived: the untouched engine is right, and so is
+            // a fresh tracker (the recovered one may be stale).
             let mut st = self.shared.mx.lock();
-            st.tracker.rebuild_forest();
-            if !st.subs.is_empty() {
-                let labels = st.engine.labels_readonly();
-                let gen = st.generation;
-                st.subs.on_commit(&labels, gen, None, true);
-            }
+            st.tracker = LivenessTracker::new(self.shared.n);
+            self.shared.rearm_subs(&mut st, None);
             return;
         }
-        let (forest, fresh) = self.shared.build_generation(&edges);
+        let next = self
+            .shared
+            .build_generation(&mut edges, &[])
+            .expect("nothing retracts edges or shuts down during recovery");
         let mut st = self.shared.mx.lock();
-        st.tracker.adopt_forest(&forest);
-        Shared::retire_engine_counters(&mut st);
-        st.engine = fresh;
-        *self.shared.view.lock() =
-            Arc::new(View::Live { engine: Arc::clone(&st.engine), generation: st.generation });
-        // Recovery bypassed the per-insert delta hook (the tracker alone
-        // absorbed the history): resync the analytics plane from the
-        // materialized labels and publish the initial view.
-        let labels = st.engine.labels_readonly();
-        st.analytics.resync(&labels);
-        // Recovered durable subscriptions arm here, against the
-        // materialized labeling: a pending pair the history connected
-        // fires (stamped at the first post-recovery drain — a possible
-        // duplicate of a pre-crash delivery, which the per-subscription
-        // sequence numbers let clients absorb), and component
-        // subscriptions observe the restart's identity reset.
-        let gen = st.generation;
-        st.subs.on_commit(&labels, gen, None, true);
-        self.shared.publish_analytics_locked(&st, false);
+        self.shared.install(&mut st, next, None);
     }
 
     /// Publishes the analytics view at batch epoch `epoch` (a
@@ -909,6 +942,234 @@ mod tests {
 
     fn quiesced(g: &GenerationEngine) -> u64 {
         g.quiesce(Duration::from_secs(30)).expect("quiesce")
+    }
+
+    /// An engine whose worker was retired, and the worker's loop body taken
+    /// one step at a time, so a test decides what lands between any two.
+    struct Stepped {
+        g: GenerationEngine,
+        obs: Arc<Obs>,
+        snapshot: Option<Edges>,
+    }
+
+    /// Where [`Stepped::advance`] is within a rebuild attempt.
+    enum Phase {
+        Idle,
+        Begun(Vec<u64>),
+        Built(Option<Box<NextGeneration>>),
+    }
+
+    impl Stepped {
+        fn new(n: usize) -> Stepped {
+            let obs = Obs::new();
+            let mut g = GenerationEngine::new(
+                n,
+                2,
+                &UfSpec::fastest(),
+                ExecMode::Auto,
+                7,
+                Duration::ZERO,
+                Some(Arc::clone(&obs)),
+            )
+            .expect("engine builds");
+            // Retire the worker as `Drop` would, then lower the flag
+            // again: from here on a dirty engine stays dirty until the
+            // test runs the worker's steps itself.
+            g.shared.shutdown.store(true, Ordering::Release);
+            {
+                let _st = g.shared.mx.lock();
+                g.shared.cv.notify_all();
+            }
+            g.worker.take().expect("spawned").join().expect("worker exits cleanly");
+            g.shared.shutdown.store(false, Ordering::Release);
+            Stepped { g, obs, snapshot: None }
+        }
+
+        fn begin(&mut self) -> Vec<u64> {
+            let shared = &self.g.shared;
+            shared.begin_attempt(&mut shared.mx.lock(), &mut self.snapshot)
+        }
+
+        fn build(&mut self, retracted: &[u64]) -> Option<NextGeneration> {
+            let edges = self.snapshot.as_mut().expect("begin() came first");
+            self.g.shared.build_generation(edges, retracted)
+        }
+
+        fn finish(&mut self, next: Option<NextGeneration>) -> bool {
+            let shared = &self.g.shared;
+            let committed = shared.finish_attempt(&mut shared.mx.lock(), next, Instant::now());
+            if committed {
+                self.snapshot = None;
+            }
+            committed
+        }
+
+        /// One step of the worker's loop; `true` when it was a commit.
+        fn advance(&mut self, phase: Phase) -> (Phase, bool) {
+            match phase {
+                Phase::Idle if self.g.is_dirty() => (Phase::Begun(self.begin()), false),
+                Phase::Idle => (Phase::Idle, false),
+                Phase::Begun(retracted) => {
+                    (Phase::Built(self.build(&retracted).map(Box::new)), false)
+                }
+                Phase::Built(next) => (Phase::Idle, self.finish(next.map(|b| *b))),
+            }
+        }
+
+        fn discarded(&self) -> u64 {
+            self.obs.metrics.rebuilds_discarded_total.get()
+        }
+
+        /// What must hold the instant a commit returns: the tracker's
+        /// forest spans exactly the live graph, the engine's partition is
+        /// that graph's, and the swapped-in analytics plane (recomputed
+        /// off-lock, then patched with the drained merges) equals a
+        /// recompute from the engine's labels.
+        fn check_commit_invariants(&self, oracle: &DynamicOracle) {
+            let st = self.g.shared.mx.lock();
+            assert!(!st.dirty && st.pending.is_empty() && st.retracted.is_empty());
+            let mut live = st.tracker.edge_list();
+            live.sort_unstable();
+            let mut want = oracle.edge_list();
+            want.sort_unstable();
+            assert_eq!(live, want, "live edge set");
+            let graph = cc_graph::build_undirected(self.g.num_vertices(), &live);
+            assert!(
+                connectit::is_valid_spanning_forest(&graph, &st.tracker.forest_list()),
+                "tracker forest does not span the live graph"
+            );
+            let labels = st.engine.labels_readonly();
+            assert!(cc_graph::stats::same_partition(&oracle.labels(), &labels), "partition");
+            let (got, want) = (st.analytics.view(0, 0, false), Analytics::from_labels(&labels));
+            let want = want.view(0, 0, false);
+            assert_eq!(got.components, want.components);
+            assert_eq!(got.hist, want.hist);
+            let sizes = |v: &AnalyticsView| v.topk.iter().map(|&(_, s)| s).collect::<Vec<_>>();
+            assert_eq!(sizes(&got), sizes(&want));
+            for v in 0..self.g.num_vertices() as u32 {
+                assert_eq!(got.component_of(v).1, want.component_of(v).1, "size of {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_doomed_attempt_changes_nothing_and_the_next_one_commits() {
+        let mut s = Stepped::new(16);
+        s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(3, 4)]);
+        s.g.process_batch(&[Update::Delete(0, 1)]);
+        let untouched = |s: &Stepped| {
+            assert_eq!(s.g.generation(), 0);
+            assert!(s.g.is_dirty());
+            assert_eq!(s.g.connected_with_gen(0, 1), (true, Some(0)), "sealed view");
+            assert_eq!(s.g.connected_with_gen(3, 4), (true, Some(0)), "sealed view");
+            assert_eq!(s.g.connected_with_gen(5, 6), (false, Some(0)), "sealed view");
+            assert_eq!(s.g.shared.mx.lock().pending, vec![(5, 6)]);
+            assert_eq!(s.g.info().counters.rebuilds, 0);
+        };
+
+        // Retracted after the snapshot, before the build: the builder
+        // sees the flag at its first poll and builds nothing.
+        let retracted = s.begin();
+        assert!(retracted.is_empty());
+        s.g.process_batch(&[Update::Insert(5, 6)]);
+        s.g.process_batch(&[Update::Delete(3, 4)]);
+        assert!(s.build(&retracted).is_none(), "doomed before its first chunk");
+        assert!(!s.finish(None));
+        assert_eq!(s.discarded(), 1);
+        untouched(&s);
+
+        // Retracted between build and commit: a whole generation is
+        // built, and thrown away under the lock.
+        let retracted = s.begin();
+        assert_eq!(retracted, vec![canon_edge(3, 4)], "the retry is told what died");
+        let next = s.build(&retracted);
+        assert!(next.is_some());
+        s.g.process_batch(&[Update::Delete(1, 2)]);
+        assert!(!s.finish(next));
+        assert_eq!(s.discarded(), 2);
+        untouched(&s);
+
+        // Left alone, the third attempt commits — from the first
+        // attempt's snapshot minus everything retracted since.
+        let retracted = s.begin();
+        assert_eq!(retracted, vec![canon_edge(1, 2)]);
+        let next = s.build(&retracted);
+        assert!(s.finish(next));
+        assert_eq!((s.g.generation(), s.g.is_dirty()), (1, false));
+        assert_eq!(s.g.info().counters.rebuilds, 1);
+        assert!(s.g.shared.mx.lock().pending.is_empty());
+        assert!(s.g.connected(5, 6), "the pending insert was drained");
+        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+            assert_eq!(s.g.connected_with_gen(u, v), (false, None), "{u}-{v} was deleted");
+        }
+        assert_eq!(s.discarded(), 2);
+        assert_eq!(s.obs.metrics.rebuild_commit_hold_ns.count(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random insert/delete schedules with the rebuild advanced a
+        /// random number of steps between operations, so deletes land
+        /// before the snapshot, between snapshot and build (an early
+        /// abort) and between build and commit (a discard under the
+        /// lock); every commit is checked on the spot, and the quiesced
+        /// end state against the oracle.
+        #[test]
+        fn rebuild_seams_hold_under_random_interleavings(
+            n in 4usize..20,
+            script in proptest::collection::vec((0u8..8, 0u32..20, 0u32..20, 0u8..4), 1..120),
+        ) {
+            let mut s = Stepped::new(n);
+            let mut oracle = DynamicOracle::new(n);
+            let mut phase = Phase::Idle;
+            let mut commits = 0u64;
+            let mut last = (0u32, 1u32);
+            for (kind, u, v, steps) in script {
+                let (u, v) = (u % n as u32, v % n as u32);
+                let op = match kind {
+                    0..=3 => {
+                        last = (u, v);
+                        Update::Insert(u, v)
+                    }
+                    4 | 5 => Update::Delete(u, v),
+                    // Deleting what was just inserted hits a live
+                    // (usually forest) edge far more often than chance.
+                    _ => Update::Delete(last.0, last.1),
+                };
+                s.g.process_batch(&[op]);
+                oracle.apply(op);
+                for _ in 0..steps {
+                    let (next, committed) = s.advance(phase);
+                    phase = next;
+                    if committed {
+                        commits += 1;
+                        s.check_commit_invariants(&oracle);
+                    }
+                }
+            }
+            // Quiesce by hand: with no further retractions, the attempt
+            // in flight is the last one that can be doomed.
+            for _ in 0..6 {
+                let (next, committed) = s.advance(phase);
+                phase = next;
+                if committed {
+                    commits += 1;
+                    s.check_commit_invariants(&oracle);
+                }
+            }
+            proptest::prop_assert!(!s.g.is_dirty());
+            proptest::prop_assert_eq!(s.g.info().counters.rebuilds, commits);
+            proptest::prop_assert_eq!(s.g.generation(), commits);
+            for u in 0..n as u32 {
+                for v in 0..n as u32 {
+                    proptest::prop_assert_eq!(
+                        s.g.connected_with_gen(u, v),
+                        (oracle.connected(u, v), None)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

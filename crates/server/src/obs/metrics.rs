@@ -183,6 +183,7 @@ pub struct Metrics {
     // generation plane
     pub rebuilds_sealed_total: Counter,
     pub rebuilds_committed_total: Counter,
+    pub rebuilds_discarded_total: Counter,
     pub deletes_forest_total: Counter,
     pub deletes_nonforest_total: Counter,
     pub deletes_absent_total: Counter,
@@ -190,6 +191,7 @@ pub struct Metrics {
     pub gen_dirty: Gauge,
     pub rebuild_duration_ns: LatencyHist,
     pub rebuild_drained_ops: LatencyHist,
+    pub rebuild_commit_hold_ns: LatencyHist,
     // subs plane
     pub subs_active: Gauge,
     pub sub_events_total: Counter,
@@ -250,6 +252,7 @@ impl Metrics {
             fsync_ns: LatencyHist::new(),
             rebuilds_sealed_total: Counter::default(),
             rebuilds_committed_total: Counter::default(),
+            rebuilds_discarded_total: Counter::default(),
             deletes_forest_total: Counter::default(),
             deletes_nonforest_total: Counter::default(),
             deletes_absent_total: Counter::default(),
@@ -257,6 +260,7 @@ impl Metrics {
             gen_dirty: Gauge::default(),
             rebuild_duration_ns: LatencyHist::new(),
             rebuild_drained_ops: LatencyHist::new(),
+            rebuild_commit_hold_ns: LatencyHist::new(),
             subs_active: Gauge::default(),
             sub_events_total: Counter::default(),
             sub_fire_ns: LatencyHist::new(),
@@ -380,6 +384,7 @@ impl Metrics {
 
         counter(&mut out, "rebuilds_sealed_total", &self.rebuilds_sealed_total);
         counter(&mut out, "rebuilds_committed_total", &self.rebuilds_committed_total);
+        counter(&mut out, "rebuilds_discarded_total", &self.rebuilds_discarded_total);
         counter(&mut out, "deletes_forest_total", &self.deletes_forest_total);
         counter(&mut out, "deletes_nonforest_total", &self.deletes_nonforest_total);
         counter(&mut out, "deletes_absent_total", &self.deletes_absent_total);
@@ -387,6 +392,7 @@ impl Metrics {
         gauge(&mut out, "gen_dirty", &self.gen_dirty);
         summary(&mut out, "rebuild_duration_ns", &self.rebuild_duration_ns);
         summary(&mut out, "rebuild_drained_ops", &self.rebuild_drained_ops);
+        summary(&mut out, "rebuild_commit_hold_ns", &self.rebuild_commit_hold_ns);
 
         gauge(&mut out, "subs_active", &self.subs_active);
         counter(&mut out, "sub_events_total", &self.sub_events_total);

@@ -89,6 +89,14 @@ fn churn_populates_registry_and_counters_stay_monotone() {
     // The histograms behind the summaries are non-empty.
     assert!(first["connectit_fsync_ns_count"] >= 1, "{first:?}");
     assert!(first["connectit_rebuild_duration_ns_count"] >= 1, "{first:?}");
+    // Every commit records how long it held the writer lock; attempts
+    // abandoned instead are counted, not timed (none need occur here).
+    assert_eq!(
+        first["connectit_rebuild_commit_hold_ns_count"],
+        first["connectit_rebuilds_committed_total"],
+        "{first:?}"
+    );
+    assert!(first.contains_key("connectit_rebuilds_discarded_total"), "{first:?}");
     assert!(first["connectit_latency_ns_count"] > 0, "{first:?}");
 
     // More churn, then a second scrape: every `_total` counter is
@@ -166,6 +174,38 @@ fn trace_file_flushes_on_shutdown_and_recovery_consumes_it() {
     let refreshed = std::fs::read_to_string(&trace_path).expect("second run flushed its trace");
     assert!(refreshed.starts_with("T 1 "), "fresh trace restarts sequence:\n{refreshed}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A forest delete that lands while a rebuild attempt is in flight dooms
+/// it: the attempt is counted in `rebuilds_discarded_total`, and the
+/// dirty window still ends in exactly one commit.
+#[test]
+fn a_doomed_rebuild_attempt_is_counted_not_committed() {
+    let hold = Duration::from_millis(300);
+    let mut svc = Service::start(ServiceConfig {
+        n: 64,
+        shards: 2,
+        batch_max_wait: Duration::from_micros(20),
+        rebuild_hold: hold,
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let c = svc.client();
+    for v in 0..8u32 {
+        c.insert(v, v + 1).expect("insert");
+    }
+    c.delete(0, 1).expect("sealing delete");
+    // Well inside the hold: the worker has its snapshot and has not built.
+    std::thread::sleep(hold / 3);
+    c.delete(4, 5).expect("dooming delete");
+    c.quiesce(Duration::from_secs(10)).expect("quiesce");
+    let m = scrape(&c.render_metrics());
+    assert!(m["connectit_rebuilds_discarded_total"] >= 1, "{m:?}");
+    assert_eq!(m["connectit_rebuilds_sealed_total"], 1, "{m:?}");
+    assert_eq!(m["connectit_rebuilds_committed_total"], 1, "{m:?}");
+    assert_eq!(m["connectit_rebuild_commit_hold_ns_count"], 1, "{m:?}");
+    assert!(!c.query(3, 5).expect("query"), "the second delete made it into the commit");
+    svc.shutdown();
 }
 
 /// The `connectit_components` gauge must move at merge/commit time, not
