@@ -118,7 +118,7 @@ impl DynamicConnectivity {
                 DynUpdate::Insert(u, v) => {
                     // Merge verdicts keep the incremental labels exact;
                     // while stale, novel edges wait for the owed rebuild.
-                    if self.tracker.insert(u, v) == InsertClass::Merge {
+                    if matches!(self.tracker.insert(u, v), InsertClass::Merge(_)) {
                         self.uf.unite(&self.parents, u, v);
                     }
                 }

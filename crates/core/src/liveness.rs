@@ -3,9 +3,10 @@
 //!
 //! A connectivity structure only has to re-converge when a deletion could
 //! actually split a component. [`LivenessTracker`] maintains the live
-//! undirected edge set together with a spanning forest of it (witnessed
-//! by a sequential mirror union-find), so every delete classifies in
-//! O(α) into one of [`DeleteClass`]'s three cases:
+//! undirected edge set together with a spanning forest of it and the
+//! partition that forest witnesses (one [`SizedUnionFind`], readable
+//! lock-free by whoever clones its `Arc`), so every delete classifies in
+//! O(1) into one of [`DeleteClass`]'s three cases:
 //!
 //! | class                      | what it means                         | cost to re-converge |
 //! |----------------------------|---------------------------------------|---------------------|
@@ -17,11 +18,11 @@
 //! [`LivenessTracker::rebuild`] makes a single union-find pass over a
 //! snapshot of the live edges — the paper's union-find finish
 //! (Algorithm 2) straight off the edge list, no CSR and no sampling — and
-//! yields the new mirror, the forest (the edges whose `union` succeeded)
-//! and the component labels at once. It borrows nothing from the tracker,
-//! so the server runs it outside its writer lock and installs the result
-//! with the O(1) [`LivenessTracker::adopt`], restoring `forest ⊆ edges`
-//! and `forest spans edges`.
+//! yields the new partition, the forest (the edges whose `unite`
+//! succeeded) and the component labels at once. It borrows nothing from
+//! the tracker, so the server runs it outside its writer lock and
+//! installs the result with the O(1) [`LivenessTracker::adopt`],
+//! restoring `forest ⊆ edges` and `forest spans edges`.
 //!
 //! This module is deliberately sequential — it is the *classifier*, not
 //! the engine. Both [`crate::DynamicConnectivity`] and the server's
@@ -29,8 +30,9 @@
 //! needs a rebuild, and both rebuild through that primitive.
 
 use cc_graph::VertexId;
-use cc_unionfind::SeqUnionFind;
+use cc_unionfind::{MergeOutcome, SizedUnionFind};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Canonical undirected edge key: `(min << 32) | max`.
 #[inline]
@@ -66,35 +68,47 @@ pub enum InsertClass {
     /// A self-loop or an edge inside an existing component: live now, but
     /// merge-wise a no-op (it joined the cycle space).
     Cycle,
-    /// The edge merged two components and joined the forest.
-    Merge,
+    /// The edge merged two components and joined the forest; the outcome
+    /// names the two roots and their sizes, so nothing downstream has to
+    /// find them again.
+    Merge(MergeOutcome),
 }
 
-/// Live edge set + spanning forest + mirror union-find (see module docs).
+/// Live edge set + spanning forest + partition (see module docs).
 ///
-/// Invariants between calls: `forest ⊆ edges`; the mirror's partition
-/// equals connectivity over `edges`; `forest` spans that partition.
-/// After a [`DeleteClass::Forest`] removal the mirror and forest are
-/// *stale* (they describe the pre-delete graph) until the caller installs
-/// a [`LivenessTracker::rebuild`]; [`LivenessTracker::is_stale`]
-/// reports that state, and while stale every further delete of a live
-/// edge conservatively classifies as [`DeleteClass::Forest`].
+/// Invariants between calls: `forest ⊆ edges`; the partition equals
+/// connectivity over `edges`; `forest` spans that partition. After a
+/// [`DeleteClass::Forest`] removal the partition and forest are *stale*
+/// (they describe the pre-delete graph, and nothing unites until the
+/// caller installs a [`LivenessTracker::rebuild`]);
+/// [`LivenessTracker::is_stale`] reports that state, and while stale
+/// every further delete of a live edge conservatively classifies as
+/// [`DeleteClass::Forest`].
 pub struct LivenessTracker {
     n: usize,
     edges: HashSet<u64>,
     forest: HashSet<u64>,
-    mirror: SeqUnionFind,
+    /// Written only through `&mut self`: the tracker is the partition's
+    /// single writer, whoever else holds the `Arc` reads.
+    partition: Arc<SizedUnionFind>,
     stale: bool,
 }
 
-/// The output of [`LivenessTracker::rebuild`]: the mirror and forest
+/// The output of [`LivenessTracker::rebuild`]: the partition and forest
 /// [`LivenessTracker::adopt`] installs, and the snapshot's labeling.
 pub struct Rebuilt {
-    mirror: SeqUnionFind,
+    partition: Arc<SizedUnionFind>,
     forest: HashSet<u64>,
     /// Canonical (`labels[labels[v]] == labels[v]`); representatives are
-    /// the mirror's roots, not component minima.
+    /// the partition's roots, not component minima.
     pub labels: Vec<VertexId>,
+}
+
+impl Rebuilt {
+    /// The rebuilt partition, for views derived from it before the adopt.
+    pub fn partition(&self) -> &SizedUnionFind {
+        &self.partition
+    }
 }
 
 /// Edges unioned between two polls of [`LivenessTracker::rebuild`]'s
@@ -108,7 +122,7 @@ impl LivenessTracker {
             n,
             edges: HashSet::new(),
             forest: HashSet::new(),
-            mirror: SeqUnionFind::new(n),
+            partition: Arc::new(SizedUnionFind::new(n)),
             stale: false,
         }
     }
@@ -128,10 +142,17 @@ impl LivenessTracker {
         self.forest.len()
     }
 
-    /// Whether a forest deletion has left the forest/mirror stale (a
-    /// rebuild is owed).
+    /// Whether a forest deletion has left the forest and partition stale
+    /// (a rebuild is owed).
     pub fn is_stale(&self) -> bool {
         self.stale
+    }
+
+    /// The partition of the vertices by the forest: exact while fresh,
+    /// frozen at the pre-delete graph while stale, replaced by
+    /// [`Self::adopt`].
+    pub fn partition(&self) -> &Arc<SizedUnionFind> {
+        &self.partition
     }
 
     /// Whether `{u, v}` is currently live.
@@ -150,10 +171,11 @@ impl LivenessTracker {
     }
 
     /// Records an insert. Self-loops are never live. While fresh, a
-    /// [`InsertClass::Merge`] extends the forest and the mirror, keeping
-    /// both exact; while stale, novel edges still enter the live set (the
-    /// owed rebuild will see them) but classify as [`InsertClass::Cycle`]
-    /// because the stale mirror cannot witness a merge.
+    /// [`InsertClass::Merge`] extends the forest and the partition,
+    /// keeping both exact; while stale, novel edges still enter the live
+    /// set (the owed rebuild will see them) but classify as
+    /// [`InsertClass::Cycle`] because the stale partition cannot witness a
+    /// merge.
     pub fn insert(&mut self, u: VertexId, v: VertexId) -> InsertClass {
         if u == v {
             return InsertClass::Cycle;
@@ -161,12 +183,17 @@ impl LivenessTracker {
         if !self.edges.insert(canon_edge(u, v)) {
             return InsertClass::Duplicate;
         }
-        if !self.stale && self.mirror.union(u, v) {
-            self.forest.insert(canon_edge(u, v));
-            InsertClass::Merge
-        } else {
-            InsertClass::Cycle
+        if self.stale {
+            return InsertClass::Cycle;
         }
+        self.unite_live(u, v).map_or(InsertClass::Cycle, InsertClass::Merge)
+    }
+
+    /// Unites across a live edge; a merge makes it a forest edge.
+    fn unite_live(&mut self, u: VertexId, v: VertexId) -> Option<MergeOutcome> {
+        let merge = self.partition.unite(u, v)?;
+        self.forest.insert(canon_edge(u, v));
+        Some(merge)
     }
 
     /// Classifies and applies a delete: a live edge leaves the live set;
@@ -188,9 +215,9 @@ impl LivenessTracker {
     }
 
     /// The rebuild primitive: one union-find pass over `edges` (a snapshot
-    /// of [`Self::edge_list`]) on `n` vertices. An edge whose `union`
-    /// succeeds is a forest edge, so mirror, forest and labels fall out
-    /// of the same pass. Stops with `None` at the first poll of
+    /// of [`Self::edge_list`]) on `n` vertices. An edge whose `unite`
+    /// succeeds is a forest edge, so partition, forest and labels fall
+    /// out of the same pass. Stops with `None` at the first poll of
     /// `keep_going` that says no: a caller whose snapshot was invalidated
     /// mid-pass does not pay for the rest of it.
     pub fn rebuild(
@@ -198,22 +225,26 @@ impl LivenessTracker {
         edges: &[(VertexId, VertexId)],
         keep_going: impl Fn() -> bool,
     ) -> Option<Rebuilt> {
-        let mut mirror = SeqUnionFind::new(n);
+        let partition = SizedUnionFind::new(n);
         let mut forest: Vec<u64> = Vec::new();
         for chunk in edges.chunks(REBUILD_POLL_EDGES) {
             if !keep_going() {
                 return None;
             }
             for &(u, v) in chunk {
-                if mirror.union(u, v) {
+                if partition.unite(u, v).is_some() {
                     forest.push(canon_edge(u, v));
                 }
             }
         }
-        let labels = mirror.labels();
+        let labels = partition.labels();
         // Collected last, so the table is sized for the forest that exists
         // rather than the `n - 1` edges it might have had.
-        Some(Rebuilt { mirror, forest: forest.into_iter().collect(), labels })
+        Some(Rebuilt {
+            partition: Arc::new(partition),
+            forest: forest.into_iter().collect(),
+            labels,
+        })
     }
 
     /// Installs a [`Self::rebuild`] of this tracker's live edges and
@@ -221,7 +252,7 @@ impl LivenessTracker {
     /// guarantees no snapshot edge has died since; edges that went live
     /// after the snapshot are re-admitted with [`Self::reclassify_live`].
     pub fn adopt(&mut self, rebuilt: Rebuilt) {
-        self.mirror = rebuilt.mirror;
+        self.partition = rebuilt.partition;
         self.forest = rebuilt.forest;
         self.stale = false;
     }
@@ -229,17 +260,15 @@ impl LivenessTracker {
     /// Re-classifies an edge that entered the live set while the tracker
     /// was stale (its insert-time verdict was conservatively
     /// [`InsertClass::Cycle`]): under the freshly adopted forest, returns
-    /// `true` iff it merges two components, extending forest and mirror
-    /// exactly like a fresh [`InsertClass::Merge`]. Idempotent for edges
-    /// the adopted forest already spans.
-    pub fn reclassify_live(&mut self, u: VertexId, v: VertexId) -> bool {
+    /// the merge iff it joins two components, extending forest and
+    /// partition exactly like a fresh [`InsertClass::Merge`]. Idempotent
+    /// for edges the adopted forest already spans.
+    pub fn reclassify_live(&mut self, u: VertexId, v: VertexId) -> Option<MergeOutcome> {
         debug_assert!(!self.stale, "reclassify_live requires a fresh forest");
-        let key = canon_edge(u, v);
-        let merges = u != v && self.edges.contains(&key) && self.mirror.union(u, v);
-        if merges {
-            self.forest.insert(key);
+        if !self.contains(u, v) {
+            return None;
         }
-        merges
+        self.unite_live(u, v)
     }
 }
 
@@ -262,8 +291,9 @@ mod tests {
     #[test]
     fn classification_over_a_triangle() {
         let mut t = LivenessTracker::new(4);
-        assert_eq!(t.insert(0, 1), InsertClass::Merge);
-        assert_eq!(t.insert(1, 2), InsertClass::Merge);
+        assert!(matches!(t.insert(0, 1), InsertClass::Merge(_)));
+        let InsertClass::Merge(m) = t.insert(1, 2) else { panic!("1-2 merges") };
+        assert_eq!((m.winner_size, m.loser_size), (2, 1), "the outcome carries both sizes");
         assert_eq!(t.insert(2, 0), InsertClass::Cycle);
         assert_eq!(t.insert(1, 0), InsertClass::Duplicate);
         assert_eq!(t.insert(3, 3), InsertClass::Cycle, "self-loop is never live");
@@ -308,9 +338,10 @@ mod tests {
         assert_ne!(rebuilt.labels[2], rebuilt.labels[3]);
         t.adopt(rebuilt);
         assert!(!t.is_stale());
-        assert!(t.reclassify_live(2, 3), "bridging edge merges");
-        assert!(!t.reclassify_live(2, 3), "second pass is a no-op");
-        assert!(!t.reclassify_live(0, 5), "never-live edge is ignored");
+        let m = t.reclassify_live(2, 3).expect("bridging edge merges");
+        assert_eq!(m.merged_size(), 4, "1-2 joins 3-4");
+        assert_eq!(t.reclassify_live(2, 3), None, "second pass is a no-op");
+        assert_eq!(t.reclassify_live(0, 5), None, "never-live edge is ignored");
         assert_eq!(t.num_forest_edges(), 3);
         // The forest now spans: deleting the re-admitted bridge splits.
         assert_eq!(t.delete(2, 3), DeleteClass::Forest);
@@ -332,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_yields_mirror_forest_and_labels_from_one_pass() {
+    fn rebuild_yields_partition_forest_and_labels_from_one_pass() {
         // Two triangles and an isolated vertex; edge order decides which
         // two edges of each triangle the forest keeps, never how many.
         let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
@@ -354,10 +385,11 @@ mod tests {
         assert_eq!(t.num_forest_edges(), 4, "n - components = 7 - 3");
         let g = cc_graph::build_undirected(7, &snapshot);
         assert!(crate::is_valid_spanning_forest(&g, &t.forest_list()));
-        // The adopted mirror classifies exactly: 1-2 and 2-0 now span
+        // The adopted partition classifies exactly: 1-2 and 2-0 now span
         // {0, 1, 2}, so a new 0-1 is a cycle edge.
         assert_eq!(t.insert(0, 1), InsertClass::Cycle);
-        assert_eq!(t.insert(2, 3), InsertClass::Merge);
+        assert!(matches!(t.insert(2, 3), InsertClass::Merge(_)));
+        assert_eq!(t.partition().component_of(0).1, 6, "the two triangles joined");
     }
 
     #[test]

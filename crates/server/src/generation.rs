@@ -14,10 +14,14 @@
 //!   generation: its labels are frozen, the engine is marked dirty, and a
 //!   background worker rebuilds from the surviving edge set in **one
 //!   union-find pass** ([`connectit::LivenessTracker::rebuild`]), which
-//!   yields the tracker's next mirror and forest and the labels. The
+//!   yields the tracker's next partition and forest and the labels. The
 //!   fresh engine is *seeded* from the labels (nothing is replayed) and
-//!   the next analytics plane recomputed from them, all outside the
-//!   writer lock; the commit is pointer swaps plus the pending drain.
+//!   the next analytics plane recounted from the partition's roots, all
+//!   outside the writer lock; the commit is pointer swaps plus the
+//!   pending drain.
+//! - **Merges** are decided once, by the tracker's partition: its
+//!   [`MergeOutcome`] is what the analytics plane and the subscription
+//!   index fold, on the clean path and in a commit's drain alike.
 //! - **Queries** during a rebuild are answered from the last *sealed*
 //!   generation's labels — consistent, honestly stale, and reported as
 //!   such: the `(epoch, generation)` pair extends the service's
@@ -39,7 +43,7 @@ use crate::analytics::{Analytics, AnalyticsView};
 use crate::engine::{build_engine, Engine, ExecMode, RunMode};
 use crate::obs::{Event, Obs};
 use crate::subs::{PendingEvent, SubInfo, SubKind, SubsCore};
-use cc_unionfind::UfSpec;
+use cc_unionfind::{MergeOutcome, UfSpec};
 use connectit::{canon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt, Update};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
@@ -103,7 +107,7 @@ struct WriteState {
     engine: Arc<dyn Engine>,
     tracker: LivenessTracker,
     sealed: Option<Arc<Sealed>>,
-    /// Inserts that arrived while a rebuild was in flight; drained into
+    /// Edges that went live while a rebuild was in flight; drained into
     /// the fresh generation at the swap (idempotent: the rebuild's edge
     /// snapshot may already contain a prefix of them).
     pending: Edges,
@@ -118,13 +122,23 @@ struct WriteState {
     /// (`[intra, cross, forwarded]`), so service stats stay monotone
     /// across rebuilds.
     retired: [u64; 3],
-    /// The analytics plane's writer state: every clean-path merge folds
-    /// its delta in here; a commit resyncs it wholesale (DESIGN.md §12).
+    /// The analytics plane's aggregates over `tracker`'s partition: every
+    /// merge folds in here; a commit replaces them (DESIGN.md §12).
     analytics: Analytics,
-    /// The subscription plane's trigger index: consumes the same merge
-    /// stream as `analytics`, buffers fires for the batcher to stamp and
-    /// dispatch (DESIGN.md §13).
+    /// The subscription plane's trigger index, keyed by the same
+    /// partition's roots: folds the same merges, buffers fires for the
+    /// batcher to stamp and dispatch (DESIGN.md §13).
     subs: SubsCore,
+}
+
+impl WriteState {
+    /// A merge happened in the tracker's partition: the one place the
+    /// views derived from it learn of it, whether the edge came down the
+    /// clean path or out of a commit's pending drain.
+    fn fold_merge(&mut self, m: &MergeOutcome) {
+        self.analytics.fold(m);
+        self.subs.on_merge(self.tracker.partition(), m, self.generation);
+    }
 }
 
 /// An edge list, as the tracker snapshots it and writers queue it.
@@ -177,8 +191,8 @@ impl Shared {
         let labels = st.engine.labels_readonly();
         // The delta-maintained count replaces the old O(n)
         // `count_distinct_labels` scan: the engine-bound run was flushed
-        // before the delete classified, so engine labels, tracker mirror
-        // and analytics aggregates all describe the same partition here.
+        // before the delete classified, so engine labels and the tracker's
+        // partition (hence the aggregates) describe the same graph here.
         let num_components = st.analytics.components() as usize;
         debug_assert_eq!(
             num_components,
@@ -205,7 +219,8 @@ impl Shared {
     /// component count into the metrics gauge. Caller holds `mx`.
     fn publish_analytics_locked(&self, st: &WriteState, sealed: bool) {
         let epoch = self.published_epoch.load(Ordering::Acquire);
-        *self.aview.lock() = Arc::new(st.analytics.view(epoch, st.generation, sealed));
+        let view = st.analytics.view(st.tracker.partition(), epoch, st.generation, sealed);
+        *self.aview.lock() = Arc::new(view);
         if let Some(o) = &self.obs {
             o.metrics.components.set(st.analytics.components());
         }
@@ -226,8 +241,9 @@ impl Shared {
     }
 
     /// Builds the next generation outside every lock: strike `retracted`
-    /// from the snapshot, one union-find pass for mirror, forest and
-    /// labels, then a fresh engine and analytics plane from the labels.
+    /// from the snapshot, one union-find pass for partition, forest and
+    /// labels, then a fresh engine seeded from the labels and the
+    /// aggregates recounted from the partition.
     /// `None` once a further retraction (or shutdown) dooms the attempt.
     fn build_generation(&self, edges: &mut Edges, retracted: &[u64]) -> Option<NextGeneration> {
         if !retracted.is_empty() {
@@ -246,7 +262,7 @@ impl Shared {
         if !keep_going() {
             return None;
         }
-        let analytics = Analytics::from_labels(&labels);
+        let analytics = Analytics::from_partition(rebuilt.partition());
         Some(NextGeneration { rebuilt, engine, analytics })
     }
 
@@ -258,12 +274,15 @@ impl Shared {
         Self::retire_engine_counters(st);
         st.engine = next.engine;
         st.analytics = next.analytics;
+        // The buckets name the replaced partition's roots: the drain's
+        // merges are judged by the re-arm below, not event by event.
+        st.subs.disarm();
         // Idempotent: the snapshot may already hold a prefix of `pending`.
         let drained = std::mem::take(&mut st.pending);
         let mut merges: Vec<Update> = Vec::new();
         for &(u, v) in &drained {
-            if st.tracker.reclassify_live(u, v) {
-                st.analytics.merge(u, v);
+            if let Some(m) = st.tracker.reclassify_live(u, v) {
+                st.fold_merge(&m);
                 merges.push(Update::Insert(u, v));
             }
         }
@@ -272,19 +291,12 @@ impl Shared {
         }
         *self.view.lock() =
             Arc::new(View::Live { engine: Arc::clone(&st.engine), generation: st.generation });
-        self.rearm_subs(st, commit_epoch);
+        // Re-arm against the adopted partition: pairs the history or the
+        // drained inserts connected fire, stamped `commit_epoch`, and
+        // every component subscription observes the identity change.
+        st.subs.on_commit(st.tracker.partition(), st.generation, commit_epoch);
         self.publish_analytics_locked(st, false);
         drained.len() as u64
-    }
-
-    /// Re-arms the trigger index against the serving labeling (caller
-    /// holds `mx`): pairs the history or the drained inserts connected
-    /// fire, stamped `commit_epoch`, and every component subscription
-    /// observes the identity change. An empty registry needs no labels.
-    fn rearm_subs(&self, st: &mut WriteState, commit_epoch: Option<u64>) {
-        let labels = if st.subs.is_empty() { Vec::new() } else { st.engine.labels_readonly() };
-        let gen = st.generation;
-        st.subs.on_commit(&labels, gen, commit_epoch, true);
     }
 
     /// Closes a rebuild attempt (caller holds `mx`): commits `next` as the
@@ -402,8 +414,8 @@ impl GenerationEngine {
         let resolved_mode = engine.mode();
         let algorithm = engine.algorithm_name();
         let view = Arc::new(View::Live { engine: Arc::clone(&engine), generation: 0 });
-        let analytics = Analytics::fresh(n);
-        let aview = Arc::new(analytics.view(0, 0, false));
+        let (tracker, analytics) = (LivenessTracker::new(n), Analytics::fresh(n));
+        let aview = Arc::new(analytics.view(tracker.partition(), 0, 0, false));
         let shared = Arc::new(Shared {
             n,
             shards,
@@ -413,7 +425,7 @@ impl GenerationEngine {
             rebuild_hold,
             mx: Mutex::new(WriteState {
                 engine,
-                tracker: LivenessTracker::new(n),
+                tracker,
                 sealed: None,
                 pending: Vec::new(),
                 retracted: Vec::new(),
@@ -422,7 +434,7 @@ impl GenerationEngine {
                 counters: GenCounters::default(),
                 retired: [0; 3],
                 analytics,
-                subs: SubsCore::new(n),
+                subs: SubsCore::new(),
             }),
             cv: Condvar::new(),
             view: Mutex::new(view),
@@ -504,18 +516,16 @@ impl GenerationEngine {
                 Update::Insert(u, v) => {
                     let class = st.tracker.insert(u, v);
                     if st.dirty {
-                        // Deltas are suspended while sealed (the stale
-                        // tracker classifies everything `Cycle` anyway);
-                        // the commit's resync covers these.
-                        st.pending.push((u, v));
+                        // The stale tracker unites nothing; what went
+                        // live waits for the commit's drain. A duplicate
+                        // or a self-loop did not, and must not grow the
+                        // list for as long as the window stays open.
+                        if class != InsertClass::Duplicate && u != v {
+                            st.pending.push((u, v));
+                        }
                     } else {
-                        if class == InsertClass::Merge {
-                            // The one point where two components join:
-                            // fold the delta into the analytics plane and
-                            // fire any subscription watching either side.
-                            st.analytics.merge(u, v);
-                            let gen = st.generation;
-                            st.subs.merge(u, v, gen);
+                        if let InsertClass::Merge(m) = class {
+                            st.fold_merge(&m);
                             if let Some(o) = &self.shared.obs {
                                 o.metrics.components.set(st.analytics.components());
                             }
@@ -780,11 +790,14 @@ impl GenerationEngine {
     pub fn finish_recovery(&self) {
         let mut edges = { self.shared.mx.lock().tracker.edge_list() };
         if edges.is_empty() {
-            // Nothing survived: the untouched engine is right, and so is
-            // a fresh tracker (the recovered one may be stale).
-            let mut st = self.shared.mx.lock();
+            // Nothing survived: the untouched engine and aggregates are
+            // right, and so is a fresh tracker (the recovered one may be
+            // stale, and replay united in its partition), which the
+            // published view must follow.
+            let st = &mut *self.shared.mx.lock();
             st.tracker = LivenessTracker::new(self.shared.n);
-            self.shared.rearm_subs(&mut st, None);
+            st.subs.on_commit(st.tracker.partition(), st.generation, None);
+            self.shared.publish_analytics_locked(st, false);
             return;
         }
         let next = self
@@ -846,16 +859,15 @@ impl GenerationEngine {
         durable: bool,
         registered_epoch: u64,
     ) {
-        let mut st = self.shared.mx.lock();
-        let labels = if st.subs.is_synced() { None } else { Some(st.engine.labels_readonly()) };
-        let gen = st.generation;
-        st.subs.register(id, kind, u, v, durable, registered_epoch, gen, labels.as_deref());
+        let st = &mut *self.shared.mx.lock();
+        let (part, gen) = (st.tracker.partition(), st.generation);
+        st.subs.register(part, id, kind, u, v, durable, registered_epoch, gen);
     }
 
     /// Recovery replay of a WAL `'S'` register record: the entry is
     /// stored but its trigger stays unarmed until
     /// [`Self::finish_recovery`] evaluates it against the materialized
-    /// labeling (so replay order versus batch records cannot matter).
+    /// partition (so replay order versus batch records cannot matter).
     pub fn subs_register_recovered(
         &self,
         id: u64,
@@ -864,15 +876,14 @@ impl GenerationEngine {
         v: u32,
         registered_epoch: u64,
     ) {
-        let mut st = self.shared.mx.lock();
-        let gen = st.generation;
-        st.subs.register(id, kind, u, v, true, registered_epoch, gen, None);
+        self.shared.mx.lock().subs.register_unarmed(id, kind, u, v, registered_epoch);
     }
 
     /// Cancels a subscription. Returns its durability, or `None` for an
     /// unknown id.
     pub fn subs_cancel(&self, id: u64) -> Option<bool> {
-        self.shared.mx.lock().subs.cancel(id)
+        let st = &mut *self.shared.mx.lock();
+        st.subs.cancel(st.tracker.partition(), id)
     }
 
     /// Number of registered subscriptions.
@@ -1021,10 +1032,11 @@ mod tests {
         }
 
         /// What must hold the instant a commit returns: the tracker's
-        /// forest spans exactly the live graph, the engine's partition is
-        /// that graph's, and the swapped-in analytics plane (recomputed
-        /// off-lock, then patched with the drained merges) equals a
-        /// recompute from the engine's labels.
+        /// forest spans exactly the live graph, its partition and the
+        /// engine's are that graph's, the swapped-in aggregates (recounted
+        /// off-lock, then patched with the drained merges) equal a recount
+        /// from that same partition, and the trigger index is keyed by
+        /// its roots.
         fn check_commit_invariants(&self, oracle: &DynamicOracle) {
             let st = self.g.shared.mx.lock();
             assert!(!st.dirty && st.pending.is_empty() && st.retracted.is_empty());
@@ -1038,17 +1050,20 @@ mod tests {
                 connectit::is_valid_spanning_forest(&graph, &st.tracker.forest_list()),
                 "tracker forest does not span the live graph"
             );
-            let labels = st.engine.labels_readonly();
-            assert!(cc_graph::stats::same_partition(&oracle.labels(), &labels), "partition");
-            let (got, want) = (st.analytics.view(0, 0, false), Analytics::from_labels(&labels));
-            let want = want.view(0, 0, false);
+            let want = oracle.labels();
+            let part = st.tracker.partition();
+            assert!(cc_graph::stats::same_partition(&want, &st.engine.labels_readonly()), "engine");
+            assert!(cc_graph::stats::same_partition(&want, &part.labels()), "tracker partition");
+            let got = st.analytics.view(part, 0, 0, false);
+            let want = Analytics::from_partition(part).view(part, 0, 0, false);
             assert_eq!(got.components, want.components);
             assert_eq!(got.hist, want.hist);
-            let sizes = |v: &AnalyticsView| v.topk.iter().map(|&(_, s)| s).collect::<Vec<_>>();
-            assert_eq!(sizes(&got), sizes(&want));
+            assert_eq!(got.topk, want.topk, "same roots, same sizes");
+            let published = self.g.analytics_view();
             for v in 0..self.g.num_vertices() as u32 {
-                assert_eq!(got.component_of(v).1, want.component_of(v).1, "size of {v}");
+                assert_eq!(published.component_of(v), part.component_of(v), "SIZE {v}");
             }
+            st.subs.assert_armed(part);
         }
     }
 
@@ -1121,6 +1136,11 @@ mod tests {
             script in proptest::collection::vec((0u8..8, 0u32..20, 0u32..20, 0u8..4), 1..120),
         ) {
             let mut s = Stepped::new(n);
+            // Standing triggers, so every commit has an index to re-arm.
+            for v in 0..n as u32 {
+                s.g.subs_register(u64::from(v) + 1, SubKind::Component, v, v, false, 0);
+                s.g.subs_register(u64::from(v) + 100, SubKind::Pair, v, (v * 7 + 3) % n as u32, false, 0);
+            }
             let mut oracle = DynamicOracle::new(n);
             let mut phase = Phase::Idle;
             let mut commits = 0u64;
@@ -1375,6 +1395,54 @@ mod tests {
         assert_eq!(v.components, 7);
         assert_eq!(v.component_of(0).1, 2, "0-1 survives the rebuild");
         assert_eq!(v.component_of(2).1, 1, "2 is a singleton again");
+    }
+
+    /// `EVT`, `SIZE` and `TOPK` name one representative: they all read the
+    /// tracker's partition.
+    #[test]
+    fn events_and_analytics_name_the_same_root() {
+        let g = gen_engine(8, Duration::ZERO);
+        g.process_batch(&[Update::Insert(3, 1)]);
+        g.subs_register(1, SubKind::Component, 1, 1, false, 0);
+        g.process_batch(&[Update::Insert(1, 5)]);
+        g.publish_analytics(1);
+        let evs = g.drain_sub_fires(1);
+        assert_eq!(evs.len(), 1);
+        let view = g.analytics_view();
+        assert_eq!((evs[0].ev.root, evs[0].ev.size), view.component_of(1));
+        assert_eq!(view.topk, vec![view.component_of(1)]);
+        // Across a rebuild commit too: the commit's event and the
+        // republished view read the adopted partition.
+        g.process_batch(&[Update::Delete(3, 1)]);
+        quiesced(&g);
+        let evs = g.drain_sub_fires(2);
+        assert_eq!(evs.len(), 1, "the commit re-identifies 1's component");
+        let view = g.analytics_view();
+        assert_eq!((evs[0].ev.root, evs[0].ev.size), view.component_of(1));
+        assert_eq!((view.component_of(1).1, view.component_of(3).1), (2, 1));
+    }
+
+    /// Only edges that went live during the sealed window wait for the
+    /// commit: duplicates and self-loops, however many, queue nothing.
+    #[test]
+    fn pending_holds_only_edges_that_went_live_while_sealed() {
+        let mut s = Stepped::new(8);
+        s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(4, 5)]);
+        s.g.process_batch(&[Update::Delete(0, 1)]);
+        assert!(s.g.is_dirty());
+        let retracted = s.begin();
+        let flood: Vec<Update> = (0..10_000)
+            .flat_map(|_| [Update::Insert(4, 5), Update::Insert(6, 7), Update::Insert(3, 3)])
+            .collect();
+        s.g.process_batch(&flood);
+        let pending = s.g.shared.mx.lock().pending.clone();
+        assert_eq!(pending.len(), 1, "4-5 was live before, 3-3 never is, 6-7 is new once");
+        assert_eq!(pending, vec![(6, 7)]);
+        let next = s.build(&retracted);
+        assert!(s.finish(next));
+        let drained = &s.obs.metrics.rebuild_drained_ops;
+        assert_eq!((drained.count(), drained.max()), (1, 1));
+        assert!(s.g.connected(6, 7) && s.g.connected(4, 5) && !s.g.connected(0, 1));
     }
 
     #[test]

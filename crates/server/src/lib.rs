@@ -97,7 +97,7 @@ pub mod snapshot;
 pub mod subs;
 pub mod wal;
 
-pub use analytics::{AnalyticsCore, AnalyticsView, HIST_BUCKETS, TOPK_CAP};
+pub use analytics::{AnalyticsView, HIST_BUCKETS, TOPK_CAP};
 pub use binproto::{BinClient, Reply};
 pub use engine::{
     build_engine, Engine, EngineCounters, EngineError, ExecMode, RunMode, ShardedEngine,

@@ -11,13 +11,15 @@
 //! ## Trigger index
 //!
 //! [`SubsCore`] lives inside the generation engine's writer state, next
-//! to the analytics aggregates, and consumes the *same* merge-event
-//! stream: every clean-path [`SubsCore::merge`] is one union-find step.
-//! Subscriptions are bucketed by the **root** of the component they are
-//! watching, so a batch of `b` merges fires matching subscriptions in
-//! O(b·α + moved + fired) — buckets merge smaller-into-larger alongside
-//! the union, and a registry of a million idle subscriptions costs a
-//! merge nothing. There is no registry rescan anywhere on the hot path.
+//! to the analytics aggregates, and consumes the *same*
+//! [`MergeOutcome`] stream off the liveness tracker's partition — it
+//! keeps no union-find of its own. Subscriptions are bucketed by the
+//! **root** of the component they are watching, so a batch of `b` merges
+//! fires matching subscriptions in O(b + moved + fired): the losing
+//! root's bucket migrates under the winner named by the outcome, and a
+//! registry of a million idle subscriptions costs a merge two hash
+//! probes. There is no registry rescan anywhere on the hot path, and a
+//! cancel strikes its id from its at most two buckets on the spot.
 //!
 //! ## Stamping discipline
 //!
@@ -49,6 +51,7 @@
 //! ephemeral subscription dies with its sink, a durable one goes back
 //! to retention.
 
+use cc_unionfind::{MergeOutcome, SizedUnionFind};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -182,6 +185,22 @@ struct SubEntry {
     fired: bool,
 }
 
+impl SubEntry {
+    /// The roots this trigger is bucketed under: both endpoints' for an
+    /// unfired pair (equal once connected), the watched vertex's twice
+    /// for a component, none for a pair that has fired.
+    fn roots(&self, part: &SizedUnionFind) -> Option<(u32, u32)> {
+        match self.kind {
+            SubKind::Pair if self.fired => None,
+            SubKind::Pair => Some((part.find(self.u), part.find(self.v))),
+            SubKind::Component => {
+                let r = part.find(self.v);
+                Some((r, r))
+            }
+        }
+    }
+}
+
 /// An unstamped (or commit-stamped) fire awaiting the batcher's drain.
 struct Fire {
     ev: SubEvent,
@@ -190,37 +209,26 @@ struct Fire {
     at: Instant,
 }
 
-/// The union-find-keyed trigger index. Lives inside the generation
-/// engine's writer state; every method is called under the writer lock.
+/// The trigger index, keyed by roots of the liveness tracker's partition
+/// (which every method that needs it takes by reference: there is no
+/// union-find here). Lives inside the generation engine's writer state;
+/// every method is called under the writer lock.
+#[derive(Default)]
 pub struct SubsCore {
-    n: usize,
-    /// Sequential union-find mirroring the engine's live partition while
-    /// any subscription is registered (path-halving + union-by-size).
-    parent: Vec<u32>,
-    size: Vec<u64>,
-    /// Whether `parent`/`size` mirror the current labeling. False while
-    /// the registry is empty (the mirror costs nothing until the first
-    /// registration resyncs it) and during recovery.
-    synced: bool,
     subs: HashMap<u64, SubEntry>,
     /// root -> subscription ids triggered when that root's component
-    /// changes. Pair subscriptions appear under both endpoints' roots.
+    /// changes. While armed, every key is a root of the partition and
+    /// every unfired subscription is listed under [`SubEntry::roots`],
+    /// nowhere else. Disarmed (empty) during recovery replay and between
+    /// [`SubsCore::disarm`] and [`SubsCore::on_commit`].
     buckets: HashMap<u32, Vec<u64>>,
     fires: Vec<Fire>,
 }
 
 impl SubsCore {
-    /// An empty registry over `n` vertices.
-    pub fn new(n: usize) -> SubsCore {
-        SubsCore {
-            n,
-            parent: Vec::new(),
-            size: Vec::new(),
-            synced: false,
-            subs: HashMap::new(),
-            buckets: HashMap::new(),
-            fires: Vec::new(),
-        }
+    /// An empty registry.
+    pub fn new() -> SubsCore {
+        SubsCore::default()
     }
 
     /// Number of registered subscriptions.
@@ -233,162 +241,31 @@ impl SubsCore {
         self.subs.is_empty()
     }
 
-    /// Whether the union-find mirror currently tracks the live labeling
-    /// (when false, a registration must supply the current labels).
-    pub fn is_synced(&self) -> bool {
-        self.synced
-    }
-
-    fn find(&mut self, v: u32) -> u32 {
-        let mut x = v as usize;
-        while self.parent[x] as usize != x {
-            let gp = self.parent[self.parent[x] as usize];
-            self.parent[x] = gp;
-            x = gp as usize;
-        }
-        x as u32
-    }
-
-    /// Rebuilds the union-find mirror from a labeling: one representative
-    /// per label class, sizes counted exactly.
-    fn resync_from(&mut self, labels: &[u32]) {
-        self.parent.clear();
-        self.parent.extend(0..self.n as u32);
-        self.size.clear();
-        self.size.resize(self.n, 1);
-        let mut rep: HashMap<u32, u32> = HashMap::new();
-        for (v, &lbl) in labels.iter().enumerate() {
-            match rep.entry(lbl) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let r = *e.get();
-                    self.parent[v] = r;
-                    self.size[r as usize] += 1;
-                    self.size[v] = 0;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v as u32);
-                }
-            }
-        }
-        self.synced = true;
-    }
-
-    /// Re-buckets every live trigger under the current roots (after a
-    /// resync invalidated the old ones).
-    fn rebucket(&mut self) {
-        self.buckets.clear();
-        let ids: Vec<u64> = self.subs.keys().copied().collect();
-        for id in ids {
-            let (kind, u, v, fired) = {
-                let e = &self.subs[&id];
-                (e.kind, e.u, e.v, e.fired)
-            };
-            match kind {
-                SubKind::Pair => {
-                    if !fired {
-                        let (ru, rv) = (self.find(u), self.find(v));
-                        self.buckets.entry(ru).or_default().push(id);
-                        if rv != ru {
-                            self.buckets.entry(rv).or_default().push(id);
-                        }
-                    }
-                }
-                SubKind::Component => {
-                    let r = self.find(v);
-                    self.buckets.entry(r).or_default().push(id);
-                }
-            }
+    fn bucket(buckets: &mut HashMap<u32, Vec<u64>>, id: u64, (ru, rv): (u32, u32)) {
+        buckets.entry(ru).or_default().push(id);
+        if rv != ru {
+            buckets.entry(rv).or_default().push(id);
         }
     }
 
-    /// Registers a subscription under a caller-assigned id. `labels` is
-    /// consulted (to resync the mirror) only when this is the first
-    /// registration of an idle registry. While clean, a pair already
-    /// connected at registration fires immediately (stamped at the next
-    /// drain); while recovering/unsynced the evaluation is deferred to
-    /// [`SubsCore::on_commit`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn register(
-        &mut self,
+    /// Buffers one event for `id` about the component `(root, size)`;
+    /// a pair trigger is spent by it.
+    fn fire(
+        fires: &mut Vec<Fire>,
         id: u64,
-        kind: SubKind,
-        u: u32,
-        v: u32,
-        durable: bool,
-        registered_epoch: u64,
+        e: &mut SubEntry,
+        (root, size): (u32, u64),
         generation: u64,
-        labels: Option<&[u32]>,
+        epoch: Option<u64>,
     ) {
-        if !self.synced {
-            if let Some(l) = labels {
-                self.resync_from(l);
-                self.rebucket();
-            }
-        }
-        self.subs.insert(id, SubEntry { kind, u, v, durable, registered_epoch, fired: false });
-        if !self.synced {
-            return; // recovery replay: triggers are armed at finish_recovery
-        }
-        match kind {
-            SubKind::Pair => {
-                let (ru, rv) = (self.find(u), self.find(v));
-                if ru == rv {
-                    self.fire_pair(id, generation);
-                    // Stamp the registration-time fire here, with the
-                    // registration epoch: the prompt drain that follows
-                    // a registration must never stamp a concurrent
-                    // batch's still-unpublished merge fires, and a
-                    // pre-stamped fire is what lets it tell the two
-                    // apart (see [`SubsCore::drain_stamped_fires`]).
-                    let f = self.fires.last_mut().expect("just fired");
-                    f.epoch = Some(registered_epoch);
-                    f.ev.epoch = registered_epoch;
-                } else {
-                    self.buckets.entry(ru).or_default().push(id);
-                    self.buckets.entry(rv).or_default().push(id);
-                }
-            }
-            SubKind::Component => {
-                let r = self.find(v);
-                self.buckets.entry(r).or_default().push(id);
-            }
-        }
-    }
-
-    fn fire_pair(&mut self, id: u64, generation: u64) {
-        let entry = self.subs.get_mut(&id).expect("fired sub exists");
-        entry.fired = true;
-        let (u, v) = (entry.u, entry.v);
-        let root = self.find(u);
-        let size = self.size[root as usize];
-        self.fires.push(Fire {
+        e.fired = e.kind == SubKind::Pair;
+        let u = if e.kind == SubKind::Pair { e.u } else { e.v };
+        fires.push(Fire {
             ev: SubEvent {
                 id,
-                kind: SubKind::Pair,
+                kind: e.kind,
                 u,
-                v,
-                root,
-                size,
-                epoch: 0,
-                generation,
-                seq: 0,
-            },
-            epoch: None,
-            at: Instant::now(),
-        });
-    }
-
-    fn fire_component(&mut self, id: u64, generation: u64, epoch: Option<u64>) {
-        let entry = self.subs.get(&id).expect("fired sub exists");
-        let v = entry.v;
-        let root = self.find(v);
-        let size = self.size[root as usize];
-        self.fires.push(Fire {
-            ev: SubEvent {
-                id,
-                kind: SubKind::Component,
-                u: v,
-                v,
+                v: e.v,
                 root,
                 size,
                 epoch: epoch.unwrap_or(0),
@@ -400,118 +277,118 @@ impl SubsCore {
         });
     }
 
-    /// Cancels a subscription; returns its entry's durability, or `None`
-    /// for an unknown id. The trigger bucket entry (if any) is removed
-    /// lazily — stale ids in buckets are skipped at fire time.
-    pub fn cancel(&mut self, id: u64) -> Option<bool> {
+    /// Registers a subscription under a caller-assigned id and arms it
+    /// against `part`. A pair already connected there fires immediately,
+    /// stamped with the registration epoch: the prompt drain that follows
+    /// a registration must never stamp a concurrent batch's
+    /// still-unpublished merge fires, and a pre-stamped fire is what lets
+    /// it tell the two apart (see [`SubsCore::drain_stamped_fires`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn register(
+        &mut self,
+        part: &SizedUnionFind,
+        id: u64,
+        kind: SubKind,
+        u: u32,
+        v: u32,
+        durable: bool,
+        registered_epoch: u64,
+        generation: u64,
+    ) {
+        let mut e = SubEntry { kind, u, v, durable, registered_epoch, fired: false };
+        let (ru, rv) = e.roots(part).expect("a new trigger is unfired");
+        if kind == SubKind::Pair && ru == rv {
+            let component = part.component_of(ru);
+            Self::fire(&mut self.fires, id, &mut e, component, generation, Some(registered_epoch));
+        } else {
+            Self::bucket(&mut self.buckets, id, (ru, rv));
+        }
+        self.subs.insert(id, e);
+    }
+
+    /// Recovery replay of a durable registration: stored but unarmed (the
+    /// partition is not final yet) until [`SubsCore::on_commit`].
+    pub fn register_unarmed(&mut self, id: u64, kind: SubKind, u: u32, v: u32, epoch: u64) {
+        let e = SubEntry { kind, u, v, durable: true, registered_epoch: epoch, fired: false };
+        self.subs.insert(id, e);
+    }
+
+    /// Cancels a subscription and strikes it from its (at most two)
+    /// buckets; returns its durability, or `None` for an unknown id.
+    pub fn cancel(&mut self, part: &SizedUnionFind, id: u64) -> Option<bool> {
         let entry = self.subs.remove(&id)?;
-        if self.subs.is_empty() {
-            // Idle registry: stop maintaining the mirror entirely; the
-            // next registration resyncs from the labels of that moment.
-            self.synced = false;
-            self.buckets.clear();
-            self.parent = Vec::new();
-            self.size = Vec::new();
+        if let Some((ru, rv)) = entry.roots(part) {
+            for r in [ru, rv] {
+                let Some(b) = self.buckets.get_mut(&r) else { continue };
+                b.retain(|&x| x != id);
+                if b.is_empty() {
+                    self.buckets.remove(&r);
+                }
+            }
         }
         Some(entry.durable)
     }
 
-    /// Folds one clean-path merge into the trigger index. Called from
-    /// the engine's apply loop at exactly the points where
-    /// `analytics.merge` observes a novel union. O(α + moved + fired).
-    pub fn merge(&mut self, u: u32, v: u32, generation: u64) {
-        if !self.synced {
+    /// Folds one merge of `part` into the trigger index: the loser's
+    /// bucket migrates under the winner, pairs the merge connected fire
+    /// once, and component triggers on either side fire (the union is an
+    /// identity change for both). O(moved + fired); free while nothing is
+    /// armed.
+    pub fn on_merge(&mut self, part: &SizedUnionFind, m: &MergeOutcome, generation: u64) {
+        if self.buckets.is_empty() {
             return;
         }
-        let (ru, rv) = (self.find(u), self.find(v));
-        if ru == rv {
-            return;
-        }
-        // Union by size; the smaller bucket migrates into the larger.
-        let (big, small) =
-            if self.size[ru as usize] >= self.size[rv as usize] { (ru, rv) } else { (rv, ru) };
-        self.parent[small as usize] = big;
-        self.size[big as usize] += self.size[small as usize];
-        self.size[small as usize] = 0;
-        if self.subs.is_empty() {
-            return;
-        }
-        let small_bucket = self.buckets.remove(&small).unwrap_or_default();
-        let big_bucket = self.buckets.remove(&big).unwrap_or_default();
-        let mut survivors: Vec<u64> = Vec::with_capacity(small_bucket.len() + big_bucket.len());
-        for id in small_bucket.into_iter().chain(big_bucket) {
-            let Some(entry) = self.subs.get(&id) else { continue }; // cancelled
-            let (kind, su, sv, fired) = (entry.kind, entry.u, entry.v, entry.fired);
-            match kind {
-                SubKind::Pair => {
-                    if fired {
-                        continue;
-                    }
-                    if self.find(su) == self.find(sv) {
-                        self.fire_pair(id, generation);
-                    } else if !survivors.contains(&id) {
-                        // The pair's *other* endpoint still lives in a
-                        // different bucket; keep this side armed under
-                        // the merged root.
-                        survivors.push(id);
-                    }
+        let moved = self.buckets.remove(&m.loser).unwrap_or_default();
+        let stayed = self.buckets.remove(&m.winner).unwrap_or_default();
+        let merged = (m.winner, m.merged_size());
+        let mut survivors: Vec<u64> = Vec::with_capacity(moved.len() + stayed.len());
+        for id in moved.into_iter().chain(stayed) {
+            let e = self.subs.get_mut(&id).expect("cancel strikes buckets eagerly");
+            match e.kind {
+                // Listed on both sides and fired from the first.
+                SubKind::Pair if e.fired => {}
+                SubKind::Pair if part.find(e.u) == part.find(e.v) => {
+                    Self::fire(&mut self.fires, id, e, merged, generation, None);
                 }
+                // The other endpoint still lives in a different bucket;
+                // this side stays armed under the merged root.
+                SubKind::Pair => survivors.push(id),
                 SubKind::Component => {
-                    // Either side of the union is an identity change for
-                    // the components it watched.
-                    self.fire_component(id, generation, None);
+                    Self::fire(&mut self.fires, id, e, merged, generation, None);
                     survivors.push(id);
                 }
             }
         }
         if !survivors.is_empty() {
-            self.buckets.insert(big, survivors);
+            self.buckets.insert(m.winner, survivors);
         }
     }
 
-    /// Re-arms the registry against a fresh labeling at a rebuild commit
-    /// (or at recovery's end): the mirror resyncs wholesale, pending
-    /// pairs are re-evaluated (a pair the rebuild's drained inserts
-    /// connected fires here — deletions never strand a trigger), and
-    /// every component subscription fires once (`commit_epoch` when the
-    /// caller is a rebuild commit, unstamped for recovery) because a new
-    /// generation re-identifies every component.
-    pub fn on_commit(
-        &mut self,
-        labels: &[u32],
-        generation: u64,
-        commit_epoch: Option<u64>,
-        fire_components: bool,
-    ) {
-        if self.subs.is_empty() {
-            // Nothing registered: drop the mirror (cheap no-op commits).
-            self.synced = false;
-            self.buckets.clear();
-            return;
-        }
-        self.resync_from(labels);
-        self.rebucket();
-        let ids: Vec<u64> = self.subs.keys().copied().collect();
-        for id in ids {
-            let (kind, u, v, fired) = {
-                let e = &self.subs[&id];
-                (e.kind, e.u, e.v, e.fired)
-            };
-            match kind {
-                SubKind::Pair => {
-                    if !fired && self.find(u) == self.find(v) {
-                        self.fire_pair(id, generation);
-                        if let (Some(e), Some(f)) = (commit_epoch, self.fires.last_mut()) {
-                            f.epoch = Some(e);
-                            f.ev.epoch = e;
-                        }
-                    }
-                }
-                SubKind::Component => {
-                    if fire_components {
-                        self.fire_component(id, generation, commit_epoch);
-                    }
-                }
+    /// Drops every bucket: the partition they were keyed by is being
+    /// replaced, and merges folded before [`SubsCore::on_commit`] re-arms
+    /// (a commit's pending drain) must not meet stale roots.
+    pub fn disarm(&mut self) {
+        self.buckets.clear();
+    }
+
+    /// Re-arms the registry against a replaced partition, at a rebuild
+    /// commit or at recovery's end: pending pairs are re-evaluated (a pair
+    /// the rebuild's drained inserts connected fires here — deletions
+    /// never strand a trigger), and every component subscription fires
+    /// once because a new generation re-identifies every component. Fires
+    /// are stamped `commit_epoch` (a rebuild commit) or left for the next
+    /// drain (recovery).
+    pub fn on_commit(&mut self, part: &SizedUnionFind, generation: u64, commit_epoch: Option<u64>) {
+        self.disarm();
+        for (&id, e) in self.subs.iter_mut() {
+            let Some((ru, rv)) = e.roots(part) else { continue };
+            // One root: a component trigger, or a pair now connected.
+            if ru == rv {
+                let component = part.component_of(ru);
+                Self::fire(&mut self.fires, id, e, component, generation, commit_epoch);
+            }
+            if !e.fired {
+                Self::bucket(&mut self.buckets, id, (ru, rv));
             }
         }
     }
@@ -742,62 +619,96 @@ impl SubsDispatch {
 mod tests {
     use super::*;
 
-    fn labels_of(parts: &[&[u32]], n: usize) -> Vec<u32> {
-        let mut labels: Vec<u32> = (0..n as u32).collect();
-        for part in parts {
-            for &v in part.iter() {
-                labels[v as usize] = part[0];
+    impl SubsCore {
+        /// The armed-index invariant (see the `buckets` field): every bucket
+        /// key is a root of `part`, and the buckets list exactly the unfired
+        /// subscriptions, each under the roots of what it watches.
+        pub(crate) fn assert_armed(&self, part: &SizedUnionFind) {
+            let mut want: std::collections::BTreeSet<(u32, u64)> = Default::default();
+            for (&id, e) in &self.subs {
+                if let Some((ru, rv)) = e.roots(part) {
+                    want.extend([(ru, id), (rv, id)]);
+                }
+            }
+            let mut got: Vec<(u32, u64)> = Vec::new();
+            for (&root, ids) in &self.buckets {
+                assert_eq!(part.find(root), root, "bucket key {root} is not a root");
+                assert!(!ids.is_empty(), "empty bucket kept under {root}");
+                got.extend(ids.iter().map(|&id| (root, id)));
+            }
+            got.sort_unstable();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "bucket contents");
+        }
+    }
+
+    /// A partition over `n` vertices with each of `parts` united.
+    fn partition_of(parts: &[&[u32]], n: usize) -> SizedUnionFind {
+        let part = SizedUnionFind::new(n);
+        for p in parts {
+            for &v in p.iter() {
+                part.unite(p[0], v);
             }
         }
-        labels
+        part
+    }
+
+    /// Unites in `part` and folds the outcome, as the engine's clean path
+    /// does; the armed-index invariant must survive every step.
+    fn merge(core: &mut SubsCore, part: &SizedUnionFind, u: u32, v: u32) {
+        if let Some(m) = part.unite(u, v) {
+            core.on_merge(part, &m, 0);
+        }
+        core.assert_armed(part);
     }
 
     #[test]
     fn pair_trigger_fires_once_at_the_connecting_merge() {
-        let mut core = SubsCore::new(8);
-        let labels: Vec<u32> = (0..8).collect();
-        core.register(1, SubKind::Pair, 0, 3, false, 5, 0, Some(&labels));
+        let (mut core, part) = (SubsCore::new(), SizedUnionFind::new(8));
+        core.register(&part, 1, SubKind::Pair, 0, 3, false, 5, 0);
         assert!(!core.has_fires(), "not connected at registration");
-        core.merge(0, 1, 0);
-        core.merge(2, 3, 0);
+        merge(&mut core, &part, 0, 1);
+        merge(&mut core, &part, 2, 3);
         assert!(!core.has_fires(), "still two components");
-        core.merge(1, 2, 0);
+        merge(&mut core, &part, 1, 2);
         let evs = core.drain_fires(9);
         assert_eq!(evs.len(), 1);
         let ev = evs[0].ev;
         assert_eq!((ev.id, ev.kind, ev.u, ev.v), (1, SubKind::Pair, 0, 3));
         assert_eq!((ev.epoch, ev.generation), (9, 0));
+        assert_eq!((ev.root, ev.size), part.component_of(0));
         assert_eq!(ev.size, 4);
         // One-shot: further merges into the component do not re-fire.
-        core.merge(3, 4, 0);
+        merge(&mut core, &part, 3, 4);
         assert!(!core.has_fires());
         assert!(core.list()[0].fired);
     }
 
     #[test]
     fn already_connected_pair_fires_at_registration() {
-        let mut core = SubsCore::new(4);
-        let labels = labels_of(&[&[0, 1]], 4);
-        core.register(7, SubKind::Pair, 0, 1, true, 2, 3, Some(&labels));
+        let (mut core, part) = (SubsCore::new(), partition_of(&[&[0, 1]], 4));
+        core.register(&part, 7, SubKind::Pair, 0, 1, true, 2, 3);
         let evs = core.drain_fires(2);
         assert_eq!(evs.len(), 1);
         assert_eq!((evs[0].ev.id, evs[0].ev.epoch, evs[0].ev.generation), (7, 2, 3));
+        core.assert_armed(&part);
     }
 
     #[test]
     fn component_sub_fires_on_merges_and_commits() {
-        let mut core = SubsCore::new(8);
-        let labels: Vec<u32> = (0..8).collect();
-        core.register(1, SubKind::Component, 5, 5, false, 0, 0, Some(&labels));
-        core.merge(0, 1, 0);
+        let (mut core, part) = (SubsCore::new(), SizedUnionFind::new(8));
+        core.register(&part, 1, SubKind::Component, 5, 5, false, 0, 0);
+        merge(&mut core, &part, 0, 1);
         assert!(!core.has_fires(), "a merge elsewhere is not an identity change");
-        core.merge(5, 0, 0);
+        merge(&mut core, &part, 5, 0);
         let evs = core.drain_fires(3);
         assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].ev.root, evs[0].ev.size), part.component_of(5));
         assert_eq!(evs[0].ev.size, 3);
         // A rebuild commit re-identifies every component: fire again.
-        let labels = labels_of(&[&[0, 1, 5]], 8);
-        core.on_commit(&labels, 1, Some(4), true);
+        let rebuilt = partition_of(&[&[0, 1, 5]], 8);
+        core.disarm();
+        core.on_commit(&rebuilt, 1, Some(4));
+        core.assert_armed(&rebuilt);
         let evs = core.drain_fires(99);
         assert_eq!(evs.len(), 1);
         assert_eq!((evs[0].ev.epoch, evs[0].ev.generation), (4, 1));
@@ -805,33 +716,96 @@ mod tests {
 
     #[test]
     fn commit_reevaluates_pending_pairs_after_deletions() {
-        let mut core = SubsCore::new(8);
-        let labels: Vec<u32> = (0..8).collect();
-        core.register(1, SubKind::Pair, 0, 7, false, 0, 0, Some(&labels));
-        // The rebuild's fresh labeling connected them (e.g. via drained
-        // pending inserts): the commit must fire the stranded trigger.
-        let fresh = labels_of(&[&[0, 3, 7]], 8);
-        core.on_commit(&fresh, 2, Some(11), true);
+        let (mut core, part) = (SubsCore::new(), SizedUnionFind::new(8));
+        core.register(&part, 1, SubKind::Pair, 0, 7, false, 0, 0);
+        core.register(&part, 2, SubKind::Pair, 1, 2, false, 0, 0);
+        // The rebuild's partition connected 0 and 7 (e.g. via drained
+        // pending inserts): the commit must fire the stranded trigger,
+        // and re-key the other one to the new roots.
+        let rebuilt = partition_of(&[&[3, 0, 7], &[4, 1]], 8);
+        core.on_commit(&rebuilt, 2, Some(11));
+        core.assert_armed(&rebuilt);
         let evs = core.drain_fires(99);
         assert_eq!(evs.len(), 1);
         assert_eq!((evs[0].ev.epoch, evs[0].ev.generation, evs[0].ev.size), (11, 2, 3));
+        assert_eq!(evs[0].ev.root, rebuilt.find(0));
+        merge(&mut core, &rebuilt, 2, 4);
+        assert_eq!(core.drain_fires(12).len(), 1, "re-armed under the rebuilt roots");
     }
 
     #[test]
-    fn cancel_removes_and_idle_registry_stops_mirroring() {
-        let mut core = SubsCore::new(4);
-        let labels: Vec<u32> = (0..4).collect();
-        core.register(1, SubKind::Pair, 0, 1, true, 0, 0, Some(&labels));
-        assert_eq!(core.cancel(1), Some(true));
-        assert_eq!(core.cancel(1), None, "unknown after removal");
-        assert!(core.is_empty());
-        // Merges on an idle registry are free (no mirror maintained).
-        core.merge(0, 1, 0);
+    fn merges_folded_while_disarmed_fire_nothing_until_the_commit() {
+        // A commit's pending drain: the partition is already the rebuilt
+        // one, the buckets still name the old roots — so they are dropped
+        // first, and the drained merges are judged by `on_commit` alone.
+        let (mut core, old) = (SubsCore::new(), partition_of(&[&[0, 1]], 8));
+        core.register(&old, 1, SubKind::Component, 1, 1, false, 0, 0);
+        core.register(&old, 2, SubKind::Pair, 2, 3, false, 0, 0);
+        let rebuilt = SizedUnionFind::new(8);
+        core.disarm();
+        for (u, v) in [(0, 2), (2, 3)] {
+            let m = rebuilt.unite(u, v).expect("merges");
+            core.on_merge(&rebuilt, &m, 1);
+        }
         assert!(!core.has_fires());
-        // A later registration resyncs from the labels of that moment.
-        let labels = labels_of(&[&[0, 1]], 4);
-        core.register(2, SubKind::Pair, 0, 1, false, 9, 0, Some(&labels));
+        core.on_commit(&rebuilt, 1, Some(6));
+        core.assert_armed(&rebuilt);
+        let mut evs: Vec<SubEvent> = core.drain_fires(99).iter().map(|p| p.ev).collect();
+        evs.sort_by_key(|e| e.id);
+        assert_eq!(evs.len(), 2);
+        assert_eq!((evs[0].id, evs[0].size, evs[0].epoch), (1, 1, 6), "1 is a singleton again");
+        assert_eq!((evs[1].id, evs[1].size, evs[1].epoch), (2, 3, 6));
+    }
+
+    #[test]
+    fn unarmed_registrations_wait_for_the_recovery_commit() {
+        let (mut core, part) = (SubsCore::new(), partition_of(&[&[0, 1]], 4));
+        core.register_unarmed(1, SubKind::Pair, 0, 1, 3);
+        core.register_unarmed(2, SubKind::Pair, 2, 3, 3);
+        core.register_unarmed(3, SubKind::Pair, 1, 2, 3);
+        assert_eq!(core.cancel(&part, 3), Some(true), "a replayed cancel finds no bucket");
+        assert!(!core.has_fires() && core.buckets.is_empty());
+        // Recovery's end: unstamped, so the first drain names the epoch.
+        core.on_commit(&part, 0, None);
+        core.assert_armed(&part);
+        let evs = core.drain_fires(8);
+        assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].ev.id, evs[0].ev.epoch), (1, 8));
+        assert!(core.list().iter().all(|s| s.durable));
+    }
+
+    #[test]
+    fn cancel_strikes_buckets_and_an_idle_registry_costs_nothing() {
+        let (mut core, part) = (SubsCore::new(), SizedUnionFind::new(4));
+        core.register(&part, 1, SubKind::Pair, 0, 1, true, 0, 0);
+        assert_eq!(core.cancel(&part, 1), Some(true));
+        assert_eq!(core.cancel(&part, 1), None, "unknown after removal");
+        assert!(core.is_empty() && core.buckets.is_empty());
+        // Merges past an idle registry are free and leave nothing behind.
+        merge(&mut core, &part, 0, 1);
+        assert!(!core.has_fires());
+        // A later registration sees the partition of that moment.
+        core.register(&part, 2, SubKind::Pair, 0, 1, false, 9, 0);
         assert_eq!(core.drain_fires(9).len(), 1);
+    }
+
+    #[test]
+    fn register_cancel_churn_leaves_a_quiet_bucket_as_it_was() {
+        // One long-lived subscription keeps the registry non-empty while
+        // others come and go on the same quiet component.
+        let (mut core, part) = (SubsCore::new(), partition_of(&[&[0, 1, 2]], 8));
+        core.register(&part, 1, SubKind::Component, 0, 0, true, 0, 0);
+        let root = part.find(0);
+        assert_eq!(core.buckets[&root], vec![1]);
+        for round in 0..10_000u64 {
+            let id = 2 + round;
+            let kind = if round % 2 == 0 { SubKind::Component } else { SubKind::Pair };
+            core.register(&part, id, kind, 5, 1, false, 0, 0);
+            assert_eq!(core.cancel(&part, id), Some(false));
+        }
+        assert_eq!(core.buckets[&root], vec![1]);
+        assert_eq!(core.buckets.len(), 1, "5's emptied bucket is dropped, not kept");
+        core.assert_armed(&part);
     }
 
     #[test]

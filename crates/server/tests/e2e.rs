@@ -344,6 +344,49 @@ fn tcp_durability_verbs_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// PROTOCOL.md §1.3: `root=` in a pushed `! EVT` line is the
+/// representative `SIZE` and `TOPK` name at the same `(epoch, gen)` —
+/// across a clean-path merge and across a rebuild commit, quiesced so
+/// the three reads describe one state.
+#[test]
+fn tcp_evt_size_and_topk_name_the_same_root() {
+    let mut svc = Service::start(ServiceConfig {
+        n: 64,
+        shards: 2,
+        batch_max_wait: Duration::from_micros(50),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let event = |c: &mut TcpClient| {
+        let evs = c.poll_events(Duration::from_secs(30)).expect("push line");
+        assert_eq!(evs.len(), 1, "{evs:?}");
+        evs[0]
+    };
+    let check = |c: &mut TcpClient, ev: cc_server::SubEvent, what: &str| {
+        c.wait_epoch(ev.epoch, 30_000).expect("WAIT");
+        let (size, root) = c.component_size(1).expect("SIZE");
+        assert_eq!((ev.root, ev.size), (root, size), "{what}: EVT vs SIZE");
+        let (topk, _, gen, sealed) = c.topk(None).expect("TOPK");
+        assert_eq!((ev.generation, false), (gen, sealed), "{what}");
+        assert_eq!(topk, vec![(root, size)], "{what}: TOPK");
+    };
+    c.insert(3, 1).expect("I 3 1");
+    c.subscribe_component(1, false).expect("SUB COMPONENT 1");
+    c.insert(1, 5).expect("I 1 5");
+    let merged = event(&mut c);
+    assert_eq!(merged.size, 3);
+    check(&mut c, merged, "clean-path merge");
+    c.delete(3, 1).expect("D 3 1");
+    c.quiesce(30_000).expect("QUIESCE");
+    let committed = event(&mut c);
+    assert_eq!((committed.size, committed.generation), (2, merged.generation + 1));
+    check(&mut c, committed, "rebuild commit");
+    server.stop();
+    svc.shutdown();
+}
+
 /// The deterministic crash drill: loadgen checkpoints its oracle with
 /// `--kill-after`, the server is SIGKILLed and restarted from the same
 /// `--wal-dir`, and the `--resume` run re-validates the checkpoint across

@@ -28,6 +28,7 @@
 pub mod find;
 pub mod oracle;
 pub mod parents;
+pub mod sized;
 pub mod spec;
 pub mod splice;
 pub mod stats;
@@ -40,6 +41,7 @@ pub use parents::{
     count_roots, make_parents, parents_from_labels, snapshot_labels, snapshot_labels_readonly,
     Parents,
 };
+pub use sized::{MergeOutcome, SizedUnionFind};
 pub use spec::{FastestKernel, FindKind, KernelVisitor, SpliceKind, UfSpec, UniteKind};
 pub use splice::{HalveAtomicOne, Splice, SpliceAtomic, SplitAtomicOne};
 pub use stats::{PathLengths, PathStats};

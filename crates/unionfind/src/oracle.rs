@@ -1,5 +1,7 @@
 //! Sequential union-find oracle: union by rank with full path compression.
-//! Obviously-correct reference used by tests and by sequential baselines.
+//! Obviously-correct reference used by tests, validators (the loadgen's
+//! oracle, `is_valid_spanning_forest`) and sequential baselines; nothing
+//! on a serving path calls it.
 
 /// Sequential disjoint-set structure.
 pub struct SeqUnionFind {
