@@ -178,10 +178,9 @@ mod tests {
 
     #[test]
     fn agrees_with_core_dynamic_baseline() {
-        use cc_unionfind::UfSpec;
         let n = 60usize;
         let mut o = DynamicOracle::new(n);
-        let mut d = connectit::DynamicConnectivity::new(n, UfSpec::fastest(), 11);
+        let mut d = connectit::DynamicConnectivity::new(n);
         // A deterministic interleaving with plenty of collisions.
         let mut ops = Vec::new();
         for i in 0..400u32 {

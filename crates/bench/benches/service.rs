@@ -1,10 +1,8 @@
-//! Service-layer benchmark: mixed insert/query throughput of the sharded
-//! engine (shard-count sweep, wait-free vs phased) and of the full
+//! Service-layer benchmark: mixed insert/query throughput of the full
 //! service stack including the batch former and reply fan-out.
 
 use cc_parallel::SplitMix64;
-use cc_server::{build_engine, Client, ExecMode, Service, ServiceConfig};
-use cc_unionfind::UfSpec;
+use cc_server::{Client, Service, ServiceConfig};
 use connectit::Update;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -23,37 +21,6 @@ fn mixed_batch(n: usize, ops: usize, seed: u64) -> Vec<Update> {
             }
         })
         .collect()
-}
-
-fn bench_engine(c: &mut Criterion) {
-    let n = 1usize << 16;
-    let ops = 1usize << 14;
-    let mut group = c.benchmark_group("service_engine");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ops as u64));
-    for shards in [1usize, 4, 8] {
-        group.bench_function(format!("waitfree/shards_{shards}"), |b| {
-            b.iter(|| {
-                let e =
-                    build_engine(n, shards, &UfSpec::fastest(), ExecMode::Auto, 1).expect("engine");
-                for (i, chunk) in mixed_batch(n, ops, 9).chunks(4096).enumerate() {
-                    black_box(e.process_batch(black_box(chunk)));
-                    black_box(i);
-                }
-                black_box(e)
-            })
-        });
-    }
-    group.bench_function("phased/shards_4", |b| {
-        b.iter(|| {
-            let e = build_engine(n, 4, &UfSpec::fastest(), ExecMode::Phased, 1).expect("engine");
-            for chunk in mixed_batch(n, ops, 9).chunks(4096) {
-                black_box(e.process_batch(black_box(chunk)));
-            }
-            black_box(e)
-        })
-    });
-    group.finish();
 }
 
 fn bench_full_service(c: &mut Criterion) {
@@ -80,5 +47,5 @@ fn bench_full_service(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_full_service);
+criterion_group!(benches, bench_full_service);
 criterion_main!(benches);

@@ -1,14 +1,14 @@
 //! Fully-dynamic scenario (the paper's stated future work): a workload
-//! mixing insertions, *deletions*, and queries. Insertions ride the
-//! wait-free incremental path; a deletion batch triggers a recompute with
-//! the static two-phase engine. Shows the cost asymmetry and why the paper
-//! calls practical parallel deletion support an open problem.
+//! mixing insertions, *deletions*, and queries. Insertions unite
+//! incrementally in the liveness tracker's partition; a forest deletion
+//! triggers a one-pass rebuild over the surviving edges. Shows the cost
+//! asymmetry and why the paper calls practical parallel deletion support
+//! an open problem.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_deletions [scale]
 //! ```
 
-use cc_unionfind::UfSpec;
 use connectit::{DynUpdate, DynamicConnectivity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +20,7 @@ fn main() {
     let edges = cc_graph::generators::rmat_default(scale, n * 4, 11).edges;
     let mut rng = StdRng::seed_from_u64(3);
 
-    let mut d = DynamicConnectivity::new(n, UfSpec::fastest(), 7);
+    let mut d = DynamicConnectivity::new(n);
 
     // Phase 1: insert-only (incremental fast path).
     let t0 = Instant::now();

@@ -1,24 +1,22 @@
 //! Fully-dynamic connectivity: the paper's stated future work ("we are
 //! interested in identifying practical parallel algorithms that support
 //! edge deletions"). This module provides the straightforward baseline such
-//! work would be measured against: insertions are incremental (wait-free
-//! union-find, exactly the streaming path), while deletions classify
-//! through [`crate::liveness::LivenessTracker`] — a deletion of an absent
-//! or non-forest (cycle) edge is free, and only a *forest* deletion falls
-//! back to recomputing connectivity over the surviving edge set: one
-//! union-find pass over the live edge list
-//! ([`LivenessTracker::rebuild`]), which hands back the tracker's new
-//! forest and the labels the incremental path restarts from.
+//! work would be measured against: insertions are incremental (they
+//! unite in the [`crate::liveness::LivenessTracker`]'s partition, which
+//! also answers the queries), while deletions classify through the
+//! tracker — a deletion of an absent or non-forest (cycle) edge is free,
+//! and only a *forest* deletion falls back to recomputing connectivity
+//! over the surviving edge set: one union-find pass over the live edge
+//! list ([`LivenessTracker::rebuild`]), which hands back the tracker's
+//! new partition and forest.
 //!
 //! The recompute path costs `O(n + m α)` per forest-deletion batch — fine
 //! for workloads where deletions are rare (the paper's motivation: only a
 //! few percent of tweets are ever deleted), and an honest baseline
 //! otherwise.
 
-use crate::liveness::{DeleteClass, InsertClass, LivenessTracker};
+use crate::liveness::{DeleteClass, LivenessTracker};
 use cc_graph::VertexId;
-use cc_unionfind::parents::{find_root_readonly, parents_from_labels, Parents};
-use cc_unionfind::{KernelVisitor, NoCount, UfSpec, UniteKernel};
 
 /// The fully-dynamic operation type: deletions share [`crate::Update`]
 /// with the streaming path, so mixed schedules flow through one enum
@@ -26,68 +24,23 @@ use cc_unionfind::{KernelVisitor, NoCount, UfSpec, UniteKernel};
 /// module).
 pub use crate::streaming::Update as DynUpdate;
 
-/// The incremental fast path's kernel, erased at *operation* granularity
-/// (deletion batches are sequential anyway): one virtual call per insert
-/// with the fully monomorphized, telemetry-free union underneath.
-trait DynKernel: Send + Sync {
-    fn unite(&self, p: &Parents, u: VertexId, v: VertexId);
-}
-
-impl<K: UniteKernel> DynKernel for K {
-    fn unite(&self, p: &Parents, u: VertexId, v: VertexId) {
-        UniteKernel::unite(self, p, u, v, &mut NoCount);
-    }
-}
-
-/// Builds the `spec` variant through [`UfSpec::dispatch`]; a rebuild calls
-/// it again, because stateful variants (hooks arrays) must start clean.
-fn build_kernel(spec: &UfSpec, n: usize, seed: u64) -> Box<dyn DynKernel> {
-    struct Boxer;
-    impl KernelVisitor for Boxer {
-        type Out = Box<dyn DynKernel>;
-        fn visit<K: UniteKernel>(self, kernel: K) -> Box<dyn DynKernel> {
-            Box::new(kernel)
-        }
-    }
-    spec.dispatch(n, seed, Boxer)
-}
-
 /// A fully-dynamic connectivity structure: incremental fast path, rebuild
 /// only on *forest* deletions (see [`crate::liveness`]).
 pub struct DynamicConnectivity {
-    n: usize,
     tracker: LivenessTracker,
-    parents: Box<Parents>,
-    uf: Box<dyn DynKernel>,
-    spec: UfSpec,
-    seed: u64,
     rebuilds: usize,
     nonforest_deletes: usize,
 }
 
 impl DynamicConnectivity {
-    /// Creates an empty structure on `n` vertices using `spec` for the
-    /// incremental path.
-    pub fn new(n: usize, spec: UfSpec, seed: u64) -> Self {
-        assert!(
-            spec.splice != Some(cc_unionfind::SpliceKind::Splice),
-            "phase-concurrent Rem+Splice cannot serve interleaved queries"
-        );
-        DynamicConnectivity {
-            n,
-            tracker: LivenessTracker::new(n),
-            parents: cc_unionfind::make_parents(n),
-            uf: build_kernel(&spec, n, seed),
-            spec,
-            seed,
-            rebuilds: 0,
-            nonforest_deletes: 0,
-        }
+    /// Creates an empty structure on `n` vertices.
+    pub fn new(n: usize) -> Self {
+        DynamicConnectivity { tracker: LivenessTracker::new(n), rebuilds: 0, nonforest_deletes: 0 }
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.tracker.num_vertices()
     }
 
     /// Number of live edges.
@@ -115,13 +68,9 @@ impl DynamicConnectivity {
         let mut answers = Vec::new();
         for &op in batch {
             match op {
-                DynUpdate::Insert(u, v) => {
-                    // Merge verdicts keep the incremental labels exact;
-                    // while stale, novel edges wait for the owed rebuild.
-                    if matches!(self.tracker.insert(u, v), InsertClass::Merge(_)) {
-                        self.uf.unite(&self.parents, u, v);
-                    }
-                }
+                // A merge unites in the tracker's partition; while
+                // stale, novel edges wait for the owed rebuild.
+                DynUpdate::Insert(u, v) => _ = self.tracker.insert(u, v),
                 DynUpdate::Delete(u, v) => match self.tracker.delete(u, v) {
                     DeleteClass::Absent => {}
                     // The forest still spans: the labeling stays exact.
@@ -134,10 +83,7 @@ impl DynamicConnectivity {
                     if self.tracker.is_stale() {
                         self.rebuild();
                     }
-                    answers.push(
-                        find_root_readonly(&self.parents, u)
-                            == find_root_readonly(&self.parents, v),
-                    );
+                    answers.push(self.connected(u, v));
                 }
             }
         }
@@ -149,25 +95,22 @@ impl DynamicConnectivity {
 
     /// Single query against the current state.
     pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
-        find_root_readonly(&self.parents, u) == find_root_readonly(&self.parents, v)
+        self.tracker.partition().same_set(u, v)
     }
 
     /// Current labeling snapshot.
     pub fn labels(&self) -> Vec<VertexId> {
-        cc_unionfind::parents::snapshot_labels(&self.parents)
+        self.tracker.partition().labels()
     }
 
     /// Recomputes connectivity from the surviving edge set: the tracker's
-    /// rebuild pass yields its new forest and the labeling in one go.
+    /// rebuild pass yields its new partition and forest in one go.
     fn rebuild(&mut self) {
         self.rebuilds += 1;
-        let mut rebuilt = LivenessTracker::rebuild(self.n, &self.tracker.edge_list(), || true)
+        let (n, edges) = (self.tracker.num_vertices(), self.tracker.edge_list());
+        let rebuilt = LivenessTracker::rebuild(n, &edges, || true)
             .expect("an unconditional rebuild is never aborted");
-        // ID-linking kernels need `parent(x) <= x`.
-        crate::sampling::normalize_labels_to_min(&mut rebuilt.labels);
-        self.parents = parents_from_labels(&rebuilt.labels);
         self.tracker.adopt(rebuilt);
-        self.uf = build_kernel(&self.spec, self.n, self.seed);
     }
 }
 
@@ -185,7 +128,7 @@ mod tests {
 
     #[test]
     fn insert_then_delete_disconnects() {
-        let mut d = DynamicConnectivity::new(4, UfSpec::fastest(), 0);
+        let mut d = DynamicConnectivity::new(4);
         let a = d.process_batch(&[
             DynUpdate::Insert(0, 1),
             DynUpdate::Insert(1, 2),
@@ -200,7 +143,7 @@ mod tests {
 
     #[test]
     fn deleting_one_of_parallel_paths_keeps_connectivity() {
-        let mut d = DynamicConnectivity::new(4, UfSpec::fastest(), 1);
+        let mut d = DynamicConnectivity::new(4);
         d.process_batch(&[
             DynUpdate::Insert(0, 1),
             DynUpdate::Insert(1, 3),
@@ -213,7 +156,7 @@ mod tests {
 
     #[test]
     fn nonforest_deletes_never_rebuild() {
-        let mut d = DynamicConnectivity::new(4, UfSpec::fastest(), 5);
+        let mut d = DynamicConnectivity::new(4);
         // A triangle: the closing edge is a cycle edge.
         d.process_batch(&[
             DynUpdate::Insert(0, 1),
@@ -228,7 +171,7 @@ mod tests {
 
     #[test]
     fn duplicate_inserts_and_absent_deletes_are_noops() {
-        let mut d = DynamicConnectivity::new(3, UfSpec::fastest(), 2);
+        let mut d = DynamicConnectivity::new(3);
         d.process_batch(&[DynUpdate::Insert(0, 1), DynUpdate::Insert(0, 1)]);
         assert_eq!(d.num_edges(), 1);
         d.process_batch(&[DynUpdate::Delete(1, 2)]); // absent
@@ -240,7 +183,7 @@ mod tests {
     fn randomized_against_sequential_reference() {
         let n = 200usize;
         let mut rng = StdRng::seed_from_u64(7);
-        let mut d = DynamicConnectivity::new(n, UfSpec::fastest(), 3);
+        let mut d = DynamicConnectivity::new(n);
         let mut live: Vec<(u32, u32)> = Vec::new();
         for _round in 0..30 {
             let mut batch = Vec::new();

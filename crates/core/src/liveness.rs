@@ -18,8 +18,8 @@
 //! [`LivenessTracker::rebuild`] makes a single union-find pass over a
 //! snapshot of the live edges — the paper's union-find finish
 //! (Algorithm 2) straight off the edge list, no CSR and no sampling — and
-//! yields the new partition, the forest (the edges whose `unite`
-//! succeeded) and the component labels at once. It borrows nothing from
+//! yields the new partition and the forest (the edges whose `unite`
+//! succeeded) at once. It borrows nothing from
 //! the tracker, so the server runs it outside its writer lock and
 //! installs the result with the O(1) [`LivenessTracker::adopt`],
 //! restoring `forest ⊆ edges` and `forest spans edges`.
@@ -95,13 +95,10 @@ pub struct LivenessTracker {
 }
 
 /// The output of [`LivenessTracker::rebuild`]: the partition and forest
-/// [`LivenessTracker::adopt`] installs, and the snapshot's labeling.
+/// [`LivenessTracker::adopt`] installs.
 pub struct Rebuilt {
     partition: Arc<SizedUnionFind>,
     forest: HashSet<u64>,
-    /// Canonical (`labels[labels[v]] == labels[v]`); representatives are
-    /// the partition's roots, not component minima.
-    pub labels: Vec<VertexId>,
 }
 
 impl Rebuilt {
@@ -216,8 +213,8 @@ impl LivenessTracker {
 
     /// The rebuild primitive: one union-find pass over `edges` (a snapshot
     /// of [`Self::edge_list`]) on `n` vertices. An edge whose `unite`
-    /// succeeds is a forest edge, so partition, forest and labels fall
-    /// out of the same pass. Stops with `None` at the first poll of
+    /// succeeds is a forest edge, so partition and forest fall out of
+    /// the same pass. Stops with `None` at the first poll of
     /// `keep_going` that says no: a caller whose snapshot was invalidated
     /// mid-pass does not pay for the rest of it.
     pub fn rebuild(
@@ -237,14 +234,9 @@ impl LivenessTracker {
                 }
             }
         }
-        let labels = partition.labels();
         // Collected last, so the table is sized for the forest that exists
         // rather than the `n - 1` edges it might have had.
-        Some(Rebuilt {
-            partition: Arc::new(partition),
-            forest: forest.into_iter().collect(),
-            labels,
-        })
+        Some(Rebuilt { partition: Arc::new(partition), forest: forest.into_iter().collect() })
     }
 
     /// Installs a [`Self::rebuild`] of this tracker's live edges and
@@ -334,8 +326,8 @@ mod tests {
         // A rebuild over the *pre-insert* snapshot {1-2, 3-4} is adopted,
         // then the stale-window edges re-admit.
         let rebuilt = LivenessTracker::rebuild(6, &[(1, 2), (3, 4)], || true).expect("not aborted");
-        assert_eq!(rebuilt.labels[1], rebuilt.labels[2]);
-        assert_ne!(rebuilt.labels[2], rebuilt.labels[3]);
+        assert!(rebuilt.partition().same_set(1, 2));
+        assert!(!rebuilt.partition().same_set(2, 3));
         t.adopt(rebuilt);
         assert!(!t.is_stale());
         let m = t.reclassify_live(2, 3).expect("bridging edge merges");
@@ -374,7 +366,7 @@ mod tests {
         t.delete(0, 1);
         let snapshot = t.edge_list();
         let rebuilt = LivenessTracker::rebuild(7, &snapshot, || true).expect("not aborted");
-        let labels = rebuilt.labels.clone();
+        let labels = rebuilt.partition().labels();
         assert!(labels.iter().all(|&l| labels[l as usize] == l), "labels are canonical");
         assert!(cc_graph::stats::same_partition(
             &labels,

@@ -130,8 +130,7 @@ fn query_slots(batch: &[Update]) -> (Vec<usize>, usize) {
 
 /// A batch-incremental connectivity structure over a *statically chosen*
 /// union-find kernel: every per-edge loop below is monomorphized for `K`.
-/// This is the building block `cc-server`'s sharded engine instantiates;
-/// for runtime variant selection use [`StreamingConnectivity`], which
+/// For runtime variant selection use [`StreamingConnectivity`], which
 /// dispatches onto this type once at construction.
 pub struct UfStreaming<K: UniteKernel> {
     parents: Box<Parents>,
@@ -166,19 +165,6 @@ impl<K: UniteKernel> UfStreaming<K> {
         } else {
             StreamType::PhaseConcurrent
         }
-    }
-
-    /// Seeds the structure with the components of an existing labeling,
-    /// mirroring Algorithm 3's `INITIALIZE`. Labels are normalized so each
-    /// component's representative is its minimum member, restoring the
-    /// acyclicity invariant the union algorithms maintain.
-    pub fn seed_from_labels(&self, labels: &[VertexId]) {
-        assert_eq!(labels.len(), self.parents.len());
-        let mut normalized = labels.to_vec();
-        crate::sampling::normalize_labels_to_min(&mut normalized);
-        cc_parallel::parallel_for(normalized.len(), |v| {
-            self.parents[v].store(normalized[v], Ordering::Relaxed);
-        });
     }
 
     /// Applies a batch of operations in parallel; returns the answers to
@@ -322,7 +308,6 @@ impl<K: UniteKernel> UfStreaming<K> {
 trait UfStreamDyn: Send + Sync {
     fn num_vertices(&self) -> usize;
     fn stream_type(&self) -> StreamType;
-    fn seed_from_labels(&self, labels: &[VertexId]);
     fn process_batch(&self, batch: &[Update]) -> Vec<bool>;
     fn insert(&self, u: VertexId, v: VertexId);
     fn insert_phase_concurrent(&self, u: VertexId, v: VertexId);
@@ -340,9 +325,6 @@ impl<K: UniteKernel> UfStreamDyn for UfStreaming<K> {
     }
     fn stream_type(&self) -> StreamType {
         UfStreaming::stream_type(self)
-    }
-    fn seed_from_labels(&self, labels: &[VertexId]) {
-        UfStreaming::seed_from_labels(self, labels)
     }
     fn process_batch(&self, batch: &[Update]) -> Vec<bool> {
         UfStreaming::process_batch(self, batch)
@@ -430,26 +412,6 @@ impl StreamingConnectivity {
             }
         };
         StreamingConnectivity { inner }
-    }
-
-    /// Seeds the structure with the components of an existing labeling
-    /// (e.g. from a static [`crate::connectivity()`] run over an initial
-    /// graph), mirroring Algorithm 3's `INITIALIZE`. Labels are normalized
-    /// so each component's representative is its minimum member, restoring
-    /// the acyclicity invariant the union algorithms maintain.
-    pub fn from_labels(labels: &[VertexId], algorithm: &StreamAlgorithm, seed: u64) -> Self {
-        let s = Self::new(labels.len(), algorithm, seed);
-        match &s.inner {
-            Inner::Uf(uf) => uf.seed_from_labels(labels),
-            Inner::Classic(c) => {
-                let mut normalized = labels.to_vec();
-                crate::sampling::normalize_labels_to_min(&mut normalized);
-                cc_parallel::parallel_for(normalized.len(), |v| {
-                    c.parents[v].store(normalized[v], Ordering::Relaxed);
-                });
-            }
-        }
-        s
     }
 
     /// Number of vertices.
@@ -798,19 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn from_labels_seeds_components() {
-        let labels = vec![0, 0, 0, 3, 3, 5];
-        for alg in [StreamAlgorithm::UnionFind(UfSpec::fastest()), StreamAlgorithm::ShiloachVishkin]
-        {
-            let s = StreamingConnectivity::from_labels(&labels, &alg, 0);
-            assert!(s.connected(0, 2), "{}", alg.name());
-            assert!(s.connected(3, 4));
-            assert!(!s.connected(0, 3));
-            assert!(!s.connected(5, 0));
-        }
-    }
-
-    #[test]
     fn generic_ufstreaming_direct_use() {
         // The monomorphized building block is usable without the facade.
         let s: UfStreaming<cc_unionfind::FastestKernel> = UfStreaming::new(8, 0);
@@ -821,9 +770,5 @@ mod tests {
         assert_eq!(s.num_components(), 6);
         let r = s.process_batch(&[Update::Insert(3, 4), Update::Query(3, 4)]);
         assert_eq!(r, vec![true]);
-        s.seed_from_labels(&[0, 0, 0, 0, 0, 5, 5, 7]);
-        assert!(s.connected(0, 4));
-        assert!(s.connected(5, 6));
-        assert!(!s.connected(5, 7));
     }
 }

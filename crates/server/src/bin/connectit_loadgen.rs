@@ -16,7 +16,6 @@
 //! connectit-loadgen [--mode inproc|tcp] [--addr HOST:PORT] [--n N]
 //!                   [--shards S] [--clients C] [--batches B] [--batch-ops K]
 //!                   [--query-frac F] [--churn F] [--layout blocked|strided]
-//!                   [--alg fastest|async|rem-splice] [--finish SPEC] [--phased]
 //!                   [--seed X] [--shutdown] [--follower HOST:PORT]...
 //!                   [--binary [--pipeline N]]
 //! ```
@@ -68,10 +67,8 @@
 //! live *edge set* (labels alone cannot seed a deletion oracle), and the
 //! post-restore sweep re-validates it against the recovered server.
 //!
-//! `--finish` (pass-through to the in-process service, mirroring
-//! `connectit-serve`) accepts any valid union-find variant as
-//! `unite[+splice][+find]`; invalid combinations are rejected with the
-//! rule they violate.
+//! `--shards` (pass-through to the in-process service, mirroring
+//! `connectit-serve`) is accepted and selects nothing.
 //!
 //! Exits non-zero on any oracle mismatch or zero throughput. In `tcp`
 //! mode, `--n` must match the server's vertex count.
@@ -114,10 +111,8 @@
 use cc_baselines::DynamicOracle;
 use cc_graph::io::binary;
 use cc_parallel::SplitMix64;
-use cc_server::{
-    parse_alg, BinClient, ExecMode, Reply, Service, ServiceConfig, SubEvent, SubKind, TcpClient,
-};
-use cc_unionfind::{SeqUnionFind, UfSpec};
+use cc_server::{BinClient, Reply, Service, ServiceConfig, SubEvent, SubKind, TcpClient};
+use cc_unionfind::SeqUnionFind;
 use connectit::Update;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
@@ -142,8 +137,6 @@ struct GenOpts {
     query_frac: f64,
     churn: f64,
     strided: bool,
-    spec: UfSpec,
-    phased: bool,
     seed: u64,
     send_shutdown: bool,
     kill_after: Option<usize>,
@@ -169,8 +162,6 @@ impl Default for GenOpts {
             query_frac: 0.5,
             churn: 0.0,
             strided: false,
-            spec: UfSpec::fastest(),
-            phased: false,
             seed: 0x10ad,
             send_shutdown: false,
             kill_after: None,
@@ -191,14 +182,11 @@ fn usage() -> ExitCode {
         "usage: connectit-loadgen [--mode inproc|tcp] [--addr HOST:PORT] [--n N]\n\
          \x20                        [--shards S] [--clients C] [--batches B] [--batch-ops K]\n\
          \x20                        [--query-frac F] [--churn F] [--layout blocked|strided]\n\
-         \x20                        [--alg fastest|async|rem-splice] [--finish SPEC] [--phased]\n\
          \x20                        [--seed X] [--shutdown]\n\
          \x20                        [--kill-after B --state FILE] [--resume [--state FILE]]\n\
          \x20                        [--retry-secs S] [--follower HOST:PORT]...\n\
          \x20                        [--metrics-out FILE] [--binary [--pipeline N]]\n\
          \x20                        [--subscribe]\n\
-         \x20  SPEC: unite[+splice][+find], e.g. rem-lock+halve-one+compress (see\n\
-         \x20        connectit-serve --help)\n\
          \x20  --follower (repeatable): split-route — inserts to --addr (the primary),\n\
          \x20        queries to the followers behind a WAIT read-your-writes barrier\n\
          \x20  --kill-after B: stop after B batches/client and checkpoint the oracle to\n\
@@ -259,9 +247,6 @@ fn parse_args(args: &[String]) -> Result<GenOpts, String> {
                 "strided" => o.strided = true,
                 other => return Err(format!("unknown --layout {other:?}")),
             },
-            "--alg" => o.spec = parse_alg(&next_val(a, &mut it)?)?,
-            "--finish" => o.spec = next_val(a, &mut it)?.parse()?,
-            "--phased" => o.phased = true,
             "--seed" => o.seed = next_val(a, &mut it)?.parse().map_err(|_| "bad --seed")?,
             "--shutdown" => o.send_shutdown = true,
             "--kill-after" => {
@@ -1822,13 +1807,7 @@ fn main() -> ExitCode {
     // connectit-serve.
     let mut service: Option<Service> = None;
     if o.tcp_addr.is_none() {
-        let cfg = ServiceConfig {
-            n: o.n,
-            shards: o.shards,
-            spec: o.spec,
-            mode: if o.phased { ExecMode::Phased } else { ExecMode::Auto },
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig { n: o.n, shards: o.shards, ..ServiceConfig::default() };
         match Service::start(cfg) {
             Ok(s) => service = Some(s),
             Err(e) => {
@@ -1977,7 +1956,7 @@ fn main() -> ExitCode {
     let layout = if o.strided { "strided" } else { "blocked" };
     println!(
         "connectit-loadgen: mode={mode} n={} shards={} clients={} batches={} batch_ops={} \
-         query_frac={} churn={} layout={layout} alg={} followers={} pipeline={}",
+         query_frac={} churn={} layout={layout} followers={} pipeline={}",
         o.n,
         o.shards,
         o.clients,
@@ -1985,7 +1964,6 @@ fn main() -> ExitCode {
         o.batch_ops,
         o.query_frac,
         o.churn,
-        o.spec.name(),
         o.followers.len(),
         o.pipeline
     );

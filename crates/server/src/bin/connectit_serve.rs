@@ -1,8 +1,7 @@
-//! `connectit-serve` — the long-running sharded connectivity daemon.
+//! `connectit-serve` — the long-running connectivity daemon.
 //!
 //! ```text
 //! connectit-serve [--n N] [--shards S] [--bind ADDR] [--port P]
-//!                 [--alg fastest|async|rem-splice] [--finish SPEC] [--phased]
 //!                 [--batch-ops K] [--batch-wait-us U] [--snapshot-every B]
 //!                 [--wal-dir DIR] [--fsync always|batch|off]
 //!                 [--replication-port R | --replicate-from HOST:PORT]
@@ -14,10 +13,8 @@
 //! connections (text and binary alike) idle past the limit with a typed
 //! `idle-timeout` close reason in the flight recorder.
 //!
-//! `--finish` accepts any valid union-find variant as
-//! `unite[+splice][+find]` (e.g. `rem-lock+halve-one+compress`,
-//! `async+split`, `jtb+two-try`), superseding the `--alg` shorthand;
-//! invalid combinations are rejected with the rule they violate.
+//! `--shards` is accepted and selects nothing (see
+//! `cc_server::ExecMode`).
 //!
 //! `--wal-dir` turns on durability: every applied batch is logged to a
 //! segmented, checksummed write-ahead log before it commits, and startup
@@ -39,8 +36,8 @@
 //! sends `SHUTDOWN`, then prints final stats and exits.
 
 use cc_server::{
-    parse_alg, serve_replication_observed, serve_with, DurabilityConfig, ExecMode, NetConfig, Role,
-    Service, ServiceConfig,
+    serve_replication_observed, serve_with, DurabilityConfig, NetConfig, Role, Service,
+    ServiceConfig,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,13 +47,11 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: connectit-serve [--n N] [--shards S] [--bind ADDR] [--port P]\n\
-         \x20                      [--alg fastest|async|rem-splice] [--finish SPEC] [--phased]\n\
          \x20                      [--batch-ops K] [--batch-wait-us U] [--snapshot-every B]\n\
          \x20                      [--wal-dir DIR] [--fsync always|batch|off]\n\
          \x20                      [--replication-port R | --replicate-from HOST:PORT]\n\
          \x20                      [--net-shards S] [--idle-timeout-ms MS] [--sub-queue-cap K]\n\
-         \x20  SPEC: unite[+splice][+find], e.g. rem-lock+halve-one+compress, async+split,\n\
-         \x20        jtb+two-try (unites: async|hooks|early|rem-cas|rem-lock|jtb)\n\
+         \x20  --shards is accepted and selects nothing\n\
          \x20  --wal-dir enables the write-ahead log + crash recovery; --snapshot-every\n\
          \x20  then also controls the durable snapshot cadence\n\
          \x20  --replication-port streams the WAL to followers (requires --wal-dir)\n\
@@ -82,7 +77,7 @@ struct Opts {
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
-        cfg: ServiceConfig { n: 1 << 20, shards: 4, ..ServiceConfig::default() },
+        cfg: ServiceConfig::default(),
         bind: "127.0.0.1".to_string(),
         port: 7411,
         wal_dir: None,
@@ -108,9 +103,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--port" => {
                 opts.port = next_val(a, &mut it)?.parse().map_err(|_| "bad --port".to_string())?
             }
-            "--alg" => opts.cfg.spec = parse_alg(&next_val(a, &mut it)?)?,
-            "--finish" => opts.cfg.spec = next_val(a, &mut it)?.parse()?,
-            "--phased" => opts.cfg.mode = ExecMode::Phased,
             "--batch-ops" => {
                 opts.cfg.batch_max_ops =
                     next_val(a, &mut it)?.parse().map_err(|_| "bad --batch-ops".to_string())?
@@ -273,13 +265,10 @@ fn main() -> ExitCode {
         (None, None) => String::new(),
     };
     println!(
-        "connectit-serve listening on {} role={} n={} shards={} alg={} mode={} batch_ops={} batch_wait={:?}{wal_info}{repl_info}",
+        "connectit-serve listening on {} role={} n={} batch_ops={} batch_wait={:?}{wal_info}{repl_info}",
         server.local_addr(),
         client.role(),
         client.num_vertices(),
-        client.num_shards(),
-        opts.cfg.spec.name(),
-        client.mode(),
         opts.cfg.batch_max_ops,
         opts.cfg.batch_max_wait,
     );

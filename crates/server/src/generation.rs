@@ -1,31 +1,33 @@
 //! The deletion-capable **generation engine**: epoch-partitioned
-//! connectivity over the insert-only [`crate::engine::ShardedEngine`].
+//! connectivity over **one** partition, the liveness tracker's
+//! [`SizedUnionFind`]. It decides every merge, and every read — in a
+//! batch or beside one — asks it; there is no second structure to tell.
 //!
-//! The streaming stack underneath is *monotone* — labels only coarsen, so
-//! a deletion can never be applied in place. This module makes deletions
-//! first-class anyway by partitioning time into **generations**:
+//! A union-find is *monotone* — classes only coarsen, so a deletion can
+//! never be applied in place. This module makes deletions first-class
+//! anyway by partitioning time into **generations**:
 //!
-//! - **Inserts** apply incrementally to the live generation's engine,
-//!   exactly as before (the whole monomorphized fast path is reused).
+//! - **Inserts** unite in the live generation's partition.
 //! - **Deletes** classify through [`connectit::LivenessTracker`] against
 //!   a maintained spanning forest. Deleting an absent or non-forest
 //!   (cycle) edge cannot change connectivity and is *free* — no rebuild,
 //!   just a counter. Only a *forest* deletion seals the current
-//!   generation: its labels are frozen, the engine is marked dirty, and a
-//!   background worker rebuilds from the surviving edge set in **one
-//!   union-find pass** ([`connectit::LivenessTracker::rebuild`]), which
-//!   yields the tracker's next partition and forest and the labels. The
-//!   fresh engine is *seeded* from the labels (nothing is replayed) and
-//!   the next analytics plane recounted from the partition's roots, all
-//!   outside the writer lock; the commit is pointer swaps plus the
-//!   pending drain.
+//!   generation — O(1): the tracker is stale from here on and a stale
+//!   tracker never unites, so the partition it holds *is* the frozen
+//!   pre-delete state — and a background worker rebuilds from the
+//!   surviving edge set in **one union-find pass**
+//!   ([`connectit::LivenessTracker::rebuild`]), which yields the next
+//!   partition and forest. The next analytics plane is recounted from
+//!   that partition's roots, all outside the writer lock; the commit is
+//!   pointer swaps plus the pending drain.
 //! - **Merges** are decided once, by the tracker's partition: its
 //!   [`MergeOutcome`] is what the analytics plane and the subscription
 //!   index fold, on the clean path and in a commit's drain alike.
-//! - **Queries** during a rebuild are answered from the last *sealed*
-//!   generation's labels — consistent, honestly stale, and reported as
-//!   such: the `(epoch, generation)` pair extends the service's
-//!   WAIT/EPOCH staleness contract (see `DESIGN.md` §9).
+//! - **Queries** inside a batch are answered under the writer lock in
+//!   program order; during a rebuild every query sees the *sealed*
+//!   generation — consistent, honestly stale, and reported as such: the
+//!   `(epoch, generation)` pair extends the service's WAIT/EPOCH
+//!   staleness contract (see `DESIGN.md` §9).
 //!
 //! Inserts and deletes that land while a rebuild is in flight are not
 //! lost: inserts accumulate in the tracker *and* a pending list drained
@@ -35,18 +37,18 @@
 //! from its snapshot and goes again — the snapshot is taken once per
 //! dirty window, so a retry costs the writers no O(m) lock hold.
 //!
-//! Readers never block on a rebuild: they clone an `Arc`'d `View`
-//! (live engine or sealed labels) under a short pointer lock, so the
-//! wait-free read path of Type (i) engines is preserved.
+//! Readers never block on a rebuild or a batch: they clone an `Arc`'d
+//! `View` of the serving partition under a short pointer lock and query
+//! it lock-free ([`SizedUnionFind::same_set`], the paper's Type (i)
+//! read).
 
 use crate::analytics::{Analytics, AnalyticsView};
-use crate::engine::{build_engine, Engine, ExecMode, RunMode};
 use crate::obs::{Event, Obs};
+use crate::service::ExecMode;
 use crate::subs::{PendingEvent, SubInfo, SubKind, SubsCore};
-use cc_unionfind::{MergeOutcome, UfSpec};
+use cc_unionfind::{MergeOutcome, SizedUnionFind, UfSpec};
 use connectit::{canon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt, Update};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,35 +80,42 @@ pub struct GenInfo {
     pub counters: GenCounters,
 }
 
-/// The sealed labeling of a generation: what queries see while the next
-/// generation is being rebuilt.
-struct Sealed {
-    labels: Vec<u32>,
-    num_components: usize,
-}
-
-/// What the read path sees: either the live engine of a clean generation
-/// or the sealed labels of the last one. Swapped atomically (an `Arc`
-/// behind a pointer lock), so readers never wait on a rebuild.
-enum View {
-    Live { engine: Arc<dyn Engine>, generation: u64 },
-    Sealed { sealed: Arc<Sealed>, generation: u64 },
+/// What the read path sees: the tracker's partition, by the same `Arc`.
+/// A live view follows the writer merge by merge; a sealed one is frozen
+/// — a stale tracker never unites — until the commit swaps in the next
+/// generation's. Swapped whole (an `Arc` behind a pointer lock), so
+/// readers never wait on a rebuild.
+struct View {
+    partition: Arc<SizedUnionFind>,
+    generation: u64,
+    sealed: bool,
+    /// Fixed while sealed; the writer brings a live view's up to date at
+    /// the end of every batch. A statistic, publishing nothing: `Relaxed`.
+    num_components: AtomicU64,
 }
 
 impl View {
-    fn generation(&self) -> u64 {
-        match self {
-            View::Live { generation, .. } | View::Sealed { generation, .. } => *generation,
-        }
+    /// The view of `st`'s partition, sealed iff `st` is dirty.
+    fn of(st: &WriteState) -> Arc<View> {
+        Arc::new(View {
+            partition: Arc::clone(st.tracker.partition()),
+            generation: st.generation,
+            sealed: st.dirty,
+            num_components: AtomicU64::new(st.analytics.components()),
+        })
+    }
+
+    /// The staleness tag of an answer read off this view.
+    fn tag(&self) -> Option<u64> {
+        self.sealed.then_some(self.generation)
     }
 }
 
-/// Writer-side state: the live engine, the liveness tracker, and the
-/// rebuild bookkeeping. Held by the batch former and the rebuild worker.
+/// Writer-side state: the liveness tracker (whose partition is the one
+/// connectivity structure) and the rebuild bookkeeping. Held by the batch
+/// former and the rebuild worker.
 struct WriteState {
-    engine: Arc<dyn Engine>,
     tracker: LivenessTracker,
-    sealed: Option<Arc<Sealed>>,
     /// Edges that went live while a rebuild was in flight; drained into
     /// the fresh generation at the swap (idempotent: the rebuild's edge
     /// snapshot may already contain a prefix of them).
@@ -118,10 +127,6 @@ struct WriteState {
     dirty: bool,
     generation: u64,
     counters: GenCounters,
-    /// Shard-counter totals of retired generations' engines
-    /// (`[intra, cross, forwarded]`), so service stats stay monotone
-    /// across rebuilds.
-    retired: [u64; 3],
     /// The analytics plane's aggregates over `tracker`'s partition: every
     /// merge folds in here; a commit replaces them (DESIGN.md §12).
     analytics: Analytics,
@@ -147,16 +152,11 @@ type Edges = Vec<(u32, u32)>;
 /// A generation built outside the writer lock, ready to be swapped in.
 struct NextGeneration {
     rebuilt: Rebuilt,
-    engine: Arc<dyn Engine>,
     analytics: Analytics,
 }
 
 struct Shared {
     n: usize,
-    shards: usize,
-    spec: UfSpec,
-    mode: ExecMode,
-    seed: u64,
     /// Test knob: hold every background rebuild open for at least this
     /// long, making the dirty window deterministically observable.
     rebuild_hold: Duration,
@@ -184,25 +184,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Freezes the current labels as the sealed generation and marks the
-    /// engine dirty; the rebuild worker takes it from here.
+    /// Marks the engine dirty and republishes the (now stale, hence
+    /// frozen) partition as the sealed generation — O(1), nothing is
+    /// copied; the rebuild worker takes it from here.
     fn seal(&self, st: &mut WriteState) {
         debug_assert!(st.retracted.is_empty(), "edges are only retracted while dirty");
-        let labels = st.engine.labels_readonly();
-        // The delta-maintained count replaces the old O(n)
-        // `count_distinct_labels` scan: the engine-bound run was flushed
-        // before the delete classified, so engine labels and the tracker's
-        // partition (hence the aggregates) describe the same graph here.
-        let num_components = st.analytics.components() as usize;
-        debug_assert_eq!(
-            num_components,
-            cc_graph::stats::count_distinct_labels(&labels),
-            "analytics delta count diverged from the sealed labels"
-        );
-        let sealed = Arc::new(Sealed { labels, num_components });
-        st.sealed = Some(Arc::clone(&sealed));
+        debug_assert!(st.tracker.is_stale(), "only a forest delete seals");
         st.dirty = true;
-        *self.view.lock() = Arc::new(View::Sealed { sealed, generation: st.generation });
+        *self.view.lock() = View::of(st);
         // Freeze the analytics view at the seal-time partition; deltas
         // are suspended until the commit swaps in a recomputed plane.
         self.publish_analytics_locked(st, true);
@@ -241,29 +230,20 @@ impl Shared {
     }
 
     /// Builds the next generation outside every lock: strike `retracted`
-    /// from the snapshot, one union-find pass for partition, forest and
-    /// labels, then a fresh engine seeded from the labels and the
-    /// aggregates recounted from the partition.
+    /// from the snapshot, one union-find pass for partition and forest,
+    /// then the aggregates recounted from the partition.
     /// `None` once a further retraction (or shutdown) dooms the attempt.
     fn build_generation(&self, edges: &mut Edges, retracted: &[u64]) -> Option<NextGeneration> {
         if !retracted.is_empty() {
-            let dead: HashSet<u64> = retracted.iter().copied().collect();
-            edges.retain(|&(u, v)| !dead.contains(&canon_edge(u, v)));
+            let mut dead = retracted.to_vec();
+            dead.sort_unstable();
+            edges.retain(|&(u, v)| dead.binary_search(&canon_edge(u, v)).is_err());
         }
         let keep_going =
             || !self.doomed.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Acquire);
-        let mut rebuilt = LivenessTracker::rebuild(self.n, edges, keep_going)?;
-        let labels = std::mem::take(&mut rebuilt.labels);
-        let engine: Arc<dyn Engine> = Arc::from(
-            build_engine(self.n, self.shards, &self.spec, self.mode, self.seed)
-                .expect("generation rebuild: engine parameters were validated at startup"),
-        );
-        engine.seed_from_labels(&labels);
-        if !keep_going() {
-            return None;
-        }
+        let rebuilt = LivenessTracker::rebuild(self.n, edges, keep_going)?;
         let analytics = Analytics::from_partition(rebuilt.partition());
-        Some(NextGeneration { rebuilt, engine, analytics })
+        Some(NextGeneration { rebuilt, analytics })
     }
 
     /// Swaps a built generation in (caller holds `mx`; `st.generation` is
@@ -271,26 +251,18 @@ impl Shared {
     /// that arrived since its snapshot; returns how many.
     fn install(&self, st: &mut WriteState, next: NextGeneration, commit_epoch: Option<u64>) -> u64 {
         st.tracker.adopt(next.rebuilt);
-        Self::retire_engine_counters(st);
-        st.engine = next.engine;
         st.analytics = next.analytics;
         // The buckets name the replaced partition's roots: the drain's
         // merges are judged by the re-arm below, not event by event.
         st.subs.disarm();
         // Idempotent: the snapshot may already hold a prefix of `pending`.
         let drained = std::mem::take(&mut st.pending);
-        let mut merges: Vec<Update> = Vec::new();
         for &(u, v) in &drained {
             if let Some(m) = st.tracker.reclassify_live(u, v) {
                 st.fold_merge(&m);
-                merges.push(Update::Insert(u, v));
             }
         }
-        if !merges.is_empty() {
-            st.engine.process_batch(&merges);
-        }
-        *self.view.lock() =
-            Arc::new(View::Live { engine: Arc::clone(&st.engine), generation: st.generation });
+        *self.view.lock() = View::of(st);
         // Re-arm against the adopted partition: pairs the history or the
         // drained inserts connected fire, stamped `commit_epoch`, and
         // every component subscription observes the identity change.
@@ -317,7 +289,6 @@ impl Shared {
         };
         st.generation += 1;
         st.dirty = false;
-        st.sealed = None;
         st.counters.rebuilds += 1;
         // The epoch high-water mark the dirty window deferred.
         let commit_epoch = self.published_epoch.load(Ordering::Acquire);
@@ -333,15 +304,6 @@ impl Shared {
         }
         self.cv.notify_all();
         true
-    }
-
-    /// Folds the (about-to-retire) engine's shard counters into the
-    /// monotone totals.
-    fn retire_engine_counters(st: &mut WriteState) {
-        let c = st.engine.counters();
-        st.retired[0] += c.intra_inserts.load(Ordering::Relaxed);
-        st.retired[1] += c.cross_inserts.load(Ordering::Relaxed);
-        st.retired[2] += c.forwarded.load(Ordering::Relaxed);
     }
 }
 
@@ -389,56 +351,45 @@ fn run_rebuilder(shared: &Arc<Shared>) {
 /// dropping it stops and joins the rebuild worker.
 pub struct GenerationEngine {
     shared: Arc<Shared>,
-    resolved_mode: RunMode,
-    algorithm: String,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl GenerationEngine {
     /// Builds an empty generation engine (generation 0, clean) and spawns
-    /// its rebuild worker. The error string carries the rejected
-    /// configuration's reason (see [`crate::engine::EngineError`]).
-    /// `obs`, when given, receives rebuild lifecycle events and the
-    /// delete-classification counters as they happen.
+    /// its rebuild worker; the error string says why it could not.
+    /// `shards`, `spec`, `mode` and `seed` are accepted and select nothing
+    /// (see [`ExecMode`]). `obs`, when given, receives rebuild lifecycle
+    /// events and the delete-classification counters as they happen.
     pub fn new(
         n: usize,
-        shards: usize,
-        spec: &UfSpec,
-        mode: ExecMode,
-        seed: u64,
+        _shards: usize,
+        _spec: &UfSpec,
+        _mode: ExecMode,
+        _seed: u64,
         rebuild_hold: Duration,
         obs: Option<Arc<Obs>>,
     ) -> Result<GenerationEngine, String> {
-        let engine: Arc<dyn Engine> =
-            Arc::from(build_engine(n, shards, spec, mode, seed).map_err(|e| e.to_string())?);
-        let resolved_mode = engine.mode();
-        let algorithm = engine.algorithm_name();
-        let view = Arc::new(View::Live { engine: Arc::clone(&engine), generation: 0 });
-        let (tracker, analytics) = (LivenessTracker::new(n), Analytics::fresh(n));
-        let aview = Arc::new(analytics.view(tracker.partition(), 0, 0, false));
+        if n == 0 {
+            return Err("engine needs at least one vertex".into());
+        }
+        let st = WriteState {
+            tracker: LivenessTracker::new(n),
+            pending: Vec::new(),
+            retracted: Vec::new(),
+            dirty: false,
+            generation: 0,
+            counters: GenCounters::default(),
+            analytics: Analytics::fresh(n),
+            subs: SubsCore::new(),
+        };
+        let aview = Arc::new(st.analytics.view(st.tracker.partition(), 0, 0, false));
         let shared = Arc::new(Shared {
             n,
-            shards,
-            spec: *spec,
-            mode,
-            seed,
             rebuild_hold,
-            mx: Mutex::new(WriteState {
-                engine,
-                tracker,
-                sealed: None,
-                pending: Vec::new(),
-                retracted: Vec::new(),
-                dirty: false,
-                generation: 0,
-                counters: GenCounters::default(),
-                retired: [0; 3],
-                analytics,
-                subs: SubsCore::new(),
-            }),
-            cv: Condvar::new(),
-            view: Mutex::new(view),
+            view: Mutex::new(View::of(&st)),
             aview: Mutex::new(aview),
+            mx: Mutex::new(st),
+            cv: Condvar::new(),
             doomed: AtomicBool::new(false),
             published_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -449,7 +400,7 @@ impl GenerationEngine {
             .name("cc-gen-rebuild".into())
             .spawn(move || run_rebuilder(&w_shared))
             .map_err(|e| format!("failed to spawn rebuild worker: {e}"))?;
-        Ok(GenerationEngine { shared, resolved_mode, algorithm, worker: Some(worker) })
+        Ok(GenerationEngine { shared, worker: Some(worker) })
     }
 
     fn view(&self) -> Arc<View> {
@@ -461,29 +412,10 @@ impl GenerationEngine {
         self.shared.n
     }
 
-    /// Number of vertex-range shards per generation.
-    pub fn num_shards(&self) -> usize {
-        self.shared.shards
-    }
-
-    /// The resolved execution discipline (stable across rebuilds: every
-    /// generation is built from the same spec).
-    pub fn mode(&self) -> RunMode {
-        self.resolved_mode
-    }
-
-    /// The union-find variant's display name.
-    pub fn algorithm_name(&self) -> String {
-        self.algorithm.clone()
-    }
-
-    /// Applies a mixed insert/delete/query batch; returns query answers
-    /// in order of appearance. Inserts and queries between deletions run
-    /// through the live engine with the usual concurrent-batch semantics;
-    /// each deletion is a sequential cut point (operations before it see
-    /// the pre-delete state, operations after it the post-delete state).
-    /// While dirty, inserts accumulate for the next generation and
-    /// queries answer from the sealed one.
+    /// Applies a mixed insert/delete/query batch in program order;
+    /// returns query answers in order of appearance. While dirty,
+    /// inserts accumulate for the next generation and queries answer
+    /// from the sealed one.
     pub fn process_batch(&self, batch: &[Update]) -> Vec<bool> {
         self.process_batch_tagged(batch).into_iter().map(|(a, _)| a).collect()
     }
@@ -491,7 +423,7 @@ impl GenerationEngine {
     /// [`Self::process_batch`], additionally tagging each answer with the
     /// sealed generation it was served from (`Some(gen)` iff the engine
     /// was dirty at the moment that query was answered, `None` for exact
-    /// live-engine answers). The tag is decided under the same lock that
+    /// answers). The tag is decided under the same lock that
     /// answered the query, so it can never disagree with the answer's
     /// source the way a separate dirty-flag read could.
     pub fn process_batch_tagged(&self, batch: &[Update]) -> Vec<(bool, Option<u64>)> {
@@ -510,7 +442,6 @@ impl GenerationEngine {
         batch: &[Update],
         answers: &mut Vec<(bool, Option<u64>)>,
     ) {
-        let mut run: Vec<Update> = Vec::new();
         for &op in batch {
             match op {
                 Update::Insert(u, v) => {
@@ -523,31 +454,17 @@ impl GenerationEngine {
                         if class != InsertClass::Duplicate && u != v {
                             st.pending.push((u, v));
                         }
-                    } else {
-                        if let InsertClass::Merge(m) = class {
-                            st.fold_merge(&m);
-                            if let Some(o) = &self.shared.obs {
-                                o.metrics.components.set(st.analytics.components());
-                            }
-                        }
-                        run.push(op);
+                    } else if let InsertClass::Merge(m) = class {
+                        st.fold_merge(&m);
                     }
                 }
                 Update::Query(u, v) => {
-                    if st.dirty {
-                        let s = st.sealed.as_ref().expect("dirty implies a sealed generation");
-                        answers.push((
-                            s.labels[u as usize] == s.labels[v as usize],
-                            Some(st.generation),
-                        ));
-                    } else {
-                        run.push(op);
-                    }
+                    // Clean or sealed, the tracker's partition is the one
+                    // serving: a stale tracker's is the pre-delete state.
+                    let connected = st.tracker.partition().same_set(u, v);
+                    answers.push((connected, st.dirty.then_some(st.generation)));
                 }
                 Update::Delete(u, v) => {
-                    // Flush the engine-bound run first, so classification
-                    // (and a possible seal) sees a consistent engine.
-                    flush_run(st, &mut run, answers);
                     let obs = self.shared.obs.as_deref();
                     match st.tracker.delete(u, v) {
                         DeleteClass::Absent => {
@@ -578,7 +495,14 @@ impl GenerationEngine {
                 }
             }
         }
-        flush_run(st, &mut run, answers);
+        if !st.dirty {
+            // A sealed view's count is fixed; a live one's follows here.
+            let components = st.analytics.components();
+            self.shared.view.lock().num_components.store(components, Ordering::Relaxed);
+            if let Some(o) = &self.shared.obs {
+                o.metrics.components.set(components);
+            }
+        }
     }
 
     /// Makes the live edge set exactly `target` (self-loops excluded —
@@ -618,9 +542,9 @@ impl GenerationEngine {
         (inserts, deletes)
     }
 
-    /// Connectivity query against the serving view (live engine, or the
-    /// sealed labels while a rebuild is in flight). Never blocks on a
-    /// rebuild.
+    /// Connectivity query against the serving view (the live partition,
+    /// or the sealed one while a rebuild is in flight). Never blocks on a
+    /// rebuild or a batch.
     pub fn connected(&self, u: u32, v: u32) -> bool {
         self.connected_with_gen(u, v).0
     }
@@ -631,12 +555,8 @@ impl GenerationEngine {
     /// answer — a seal or commit between two separate reads cannot
     /// mislabel it.
     pub fn connected_with_gen(&self, u: u32, v: u32) -> (bool, Option<u64>) {
-        match &*self.view() {
-            View::Live { engine, .. } => (engine.connected(u, v), None),
-            View::Sealed { sealed, generation } => {
-                (sealed.labels[u as usize] == sealed.labels[v as usize], Some(*generation))
-            }
-        }
+        let view = self.view();
+        (view.partition.same_set(u, v), view.tag())
     }
 
     /// [`Self::connected_with_gen`] over many pairs against **one** view
@@ -644,41 +564,25 @@ impl GenerationEngine {
     /// view, which is what makes cross-connection read coalescing in the
     /// network shards both cheap and consistent.
     pub fn connected_many_with_gen(&self, pairs: &[(u32, u32)]) -> Vec<(bool, Option<u64>)> {
-        match &*self.view() {
-            View::Live { engine, .. } => {
-                pairs.iter().map(|&(u, v)| (engine.connected(u, v), None)).collect()
-            }
-            View::Sealed { sealed, generation } => pairs
-                .iter()
-                .map(|&(u, v)| {
-                    (sealed.labels[u as usize] == sealed.labels[v as usize], Some(*generation))
-                })
-                .collect(),
-        }
+        let view = self.view();
+        let tag = view.tag();
+        pairs.iter().map(|&(u, v)| (view.partition.same_set(u, v), tag)).collect()
     }
 
-    /// Component label of `v` in the serving view.
+    /// Component label of `v` in the serving view: its class's root.
     pub fn current_label(&self, v: u32) -> u32 {
-        match &*self.view() {
-            View::Live { engine, .. } => engine.current_label(v),
-            View::Sealed { sealed, .. } => sealed.labels[v as usize],
-        }
+        self.view().partition.find(v)
     }
 
-    /// Number of components in the serving view.
+    /// Number of components in the serving view (as of the last completed
+    /// batch for a live one).
     pub fn num_components(&self) -> usize {
-        match &*self.view() {
-            View::Live { engine, .. } => engine.num_components(),
-            View::Sealed { sealed, .. } => sealed.num_components,
-        }
+        self.view().num_components.load(Ordering::Relaxed) as usize
     }
 
     /// Read-only labeling of the serving view.
     pub fn labels_readonly(&self) -> Vec<u32> {
-        match &*self.view() {
-            View::Live { engine, .. } => engine.labels_readonly(),
-            View::Sealed { sealed, .. } => sealed.labels.clone(),
-        }
+        self.view().partition.labels()
     }
 
     /// The serving generation and telemetry counters (the `GEN` verb).
@@ -690,7 +594,7 @@ impl GenerationEngine {
     /// The serving generation number, read off the view — never contends
     /// with the writer lock.
     pub fn generation(&self) -> u64 {
-        self.view().generation()
+        self.view().generation
     }
 
     /// Whether a rebuild is owed or in flight.
@@ -725,35 +629,24 @@ impl GenerationEngine {
     }
 
     /// A consistent `(labels, live edge list)` pair for durable
-    /// snapshots — only while clean. While dirty the tracker runs ahead
-    /// of the sealed labels, so durable and replicated snapshots are
-    /// deferred (see the sealed-generation audit in `DESIGN.md` §9).
+    /// snapshots — only while clean. While dirty the live edge set runs
+    /// ahead of the sealed partition, so durable and replicated snapshots
+    /// are deferred (see the sealed-generation audit in `DESIGN.md` §9).
     #[allow(clippy::type_complexity)]
     pub fn snapshot_parts(&self) -> Option<(Vec<u32>, Vec<(u32, u32)>)> {
         let st = self.shared.mx.lock();
         if st.dirty {
             return None;
         }
-        Some((st.engine.labels_readonly(), st.tracker.edge_list()))
+        Some((st.tracker.partition().labels(), st.tracker.edge_list()))
     }
 
-    /// Monotone shard-counter totals `(intra, cross, forwarded)` summed
-    /// across all generations' engines.
-    pub fn shard_counters(&self) -> (u64, u64, u64) {
-        let st = self.shared.mx.lock();
-        let c = st.engine.counters();
-        (
-            st.retired[0] + c.intra_inserts.load(Ordering::Relaxed),
-            st.retired[1] + c.cross_inserts.load(Ordering::Relaxed),
-            st.retired[2] + c.forwarded.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Recovery: feeds one replayed WAL batch into the *tracker only*
-    /// (queries are skipped; classification counters stay at zero — they
-    /// are live-traffic telemetry). The engine is materialized once at
-    /// [`Self::finish_recovery`], so a deletion-bearing history costs one
-    /// rebuild total, not one per forest delete.
+    /// Recovery: feeds one replayed WAL batch into the tracker (queries
+    /// are skipped; classification counters stay at zero — they are
+    /// live-traffic telemetry) without sealing anything. The partition is
+    /// materialized once at [`Self::finish_recovery`], so a
+    /// deletion-bearing history costs one rebuild total, not one per
+    /// forest delete.
     pub fn recover_ops(&self, ops: &[Update]) {
         let mut st = self.shared.mx.lock();
         for &op in ops {
@@ -790,12 +683,13 @@ impl GenerationEngine {
     pub fn finish_recovery(&self) {
         let mut edges = { self.shared.mx.lock().tracker.edge_list() };
         if edges.is_empty() {
-            // Nothing survived: the untouched engine and aggregates are
-            // right, and so is a fresh tracker (the recovered one may be
-            // stale, and replay united in its partition), which the
-            // published view must follow.
+            // Nothing survived: the untouched aggregates are right, and so
+            // is a fresh tracker (the recovered one may be stale, and
+            // replay united in its partition), which the views must
+            // follow. Cheaper than a rebuild of nothing.
             let st = &mut *self.shared.mx.lock();
             st.tracker = LivenessTracker::new(self.shared.n);
+            *self.shared.view.lock() = View::of(st);
             st.subs.on_commit(st.tracker.partition(), st.generation, None);
             self.shared.publish_analytics_locked(st, false);
             return;
@@ -828,17 +722,14 @@ impl GenerationEngine {
         Arc::clone(&self.shared.aview.lock())
     }
 
-    /// A consistent `(labels, num_components)` pair for snapshot
-    /// publication: the count is the delta-maintained one (sealed
-    /// generations cached it at seal time), so no O(n) label scan runs
-    /// on the publish path.
+    /// A consistent `(labels, num_components)` pair of the serving
+    /// partition for snapshot publication. The count is the
+    /// delta-maintained one (nothing folds into it while sealed, so it
+    /// describes the frozen partition then), so no distinct-label scan
+    /// runs on the publish path.
     pub fn labels_with_components(&self) -> (Vec<u32>, usize) {
         let st = self.shared.mx.lock();
-        if let Some(s) = &st.sealed {
-            (s.labels.clone(), s.num_components)
-        } else {
-            (st.engine.labels_readonly(), st.analytics.components() as usize)
-        }
+        (st.tracker.partition().labels(), st.analytics.components() as usize)
     }
 
     /// The delta-maintained live component count.
@@ -918,14 +809,6 @@ impl GenerationEngine {
     pub fn has_sub_fires(&self) -> bool {
         self.shared.mx.lock().subs.has_fires()
     }
-}
-
-fn flush_run(st: &mut WriteState, run: &mut Vec<Update>, answers: &mut Vec<(bool, Option<u64>)>) {
-    if run.is_empty() {
-        return;
-    }
-    let sub = std::mem::take(run);
-    answers.extend(st.engine.process_batch(&sub).into_iter().map(|a| (a, None)));
 }
 
 impl Drop for GenerationEngine {
@@ -1032,11 +915,11 @@ mod tests {
         }
 
         /// What must hold the instant a commit returns: the tracker's
-        /// forest spans exactly the live graph, its partition and the
-        /// engine's are that graph's, the swapped-in aggregates (recounted
-        /// off-lock, then patched with the drained merges) equal a recount
-        /// from that same partition, and the trigger index is keyed by
-        /// its roots.
+        /// forest spans exactly the live graph, its partition — which is
+        /// the serving view's — is that graph's, the swapped-in aggregates
+        /// (recounted off-lock, then patched with the drained merges)
+        /// equal a recount from that same partition, and the trigger
+        /// index is keyed by its roots.
         fn check_commit_invariants(&self, oracle: &DynamicOracle) {
             let st = self.g.shared.mx.lock();
             assert!(!st.dirty && st.pending.is_empty() && st.retracted.is_empty());
@@ -1052,8 +935,16 @@ mod tests {
             );
             let want = oracle.labels();
             let part = st.tracker.partition();
-            assert!(cc_graph::stats::same_partition(&want, &st.engine.labels_readonly()), "engine");
             assert!(cc_graph::stats::same_partition(&want, &part.labels()), "tracker partition");
+            // Reads take the view, never `mx`: they are safe under it.
+            assert!(Arc::ptr_eq(part, &self.g.view().partition), "one partition");
+            assert!(cc_graph::stats::same_partition(&want, &self.g.labels_readonly()), "view");
+            let n = self.g.num_vertices() as u32;
+            let pairs: Vec<(u32, u32)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+            let want: Vec<_> = pairs.iter().map(|&(u, v)| (oracle.connected(u, v), None)).collect();
+            assert_eq!(self.g.connected_many_with_gen(&pairs), want, "reads off the view");
+            let components = cc_graph::stats::count_distinct_labels(&oracle.labels());
+            assert_eq!(self.g.num_components(), components, "stored count");
             let got = st.analytics.view(part, 0, 0, false);
             let want = Analytics::from_partition(part).view(part, 0, 0, false);
             assert_eq!(got.components, want.components);
@@ -1232,7 +1123,7 @@ mod tests {
         // still answers the pre-delete state, and says so.
         assert!(g.is_dirty());
         assert_eq!(g.generation(), 0);
-        assert!(g.connected(0, 2), "sealed labels are the pre-delete state");
+        assert!(g.connected(0, 2), "the sealed partition is the pre-delete state");
         let a = g.process_batch(&[Update::Query(0, 2)]);
         assert_eq!(a, vec![true]);
         assert!(quiesced(&g) >= 1);
@@ -1297,6 +1188,43 @@ mod tests {
             assert_eq!(got, want, "round {round}");
         }
         assert!(cc_graph::stats::same_partition(&oracle.labels(), &g.labels_readonly()));
+    }
+
+    /// `shards`, `spec`, `mode` and `seed` are kept for source
+    /// compatibility and select nothing: whatever they say, the one
+    /// partition answers, in program order.
+    #[test]
+    fn matches_oracle_across_shard_counts_and_modes() {
+        use cc_unionfind::{FindKind, SpliceKind, UniteKind};
+        let n = 40usize;
+        let specs = [
+            UfSpec::fastest(),
+            UfSpec::rem(UniteKind::RemCas, SpliceKind::Splice, FindKind::Naive),
+        ];
+        for shards in [0, 1, 3, 64] {
+            for spec in &specs {
+                for mode in [ExecMode::Auto, ExecMode::WaitFree, ExecMode::Phased] {
+                    let g = GenerationEngine::new(n, shards, spec, mode, 9, Duration::ZERO, None)
+                        .expect("every combination is accepted");
+                    let mut oracle = DynamicOracle::new(n);
+                    let batch: Vec<Update> = (0..200u32)
+                        .map(|i| {
+                            let (u, v) = (i * 7 % n as u32, i * 13 % n as u32);
+                            if i % 3 == 2 {
+                                Update::Query(u, v)
+                            } else {
+                                Update::Insert(u, v)
+                            }
+                        })
+                        .collect();
+                    assert_eq!(g.process_batch(&batch), oracle.apply_batch(&batch));
+                    let components = cc_graph::stats::count_distinct_labels(&oracle.labels());
+                    assert_eq!(g.num_components(), components);
+                }
+            }
+        }
+        let err = GenerationEngine::new(0, 2, &specs[0], ExecMode::Auto, 9, Duration::ZERO, None);
+        assert_eq!(err.err().as_deref(), Some("engine needs at least one vertex"));
     }
 
     #[test]
@@ -1430,11 +1358,21 @@ mod tests {
         s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(4, 5)]);
         s.g.process_batch(&[Update::Delete(0, 1)]);
         assert!(s.g.is_dirty());
+        // The sealed view is the tracker's own partition, not a copy, and
+        // the flood cannot move it: a stale tracker never unites.
+        let sealed = s.g.view();
+        assert!(sealed.sealed);
+        assert!(Arc::ptr_eq(&sealed.partition, s.g.shared.mx.lock().tracker.partition()));
+        let frozen: Vec<(u32, u64)> = sealed.partition.roots().collect();
         let retracted = s.begin();
         let flood: Vec<Update> = (0..10_000)
             .flat_map(|_| [Update::Insert(4, 5), Update::Insert(6, 7), Update::Insert(3, 3)])
             .collect();
         s.g.process_batch(&flood);
+        assert!(Arc::ptr_eq(&sealed, &s.g.view()), "no republication while sealed");
+        assert!(Arc::ptr_eq(&sealed.partition, s.g.shared.mx.lock().tracker.partition()));
+        assert_eq!(sealed.partition.roots().collect::<Vec<_>>(), frozen);
+        assert_eq!(s.g.connected_with_gen(6, 7), (false, Some(0)), "6-7 waits for the commit");
         let pending = s.g.shared.mx.lock().pending.clone();
         assert_eq!(pending.len(), 1, "4-5 was live before, 3-3 never is, 6-7 is new once");
         assert_eq!(pending, vec![(6, 7)]);
@@ -1443,6 +1381,10 @@ mod tests {
         let drained = &s.obs.metrics.rebuild_drained_ops;
         assert_eq!((drained.count(), drained.max()), (1, 1));
         assert!(s.g.connected(6, 7) && s.g.connected(4, 5) && !s.g.connected(0, 1));
+        // The commit swapped partitions; the old one stays as it was
+        // sealed for whoever still holds it.
+        assert!(!Arc::ptr_eq(&sealed.partition, &s.g.view().partition));
+        assert_eq!(sealed.partition.roots().collect::<Vec<_>>(), frozen);
     }
 
     #[test]

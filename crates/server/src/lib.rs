@@ -1,25 +1,20 @@
 //! # cc-server
 //!
-//! A sharded, concurrent connectivity *service* over the ConnectIt
-//! streaming engine: the batch-incremental machinery of Section 3.5 turned
-//! into a long-running system serving heavy mixed insert/delete/query
-//! traffic.
+//! A concurrent connectivity *service* in the spirit of ConnectIt's
+//! batch-incremental setting (Section 3.5), turned into a long-running
+//! system serving heavy mixed insert/delete/query traffic.
 //!
 //! Layers, bottom up:
 //!
-//! - [`engine::ShardedEngine`] — vertex-range shards, each a
-//!   [`connectit::StreamingConnectivity`] over its local id space, plus a
-//!   shared union-find *spine* over the full vertex set that receives
-//!   cross-shard edges and novel intra-shard merges (so spine work per
-//!   shard is amortized by the shard's vertex count, not its edge
-//!   traffic). Batches run wait-free (paper Type (i)) or phase-concurrent
-//!   (Type (iii)) on the shared `cc_parallel` pool.
-//! - [`generation::GenerationEngine`] — fully dynamic connectivity by
+//! - [`generation::GenerationEngine`] — the one connectivity structure:
+//!   the liveness tracker's partition (`cc_unionfind::SizedUnionFind`,
+//!   one writer under the engine's lock, lock-free Type (i) readers)
+//!   decides every merge and answers every query. Fully dynamic by
 //!   epoch-partitioned generations: inserts stay incremental, a *forest*
-//!   deletion seals the labels and rebuilds in the background (non-forest
-//!   and absent deletions are free), and queries during a rebuild serve
-//!   the sealed generation with an honest `(epoch, generation)` staleness
-//!   report (DESIGN.md §9).
+//!   deletion seals the partition (O(1)) and rebuilds in the background
+//!   (non-forest and absent deletions are free), and queries during a
+//!   rebuild serve the sealed generation with an honest
+//!   `(epoch, generation)` staleness report (DESIGN.md §9).
 //! - [`service::Service`] — a time/size-bounded batch former coalescing
 //!   many clients' submissions into engine batches, epoch-versioned
 //!   `Arc`-swapped label snapshots (reads never block writers),
@@ -86,7 +81,6 @@
 
 pub mod analytics;
 pub mod binproto;
-pub mod engine;
 pub mod evloop;
 pub mod generation;
 pub mod net;
@@ -99,9 +93,6 @@ pub mod wal;
 
 pub use analytics::{AnalyticsView, HIST_BUCKETS, TOPK_CAP};
 pub use binproto::{BinClient, Reply};
-pub use engine::{
-    build_engine, Engine, EngineCounters, EngineError, ExecMode, RunMode, ShardedEngine,
-};
 pub use evloop::NetConfig;
 pub use generation::{GenCounters, GenInfo, GenerationEngine};
 pub use net::{serve, serve_with, TcpClient, TcpServer};
@@ -110,7 +101,7 @@ pub use replication::{
     run_follower, serve_replication, serve_replication_observed, ReplicationHub,
 };
 pub use service::{
-    Client, LabelSnapshot, Role, Service, ServiceConfig, ServiceError, ServiceStats,
+    Client, ExecMode, LabelSnapshot, Role, Service, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use subs::{SubEvent, SubInfo, SubKind, SubSink};
 pub use wal::{
@@ -129,29 +120,4 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cc_{tag}_{}_{nanos}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir creation");
     dir
-}
-
-/// Parses the CLI `--alg` vocabulary shared by `connectit-serve` and
-/// `connectit-loadgen` into a union-find variant:
-/// `fastest`/`rem-cas` (wait-free), `async` (wait-free), or `rem-splice`
-/// (phase-concurrent only).
-pub fn parse_alg(name: &str) -> Result<cc_unionfind::UfSpec, String> {
-    use cc_unionfind::{FindKind, SpliceKind, UfSpec, UniteKind};
-    match name {
-        "fastest" | "rem-cas" => Ok(UfSpec::fastest()),
-        "async" => Ok(UfSpec::new(UniteKind::Async, FindKind::Halve)),
-        "rem-splice" => Ok(UfSpec::rem(UniteKind::RemCas, SpliceKind::Splice, FindKind::Naive)),
-        other => Err(format!("unknown --alg {other:?} (fastest|async|rem-splice)")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn alg_vocabulary() {
-        assert_eq!(super::parse_alg("fastest").unwrap(), super::parse_alg("rem-cas").unwrap());
-        assert!(super::parse_alg("async").is_ok());
-        assert!(super::parse_alg("rem-splice").is_ok());
-        assert!(super::parse_alg("nope").is_err());
-    }
 }

@@ -310,6 +310,8 @@ fn write_err(
 struct ConnGuard {
     obs: Arc<Obs>,
     reason: CloseReason,
+    /// The close is already on record (see [`TextSink::deliver`]).
+    recorded: bool,
 }
 
 impl ConnGuard {
@@ -318,14 +320,16 @@ impl ConnGuard {
         obs.metrics.connections_live.inc();
         // `IoError` is the default so an early `?` return (peer reset,
         // broken pipe) needs no bookkeeping; orderly exits overwrite it.
-        ConnGuard { obs, reason: CloseReason::IoError }
+        ConnGuard { obs, reason: CloseReason::IoError, recorded: false }
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.obs.metrics.connections_live.dec();
-        self.obs.recorder.record(Event::ConnClosed { reason: self.reason });
+        if !self.recorded {
+            self.obs.recorder.record(Event::ConnClosed { reason: self.reason });
+        }
     }
 }
 
@@ -437,8 +441,11 @@ fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::R
 /// service must never block on (or allocate unboundedly for) a slow
 /// consumer, so a full queue marks the sink dead, flags the overflow,
 /// and shuts the socket down — the connection closes with a typed
-/// `sub-overflow` reason rather than dropping events silently.
+/// `sub-overflow` reason rather than dropping events silently. The
+/// reason is recorded *before* the shutdown, so whoever sees the socket
+/// close finds it in the flight recorder.
 struct TextSink {
+    obs: Arc<Obs>,
     queue: Mutex<VecDeque<SubEvent>>,
     cv: Condvar,
     cap: usize,
@@ -456,7 +463,9 @@ impl SubSink for TextSink {
         if q.len() >= self.cap {
             drop(q);
             self.dead.store(true, Ordering::Release);
-            self.overflow.store(true, Ordering::Release);
+            if !self.overflow.swap(true, Ordering::AcqRel) {
+                self.obs.recorder.record(Event::ConnClosed { reason: CloseReason::SubOverflow });
+            }
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
             self.cv.notify_all();
             return false;
@@ -518,6 +527,7 @@ fn run_pusher(sink: &TextSink, writer: &Mutex<BufWriter<TcpStream>>) {
 /// lazily on the first `SUB`/`SUB ATTACH`), its pusher thread, and the
 /// ids bound to this connection for teardown.
 struct SubConnState {
+    obs: Arc<Obs>,
     stream: TcpStream,
     cap: usize,
     sink: Option<Arc<TextSink>>,
@@ -534,6 +544,7 @@ impl SubConnState {
             return Ok(Arc::clone(s));
         }
         let sink = Arc::new(TextSink {
+            obs: Arc::clone(&self.obs),
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             cap: self.cap,
@@ -572,8 +583,14 @@ pub(crate) fn handle_connection(
     let reader =
         BufReader::new(std::io::Read::chain(std::io::Cursor::new(prefix), stream.try_clone()?));
     let writer = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
-    let mut st =
-        SubConnState { stream, cap: sub_queue_cap, sink: None, pusher: None, subs: Vec::new() };
+    let mut st = SubConnState {
+        obs: Arc::clone(&obs),
+        stream,
+        cap: sub_queue_cap,
+        sink: None,
+        pusher: None,
+        subs: Vec::new(),
+    };
     let res = serve_text(reader, &writer, client, shared, &obs, &mut guard, &mut st);
     // Subscription teardown: ephemeral subscriptions die with the
     // connection; durable ones detach and keep retaining for a later
@@ -588,9 +605,7 @@ pub(crate) fn handle_connection(
     if let Some(sink) = st.sink.take() {
         sink.dead.store(true, Ordering::Release);
         sink.cv.notify_all();
-        if sink.overflow.load(Ordering::Acquire) {
-            guard.reason = CloseReason::SubOverflow;
-        }
+        guard.recorded = sink.overflow.load(Ordering::Acquire);
     }
     if let Some(h) = st.pusher.take() {
         let _ = h.join();

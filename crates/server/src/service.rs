@@ -1,9 +1,8 @@
 //! The long-running connectivity service: a time/size-bounded batch
-//! former in front of a [`crate::generation::GenerationEngine`] (a
-//! [`crate::engine::ShardedEngine`] per generation, so the per-edge
-//! loops stay monomorphized, plus the edge-liveness tracker and the
-//! background rebuilder that give the service deletions), with
-//! epoch-versioned label snapshots and per-operation latency tracking.
+//! former in front of a [`crate::generation::GenerationEngine`] (one
+//! partition under the edge-liveness tracker, plus the background
+//! rebuilder that gives the service deletions), with epoch-versioned
+//! label snapshots and per-operation latency tracking.
 //!
 //! Clients ([`Client`], cheaply cloneable) enqueue submissions — each a
 //! small vector of [`Update`]s — and block on a per-submission reply
@@ -11,15 +10,13 @@
 //! to [`ServiceConfig::batch_max_wait`] to coalesce traffic from many
 //! clients into one engine batch of at most
 //! [`ServiceConfig::batch_max_ops`] operations, then runs it through
-//! [`crate::engine::Engine::process_batch`] on the shared `cc_parallel` pool (the
-//! same pool the rest of the workspace reuses — no second thread fleet)
-//! and fans the query answers back out. Every completed batch bumps the
+//! [`GenerationEngine::process_batch_tagged`] and fans the query answers
+//! back out. Every completed batch bumps the
 //! service epoch; label snapshots are published as `Arc`-swapped
 //! immutable values, so readers never block writers and writers never
 //! wait for readers.
 
 use crate::analytics::AnalyticsView;
-use crate::engine::{EngineError, ExecMode, RunMode};
 use crate::generation::{GenInfo, GenerationEngine};
 use crate::obs::{self, Event, Obs};
 use crate::snapshot;
@@ -74,16 +71,35 @@ impl std::fmt::Display for Role {
     }
 }
 
+/// **Accepted, selects nothing; removal rides the next `[benchmark]`
+/// PR.** The server keeps one partition (a single-writer
+/// `SizedUnionFind` with lock-free readers), so there is no sharding,
+/// union-find variant, execution discipline or seed left to choose. This
+/// enum, [`ServiceConfig::shards`], [`ServiceConfig::spec`],
+/// [`ServiceConfig::mode`], [`ServiceConfig::seed`], the matching
+/// arguments of [`GenerationEngine::new`] and `connectit-serve --shards`
+/// survive only because the frozen `benchmark/` sources name them; every
+/// value is accepted and ignored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Ignored (see the type's docs).
+    Auto,
+    /// Ignored (see the type's docs).
+    WaitFree,
+    /// Ignored (see the type's docs).
+    Phased,
+}
+
 /// Configuration of a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Number of vertices (fixed for the lifetime of the service).
     pub n: usize,
-    /// Number of vertex-range shards.
+    /// Selects nothing (see [`ExecMode`]).
     pub shards: usize,
-    /// Union-find variant backing every shard and the spine.
+    /// Selects nothing (see [`ExecMode`]).
     pub spec: UfSpec,
-    /// Batch execution discipline.
+    /// Selects nothing (see [`ExecMode`]).
     pub mode: ExecMode,
     /// Soft cap on operations per formed batch: the former stops taking
     /// whole submissions once the cap is reached (a single oversized
@@ -95,7 +111,7 @@ pub struct ServiceConfig {
     /// Publish a label snapshot every this many batches (0 disables
     /// periodic snapshots; [`Client::snapshot_now`] always works).
     pub snapshot_every: u64,
-    /// Seed for the union-find variants that use randomness.
+    /// Selects nothing (see [`ExecMode`]).
     pub seed: u64,
     /// Test knob: hold every background generation rebuild open for at
     /// least this long, making the dirty window (sealed-generation
@@ -202,12 +218,6 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-impl From<EngineError> for ServiceError {
-    fn from(e: EngineError) -> Self {
-        ServiceError::Config(e.to_string())
-    }
-}
-
 impl From<WalError> for ServiceError {
     fn from(e: WalError) -> Self {
         ServiceError::Durability(e.to_string())
@@ -237,15 +247,9 @@ pub struct ServiceStats {
     pub deletes: u64,
     /// Query operations processed so far.
     pub queries: u64,
-    /// Intra-shard insertions.
-    pub intra_inserts: u64,
-    /// Cross-shard insertions (spine direct).
-    pub cross_inserts: u64,
-    /// Intra-shard insertions forwarded to the spine (novel at
-    /// classification).
-    pub forwarded: u64,
-    /// Current number of connected components (read-only root count; may
-    /// lag an in-flight batch).
+    /// Number of connected components as of the last published
+    /// analytics view (the delta-maintained count; may lag an in-flight
+    /// batch).
     pub num_components: usize,
     /// `[p50, p90, p99, p999]` submission-to-completion latency, ns.
     pub latency_ns: [u64; 4],
@@ -257,16 +261,12 @@ impl std::fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "epoch={} ops={} inserts={} deletes={} queries={} intra={} cross={} forwarded={} \
-             components={} latency[{}]",
+            "epoch={} ops={} inserts={} deletes={} queries={} components={} latency[{}]",
             self.epoch,
             self.ops,
             self.inserts,
             self.deletes,
             self.queries,
-            self.intra_inserts,
-            self.cross_inserts,
-            self.forwarded,
             self.num_components,
             self.latency_summary,
         )
@@ -380,9 +380,7 @@ struct Inner {
     durable_snapshot_epoch: AtomicU64,
     /// The most recent durability failure, surfaced through `WALSTATS`.
     last_wal_error: Mutex<Option<String>>,
-    /// Serializes replicated applies on a follower (and, on phased
-    /// engines, the read path against them — phase-concurrent engines do
-    /// not take concurrent queries during an insert batch).
+    /// Serializes replicated applies on a follower.
     apply_mx: Mutex<()>,
     /// Per-subscription delivery channels (sequence numbers, retained
     /// events for detached durable subscribers, and the live sinks).
@@ -518,8 +516,8 @@ impl Inner {
     /// a consistent pair — keyed by `epoch`. Called only from the batcher
     /// between batches, so no new operations race it; a generation
     /// rebuild may still be in flight, though, and a dirty engine has no
-    /// consistent pair to offer (the tracker runs ahead of the sealed
-    /// labels). `wait` bounds how long to quiesce first: cadence
+    /// consistent pair to offer (the live edge set runs ahead of the
+    /// sealed partition). `wait` bounds how long to quiesce first: cadence
     /// snapshots pass zero and silently defer to a later epoch, the
     /// explicit `SNAPSHOT` verb waits and then reports the deferral. On
     /// success the WAL rolls its active segment and prunes everything the
@@ -799,8 +797,7 @@ fn validate_ops(ops: &[Update], n: usize, what: &str) -> Result<(), ServiceError
 }
 
 impl Service {
-    /// Starts the service: builds the generation engine (a sharded
-    /// engine per generation plus the edge-liveness tracker), and — when
+    /// Starts the service: builds the generation engine, and — when
     /// durability is configured — rebuilds it from the newest durable
     /// snapshot plus the WAL suffix past it, resuming at the recovered
     /// epoch before spawning the batch former.
@@ -1039,16 +1036,6 @@ impl Client {
         self.inner.engine.num_vertices()
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.inner.engine.num_shards()
-    }
-
-    /// The engine's resolved execution discipline.
-    pub fn mode(&self) -> RunMode {
-        self.inner.engine.mode()
-    }
-
     /// Submits a group of operations as one unit and blocks until the
     /// batch containing them completes. Returns the answers to the
     /// submission's queries, in order. Queries may observe other
@@ -1141,13 +1128,9 @@ impl Client {
 
     /// Answers many connectivity queries against **one** view acquire,
     /// skipping the batch former: the read-coalescing primitive behind
-    /// cross-connection batch execution in the network shards. On
-    /// wait-free engines the whole group runs concurrently with in-flight
-    /// batches; on a phased follower it serializes with the replication
-    /// apply (one lock for the whole group instead of one per query). On
-    /// a phased *primary* direct reads would race the batch former, so
-    /// the group falls back to one batched submission — still a single
-    /// epoch acquire, just a linearized one.
+    /// cross-connection batch execution in the network shards. The whole
+    /// group runs lock-free beside in-flight batches and replicated
+    /// applies.
     pub fn query_many_tagged(&self, pairs: &[(u32, u32)]) -> Result<TaggedAnswers, ServiceError> {
         let n = self.num_vertices();
         for &(u, v) in pairs {
@@ -1163,14 +1146,7 @@ impl Client {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(ServiceError::Closed);
         }
-        if self.inner.engine.mode() == RunMode::Phased && self.role() == Role::Primary {
-            return self.submit_tagged(pairs.iter().map(|&(u, v)| Update::Query(u, v)).collect());
-        }
         let t0 = Instant::now();
-        let _guard = match self.inner.engine.mode() {
-            RunMode::WaitFree => None,
-            RunMode::Phased => Some(self.inner.apply_mx.lock()),
-        };
         let answers = self.inner.engine.connected_many_with_gen(pairs);
         self.inner.obs.metrics.queries_total.add(pairs.len() as u64);
         self.inner.obs.metrics.latency_ns.record_n(
@@ -1198,13 +1174,6 @@ impl Client {
             return Err(ServiceError::Closed);
         }
         let t0 = Instant::now();
-        // Wait-free engines take concurrent reads during an insert batch
-        // (paper Type (i)); phased engines must not, so reads serialize
-        // with the replication apply there.
-        let _guard = match self.inner.engine.mode() {
-            RunMode::WaitFree => None,
-            RunMode::Phased => Some(self.inner.apply_mx.lock()),
-        };
         let answers = ops
             .iter()
             .map(|op| {
@@ -1546,7 +1515,7 @@ impl Client {
     /// as is deleting a live non-forest edge (a cycle edge cannot change
     /// connectivity). Deleting a spanning-forest edge seals the current
     /// generation and schedules a background rebuild; queries serve the
-    /// sealed labels until the next generation commits (`DESIGN.md` §9).
+    /// sealed partition until the next generation commits (`DESIGN.md` §9).
     pub fn delete(&self, u: u32, v: u32) -> Result<(), ServiceError> {
         self.submit(vec![Update::Delete(u, v)]).map(|_| ())
     }
@@ -1560,16 +1529,15 @@ impl Client {
     /// [`Self::query`], additionally reporting the sealed generation the
     /// answer was served from: `(answer, None)` for an exact answer,
     /// `(answer, Some(gen))` when a rebuild was in flight and the answer
-    /// came from generation `gen`'s sealed labels. The pair is read
+    /// came from generation `gen`'s sealed partition. The pair is read
     /// atomically with the answer (the `QG` protocol verb).
     pub fn query_gen(&self, u: u32, v: u32) -> Result<(bool, Option<u64>), ServiceError> {
         Ok(self.submit_tagged(vec![Update::Query(u, v)])?[0])
     }
 
-    /// Lock-free read-side query: answered directly against the live
-    /// structure without going through the batch former. On wait-free
-    /// engines this runs concurrently with in-flight batches (Type (i));
-    /// on phased engines it falls back to a batched [`Self::query`].
+    /// Lock-free read-side query: answered directly against the serving
+    /// partition without going through the batch former, concurrently
+    /// with in-flight batches (paper Type (i)).
     pub fn query_now(&self, u: u32, v: u32) -> Result<bool, ServiceError> {
         let n = self.num_vertices();
         for x in [u, v] {
@@ -1577,15 +1545,12 @@ impl Client {
                 return Err(ServiceError::VertexOutOfRange { v: x, n });
             }
         }
-        match self.inner.engine.mode() {
-            RunMode::WaitFree => Ok(self.inner.engine.connected(u, v)),
-            RunMode::Phased => self.query(u, v),
-        }
+        Ok(self.inner.engine.connected(u, v))
     }
 
     /// The current component label of `v` without snapshotting the whole
     /// labeling. Exact between batches on a clean generation; while a
-    /// rebuild is in flight it reads the sealed generation's labels.
+    /// rebuild is in flight it reads the sealed generation's partition.
     pub fn current_label(&self, v: u32) -> Result<u32, ServiceError> {
         let n = self.num_vertices();
         if v as usize >= n {
@@ -1644,10 +1609,9 @@ impl Client {
         Arc::clone(&self.inner.snapshot.lock())
     }
 
-    /// Builds and publishes a fresh snapshot from the read-only spine
-    /// path right now. Exact if no batch is in flight; a concurrent
-    /// wait-free batch may tear it (labels then mix pre/post-merge
-    /// values for that batch only). The stamped epoch is a lower bound:
+    /// Builds and publishes a fresh snapshot of the serving partition
+    /// right now, between batches (it takes the writer lock for the
+    /// label pass). The stamped epoch is a lower bound:
     /// the labels contain at least every batch up to it. The published
     /// snapshot's epoch never goes backwards, so a newer periodic
     /// snapshot is not overwritten by a slower on-demand build.
@@ -1738,11 +1702,8 @@ impl Client {
     }
 
     /// A point-in-time stats view — a compat shim over the metrics
-    /// registry for the op counters and latency histogram. The shard
-    /// counters aggregate across generation rebuilds (retired engines'
-    /// counts are folded in), so they never regress.
+    /// registry for the op counters and latency histogram.
     pub fn stats(&self) -> ServiceStats {
-        let (intra_inserts, cross_inserts, forwarded) = self.inner.engine.shard_counters();
         let m = &self.inner.obs.metrics;
         let inserts = m.inserts_total.get();
         let deletes = m.deletes_total.get();
@@ -1753,9 +1714,6 @@ impl Client {
             inserts,
             deletes,
             queries,
-            intra_inserts,
-            cross_inserts,
-            forwarded,
             num_components: self.inner.engine.analytics_view().components as usize,
             latency_ns: m.latency_ns.percentiles(),
             latency_summary: m.latency_ns.to_string(),

@@ -4,9 +4,12 @@
 //! [`cc_server::binproto::BIN_VERBS`]. Coverage is checked in both
 //! directions: every verb the parsers accept must be documented, and
 //! every verb the document's tables claim must exist in the parsers.
+//! One behavioural claim is held the same way: §1.3's "one representative
+//! per component" is checked against a live server.
 
 use cc_server::binproto::BIN_VERBS;
 use cc_server::net::TEXT_VERBS;
+use cc_server::{serve, Service, ServiceConfig, TcpClient};
 
 const PROTOCOL: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROTOCOL.md"));
 
@@ -127,6 +130,42 @@ fn push_line_and_event_frame_grammar_are_documented() {
     ] {
         assert!(PROTOCOL.contains(needle), "PROTOCOL.md lost {needle:?}");
     }
+}
+
+/// §1.3's claim, as documented and as served: `LABEL`, `SIZE` and `TOPK`
+/// name one representative per component at a quiesced epoch, before and
+/// after a rebuild commits.
+#[test]
+fn label_size_and_topk_name_one_representative() {
+    assert!(PROTOCOL.contains("`EVT`, `SIZE`, `TOPK` and `LABEL`: all four\n  read one partition"));
+    assert!(PROTOCOL.contains("the representative `SIZE v` reports as `root=`"));
+    assert!(PROTOCOL.contains("may change when a rebuild commits"));
+
+    let n = 64u32;
+    let mut svc =
+        Service::start(ServiceConfig { n: n as usize, ..ServiceConfig::default() }).expect("start");
+    let server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let check = |c: &mut TcpClient| {
+        c.quiesce(30_000).expect("QUIESCE");
+        for v in 0..n {
+            let (_, root) = c.component_size(v).expect("SIZE");
+            assert_eq!(c.label(v).expect("LABEL"), root, "LABEL {v} vs SIZE {v} root=");
+        }
+        let (top, ..) = c.topk(None).expect("TOPK");
+        assert!(!top.is_empty());
+        for (root, size) in top {
+            assert_eq!(c.component_size(root).expect("SIZE"), (size, root), "TOPK entry {root}");
+        }
+    };
+    for v in 1..40 {
+        c.insert(v - 1, v).expect("I");
+    }
+    check(&mut c);
+    c.delete(19, 20).expect("D"); // a forest edge: seals, rebuilds, commits
+    check(&mut c);
+    drop(server);
+    svc.shutdown();
 }
 
 #[test]

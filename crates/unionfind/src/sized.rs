@@ -1,15 +1,16 @@
 //! A size-carrying union-find for **one writer and any number of
-//! lock-free readers**: the partition a server keeps beside its
-//! concurrent engine, so that merge classification, per-component sizes
-//! and everything derived from "which two components just joined" read
-//! one structure instead of a mirror each.
+//! lock-free readers**: the one partition a server keeps, so that merge
+//! classification, connectivity queries, per-component sizes and
+//! everything derived from "which two components just joined" read one
+//! structure instead of a mirror each.
 //!
 //! # Writer / reader contract
 //!
 //! At most one thread calls [`SizedUnionFind::unite`] at a time (the
 //! caller's lock; every word is atomic, so breaking the rule corrupts
-//! the partition, never memory). Readers call [`SizedUnionFind::find`]
-//! and [`SizedUnionFind::component_of`] whenever they like.
+//! the partition, never memory). Readers call [`SizedUnionFind::find`],
+//! [`SizedUnionFind::same_set`] and [`SizedUnionFind::component_of`]
+//! whenever they like.
 //!
 //! Each element is one word: a root's holds its class size (tagged), any
 //! other element's its parent. A reader therefore gets a root *and* its
@@ -91,6 +92,23 @@ impl SizedUnionFind {
         }
     }
 
+    /// Whether `u` and `v` share a class, linearizable beside the writer
+    /// (the paper's Type (i) query): two finds alone can answer a stale
+    /// `false` when a merge lands between them, so a `false` stands only
+    /// if `u`'s root is still a root after `v`'s was read. Each retry
+    /// means a root was linked away, which happens fewer than `n` times.
+    pub fn same_set(&self, u: u32, v: u32) -> bool {
+        loop {
+            let (ru, rv) = (self.find(u), self.find(v));
+            if ru == rv {
+                return true;
+            }
+            if self.words[ru as usize].load(Ordering::Acquire) & ROOT != 0 {
+                return false;
+            }
+        }
+    }
+
     /// The writer's find: path halving. Loads are `Relaxed` because the
     /// only thread that stores is the one running this.
     fn find_halving(&self, v: u32) -> (u32, u64) {
@@ -147,7 +165,7 @@ impl SizedUnionFind {
 mod tests {
     use super::*;
     use crate::SeqUnionFind;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
     use std::sync::Barrier;
 
     #[test]
@@ -222,6 +240,53 @@ mod tests {
             });
         });
         assert_eq!(uf.component_of(N - 1), (0, u64::from(N)));
+    }
+
+    /// The query contract: a pair united before `same_set` was called is
+    /// never answered `false`, however often its class's root changes
+    /// while the call runs (two bare finds would be: one before a link,
+    /// one after it).
+    #[test]
+    fn same_set_never_unsees_a_union_while_the_winner_changes() {
+        const GADGETS: u32 = 40_000;
+        let uf = SizedUnionFind::new(5 * GADGETS as usize);
+        let (start, published) = (Barrier::new(2), AtomicU32::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for g in 0..GADGETS {
+                    let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| 5 * g + i);
+                    uf.unite(a, b);
+                    uf.unite(c, d);
+                    uf.unite(c, e);
+                    published.store(g + 1, Ordering::Release);
+                    // The pair loses to the triple, which loses to the
+                    // chain of every earlier gadget: the root of {a, b}
+                    // moves twice under the reader's feet.
+                    assert_eq!(uf.unite(a, c).map(|m| m.winner), Some(c));
+                    if g > 0 {
+                        assert_eq!(uf.unite(0, c).map(|m| m.loser), Some(c));
+                    }
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                loop {
+                    let seen = published.load(Ordering::Acquire);
+                    // The newest published gadgets are where the race is.
+                    for g in seen.saturating_sub(2)..seen {
+                        let (a, b) = (5 * g, 5 * g + 1);
+                        assert!(uf.same_set(a, b), "{a} and {b} were united before the call");
+                        assert!(uf.same_set(b, a), "{b} and {a} were united before the call");
+                    }
+                    if seen == GADGETS {
+                        break;
+                    }
+                }
+            });
+        });
+        assert_eq!(uf.component_of(1), (2, 5 * u64::from(GADGETS)));
+        assert!(!SizedUnionFind::new(2).same_set(0, 1));
     }
 
     proptest::proptest! {
