@@ -11,7 +11,7 @@
 //!    checked for internal consistency (histogram sums to the
 //!    component count, top-k sizes non-increasing multi-vertex).
 //! 3. A final quiesced exactness pass: every aggregate recomputed from
-//!    a full label snapshot and compared — `mismatches` must be 0
+//!    a full labeling and compared — `mismatches` must be 0
 //!    (gated exactly).
 //!
 //! Prints a table and emits `BENCH_analytics.json`. Accepts the
@@ -48,7 +48,7 @@ fn churn_batch(rng: &mut SplitMix64, n: usize, ops: usize) -> Vec<Update> {
 }
 
 /// Recomputes `(components, hist, topk_sizes, size_by_label)` from a
-/// label snapshot — the ground truth the delta aggregates must equal.
+/// labeling — the ground truth the delta aggregates must equal.
 #[allow(clippy::type_complexity)]
 fn recompute(labels: &[u32]) -> (u64, Vec<u64>, Vec<u64>, HashMap<u32, u64>) {
     let mut size_by_label: HashMap<u32, u64> = HashMap::new();
@@ -100,10 +100,10 @@ fn drive_reads(client: &Client, n: usize, reads: u64) -> (u64, f64, u64) {
 }
 
 /// Quiesced exactness pass: recompute every aggregate from a fresh
-/// label snapshot and count divergences.
+/// labeling and count divergences.
 fn validate_exact(client: &Client, n: usize, sample: usize) -> (u64, u64) {
-    let snap = client.snapshot_now();
-    let (components, hist, topk_sizes, size_by_label) = recompute(&snap.labels);
+    let labels = client.labels();
+    let (components, hist, topk_sizes, size_by_label) = recompute(&labels);
     let mut mismatches = 0u64;
     if client.num_components() as u64 != components {
         mismatches += 1;
@@ -122,7 +122,7 @@ fn validate_exact(client: &Client, n: usize, sample: usize) -> (u64, u64) {
     for v in (0..n).step_by(stride) {
         checked += 1;
         match client.component_size(v as u32) {
-            Ok((_root, size)) if size == size_by_label[&snap.labels[v]] => {}
+            Ok((_root, size)) if size == size_by_label[&labels[v]] => {}
             _ => mismatches += 1,
         }
     }
@@ -156,7 +156,7 @@ fn main() {
 
     // 1. Publish-path count: full label scan (the removed code path) vs
     // the delta-maintained count every verb now reads.
-    let labels = client.snapshot_now().labels.clone();
+    let labels = client.labels();
     let t0 = Instant::now();
     for _ in 0..scan_iters {
         black_box(cc_graph::stats::count_distinct_labels(black_box(&labels)));

@@ -104,13 +104,13 @@ fn verify_recovery(n: usize, dir: &std::path::Path, edges: &[(u32, u32)]) -> boo
         ..ServiceConfig::default()
     })
     .expect("recovery succeeds");
-    let recovered = svc.client().snapshot_now();
+    let recovered = svc.client().labels();
     svc.shutdown();
     let mut oracle = SeqUnionFind::new(n);
     for &(u, v) in edges {
         oracle.union(u, v);
     }
-    same_partition(&oracle.labels(), &recovered.labels)
+    same_partition(&oracle.labels(), &recovered)
 }
 
 fn main() {

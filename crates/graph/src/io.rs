@@ -1,7 +1,7 @@
 //! Edge-list I/O: plain-text (the de-facto interchange format of SNAP /
 //! DIMACS-style datasets — one `u v` pair per line, `#` comments, blank
 //! lines ignored) and the [`binary`] record codec the durability layer
-//! (WAL segments, label snapshots, loadgen checkpoints) frames its
+//! (WAL segments, edge-set snapshots, loadgen checkpoints) frames its
 //! on-disk bytes with.
 
 use crate::types::{Edge, EdgeList};
@@ -473,7 +473,8 @@ pub mod binary {
     }
 
     /// Encodes a label-array payload: `epoch (u64 LE)`, `n (u64 LE)`,
-    /// then `n` labels as `u32 LE`. Durable snapshots store one of these.
+    /// then `n` labels as `u32 LE`. Loadgen checkpoints store these (and
+    /// pre-edge-set `CCSNAP01` snapshots led with one).
     pub fn encode_labels(epoch: u64, labels: &[u32]) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 4 * labels.len());
         out.extend_from_slice(&epoch.to_le_bytes());

@@ -21,7 +21,7 @@
 //! generation writer lock on the leader, the apply lock on a
 //! follower). Readers never block it: they clone the published
 //! [`AnalyticsView`] (one `Mutex<Arc<_>>` swap, the same discipline as
-//! label snapshots) and, for `SIZE`, walk the shared partition under its
+//! the engine's serving view) and, for `SIZE`, walk the shared partition under its
 //! own size-before-link ordering contract.
 //!
 //! # Delta validity

@@ -21,8 +21,9 @@
 //! recovers whatever state (snapshot + WAL suffix) the directory already
 //! holds, resuming at the recovered epoch. `--fsync` picks the sync
 //! discipline (see `cc_server::wal`); with a WAL, `--snapshot-every`
-//! also writes a *durable* label snapshot on that epoch cadence, which
-//! bounds replay and prunes covered segments.
+//! writes a durable snapshot of the live edge set on that epoch cadence,
+//! which bounds replay and prunes covered segments (without a WAL it
+//! selects nothing).
 //!
 //! `--replication-port` (primary side; requires `--wal-dir`) additionally
 //! serves the WAL-shipping replication stream to followers on that port.
@@ -53,7 +54,7 @@ fn usage() -> ExitCode {
          \x20                      [--net-shards S] [--idle-timeout-ms MS] [--sub-queue-cap K]\n\
          \x20  --shards is accepted and selects nothing\n\
          \x20  --wal-dir enables the write-ahead log + crash recovery; --snapshot-every\n\
-         \x20  then also controls the durable snapshot cadence\n\
+         \x20  then sets the durable snapshot cadence\n\
          \x20  --replication-port streams the WAL to followers (requires --wal-dir)\n\
          \x20  --replicate-from makes this a read-only follower of that primary\n\
          \x20  --net-shards: event-loop shards in the wire front end (default: one per\n\
@@ -70,6 +71,7 @@ struct Opts {
     port: u16,
     wal_dir: Option<String>,
     fsync: cc_server::FsyncPolicy,
+    snapshot_every: u64,
     replication_port: Option<u16>,
     replicate_from: Option<String>,
     net: NetConfig,
@@ -82,6 +84,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         port: 7411,
         wal_dir: None,
         fsync: cc_server::FsyncPolicy::Batch,
+        snapshot_every: 0,
         replication_port: None,
         replicate_from: None,
         net: NetConfig::default(),
@@ -113,7 +116,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 opts.cfg.batch_max_wait = Duration::from_micros(us);
             }
             "--snapshot-every" => {
-                opts.cfg.snapshot_every =
+                opts.snapshot_every =
                     next_val(a, &mut it)?.parse().map_err(|_| "bad --snapshot-every".to_string())?
             }
             "--wal-dir" => opts.wal_dir = Some(next_val(a, &mut it)?),
@@ -171,9 +174,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     if let Some(dir) = &opts.wal_dir {
         opts.cfg.durability = Some(DurabilityConfig {
             fsync: opts.fsync,
-            // With durability on, the snapshot cadence also writes
-            // epoch-keyed snapshots to disk (bounding recovery replay).
-            snapshot_every: opts.cfg.snapshot_every,
+            snapshot_every: opts.snapshot_every,
             ..DurabilityConfig::new(dir)
         });
     }

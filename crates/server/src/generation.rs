@@ -628,17 +628,11 @@ impl GenerationEngine {
         }
     }
 
-    /// A consistent `(labels, live edge list)` pair for durable
-    /// snapshots — only while clean. While dirty the live edge set runs
-    /// ahead of the sealed partition, so durable and replicated snapshots
-    /// are deferred (see the sealed-generation audit in `DESIGN.md` §9).
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot_parts(&self) -> Option<(Vec<u32>, Vec<(u32, u32)>)> {
-        let st = self.shared.mx.lock();
-        if st.dirty {
-            return None;
-        }
-        Some((st.tracker.partition().labels(), st.tracker.edge_list()))
+    /// The live edge set, for durable snapshots. Exact in every state:
+    /// inserts and deletes reach the tracker's edge set while sealed too
+    /// — only the partition freezes.
+    pub fn edge_list(&self) -> Vec<(u32, u32)> {
+        self.shared.mx.lock().tracker.edge_list()
     }
 
     /// Recovery: feeds one replayed WAL batch into the tracker (queries
@@ -720,16 +714,6 @@ impl GenerationEngine {
     /// with the writer lock (`TOPK`/`HIST`/`SIZE` read path).
     pub fn analytics_view(&self) -> Arc<AnalyticsView> {
         Arc::clone(&self.shared.aview.lock())
-    }
-
-    /// A consistent `(labels, num_components)` pair of the serving
-    /// partition for snapshot publication. The count is the
-    /// delta-maintained one (nothing folds into it while sealed, so it
-    /// describes the frozen partition then), so no distinct-label scan
-    /// runs on the publish path.
-    pub fn labels_with_components(&self) -> (Vec<u32>, usize) {
-        let st = self.shared.mx.lock();
-        (st.tracker.partition().labels(), st.analytics.components() as usize)
     }
 
     /// The delta-maintained live component count.

@@ -16,8 +16,8 @@
 //!   rebuild serve the sealed generation with an honest
 //!   `(epoch, generation)` staleness report (DESIGN.md §9).
 //! - [`service::Service`] — a time/size-bounded batch former coalescing
-//!   many clients' submissions into engine batches, epoch-versioned
-//!   `Arc`-swapped label snapshots (reads never block writers),
+//!   many clients' submissions into engine batches, lock-free reads
+//!   straight off the serving partition (reads never block writers),
 //!   per-operation latency tracking via `cc_parallel::hist::LatencyHist`,
 //!   and a cloneable in-process [`service::Client`].
 //! - [`analytics`] — the incremental analytics plane: merge deltas and
@@ -34,8 +34,8 @@
 //!   (DESIGN.md §13, PROTOCOL.md).
 //! - [`wal`] / [`snapshot`] — the durability subsystem: a segmented,
 //!   checksummed, group-committed write-ahead log recording each applied
-//!   batch at its epoch boundary, plus epoch-keyed durable label
-//!   snapshots so recovery replays only the WAL suffix. Both share the
+//!   batch at its epoch boundary, plus epoch-keyed durable snapshots of
+//!   the live edge set so recovery replays only the WAL suffix. Both share the
 //!   binary record codec in `cc_graph::io::binary`.
 //! - [`replication`] — WAL shipping: a primary streams its durable
 //!   history (snapshots + batch records, the same CRC-framed codec the
@@ -100,9 +100,7 @@ pub use obs::{Metrics, Obs, Recorder};
 pub use replication::{
     run_follower, serve_replication, serve_replication_observed, ReplicationHub,
 };
-pub use service::{
-    Client, ExecMode, LabelSnapshot, Role, Service, ServiceConfig, ServiceError, ServiceStats,
-};
+pub use service::{Client, ExecMode, Role, Service, ServiceConfig, ServiceError, ServiceStats};
 pub use subs::{SubEvent, SubInfo, SubKind, SubSink};
 pub use wal::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, TailEvent, Wal, WalCursor, WalError, WalStats,

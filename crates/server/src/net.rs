@@ -1241,7 +1241,7 @@ impl TcpClient {
         }
     }
 
-    /// `SNAPSHOT`: write a durable label snapshot; returns its epoch.
+    /// `SNAPSHOT`: write a durable edge-set snapshot; returns its epoch.
     pub fn durable_snapshot(&mut self) -> std::io::Result<u64> {
         let r = self.roundtrip("SNAPSHOT")?;
         r.strip_prefix("SNAP ")

@@ -169,7 +169,6 @@ pub struct Metrics {
     pub queue_wait_ns: LatencyHist,
     pub wal_append_ns: LatencyHist,
     pub apply_ns: LatencyHist,
-    pub publish_ns: LatencyHist,
     // wal plane
     pub wal_records_total: Counter,
     pub wal_bytes_total: Counter,
@@ -240,7 +239,6 @@ impl Metrics {
             queue_wait_ns: LatencyHist::new(),
             wal_append_ns: LatencyHist::new(),
             apply_ns: LatencyHist::new(),
-            publish_ns: LatencyHist::new(),
             wal_records_total: Counter::default(),
             wal_bytes_total: Counter::default(),
             wal_fsyncs_total: Counter::default(),
@@ -370,7 +368,6 @@ impl Metrics {
         summary(&mut out, "queue_wait_ns", &self.queue_wait_ns);
         summary(&mut out, "wal_append_ns", &self.wal_append_ns);
         summary(&mut out, "apply_ns", &self.apply_ns);
-        summary(&mut out, "publish_ns", &self.publish_ns);
 
         counter(&mut out, "wal_records_total", &self.wal_records_total);
         counter(&mut out, "wal_bytes_total", &self.wal_bytes_total);

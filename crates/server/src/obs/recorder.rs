@@ -130,11 +130,11 @@ pub enum Event {
         /// Operations applied.
         ops: u64,
     },
-    /// A fresh label snapshot was published for lock-free readers.
+    /// A durable snapshot of the live edge set was written.
     SnapshotPublished {
         /// Epoch the snapshot reflects.
         epoch: u64,
-        /// Connected components in the snapshot.
+        /// Connected components when it was written.
         components: u64,
     },
     /// A generation was sealed (labels frozen, rebuild scheduled).

@@ -1,4 +1,4 @@
-//! WAL shipping: the primary streams its durable history — label
+//! WAL shipping: the primary streams its durable history — edge-set
 //! snapshots and write-ahead-log batch records — over a length-prefixed
 //! TCP protocol to read-replica followers.
 //!
@@ -13,7 +13,6 @@
 //! | tag   | payload after the tag                       | direction | meaning |
 //! |-------|---------------------------------------------|-----------|---------|
 //! | `'H'` | `last_epoch: u64 LE`                        | follower → primary | handshake: resume past this epoch |
-//! | `'S'` | [`binary::encode_labels`] `(epoch, labels)` | primary → follower | legacy label bootstrap (label-only snapshot) |
 //! | `'E'` | [`binary::encode_edge_batch`] `(epoch, live edges)` | primary → follower | snapshot bootstrap: the exact live edge set |
 //! | `'B'` | [`binary::encode_edge_batch`] `(epoch, inserts)` | primary → follower | one insert-only WAL batch record |
 //! | `'D'` | [`wal::encode_update_batch`] `(epoch, ops)` | primary → follower | one deletion-bearing WAL batch record |
@@ -37,20 +36,17 @@
 //! The retraction matters whenever the follower's epoch predates the
 //! snapshot by more than the surviving WAL — deletions committed in
 //! that gap were pruned with their segments, so no later record would
-//! ever remove the follower's stale edges. When a snapshot carries
-//! its edge set, that set ships (`'E'`) *instead of* the labeling:
-//! label-derived spanning edges would teach the follower's liveness
-//! tracker phantom edges and corrupt its later delete classification.
-//! The label record (`'S'`) survives only for legacy label-only
-//! snapshot stores, whose histories are insert-only by construction.
+//! ever remove the follower's stale edges. The real edge set ships
+//! (`'E'`), never a labeling: label-derived spanning edges would teach the
+//! follower's liveness tracker phantom edges and corrupt its later delete
+//! classification.
 //!
 //! ## Follower side
 //!
 //! [`run_follower`] connects (and reconnects, forever, until shutdown) to
 //! the primary, handshakes with the follower's current epoch, and applies
 //! every received record through [`Client::apply_replicated`] /
-//! [`Client::apply_replicated_ops`] / [`Client::apply_replicated_edge_set`]
-//! / [`Client::apply_replicated_labels`].
+//! [`Client::apply_replicated_ops`] / [`Client::apply_replicated_edge_set`].
 //! Socket reads carry a timeout wrapped in [`binary::RetryRead`], so a
 //! shutdown request interrupts a quiet stream without ever tearing a
 //! half-received record. Everything is idempotent end to end: a reconnect
@@ -79,10 +75,6 @@ pub const REPL_MAGIC: &[u8; 8] = b"CCREPL01";
 
 /// Record tag: follower handshake (`last_epoch: u64 LE`).
 pub const TAG_HELLO: u8 = b'H';
-/// Record tag: legacy label-snapshot bootstrap
-/// ([`binary::encode_labels`]; shipped only when the durable snapshot
-/// has no edge set).
-pub const TAG_SNAPSHOT: u8 = b'S';
 /// Record tag: edge-set snapshot bootstrap ([`binary::encode_edge_batch`]
 /// over the exact live edge set at the snapshot epoch).
 pub const TAG_EDGES: u8 = b'E';
@@ -261,20 +253,15 @@ fn ship_snapshot_if_newer(
             // Counted before the bytes go out, so the counter is never
             // behind what a follower demonstrably received.
             shared.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-            // Ship the real live edge set when the snapshot has one:
-            // the follower's liveness tracker then holds exactly the
-            // primary's edges, so later deletions classify the same
-            // way on both sides. (Labels would do for connectivity,
-            // but their derived spanning edges are phantoms.)
-            let (tag, payload) = match &snap.edges {
-                Some(edges) => (TAG_EDGES, binary::encode_edge_batch(snap.epoch, edges)),
-                None => (TAG_SNAPSHOT, binary::encode_labels(snap.epoch, &snap.labels)),
-            };
+            // The follower's liveness tracker then holds exactly the
+            // primary's edges, so later deletions classify the same way
+            // on both sides.
+            let payload = binary::encode_edge_batch(snap.epoch, &snap.edges);
             if let Some(obs) = &shared.obs {
                 obs.metrics.repl_snapshots_shipped_total.inc();
                 obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
             }
-            send_record(w, tag, &payload)?;
+            send_record(w, TAG_EDGES, &payload)?;
             w.flush()?;
             Ok(snap.epoch)
         }
@@ -539,15 +526,6 @@ fn follow_once(
                         .apply_replicated_edge_set(epoch, &edges)
                         .map_err(|e| proto_err(e.to_string()))
                 }),
-            TAG_SNAPSHOT => binary::decode_labels(rest, 0)
-                .map_err(|e| proto_err(e.to_string()))
-                .and_then(|(epoch, labels)| {
-                    counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                    obs.metrics.repl_snapshots_applied_total.inc();
-                    client
-                        .apply_replicated_labels(epoch, &labels)
-                        .map_err(|e| proto_err(e.to_string()))
-                }),
             other => Err(proto_err(format!("unknown replication record tag {other:?}"))),
         };
         if let Err(e) = applied {
@@ -675,7 +653,7 @@ mod tests {
                     saw_ping = true;
                     break;
                 }
-                TAG_BATCH | TAG_DELTA | TAG_SNAPSHOT | TAG_EDGES => continue, // bootstrap history
+                TAG_BATCH | TAG_DELTA | TAG_EDGES => continue, // bootstrap history
                 other => panic!("unexpected tag {other:?}"),
             }
         }
@@ -755,6 +733,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot needs no clean generation: one taken while a rebuild is
+    /// held open bootstraps a fresh follower to the primary's partition.
+    #[test]
+    fn snapshot_taken_mid_rebuild_bootstraps_a_fresh_follower() {
+        let dir = tmp_dir("sealedsnap");
+        let mut primary = Service::start(ServiceConfig {
+            rebuild_hold: Duration::from_secs(2),
+            ..primary_cfg(32, &dir)
+        })
+        .expect("primary");
+        let p = primary.client();
+        for v in 1..8 {
+            p.insert(v - 1, v).expect("insert");
+        }
+        p.delete(3, 4).expect("forest delete seals");
+        p.insert(10, 11).expect("insert while sealed");
+        let snap_epoch = p.durable_snapshot().expect("snapshot mid-hold");
+        assert!(p.generation_info().dirty, "the snapshot did not wait for the rebuild");
+        assert_eq!(snap_epoch, 10);
+        p.insert(11, 12).expect("insert past the snapshot");
+        let target = p.epoch();
+
+        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut f = follower(32);
+        let (h, counters) =
+            run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+                .expect("recv");
+        let fc = f.client();
+        wait_epoch(&fc, target);
+        p.quiesce(Duration::from_secs(20)).expect("primary commits");
+        fc.quiesce(Duration::from_secs(20)).expect("follower quiesces");
+        assert!(cc_graph::stats::same_partition(&p.labels(), &fc.labels()));
+        assert!(!fc.query(3, 4).expect("read"), "the sealed-window delete replicated");
+        assert!(fc.query(10, 12).expect("read"));
+        assert!(counters.snapshots.load(Ordering::Relaxed) >= 1, "bootstrap used the snapshot");
+
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        hub.stop();
+        primary.shutdown();
+        f.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn follower_replays_deletions_in_order() {
         let dir = tmp_dir("delete");
@@ -801,7 +824,6 @@ mod tests {
         p.insert(0, 1).expect("insert");
         p.insert(1, 2).expect("insert");
         p.insert(0, 2).expect("cycle edge");
-        p.quiesce(Duration::from_secs(20)).expect("clean for the snapshot");
         let snap_epoch = p.durable_snapshot().expect("snapshot with edges");
         assert!(snap_epoch >= 3);
 

@@ -1,8 +1,8 @@
 //! The long-running connectivity service: a time/size-bounded batch
 //! former in front of a [`crate::generation::GenerationEngine`] (one
 //! partition under the edge-liveness tracker, plus the background
-//! rebuilder that gives the service deletions), with epoch-versioned
-//! label snapshots and per-operation latency tracking.
+//! rebuilder that gives the service deletions), durable edge-set
+//! snapshots and per-operation latency tracking.
 //!
 //! Clients ([`Client`], cheaply cloneable) enqueue submissions — each a
 //! small vector of [`Update`]s — and block on a per-submission reply
@@ -12,9 +12,9 @@
 //! [`ServiceConfig::batch_max_ops`] operations, then runs it through
 //! [`GenerationEngine::process_batch_tagged`] and fans the query answers
 //! back out. Every completed batch bumps the
-//! service epoch; label snapshots are published as `Arc`-swapped
-//! immutable values, so readers never block writers and writers never
-//! wait for readers.
+//! service epoch. Reads skip the former and the writer lock alike: they
+//! ask the engine's serving partition directly, so readers never block
+//! writers and writers never wait for readers.
 
 use crate::analytics::AnalyticsView;
 use crate::generation::{GenInfo, GenerationEngine};
@@ -34,11 +34,6 @@ use std::time::{Duration, Instant};
 /// Chunk size for replaying recovered state into the engine.
 const REPLAY_CHUNK: usize = 1 << 16;
 
-/// How long the batcher waits for an in-flight generation rebuild before
-/// declining an explicit `SNAPSHOT` request (durable snapshots are only
-/// taken on clean generations; see `DESIGN.md` §9).
-const SNAPSHOT_QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// How often the batcher appends fresh flight-recorder events to the
 /// trace file while durability is on: a SIGKILL loses at most this
 /// window of events (plus whatever the ring had not yet flushed).
@@ -55,7 +50,7 @@ pub enum Role {
     Primary,
     /// A read replica: state arrives exclusively through
     /// [`Client::apply_replicated`] / [`Client::apply_replicated_ops`] /
-    /// [`Client::apply_replicated_labels`] (fed by
+    /// [`Client::apply_replicated_edge_set`] (fed by
     /// `cc_server::replication`); local writes — inserts *and* deletes —
     /// are rejected, and queries are answered directly against the engine
     /// at the follower's honestly-reported replication epoch.
@@ -108,9 +103,6 @@ pub struct ServiceConfig {
     /// How long the former lingers for more traffic before running a
     /// partially-filled batch.
     pub batch_max_wait: Duration,
-    /// Publish a label snapshot every this many batches (0 disables
-    /// periodic snapshots; [`Client::snapshot_now`] always works).
-    pub snapshot_every: u64,
     /// Selects nothing (see [`ExecMode`]).
     pub seed: u64,
     /// Test knob: hold every background generation rebuild open for at
@@ -135,7 +127,6 @@ impl Default for ServiceConfig {
             mode: ExecMode::Auto,
             batch_max_ops: 1 << 16,
             batch_max_wait: Duration::from_micros(100),
-            snapshot_every: 0,
             seed: 0x5eed,
             rebuild_hold: Duration::ZERO,
             durability: None,
@@ -222,16 +213,6 @@ impl From<WalError> for ServiceError {
     fn from(e: WalError) -> Self {
         ServiceError::Durability(e.to_string())
     }
-}
-
-/// An immutable, epoch-versioned snapshot of the global labeling.
-pub struct LabelSnapshot {
-    /// The epoch (number of completed batches) the snapshot was taken at.
-    pub epoch: u64,
-    /// Component label per vertex: same label iff same component.
-    pub labels: Vec<u32>,
-    /// Number of connected components in the snapshot.
-    pub num_components: usize,
 }
 
 /// A point-in-time view of the service's counters and latency profile.
@@ -372,7 +353,6 @@ struct Inner {
     /// Where the flight recorder flushes (`<wal-dir>/trace-<pid>.log`);
     /// `None` without durability (the ring stays in memory for `TRACE`).
     trace_path: Option<PathBuf>,
-    snapshot: Mutex<Arc<LabelSnapshot>>,
     /// The write-ahead log, when durability is on. Locked by the batcher
     /// for appends and by clients for `FLUSH`/`WALSTATS`.
     wal: Option<Mutex<Wal>>,
@@ -405,30 +385,6 @@ impl Inner {
         self.obs.metrics.epoch.set_max(epoch);
         let _g = self.epoch_mx.lock();
         self.epoch_cv.notify_all();
-    }
-
-    fn publish_snapshot(&self, epoch: u64) -> Arc<LabelSnapshot> {
-        // The component count is the analytics plane's delta-maintained
-        // one: publishing no longer performs the O(n) distinct-label
-        // scan it used to (the label copy itself remains, same as the
-        // durable-snapshot path). The build can race another publisher
-        // (an on-demand `snapshot_now` vs the periodic batcher
-        // snapshot), so the swap is guarded to keep the published epoch
-        // monotone.
-        let (labels, num_components) = self.engine.labels_with_components();
-        let snap = Arc::new(LabelSnapshot { epoch, labels, num_components });
-        let mut published = self.snapshot.lock();
-        if published.epoch <= epoch {
-            *published = Arc::clone(&snap);
-        }
-        drop(published);
-        // The `connectit_components` gauge is kept live at merge/commit
-        // time by the analytics plane; the publish event only records
-        // what this snapshot saw.
-        self.obs
-            .recorder
-            .record(Event::SnapshotPublished { epoch, components: num_components as u64 });
-        snap
     }
 
     fn note_wal_error(&self, msg: &str) {
@@ -512,35 +468,25 @@ impl Inner {
         metrics.subs_active.set(self.engine.subs_len() as u64);
     }
 
-    /// Writes a durable snapshot — the labeling *and* the live edge set,
-    /// a consistent pair — keyed by `epoch`. Called only from the batcher
-    /// between batches, so no new operations race it; a generation
-    /// rebuild may still be in flight, though, and a dirty engine has no
-    /// consistent pair to offer (the live edge set runs ahead of the
-    /// sealed partition). `wait` bounds how long to quiesce first: cadence
-    /// snapshots pass zero and silently defer to a later epoch, the
-    /// explicit `SNAPSHOT` verb waits and then reports the deferral. On
-    /// success the WAL rolls its active segment and prunes everything the
-    /// snapshot covers.
-    /// Returns `Ok(false)` when the snapshot was *deferred* because the
-    /// engine stayed dirty past `wait` — not a durability failure.
-    fn write_durable_snapshot(&self, epoch: u64, wait: Duration) -> Result<bool, ServiceError> {
+    /// Writes a durable snapshot — the live edge set — keyed by `epoch`.
+    /// Called only from the batcher between batches, so no new operations
+    /// race it; an in-flight rebuild does not matter, because the edge set
+    /// is exact while sealed too. On success the WAL rolls its active
+    /// segment and prunes everything the snapshot covers.
+    fn write_durable_snapshot(&self, epoch: u64) -> Result<(), ServiceError> {
         let dcfg = self
             .cfg
             .durability
             .as_ref()
             .expect("durable snapshot requested without durability config");
-        if !wait.is_zero() {
-            let _ = self.engine.quiesce(wait);
-        }
-        let Some((labels, edges)) = self.engine.snapshot_parts() else {
-            return Ok(false);
-        };
-        snapshot::write_snapshot(&dcfg.dir, epoch, &labels, &edges).map_err(|e| {
+        let edges = self.engine.edge_list();
+        snapshot::write_snapshot(&dcfg.dir, epoch, self.cfg.n, &edges).map_err(|e| {
             ServiceError::Durability(format!("snapshot write in {}: {e}", dcfg.dir.display()))
         })?;
         self.durable_snapshot_epoch.store(epoch, Ordering::Release);
         self.obs.metrics.durable_snapshot_epoch.set_max(epoch);
+        let components = self.engine.components_live();
+        self.obs.recorder.record(Event::SnapshotPublished { epoch, components });
         snapshot::prune_older_than(&dcfg.dir, epoch);
         if let Some(w) = &self.wal {
             let mut w = w.lock();
@@ -564,7 +510,7 @@ impl Inner {
                 })?;
             }
         }
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -639,7 +585,7 @@ fn run_batcher(inner: &Arc<Inner>) {
 
         // Stage boundaries of the per-batch latency breakdown: queue
         // wait (per submission, below) → WAL append (fsync inside, timed
-        // by the WAL itself) → engine apply → snapshot publish. All
+        // by the WAL itself) → engine apply. All
         // instrumentation is a few relaxed atomics per *batch*, not per
         // operation — that amortization is the near-zero-cost claim the
         // obs bench gate holds us to.
@@ -710,40 +656,19 @@ fn run_batcher(inner: &Arc<Inner>) {
         // Push out any subscription fires this batch's merges produced,
         // stamped with the epoch that just advanced.
         inner.drain_sub_events();
-        if inner.cfg.snapshot_every > 0 && epoch.is_multiple_of(inner.cfg.snapshot_every) {
-            let publish_start = Instant::now();
-            inner.publish_snapshot(epoch);
-            metrics.publish_ns.record_duration(publish_start.elapsed());
-        }
 
         // Durable snapshots: on the configured epoch cadence, or when a
         // `SNAPSHOT` control submission rode this batch. A failure is
         // reported to the requesting submissions (and WALSTATS); the
         // batch itself already committed.
-        let durable_cadence = inner.cfg.durability.as_ref().map_or(0, |d| d.snapshot_every);
-        let snapshot_requested = pendings.iter().any(|p| p.durable_snapshot);
-        let mut snapshot_err: Option<ServiceError> = None;
-        if inner.wal.is_some()
-            && (snapshot_requested
-                || (durable_cadence > 0 && epoch.is_multiple_of(durable_cadence)))
-        {
-            // Explicit requests wait out an in-flight rebuild (someone is
-            // blocked on the answer); cadence snapshots defer silently to
-            // a later epoch.
-            let wait = if snapshot_requested { SNAPSHOT_QUIESCE_TIMEOUT } else { Duration::ZERO };
-            match inner.write_durable_snapshot(epoch, wait) {
-                Ok(true) => {}
-                Ok(false) if snapshot_requested => {
-                    snapshot_err = Some(ServiceError::Durability(
-                        "durable snapshot deferred: a generation rebuild is in flight".into(),
-                    ));
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    inner.note_wal_error(&e.to_string());
-                    snapshot_err = Some(e);
-                }
-            }
+        let cadence = inner.cfg.durability.as_ref().map_or(0, |d| d.snapshot_every);
+        let snapshot_due = pendings.iter().any(|p| p.durable_snapshot)
+            || (cadence > 0 && epoch.is_multiple_of(cadence));
+        let snapshot_err = (inner.wal.is_some() && snapshot_due)
+            .then(|| inner.write_durable_snapshot(epoch).err())
+            .flatten();
+        if let Some(e) = &snapshot_err {
+            inner.note_wal_error(&e.to_string());
         }
 
         let mut qi = 0usize;
@@ -839,31 +764,17 @@ impl Service {
             // retraction.
             let (w, report) = Wal::open(dcfg)?;
             if let Some(snap) = snapshot::load_latest(&dcfg.dir)? {
-                if snap.labels.len() != cfg.n {
+                if snap.n != cfg.n {
                     return Err(ServiceError::Config(format!(
                         "snapshot in {} covers {} vertices but the service was started \
                          with n = {}; restart with the original vertex count",
                         dcfg.dir.display(),
-                        snap.labels.len(),
+                        snap.n,
                         cfg.n
                     )));
                 }
-                // New-format snapshots carry the live edge set (exact
-                // liveness for later retractions); legacy label-only
-                // files degrade to spanning edges, sound over the
-                // insert-only histories that wrote them.
-                let edges: Vec<(u32, u32)> = match snap.edges {
-                    Some(edges) => edges,
-                    None => snap
-                        .labels
-                        .iter()
-                        .enumerate()
-                        .filter(|&(v, &l)| l as usize != v)
-                        .map(|(v, &l)| (v as u32, l))
-                        .collect(),
-                };
-                validate_edges(&edges, cfg.n, &format!("snapshot at epoch {}", snap.epoch))?;
-                for chunk in edges.chunks(REPLAY_CHUNK) {
+                validate_edges(&snap.edges, cfg.n, &format!("snapshot at epoch {}", snap.epoch))?;
+                for chunk in snap.edges.chunks(REPLAY_CHUNK) {
                     engine.recover_edges(chunk);
                 }
                 snap_epoch = snap.epoch;
@@ -925,25 +836,12 @@ impl Service {
             trace_path = Some(dcfg.dir.join(format!("trace-{}.log", std::process::id())));
         }
 
-        let initial = if recovered_epoch > 0 {
-            // The recovery resync left the analytics plane describing the
-            // recovered partition: its delta count replaces the old O(n)
-            // distinct-label scan here too.
-            let (labels, num_components) = engine.labels_with_components();
-            Arc::new(LabelSnapshot { epoch: recovered_epoch, labels, num_components })
-        } else {
-            Arc::new(LabelSnapshot {
-                epoch: 0,
-                labels: (0..cfg.n as u32).collect(),
-                num_components: cfg.n,
-            })
-        };
         let role = cfg.role;
         obs.metrics.epoch.set_max(recovered_epoch);
         obs.metrics.durable_snapshot_epoch.set_max(snap_epoch);
-        obs.metrics.components.set(initial.num_components as u64);
         // Stamp the analytics view with the recovered epoch so TOPK/HIST
-        // report an honest starting point.
+        // report an honest starting point (this also sets the components
+        // gauge).
         engine.publish_analytics(recovered_epoch);
         obs.metrics.subs_active.set(engine.subs_len() as u64);
         let inner = Arc::new(Inner {
@@ -954,7 +852,6 @@ impl Service {
             epoch: AtomicU64::new(recovered_epoch),
             obs,
             trace_path,
-            snapshot: Mutex::new(initial),
             wal,
             durable_snapshot_epoch: AtomicU64::new(snap_epoch),
             last_wal_error: Mutex::new(None),
@@ -1193,9 +1090,9 @@ impl Client {
     /// exactly as the primary logged it — to a follower's engine, then
     /// advances the follower's epoch to at least `epoch` (idempotent:
     /// re-delivered inserts re-apply harmlessly and the epoch never moves
-    /// backwards). The primary also ships its durable snapshot's *edge
-    /// set* through this path, giving the follower exact liveness for the
-    /// deletions that may follow. Rejected on a primary.
+    /// backwards). Snapshot bootstraps take
+    /// [`Client::apply_replicated_edge_set`] instead. Rejected on a
+    /// primary.
     pub fn apply_replicated(&self, epoch: u64, edges: &[(u32, u32)]) -> Result<(), ServiceError> {
         let ops: Vec<Update> = edges.iter().map(|&(u, v)| Update::Insert(u, v)).collect();
         self.apply_from_stream(epoch, &ops, "replicated batch")
@@ -1238,10 +1135,6 @@ impl Client {
         // converges at the honestly-replicated epoch.
         self.inner.engine.publish_analytics(epoch);
         self.inner.drain_sub_events();
-        if self.inner.cfg.snapshot_every > 0 && epoch.is_multiple_of(self.inner.cfg.snapshot_every)
-        {
-            self.inner.publish_snapshot(epoch);
-        }
         Ok(())
     }
 
@@ -1254,31 +1147,6 @@ impl Client {
     /// Rejected on a primary.
     pub fn apply_replicated_ops(&self, epoch: u64, ops: &[Update]) -> Result<(), ServiceError> {
         self.apply_from_stream(epoch, ops, "replicated delta")
-    }
-
-    /// Applies a replicated label snapshot (the legacy bootstrap record,
-    /// shipped only for insert-only histories): the labeling is turned
-    /// into spanning edges and merged in. Safe at any point in such a
-    /// stream — the snapshot only states connectivity facts the primary
-    /// already committed. Deletion-bearing primaries bootstrap via
-    /// [`Client::apply_replicated`] with the real edge set instead, so
-    /// the follower's liveness tracker never learns phantom edges.
-    pub fn apply_replicated_labels(&self, epoch: u64, labels: &[u32]) -> Result<(), ServiceError> {
-        let n = self.num_vertices();
-        if labels.len() != n {
-            return Err(ServiceError::Config(format!(
-                "replicated snapshot covers {} vertices but this follower was started with \
-                 n = {n}; restart with the primary's vertex count",
-                labels.len()
-            )));
-        }
-        let spanning: Vec<Update> = labels
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| l as usize != v)
-            .map(|(v, &l)| Update::Insert(v as u32, l))
-            .collect();
-        self.apply_from_stream(epoch, &spanning, "replicated snapshot")
     }
 
     fn apply_from_stream(
@@ -1321,10 +1189,6 @@ impl Client {
         // merges this apply produced fire at the honestly-replicated
         // epoch just reached.
         self.inner.drain_sub_events();
-        if self.inner.cfg.snapshot_every > 0 && epoch.is_multiple_of(self.inner.cfg.snapshot_every)
-        {
-            self.inner.publish_snapshot(epoch);
-        }
         Ok(())
     }
 
@@ -1602,21 +1466,11 @@ impl Client {
         self.inner.epoch.load(Ordering::Acquire)
     }
 
-    /// The most recently published label snapshot (the identity labeling
-    /// at epoch 0 before any snapshot is published). Never blocks
-    /// writers: this only clones an `Arc` under a short pointer lock.
-    pub fn snapshot(&self) -> Arc<LabelSnapshot> {
-        Arc::clone(&self.inner.snapshot.lock())
-    }
-
-    /// Builds and publishes a fresh snapshot of the serving partition
-    /// right now, between batches (it takes the writer lock for the
-    /// label pass). The stamped epoch is a lower bound:
-    /// the labels contain at least every batch up to it. The published
-    /// snapshot's epoch never goes backwards, so a newer periodic
-    /// snapshot is not overwritten by a slower on-demand build.
-    pub fn snapshot_now(&self) -> Arc<LabelSnapshot> {
-        self.inner.publish_snapshot(self.epoch())
+    /// The component label of every vertex, read off the serving
+    /// partition (the sealed one while a rebuild is in flight; quiesce
+    /// first for an exact labeling). Takes no writer lock.
+    pub fn labels(&self) -> Vec<u32> {
+        self.inner.engine.labels_readonly()
     }
 
     /// Whether the service runs with a write-ahead log.
@@ -1636,10 +1490,11 @@ impl Client {
         })
     }
 
-    /// Writes a durable label snapshot at the next batch boundary and
-    /// blocks until it is on disk (the `SNAPSHOT` protocol verb); returns
-    /// the epoch it is keyed by. Recovery from that epoch replays only
-    /// the WAL suffix past it, and fully-covered segments are pruned.
+    /// Writes a durable snapshot of the live edge set at the next batch
+    /// boundary and blocks until it is on disk (the `SNAPSHOT` protocol
+    /// verb); returns the epoch it is keyed by. Never waits for a
+    /// rebuild. Recovery from that epoch replays only the WAL suffix past
+    /// it, and fully-covered segments are pruned.
     pub fn durable_snapshot(&self) -> Result<u64, ServiceError> {
         if !self.wal_enabled() {
             return Err(ServiceError::DurabilityDisabled);
@@ -1802,10 +1657,9 @@ mod tests {
         assert!(c.query_now(10, 11).expect("query"));
         assert!(!c.query_now(1, 10).expect("query"));
         assert_eq!(c.num_components(), 32 - 3);
-        // The initial published snapshot reflects the recovered state.
-        let snap = c.snapshot();
-        assert_eq!(snap.epoch, 3);
-        assert_eq!(snap.num_components, 32 - 3);
+        let labels = c.labels();
+        assert_eq!(labels[1], labels[3]);
+        assert_ne!(labels[1], labels[10]);
         // New traffic continues the epoch sequence durably.
         c.insert(3, 4).expect("insert");
         assert_eq!(c.epoch(), 4);
@@ -1896,6 +1750,78 @@ mod tests {
         };
         assert!(err.contains("n = 8"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Past a snapshot the pruned WAL no longer names any vertex, so a
+        // *larger* n would replay cleanly: the snapshot header rejects it.
+        let dir = tmp_dir("wrong_n_snap");
+        {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            svc.client().insert(0, 1).expect("insert");
+            svc.client().durable_snapshot().expect("snapshot");
+            svc.shutdown();
+        }
+        let err = match Service::start(durable_cfg(32, &dir)) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("recovery with a larger n must fail"),
+        };
+        assert!(err.contains("covers 16 vertices") && err.contains("n = 32"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A forest delete seals a generation whose rebuild is held open; the
+    /// epoch cadence and an explicit `SNAPSHOT` still write snapshots
+    /// (the live edge set is exact while sealed), the WAL still prunes,
+    /// and a restart recovers the oracle's partition.
+    #[test]
+    fn cadence_snapshots_land_while_sealed() {
+        let dir = tmp_dir("sealed_cadence");
+        let durable = |hold: Duration| ServiceConfig {
+            rebuild_hold: hold,
+            durability: Some(DurabilityConfig {
+                fsync: FsyncPolicy::Off,
+                snapshot_every: 4,
+                ..DurabilityConfig::new(&dir)
+            }),
+            ..durable_cfg(16, &dir)
+        };
+        let mut oracle = cc_baselines::DynamicOracle::new(16);
+        let mut svc = Service::start(durable(Duration::from_secs(60))).expect("service");
+        let c = svc.client();
+        let mut submit = |ops: Vec<Update>| {
+            oracle.apply_batch(&ops);
+            c.submit(ops).expect("submit");
+        };
+        submit(vec![Update::Insert(0, 1)]);
+        submit(vec![Update::Delete(0, 1)]); // forest delete: seals
+        for i in 0..12u32 {
+            let mut ops = vec![Update::Insert(2 + i, 3 + i)];
+            if i % 3 == 2 {
+                ops.push(Update::Delete(1 + i, 2 + i)); // live edge, while sealed
+            }
+            submit(ops);
+        }
+        assert_eq!(c.epoch(), 14);
+        assert!(c.generation_info().dirty, "the rebuild is held open");
+        let stats = c.wal_stats().expect("wal stats");
+        assert!(stats.contains(" snap_epoch=12 "), "{stats}");
+        let segments: u64 = stats
+            .split(' ')
+            .find_map(|t| t.strip_prefix("segments="))
+            .and_then(|v| v.parse().ok())
+            .expect("segments token");
+        assert!(segments <= 2, "covered segments were pruned: {stats}");
+        let t0 = Instant::now();
+        assert_eq!(c.durable_snapshot().expect("SNAPSHOT while sealed"), 15);
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        assert!(c.generation_info().dirty, "still sealed");
+        svc.shutdown();
+
+        let mut svc = Service::start(durable(Duration::ZERO)).expect("recovers");
+        let c = svc.client();
+        assert_eq!(c.epoch(), 15);
+        assert!(cc_graph::stats::same_partition(&oracle.labels(), &c.labels()));
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn small_service() -> Service {
@@ -1928,9 +1854,7 @@ mod tests {
         );
         // The replication stream is the only write path; epochs mirror
         // the primary's (here: a snapshot at 3 then batches 4 and 5).
-        let mut labels: Vec<u32> = (0..64).collect();
-        labels[2] = 1; // {1, 2} connected at the snapshot
-        c.apply_replicated_labels(3, &labels).expect("snapshot bootstrap");
+        c.apply_replicated_edge_set(3, &[(1, 2)]).expect("snapshot bootstrap");
         assert_eq!(c.epoch(), 3);
         c.apply_replicated(4, &[(2, 3)]).expect("batch");
         c.apply_replicated(5, &[]).expect("query-only epoch");
@@ -2056,32 +1980,6 @@ mod tests {
         assert_eq!(c.query(4, 5), Err(ServiceError::Closed));
         // Read paths stay alive after shutdown.
         assert!(c.query_now(0, 1).expect("read"));
-    }
-
-    #[test]
-    fn snapshots_are_epoch_versioned() {
-        let mut svc = Service::start(ServiceConfig {
-            n: 16,
-            shards: 2,
-            snapshot_every: 1,
-            batch_max_wait: Duration::from_micros(10),
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
-        let c = svc.client();
-        let s0 = c.snapshot();
-        assert_eq!(s0.epoch, 0);
-        assert_eq!(s0.num_components, 16);
-        c.insert(3, 4).expect("insert");
-        c.insert(4, 5).expect("insert");
-        let s = c.snapshot_now();
-        assert_eq!(s.num_components, 14);
-        assert_eq!(s.labels[3], s.labels[5]);
-        assert!(s.epoch >= 1);
-        // The periodic snapshot advanced with the batches too.
-        let published = c.snapshot();
-        assert!(published.epoch >= 1);
-        svc.shutdown();
     }
 
     #[test]

@@ -1,33 +1,38 @@
-//! Durable, epoch-keyed label snapshots: the analytical-side artifact of
-//! the durability split. A snapshot freezes the whole component labeling
-//! at an epoch boundary so recovery replays only the WAL suffix past it
-//! (and sealed segments below it can be pruned).
+//! Durable, epoch-keyed snapshots of the **live edge set**: the state a
+//! restart (or a follower bootstrap) needs, frozen at an epoch boundary so
+//! recovery replays only the WAL suffix past it (and sealed segments below
+//! it can be pruned). The edge set is exact in every generation state — a
+//! sealed generation freezes only the partition, never the edges — so a
+//! snapshot never waits for a rebuild.
 //!
-//! One file per snapshot, `snap-<epoch>.ccsnap`: the magic `CCSNAP01`
-//! followed by a [`cc_graph::io::binary`] record whose payload is
-//! [`cc_graph::io::binary::encode_labels`] — `(epoch, labels)` — and,
-//! since the generation engine made deletions first-class, a second
-//! record holding the **live edge set** at the same epoch
-//! ([`cc_graph::io::binary::encode_edge_batch`]). Labels alone cannot
-//! classify a later retraction (they forget which edges witnessed the
-//! partition), so a deletion-capable recovery replays the edge set;
-//! legacy single-record files still load (`edges: None`) and remain
-//! sound for insert-only histories. Files are
-//! written to a `.tmp` sibling, fsynced, then renamed, so a crash
-//! mid-write never leaves a plausible-but-partial snapshot under the real
-//! name; stray `.tmp` files are ignored (and cleaned) by the loader.
-//! Loading walks epochs downward and skips undecodable files, so a
-//! corrupt latest snapshot degrades to the previous one plus a longer WAL
-//! replay, never to a wrong labeling.
+//! One file per snapshot, `snap-<epoch>.ccsnap`: the magic `CCSNAP02`,
+//! then two [`cc_graph::io::binary`] records — a 16-byte header
+//! `(epoch u64 LE, n u64 LE)` and the edge set as
+//! [`cc_graph::io::binary::encode_edge_batch`] `(epoch, edges)`. The
+//! reader also accepts a `CCSNAP01` file whose first record is the old
+//! `(epoch, n, labels)` array (its leading 16 bytes are the same header;
+//! the labels are length-checked and dropped) followed by the edge record;
+//! a label-only `CCSNAP01` file predates deletions, cannot say which edges
+//! are live, and is rejected as corrupt. Files are written to a `.tmp`
+//! sibling, fsynced, then renamed, so a crash mid-write never leaves a
+//! plausible-but-partial snapshot under the real name; stray `.tmp` files
+//! are ignored (and cleaned) by the loader. Loading walks epochs downward
+//! and skips undecodable files, so a corrupt latest snapshot degrades to
+//! the previous one plus a longer WAL replay, never to a wrong state.
 
 use crate::wal::WalError;
-use cc_graph::io::binary;
+use cc_graph::io::binary::{self, CodecError};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of every snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCSNAP01";
+/// Magic prefix of every snapshot file this build writes.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCSNAP02";
+
+/// Magic prefix of the previous format (a label array before the edge
+/// record). Read-only: accepted when it carries an edge record, never
+/// written.
+pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"CCSNAP01";
 
 /// The snapshot file name for an epoch.
 pub fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -41,27 +46,26 @@ fn parse_snapshot_epoch(name: &str) -> Option<u64> {
 /// A snapshot recovered from disk.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
-    /// The epoch the labeling was frozen at.
+    /// The epoch the edge set was frozen at.
     pub epoch: u64,
-    /// Component label per vertex at that epoch.
-    pub labels: Vec<u32>,
-    /// The live edge set at that epoch; `None` for legacy label-only
-    /// snapshot files (sound only over insert-only histories).
-    pub edges: Option<Vec<(u32, u32)>>,
+    /// The vertex count of the service that wrote it.
+    pub n: usize,
+    /// The live edge set at that epoch.
+    pub edges: Vec<(u32, u32)>,
     /// Newer snapshot files that failed to decode and were skipped (a
     /// non-zero count means recovery fell back and will replay more WAL).
     pub skipped_corrupt: usize,
 }
 
-/// Atomically writes the labeling at `epoch` into `dir`; returns the
-/// final path. The directory itself is fsynced after the rename: the
-/// caller prunes the previous snapshot and covered WAL segments next,
-/// and a machine crash must never journal those unlinks without the
-/// rename that justified them.
+/// Atomically writes the live edge set of an `n`-vertex service at
+/// `epoch` into `dir`; returns the final path. The directory itself is
+/// fsynced after the rename: the caller prunes the previous snapshot and
+/// covered WAL segments next, and a machine crash must never journal
+/// those unlinks without the rename that justified them.
 pub fn write_snapshot(
     dir: &Path,
     epoch: u64,
-    labels: &[u32],
+    n: usize,
     edges: &[(u32, u32)],
 ) -> std::io::Result<PathBuf> {
     let final_path = snapshot_path(dir, epoch);
@@ -69,7 +73,9 @@ pub fn write_snapshot(
     {
         let mut w = BufWriter::new(File::create(&tmp_path)?);
         binary::write_magic(&mut w, SNAPSHOT_MAGIC)?;
-        binary::append_record(&mut w, &binary::encode_labels(epoch, labels))?;
+        let mut header = epoch.to_le_bytes().to_vec();
+        header.extend_from_slice(&(n as u64).to_le_bytes());
+        binary::append_record(&mut w, &header)?;
         binary::append_record(&mut w, &binary::encode_edge_batch(epoch, edges))?;
         w.flush()?;
         w.get_ref().sync_data()?;
@@ -79,40 +85,45 @@ pub fn write_snapshot(
     Ok(final_path)
 }
 
-/// Reads and fully validates one snapshot file: the labels record plus,
-/// in the deletion-capable format, the live edge set frozen at the same
-/// epoch (`None` when reading a legacy label-only file).
-#[allow(clippy::type_complexity)]
-pub fn read_snapshot(path: &Path) -> Result<(u64, Vec<u32>, Option<Vec<(u32, u32)>>), WalError> {
-    let codec = |source: binary::CodecError| WalError::Codec { path: path.to_path_buf(), source };
+/// Reads and fully validates one snapshot file (`skipped_corrupt` is 0).
+pub fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, WalError> {
+    let codec = |source: CodecError| WalError::Codec { path: path.to_path_buf(), source };
+    let corrupt = |detail: String| WalError::Corrupt { path: path.to_path_buf(), detail };
     let file =
         File::open(path).map_err(|e| WalError::Io { path: path.to_path_buf(), source: e })?;
     let mut reader = BufReader::new(file);
-    binary::read_magic(&mut reader, SNAPSHOT_MAGIC).map_err(codec)?;
-    let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
-    let payload = records.next().map_err(codec)?.ok_or_else(|| WalError::Corrupt {
-        path: path.to_path_buf(),
-        detail: "snapshot has no record".into(),
-    })?;
-    let (epoch, labels) =
-        binary::decode_labels(&payload, binary::MAGIC_LEN as u64).map_err(codec)?;
-    let edges = match records.next().map_err(codec)? {
-        None => None,
-        Some(payload) => {
-            let at = records.offset();
-            let (edge_epoch, edges) = binary::decode_edge_batch(&payload, at).map_err(codec)?;
-            if edge_epoch != epoch {
-                return Err(WalError::Corrupt {
-                    path: path.to_path_buf(),
-                    detail: format!(
-                        "snapshot labels frozen at epoch {epoch} but edge set at {edge_epoch}"
-                    ),
-                });
-            }
-            Some(edges)
-        }
+    let v1 = match binary::read_magic(&mut reader, SNAPSHOT_MAGIC) {
+        Ok(()) => false,
+        Err(CodecError::BadMagic { found, .. }) if found.as_slice() == SNAPSHOT_MAGIC_V1 => true,
+        Err(e) => return Err(codec(e)),
     };
-    Ok((epoch, labels, edges))
+    let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
+    let header =
+        records.next().map_err(codec)?.ok_or_else(|| corrupt("no header record".into()))?;
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let (epoch, n) = header.get(..16).map_or((0, usize::MAX), |h| {
+        (le(&h[..8]), usize::try_from(le(&h[8..])).unwrap_or(usize::MAX))
+    });
+    // v2 is exactly `(epoch, n)`; v1 has the same 16 bytes, then `n` labels.
+    let want = if v1 { n.saturating_mul(4).saturating_add(16) } else { 16 };
+    if header.len() != want {
+        return Err(corrupt(format!("snapshot header of {} bytes, expected {want}", header.len())));
+    }
+    let at = records.offset();
+    let Some(payload) = records.next().map_err(codec)? else {
+        return Err(corrupt(if v1 {
+            "label-only CCSNAP01 snapshot (the pre-deletion format) has no edge set".into()
+        } else {
+            "snapshot has no edge record".into()
+        }));
+    };
+    let (edge_epoch, edges) = binary::decode_edge_batch(&payload, at).map_err(codec)?;
+    if edge_epoch != epoch {
+        return Err(corrupt(format!(
+            "snapshot header frozen at epoch {epoch} but edge set at {edge_epoch}"
+        )));
+    }
+    Ok(LoadedSnapshot { epoch, n, edges, skipped_corrupt: 0 })
 }
 
 /// Loads the newest decodable snapshot in `dir` (`Ok(None)` if there is
@@ -148,10 +159,10 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedSnapshot>, WalError> {
     for &epoch in epochs.iter().rev() {
         let path = snapshot_path(dir, epoch);
         match read_snapshot(&path) {
-            Ok((stored_epoch, labels, edges)) if stored_epoch == epoch => {
-                return Ok(Some(LoadedSnapshot { epoch, labels, edges, skipped_corrupt }));
+            Ok(snap) if snap.epoch == epoch => {
+                return Ok(Some(LoadedSnapshot { skipped_corrupt, ..snap }));
             }
-            Ok((stored_epoch, ..)) => {
+            Ok(LoadedSnapshot { epoch: stored_epoch, .. }) => {
                 skipped_corrupt += 1;
                 last_err = Some(WalError::Corrupt {
                     path,
@@ -200,50 +211,58 @@ mod tests {
         crate::scratch_dir(&format!("snap_{tag}"))
     }
 
+    /// Hand-writes a snapshot file: `magic`, then each payload as a record.
+    fn write_raw(path: &Path, magic: &[u8; 8], records: &[Vec<u8>]) {
+        let mut w = BufWriter::new(File::create(path).expect("create"));
+        binary::write_magic(&mut w, magic).expect("magic");
+        for r in records {
+            binary::append_record(&mut w, r).expect("record");
+        }
+        w.flush().expect("flush");
+    }
+
     #[test]
     fn write_load_roundtrip_prefers_newest() {
         let dir = tmp_dir("roundtrip");
-        let old: Vec<u32> = (0..10).collect();
-        let new: Vec<u32> = vec![0; 10];
-        write_snapshot(&dir, 3, &old, &[]).expect("write");
-        write_snapshot(&dir, 8, &new, &[(0, 1), (1, 2)]).expect("write");
+        write_snapshot(&dir, 3, 10, &[]).expect("write");
+        write_snapshot(&dir, 8, 10, &[(0, 1), (1, 2)]).expect("write");
         let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!(snap.epoch, 8);
-        assert_eq!(snap.labels, new);
-        assert_eq!(snap.edges, Some(vec![(0, 1), (1, 2)]));
+        assert_eq!((snap.epoch, snap.n), (8, 10));
+        assert_eq!(snap.edges, vec![(0, 1), (1, 2)]);
         assert_eq!(snap.skipped_corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_label_only_snapshots_still_load() {
-        use std::io::Write as _;
-        let dir = tmp_dir("legacy");
-        // Hand-write the pre-deletion single-record format.
-        let path = snapshot_path(&dir, 4);
-        let mut w = std::io::BufWriter::new(File::create(&path).expect("create"));
-        binary::write_magic(&mut w, SNAPSHOT_MAGIC).expect("magic");
-        binary::append_record(&mut w, &binary::encode_labels(4, &[0, 0, 2])).expect("record");
-        w.flush().expect("flush");
-        drop(w);
+    fn v1_file_with_an_edge_record_loads() {
+        let dir = tmp_dir("v1edges");
+        let labels = binary::encode_labels(4, &[0, 0, 2]);
+        let edges = binary::encode_edge_batch(4, &[(0, 1)]);
+        write_raw(&snapshot_path(&dir, 4), SNAPSHOT_MAGIC_V1, &[labels, edges]);
         let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!(snap.epoch, 4);
-        assert_eq!(snap.labels, vec![0, 0, 2]);
-        assert_eq!(snap.edges, None, "legacy files report no edge set");
+        assert_eq!((snap.epoch, snap.n), (4, 3));
+        assert_eq!(snap.edges, vec![(0, 1)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_label_only_file_is_a_typed_corrupt_error() {
+        let dir = tmp_dir("v1labels");
+        let path = snapshot_path(&dir, 4);
+        write_raw(&path, SNAPSHOT_MAGIC_V1, &[binary::encode_labels(4, &[0, 0, 2])]);
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("label-only CCSNAP01"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_edge_record_epoch_is_corrupt() {
-        use std::io::Write as _;
         let dir = tmp_dir("mismatch");
         let path = snapshot_path(&dir, 6);
-        let mut w = std::io::BufWriter::new(File::create(&path).expect("create"));
-        binary::write_magic(&mut w, SNAPSHOT_MAGIC).expect("magic");
-        binary::append_record(&mut w, &binary::encode_labels(6, &[0, 0])).expect("labels");
-        binary::append_record(&mut w, &binary::encode_edge_batch(5, &[(0, 1)])).expect("edges");
-        w.flush().expect("flush");
-        drop(w);
+        let mut header = 6u64.to_le_bytes().to_vec();
+        header.extend_from_slice(&2u64.to_le_bytes());
+        write_raw(&path, SNAPSHOT_MAGIC, &[header, binary::encode_edge_batch(5, &[(0, 1)])]);
         let err = read_snapshot(&path).unwrap_err();
         assert!(err.to_string().contains("edge set at 5"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -252,9 +271,8 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_older() {
         let dir = tmp_dir("fallback");
-        let good: Vec<u32> = (0..6).collect();
-        write_snapshot(&dir, 2, &good, &[]).expect("write");
-        write_snapshot(&dir, 5, &[9; 6], &[]).expect("write");
+        write_snapshot(&dir, 2, 6, &[(0, 1)]).expect("write");
+        write_snapshot(&dir, 5, 6, &[(2, 3)]).expect("write");
         // Flip a byte in the newest snapshot's payload.
         let newest = snapshot_path(&dir, 5);
         let mut bytes = std::fs::read(&newest).expect("read");
@@ -263,7 +281,7 @@ mod tests {
         std::fs::write(&newest, &bytes).expect("write");
         let snap = load_latest(&dir).expect("load").expect("some");
         assert_eq!(snap.epoch, 2);
-        assert_eq!(snap.labels, good);
+        assert_eq!(snap.edges, vec![(0, 1)]);
         assert_eq!(snap.skipped_corrupt, 1);
         // Direct reads of the corrupt file surface typed context.
         let err = read_snapshot(&newest).unwrap_err();
@@ -274,7 +292,7 @@ mod tests {
     #[test]
     fn all_snapshots_corrupt_is_a_hard_error_not_fresh_start() {
         let dir = tmp_dir("allcorrupt");
-        write_snapshot(&dir, 7, &[0, 0, 2], &[]).expect("write");
+        write_snapshot(&dir, 7, 3, &[(0, 1)]).expect("write");
         let path = snapshot_path(&dir, 7);
         let mut bytes = std::fs::read(&path).expect("read");
         let last = bytes.len() - 1;
@@ -313,7 +331,7 @@ mod tests {
     fn prune_drops_only_older() {
         let dir = tmp_dir("prune");
         for e in [1u64, 4, 9] {
-            write_snapshot(&dir, e, &[0, 1], &[]).expect("write");
+            write_snapshot(&dir, e, 2, &[]).expect("write");
         }
         prune_older_than(&dir, 9);
         assert!(!snapshot_path(&dir, 1).exists());

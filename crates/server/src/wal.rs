@@ -318,7 +318,7 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Fsync discipline for the log.
     pub fsync: FsyncPolicy,
-    /// Write a durable label snapshot every this many epochs (0 = only on
+    /// Write a durable edge-set snapshot every this many epochs (0 = only on
     /// explicit `SNAPSHOT` requests). Snapshots bound recovery replay to
     /// the WAL suffix past the snapshot epoch and let older segments be
     /// pruned.

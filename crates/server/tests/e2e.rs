@@ -220,7 +220,6 @@ fn snapshot_matches_oracle_after_quiescence() {
     let mut svc = Service::start(ServiceConfig {
         n,
         shards: 3,
-        snapshot_every: 1,
         batch_max_wait: Duration::from_micros(10),
         ..ServiceConfig::default()
     })
@@ -236,9 +235,9 @@ fn snapshot_matches_oracle_after_quiescence() {
         batch.push(Update::Insert(u, v));
     }
     client.submit(batch).expect("submit");
-    let snap = client.snapshot_now();
-    assert!(cc_graph::stats::same_partition(&oracle.labels(), &snap.labels));
-    assert_eq!(snap.num_components, oracle.num_components());
+    let labels = client.labels();
+    assert!(cc_graph::stats::same_partition(&oracle.labels(), &labels));
+    assert_eq!(cc_graph::stats::count_distinct_labels(&labels), oracle.num_components());
     assert_eq!(client.num_components(), oracle.num_components());
     svc.shutdown();
 }

@@ -208,20 +208,15 @@ fn a_doomed_rebuild_attempt_is_counted_not_committed() {
     svc.shutdown();
 }
 
-/// The `connectit_components` gauge must move at merge/commit time, not
-/// only at snapshot publish. This service runs with `snapshot_every: 0`
-/// — label snapshots are never published — so before the analytics
-/// plane took over the gauge it would have sat frozen at `n` forever;
-/// now every connecting insert and every rebuild commit refreshes it.
+/// The `connectit_components` gauge must move at merge/commit time: no
+/// snapshot is ever written here, and every connecting insert and every
+/// rebuild commit refreshes the gauge.
 #[test]
 fn components_gauge_is_live_between_snapshots() {
     let mut svc = Service::start(ServiceConfig {
         n: 64,
         shards: 2,
         batch_max_wait: Duration::from_micros(20),
-        // Deliberately no snapshot cadence: the old code path (gauge set
-        // only inside publish_snapshot) would never run here.
-        snapshot_every: 0,
         ..ServiceConfig::default()
     })
     .expect("service");

@@ -112,9 +112,8 @@ proptest! {
         }
         // Whole-partition sweep: labeling and component count.
         client.quiesce(QUIESCE).expect("final quiesce");
-        let snap = client.snapshot_now();
         prop_assert!(
-            same_partition(&oracle.labels(), &snap.labels),
+            same_partition(&oracle.labels(), &client.labels()),
             "final partition diverged from the dynamic oracle"
         );
         let oracle_components = {
