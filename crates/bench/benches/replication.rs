@@ -245,14 +245,15 @@ fn main() {
     // Phase B: the replication topology. The stream crosses real TCP.
     let dir_b = tmp_dir("topology");
     let mut primary = Service::start(primary_config(shape.n, &dir_b)).expect("primary");
-    let mut hub = serve_replication(&dir_b, "127.0.0.1:0").expect("hub");
+    let mut hub =
+        serve_replication(&dir_b, "127.0.0.1:0", primary.client().observability()).expect("hub");
     let addr = hub.local_addr().to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut follower_svcs = Vec::new();
     let mut receivers = Vec::new();
     for _ in 0..FOLLOWERS {
         let f = follower_service(shape.n);
-        let (h, _) =
+        let h =
             run_follower(f.client(), addr.clone(), Arc::clone(&shutdown)).expect("receiver starts");
         follower_svcs.push(f);
         receivers.push(h);
@@ -268,8 +269,7 @@ fn main() {
     let mut old = follower_svcs.remove(0);
     old.shutdown();
     let fresh = follower_service(shape.n);
-    let (h, _) =
-        run_follower(fresh.client(), addr, Arc::clone(&shutdown)).expect("receiver starts");
+    let h = run_follower(fresh.client(), addr, Arc::clone(&shutdown)).expect("receiver starts");
     receivers.push(h);
     let target = primary.client().epoch();
     let restart_converged = fresh
@@ -278,6 +278,11 @@ fn main() {
         .map(|reached| reached >= target)
         .unwrap_or(false);
     assert!(restart_converged, "a fresh follower must reconverge to epoch {target}");
+    // Both ends count the stream in their own registries.
+    let (shipped, fresh_metrics) =
+        (primary.client().observability(), fresh.client().observability());
+    assert!(shipped.metrics.repl_records_shipped_total.get() > 0, "the hub shipped records");
+    assert!(fresh_metrics.metrics.repl_connects_total.get() >= 1, "the fresh follower connected");
 
     shutdown.store(true, std::sync::atomic::Ordering::Release);
     for h in receivers {

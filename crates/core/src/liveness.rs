@@ -211,6 +211,13 @@ impl LivenessTracker {
         DeleteClass::Forest
     }
 
+    /// Marks the forest and partition stale without a deletion — the state
+    /// a [`DeleteClass::Forest`] removal leaves — so replayed history
+    /// reaches the live set only, until a [`Self::rebuild`] is adopted.
+    pub fn freeze(&mut self) {
+        self.stale = true;
+    }
+
     /// The rebuild primitive: one union-find pass over `edges` (a snapshot
     /// of [`Self::edge_list`]) on `n` vertices. An edge whose `unite`
     /// succeeds is a forest edge, so partition and forest fall out of

@@ -143,9 +143,13 @@ pub mod binary {
     /// garbage length prefixes as multi-gigabyte allocations).
     pub const MAX_PAYLOAD: u32 = 1 << 30;
 
-    /// IEEE CRC-32 lookup table, built at compile time.
-    const CRC_TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    /// IEEE CRC-32 lookup tables for slicing-by-8, built at compile time:
+    /// `CRC_TABLES[0]` is the byte-at-a-time table, and `CRC_TABLES[k]`
+    /// advances a byte through `k` further zero bytes, so eight bytes fold
+    /// in per step. Every record is checksummed once when it is written and
+    /// again each time recovery or a replication sender reads it.
+    const CRC_TABLES: [[u32; 256]; 8] = {
+        let mut t = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -154,17 +158,39 @@ pub mod binary {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
                 k += 1;
             }
-            table[i] = c;
+            t[0][i] = c;
             i += 1;
         }
-        table
+        let mut i = 0;
+        while i < 256 {
+            let mut k = 1;
+            while k < 8 {
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][(t[k - 1][i] & 0xFF) as usize];
+                k += 1;
+            }
+            i += 1;
+        }
+        t
     };
 
     /// IEEE CRC-32 of `bytes` (the checksum every record frame carries).
     pub fn crc32(bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
         let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         !c
     }
@@ -797,6 +823,23 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(binary::crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(binary::crc32(b""), 0);
+        // Slicing-by-8 agrees with the bitwise definition across every
+        // split into whole words and a remainder.
+        let bitwise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+            }
+            !c
+        };
+        let bytes: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in 0..bytes.len() {
+            assert_eq!(binary::crc32(&bytes[..len]), bitwise(&bytes[..len]), "len {len}");
+        }
     }
 
     #[test]

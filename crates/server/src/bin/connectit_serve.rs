@@ -37,8 +37,7 @@
 //! sends `SHUTDOWN`, then prints final stats and exits.
 
 use cc_server::{
-    serve_replication_observed, serve_with, DurabilityConfig, NetConfig, Role, Service,
-    ServiceConfig,
+    serve_replication, serve_with, DurabilityConfig, NetConfig, Role, Service, ServiceConfig,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -229,11 +228,7 @@ fn main() -> ExitCode {
     let mut hub = None;
     if let Some(rport) = opts.replication_port {
         let dir = opts.wal_dir.as_deref().expect("checked in parse_args");
-        match serve_replication_observed(
-            dir,
-            (opts.bind.as_str(), rport),
-            Some(client.observability()),
-        ) {
+        match serve_replication(dir, (opts.bind.as_str(), rport), client.observability()) {
             Ok(h) => hub = Some(h),
             Err(e) => {
                 eprintln!("connectit-serve: replication bind failed: {e}");
@@ -246,7 +241,7 @@ fn main() -> ExitCode {
     let mut receiver = None;
     if let Some(primary) = &opts.replicate_from {
         match cc_server::run_follower(client.clone(), primary.clone(), Arc::clone(&repl_shutdown)) {
-            Ok((h, _counters)) => receiver = Some(h),
+            Ok(h) => receiver = Some(h),
             Err(e) => {
                 eprintln!("connectit-serve: replication receiver failed to start: {e}");
                 return ExitCode::FAILURE;

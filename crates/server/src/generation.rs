@@ -41,6 +41,14 @@
 //! `View` of the serving partition under a short pointer lock and query
 //! it lock-free ([`SizedUnionFind::same_set`], the paper's Type (i)
 //! read).
+//!
+//! Replaying history is a third state, *behind*
+//! ([`GenerationEngine::fall_behind`], entered at recovery and at every
+//! follower (re)connect): the tracker freezes as a forest delete would
+//! leave it, the view seals, and every batch feeds the live edge set only
+//! — no `pending`, no `retracted`, the rebuild worker held — until
+//! [`GenerationEngine::catch_up`] runs one rebuild pass and installs it
+//! under the same generation number (DESIGN.md §7).
 
 use crate::analytics::{Analytics, AnalyticsView};
 use crate::obs::{Event, Obs};
@@ -125,6 +133,12 @@ struct WriteState {
     /// flight computes over a dead edge and must be discarded.
     retracted: Vec<u64>,
     dirty: bool,
+    /// Replaying history (see the module docs); implies `dirty`.
+    behind: bool,
+    /// Bumped by every fall behind: a rebuild attempt begun under an older
+    /// lineage built from a tracker the catch-up has since replaced, so it
+    /// is discarded and its snapshot never reused.
+    lineage: u64,
     generation: u64,
     counters: GenCounters,
     /// The analytics plane's aggregates over `tracker`'s partition: every
@@ -144,10 +158,19 @@ impl WriteState {
         self.analytics.fold(m);
         self.subs.on_merge(self.tracker.partition(), m, self.generation);
     }
+
+    /// Whether the rebuild worker has work: a dirty window it may build.
+    fn rebuild_owed(&self) -> bool {
+        self.dirty && !self.behind
+    }
 }
 
 /// An edge list, as the tracker snapshots it and writers queue it.
 type Edges = Vec<(u32, u32)>;
+
+/// The rebuild worker's live-edge snapshot, with the lineage it was taken
+/// under.
+type Snapshot = Option<(u64, Edges)>;
 
 /// A generation built outside the writer lock, ready to be swapped in.
 struct NextGeneration {
@@ -186,18 +209,26 @@ struct Shared {
 impl Shared {
     /// Marks the engine dirty and republishes the (now stale, hence
     /// frozen) partition as the sealed generation — O(1), nothing is
-    /// copied; the rebuild worker takes it from here.
-    fn seal(&self, st: &mut WriteState) {
-        debug_assert!(st.retracted.is_empty(), "edges are only retracted while dirty");
-        debug_assert!(st.tracker.is_stale(), "only a forest delete seals");
+    /// copied.
+    fn seal_view(&self, st: &mut WriteState) {
         st.dirty = true;
         *self.view.lock() = View::of(st);
         // Freeze the analytics view at the seal-time partition; deltas
         // are suspended until the commit swaps in a recomputed plane.
         self.publish_analytics_locked(st, true);
         if let Some(o) = &self.obs {
-            o.metrics.rebuilds_sealed_total.inc();
             o.metrics.gen_dirty.set(1);
+        }
+    }
+
+    /// A forest delete seals the generation; the rebuild worker takes it
+    /// from here.
+    fn seal(&self, st: &mut WriteState) {
+        debug_assert!(st.retracted.is_empty(), "edges are only retracted while dirty");
+        debug_assert!(st.tracker.is_stale(), "only a forest delete seals");
+        self.seal_view(st);
+        if let Some(o) = &self.obs {
+            o.metrics.rebuilds_sealed_total.inc();
             o.recorder.record(Event::RebuildSealed { generation: st.generation });
         }
         self.cv.notify_all();
@@ -218,14 +249,14 @@ impl Shared {
     /// Opens a rebuild attempt (caller holds `mx`): the first of a dirty
     /// window takes the live-edge snapshot, a retry returns what was
     /// retracted since, for [`Self::build_generation`] to strike from it.
-    fn begin_attempt(&self, st: &mut WriteState, snapshot: &mut Option<Edges>) -> Vec<u64> {
+    fn begin_attempt(&self, st: &mut WriteState, snapshot: &mut Snapshot) -> Vec<u64> {
         self.doomed.store(false, Ordering::Relaxed);
         let retracted = std::mem::take(&mut st.retracted);
-        if snapshot.is_some() {
+        if matches!(snapshot, Some((lineage, _)) if *lineage == st.lineage) {
             return retracted;
         }
         // The live set already lacks whatever was retracted so far.
-        *snapshot = Some(st.tracker.edge_list());
+        *snapshot = Some((st.lineage, st.tracker.edge_list()));
         Vec::new()
     }
 
@@ -242,7 +273,13 @@ impl Shared {
         let keep_going =
             || !self.doomed.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Acquire);
         let rebuilt = LivenessTracker::rebuild(self.n, edges, keep_going)?;
-        let analytics = Analytics::from_partition(rebuilt.partition());
+        // With nothing live every vertex is a singleton: no root scan (a
+        // fresh service's start catches up over an empty log).
+        let analytics = if edges.is_empty() {
+            Analytics::fresh(self.n)
+        } else {
+            Analytics::from_partition(rebuilt.partition())
+        };
         Some(NextGeneration { rebuilt, analytics })
     }
 
@@ -271,17 +308,20 @@ impl Shared {
         drained.len() as u64
     }
 
-    /// Closes a rebuild attempt (caller holds `mx`): commits `next` as the
-    /// new generation, or, if an edge was retracted since the attempt
-    /// began, discards it (`false`); `pending` stays for the next one.
+    /// Closes a rebuild attempt begun under `lineage` (caller holds `mx`):
+    /// commits `next` as the new generation, or, if an edge was retracted
+    /// or the engine fell behind since the attempt began, discards it
+    /// (`false`); `pending` stays for the next one.
     fn finish_attempt(
         &self,
         st: &mut WriteState,
         next: Option<NextGeneration>,
+        lineage: u64,
         build_start: Instant,
     ) -> bool {
         let held = Instant::now();
-        let Some(next) = next.filter(|_| st.retracted.is_empty()) else {
+        let fresh = st.retracted.is_empty() && st.lineage == lineage;
+        let Some(next) = next.filter(|_| fresh) else {
             if let Some(o) = &self.obs {
                 o.metrics.rebuilds_discarded_total.inc();
             }
@@ -310,7 +350,7 @@ impl Shared {
 /// The background rebuild loop (one dedicated thread per service).
 fn run_rebuilder(shared: &Arc<Shared>) {
     // The live-edge snapshot of the dirty window being rebuilt.
-    let mut snapshot: Option<Edges> = None;
+    let mut snapshot: Snapshot = None;
     loop {
         let retracted;
         {
@@ -319,7 +359,7 @@ fn run_rebuilder(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if st.dirty {
+                if st.rebuild_owed() {
                     break;
                 }
                 shared.cv.wait(&mut st);
@@ -335,13 +375,14 @@ fn run_rebuilder(shared: &Arc<Shared>) {
             std::thread::sleep(left.min(Duration::from_millis(10)));
         }
         let build_start = Instant::now();
-        let edges = snapshot.as_mut().expect("begin_attempt took the snapshot");
+        let (lineage, edges) = snapshot.as_mut().expect("begin_attempt took the snapshot");
+        let lineage = *lineage;
         let next = shared.build_generation(edges, &retracted);
         let mut st = shared.mx.lock();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if shared.finish_attempt(&mut st, next, build_start) {
+        if shared.finish_attempt(&mut st, next, lineage, build_start) {
             snapshot = None;
         }
     }
@@ -377,6 +418,8 @@ impl GenerationEngine {
             pending: Vec::new(),
             retracted: Vec::new(),
             dirty: false,
+            behind: false,
+            lineage: 0,
             generation: 0,
             counters: GenCounters::default(),
             analytics: Analytics::fresh(n),
@@ -415,7 +458,9 @@ impl GenerationEngine {
     /// Applies a mixed insert/delete/query batch in program order;
     /// returns query answers in order of appearance. While dirty,
     /// inserts accumulate for the next generation and queries answer
-    /// from the sealed one.
+    /// from the sealed one. While behind, the batch is replayed into the
+    /// live edge set and answers nothing (a logged batch holds no
+    /// queries).
     pub fn process_batch(&self, batch: &[Update]) -> Vec<bool> {
         self.process_batch_tagged(batch).into_iter().map(|(a, _)| a).collect()
     }
@@ -442,6 +487,22 @@ impl GenerationEngine {
         batch: &[Update],
         answers: &mut Vec<(bool, Option<u64>)>,
     ) {
+        if st.behind {
+            // The frozen tracker unites nothing: `catch_up` materializes
+            // the partition once, however many forest deletes replay.
+            for &op in batch {
+                match op {
+                    Update::Insert(u, v) => {
+                        st.tracker.insert(u, v);
+                    }
+                    Update::Delete(u, v) => {
+                        st.tracker.delete(u, v);
+                    }
+                    Update::Query(..) => {}
+                }
+            }
+            return;
+        }
         for &op in batch {
             match op {
                 Update::Insert(u, v) => {
@@ -635,65 +696,65 @@ impl GenerationEngine {
         self.shared.mx.lock().tracker.edge_list()
     }
 
-    /// Recovery: feeds one replayed WAL batch into the tracker (queries
-    /// are skipped; classification counters stay at zero — they are
-    /// live-traffic telemetry) without sealing anything. The partition is
-    /// materialized once at [`Self::finish_recovery`], so a
-    /// deletion-bearing history costs one rebuild total, not one per
-    /// forest delete.
-    pub fn recover_ops(&self, ops: &[Update]) {
-        let mut st = self.shared.mx.lock();
-        for &op in ops {
-            match op {
-                Update::Insert(u, v) => {
-                    st.tracker.insert(u, v);
-                }
-                Update::Delete(u, v) => {
-                    st.tracker.delete(u, v);
-                }
-                Update::Query(..) => {}
-            }
-        }
-    }
-
-    /// Recovery: feeds a durable snapshot's live edge set into the
-    /// tracker (the edge multiset *is* the state — labels follow from
-    /// it at [`Self::finish_recovery`]).
-    pub fn recover_edges(&self, edges: &[(u32, u32)]) {
-        let mut st = self.shared.mx.lock();
-        for &(u, v) in edges {
-            st.tracker.insert(u, v);
-        }
-    }
-
-    /// Finishes recovery: materializes generation 0 from the recovered
-    /// edge set (the one-pass rebuild a forest deletion runs — once,
-    /// however many deletions the history held) and leaves the engine
-    /// clean. Recovered durable subscriptions arm against its labels: a
-    /// pair the history connected fires at the first post-recovery drain
-    /// (a possible duplicate of a pre-crash delivery, which the sequence
-    /// numbers let clients absorb), and component subscriptions observe
-    /// the restart's identity reset.
-    pub fn finish_recovery(&self) {
-        let mut edges = { self.shared.mx.lock().tracker.edge_list() };
-        if edges.is_empty() {
-            // Nothing survived: the untouched aggregates are right, and so
-            // is a fresh tracker (the recovered one may be stale, and
-            // replay united in its partition), which the views must
-            // follow. Cheaper than a rebuild of nothing.
-            let st = &mut *self.shared.mx.lock();
-            st.tracker = LivenessTracker::new(self.shared.n);
-            *self.shared.view.lock() = View::of(st);
-            st.subs.on_commit(st.tracker.partition(), st.generation, None);
-            self.shared.publish_analytics_locked(st, false);
+    /// Enters the *behind* state (recovery start, every follower
+    /// (re)connect): the tracker freezes — the stale state a forest delete
+    /// leaves — and the view seals in O(1). Until [`Self::catch_up`] every
+    /// batch feeds the live edge set only: no `pending`, no `retracted`,
+    /// no classification counters (they are live-traffic telemetry), and
+    /// the rebuild worker is held. An attempt in flight is discarded.
+    /// Idempotent.
+    pub fn fall_behind(&self) {
+        let st = &mut *self.shared.mx.lock();
+        if st.behind {
             return;
         }
-        let next = self
-            .shared
-            .build_generation(&mut edges, &[])
-            .expect("nothing retracts edges or shuts down during recovery");
-        let mut st = self.shared.mx.lock();
-        self.shared.install(&mut st, next, None);
+        st.behind = true;
+        st.lineage += 1;
+        st.tracker.freeze();
+        // Both lists name edges the tracker's live set already decides.
+        st.pending.clear();
+        st.retracted.clear();
+        self.shared.doomed.store(true, Ordering::Relaxed);
+        if !st.dirty {
+            self.shared.seal_view(st);
+        }
+    }
+
+    /// Whether the engine is replaying history (see [`Self::fall_behind`]).
+    pub fn is_behind(&self) -> bool {
+        self.shared.mx.lock().behind
+    }
+
+    /// Leaves the *behind* state: one rebuild pass over the live edge set
+    /// (the pass a forest deletion runs — once, however many deletions
+    /// the replay held), installed under the current generation number
+    /// and not counted as a rebuild. Recovered durable subscriptions arm
+    /// against it: a pair the history connected fires at the next drain
+    /// (a possible duplicate of a pre-crash delivery, which the sequence
+    /// numbers let clients absorb), and component subscriptions observe
+    /// the identity reset. The caller applies nothing concurrently; a
+    /// no-op when not behind.
+    pub fn catch_up(&self) {
+        let mut edges = {
+            let st = self.shared.mx.lock();
+            if !st.behind {
+                return;
+            }
+            st.tracker.edge_list()
+        };
+        // Only live deletes doom, and none run while behind.
+        self.shared.doomed.store(false, Ordering::Relaxed);
+        let Some(next) = self.shared.build_generation(&mut edges, &[]) else {
+            return; // shutting down
+        };
+        let st = &mut *self.shared.mx.lock();
+        st.behind = false;
+        st.dirty = false;
+        self.shared.install(st, next, None);
+        if let Some(o) = &self.shared.obs {
+            o.metrics.gen_dirty.set(0);
+        }
+        self.shared.cv.notify_all();
     }
 
     /// Publishes the analytics view at batch epoch `epoch` (a
@@ -740,9 +801,9 @@ impl GenerationEngine {
     }
 
     /// Recovery replay of a WAL `'S'` register record: the entry is
-    /// stored but its trigger stays unarmed until
-    /// [`Self::finish_recovery`] evaluates it against the materialized
-    /// partition (so replay order versus batch records cannot matter).
+    /// stored but its trigger stays unarmed until [`Self::catch_up`]
+    /// evaluates it against the materialized partition (so replay order
+    /// versus batch records cannot matter).
     pub fn subs_register_recovered(
         &self,
         id: u64,
@@ -827,7 +888,7 @@ mod tests {
     struct Stepped {
         g: GenerationEngine,
         obs: Arc<Obs>,
-        snapshot: Option<Edges>,
+        snapshot: Snapshot,
     }
 
     /// Where [`Stepped::advance`] is within a rebuild attempt.
@@ -869,13 +930,15 @@ mod tests {
         }
 
         fn build(&mut self, retracted: &[u64]) -> Option<NextGeneration> {
-            let edges = self.snapshot.as_mut().expect("begin() came first");
+            let (_, edges) = self.snapshot.as_mut().expect("begin() came first");
             self.g.shared.build_generation(edges, retracted)
         }
 
         fn finish(&mut self, next: Option<NextGeneration>) -> bool {
             let shared = &self.g.shared;
-            let committed = shared.finish_attempt(&mut shared.mx.lock(), next, Instant::now());
+            let (lineage, _) = self.snapshot.as_ref().expect("begin() came first");
+            let committed =
+                shared.finish_attempt(&mut shared.mx.lock(), next, *lineage, Instant::now());
             if committed {
                 self.snapshot = None;
             }
@@ -885,7 +948,9 @@ mod tests {
         /// One step of the worker's loop; `true` when it was a commit.
         fn advance(&mut self, phase: Phase) -> (Phase, bool) {
             match phase {
-                Phase::Idle if self.g.is_dirty() => (Phase::Begun(self.begin()), false),
+                Phase::Idle if self.g.shared.mx.lock().rebuild_owed() => {
+                    (Phase::Begun(self.begin()), false)
+                }
                 Phase::Idle => (Phase::Idle, false),
                 Phase::Begun(retracted) => {
                     (Phase::Built(self.build(&retracted).map(Box::new)), false)
@@ -1005,10 +1070,15 @@ mod tests {
         /// abort) and between build and commit (a discard under the
         /// lock); every commit is checked on the spot, and the quiesced
         /// end state against the oracle.
+        ///
+        /// A `kind` of 8 or 9 falls the engine behind (a follower
+        /// reconnect) — wherever the attempt in flight stands, which must
+        /// then be discarded — and the next 8 or 9 catches it up, checked
+        /// like a commit.
         #[test]
         fn rebuild_seams_hold_under_random_interleavings(
             n in 4usize..20,
-            script in proptest::collection::vec((0u8..8, 0u32..20, 0u32..20, 0u8..4), 1..120),
+            script in proptest::collection::vec((0u8..10, 0u32..20, 0u32..20, 0u8..4), 1..120),
         ) {
             let mut s = Stepped::new(n);
             // Standing triggers, so every commit has an index to re-arm.
@@ -1030,7 +1100,17 @@ mod tests {
                     4 | 5 => Update::Delete(u, v),
                     // Deleting what was just inserted hits a live
                     // (usually forest) edge far more often than chance.
-                    _ => Update::Delete(last.0, last.1),
+                    6 | 7 => Update::Delete(last.0, last.1),
+                    _ if s.g.is_behind() => {
+                        s.g.catch_up();
+                        s.check_commit_invariants(&oracle);
+                        continue;
+                    }
+                    _ => {
+                        s.g.fall_behind();
+                        proptest::prop_assert!(s.g.is_dirty());
+                        continue;
+                    }
                 };
                 s.g.process_batch(&[op]);
                 oracle.apply(op);
@@ -1045,6 +1125,7 @@ mod tests {
             }
             // Quiesce by hand: with no further retractions, the attempt
             // in flight is the last one that can be doomed.
+            s.g.catch_up();
             for _ in 0..6 {
                 let (next, committed) = s.advance(phase);
                 phase = next;
@@ -1374,21 +1455,55 @@ mod tests {
     #[test]
     fn recovery_materializes_one_generation() {
         let g = gen_engine(16, Duration::ZERO);
-        g.recover_edges(&[(0, 1), (1, 2)]);
-        g.recover_ops(&[
-            Update::Insert(3, 4),
-            Update::Delete(1, 2),
-            Update::Insert(2, 3),
-            Update::Query(0, 4), // skipped
-        ]);
-        g.finish_recovery();
+        g.fall_behind();
+        g.converge_to_edge_set(&[(0, 1), (1, 2)]);
+        g.process_batch(&[Update::Insert(3, 4), Update::Delete(1, 2), Update::Insert(2, 3)]);
+        assert!(g.is_dirty() && g.is_behind());
+        assert!(!g.connected(0, 1), "the frozen partition unites nothing");
+        g.catch_up();
         assert!(!g.is_dirty());
         assert_eq!(g.generation(), 0);
-        assert_eq!(g.info().counters.rebuilds, 0, "recovery is not a live rebuild");
+        let info = g.info();
+        assert_eq!(info.counters, GenCounters::default(), "replay is not live traffic");
         assert!(g.connected(0, 1));
         // 1-2 died; 2-3-4 live; 0-1 live.
         assert!(!g.connected(0, 2));
         assert!(g.connected(2, 4));
         assert_eq!(g.num_live_edges(), 3);
+    }
+
+    /// A follower reconnect lands mid-rebuild: the attempt in flight was
+    /// built from the tracker the catch-up replaces, so it is discarded
+    /// even when it finishes after the catch-up, and its snapshot is
+    /// never reused by the next dirty window.
+    #[test]
+    fn an_attempt_in_flight_at_fall_behind_never_commits() {
+        let mut s = Stepped::new(8);
+        let mut oracle = DynamicOracle::new(8);
+        let apply = |s: &Stepped, oracle: &mut DynamicOracle, ops: &[Update]| {
+            s.g.process_batch(ops);
+            oracle.apply_batch(ops);
+        };
+        apply(&s, &mut oracle, &[Update::Insert(0, 1), Update::Insert(1, 2)]);
+        apply(&s, &mut oracle, &[Update::Delete(0, 1)]);
+        let retracted = s.begin();
+        let next = s.build(&retracted);
+        assert!(next.is_some(), "built before the reconnect");
+        s.g.fall_behind();
+        let replay = [Update::Insert(3, 4), Update::Delete(1, 2), Update::Insert(0, 1)];
+        apply(&s, &mut oracle, &replay);
+        s.g.catch_up();
+        s.check_commit_invariants(&oracle);
+        assert!(!s.finish(next), "built from a replaced tracker");
+        assert_eq!(s.discarded(), 1);
+        s.check_commit_invariants(&oracle);
+        assert_eq!((s.g.generation(), s.g.info().counters.rebuilds), (0, 0));
+        // The next window snapshots afresh: 3-4 is in it.
+        apply(&s, &mut oracle, &[Update::Delete(0, 1)]);
+        let retracted = s.begin();
+        let next = s.build(&retracted);
+        assert!(s.finish(next));
+        s.check_commit_invariants(&oracle);
+        assert!(s.g.connected(3, 4));
     }
 }

@@ -97,10 +97,10 @@ pub use evloop::NetConfig;
 pub use generation::{GenCounters, GenInfo, GenerationEngine};
 pub use net::{serve, serve_with, TcpClient, TcpServer};
 pub use obs::{Metrics, Obs, Recorder};
-pub use replication::{
-    run_follower, serve_replication, serve_replication_observed, ReplicationHub,
+pub use replication::{run_follower, serve_replication, ReplicationHub};
+pub use service::{
+    Client, ExecMode, LogRecord, Role, Service, ServiceConfig, ServiceError, ServiceStats,
 };
-pub use service::{Client, ExecMode, Role, Service, ServiceConfig, ServiceError, ServiceStats};
 pub use subs::{SubEvent, SubInfo, SubKind, SubSink};
 pub use wal::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, TailEvent, Wal, WalCursor, WalError, WalStats,

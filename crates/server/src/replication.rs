@@ -16,6 +16,7 @@
 //! | `'E'` | [`binary::encode_edge_batch`] `(epoch, live edges)` | primary → follower | snapshot bootstrap: the exact live edge set |
 //! | `'B'` | [`binary::encode_edge_batch`] `(epoch, inserts)` | primary → follower | one insert-only WAL batch record |
 //! | `'D'` | [`wal::encode_update_batch`] `(epoch, ops)` | primary → follower | one deletion-bearing WAL batch record |
+//! | `'P'` | `sent_epoch: u64 LE`                        | primary → follower | the sender reached the live tail at this epoch: sent at the first catch-up after each (re)bootstrap, then as the idle heartbeat |
 //!
 //! ## Primary side
 //!
@@ -31,8 +32,8 @@
 //! the newest snapshot — correct because the snapshot states *exactly*
 //! the live edge set at its epoch, which is ahead of everything shipped
 //! so far, and the follower applies it by *converging* to that set
-//! ([`Client::apply_replicated_edge_set`]): missing edges are inserted
-//! and, crucially, live edges absent from the snapshot are retracted.
+//! ([`LogRecord::EdgeSet`]): missing edges are inserted and, crucially,
+//! live edges absent from the snapshot are retracted.
 //! The retraction matters whenever the follower's epoch predates the
 //! snapshot by more than the surviving WAL — deletions committed in
 //! that gap were pruned with their segments, so no later record would
@@ -44,29 +45,33 @@
 //! ## Follower side
 //!
 //! [`run_follower`] connects (and reconnects, forever, until shutdown) to
-//! the primary, handshakes with the follower's current epoch, and applies
-//! every received record through [`Client::apply_replicated`] /
-//! [`Client::apply_replicated_ops`] / [`Client::apply_replicated_edge_set`].
-//! Socket reads carry a timeout wrapped in [`binary::RetryRead`], so a
-//! shutdown request interrupts a quiet stream without ever tearing a
-//! half-received record. Everything is idempotent end to end: a reconnect
-//! replays a *contiguous suffix* of the history in order, so each edge's
-//! liveness is re-decided by the same last operation that decided it the
-//! first time, and the follower's epoch is a `max`, never a blind store.
+//! the primary, handshakes with the follower's current epoch, falls the
+//! follower behind, and maps every received record onto the service's one
+//! apply door, [`Client::apply_log`]: `'E'` is a [`LogRecord::EdgeSet`],
+//! `'B'`/`'D'` are [`LogRecord::Ops`] and `'P'` is [`LogRecord::CaughtUp`]
+//! — the records a restarting primary replays from its own directory.
+//! Behind, records feed the engine's edge set and the epoch holds; the
+//! first `'P'` rebuilds once and the follower is live. Socket reads carry
+//! a timeout wrapped in [`binary::RetryRead`], so a shutdown request
+//! interrupts a quiet stream without ever tearing a half-received record.
+//! Everything is idempotent end to end: a reconnect replays a *contiguous
+//! suffix* of the history in order, so each edge's liveness is re-decided
+//! by the same last operation that decided it the first time, and the
+//! follower's epoch is a `max`, never a blind store.
 //!
-//! The three follower-recovery invariants this module upholds are spelled
-//! out in DESIGN.md §8.
+//! The behind → caught-up invariants this module upholds are spelled out
+//! in DESIGN.md §7.
 
 use crate::obs::{Event, FollowerSlot, Obs};
-use crate::service::Client;
+use crate::service::{Client, LogRecord};
 use crate::snapshot;
 use crate::wal::{self, TailEvent, WalCursor};
-use cc_graph::io::binary;
+use cc_graph::io::binary::{self, CodecError};
 use connectit::Update;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,10 +88,12 @@ pub const TAG_BATCH: u8 = b'B';
 /// Record tag: one deletion-bearing WAL batch
 /// ([`wal::encode_update_batch`], inserts and deletions in order).
 pub const TAG_DELTA: u8 = b'D';
-/// Record tag: idle heartbeat (`last_sent_epoch: u64 LE`). Followers
-/// ignore it; its purpose is making a caught-up sender *write*, so a
-/// dead follower surfaces as a send error instead of a leaked sender
-/// thread polling the WAL forever.
+/// Record tag: caught up (`sent_epoch: u64 LE`) — everything through
+/// that epoch has been shipped and the sender sits at the live tail. Sent
+/// at the first catch-up after each (re)bootstrap, so a follower of a
+/// busy primary catches up, and again as the idle heartbeat, which makes a
+/// caught-up sender *write*: a dead follower surfaces as a send error
+/// instead of a leaked sender thread polling the WAL forever.
 pub const TAG_PING: u8 = b'P';
 
 /// How long a caught-up sender sleeps before polling the WAL again. Kept
@@ -94,7 +101,7 @@ pub const TAG_PING: u8 = b'P';
 /// group-commit window.
 const TAIL_POLL: Duration = Duration::from_millis(2);
 
-/// How often a caught-up sender heartbeats the follower.
+/// How often a caught-up sender heartbeats a quiet stream.
 const HEARTBEAT: Duration = Duration::from_millis(500);
 
 /// Socket read timeout — the granularity at which blocked reads notice a
@@ -109,17 +116,6 @@ fn proto_err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Counters a live replication endpoint exposes (all monotone).
-#[derive(Debug, Default)]
-pub struct ReplicationCounters {
-    /// Batch records shipped (primary) or applied (follower).
-    pub batches: AtomicU64,
-    /// Snapshot records shipped (primary) or applied (follower).
-    pub snapshots: AtomicU64,
-    /// Follower only: completed (re)connections to the primary.
-    pub connects: AtomicU64,
-}
-
 /// A running replication listener on the primary. Dropping it (or
 /// calling [`ReplicationHub::stop`]) stops accepting and asks every
 /// sender thread to wind down.
@@ -131,23 +127,16 @@ pub struct ReplicationHub {
 struct HubShared {
     shutdown: AtomicBool,
     local_addr: SocketAddr,
-    counters: ReplicationCounters,
-    /// The primary service's observability plane, when the hub was
-    /// started with [`serve_replication_observed`]: per-follower slots
-    /// (epoch lag, records/bytes shipped) and lifecycle events mirror
-    /// into it alongside the legacy [`ReplicationCounters`].
-    obs: Option<Arc<Obs>>,
+    /// The primary service's observability plane: shipped-record
+    /// counters, per-follower slots (epoch lag, records/bytes shipped) and
+    /// lifecycle events.
+    obs: Arc<Obs>,
 }
 
 impl ReplicationHub {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.local_addr
-    }
-
-    /// Shipped-record counters, summed over all follower connections.
-    pub fn counters(&self) -> &ReplicationCounters {
-        &self.shared.counters
     }
 
     /// Stops accepting followers and signals sender threads to exit (they
@@ -169,24 +158,15 @@ impl Drop for ReplicationHub {
 /// Binds `addr` and serves the WAL directory `wal_dir` to every follower
 /// that connects. The primary's `Service` must already have been started
 /// with durability in the same directory (replication ships the WAL; an
-/// in-memory primary has nothing to ship).
+/// in-memory primary has nothing to ship). `obs` is the primary's
+/// observability plane: each follower connection registers a telemetry
+/// slot (rendered as `connectit_follower_*` series by `METRICS`), mirrors
+/// shipped records/bytes into the registry, and stamps connect /
+/// caught-up / pruned-rebootstrap lifecycle events into the recorder.
 pub fn serve_replication(
     wal_dir: impl Into<PathBuf>,
     addr: impl ToSocketAddrs,
-) -> std::io::Result<ReplicationHub> {
-    serve_replication_observed(wal_dir, addr, None)
-}
-
-/// [`serve_replication`] with the primary service's observability plane
-/// attached: each follower connection additionally registers a
-/// per-follower telemetry slot (rendered as `connectit_follower_*`
-/// series by `METRICS`), mirrors shipped records/bytes into the
-/// registry, and stamps connect / caught-up / pruned-rebootstrap
-/// lifecycle events into the flight recorder.
-pub fn serve_replication_observed(
-    wal_dir: impl Into<PathBuf>,
-    addr: impl ToSocketAddrs,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
 ) -> std::io::Result<ReplicationHub> {
     let dir = wal_dir.into();
     let listener = TcpListener::bind(addr)?;
@@ -194,7 +174,6 @@ pub fn serve_replication_observed(
     let shared = Arc::new(HubShared {
         shutdown: AtomicBool::new(false),
         local_addr: listener.local_addr()?,
-        counters: ReplicationCounters::default(),
         obs,
     });
     let accept_shared = Arc::clone(&shared);
@@ -250,17 +229,14 @@ fn ship_snapshot_if_newer(
 ) -> std::io::Result<u64> {
     match snapshot::load_latest(dir) {
         Ok(Some(snap)) if snap.epoch > sent_epoch => {
-            // Counted before the bytes go out, so the counter is never
-            // behind what a follower demonstrably received.
-            shared.counters.snapshots.fetch_add(1, Ordering::Relaxed);
             // The follower's liveness tracker then holds exactly the
             // primary's edges, so later deletions classify the same way
-            // on both sides.
+            // on both sides. Counted before the bytes go out, so the
+            // counter is never behind what a follower demonstrably
+            // received.
             let payload = binary::encode_edge_batch(snap.epoch, &snap.edges);
-            if let Some(obs) = &shared.obs {
-                obs.metrics.repl_snapshots_shipped_total.inc();
-                obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
-            }
+            shared.obs.metrics.repl_snapshots_shipped_total.inc();
+            shared.obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
             send_record(w, TAG_EDGES, &payload)?;
             w.flush()?;
             Ok(snap.epoch)
@@ -308,12 +284,11 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
         )));
     }
     let follower_epoch = u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"));
-    let guard = shared.obs.as_ref().map(|obs| {
-        obs.metrics.repl_connects_total.inc();
-        let slot = obs.metrics.register_follower(follower_epoch);
-        obs.recorder.record(Event::FollowerConnected { id: slot.id, epoch: follower_epoch });
-        FollowerGuard { obs: Arc::clone(obs), slot }
-    });
+    let obs = &shared.obs;
+    obs.metrics.repl_connects_total.inc();
+    let slot = obs.metrics.register_follower(follower_epoch);
+    obs.recorder.record(Event::FollowerConnected { id: slot.id, epoch: follower_epoch });
+    let g = FollowerGuard { obs: Arc::clone(obs), slot };
 
     let mut w = BufWriter::new(stream);
     binary::write_magic(&mut w, REPL_MAGIC)?;
@@ -323,14 +298,15 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
     // snapshot may need records that pruning already retired, so it gets
     // the snapshot; a fresh-enough follower resumes from the WAL alone.
     let mut sent_epoch = ship_snapshot_if_newer(&mut w, dir, follower_epoch, shared)?;
-    if let Some(g) = &guard {
-        g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
-    }
+    g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
 
     let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
     cursor.oldest()?;
     let mut last_write = std::time::Instant::now();
-    let mut reported_caught_up = false;
+    // Whether this (re)bootstrap's catch-up still owes the follower its
+    // `'P'`: a busy primary is never quiet for a heartbeat, so the first
+    // arrival at the live tail says so at once.
+    let mut owe_caught_up = true;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(());
@@ -340,7 +316,6 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
                 // The WAL holds history the follower already has (its
                 // handshake epoch, or the snapshot's); skip those.
                 if epoch > sent_epoch {
-                    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
                     // Insert-only batches keep the compact legacy frame;
                     // a batch with any deletion ships as an op record so
                     // the follower replays it in submission order.
@@ -355,13 +330,11 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
                         Some(edges) => (TAG_BATCH, binary::encode_edge_batch(epoch, &edges)),
                         None => (TAG_DELTA, wal::encode_update_batch(epoch, &ops)),
                     };
-                    if let Some(g) = &guard {
-                        g.obs.metrics.repl_records_shipped_total.inc();
-                        g.obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
-                        g.slot.records.fetch_add(1, Ordering::Relaxed);
-                        g.slot.bytes.fetch_add(payload.len() as u64 + 1, Ordering::Relaxed);
-                        g.slot.sent_epoch.store(epoch, Ordering::Relaxed);
-                    }
+                    obs.metrics.repl_records_shipped_total.inc();
+                    obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
+                    g.slot.records.fetch_add(1, Ordering::Relaxed);
+                    g.slot.bytes.fetch_add(payload.len() as u64 + 1, Ordering::Relaxed);
+                    g.slot.sent_epoch.store(epoch, Ordering::Relaxed);
                     send_record(&mut w, tag, &payload)?;
                     w.flush()?;
                     sent_epoch = epoch;
@@ -369,22 +342,17 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
                 }
             }
             Ok(TailEvent::CaughtUp) => {
-                // The first catch-up after the bootstrap replay is the
-                // interesting lifecycle fact; steady-state polling would
-                // flood the recorder, so it is stamped once.
-                if !reported_caught_up {
-                    reported_caught_up = true;
-                    if let Some(g) = &guard {
-                        g.obs
-                            .recorder
-                            .record(Event::FollowerCaughtUp { id: g.slot.id, epoch: sent_epoch });
-                    }
-                }
-                // Heartbeat a quiet stream: the write is how a sender
+                // The catch-up is stamped once per (re)bootstrap;
+                // steady-state polling would flood the recorder. After it,
+                // heartbeat a quiet stream: the write is how a sender
                 // notices its follower died (the WAL poll never would),
                 // bounding this thread's lifetime to one heartbeat past
                 // the disconnect instead of forever.
-                if last_write.elapsed() >= HEARTBEAT {
+                if owe_caught_up {
+                    obs.recorder
+                        .record(Event::FollowerCaughtUp { id: g.slot.id, epoch: sent_epoch });
+                }
+                if std::mem::take(&mut owe_caught_up) || last_write.elapsed() >= HEARTBEAT {
                     send_record(&mut w, TAG_PING, &sent_epoch.to_le_bytes())?;
                     w.flush()?;
                     last_write = std::time::Instant::now();
@@ -395,13 +363,10 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
                 // A durable snapshot retired the cursor's segment. The
                 // snapshot covers everything the pruned records held, so
                 // ship it and resume from the oldest surviving segment.
-                if let Some(g) = &guard {
-                    g.obs.recorder.record(Event::FollowerPruned { id: g.slot.id });
-                }
+                obs.recorder.record(Event::FollowerPruned { id: g.slot.id });
                 sent_epoch = ship_snapshot_if_newer(&mut w, dir, sent_epoch, shared)?;
-                if let Some(g) = &guard {
-                    g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
-                }
+                g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
+                owe_caught_up = true;
                 cursor.oldest()?;
             }
             Err(e) => return Err(proto_err(format!("wal tail failed: {e}"))),
@@ -414,17 +379,17 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
 /// applies the stream through `client` until `shutdown` flips (or the
 /// follower service closes). Reconnects forever on connection loss —
 /// a follower keeps serving (stale) reads while its primary is away.
-/// Returns the thread handle and the live counters.
+/// Applies and connects are counted in the follower's own registry
+/// (`connectit_repl_{records,snapshots}_applied_total`,
+/// `connectit_repl_connects_total`).
 pub fn run_follower(
     client: Client,
     primary_addr: String,
     shutdown: Arc<AtomicBool>,
-) -> std::io::Result<(std::thread::JoinHandle<()>, Arc<ReplicationCounters>)> {
-    let counters = Arc::new(ReplicationCounters::default());
-    let thread_counters = Arc::clone(&counters);
-    let handle = std::thread::Builder::new().name("cc-repl-recv".into()).spawn(move || {
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    std::thread::Builder::new().name("cc-repl-recv".into()).spawn(move || {
         while !shutdown.load(Ordering::Acquire) {
-            match follow_once(&client, &primary_addr, &shutdown, &thread_counters) {
+            match follow_once(&client, &primary_addr, &shutdown) {
                 // The follower service itself closed: nothing left to
                 // apply into, so the receiver is done.
                 Ok(StreamEnd::FollowerClosed) => return,
@@ -440,8 +405,7 @@ pub fn run_follower(
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
-    })?;
-    Ok((handle, counters))
+    })
 }
 
 /// Why one connection's apply loop ended.
@@ -452,13 +416,12 @@ enum StreamEnd {
     FollowerClosed,
 }
 
-/// One connection lifetime: handshake, then apply records until the
-/// stream breaks or shutdown.
+/// One connection lifetime: handshake, fall behind, then apply records
+/// until the stream breaks or shutdown.
 fn follow_once(
     client: &Client,
     primary_addr: &str,
     shutdown: &Arc<AtomicBool>,
-    counters: &ReplicationCounters,
 ) -> std::io::Result<StreamEnd> {
     let obs = client.observability();
     let stream = TcpStream::connect(primary_addr)?;
@@ -482,8 +445,10 @@ fn follow_once(
     if binary::read_magic(&mut reader, REPL_MAGIC).is_err() {
         return Ok(StreamEnd::Disconnected);
     }
-    counters.connects.fetch_add(1, Ordering::Relaxed);
     obs.metrics.repl_connects_total.inc();
+    // The handshake epoch is what the follower serves; whatever the
+    // sender ships past it replays into a frozen tracker until its `'P'`.
+    client.fall_behind();
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
     loop {
         let payload = match records.next() {
@@ -499,35 +464,31 @@ fn follow_once(
         // saw the follower's epoch advance must also see the counter
         // (the apply is what publishes the epoch), and a failed apply
         // kills the connection anyway.
-        let applied = match tag {
-            // An idle-stream heartbeat: nothing to apply (every epoch it
-            // names already arrived in order on this same stream).
-            TAG_PING => Ok(()),
-            TAG_BATCH => binary::decode_edge_batch(rest, 0)
-                .map_err(|e| proto_err(e.to_string()))
-                .and_then(|(epoch, edges)| {
-                    counters.batches.fetch_add(1, Ordering::Relaxed);
-                    obs.metrics.repl_records_applied_total.inc();
-                    client.apply_replicated(epoch, &edges).map_err(|e| proto_err(e.to_string()))
-                }),
-            TAG_DELTA => wal::decode_update_batch(rest, 0)
-                .map_err(|e| proto_err(e.to_string()))
-                .and_then(|(epoch, ops)| {
-                    counters.batches.fetch_add(1, Ordering::Relaxed);
-                    obs.metrics.repl_records_applied_total.inc();
-                    client.apply_replicated_ops(epoch, &ops).map_err(|e| proto_err(e.to_string()))
-                }),
-            TAG_EDGES => binary::decode_edge_batch(rest, 0)
-                .map_err(|e| proto_err(e.to_string()))
-                .and_then(|(epoch, edges)| {
-                    counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                    obs.metrics.repl_snapshots_applied_total.inc();
-                    client
-                        .apply_replicated_edge_set(epoch, &edges)
-                        .map_err(|e| proto_err(e.to_string()))
-                }),
-            other => Err(proto_err(format!("unknown replication record tag {other:?}"))),
+        let decoded = match tag {
+            TAG_PING if rest.len() == 8 => {
+                Ok((u64::from_le_bytes(rest.try_into().expect("8 bytes")), LogRecord::CaughtUp))
+            }
+            TAG_BATCH => binary::decode_edge_batch(rest, 0).map(|(epoch, edges)| {
+                obs.metrics.repl_records_applied_total.inc();
+                let ops = edges.into_iter().map(|(u, v)| Update::Insert(u, v)).collect();
+                (epoch, LogRecord::Ops(ops))
+            }),
+            TAG_DELTA => wal::decode_update_batch(rest, 0).map(|(epoch, ops)| {
+                obs.metrics.repl_records_applied_total.inc();
+                (epoch, LogRecord::Ops(ops))
+            }),
+            TAG_EDGES => binary::decode_edge_batch(rest, 0).map(|(epoch, edges)| {
+                obs.metrics.repl_snapshots_applied_total.inc();
+                (epoch, LogRecord::EdgeSet(edges))
+            }),
+            other => Err(CodecError::BadPayload {
+                offset: 0,
+                reason: format!("unknown replication record tag {other:?}"),
+            }),
         };
+        let applied = decoded.map_err(|e| proto_err(e.to_string())).and_then(|(epoch, record)| {
+            client.apply_log(epoch, record).map_err(|e| proto_err(e.to_string()))
+        });
         if let Err(e) = applied {
             if client.is_closed() {
                 return Ok(StreamEnd::FollowerClosed);
@@ -549,6 +510,7 @@ mod tests {
     use crate::service::{Role, Service, ServiceConfig};
     use crate::wal::{DurabilityConfig, FsyncPolicy};
     use std::path::PathBuf;
+    use std::sync::atomic::AtomicU32;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         crate::scratch_dir(&format!("repl_{tag}"))
@@ -585,14 +547,14 @@ mod tests {
     fn follower_tails_live_primary() {
         let dir = tmp_dir("tail");
         let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let p = primary.client();
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
         let addr = hub.local_addr().to_string();
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(64);
-        let (h, counters) = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
+        let h = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
 
-        let p = primary.client();
         p.insert(1, 2).expect("insert");
         p.insert(2, 3).expect("insert");
         let e = p.epoch();
@@ -604,9 +566,9 @@ mod tests {
         p.insert(10, 11).expect("insert");
         wait_epoch(&fc, p.epoch());
         assert!(fc.query(10, 11).expect("replicated read"));
-        assert!(counters.batches.load(Ordering::Relaxed) >= 3);
-        assert_eq!(counters.connects.load(Ordering::Relaxed), 1);
-        assert!(hub.counters().batches.load(Ordering::Relaxed) >= 3);
+        assert!(fc.observability().metrics.repl_records_applied_total.get() >= 3);
+        assert_eq!(fc.observability().metrics.repl_connects_total.get(), 1);
+        assert!(p.observability().metrics.repl_records_shipped_total.get() >= 3);
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
@@ -640,31 +602,36 @@ mod tests {
         let dir = tmp_dir("ping");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
         primary.client().insert(1, 2).expect("insert");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
 
-        // Raw inspection: a caught-up sender pings within ~one beat.
+        // Raw inspection: the bootstrap history, then `'P'` the moment the
+        // sender is caught up, then `'P'` again as the heartbeat of a
+        // stream left quiet.
         let mut records = fake_follower(hub.local_addr(), 0);
-        let mut saw_ping = false;
+        let mut pings = 0;
         for _ in 0..10 {
             let payload = records.next().expect("framed record").expect("stream open");
             match payload[0] {
                 TAG_PING => {
                     assert_eq!(payload.len(), 9, "ping carries the last sent epoch");
-                    saw_ping = true;
-                    break;
+                    assert_eq!(payload[1..], primary.client().epoch().to_le_bytes());
+                    pings += 1;
+                    if pings == 2 {
+                        break;
+                    }
                 }
-                TAG_BATCH | TAG_DELTA | TAG_EDGES => continue, // bootstrap history
-                other => panic!("unexpected tag {other:?}"),
+                TAG_BATCH | TAG_DELTA | TAG_EDGES if pings == 0 => continue, // bootstrap history
+                other => panic!("unexpected tag {other:?} after {pings} pings"),
             }
         }
-        assert!(saw_ping, "an idle stream must heartbeat");
+        assert_eq!(pings, 2, "an idle stream must heartbeat");
         drop(records);
 
         // A real follower rides out an idle (heartbeat-carrying) stream
         // and still applies what comes after it.
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h, _) = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
             .expect("recv");
         let p = primary.client();
         wait_epoch(&f.client(), p.epoch());
@@ -681,6 +648,117 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A primary committing every 50 ms is never quiet for a `HEARTBEAT`:
+    /// the follower catches up on the `'P'` its sender owes the first
+    /// arrival at the live tail, and serves exact reads behind `WAIT`
+    /// while the writes go on.
+    #[test]
+    fn follower_of_a_busy_primary_catches_up() {
+        let dir = tmp_dir("busy");
+        let mut primary = Service::start(primary_cfg(256, &dir)).expect("primary");
+        let p = primary.client();
+        let (linked, stop) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicBool::new(false)));
+        let writer = {
+            let (p, linked, stop) = (p.clone(), Arc::clone(&linked), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                for v in 0..250u32 {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    p.insert(v, v + 1).expect("insert");
+                    linked.store(v + 1, Ordering::Release);
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut f = follower(256);
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+            .expect("recv");
+        let fc = f.client();
+        let top = linked.load(Ordering::Acquire);
+        let target = p.epoch();
+        fc.wait_for_epoch(target, Duration::from_secs(5)).expect("caught up mid-stream");
+        assert!(!writer.is_finished(), "the primary was still busy");
+        assert_eq!(fc.query_gen(0, top).expect("read"), (true, None), "exact, not sealed");
+        assert!(!fc.query(0, 255).expect("read"));
+
+        stop.store(true, Ordering::Release);
+        writer.join().expect("writer");
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        hub.stop();
+        primary.shutdown();
+        f.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The connection drops while the follower is behind. Its epoch held,
+    /// so the next handshake asks for the same history again, and
+    /// replaying that suffix into the frozen tracker — deletions
+    /// included — converges to the primary's state.
+    #[test]
+    fn follower_dropped_while_behind_reconnects_and_converges() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let history: Vec<(u64, Vec<Update>)> = vec![
+            (1, vec![Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(2, 3)]),
+            (2, vec![Update::Delete(1, 2), Update::Insert(4, 5)]),
+            (3, vec![Update::Insert(1, 2), Update::Delete(4, 5)]),
+            (4, vec![Update::Delete(0, 1), Update::Insert(0, 5)]),
+        ];
+        // A fake primary: takes one connection, ships `records` (then
+        // `'P'` at `caught_up`, if any), hangs up; returns the handshake
+        // epoch.
+        let serve = |records: &[(u64, Vec<Update>)], caught_up: Option<u64>| -> u64 {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            binary::read_magic(&mut reader, REPL_MAGIC).expect("magic");
+            let mut handshake = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
+            let hello = handshake.next().expect("hello").expect("stream open");
+            let mut w = BufWriter::new(stream);
+            binary::write_magic(&mut w, REPL_MAGIC).expect("magic");
+            for (epoch, ops) in records {
+                send_record(&mut w, TAG_DELTA, &wal::encode_update_batch(*epoch, ops))
+                    .expect("send");
+            }
+            if let Some(epoch) = caught_up {
+                send_record(&mut w, TAG_PING, &epoch.to_le_bytes()).expect("send");
+            }
+            w.flush().expect("flush");
+            u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"))
+        };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut f = follower(8);
+        let fc = f.client();
+        let addr = listener.local_addr().expect("addr").to_string();
+        let h = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
+
+        assert_eq!(serve(&history[..2], None), 0);
+        let applied = &fc.observability().metrics.repl_records_applied_total;
+        while applied.get() < 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(fc.epoch(), 0, "the epoch holds while behind");
+        assert!(fc.generation_info().dirty);
+        assert!(fc.wait_for_epoch(1, Duration::from_millis(50)).is_err());
+
+        assert_eq!(serve(&history, Some(4)), 0, "the reconnect resumes from the held epoch");
+        wait_epoch(&fc, 4);
+        let mut oracle = cc_baselines::DynamicOracle::new(8);
+        for (_, ops) in &history {
+            oracle.apply_batch(ops);
+        }
+        assert!(cc_graph::stats::same_partition(&oracle.labels(), &fc.labels()));
+        let info = fc.generation_info();
+        assert_eq!((info.generation, info.dirty, info.counters.rebuilds), (0, false, 0));
+
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        f.shutdown();
+    }
+
     #[test]
     fn unreadable_snapshot_store_fails_the_stream_not_silently_skips() {
         let dir = tmp_dir("badsnap");
@@ -691,7 +769,7 @@ mod tests {
         // primary's own recovery refuses. The sender must drop the
         // connection rather than stream a WAL whose prefix may be pruned.
         std::fs::write(dir.join("snap-00000000000000000009.ccsnap"), b"garbage").expect("write");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let mut records = fake_follower(hub.local_addr(), 0);
         let got = records.next();
         assert!(matches!(got, Ok(None) | Err(_)), "stream must end without records, got {got:?}");
@@ -713,17 +791,20 @@ mod tests {
         p.insert(8, 9).expect("insert past the snapshot");
         let target = p.epoch();
 
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let addr = hub.local_addr().to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h, counters) = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
+        let h = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
         let fc = f.client();
         wait_epoch(&fc, target);
         assert!(fc.query(0, 2).expect("pre-snapshot fact"));
         assert!(fc.query(8, 9).expect("post-snapshot fact"));
         assert!(!fc.query(0, 8).expect("negative"));
-        assert!(counters.snapshots.load(Ordering::Relaxed) >= 1, "bootstrap used the snapshot");
+        assert!(
+            fc.observability().metrics.repl_snapshots_applied_total.get() >= 1,
+            "bootstrap used the snapshot"
+        );
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
@@ -755,12 +836,11 @@ mod tests {
         p.insert(11, 12).expect("insert past the snapshot");
         let target = p.epoch();
 
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h, counters) =
-            run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-                .expect("recv");
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+            .expect("recv");
         let fc = f.client();
         wait_epoch(&fc, target);
         p.quiesce(Duration::from_secs(20)).expect("primary commits");
@@ -768,7 +848,10 @@ mod tests {
         assert!(cc_graph::stats::same_partition(&p.labels(), &fc.labels()));
         assert!(!fc.query(3, 4).expect("read"), "the sealed-window delete replicated");
         assert!(fc.query(10, 12).expect("read"));
-        assert!(counters.snapshots.load(Ordering::Relaxed) >= 1, "bootstrap used the snapshot");
+        assert!(
+            fc.observability().metrics.repl_snapshots_applied_total.get() >= 1,
+            "bootstrap used the snapshot"
+        );
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
@@ -782,22 +865,25 @@ mod tests {
     fn follower_replays_deletions_in_order() {
         let dir = tmp_dir("delete");
         let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let addr = hub.local_addr().to_string();
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(64);
-        let (h, counters) = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
+        let h = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
 
         let p = primary.client();
+        let fc = f.client();
         p.insert(1, 2).expect("insert");
+        // Past `WAIT` the follower has caught up: what follows applies
+        // live and classifies, where a replay behind would not count.
+        wait_epoch(&fc, p.epoch());
         p.insert(2, 3).expect("insert");
         p.insert(1, 3).expect("cycle edge");
         // A non-forest deletion (free) and a forest deletion (rebuild)
         // both cross the wire as `'D'` records and replay in order.
         p.delete(1, 3).expect("non-forest delete");
         p.delete(2, 3).expect("forest delete");
-        let fc = f.client();
         wait_epoch(&fc, p.epoch());
         // The follower's own rebuild may still be in flight; quiesce so
         // the read below is exact rather than sealed-generation stale.
@@ -806,7 +892,7 @@ mod tests {
         assert!(!fc.query(2, 3).expect("severed by the replayed deletions"));
         let info = fc.generation_info();
         assert_eq!(info.counters.deletes_nonforest, 1, "cycle delete classified: {info:?}");
-        assert!(counters.batches.load(Ordering::Relaxed) >= 5);
+        assert!(fc.observability().metrics.repl_records_applied_total.get() >= 5);
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
@@ -830,7 +916,7 @@ mod tests {
         // Raw inspection: the bootstrap record is the edge set, not the
         // labeling (phantom spanning edges would mis-classify the
         // follower's later deletes).
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let mut records = fake_follower(hub.local_addr(), 0);
         let payload = records.next().expect("framed record").expect("stream open");
         assert_eq!(payload[0], TAG_EDGES, "bootstrap must ship the live edge set");
@@ -843,16 +929,18 @@ mod tests {
         // snapshot forest deletion exactly like the primary does.
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h, counters) =
-            run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-                .expect("recv");
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+            .expect("recv");
         p.delete(0, 1).expect("forest delete past the snapshot");
         let fc = f.client();
         wait_epoch(&fc, p.epoch());
         fc.quiesce(Duration::from_secs(20)).expect("follower quiesces");
         assert!(fc.query(0, 1).expect("cycle closed the gap: still connected"));
         assert_eq!(fc.generation_info().counters.deletes_absent, 0, "no phantom edges");
-        assert!(counters.snapshots.load(Ordering::Relaxed) >= 1, "bootstrap used the snapshot");
+        assert!(
+            fc.observability().metrics.repl_snapshots_applied_total.get() >= 1,
+            "bootstrap used the snapshot"
+        );
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
@@ -868,13 +956,12 @@ mod tests {
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
         let p = primary.client();
         let obs = p.observability();
-        let mut hub =
-            serve_replication_observed(&dir, "127.0.0.1:0", Some(Arc::clone(&obs))).expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Arc::clone(&obs)).expect("hub");
         p.insert(1, 2).expect("insert");
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h, _) = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
             .expect("recv");
         wait_epoch(&f.client(), p.epoch());
 
@@ -920,9 +1007,9 @@ mod tests {
 
         let (port, h) = {
             let mut primary = Service::start(primary_cfg(48, &dir)).expect("primary");
-            let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+            let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
             let addr = hub.local_addr();
-            let (h, _) =
+            let h =
                 run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
             let p = primary.client();
             p.insert(1, 2).expect("insert");
@@ -937,7 +1024,8 @@ mod tests {
         // dir; the follower reconnects, handshakes with its epoch, and
         // resumes the stream.
         let mut primary = Service::start(primary_cfg(48, &dir)).expect("primary recovers");
-        let mut hub = serve_replication(&dir, format!("127.0.0.1:{port}")).expect("hub rebinds");
+        let mut hub =
+            serve_replication(&dir, format!("127.0.0.1:{port}"), Obs::new()).expect("hub rebinds");
         let p = primary.client();
         p.insert(2, 3).expect("insert after restart");
         wait_epoch(&fc, p.epoch());
@@ -961,7 +1049,7 @@ mod tests {
     fn follower_retracts_edges_deleted_while_disconnected() {
         let dir = tmp_dir("retract");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let addr = hub.local_addr().to_string();
         let p = primary.client();
         p.insert(0, 1).expect("insert");
@@ -971,7 +1059,7 @@ mod tests {
         // service (and its liveness tracker) stays alive.
         let shutdown1 = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let (h1, _) = run_follower(f.client(), addr.clone(), Arc::clone(&shutdown1)).expect("recv");
+        let h1 = run_follower(f.client(), addr.clone(), Arc::clone(&shutdown1)).expect("recv");
         let fc = f.client();
         wait_epoch(&fc, p.epoch());
         assert!(fc.query(1, 2).expect("replicated read"));
@@ -989,12 +1077,15 @@ mod tests {
         // sender bootstraps with the edge set; converging to it must
         // retract the follower's stale 1-2 edge.
         let shutdown2 = Arc::new(AtomicBool::new(false));
-        let (h2, counters) = run_follower(f.client(), addr, Arc::clone(&shutdown2)).expect("recv");
+        let h2 = run_follower(f.client(), addr, Arc::clone(&shutdown2)).expect("recv");
         wait_epoch(&fc, snap_epoch);
         fc.quiesce(Duration::from_secs(20)).expect("follower rebuild commits");
         assert!(!fc.query(1, 2).expect("read"), "pruned deletion must still take effect");
         assert!(fc.query(0, 1).expect("read"), "surviving edge stays live");
-        assert!(counters.snapshots.load(Ordering::Relaxed) >= 1, "reconnect used the bootstrap");
+        assert!(
+            fc.observability().metrics.repl_snapshots_applied_total.get() >= 1,
+            "reconnect used the bootstrap"
+        );
 
         shutdown2.store(true, Ordering::Release);
         h2.join().expect("receiver exits");
@@ -1008,7 +1099,7 @@ mod tests {
     fn restarted_follower_reconverges() {
         let dir = tmp_dir("fresh");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0").expect("hub");
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let addr = hub.local_addr().to_string();
         let p = primary.client();
         p.insert(5, 6).expect("insert");
@@ -1016,8 +1107,7 @@ mod tests {
         // First follower incarnation.
         let shutdown1 = Arc::new(AtomicBool::new(false));
         let mut f1 = follower(32);
-        let (h1, _) =
-            run_follower(f1.client(), addr.clone(), Arc::clone(&shutdown1)).expect("recv");
+        let h1 = run_follower(f1.client(), addr.clone(), Arc::clone(&shutdown1)).expect("recv");
         wait_epoch(&f1.client(), p.epoch());
         // "SIGKILL": drop it without ceremony.
         shutdown1.store(true, Ordering::Release);
@@ -1031,7 +1121,7 @@ mod tests {
         // must reconverge from the stream alone.
         let shutdown2 = Arc::new(AtomicBool::new(false));
         let mut f2 = follower(32);
-        let (h2, _) = run_follower(f2.client(), addr, Arc::clone(&shutdown2)).expect("recv");
+        let h2 = run_follower(f2.client(), addr, Arc::clone(&shutdown2)).expect("recv");
         let fc = f2.client();
         wait_epoch(&fc, target);
         assert!(fc.query(5, 7).expect("full history replayed"));

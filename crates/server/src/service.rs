@@ -15,24 +15,26 @@
 //! service epoch. Reads skip the former and the writer lock alike: they
 //! ask the engine's serving partition directly, so readers never block
 //! writers and writers never wait for readers.
+//!
+//! Replayed history has one door, `apply_log` over a [`LogRecord`]:
+//! crash recovery drives it from the service's own snapshot and WAL, a
+//! follower ([`Client::apply_log`]) from the primary's replication stream.
 
 use crate::analytics::AnalyticsView;
 use crate::generation::{GenInfo, GenerationEngine};
 use crate::obs::{self, Event, Obs};
 use crate::snapshot;
 use crate::subs::{AttachError, PendingEvent, SubInfo, SubKind, SubSink, SubWalOp, SubsDispatch};
-use crate::wal::{DurabilityConfig, Wal, WalError, WalStats};
+use crate::wal::{DurabilityConfig, TailEvent, Wal, WalCursor, WalError, WalStats};
+use cc_graph::io::binary;
 use cc_unionfind::UfSpec;
 use connectit::Update;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Chunk size for replaying recovered state into the engine.
-const REPLAY_CHUNK: usize = 1 << 16;
 
 /// How often the batcher appends fresh flight-recorder events to the
 /// trace file while durability is on: a SIGKILL loses at most this
@@ -49,11 +51,10 @@ pub enum Role {
     /// followers.
     Primary,
     /// A read replica: state arrives exclusively through
-    /// [`Client::apply_replicated`] / [`Client::apply_replicated_ops`] /
-    /// [`Client::apply_replicated_edge_set`] (fed by
-    /// `cc_server::replication`); local writes — inserts *and* deletes —
-    /// are rejected, and queries are answered directly against the engine
-    /// at the follower's honestly-reported replication epoch.
+    /// [`Client::apply_log`] (fed by `cc_server::replication`); local
+    /// writes — inserts *and* deletes — are rejected, and queries are
+    /// answered directly against the engine at the follower's
+    /// honestly-reported replication epoch.
     Follower,
 }
 
@@ -254,6 +255,22 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
+/// One unit of durable history, as both replay doors deliver it: a
+/// follower maps its stream's `'E'`, `'B'`/`'D'` and `'P'` records onto
+/// it; recovery its newest snapshot, each [`WalCursor`] record and the
+/// end of its log.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LogRecord {
+    /// One logged batch: inserts and deletes in submission order.
+    Ops(Vec<Update>),
+    /// A durable snapshot: the exact live edge set at its epoch, applied
+    /// by converging to it — live edges absent from it are retracted.
+    EdgeSet(Vec<(u32, u32)>),
+    /// The source reached its live tail at this epoch: a service that fell
+    /// behind catches up here.
+    CaughtUp,
+}
+
 /// One client submission awaiting batching.
 struct Pending {
     ops: Vec<Update>,
@@ -360,7 +377,7 @@ struct Inner {
     durable_snapshot_epoch: AtomicU64,
     /// The most recent durability failure, surfaced through `WALSTATS`.
     last_wal_error: Mutex<Option<String>>,
-    /// Serializes replicated applies on a follower.
+    /// Serializes [`Inner::apply_log`].
     apply_mx: Mutex<()>,
     /// Per-subscription delivery channels (sequence numbers, retained
     /// events for detached durable subscribers, and the live sinks).
@@ -511,6 +528,110 @@ impl Inner {
             }
         }
         Ok(())
+    }
+
+    /// The one apply path for replayed history (see [`LogRecord`]); every
+    /// record passes the vertex-range check before it touches the engine.
+    /// While the engine is behind, records feed its edge set and the epoch
+    /// holds, so `WAIT` never returns on a view that lacks its epoch. From
+    /// `CaughtUp` on, each record advances the epoch to its own and the
+    /// views, counters and subscriptions follow, as after a batch.
+    fn apply_log(&self, epoch: u64, record: LogRecord) -> Result<(), ServiceError> {
+        let _apply = self.apply_mx.lock();
+        let n = self.cfg.n;
+        let (ins, dels) = match record {
+            LogRecord::Ops(ops) => {
+                let endpoints = ops.iter().map(|&op| match op {
+                    Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v) => (u, v),
+                });
+                check_vertices(endpoints, n, || format!("wal record at epoch {epoch}"))?;
+                self.engine.process_batch(&ops);
+                let count = |f: fn(&Update) -> bool| ops.iter().filter(|op| f(op)).count() as u64;
+                (
+                    count(|op| matches!(op, Update::Insert(..))),
+                    count(|op| matches!(op, Update::Delete(..))),
+                )
+            }
+            LogRecord::EdgeSet(edges) => {
+                check_vertices(edges.iter().copied(), n, || format!("snapshot at epoch {epoch}"))?;
+                self.engine.converge_to_edge_set(&edges)
+            }
+            LogRecord::CaughtUp => {
+                self.engine.catch_up();
+                (0, 0)
+            }
+        };
+        if self.engine.is_behind() {
+            return Ok(());
+        }
+        self.obs.metrics.inserts_total.add(ins);
+        self.obs.metrics.deletes_total.add(dels);
+        self.bump_epoch_to(epoch);
+        self.engine.publish_analytics(epoch);
+        self.drain_sub_events();
+        Ok(())
+    }
+
+    /// Crash recovery, as a follower of this service's own directory: the
+    /// newest snapshot is an `EdgeSet`, each WAL record past it an `Ops`,
+    /// the end of the log `CaughtUp`, all through [`Self::apply_log`] with
+    /// the engine behind until the last. Durable subscriptions replay just
+    /// before the catch-up, unarmed; the catch-up arms them against the
+    /// recovered partition, so a pair that connected while the subscriber
+    /// was down still fires.
+    fn recover(&self, dir: &Path, sub_ops: &[SubWalOp]) -> Result<(), ServiceError> {
+        let n = self.cfg.n;
+        self.engine.fall_behind();
+        let mut at = 0;
+        if let Some(snap) = snapshot::load_latest(dir)? {
+            if snap.n != n {
+                return Err(ServiceError::Config(format!(
+                    "snapshot in {} covers {} vertices but the service was started \
+                     with n = {n}; restart with the original vertex count",
+                    dir.display(),
+                    snap.n,
+                )));
+            }
+            at = snap.epoch;
+            self.durable_snapshot_epoch.store(at, Ordering::Release);
+            self.obs.metrics.durable_snapshot_epoch.set_max(at);
+            self.apply_log(at, LogRecord::EdgeSet(snap.edges))?;
+        }
+        let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
+        cursor.oldest().map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?;
+        loop {
+            match cursor.next()? {
+                TailEvent::Record(epoch, ops) if epoch > at => {
+                    self.apply_log(epoch, LogRecord::Ops(ops))?;
+                    at = epoch;
+                }
+                TailEvent::Record(..) => {} // covered by the snapshot
+                TailEvent::CaughtUp => break,
+                TailEvent::Pruned => {
+                    return Err(ServiceError::Durability(format!(
+                        "a wal segment in {} vanished during recovery",
+                        dir.display()
+                    )))
+                }
+            }
+        }
+        let mut max_sub_id = 0u64;
+        for op in sub_ops {
+            match *op {
+                SubWalOp::Register { id, kind, u, v, epoch } => {
+                    check_vertices([(u, v)], n, || format!("wal subscription {id}"))?;
+                    self.engine.subs_register_recovered(id, kind, u, v, epoch);
+                    self.subs.open(id, true, None);
+                    max_sub_id = max_sub_id.max(id);
+                }
+                SubWalOp::Cancel { id } => {
+                    self.engine.subs_cancel(id);
+                    self.subs.close(id);
+                }
+            }
+        }
+        self.subs.bump_next_id(max_sub_id + 1);
+        self.apply_log(at, LogRecord::CaughtUp)
     }
 }
 
@@ -691,34 +812,21 @@ pub struct Service {
     batcher: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Validates that every endpoint of `edges` lies in `0..n` (`what` names
-/// the source for the error).
-fn validate_edges(edges: &[(u32, u32)], n: usize, what: &str) -> Result<(), ServiceError> {
-    for &(u, v) in edges {
-        if u as usize >= n || v as usize >= n {
-            return Err(ServiceError::Config(format!(
-                "{what} references vertex {} but the service was started with n = {n}; \
-                 restart with the original vertex count",
-                u.max(v)
-            )));
-        }
+/// The vertex-range check replayed history passes: every `(u, v)` must lie
+/// in `0..n`; `what` names the source for the error.
+fn check_vertices(
+    pairs: impl IntoIterator<Item = (u32, u32)>,
+    n: usize,
+    what: impl FnOnce() -> String,
+) -> Result<(), ServiceError> {
+    match pairs.into_iter().map(|(u, v)| u.max(v)).find(|&x| x as usize >= n) {
+        None => Ok(()),
+        Some(x) => Err(ServiceError::Config(format!(
+            "{} references vertex {x} but the service was started with n = {n}; \
+             restart with the original vertex count",
+            what()
+        ))),
     }
-    Ok(())
-}
-
-/// [`validate_edges`] over a mixed operation list.
-fn validate_ops(ops: &[Update], n: usize, what: &str) -> Result<(), ServiceError> {
-    for op in ops {
-        let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
-        if u as usize >= n || v as usize >= n {
-            return Err(ServiceError::Config(format!(
-                "{what} references vertex {} but the service was started with n = {n}; \
-                 restart with the original vertex count",
-                u.max(v)
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl Service {
@@ -749,81 +857,17 @@ impl Service {
         )
         .map_err(ServiceError::Config)?;
 
-        let mut recovered_epoch = 0u64;
-        let mut snap_epoch = 0u64;
         let mut wal = None;
+        let mut sub_ops = Vec::new();
         let mut trace_path = None;
-        let subs_dispatch = SubsDispatch::new();
         if let Some(dcfg) = &cfg.durability {
             // Scan (and re-open) the log first — this also creates the
-            // directory — then seed from the newest snapshot and replay
-            // only the records past its epoch. Recovery feeds the
-            // liveness tracker only; `finish_recovery` materializes
-            // generation 0 with a single rebuild at the end, so a
-            // deletion-heavy history does not pay one rebuild per
-            // retraction.
-            let (w, report) = Wal::open(dcfg)?;
-            if let Some(snap) = snapshot::load_latest(&dcfg.dir)? {
-                if snap.n != cfg.n {
-                    return Err(ServiceError::Config(format!(
-                        "snapshot in {} covers {} vertices but the service was started \
-                         with n = {}; restart with the original vertex count",
-                        dcfg.dir.display(),
-                        snap.n,
-                        cfg.n
-                    )));
-                }
-                validate_edges(&snap.edges, cfg.n, &format!("snapshot at epoch {}", snap.epoch))?;
-                for chunk in snap.edges.chunks(REPLAY_CHUNK) {
-                    engine.recover_edges(chunk);
-                }
-                snap_epoch = snap.epoch;
-                recovered_epoch = snap.epoch;
-            }
-            for (epoch, ops) in &report.batches {
-                if *epoch <= snap_epoch {
-                    continue; // covered by the snapshot
-                }
-                validate_ops(ops, cfg.n, &format!("wal record at epoch {epoch}"))?;
-                for chunk in ops.chunks(REPLAY_CHUNK) {
-                    engine.recover_ops(chunk);
-                }
-                recovered_epoch = recovered_epoch.max(*epoch);
-            }
-            // Replay durable subscriptions before `finish_recovery`: the
-            // triggers register unarmed (labels are not final yet) and
-            // the recovery commit re-evaluates every pending pair
-            // against the recovered labeling, so a pair that connected
-            // while the subscriber was down still fires on restart.
-            let mut max_sub_id = 0u64;
-            for op in &report.sub_ops {
-                match *op {
-                    SubWalOp::Register { id, kind, u, v, epoch } => {
-                        for x in [u, v] {
-                            if x as usize >= cfg.n {
-                                return Err(ServiceError::Config(format!(
-                                    "wal subscription {id} references vertex {x} but the \
-                                     service was started with n = {}; restart with the \
-                                     original vertex count",
-                                    cfg.n
-                                )));
-                            }
-                        }
-                        engine.subs_register_recovered(id, kind, u, v, epoch);
-                        subs_dispatch.open(id, true, None);
-                        max_sub_id = max_sub_id.max(id);
-                    }
-                    SubWalOp::Cancel { id } => {
-                        engine.subs_cancel(id);
-                        subs_dispatch.close(id);
-                    }
-                }
-            }
-            subs_dispatch.bump_next_id(max_sub_id + 1);
-            engine.finish_recovery();
-            let mut w = w;
+            // directory and truncates a torn tail — so recovery below
+            // replays a checked log.
+            let (mut w, report) = Wal::open(dcfg)?;
             w.attach_obs(Arc::clone(&obs));
             wal = Some(Mutex::new(w));
+            sub_ops = report.sub_ops;
             // Surface (and consume) the trace a previous run flushed here
             // — after a SIGKILL this is the crash post-mortem — then
             // claim this run's own trace file.
@@ -836,35 +880,35 @@ impl Service {
             trace_path = Some(dcfg.dir.join(format!("trace-{}.log", std::process::id())));
         }
 
-        let role = cfg.role;
-        obs.metrics.epoch.set_max(recovered_epoch);
-        obs.metrics.durable_snapshot_epoch.set_max(snap_epoch);
-        // Stamp the analytics view with the recovered epoch so TOPK/HIST
-        // report an honest starting point (this also sets the components
-        // gauge).
-        engine.publish_analytics(recovered_epoch);
-        obs.metrics.subs_active.set(engine.subs_len() as u64);
         let inner = Arc::new(Inner {
             engine,
             cfg,
             q: Mutex::new(SubmitQueue { queue: VecDeque::new(), queued_ops: 0, closed: false }),
             work_cv: Condvar::new(),
-            epoch: AtomicU64::new(recovered_epoch),
+            epoch: AtomicU64::new(0),
             obs,
             trace_path,
             wal,
-            durable_snapshot_epoch: AtomicU64::new(snap_epoch),
+            durable_snapshot_epoch: AtomicU64::new(0),
             last_wal_error: Mutex::new(None),
             apply_mx: Mutex::new(()),
-            subs: subs_dispatch,
+            subs: SubsDispatch::new(),
             sub_drain_mx: Mutex::new(()),
             epoch_mx: Mutex::new(()),
             epoch_cv: Condvar::new(),
             closed: std::sync::atomic::AtomicBool::new(false),
         });
+        if let Some(dcfg) = &inner.cfg.durability {
+            inner.recover(&dcfg.dir, &sub_ops)?;
+        }
+        // Stamp the analytics view with the starting epoch so TOPK/HIST
+        // report an honest starting point (this also sets the components
+        // gauge).
+        inner.engine.publish_analytics(inner.epoch.load(Ordering::Acquire));
+        inner.obs.metrics.subs_active.set(inner.engine.subs_len() as u64);
         // A follower has no batch former: writes arrive only through the
         // replication apply path, and reads go straight to the engine.
-        let batcher = match role {
+        let batcher = match inner.cfg.role {
             Role::Follower => None,
             Role::Primary => {
                 let b_inner = Arc::clone(&inner);
@@ -1086,110 +1130,31 @@ impl Client {
         Ok(answers)
     }
 
-    /// Applies one replicated insert-only WAL batch — `(epoch, inserts)`
-    /// exactly as the primary logged it — to a follower's engine, then
-    /// advances the follower's epoch to at least `epoch` (idempotent:
-    /// re-delivered inserts re-apply harmlessly and the epoch never moves
-    /// backwards). Snapshot bootstraps take
-    /// [`Client::apply_replicated_edge_set`] instead. Rejected on a
+    /// A follower's one write door: applies one unit of replicated
+    /// history at the primary's `epoch` (see [`LogRecord`]; the
+    /// replication receiver feeds it, and recovery drives the same path
+    /// from disk). Redelivering a contiguous suffix of the history is
+    /// idempotent: each edge's liveness is decided by the last operation
+    /// that touches it, and the epoch never moves backwards. Rejected on a
     /// primary.
-    pub fn apply_replicated(&self, epoch: u64, edges: &[(u32, u32)]) -> Result<(), ServiceError> {
-        let ops: Vec<Update> = edges.iter().map(|&(u, v)| Update::Insert(u, v)).collect();
-        self.apply_from_stream(epoch, &ops, "replicated batch")
-    }
-
-    /// Converges this follower's live edge set to *exactly* `edges` — the
-    /// primary's durable snapshot shipped as an edge-set bootstrap. Unlike
-    /// [`Client::apply_replicated`], which can only add, this retracts
-    /// live edges absent from the snapshot: a follower that reconnects
-    /// past a WAL prune horizon may hold edges whose deletions it never
-    /// saw, and replaying the surviving WAL suffix would leave those
-    /// phantoms live forever. Retractions classify through the normal
-    /// delete path, so a forest retraction seals and rebuilds exactly as
-    /// a replicated delete would. Idempotent; rejected on a primary.
-    pub fn apply_replicated_edge_set(
-        &self,
-        epoch: u64,
-        edges: &[(u32, u32)],
-    ) -> Result<(), ServiceError> {
+    pub fn apply_log(&self, epoch: u64, record: LogRecord) -> Result<(), ServiceError> {
         if self.role() != Role::Follower {
             return Err(ServiceError::Config(
-                "replicated edge-set bootstrap rejected: this service is a primary, not a \
-                 follower"
-                    .to_string(),
+                "replicated record rejected: this service is a primary, not a follower".into(),
             ));
         }
-        if self.inner.closed.load(Ordering::Acquire) {
+        if self.is_closed() {
             return Err(ServiceError::Closed);
         }
-        let n = self.num_vertices();
-        validate_edges(edges, n, &format!("replicated edge-set bootstrap at epoch {epoch}"))?;
-        let (ins, dels) = {
-            let _apply = self.inner.apply_mx.lock();
-            self.inner.engine.converge_to_edge_set(edges)
-        };
-        self.inner.obs.metrics.inserts_total.add(ins);
-        self.inner.obs.metrics.deletes_total.add(dels);
-        self.inner.bump_epoch_to(epoch);
-        // The follower tails the same history, so its analytics view
-        // converges at the honestly-replicated epoch.
-        self.inner.engine.publish_analytics(epoch);
-        self.inner.drain_sub_events();
-        Ok(())
+        self.inner.apply_log(epoch, record)
     }
 
-    /// Applies one replicated deletion-bearing WAL batch — `(epoch, ops)`
-    /// exactly as the primary logged it, inserts and deletions in
-    /// submission order. Redelivering a *contiguous suffix* of the
-    /// history through the head (what a reconnect replays) is idempotent:
-    /// each edge's liveness is decided by the last operation that touches
-    /// it, and the replay repeats those last operations in order.
-    /// Rejected on a primary.
-    pub fn apply_replicated_ops(&self, epoch: u64, ops: &[Update]) -> Result<(), ServiceError> {
-        self.apply_from_stream(epoch, ops, "replicated delta")
-    }
-
-    fn apply_from_stream(
-        &self,
-        epoch: u64,
-        ops: &[Update],
-        what: &str,
-    ) -> Result<(), ServiceError> {
-        if self.role() != Role::Follower {
-            return Err(ServiceError::Config(format!(
-                "{what} rejected: this service is a primary, not a follower"
-            )));
-        }
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(ServiceError::Closed);
-        }
-        let n = self.num_vertices();
-        validate_ops(ops, n, &format!("{what} at epoch {epoch}"))?;
-        let (mut ins, mut dels) = (0u64, 0u64);
-        for op in ops {
-            match op {
-                Update::Insert(..) => ins += 1,
-                Update::Delete(..) => dels += 1,
-                Update::Query(..) => {}
-            }
-        }
-        {
-            let _apply = self.inner.apply_mx.lock();
-            for chunk in ops.chunks(REPLAY_CHUNK) {
-                self.inner.engine.process_batch(chunk);
-            }
-        }
-        self.inner.obs.metrics.inserts_total.add(ins);
-        self.inner.obs.metrics.deletes_total.add(dels);
-        self.inner.bump_epoch_to(epoch);
-        // Same contract as the edge-set bootstrap: the analytics view
-        // advances with every applied replicated batch.
-        self.inner.engine.publish_analytics(epoch);
-        // A follower serves subscriptions off the replicated stream: the
-        // merges this apply produced fire at the honestly-replicated
-        // epoch just reached.
-        self.inner.drain_sub_events();
-        Ok(())
+    /// Falls this follower behind at a (re)connect: until the stream's
+    /// next [`LogRecord::CaughtUp`], records replay into the engine's edge
+    /// set, reads serve the sealed view and the epoch holds
+    /// ([`GenerationEngine::fall_behind`]).
+    pub(crate) fn fall_behind(&self) {
+        self.inner.engine.fall_behind();
     }
 
     /// Blocks until the service's epoch reaches `target` (the `WAIT`
@@ -1824,6 +1789,90 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One deletion-bearing history with a cadence snapshot in its middle,
+    /// replayed through both doors — a restart on its directory, and a
+    /// fresh follower of a hub serving that directory — lands on one
+    /// state: epoch, live edge set, partition, analytics, and a clean
+    /// generation 0 that counted no rebuild.
+    #[test]
+    fn same_log_same_state_through_both_doors() {
+        use crate::replication::{run_follower, serve_replication};
+        let dir = tmp_dir("two_doors");
+        let cfg = || ServiceConfig {
+            durability: Some(DurabilityConfig {
+                fsync: FsyncPolicy::Off,
+                snapshot_every: 6,
+                ..DurabilityConfig::new(&dir)
+            }),
+            ..durable_cfg(48, &dir)
+        };
+        {
+            let mut svc = Service::start(cfg()).expect("primary");
+            let c = svc.client();
+            let mut live: Vec<(u32, u32)> = Vec::new();
+            for round in 0..10u32 {
+                let mut ops = Vec::new();
+                for i in 0..8u32 {
+                    let x = round * 37 + i * 11;
+                    if i % 3 == 2 && !live.is_empty() {
+                        let (u, v) = live.swap_remove(x as usize % live.len());
+                        ops.push(Update::Delete(u, v));
+                    } else {
+                        live.push((x % 48, (x * 7 + 5) % 48));
+                        ops.push(Update::Insert(x % 48, (x * 7 + 5) % 48));
+                    }
+                }
+                c.submit(ops).expect("submit");
+            }
+            assert!(c.generation_info().counters.deletes_forest > 0, "forest deletes replay");
+            svc.shutdown();
+        }
+        let mut restarted = Service::start(cfg()).expect("recovers");
+        let r = restarted.client();
+        assert!(r.wal_stats().expect("wal").contains(" snap_epoch=6 "));
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
+        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut follower = Service::start(ServiceConfig {
+            n: 48,
+            role: Role::Follower,
+            ..ServiceConfig::default()
+        })
+        .expect("follower");
+        let f = follower.client();
+        let h = run_follower(f.clone(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+            .expect("recv");
+        f.wait_for_epoch(10, Duration::from_secs(20)).expect("follower catches up");
+        assert_eq!(f.observability().metrics.repl_snapshots_applied_total.get(), 1);
+
+        let edges = |c: &Client| {
+            let mut e: Vec<u64> = c
+                .inner
+                .engine
+                .edge_list()
+                .iter()
+                .map(|&(u, v)| connectit::canon_edge(u, v))
+                .collect();
+            e.sort_unstable();
+            e
+        };
+        assert_eq!((r.epoch(), f.epoch()), (10, 10));
+        assert_eq!(edges(&r), edges(&f));
+        assert!(cc_graph::stats::same_partition(&r.labels(), &f.labels()));
+        let (ra, fa) = (r.analytics(), f.analytics());
+        assert_eq!((ra.components, &ra.hist), (fa.components, &fa.hist));
+        for c in [&r, &f] {
+            let info = c.generation_info();
+            assert_eq!((info.generation, info.dirty, info.counters.rebuilds), (0, false, 0));
+        }
+
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        hub.stop();
+        follower.shutdown();
+        restarted.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn small_service() -> Service {
         Service::start(ServiceConfig {
             n: 64,
@@ -1854,16 +1903,17 @@ mod tests {
         );
         // The replication stream is the only write path; epochs mirror
         // the primary's (here: a snapshot at 3 then batches 4 and 5).
-        c.apply_replicated_edge_set(3, &[(1, 2)]).expect("snapshot bootstrap");
+        let ins = |u, v| LogRecord::Ops(vec![Update::Insert(u, v)]);
+        c.apply_log(3, LogRecord::EdgeSet(vec![(1, 2)])).expect("snapshot bootstrap");
         assert_eq!(c.epoch(), 3);
-        c.apply_replicated(4, &[(2, 3)]).expect("batch");
-        c.apply_replicated(5, &[]).expect("query-only epoch");
+        c.apply_log(4, ins(2, 3)).expect("batch");
+        c.apply_log(5, LogRecord::Ops(Vec::new())).expect("query-only epoch");
         assert_eq!(c.epoch(), 5);
         assert!(c.query(1, 3).expect("read"));
         assert!(!c.query(1, 4).expect("read"));
         // Redelivery (a reconnect replays a suffix) is harmless and the
         // epoch never regresses.
-        c.apply_replicated(4, &[(2, 3)]).expect("redelivery");
+        c.apply_log(4, ins(2, 3)).expect("redelivery");
         assert_eq!(c.epoch(), 5);
         let stats = c.stats();
         assert!(stats.queries >= 2);
@@ -1885,7 +1935,7 @@ mod tests {
         };
         assert!(err.to_string().contains("belongs to the primary"), "{err}");
         let mut svc = small_service();
-        let err = svc.client().apply_replicated(1, &[(0, 1)]).expect_err("primary apply");
+        let err = svc.client().apply_log(1, LogRecord::CaughtUp).expect_err("primary apply");
         assert!(err.to_string().contains("not a follower"), "{err}");
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1912,7 +1962,7 @@ mod tests {
         let waiter = c.clone();
         let h = std::thread::spawn(move || waiter.wait_for_epoch(2, Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(10));
-        c.apply_replicated(2, &[(0, 1)]).expect("apply");
+        c.apply_log(2, LogRecord::Ops(vec![Update::Insert(0, 1)])).expect("apply");
         assert_eq!(h.join().expect("thread").expect("wait succeeds"), 2);
         svc.shutdown();
         assert_eq!(c.wait_for_epoch(99, Duration::from_secs(10)), Err(ServiceError::Closed));

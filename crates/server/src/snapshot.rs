@@ -8,12 +8,8 @@
 //! One file per snapshot, `snap-<epoch>.ccsnap`: the magic `CCSNAP02`,
 //! then two [`cc_graph::io::binary`] records — a 16-byte header
 //! `(epoch u64 LE, n u64 LE)` and the edge set as
-//! [`cc_graph::io::binary::encode_edge_batch`] `(epoch, edges)`. The
-//! reader also accepts a `CCSNAP01` file whose first record is the old
-//! `(epoch, n, labels)` array (its leading 16 bytes are the same header;
-//! the labels are length-checked and dropped) followed by the edge record;
-//! a label-only `CCSNAP01` file predates deletions, cannot say which edges
-//! are live, and is rejected as corrupt. Files are written to a `.tmp`
+//! [`cc_graph::io::binary::encode_edge_batch`] `(epoch, edges)`. Files are
+//! written to a `.tmp`
 //! sibling, fsynced, then renamed, so a crash mid-write never leaves a
 //! plausible-but-partial snapshot under the real name; stray `.tmp` files
 //! are ignored (and cleaned) by the loader. Loading walks epochs downward
@@ -28,11 +24,6 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of every snapshot file this build writes.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCSNAP02";
-
-/// Magic prefix of the previous format (a label array before the edge
-/// record). Read-only: accepted when it carries an edge record, never
-/// written.
-pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"CCSNAP01";
 
 /// The snapshot file name for an epoch.
 pub fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -92,30 +83,18 @@ pub fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, WalError> {
     let file =
         File::open(path).map_err(|e| WalError::Io { path: path.to_path_buf(), source: e })?;
     let mut reader = BufReader::new(file);
-    let v1 = match binary::read_magic(&mut reader, SNAPSHOT_MAGIC) {
-        Ok(()) => false,
-        Err(CodecError::BadMagic { found, .. }) if found.as_slice() == SNAPSHOT_MAGIC_V1 => true,
-        Err(e) => return Err(codec(e)),
-    };
+    binary::read_magic(&mut reader, SNAPSHOT_MAGIC).map_err(codec)?;
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
     let header =
         records.next().map_err(codec)?.ok_or_else(|| corrupt("no header record".into()))?;
-    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    let (epoch, n) = header.get(..16).map_or((0, usize::MAX), |h| {
-        (le(&h[..8]), usize::try_from(le(&h[8..])).unwrap_or(usize::MAX))
-    });
-    // v2 is exactly `(epoch, n)`; v1 has the same 16 bytes, then `n` labels.
-    let want = if v1 { n.saturating_mul(4).saturating_add(16) } else { 16 };
-    if header.len() != want {
-        return Err(corrupt(format!("snapshot header of {} bytes, expected {want}", header.len())));
+    if header.len() != 16 {
+        return Err(corrupt(format!("snapshot header of {} bytes, expected 16", header.len())));
     }
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let (epoch, n) = (le(&header[..8]), usize::try_from(le(&header[8..])).unwrap_or(usize::MAX));
     let at = records.offset();
     let Some(payload) = records.next().map_err(codec)? else {
-        return Err(corrupt(if v1 {
-            "label-only CCSNAP01 snapshot (the pre-deletion format) has no edge set".into()
-        } else {
-            "snapshot has no edge record".into()
-        }));
+        return Err(corrupt("snapshot has no edge record".into()));
     };
     let (edge_epoch, edges) = binary::decode_edge_batch(&payload, at).map_err(codec)?;
     if edge_epoch != epoch {
@@ -233,26 +212,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The label-array format before `CCSNAP02` is no longer read: its
+    /// magic is a typed bad-magic error, and the loader falls back past
+    /// it to an older current-format snapshot.
     #[test]
-    fn v1_file_with_an_edge_record_loads() {
-        let dir = tmp_dir("v1edges");
+    fn ccsnap01_file_is_bad_magic_and_load_latest_falls_back_past_it() {
+        let dir = tmp_dir("v1");
+        write_snapshot(&dir, 2, 3, &[(1, 2)]).expect("write");
+        let v1 = snapshot_path(&dir, 4);
         let labels = binary::encode_labels(4, &[0, 0, 2]);
-        let edges = binary::encode_edge_batch(4, &[(0, 1)]);
-        write_raw(&snapshot_path(&dir, 4), SNAPSHOT_MAGIC_V1, &[labels, edges]);
+        write_raw(&v1, b"CCSNAP01", &[labels, binary::encode_edge_batch(4, &[(0, 1)])]);
+        let err = read_snapshot(&v1).unwrap_err();
+        assert!(
+            matches!(err, WalError::Codec { source: CodecError::BadMagic { .. }, .. }),
+            "{err}"
+        );
         let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!((snap.epoch, snap.n), (4, 3));
-        assert_eq!(snap.edges, vec![(0, 1)]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_label_only_file_is_a_typed_corrupt_error() {
-        let dir = tmp_dir("v1labels");
-        let path = snapshot_path(&dir, 4);
-        write_raw(&path, SNAPSHOT_MAGIC_V1, &[binary::encode_labels(4, &[0, 0, 2])]);
-        let err = read_snapshot(&path).unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("label-only CCSNAP01"), "{err}");
+        assert_eq!((snap.epoch, snap.edges, snap.skipped_corrupt), (2, vec![(1, 2)], 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,9 +20,9 @@
 //!   (a registration races batch appends in either direction), so they
 //!   are exempt from the batch records' strict epoch monotonicity and
 //!   are surfaced separately by recovery
-//!   ([`RecoveryReport::sub_ops`]). The replication cursor skips them:
-//!   followers learn subscriptions from their own clients, never from
-//!   the primary's WAL.
+//!   ([`RecoveryReport::sub_ops`]). [`WalCursor`] skips them: followers
+//!   learn subscriptions from their own clients, never from the
+//!   primary's WAL.
 //!
 //! Segments written before the kind byte existed carry the magic
 //! `CCWALS01` and hold raw edge-batch bodies (insert-only histories by
@@ -58,15 +58,20 @@
 //!
 //! ## Recovery
 //!
-//! [`Wal::open`] scans existing segments in sequence order and returns
-//! every decodable `(epoch, edges)` record. A decode failure in the
-//! *final* segment is a torn tail — the crash interrupted an append — so
-//! the tail is dropped (reported in [`RecoveryReport`]) **and physically
-//! truncated away**, so the segment scans clean on every later restart
-//! even once it is no longer final. A decode failure in any earlier
-//! segment therefore cannot be explained by a crash mid-append and is
-//! surfaced as a typed [`WalError`] with segment and offset context.
-//! Appends always go to a fresh segment, never after a torn tail.
+//! [`Wal::open`] scans existing segments in sequence order and checks
+//! every record — framing, body, strictly increasing batch epochs — but
+//! keeps only the durable subscription records
+//! ([`RecoveryReport::sub_ops`]); the batches stay on disk. A decode
+//! failure in the *final* segment is a torn tail — the crash interrupted
+//! an append — so the tail is dropped (reported in [`RecoveryReport`])
+//! **and physically truncated away**, so the segment scans clean on every
+//! later restart even once it is no longer final. A decode failure in any
+//! earlier segment therefore cannot be explained by a crash mid-append and
+//! is surfaced as a typed [`WalError`] with segment and offset context.
+//! Appends always go to a fresh segment, never after a torn tail. The
+//! service then replays the checked log through a [`WalCursor`] over its
+//! own directory — the reader a follower's sender tails it with — one
+//! record at a time.
 
 use crate::obs::{Event, Obs};
 use crate::subs::{SubKind, SubWalOp};
@@ -410,14 +415,11 @@ pub struct SealedSegment {
 /// What a [`Wal::open`] recovery scan found.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Decoded `(epoch, ops)` records across all segments, in order
-    /// (inserts and deletes; queries are never durable).
-    pub batches: Vec<(u64, Vec<Update>)>,
     /// Durable subscription register/cancel records, in log order
     /// (replayed wholesale after the batches — each registration carries
     /// its own epoch, and the engine re-evaluates recovered triggers
-    /// against the final recovered labeling, so interleaving with
-    /// `batches` cannot matter).
+    /// against the final recovered labeling, so interleaving with the
+    /// batch records cannot matter).
     pub sub_ops: Vec<SubWalOp>,
     /// Segments scanned.
     pub segments_scanned: usize,
@@ -475,10 +477,11 @@ fn parse_segment_seq(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
 }
 
-/// Scans one segment file, appending decoded records to `out` and
-/// returning the segment's last epoch. `is_last` selects torn-tail
-/// tolerance: errors in the final segment truncate (and describe) the
-/// tail; anywhere else they are fatal.
+/// Scans one segment file, checking every record and collecting its
+/// subscription records into `report`; returns the segment's last
+/// epoch. `is_last` selects torn-tail tolerance: errors in the final
+/// segment truncate (and describe) the tail; anywhere else they are
+/// fatal.
 fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Result<u64, WalError> {
     let file = File::open(path).map_err(|e| io_err(path, e))?;
     let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
@@ -519,7 +522,7 @@ fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Resu
                     report.sub_ops.push(op);
                     continue;
                 }
-                let (epoch, ops) = decode_segment_payload(version, &payload, at)
+                let (epoch, _) = decode_segment_payload(version, &payload, at)
                     .map_err(|e| WalError::Codec { path: path.to_path_buf(), source: e })?;
                 if epoch <= last_epoch {
                     return Err(WalError::Corrupt {
@@ -531,7 +534,6 @@ fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Resu
                     });
                 }
                 last_epoch = epoch;
-                report.batches.push((epoch, ops));
             }
             Err(e) => {
                 // Any malformed record ends the scan: a torn tail in the
@@ -1126,6 +1128,17 @@ mod tests {
         DurabilityConfig { fsync: FsyncPolicy::Off, ..DurabilityConfig::new(dir) }
     }
 
+    /// Every batch record in `dir`, read the way recovery replays them.
+    fn logged(dir: &Path) -> Vec<(u64, Vec<Update>)> {
+        let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
+        cursor.oldest().expect("oldest");
+        let mut out = Vec::new();
+        while let TailEvent::Record(epoch, ops) = cursor.next().expect("tail") {
+            out.push((epoch, ops));
+        }
+        out
+    }
+
     fn ins(edges: &[(u32, u32)]) -> Vec<Update> {
         edges.iter().map(|&(u, v)| Update::Insert(u, v)).collect()
     }
@@ -1135,8 +1148,8 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let cfg = small_cfg(&dir);
         {
-            let (mut wal, rep) = Wal::open(&cfg).expect("open");
-            assert!(rep.batches.is_empty());
+            let (mut wal, _) = Wal::open(&cfg).expect("open");
+            assert!(logged(&dir).is_empty());
             wal.append(1, &[(0, 1), (2, 3)]).expect("append");
             wal.append(2, &[]).expect("append empty");
             wal.append(3, &[(1, 2)]).expect("append");
@@ -1146,7 +1159,7 @@ mod tests {
         }
         let (wal, rep) = Wal::open(&cfg).expect("reopen");
         assert_eq!(
-            rep.batches,
+            logged(&dir),
             vec![(1, ins(&[(0, 1), (2, 3)])), (2, vec![]), (3, ins(&[(1, 2)]))]
         );
         assert_eq!(rep.torn_bytes, 0);
@@ -1172,14 +1185,14 @@ mod tests {
             wal.append_ops(3, &[Update::Query(1, 2)]).expect("append query-only");
             wal.flush().expect("flush");
         }
-        let (_, rep) = Wal::open(&cfg).expect("reopen");
+        Wal::open(&cfg).expect("reopen");
         let want_mixed = vec![
             Update::Insert(0, 1),
             Update::Delete(4, 5),
             Update::Insert(1, 2),
             Update::Delete(0, 1),
         ];
-        assert_eq!(rep.batches, vec![(1, ins(&[(4, 5)])), (2, want_mixed), (3, vec![])]);
+        assert_eq!(logged(&dir), vec![(1, ins(&[(4, 5)])), (2, want_mixed), (3, vec![])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1218,7 +1231,7 @@ mod tests {
             assert_eq!(wal.stats().last_epoch, 3, "sub records never advance the epoch");
         }
         let (wal, rep) = Wal::open(&cfg).expect("reopen");
-        assert_eq!(rep.batches.len(), 3);
+        assert_eq!(logged(&dir).len(), 3);
         assert_eq!(rep.sub_ops, vec![reg, reg2, SubWalOp::Cancel { id: 8 }]);
         // The replication cursor steps over every sub record: followers
         // see exactly the batch stream.
@@ -1285,7 +1298,7 @@ mod tests {
         f.sync_data().expect("sync");
         let msg = match Wal::open(&cfg) {
             Err(e) => e.to_string(),
-            Ok((_, rep)) => panic!("must not open: {:?}", rep.batches),
+            Ok(_) => panic!("must not open"),
         };
         assert!(msg.contains("unknown wal record kind"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1306,7 +1319,7 @@ mod tests {
         let bytes = std::fs::read(&seg).expect("read");
         std::fs::write(&seg, &bytes[..bytes.len() - 5]).expect("truncate");
         let (wal, rep) = Wal::open(&cfg).expect("reopen");
-        assert_eq!(rep.batches, vec![(1, ins(&[(0, 1)]))]);
+        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
         // Record 2 is 8 (frame) + 21 (kind + epoch + count + 1 edge)
         // bytes; 5 were chopped, so 24 torn bytes remain and are dropped.
         assert_eq!(rep.torn_bytes, 24);
@@ -1318,7 +1331,7 @@ mod tests {
         drop(wal);
         for round in 0..2 {
             let (_, rep) = Wal::open(&cfg).expect("torn tail must not brick later restarts");
-            assert_eq!(rep.batches, vec![(1, ins(&[(0, 1)]))], "round {round}");
+            assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))], "round {round}");
             assert_eq!(rep.torn_bytes, 0, "round {round}: tail was truncated away");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1335,7 +1348,7 @@ mod tests {
         // A second segment torn inside its magic (creation crashed).
         std::fs::write(segment_path(&dir, 1), b"CCW").expect("write");
         let (_, rep) = Wal::open(&cfg).expect("open tolerates torn magic");
-        assert_eq!(rep.batches, vec![(1, ins(&[(0, 1)]))]);
+        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
         assert!(rep.torn_bytes > 0);
         assert!(!segment_path(&dir, 1).exists(), "torn-magic file removed");
         let (_, rep) = Wal::open(&cfg).expect("and later restarts stay clean");
@@ -1385,8 +1398,8 @@ mod tests {
         assert_eq!(removed as u64, sealed_before);
         // Reopen: only the suffix past the prune point remains on disk.
         drop(wal);
-        let (_, rep) = Wal::open(&cfg).expect("reopen");
-        assert!(rep.batches.iter().all(|(e, _)| *e > 0));
+        Wal::open(&cfg).expect("reopen");
+        assert!(logged(&dir).iter().all(|(e, _)| *e > 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1402,7 +1415,7 @@ mod tests {
             }
         }
         let (_, rep) = Wal::open(&cfg).expect("reopen");
-        let epochs: Vec<u64> = rep.batches.iter().map(|(e, _)| *e).collect();
+        let epochs: Vec<u64> = logged(&dir).iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![1, 2, 3, 4, 5, 6, 7]);
         assert!(rep.segments_scanned > 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1584,7 +1597,7 @@ mod tests {
         {
             // Opening an old-format directory recovers its history...
             let (mut wal, rep) = Wal::open(&cfg).expect("v1 wal must still open");
-            assert_eq!(rep.batches, vec![(1, ins(&[(0, 1)])), (2, ins(&[(2, 3)]))]);
+            assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)])), (2, ins(&[(2, 3)]))]);
             assert_eq!(rep.torn_bytes, 0);
             // ...and new appends (deletions included) go to a fresh v2
             // segment alongside the untouched v1 one.
@@ -1594,9 +1607,9 @@ mod tests {
         let v2_seg = std::fs::read(segment_path(&dir, 1)).expect("new segment");
         assert_eq!(&v2_seg[..binary::MAGIC_LEN], WAL_MAGIC, "appends use the current format");
         // A mixed-version directory recovers both formats in order.
-        let (_, rep) = Wal::open(&cfg).expect("mixed-version reopen");
+        Wal::open(&cfg).expect("mixed-version reopen");
         assert_eq!(
-            rep.batches,
+            logged(&dir),
             vec![(1, ins(&[(0, 1)])), (2, ins(&[(2, 3)])), (3, vec![Update::Delete(0, 1)]),]
         );
         let _ = std::fs::remove_dir_all(&dir);
