@@ -232,6 +232,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A label-only `CCSNAP01` file alone in the directory is a typed
+    /// error both to read and to recover from: never a fresh start.
+    #[test]
+    fn v1_label_only_file_is_a_typed_corrupt_error() {
+        let dir = tmp_dir("v1labels");
+        let path = snapshot_path(&dir, 4);
+        write_raw(&path, b"CCSNAP01", &[binary::encode_labels(4, &[0, 0, 2])]);
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(err, WalError::Codec { source: CodecError::BadMagic { .. }, .. }),
+            "{err}"
+        );
+        let err = load_latest(&dir).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("none decodable"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn mismatched_edge_record_epoch_is_corrupt() {
         let dir = tmp_dir("mismatch");
