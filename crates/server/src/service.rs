@@ -607,12 +607,10 @@ impl Inner {
                 }
                 TailEvent::Record(..) => {} // covered by the snapshot
                 TailEvent::CaughtUp => break,
-                TailEvent::Pruned => {
-                    return Err(ServiceError::Durability(format!(
-                        "a wal segment in {} vanished during recovery",
-                        dir.display()
-                    )))
-                }
+                // Nothing prunes before the log accepts writes: a hole.
+                TailEvent::Pruned => cursor
+                    .skip_gap()
+                    .map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?,
             }
         }
         let mut max_sub_id = 0u64;
@@ -1633,6 +1631,47 @@ mod tests {
         assert!(svc.client().query_now(1, 4).expect("query"));
         assert_eq!(svc.client().epoch(), 4);
         svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash inside a segment roll can leave a final segment torn inside
+    /// its magic; every later restart recovers the same epoch and
+    /// partition. A hole in the segment sequence, as older releases left
+    /// after such a crash, replays the segments on both sides of it.
+    #[test]
+    fn torn_segment_creation_never_bricks_restarts() {
+        let dir = tmp_dir("torn_roll");
+        let restart = |want_epoch: u64, want: &[u32]| {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("recovers");
+            let c = svc.client();
+            assert_eq!(c.epoch(), want_epoch);
+            assert!(cc_graph::stats::same_partition(&c.labels(), want));
+            svc.shutdown();
+        };
+        {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            let c = svc.client();
+            c.insert(1, 2).expect("insert");
+            c.insert(3, 4).expect("insert");
+            svc.shutdown();
+        }
+        std::fs::write(crate::wal::segment_path(&dir, 1), b"CCW").expect("torn magic");
+        let mut want: Vec<u32> = (0..16).collect();
+        (want[2], want[4]) = (1, 3);
+        restart(2, &want);
+        restart(2, &want);
+
+        // Segments 1 and 2 are empty, 3 gets a record; deleting 2 leaves
+        // the hole an older release left at a torn roll.
+        {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            svc.client().insert(2, 3).expect("insert");
+            svc.shutdown();
+        }
+        std::fs::remove_file(crate::wal::segment_path(&dir, 2)).expect("open a hole");
+        (want[3], want[4]) = (1, 1);
+        restart(3, &want);
+        restart(3, &want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,7 +68,9 @@
 //! later restart even once it is no longer final. A decode failure in any
 //! earlier segment therefore cannot be explained by a crash mid-append and
 //! is surfaced as a typed [`WalError`] with segment and offset context.
-//! Appends always go to a fresh segment, never after a torn tail. The
+//! Appends always go to a fresh segment, never after a torn tail; a final
+//! segment torn inside its magic is deleted and the fresh segment reuses
+//! its sequence number, so the log's sequence numbers stay contiguous. The
 //! service then replays the checked log through a [`WalCursor`] over its
 //! own directory — the reader a follower's sender tails it with — one
 //! record at a time.
@@ -469,7 +471,7 @@ impl std::fmt::Display for WalStats {
     }
 }
 
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:08}.log"))
 }
 
@@ -579,7 +581,8 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating the directory if needed) the log at `cfg.dir`:
     /// scans every existing segment for recovery, then starts a fresh
-    /// active segment after the highest existing sequence number.
+    /// active segment after the highest existing sequence number (or in
+    /// place of a final segment torn inside its magic).
     pub fn open(cfg: &DurabilityConfig) -> Result<(Wal, RecoveryReport), WalError> {
         std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err(&cfg.dir, e))?;
         let mut seqs: Vec<u64> = std::fs::read_dir(&cfg.dir)
@@ -607,10 +610,15 @@ impl Wal {
         // The segment stops being the final one as soon as the fresh
         // active segment below exists, and a sealed segment must scan
         // clean on every later restart.
+        let mut seg_seq = seqs.last().map_or(0, |s| s + 1);
         if let Some((torn_path, at)) = &report.torn_at {
             if *at == 0 {
+                // Torn inside its magic: the file goes, and the fresh
+                // segment takes its sequence number, so the log keeps no
+                // gap for a cursor to read as a pruned segment.
                 std::fs::remove_file(torn_path).map_err(|e| io_err(torn_path, e))?;
                 sealed.retain(|s| &s.path != torn_path);
+                seg_seq -= 1;
             } else {
                 let f = OpenOptions::new()
                     .write(true)
@@ -621,7 +629,6 @@ impl Wal {
             }
         }
 
-        let seg_seq = seqs.last().map_or(0, |s| s + 1);
         let seg_path = segment_path(&cfg.dir, seg_seq);
         let mut file = BufWriter::new(
             OpenOptions::new()
@@ -975,9 +982,25 @@ impl WalCursor {
     /// on disk (or at segment 0 if the directory is empty) — the resume
     /// point after [`TailEvent::Pruned`] plus a snapshot re-bootstrap.
     pub fn oldest(&mut self) -> std::io::Result<()> {
-        self.seq = oldest_segment_seq(&self.dir)?.unwrap_or(0);
+        self.seq = first_segment_seq(&self.dir, 0)?.unwrap_or(0);
         self.offset = binary::MAGIC_LEN as u64;
         self.seg_version = None;
+        Ok(())
+    }
+
+    /// Repositions the cursor at the start of the next segment on disk
+    /// past its own — the resume point after [`TailEvent::Pruned`] when
+    /// nothing can be pruning (recovery, before the log accepts writes),
+    /// so the missing sequence numbers are a hole on disk: older releases
+    /// left one where a crash tore a segment's creation (no records), and
+    /// a prune that failed to delete one segment but not the next leaves
+    /// one whose records a durable snapshot covers.
+    pub fn skip_gap(&mut self) -> std::io::Result<()> {
+        if let Some(seq) = first_segment_seq(&self.dir, self.seq + 1)? {
+            self.seq = seq;
+            self.offset = binary::MAGIC_LEN as u64;
+            self.seg_version = None;
+        }
         Ok(())
     }
 
@@ -1103,8 +1126,9 @@ impl WalCursor {
     }
 }
 
-/// The lowest segment sequence number present in `dir`, if any.
-fn oldest_segment_seq(dir: &Path) -> std::io::Result<Option<u64>> {
+/// The lowest segment sequence number at least `from` present in `dir`,
+/// if any.
+fn first_segment_seq(dir: &Path, from: u64) -> std::io::Result<Option<u64>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -1113,6 +1137,7 @@ fn oldest_segment_seq(dir: &Path) -> std::io::Result<Option<u64>> {
     Ok(entries
         .flatten()
         .filter_map(|entry| entry.file_name().to_str().and_then(parse_segment_seq))
+        .filter(|&s| s >= from)
         .min())
 }
 
@@ -1128,15 +1153,22 @@ mod tests {
         DurabilityConfig { fsync: FsyncPolicy::Off, ..DurabilityConfig::new(dir) }
     }
 
-    /// Every batch record in `dir`, read the way recovery replays them.
+    /// Every batch record in `dir`, read by the cursor recovery replays
+    /// with, which must reach the tail without meeting a gap in the
+    /// segment sequence.
     fn logged(dir: &Path) -> Vec<(u64, Vec<Update>)> {
         let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
         cursor.oldest().expect("oldest");
         let mut out = Vec::new();
-        while let TailEvent::Record(epoch, ops) = cursor.next().expect("tail") {
-            out.push((epoch, ops));
+        loop {
+            match cursor.next().expect("tail") {
+                TailEvent::Record(epoch, ops) => out.push((epoch, ops)),
+                TailEvent::CaughtUp => return out,
+                TailEvent::Pruned => {
+                    panic!("gap in the segment sequence at {:?}", cursor.position())
+                }
+            }
         }
-        out
     }
 
     fn ins(edges: &[(u32, u32)]) -> Vec<Update> {
@@ -1347,12 +1379,21 @@ mod tests {
         }
         // A second segment torn inside its magic (creation crashed).
         std::fs::write(segment_path(&dir, 1), b"CCW").expect("write");
-        let (_, rep) = Wal::open(&cfg).expect("open tolerates torn magic");
-        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
+        let (wal, rep) = Wal::open(&cfg).expect("open tolerates torn magic");
         assert!(rep.torn_bytes > 0);
-        assert!(!segment_path(&dir, 1).exists(), "torn-magic file removed");
+        // The fresh segment replaced the torn file under its sequence
+        // number: no gap for a cursor to read as a pruned segment.
+        assert_eq!(wal.seg_seq, 1);
+        assert_eq!(
+            std::fs::metadata(segment_path(&dir, 1)).expect("seg 1").len(),
+            binary::MAGIC_LEN as u64
+        );
+        assert!(!segment_path(&dir, 2).exists());
+        drop(wal);
+        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
         let (_, rep) = Wal::open(&cfg).expect("and later restarts stay clean");
         assert_eq!(rep.torn_bytes, 0);
+        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
