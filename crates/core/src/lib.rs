@@ -23,6 +23,7 @@
 pub mod compressed;
 pub mod connectivity;
 pub mod dynamic;
+mod edge_table;
 pub mod forest;
 pub mod label_prop;
 pub mod liu_tarjan;

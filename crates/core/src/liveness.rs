@@ -24,14 +24,22 @@
 //! installs the result with the O(1) [`LivenessTracker::adopt`],
 //! restoring `forest ⊆ edges` and `forest spans edges`.
 //!
+//! Both edge sets are `EdgeTable`s (`edge_table.rs`): flat,
+//! open-addressed arrays of canonical keys ([`canon_edge`]), 8 bytes a
+//! slot. They are two tables, not one with a forest bit. The live set is
+//! the big one — one probe per insert or delete, which a batch loop
+//! starts early with [`LivenessTracker::prefetch`] — while the forest
+//! table is small and built off-lock by [`LivenessTracker::rebuild`], so
+//! that the adopt stays a swap.
+//!
 //! This module is deliberately sequential — it is the *classifier*, not
 //! the engine. Both [`crate::DynamicConnectivity`] and the server's
 //! generation engine consult it before deciding whether a retraction
 //! needs a rebuild, and both rebuild through that primitive.
 
+use crate::edge_table::EdgeTable;
 use cc_graph::VertexId;
 use cc_unionfind::{MergeOutcome, SizedUnionFind};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Canonical undirected edge key: `(min << 32) | max`.
@@ -86,8 +94,9 @@ pub enum InsertClass {
 /// [`DeleteClass::Forest`].
 pub struct LivenessTracker {
     n: usize,
-    edges: HashSet<u64>,
-    forest: HashSet<u64>,
+    edges: EdgeTable,
+    /// Its own small table, so that [`Self::adopt`] swaps it in O(1).
+    forest: EdgeTable,
     /// Written only through `&mut self`: the tracker is the partition's
     /// single writer, whoever else holds the `Arc` reads.
     partition: Arc<SizedUnionFind>,
@@ -98,7 +107,7 @@ pub struct LivenessTracker {
 /// [`LivenessTracker::adopt`] installs.
 pub struct Rebuilt {
     partition: Arc<SizedUnionFind>,
-    forest: HashSet<u64>,
+    forest: EdgeTable,
 }
 
 impl Rebuilt {
@@ -117,8 +126,8 @@ impl LivenessTracker {
     pub fn new(n: usize) -> Self {
         LivenessTracker {
             n,
-            edges: HashSet::new(),
-            forest: HashSet::new(),
+            edges: EdgeTable::new(),
+            forest: EdgeTable::new(),
             partition: Arc::new(SizedUnionFind::new(n)),
             stale: false,
         }
@@ -152,19 +161,37 @@ impl LivenessTracker {
         &self.partition
     }
 
-    /// Whether `{u, v}` is currently live.
+    /// Whether `{u, v}` is currently live (a self-loop never is).
     pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        self.edges.contains(&canon_edge(u, v))
+        u != v && self.edges.contains(canon_edge(u, v))
+    }
+
+    /// Starts loading what an insert or delete of `{u, v}` will read —
+    /// its live-set slot and, while the partition can still unite, the
+    /// two endpoints' words — for a batch loop to call a few operations
+    /// ahead.
+    #[inline]
+    pub fn prefetch(&self, u: VertexId, v: VertexId) {
+        self.edges.prefetch(canon_edge(u, v));
+        if !self.stale {
+            self.partition.prefetch(u);
+            self.partition.prefetch(v);
+        }
+    }
+
+    /// Bytes of slot storage held by the live and forest edge tables.
+    pub fn table_bytes(&self) -> usize {
+        self.edges.bytes() + self.forest.bytes()
     }
 
     /// The live edge list (arbitrary order).
     pub fn edge_list(&self) -> Vec<(VertexId, VertexId)> {
-        self.edges.iter().map(|&e| uncanon_edge(e)).collect()
+        self.edges.map_keys(uncanon_edge)
     }
 
     /// The spanning forest's edges (arbitrary order).
     pub fn forest_list(&self) -> Vec<(VertexId, VertexId)> {
-        self.forest.iter().map(|&e| uncanon_edge(e)).collect()
+        self.forest.map_keys(uncanon_edge)
     }
 
     /// Records an insert. Self-loops are never live. While fresh, a
@@ -200,13 +227,13 @@ impl LivenessTracker {
     /// redundant).
     pub fn delete(&mut self, u: VertexId, v: VertexId) -> DeleteClass {
         let key = canon_edge(u, v);
-        if u == v || !self.edges.remove(&key) {
+        if u == v || !self.edges.remove(key) {
             return DeleteClass::Absent;
         }
-        if !self.stale && !self.forest.contains(&key) {
+        if !self.stale && !self.forest.contains(key) {
             return DeleteClass::NonForest;
         }
-        self.forest.remove(&key);
+        self.forest.remove(key);
         self.stale = true;
         DeleteClass::Forest
     }
@@ -243,7 +270,11 @@ impl LivenessTracker {
         }
         // Collected last, so the table is sized for the forest that exists
         // rather than the `n - 1` edges it might have had.
-        Some(Rebuilt { partition: Arc::new(partition), forest: forest.into_iter().collect() })
+        let mut table = EdgeTable::with_capacity(forest.len());
+        for e in forest {
+            table.insert(e);
+        }
+        Some(Rebuilt { partition: Arc::new(partition), forest: table })
     }
 
     /// Installs a [`Self::rebuild`] of this tracker's live edges and
@@ -296,6 +327,8 @@ mod tests {
         assert_eq!(t.insert(2, 0), InsertClass::Cycle);
         assert_eq!(t.insert(1, 0), InsertClass::Duplicate);
         assert_eq!(t.insert(3, 3), InsertClass::Cycle, "self-loop is never live");
+        assert!(!t.contains(3, 3));
+        assert!(!t.contains(u32::MAX, u32::MAX), "the edge table's empty-slot key");
         assert_eq!(t.num_edges(), 3);
         assert_eq!(t.num_forest_edges(), 2);
 

@@ -34,3 +34,19 @@ pub use ops::{
 pub use pool::{global_pool, num_threads, ThreadPool};
 pub use rng::SplitMix64;
 pub use scan::{flatten_offsets, pack_indices, pack_map, scan_exclusive};
+
+/// Starts loading the cache line holding `*r`, so that a read of it a few
+/// operations later does not wait for memory. A hint only: it changes
+/// nothing the program can observe, and it is a no-op off x86_64.
+#[inline]
+pub fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch reads nothing into the program and never faults;
+    // `r` is a live reference in any case.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}

@@ -246,6 +246,15 @@ impl Shared {
         }
     }
 
+    /// Mirrors the tracker's live-edge count and table bytes into their
+    /// gauges: once per batch (and per commit), never per op.
+    fn publish_table_gauges(&self, st: &WriteState) {
+        if let Some(o) = &self.obs {
+            o.metrics.live_edges.set(st.tracker.num_edges() as u64);
+            o.metrics.edge_table_bytes.set(st.tracker.table_bytes() as u64);
+        }
+    }
+
     /// Opens a rebuild attempt (caller holds `mx`): the first of a dirty
     /// window takes the live-edge snapshot, a retry returns what was
     /// retracted since, for [`Self::build_generation`] to strike from it.
@@ -305,6 +314,7 @@ impl Shared {
         // every component subscription observes the identity change.
         st.subs.on_commit(st.tracker.partition(), st.generation, commit_epoch);
         self.publish_analytics_locked(st, false);
+        self.publish_table_gauges(st);
         drained.len() as u64
     }
 
@@ -344,6 +354,20 @@ impl Shared {
         }
         self.cv.notify_all();
         true
+    }
+}
+
+/// How many ops ahead the batch loop prefetches: at tens of ns per op, 8
+/// ops hide most of a DRAM miss without evicting lines still in use.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Prefetches what the insert or delete `PREFETCH_AHEAD` ops after
+/// `batch[i]` will read ([`LivenessTracker::prefetch`]), so its misses
+/// overlap the ops in between.
+#[inline]
+fn prefetch_ahead(tracker: &LivenessTracker, batch: &[Update], i: usize) {
+    if let Some(Update::Insert(u, v) | Update::Delete(u, v)) = batch.get(i + PREFETCH_AHEAD) {
+        tracker.prefetch(*u, *v);
     }
 }
 
@@ -490,7 +514,8 @@ impl GenerationEngine {
         if st.behind {
             // The frozen tracker unites nothing: `catch_up` materializes
             // the partition once, however many forest deletes replay.
-            for &op in batch {
+            for (i, &op) in batch.iter().enumerate() {
+                prefetch_ahead(&st.tracker, batch, i);
                 match op {
                     Update::Insert(u, v) => {
                         st.tracker.insert(u, v);
@@ -501,9 +526,11 @@ impl GenerationEngine {
                     Update::Query(..) => {}
                 }
             }
+            self.shared.publish_table_gauges(st);
             return;
         }
-        for &op in batch {
+        for (i, &op) in batch.iter().enumerate() {
+            prefetch_ahead(&st.tracker, batch, i);
             match op {
                 Update::Insert(u, v) => {
                     let class = st.tracker.insert(u, v);
@@ -564,6 +591,7 @@ impl GenerationEngine {
                 o.metrics.components.set(components);
             }
         }
+        self.shared.publish_table_gauges(st);
     }
 
     /// Makes the live edge set exactly `target` (self-loops excluded —

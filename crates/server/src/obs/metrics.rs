@@ -188,6 +188,8 @@ pub struct Metrics {
     pub deletes_absent_total: Counter,
     pub generation: Gauge,
     pub gen_dirty: Gauge,
+    pub live_edges: Gauge,
+    pub edge_table_bytes: Gauge,
     pub rebuild_duration_ns: LatencyHist,
     pub rebuild_drained_ops: LatencyHist,
     pub rebuild_commit_hold_ns: LatencyHist,
@@ -256,6 +258,8 @@ impl Metrics {
             deletes_absent_total: Counter::default(),
             generation: Gauge::default(),
             gen_dirty: Gauge::default(),
+            live_edges: Gauge::default(),
+            edge_table_bytes: Gauge::default(),
             rebuild_duration_ns: LatencyHist::new(),
             rebuild_drained_ops: LatencyHist::new(),
             rebuild_commit_hold_ns: LatencyHist::new(),
@@ -387,6 +391,8 @@ impl Metrics {
         counter(&mut out, "deletes_absent_total", &self.deletes_absent_total);
         gauge(&mut out, "generation", &self.generation);
         gauge(&mut out, "gen_dirty", &self.gen_dirty);
+        gauge(&mut out, "live_edges", &self.live_edges);
+        gauge(&mut out, "edge_table_bytes", &self.edge_table_bytes);
         summary(&mut out, "rebuild_duration_ns", &self.rebuild_duration_ns);
         summary(&mut out, "rebuild_drained_ops", &self.rebuild_drained_ops);
         summary(&mut out, "rebuild_commit_hold_ns", &self.rebuild_commit_hold_ns);

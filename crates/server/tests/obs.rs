@@ -6,7 +6,8 @@
 
 use cc_server::wal::{DurabilityConfig, FsyncPolicy};
 use cc_server::{Service, ServiceConfig};
-use std::collections::BTreeMap;
+use connectit::Update;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -254,6 +255,61 @@ fn components_gauge_is_live_between_snapshots() {
     let after_cut = scrape(&c.render_metrics());
     assert_eq!(after_cut["connectit_components"], 54, "{after_cut:?}");
 
+    svc.shutdown();
+}
+
+/// The edge-table gauges: `live_edges` is the exact live set after a
+/// churn schedule, and `edge_table_bytes` (live plus forest table) stays
+/// within what the 3/4 load factor allows a table that only doubles —
+/// at most 2 × 4/3 slots per key, rounded up to a power of two.
+#[test]
+fn edge_table_gauges_follow_the_live_set() {
+    let n = 256u32;
+    let mut svc = Service::start(ServiceConfig {
+        n: n as usize,
+        batch_max_wait: Duration::from_micros(20),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let c = svc.client();
+
+    // A quarter of the ops delete a live edge, the rest insert a random
+    // one (duplicates included).
+    let mut live: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut x = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = move |bound: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % bound
+    };
+    for _ in 0..40 {
+        let mut ops = Vec::new();
+        for _ in 0..32 {
+            if next(4) == 0 && !live.is_empty() {
+                let e = *live.iter().nth(next(live.len() as u64) as usize).expect("in range");
+                live.remove(&e);
+                ops.push(Update::Delete(e.0, e.1));
+            } else {
+                let (u, v) = (next(n.into()) as u32, next(n.into()) as u32);
+                if u != v {
+                    live.insert((u.min(v), u.max(v)));
+                    ops.push(Update::Insert(u, v));
+                }
+            }
+        }
+        c.submit(ops).expect("batch");
+    }
+    c.quiesce(Duration::from_secs(10)).expect("quiesce");
+
+    let m = scrape(&c.render_metrics());
+    assert_eq!(m["connectit_live_edges"], live.len() as u64, "{m:?}");
+    // Clean, the forest spans the partition: one edge per merge.
+    let forest = u64::from(n) - m["connectit_components"];
+    let slots = |keys: u64| (2 * keys * 4).div_ceil(3).max(16).next_power_of_two();
+    let bytes = m["connectit_edge_table_bytes"];
+    assert!(bytes <= 8 * (slots(live.len() as u64) + slots(forest)), "{m:?}");
+    assert!(bytes >= 8 * 2 * 16, "two tables of at least 16 slots: {m:?}");
     svc.shutdown();
 }
 

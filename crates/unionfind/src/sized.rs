@@ -72,6 +72,13 @@ impl SizedUnionFind {
         self.words.is_empty()
     }
 
+    /// Starts loading `v`'s word into cache, for a batch loop to call a
+    /// few operations ahead of a [`Self::unite`] that will read it.
+    #[inline]
+    pub fn prefetch(&self, v: u32) {
+        cc_parallel::prefetch(&self.words[v as usize]);
+    }
+
     /// The representative of `v`'s class.
     pub fn find(&self, v: u32) -> u32 {
         self.component_of(v).0
