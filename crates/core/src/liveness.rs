@@ -245,6 +245,18 @@ impl LivenessTracker {
         self.stale = true;
     }
 
+    /// Replaces the live edge set with `edges` (self-loops dropped) while
+    /// stale — a checkpoint restating the whole set; the forest empties
+    /// until the next [`Self::adopt`] of a [`Self::rebuild`] of it.
+    pub fn replace_edges(&mut self, edges: &[(VertexId, VertexId)]) {
+        debug_assert!(self.stale, "replace_edges requires a stale tracker");
+        self.edges = EdgeTable::with_capacity(edges.len());
+        for &(u, v) in edges.iter().filter(|&&(u, v)| u != v) {
+            self.edges.insert(canon_edge(u, v));
+        }
+        self.forest = EdgeTable::new();
+    }
+
     /// The rebuild primitive: one union-find pass over `edges` (a snapshot
     /// of [`Self::edge_list`]) on `n` vertices. An edge whose `unite`
     /// succeeds is a forest edge, so partition and forest fall out of

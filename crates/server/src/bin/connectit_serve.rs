@@ -18,11 +18,11 @@
 //!
 //! `--wal-dir` turns on durability: every applied batch is logged to a
 //! segmented, checksummed write-ahead log before it commits, and startup
-//! recovers whatever state (snapshot + WAL suffix) the directory already
-//! holds, resuming at the recovered epoch. `--fsync` picks the sync
-//! discipline (see `cc_server::wal`); with a WAL, `--snapshot-every`
-//! writes a durable snapshot of the live edge set on that epoch cadence,
-//! which bounds replay and prunes covered segments (without a WAL it
+//! recovers whatever state the log in that directory already holds,
+//! resuming at the recovered epoch. `--fsync` picks the sync discipline
+//! (see `cc_server::wal`); with a WAL, `--snapshot-every` writes a
+//! checkpoint record of the live edge set on that epoch cadence, which
+//! bounds replay and prunes the segments before it (without a WAL it
 //! selects nothing).
 //!
 //! `--replication-port` (primary side; requires `--wal-dir`) additionally
@@ -53,7 +53,7 @@ fn usage() -> ExitCode {
          \x20                      [--net-shards S] [--idle-timeout-ms MS] [--sub-queue-cap K]\n\
          \x20  --shards is accepted and selects nothing\n\
          \x20  --wal-dir enables the write-ahead log + crash recovery; --snapshot-every\n\
-         \x20  then sets the durable snapshot cadence\n\
+         \x20  then sets the checkpoint cadence\n\
          \x20  --replication-port streams the WAL to followers (requires --wal-dir)\n\
          \x20  --replicate-from makes this a read-only follower of that primary\n\
          \x20  --net-shards: event-loop shards in the wire front end (default: one per\n\

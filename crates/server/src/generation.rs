@@ -496,21 +496,8 @@ impl GenerationEngine {
     /// answered the query, so it can never disagree with the answer's
     /// source the way a separate dirty-flag read could.
     pub fn process_batch_tagged(&self, batch: &[Update]) -> Vec<(bool, Option<u64>)> {
-        let mut st = self.shared.mx.lock();
+        let st = &mut *self.shared.mx.lock();
         let mut answers: Vec<(bool, Option<u64>)> = Vec::new();
-        self.apply_batch_locked(&mut st, batch, &mut answers);
-        answers
-    }
-
-    /// The batch loop proper, with the writer lock already held. Shared
-    /// by [`Self::process_batch_tagged`] and
-    /// [`Self::converge_to_edge_set`].
-    fn apply_batch_locked(
-        &self,
-        st: &mut WriteState,
-        batch: &[Update],
-        answers: &mut Vec<(bool, Option<u64>)>,
-    ) {
         if st.behind {
             // The frozen tracker unites nothing: `catch_up` materializes
             // the partition once, however many forest deletes replay.
@@ -527,7 +514,7 @@ impl GenerationEngine {
                 }
             }
             self.shared.publish_table_gauges(st);
-            return;
+            return answers;
         }
         for (i, &op) in batch.iter().enumerate() {
             prefetch_ahead(&st.tracker, batch, i);
@@ -592,43 +579,19 @@ impl GenerationEngine {
             }
         }
         self.shared.publish_table_gauges(st);
+        answers
     }
 
-    /// Makes the live edge set exactly `target` (self-loops excluded —
-    /// they are never live): edges live here but absent from `target` are
-    /// deleted, edges in `target` but not live here are inserted, all
-    /// under one writer lock. Deletions classify as usual, so retracting
-    /// a forest edge seals the current generation and schedules a
-    /// rebuild. Returns `(inserts, deletes)` applied.
-    ///
-    /// This is the follower's snapshot-bootstrap primitive: a replica
-    /// whose missed deletions were pruned from the primary's WAL cannot
-    /// learn them as operations, but the snapshot states the exact live
-    /// set — converging to it retracts every stale edge in one step.
-    pub fn converge_to_edge_set(&self, target: &[(u32, u32)]) -> (u64, u64) {
-        let mut st = self.shared.mx.lock();
-        let target_set: std::collections::HashSet<u64> = target
-            .iter()
-            .filter(|&&(u, v)| u != v)
-            .map(|&(u, v)| connectit::canon_edge(u, v))
-            .collect();
-        let mut ops: Vec<Update> = Vec::new();
-        for (u, v) in st.tracker.edge_list() {
-            if !target_set.contains(&connectit::canon_edge(u, v)) {
-                ops.push(Update::Delete(u, v));
-            }
-        }
-        let deletes = ops.len() as u64;
-        for &e in &target_set {
-            let (u, v) = connectit::uncanon_edge(e);
-            if !st.tracker.contains(u, v) {
-                ops.push(Update::Insert(u, v));
-            }
-        }
-        let inserts = ops.len() as u64 - deletes;
-        let mut answers = Vec::new();
-        self.apply_batch_locked(&mut st, &ops, &mut answers);
-        (inserts, deletes)
+    /// Replaces the live edge set wholesale with a checkpoint's `edges`
+    /// (self-loops dropped — they are never live). Only while behind
+    /// ([`Self::fall_behind`]): the frozen tracker unites nothing, so the
+    /// next [`Self::catch_up`] builds the partition from exactly this set
+    /// plus whatever replays after it.
+    pub fn replace_edges(&self, edges: &[(u32, u32)]) {
+        let st = &mut *self.shared.mx.lock();
+        assert!(st.behind, "a checkpoint lands only on a frozen tracker");
+        st.tracker.replace_edges(edges);
+        self.shared.publish_table_gauges(st);
     }
 
     /// Connectivity query against the serving view (the live partition,
@@ -1343,22 +1306,22 @@ mod tests {
     }
 
     #[test]
-    fn converge_to_edge_set_retracts_stale_edges_and_adds_missing_ones() {
+    fn replace_edges_makes_the_live_set_exactly_a_checkpoints() {
         let g = gen_engine(16, Duration::ZERO);
         g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(3, 4)]);
-        // Target: (0,1) survives, (1,2) and (3,4) must be retracted,
-        // (5,6) is new; the self-loop is ignored (never live).
-        let (ins, dels) = g.converge_to_edge_set(&[(0, 1), (5, 6), (7, 7)]);
-        assert_eq!((ins, dels), (1, 2));
-        quiesced(&g);
-        assert!(g.connected(0, 1));
-        assert!(!g.connected(1, 2), "stale edge retracted by convergence");
-        assert!(!g.connected(3, 4), "stale edge retracted by convergence");
-        assert!(g.connected(5, 6));
+        g.fall_behind();
+        // Target: (0,1) survives, (1,2) and (3,4) go, (5,6) is new; the
+        // self-loop is dropped (never live).
+        g.replace_edges(&[(1, 0), (5, 6), (7, 7)]);
         assert_eq!(g.num_live_edges(), 2);
-        // Converging to the set already held is a no-op (orientation-free).
-        assert_eq!(g.converge_to_edge_set(&[(1, 0), (5, 6)]), (0, 0));
-        assert!(!g.is_dirty());
+        g.catch_up();
+        assert!(g.connected(0, 1));
+        assert!(!g.connected(1, 2), "stale edge gone with the replaced set");
+        assert!(!g.connected(3, 4), "stale edge gone with the replaced set");
+        assert!(g.connected(5, 6));
+        // A delete past the checkpoint classifies against its forest.
+        g.process_batch(&[Update::Delete(0, 1)]);
+        assert_eq!(g.info().counters.deletes_forest, 1);
     }
 
     #[test]
@@ -1484,7 +1447,7 @@ mod tests {
     fn recovery_materializes_one_generation() {
         let g = gen_engine(16, Duration::ZERO);
         g.fall_behind();
-        g.converge_to_edge_set(&[(0, 1), (1, 2)]);
+        g.replace_edges(&[(0, 1), (1, 2)]);
         g.process_batch(&[Update::Insert(3, 4), Update::Delete(1, 2), Update::Insert(2, 3)]);
         assert!(g.is_dirty() && g.is_behind());
         assert!(!g.connected(0, 1), "the frozen partition unites nothing");

@@ -32,14 +32,15 @@
 //!   survive restarts via WAL `'S'` records, and slow consumers are
 //!   dropped with a typed close rather than losing events silently
 //!   (DESIGN.md §13, PROTOCOL.md).
-//! - [`wal`] / [`snapshot`] — the durability subsystem: a segmented,
-//!   checksummed, group-committed write-ahead log recording each applied
-//!   batch at its epoch boundary, plus epoch-keyed durable snapshots of
-//!   the live edge set so recovery replays only the WAL suffix. Both share the
-//!   binary record codec in `cc_graph::io::binary`.
-//! - [`replication`] — WAL shipping: a primary streams its durable
-//!   history (snapshots + batch records, the same CRC-framed codec the
-//!   disk uses) to read-replica followers, which bootstrap, replay, tail
+//! - [`wal`] — the durability subsystem: a segmented, checksummed,
+//!   group-committed write-ahead log recording each applied batch at its
+//!   epoch boundary, and epoch-keyed checkpoint records of the live edge
+//!   set in the same log, so recovery replays only the log past the
+//!   oldest one. [`snapshot`] reads the snapshot files earlier releases
+//!   kept beside the log, once, to migrate them.
+//! - [`replication`] — WAL shipping: a primary streams its log
+//!   (checkpoint + batch records, byte for byte as the disk holds them)
+//!   to read-replica followers, which bootstrap, replay, tail
 //!   live appends, and serve reads at an honestly-reported replication
 //!   epoch (`WAIT` upgrades bounded staleness to read-your-writes).
 //! - [`net`] / [`evloop`] / [`binproto`] — the wire front end: a sharded,

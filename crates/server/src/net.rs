@@ -34,7 +34,7 @@
 //! | `ROLE`               | `R primary` / `R follower`           | replication role |
 //! | `STATS`              | `S <key=value ...>`                  | one-line stats dump |
 //! | `FLUSH`              | `OK`                                 | fsync the WAL now, regardless of policy |
-//! | `SNAPSHOT`           | `SNAP <epoch>`                       | write a durable snapshot (labels + live edge set) at the next batch boundary |
+//! | `SNAPSHOT`           | `SNAP <epoch>`                       | write a checkpoint record (live edge set) to the WAL at the next batch boundary |
 //! | `WALSTATS`           | `W <key=value ...>`                  | one-line WAL stats dump |
 //! | `METRICS`            | typed lines, then `# EOF`            | multi-line Prometheus-style dump of the metrics registry (the only verbs with multi-line replies are `METRICS`, `TRACE`, and `SUBS`; all end with a literal `# EOF` line) |
 //! | `TRACE [n]`          | `T …` lines, then `# EOF`            | last `n` flight-recorder events (default [`DEFAULT_TRACE_EVENTS`]), oldest first |
@@ -1241,7 +1241,7 @@ impl TcpClient {
         }
     }
 
-    /// `SNAPSHOT`: write a durable edge-set snapshot; returns its epoch.
+    /// `SNAPSHOT`: write a checkpoint record; returns its epoch.
     pub fn durable_snapshot(&mut self) -> std::io::Result<u64> {
         let r = self.roundtrip("SNAPSHOT")?;
         r.strip_prefix("SNAP ")

@@ -1,44 +1,38 @@
-//! WAL shipping: the primary streams its durable history — edge-set
-//! snapshots and write-ahead-log batch records — over a length-prefixed
-//! TCP protocol to read-replica followers.
+//! WAL shipping: the primary streams its write-ahead log — checkpoint and
+//! batch records — over a length-prefixed TCP protocol to read-replica
+//! followers.
 //!
 //! ## Wire protocol
 //!
-//! Both directions start with the magic [`REPL_MAGIC`] and then carry
-//! [`cc_graph::io::binary`] record frames (`len | crc32 | payload`) — the
-//! exact framing WAL segments and snapshots use on disk, so a shipped
-//! record is byte-identical to its durable source. The first payload byte
-//! tags the record:
+//! Both directions start with the magic [`REPL_MAGIC`] (`CCREPL02`) and
+//! then carry [`cc_graph::io::binary`] record frames (`len | crc32 |
+//! payload`) — the framing WAL segments use on disk. The first payload
+//! byte tags the record; the primary's tags *are* the WAL kind bytes, and
+//! each such payload is the WAL record's, byte for byte:
 //!
 //! | tag   | payload after the tag                       | direction | meaning |
 //! |-------|---------------------------------------------|-----------|---------|
 //! | `'H'` | `last_epoch: u64 LE`                        | follower → primary | handshake: resume past this epoch |
-//! | `'E'` | [`binary::encode_edge_batch`] `(epoch, live edges)` | primary → follower | snapshot bootstrap: the exact live edge set |
-//! | `'B'` | [`binary::encode_edge_batch`] `(epoch, inserts)` | primary → follower | one insert-only WAL batch record |
-//! | `'D'` | [`wal::encode_update_batch`] `(epoch, ops)` | primary → follower | one deletion-bearing WAL batch record |
-//! | `'P'` | `sent_epoch: u64 LE`                        | primary → follower | the sender reached the live tail at this epoch: sent at the first catch-up after each (re)bootstrap, then as the idle heartbeat |
+//! | `'C'` | the WAL checkpoint body ([`wal::REC_CHECKPOINT`]) | primary → follower | the exact live edge set at its epoch |
+//! | `'I'` | the WAL insert-only batch body ([`wal::REC_INSERTS`]) | primary → follower | one insert-only batch |
+//! | `'D'` | the WAL ops body ([`wal::REC_OPS`])         | primary → follower | one deletion-bearing batch |
+//! | `'P'` | `sent_epoch: u64 LE`                        | primary → follower | the sender reached the live tail at this epoch: sent at the first catch-up after each connect or checkpoint, then as the idle heartbeat |
 //!
 //! ## Primary side
 //!
 //! [`serve_replication`] binds a listener next to the query port. Each
-//! follower connection gets a sender thread that reads the handshake,
-//! decides whether the follower needs a snapshot bootstrap (its epoch
-//! predates the newest durable snapshot — older WAL segments may already
-//! be pruned), and then *tails the WAL directory* through
+//! follower connection gets a sender thread that reads the handshake and
+//! then *tails the WAL directory* from its oldest segment through
 //! [`crate::wal::WalCursor`]: the sender reads the same segment files the
 //! service is appending to, so replication needs no hooks in the hot
-//! write path at all. A [`crate::wal::TailEvent::Pruned`] mid-stream
-//! (a durable snapshot retired the cursor's segment) re-bootstraps from
-//! the newest snapshot — correct because the snapshot states *exactly*
-//! the live edge set at its epoch, which is ahead of everything shipped
-//! so far, and the follower applies it by *converging* to that set
-//! ([`LogRecord::EdgeSet`]): missing edges are inserted and, crucially,
-//! live edges absent from the snapshot are retracted.
-//! The retraction matters whenever the follower's epoch predates the
-//! snapshot by more than the surviving WAL — deletions committed in
-//! that gap were pruned with their segments, so no later record would
-//! ever remove the follower's stale edges. The real edge set ships
-//! (`'E'`), never a labeling: label-derived spanning edges would teach the
+//! write path at all. It ships every record past the follower's epoch
+//! unchanged and skips `'S'` records (subscriptions are a node's own).
+//! The oldest segment opens with a checkpoint (or is segment 0), so a
+//! follower whose epoch predates the pruned history gets that checkpoint
+//! first. A [`crate::wal::TailEvent::Pruned`] mid-stream (a checkpoint
+//! retired the cursor's segment) moves the cursor to the oldest segment —
+//! that checkpoint — and owes the follower a `'P'`. The real edge set
+//! ships, never a labeling: label-derived spanning edges would teach the
 //! follower's liveness tracker phantom edges and corrupt its later delete
 //! classification.
 //!
@@ -47,27 +41,27 @@
 //! [`run_follower`] connects (and reconnects, forever, until shutdown) to
 //! the primary, handshakes with the follower's current epoch, falls the
 //! follower behind, and maps every received record onto the service's one
-//! apply door, [`Client::apply_log`]: `'E'` is a [`LogRecord::EdgeSet`],
-//! `'B'`/`'D'` are [`LogRecord::Ops`] and `'P'` is [`LogRecord::CaughtUp`]
-//! — the records a restarting primary replays from its own directory.
-//! Behind, records feed the engine's edge set and the epoch holds; the
-//! first `'P'` rebuilds once and the follower is live. Socket reads carry
-//! a timeout wrapped in [`binary::RetryRead`], so a shutdown request
-//! interrupts a quiet stream without ever tearing a half-received record.
-//! Everything is idempotent end to end: a reconnect replays a *contiguous
-//! suffix* of the history in order, so each edge's liveness is re-decided
-//! by the same last operation that decided it the first time, and the
-//! follower's epoch is a `max`, never a blind store.
+//! apply door, [`Client::apply_log`]: `'C'`/`'I'`/`'D'` through
+//! [`wal::decode_record`] — the decoder a restarting primary replays its
+//! own directory with — and `'P'` as [`LogRecord::CaughtUp`]. Behind,
+//! records feed the engine's edge set and the epoch holds; the first `'P'`
+//! rebuilds once and the follower is live. A checkpoint reaching a live
+//! follower falls it behind first, so it replaces the edge set wholesale:
+//! edges deleted in pruned history are retracted with the rest. Socket
+//! reads carry a timeout wrapped in [`binary::RetryRead`], so a shutdown
+//! request interrupts a quiet stream without ever tearing a half-received
+//! record. Everything is idempotent end to end: a reconnect replays a
+//! *contiguous suffix* of the history in order, so each edge's liveness is
+//! re-decided by the same last operation that decided it the first time,
+//! and the follower's epoch is a `max`, never a blind store.
 //!
 //! The behind → caught-up invariants this module upholds are spelled out
 //! in DESIGN.md §7.
 
 use crate::obs::{Event, FollowerSlot, Obs};
-use crate::service::{Client, LogRecord};
-use crate::snapshot;
-use crate::wal::{self, TailEvent, WalCursor};
+use crate::service::Client;
+use crate::wal::{self, LogRecord, TailEvent, WalCursor};
 use cc_graph::io::binary::{self, CodecError};
-use connectit::Update;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -76,24 +70,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Magic prefix of both directions of the replication stream.
-pub const REPL_MAGIC: &[u8; 8] = b"CCREPL01";
+pub const REPL_MAGIC: &[u8; 8] = b"CCREPL02";
 
 /// Record tag: follower handshake (`last_epoch: u64 LE`).
 pub const TAG_HELLO: u8 = b'H';
-/// Record tag: edge-set snapshot bootstrap ([`binary::encode_edge_batch`]
-/// over the exact live edge set at the snapshot epoch).
-pub const TAG_EDGES: u8 = b'E';
-/// Record tag: one insert-only WAL batch ([`binary::encode_edge_batch`]).
-pub const TAG_BATCH: u8 = b'B';
-/// Record tag: one deletion-bearing WAL batch
-/// ([`wal::encode_update_batch`], inserts and deletions in order).
-pub const TAG_DELTA: u8 = b'D';
 /// Record tag: caught up (`sent_epoch: u64 LE`) — everything through
 /// that epoch has been shipped and the sender sits at the live tail. Sent
-/// at the first catch-up after each (re)bootstrap, so a follower of a
-/// busy primary catches up, and again as the idle heartbeat, which makes a
-/// caught-up sender *write*: a dead follower surfaces as a send error
-/// instead of a leaked sender thread polling the WAL forever.
+/// at the first catch-up after each connect or checkpoint, so a follower
+/// of a busy primary catches up, and again as the idle heartbeat, which
+/// makes a caught-up sender *write*: a dead follower surfaces as a send
+/// error instead of a leaked sender thread polling the WAL forever.
 pub const TAG_PING: u8 = b'P';
 
 /// How long a caught-up sender sleeps before polling the WAL again. Kept
@@ -195,9 +181,6 @@ pub fn serve_replication(
                             }
                         });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         }
@@ -205,47 +188,11 @@ pub fn serve_replication(
     Ok(ReplicationHub { shared, accept: Some(accept) })
 }
 
-/// Sends one tagged record frame.
-fn send_record(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut framed = Vec::with_capacity(1 + payload.len());
-    framed.push(tag);
-    framed.extend_from_slice(payload);
-    binary::append_record(w, &framed)?;
-    Ok(())
-}
-
-/// Ships the newest durable snapshot if it is ahead of `sent_epoch`;
-/// returns the epoch the follower is now guaranteed to hold. Absence of
-/// any snapshot is fine (a young primary streams from the WAL alone),
-/// but an *unreadable* snapshot store is fatal to the connection: WAL
-/// segments below the snapshot may already be pruned, so degrading to
-/// WAL-only streaming would silently ship a history with holes — the
-/// same state the primary's own recovery refuses to start from.
-fn ship_snapshot_if_newer(
-    w: &mut impl Write,
-    dir: &Path,
-    sent_epoch: u64,
-    shared: &HubShared,
-) -> std::io::Result<u64> {
-    match snapshot::load_latest(dir) {
-        Ok(Some(snap)) if snap.epoch > sent_epoch => {
-            // The follower's liveness tracker then holds exactly the
-            // primary's edges, so later deletions classify the same way
-            // on both sides. Counted before the bytes go out, so the
-            // counter is never behind what a follower demonstrably
-            // received.
-            let payload = binary::encode_edge_batch(snap.epoch, &snap.edges);
-            shared.obs.metrics.repl_snapshots_shipped_total.inc();
-            shared.obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
-            send_record(w, TAG_EDGES, &payload)?;
-            w.flush()?;
-            Ok(snap.epoch)
-        }
-        Ok(_) => Ok(sent_epoch),
-        Err(e) => Err(proto_err(format!(
-            "snapshot store unreadable; refusing to stream a history with holes: {e}"
-        ))),
-    }
+/// An `'H'` or `'P'` payload: the tag, then one epoch as `u64 LE`.
+fn epoch_record(tag: u8, epoch: u64) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out
 }
 
 /// Keeps a follower's telemetry slot registered for exactly the sender
@@ -272,16 +219,9 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
     let mut reader = BufReader::new(binary::RetryRead::new(stream.try_clone()?, keep_going));
     binary::read_magic(&mut reader, REPL_MAGIC).map_err(|e| proto_err(e.to_string()))?;
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
-    let hello = records
-        .next()
-        .map_err(|e| proto_err(e.to_string()))?
-        .ok_or_else(|| proto_err("follower closed before the handshake"))?;
+    let hello = records.next().map_err(|e| proto_err(e.to_string()))?.unwrap_or_default();
     if hello.len() != 9 || hello[0] != TAG_HELLO {
-        return Err(proto_err(format!(
-            "bad handshake record: {} bytes, tag {:?}",
-            hello.len(),
-            hello.first()
-        )));
+        return Err(proto_err(format!("bad handshake record of {} bytes", hello.len())));
     }
     let follower_epoch = u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"));
     let obs = &shared.obs;
@@ -294,55 +234,49 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
     binary::write_magic(&mut w, REPL_MAGIC)?;
     w.flush()?;
 
-    // Bootstrap: a follower whose epoch predates the newest durable
-    // snapshot may need records that pruning already retired, so it gets
-    // the snapshot; a fresh-enough follower resumes from the WAL alone.
-    let mut sent_epoch = ship_snapshot_if_newer(&mut w, dir, follower_epoch, shared)?;
-    g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
-
+    // The follower holds the history through its handshake epoch; the
+    // cursor starts at the history's start and ships what lies past it.
+    let mut sent_epoch = follower_epoch;
     let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
     cursor.oldest()?;
     let mut last_write = std::time::Instant::now();
-    // Whether this (re)bootstrap's catch-up still owes the follower its
-    // `'P'`: a busy primary is never quiet for a heartbeat, so the first
-    // arrival at the live tail says so at once.
+    // Whether this catch-up still owes the follower its `'P'`: a busy
+    // primary is never quiet for a heartbeat, so the first arrival at the
+    // live tail after a connect or a checkpoint says so at once.
     let mut owe_caught_up = true;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
         match cursor.next() {
-            Ok(TailEvent::Record(epoch, ops)) => {
-                // The WAL holds history the follower already has (its
-                // handshake epoch, or the snapshot's); skip those.
-                if epoch > sent_epoch {
-                    // Insert-only batches keep the compact legacy frame;
-                    // a batch with any deletion ships as an op record so
-                    // the follower replays it in submission order.
-                    let edges: Option<Vec<(u32, u32)>> = ops
-                        .iter()
-                        .map(|op| match *op {
-                            Update::Insert(u, v) => Some((u, v)),
-                            _ => None,
-                        })
-                        .collect();
-                    let (tag, payload) = match edges {
-                        Some(edges) => (TAG_BATCH, binary::encode_edge_batch(epoch, &edges)),
-                        None => (TAG_DELTA, wal::encode_update_batch(epoch, &ops)),
-                    };
+            Ok(TailEvent::Record(payload)) => {
+                // `'S'` carries no epoch; history the follower already
+                // has (its handshake epoch) is skipped.
+                let epoch = match wal::record_header(&payload, 0) {
+                    Ok((_, Some(epoch))) if epoch > sent_epoch => epoch,
+                    Ok(_) => continue,
+                    Err(e) => return Err(proto_err(format!("wal record: {e}"))),
+                };
+                // Counted before the bytes go out, so a counter is never
+                // behind what a follower demonstrably received.
+                let bytes = payload.len() as u64;
+                if payload[0] == wal::REC_CHECKPOINT {
+                    obs.metrics.repl_snapshots_shipped_total.inc();
+                    owe_caught_up = true;
+                } else {
                     obs.metrics.repl_records_shipped_total.inc();
-                    obs.metrics.repl_bytes_shipped_total.add(payload.len() as u64 + 1);
                     g.slot.records.fetch_add(1, Ordering::Relaxed);
-                    g.slot.bytes.fetch_add(payload.len() as u64 + 1, Ordering::Relaxed);
-                    g.slot.sent_epoch.store(epoch, Ordering::Relaxed);
-                    send_record(&mut w, tag, &payload)?;
-                    w.flush()?;
-                    sent_epoch = epoch;
-                    last_write = std::time::Instant::now();
                 }
+                obs.metrics.repl_bytes_shipped_total.add(bytes);
+                g.slot.bytes.fetch_add(bytes, Ordering::Relaxed);
+                g.slot.sent_epoch.store(epoch, Ordering::Relaxed);
+                binary::append_record(&mut w, &payload)?;
+                w.flush()?;
+                sent_epoch = epoch;
+                last_write = std::time::Instant::now();
             }
             Ok(TailEvent::CaughtUp) => {
-                // The catch-up is stamped once per (re)bootstrap;
+                // The catch-up is stamped once per connect or checkpoint;
                 // steady-state polling would flood the recorder. After it,
                 // heartbeat a quiet stream: the write is how a sender
                 // notices its follower died (the WAL poll never would),
@@ -353,19 +287,16 @@ fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std:
                         .record(Event::FollowerCaughtUp { id: g.slot.id, epoch: sent_epoch });
                 }
                 if std::mem::take(&mut owe_caught_up) || last_write.elapsed() >= HEARTBEAT {
-                    send_record(&mut w, TAG_PING, &sent_epoch.to_le_bytes())?;
+                    binary::append_record(&mut w, &epoch_record(TAG_PING, sent_epoch))?;
                     w.flush()?;
                     last_write = std::time::Instant::now();
                 }
                 std::thread::sleep(TAIL_POLL);
             }
             Ok(TailEvent::Pruned) => {
-                // A durable snapshot retired the cursor's segment. The
-                // snapshot covers everything the pruned records held, so
-                // ship it and resume from the oldest surviving segment.
+                // A checkpoint retired the cursor's segment: the oldest
+                // segment opens with it, and covers what was pruned.
                 obs.recorder.record(Event::FollowerPruned { id: g.slot.id });
-                sent_epoch = ship_snapshot_if_newer(&mut w, dir, sent_epoch, shared)?;
-                g.slot.sent_epoch.store(sent_epoch, Ordering::Relaxed);
                 owe_caught_up = true;
                 cursor.oldest()?;
             }
@@ -431,10 +362,7 @@ fn follow_once(
 
     let mut w = BufWriter::new(stream.try_clone()?);
     binary::write_magic(&mut w, REPL_MAGIC)?;
-    let mut hello = Vec::with_capacity(9);
-    hello.push(TAG_HELLO);
-    hello.extend_from_slice(&client.epoch().to_le_bytes());
-    binary::append_record(&mut w, &hello)?;
+    binary::append_record(&mut w, &epoch_record(TAG_HELLO, client.epoch()))?;
     w.flush()?;
 
     let keep = {
@@ -457,30 +385,23 @@ fn follow_once(
             // connection is over either way.
             Ok(None) | Err(_) => return Ok(StreamEnd::Disconnected),
         };
-        let (Some(&tag), rest) = (payload.first(), &payload[1.min(payload.len())..]) else {
-            return Ok(StreamEnd::Disconnected);
-        };
         // Counters tick on receipt, before the apply: an observer that
         // saw the follower's epoch advance must also see the counter
         // (the apply is what publishes the epoch), and a failed apply
         // kills the connection anyway.
-        let decoded = match tag {
-            TAG_PING if rest.len() == 8 => {
-                Ok((u64::from_le_bytes(rest.try_into().expect("8 bytes")), LogRecord::CaughtUp))
-            }
-            TAG_BATCH => binary::decode_edge_batch(rest, 0).map(|(epoch, edges)| {
-                obs.metrics.repl_records_applied_total.inc();
-                let ops = edges.into_iter().map(|(u, v)| Update::Insert(u, v)).collect();
-                (epoch, LogRecord::Ops(ops))
-            }),
-            TAG_DELTA => wal::decode_update_batch(rest, 0).map(|(epoch, ops)| {
-                obs.metrics.repl_records_applied_total.inc();
-                (epoch, LogRecord::Ops(ops))
-            }),
-            TAG_EDGES => binary::decode_edge_batch(rest, 0).map(|(epoch, edges)| {
+        let decoded = match payload.first().copied() {
+            Some(TAG_PING) if payload.len() == 9 => Ok((
+                u64::from_le_bytes(payload[1..].try_into().expect("8 bytes")),
+                LogRecord::CaughtUp,
+            )),
+            Some(wal::REC_CHECKPOINT) => {
                 obs.metrics.repl_snapshots_applied_total.inc();
-                (epoch, LogRecord::EdgeSet(edges))
-            }),
+                wal::decode_record(&payload, 0)
+            }
+            Some(wal::REC_INSERTS | wal::REC_OPS) => {
+                obs.metrics.repl_records_applied_total.inc();
+                wal::decode_record(&payload, 0)
+            }
             other => Err(CodecError::BadPayload {
                 offset: 0,
                 reason: format!("unknown replication record tag {other:?}"),
@@ -509,6 +430,7 @@ mod tests {
     use super::*;
     use crate::service::{Role, Service, ServiceConfig};
     use crate::wal::{DurabilityConfig, FsyncPolicy};
+    use connectit::Update;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
 
@@ -578,6 +500,49 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Checkpoints prune the segment a caught-up follower's sender is
+    /// tailing. The sender moves to the checkpoint (or has already read
+    /// past it), and the follower reconverges on the same connection
+    /// without a rebuild.
+    #[test]
+    fn prune_under_a_caught_up_follower_reconverges_without_reconnect() {
+        let dir = tmp_dir("live_prune");
+        let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
+        let p = primary.client();
+        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut f = follower(64);
+        let fc = f.client();
+        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
+            .expect("recv");
+        let mut oracle = cc_baselines::DynamicOracle::new(64);
+        for round in 0..8u32 {
+            // A cycle edge and its deletion: a live follower classifies
+            // that delete as non-forest, so nothing here owes a rebuild.
+            let (a, b, c) = (3 * round, 3 * round + 1, 3 * round + 2);
+            let ops = vec![Update::Insert(a, b), Update::Insert(b, c), Update::Insert(a, c)];
+            for batch in [ops, vec![Update::Delete(a, c)]] {
+                oracle.apply_batch(&batch);
+                p.submit(batch).expect("submit");
+            }
+            wait_epoch(&fc, p.epoch());
+            p.durable_snapshot().expect("checkpoint prunes under the follower");
+            wait_epoch(&fc, p.epoch());
+            assert!(cc_graph::stats::same_partition(&oracle.labels(), &fc.labels()), "{round}");
+        }
+        let fobs = fc.observability();
+        assert_eq!(fobs.metrics.repl_connects_total.get(), 1, "no reconnect");
+        let info = fc.generation_info();
+        assert_eq!((info.generation, info.counters.rebuilds), (0, 0), "no rebuild: {info:?}");
+
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        hub.stop();
+        primary.shutdown();
+        f.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A raw fake follower: handshakes at `epoch` and returns the framed
     /// reader for manual record inspection.
     fn fake_follower(
@@ -620,7 +585,7 @@ mod tests {
                         break;
                     }
                 }
-                TAG_BATCH | TAG_DELTA | TAG_EDGES if pings == 0 => continue, // bootstrap history
+                wal::REC_INSERTS | wal::REC_OPS | wal::REC_CHECKPOINT if pings == 0 => continue,
                 other => panic!("unexpected tag {other:?} after {pings} pings"),
             }
         }
@@ -720,11 +685,10 @@ mod tests {
             let mut w = BufWriter::new(stream);
             binary::write_magic(&mut w, REPL_MAGIC).expect("magic");
             for (epoch, ops) in records {
-                send_record(&mut w, TAG_DELTA, &wal::encode_update_batch(*epoch, ops))
-                    .expect("send");
+                binary::append_record(&mut w, &wal::encode_ops(*epoch, ops)).expect("send");
             }
             if let Some(epoch) = caught_up {
-                send_record(&mut w, TAG_PING, &epoch.to_le_bytes()).expect("send");
+                binary::append_record(&mut w, &epoch_record(TAG_PING, epoch)).expect("send");
             }
             w.flush().expect("flush");
             u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"))
@@ -759,16 +723,30 @@ mod tests {
         f.shutdown();
     }
 
+    /// A history with a hole — the checkpoint's segment deleted beside
+    /// the pruned ones — is the state the primary's own recovery refuses.
+    /// The sender must drop the connection rather than stream the suffix
+    /// as if it were the whole history.
     #[test]
     fn unreadable_snapshot_store_fails_the_stream_not_silently_skips() {
-        let dir = tmp_dir("badsnap");
+        let dir = tmp_dir("hole");
         let mut primary = Service::start(primary_cfg(16, &dir)).expect("primary");
         primary.client().insert(0, 1).expect("insert");
+        primary.client().durable_snapshot().expect("checkpoint prunes segment 0");
         primary.shutdown();
-        // Snapshot files present but none decodable: the exact state the
-        // primary's own recovery refuses. The sender must drop the
-        // connection rather than stream a WAL whose prefix may be pruned.
-        std::fs::write(dir.join("snap-00000000000000000009.ccsnap"), b"garbage").expect("write");
+        // A restart opens a fresh segment for the records past it.
+        let mut primary = Service::start(primary_cfg(16, &dir)).expect("primary recovers");
+        primary.client().insert(2, 3).expect("insert past the checkpoint");
+        primary.shutdown();
+        let mut segs: Vec<_> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name().into_string().expect("utf-8"))
+            .filter(|name| name.starts_with("wal-"))
+            .collect();
+        segs.sort();
+        assert!(segs.len() >= 2 && segs[0] != "wal-00000000.log", "{segs:?}");
+        std::fs::remove_file(dir.join(&segs[0])).expect("delete the checkpoint's segment");
         let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let mut records = fake_follower(hub.local_addr(), 0);
         let got = records.next();
@@ -919,8 +897,12 @@ mod tests {
         let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
         let mut records = fake_follower(hub.local_addr(), 0);
         let payload = records.next().expect("framed record").expect("stream open");
-        assert_eq!(payload[0], TAG_EDGES, "bootstrap must ship the live edge set");
-        let (epoch, edges) = binary::decode_edge_batch(&payload[1..], 0).expect("decode");
+        assert_eq!(payload[0], wal::REC_CHECKPOINT, "bootstrap must ship the live edge set");
+        let (epoch, LogRecord::Checkpoint { edges, .. }) =
+            wal::decode_record(&payload, 0).expect("decode")
+        else {
+            panic!("not a checkpoint");
+        };
         assert_eq!(epoch, snap_epoch);
         assert_eq!(edges.len(), 3, "all three live edges, the cycle edge included");
         drop(records);

@@ -1,8 +1,8 @@
 //! The long-running connectivity service: a time/size-bounded batch
 //! former in front of a [`crate::generation::GenerationEngine`] (one
 //! partition under the edge-liveness tracker, plus the background
-//! rebuilder that gives the service deletions), durable edge-set
-//! snapshots and per-operation latency tracking.
+//! rebuilder that gives the service deletions), write-ahead logging with
+//! checkpoint records, and per-operation latency tracking.
 //!
 //! Clients ([`Client`], cheaply cloneable) enqueue submissions — each a
 //! small vector of [`Update`]s — and block on a per-submission reply
@@ -17,14 +17,16 @@
 //! writers and writers never wait for readers.
 //!
 //! Replayed history has one door, `apply_log` over a [`LogRecord`]:
-//! crash recovery drives it from the service's own snapshot and WAL, a
-//! follower ([`Client::apply_log`]) from the primary's replication stream.
+//! crash recovery drives it from the service's own WAL, a follower
+//! ([`Client::apply_log`]) from the primary's replication stream — the
+//! same records, decoded by the same [`crate::wal::decode_record`].
 
 use crate::analytics::AnalyticsView;
 use crate::generation::{GenInfo, GenerationEngine};
 use crate::obs::{self, Event, Obs};
 use crate::snapshot;
 use crate::subs::{AttachError, PendingEvent, SubInfo, SubKind, SubSink, SubWalOp, SubsDispatch};
+pub use crate::wal::LogRecord;
 use crate::wal::{DurabilityConfig, TailEvent, Wal, WalCursor, WalError, WalStats};
 use cc_graph::io::binary;
 use cc_unionfind::UfSpec;
@@ -111,8 +113,8 @@ pub struct ServiceConfig {
     /// queries, `G <gen>` staleness reporting) deterministically
     /// observable. Zero (the default) in production.
     pub rebuild_hold: Duration,
-    /// Durability: `Some` turns on the write-ahead log (and durable
-    /// snapshots) in the given directory, including crash recovery from
+    /// Durability: `Some` turns on the write-ahead log (and its
+    /// checkpoints) in the given directory, including crash recovery from
     /// whatever that directory already holds at startup.
     pub durability: Option<DurabilityConfig>,
     /// Primary (default) or read-replica follower (see [`Role`]).
@@ -150,7 +152,7 @@ pub enum ServiceError {
     },
     /// The configuration was rejected at startup.
     Config(String),
-    /// The write-ahead log or snapshot store failed (the message carries
+    /// The write-ahead log failed (the message carries
     /// file and offset context from [`WalError`]).
     Durability(String),
     /// A durability-only operation (`FLUSH`, `SNAPSHOT`, `WALSTATS`) was
@@ -255,22 +257,6 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-/// One unit of durable history, as both replay doors deliver it: a
-/// follower maps its stream's `'E'`, `'B'`/`'D'` and `'P'` records onto
-/// it; recovery its newest snapshot, each [`WalCursor`] record and the
-/// end of its log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogRecord {
-    /// One logged batch: inserts and deletes in submission order.
-    Ops(Vec<Update>),
-    /// A durable snapshot: the exact live edge set at its epoch, applied
-    /// by converging to it — live edges absent from it are retracted.
-    EdgeSet(Vec<(u32, u32)>),
-    /// The source reached its live tail at this epoch: a service that fell
-    /// behind catches up here.
-    CaughtUp,
-}
-
 /// One client submission awaiting batching.
 struct Pending {
     ops: Vec<Update>,
@@ -278,7 +264,7 @@ struct Pending {
     num_deletes: usize,
     enqueued: Instant,
     reply: Arc<ReplySlot>,
-    /// Ask the batcher to write a durable snapshot after the batch this
+    /// Ask the batcher to write a checkpoint after the batch this
     /// submission lands in (the `SNAPSHOT` control path).
     durable_snapshot: bool,
 }
@@ -373,8 +359,6 @@ struct Inner {
     /// The write-ahead log, when durability is on. Locked by the batcher
     /// for appends and by clients for `FLUSH`/`WALSTATS`.
     wal: Option<Mutex<Wal>>,
-    /// Epoch of the newest durable snapshot on disk.
-    durable_snapshot_epoch: AtomicU64,
     /// The most recent durability failure, surfaced through `WALSTATS`.
     last_wal_error: Mutex<Option<String>>,
     /// Serializes [`Inner::apply_log`].
@@ -485,46 +469,49 @@ impl Inner {
         metrics.subs_active.set(self.engine.subs_len() as u64);
     }
 
-    /// Writes a durable snapshot — the live edge set — keyed by `epoch`.
-    /// Called only from the batcher between batches, so no new operations
-    /// race it; an in-flight rebuild does not matter, because the edge set
-    /// is exact while sealed too. On success the WAL rolls its active
-    /// segment and prunes everything the snapshot covers.
-    fn write_durable_snapshot(&self, epoch: u64) -> Result<(), ServiceError> {
-        let dcfg = self
-            .cfg
-            .durability
-            .as_ref()
-            .expect("durable snapshot requested without durability config");
-        let edges = self.engine.edge_list();
-        snapshot::write_snapshot(&dcfg.dir, epoch, self.cfg.n, &edges).map_err(|e| {
-            ServiceError::Durability(format!("snapshot write in {}: {e}", dcfg.dir.display()))
-        })?;
-        self.durable_snapshot_epoch.store(epoch, Ordering::Release);
+    /// Writes a checkpoint record at `epoch` — the live edge set and the
+    /// durable subscription registry — and prunes every older segment
+    /// ([`Wal::checkpoint`]). Called from the batcher between batches (and
+    /// once by a migrating recovery), so no new operations race it; an
+    /// in-flight rebuild does not matter, because the edge set is exact
+    /// while sealed too.
+    fn write_checkpoint(&self, epoch: u64) -> Result<(), ServiceError> {
+        let mut wal = self.wal.as_ref().expect("checkpoint requested without a wal").lock();
+        // Read under the WAL mutex, which `subscribe` holds from its `'S'`
+        // append to its registration: no `'S'` can fall between this read
+        // and the checkpoint that prunes it.
+        let subs: Vec<SubWalOp> = self
+            .engine
+            .subs_list()
+            .into_iter()
+            .filter(|sub| sub.durable)
+            .map(|sub| SubWalOp::Register {
+                id: sub.id,
+                kind: sub.kind,
+                u: sub.u,
+                v: sub.v,
+                epoch: sub.registered_epoch,
+            })
+            .collect();
+        wal.checkpoint(epoch, self.cfg.n, &subs, &self.engine.edge_list())?;
         self.obs.metrics.durable_snapshot_epoch.set_max(epoch);
         let components = self.engine.components_live();
         self.obs.recorder.record(Event::SnapshotPublished { epoch, components });
-        snapshot::prune_older_than(&dcfg.dir, epoch);
-        if let Some(w) = &self.wal {
-            let mut w = w.lock();
-            w.roll()?;
-            w.prune_covered_by(epoch);
-            // The snapshot covers *edges*, not subscriptions: pruning
-            // just dropped the segments holding the `'S'` records, so
-            // re-register every live durable subscription into the fresh
-            // active segment (at its original registration epoch —
-            // recovery replays these by id, so repeats are idempotent).
-            for sub in self.engine.subs_list() {
-                if !sub.durable {
-                    continue;
-                }
-                w.append_sub(&SubWalOp::Register {
-                    id: sub.id,
-                    kind: sub.kind,
-                    u: sub.u,
-                    v: sub.v,
-                    epoch: sub.registered_epoch,
-                })?;
+        Ok(())
+    }
+
+    /// Applies one durable subscription op from the log.
+    fn apply_sub(&self, op: SubWalOp) -> Result<(), ServiceError> {
+        match op {
+            SubWalOp::Register { id, kind, u, v, epoch } => {
+                check_vertices([(u, v)], self.cfg.n, || format!("wal subscription {id}"))?;
+                self.engine.subs_register_recovered(id, kind, u, v, epoch);
+                self.subs.open(id, true, None);
+                self.subs.bump_next_id(id + 1);
+            }
+            SubWalOp::Cancel { id } => {
+                self.engine.subs_cancel(id);
+                self.subs.close(id);
             }
         }
         Ok(())
@@ -535,7 +522,10 @@ impl Inner {
     /// While the engine is behind, records feed its edge set and the epoch
     /// holds, so `WAIT` never returns on a view that lacks its epoch. From
     /// `CaughtUp` on, each record advances the epoch to its own and the
-    /// views, counters and subscriptions follow, as after a batch.
+    /// views, counters and subscriptions follow, as after a batch. A
+    /// checkpoint falls a live engine behind first, so it only ever lands
+    /// on a frozen tracker; on a primary (recovery) its registry becomes
+    /// the durable one — a follower's subscriptions are its own clients'.
     fn apply_log(&self, epoch: u64, record: LogRecord) -> Result<(), ServiceError> {
         let _apply = self.apply_mx.lock();
         let n = self.cfg.n;
@@ -552,10 +542,28 @@ impl Inner {
                     count(|op| matches!(op, Update::Delete(..))),
                 )
             }
-            LogRecord::EdgeSet(edges) => {
-                check_vertices(edges.iter().copied(), n, || format!("snapshot at epoch {epoch}"))?;
-                self.engine.converge_to_edge_set(&edges)
+            LogRecord::Checkpoint { n: at_n, subs, edges } => {
+                if at_n != n {
+                    return Err(ServiceError::Config(format!(
+                        "checkpoint at epoch {epoch} covers {at_n} vertices but the service \
+                         was started with n = {n}; restart with the original vertex count"
+                    )));
+                }
+                check_vertices(edges.iter().copied(), n, || format!("checkpoint at {epoch}"))?;
+                self.engine.fall_behind();
+                self.engine.replace_edges(&edges);
+                if self.cfg.role == Role::Primary {
+                    for sub in self.engine.subs_list().into_iter().filter(|sub| sub.durable) {
+                        self.apply_sub(SubWalOp::Cancel { id: sub.id })?;
+                    }
+                    for op in subs {
+                        self.apply_sub(op)?;
+                    }
+                    self.obs.metrics.durable_snapshot_epoch.set_max(epoch);
+                }
+                (0, 0)
             }
+            LogRecord::Sub(op) => return self.apply_sub(op),
             LogRecord::CaughtUp => {
                 self.engine.catch_up();
                 (0, 0)
@@ -572,64 +580,56 @@ impl Inner {
         Ok(())
     }
 
-    /// Crash recovery, as a follower of this service's own directory: the
-    /// newest snapshot is an `EdgeSet`, each WAL record past it an `Ops`,
-    /// the end of the log `CaughtUp`, all through [`Self::apply_log`] with
-    /// the engine behind until the last. Durable subscriptions replay just
-    /// before the catch-up, unarmed; the catch-up arms them against the
-    /// recovered partition, so a pair that connected while the subscriber
-    /// was down still fires.
-    fn recover(&self, dir: &Path, sub_ops: &[SubWalOp]) -> Result<(), ServiceError> {
-        let n = self.cfg.n;
+    /// Crash recovery, as a follower of this service's own directory: each
+    /// record of a cursor from the oldest segment goes through
+    /// [`Self::apply_log`] with the engine behind, then the end of the log
+    /// is `CaughtUp`. Durable subscriptions replay in log order, unarmed;
+    /// the catch-up arms them against the recovered partition, so a pair
+    /// that connected while the subscriber was down still fires.
+    ///
+    /// A directory a previous release left with `snap-*` files migrates
+    /// once: the newest legacy snapshot is a leading checkpoint, the log
+    /// suffix replays past it, and a `'C'` record at the recovered epoch
+    /// replaces the files (a crash before they are deleted repeats this).
+    fn recover(&self, dir: &Path) -> Result<(), ServiceError> {
+        let io = |source| WalError::Io { path: dir.to_path_buf(), source };
         self.engine.fall_behind();
+        let legacy = snapshot::load_latest(dir)?;
+        let migrating = legacy.is_some();
         let mut at = 0;
-        if let Some(snap) = snapshot::load_latest(dir)? {
-            if snap.n != n {
-                return Err(ServiceError::Config(format!(
-                    "snapshot in {} covers {} vertices but the service was started \
-                     with n = {n}; restart with the original vertex count",
-                    dir.display(),
-                    snap.n,
-                )));
-            }
-            at = snap.epoch;
-            self.durable_snapshot_epoch.store(at, Ordering::Release);
-            self.obs.metrics.durable_snapshot_epoch.set_max(at);
-            self.apply_log(at, LogRecord::EdgeSet(snap.edges))?;
-        }
         let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
-        cursor.oldest().map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?;
+        match legacy {
+            // Pruned segments lie below the legacy snapshot: no hole check.
+            Some((epoch, record)) => {
+                at = epoch;
+                self.apply_log(at, record)?;
+            }
+            None => cursor.oldest().map_err(io)?,
+        }
         loop {
             match cursor.next()? {
-                TailEvent::Record(epoch, ops) if epoch > at => {
-                    self.apply_log(epoch, LogRecord::Ops(ops))?;
-                    at = epoch;
+                TailEvent::Record(payload) => {
+                    let (epoch, record) = cursor.decode(&payload)?;
+                    // `'S'` has no epoch; a checkpoint restates its own; a
+                    // batch is new only past the history already applied.
+                    let stale = epoch < at || (epoch == at && matches!(record, LogRecord::Ops(_)));
+                    if matches!(record, LogRecord::Sub(_)) || !stale {
+                        at = at.max(epoch);
+                        self.apply_log(epoch, record)?;
+                    }
                 }
-                TailEvent::Record(..) => {} // covered by the snapshot
                 TailEvent::CaughtUp => break,
-                // Nothing prunes before the log accepts writes: a hole.
-                TailEvent::Pruned => cursor
-                    .skip_gap()
-                    .map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?,
+                // Nothing prunes before the log accepts writes: segments a
+                // legacy snapshot covers.
+                TailEvent::Pruned => cursor.skip_gap().map_err(io)?,
             }
         }
-        let mut max_sub_id = 0u64;
-        for op in sub_ops {
-            match *op {
-                SubWalOp::Register { id, kind, u, v, epoch } => {
-                    check_vertices([(u, v)], n, || format!("wal subscription {id}"))?;
-                    self.engine.subs_register_recovered(id, kind, u, v, epoch);
-                    self.subs.open(id, true, None);
-                    max_sub_id = max_sub_id.max(id);
-                }
-                SubWalOp::Cancel { id } => {
-                    self.engine.subs_cancel(id);
-                    self.subs.close(id);
-                }
-            }
+        self.apply_log(at, LogRecord::CaughtUp)?;
+        if migrating {
+            self.write_checkpoint(at)?;
+            snapshot::remove_all(dir);
         }
-        self.subs.bump_next_id(max_sub_id + 1);
-        self.apply_log(at, LogRecord::CaughtUp)
+        Ok(())
     }
 }
 
@@ -776,7 +776,7 @@ fn run_batcher(inner: &Arc<Inner>) {
         // stamped with the epoch that just advanced.
         inner.drain_sub_events();
 
-        // Durable snapshots: on the configured epoch cadence, or when a
+        // Checkpoints: on the configured epoch cadence, or when a
         // `SNAPSHOT` control submission rode this batch. A failure is
         // reported to the requesting submissions (and WALSTATS); the
         // batch itself already committed.
@@ -784,7 +784,7 @@ fn run_batcher(inner: &Arc<Inner>) {
         let snapshot_due = pendings.iter().any(|p| p.durable_snapshot)
             || (cadence > 0 && epoch.is_multiple_of(cadence));
         let snapshot_err = (inner.wal.is_some() && snapshot_due)
-            .then(|| inner.write_durable_snapshot(epoch).err())
+            .then(|| inner.write_checkpoint(epoch).err())
             .flatten();
         if let Some(e) = &snapshot_err {
             inner.note_wal_error(&e.to_string());
@@ -829,8 +829,8 @@ fn check_vertices(
 
 impl Service {
     /// Starts the service: builds the generation engine, and — when
-    /// durability is configured — rebuilds it from the newest durable
-    /// snapshot plus the WAL suffix past it, resuming at the recovered
+    /// durability is configured — rebuilds it from the log (its oldest
+    /// checkpoint plus the records past it), resuming at the recovered
     /// epoch before spawning the batch former.
     pub fn start(cfg: ServiceConfig) -> Result<Service, ServiceError> {
         if cfg.batch_max_ops == 0 {
@@ -856,16 +856,14 @@ impl Service {
         .map_err(ServiceError::Config)?;
 
         let mut wal = None;
-        let mut sub_ops = Vec::new();
         let mut trace_path = None;
         if let Some(dcfg) = &cfg.durability {
             // Scan (and re-open) the log first — this also creates the
             // directory and truncates a torn tail — so recovery below
             // replays a checked log.
-            let (mut w, report) = Wal::open(dcfg)?;
+            let (mut w, _) = Wal::open(dcfg)?;
             w.attach_obs(Arc::clone(&obs));
             wal = Some(Mutex::new(w));
-            sub_ops = report.sub_ops;
             // Surface (and consume) the trace a previous run flushed here
             // — after a SIGKILL this is the crash post-mortem — then
             // claim this run's own trace file.
@@ -887,7 +885,6 @@ impl Service {
             obs,
             trace_path,
             wal,
-            durable_snapshot_epoch: AtomicU64::new(0),
             last_wal_error: Mutex::new(None),
             apply_mx: Mutex::new(()),
             subs: SubsDispatch::new(),
@@ -897,7 +894,7 @@ impl Service {
             closed: std::sync::atomic::AtomicBool::new(false),
         });
         if let Some(dcfg) = &inner.cfg.durability {
-            inner.recover(&dcfg.dir, &sub_ops)?;
+            inner.recover(&dcfg.dir)?;
         }
         // Stamp the analytics view with the starting epoch so TOPK/HIST
         // report an honest starting point (this also sets the components
@@ -1217,22 +1214,20 @@ impl Client {
         // delivery channel already open.
         self.inner.subs.open(id, durable, sink);
         let epoch = self.epoch();
-        if durable {
-            let res = self
-                .inner
-                .wal
-                .as_ref()
-                .expect("checked above")
-                .lock()
-                .append_sub(&SubWalOp::Register { id, kind, u, v, epoch });
-            if let Err(e) = res {
-                self.inner.subs.close(id);
-                let err = ServiceError::from(e);
-                self.inner.note_wal_error(&err.to_string());
-                return Err(err);
-            }
+        // A durable registration holds the WAL mutex from its `'S'` append
+        // until the engine knows it, so a checkpoint (which reads the
+        // registry under that mutex, then prunes the `'S'`) never loses it.
+        let mut wal = self.inner.wal.as_ref().filter(|_| durable).map(|w| w.lock());
+        let op = SubWalOp::Register { id, kind, u, v, epoch };
+        if let Some(Err(e)) = wal.as_mut().map(|w| w.append_sub(&op)) {
+            drop(wal);
+            self.inner.subs.close(id);
+            let err = ServiceError::from(e);
+            self.inner.note_wal_error(&err.to_string());
+            return Err(err);
         }
         self.inner.engine.subs_register(id, kind, u, v, durable, epoch);
+        drop(wal);
         self.inner.obs.metrics.subs_active.set(self.inner.engine.subs_len() as u64);
         // Deliver a registration-time fire (already-connected pair)
         // promptly instead of waiting for the next batch — but never
@@ -1453,17 +1448,17 @@ impl Client {
         })
     }
 
-    /// Writes a durable snapshot of the live edge set at the next batch
+    /// Writes a checkpoint record of the live edge set at the next batch
     /// boundary and blocks until it is on disk (the `SNAPSHOT` protocol
     /// verb); returns the epoch it is keyed by. Never waits for a
-    /// rebuild. Recovery from that epoch replays only the WAL suffix past
-    /// it, and fully-covered segments are pruned.
+    /// rebuild. Recovery replays only the log from that checkpoint on,
+    /// and the segments before it are pruned.
     pub fn durable_snapshot(&self) -> Result<u64, ServiceError> {
         if !self.wal_enabled() {
             return Err(ServiceError::DurabilityDisabled);
         }
         self.enqueue(Vec::new(), 0, 0, true)?;
-        Ok(self.inner.durable_snapshot_epoch.load(Ordering::Acquire))
+        Ok(self.inner.obs.metrics.durable_snapshot_epoch.get())
     }
 
     /// The generation currently serving queries, its dirty flag, and the
@@ -1509,7 +1504,7 @@ impl Client {
             last_epoch: m.wal_last_epoch.get(),
             torn_bytes: m.wal_torn_bytes.get(),
         };
-        let snap_epoch = self.inner.durable_snapshot_epoch.load(Ordering::Acquire);
+        let snap_epoch = m.durable_snapshot_epoch.get();
         let last_error = self
             .inner
             .last_wal_error
@@ -1691,7 +1686,7 @@ mod tests {
             assert!(stats.contains("last_error=-"), "{stats}");
             svc.shutdown();
         }
-        // Recovery = snapshot + suffix: both the pre- and post-snapshot
+        // Recovery = checkpoint + suffix: both the pre- and post-checkpoint
         // edges are there.
         let mut svc = Service::start(durable_cfg(16, &dir)).expect("recovers");
         let c = svc.client();
@@ -1699,6 +1694,114 @@ mod tests {
         assert!(c.query(8, 9).expect("query"));
         assert!(!c.query(0, 8).expect("query"));
         svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The oldest segment is segment 0 or opens with a checkpoint; with
+    /// the checkpoint's segment deleted beside the pruned ones, recovery
+    /// refuses with a typed error instead of serving the suffix.
+    #[test]
+    fn recovery_refuses_a_history_with_a_hole() {
+        let dir = tmp_dir("hole");
+        for checkpoint in [true, false] {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            svc.client().insert(0, 1).expect("insert");
+            if checkpoint {
+                svc.client().durable_snapshot().expect("checkpoint");
+            }
+            svc.shutdown();
+        }
+        let mut cursor = WalCursor::open(&dir, 0, 0);
+        cursor.oldest().expect("oldest");
+        assert_ne!(cursor.position().0, 0, "the checkpoint pruned segment 0");
+        std::fs::remove_file(crate::wal::segment_path(&dir, cursor.position().0))
+            .expect("delete the checkpoint's segment");
+        // The next segment holds the second run's batch: the surviving
+        // history starts mid-stream.
+        let err = Service::start(durable_cfg(16, &dir)).map(|_| ()).unwrap_err();
+        assert!(matches!(&err, ServiceError::Durability(m) if m.contains("hole")), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory in the earlier release's format — a `CCSNAP02` file, its
+    /// covered segments pruned, a log suffix with a re-registered durable
+    /// subscription — boots to the same epoch and partition, leaves no
+    /// `snap-*` file behind, and boots the same again.
+    #[test]
+    fn legacy_snapshot_directory_migrates_to_a_checkpoint() {
+        let dir = tmp_dir("migrate");
+        let write = |path: PathBuf, magic: &[u8; 8], records: &[Vec<u8>]| {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(path).expect("create"));
+            binary::write_magic(&mut w, magic).expect("magic");
+            for r in records {
+                binary::append_record(&mut w, r).expect("record");
+            }
+            std::io::Write::flush(&mut w).expect("flush");
+        };
+        let mut header = 3u64.to_le_bytes().to_vec();
+        header.extend_from_slice(&16u64.to_le_bytes());
+        let edges = binary::encode_edge_batch(3, &[(0, 1), (1, 2), (5, 6)]);
+        write(crate::snapshot::snapshot_path(&dir, 3), b"CCSNAP02", &[header, edges]);
+        let mut sub = vec![b'S', 0];
+        sub.extend_from_slice(&9u64.to_le_bytes());
+        sub.push(SubKind::Pair.code());
+        sub.extend_from_slice(&[4, 0, 0, 0, 7, 0, 0, 0]);
+        sub.extend_from_slice(&3u64.to_le_bytes());
+        let mut inserts = vec![b'I'];
+        inserts.extend_from_slice(&binary::encode_edge_batch(4, &[(2, 3)]));
+        let mut ops = vec![b'D'];
+        ops.extend_from_slice(&5u64.to_le_bytes());
+        ops.extend_from_slice(&2u32.to_le_bytes());
+        ops.extend_from_slice(&[b'D', 5, 0, 0, 0, 6, 0, 0, 0, b'I', 7, 0, 0, 0, 8, 0, 0, 0]);
+        // Segments 0 and 1 were pruned with the snapshot at epoch 3.
+        write(crate::wal::segment_path(&dir, 2), crate::wal::WAL_MAGIC, &[sub, inserts, ops]);
+
+        let mut want: Vec<u32> = (0..16).collect();
+        (want[1], want[2], want[3], want[8]) = (0, 0, 0, 7);
+        for round in 0..2 {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("boots");
+            let c = svc.client();
+            assert_eq!(c.epoch(), 5, "round {round}");
+            assert!(cc_graph::stats::same_partition(&c.labels(), &want), "round {round}");
+            let subs: Vec<(u64, u32, u32)> =
+                c.subs_info().iter().map(|s| (s.id, s.u, s.v)).collect();
+            assert_eq!(subs, vec![(9, 4, 7)], "round {round}");
+            assert!(c.wal_stats().expect("wal").contains(" snap_epoch=5 "), "round {round}");
+            let names: Vec<String> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .flatten()
+                .filter_map(|e| e.file_name().into_string().ok())
+                .collect();
+            assert!(names.iter().all(|n| !n.starts_with("snap-")), "round {round}: {names:?}");
+            svc.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint prunes the `'S'` records before it and restates the
+    /// registry instead: a subscription registered before it survives, and
+    /// one cancelled after it stays cancelled.
+    #[test]
+    fn durable_subscriptions_recover_through_a_checkpoint() {
+        let dir = tmp_dir("sub_checkpoint");
+        let (kept, cancelled) = {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            let c = svc.client();
+            let (kept, _) = c.subscribe(SubKind::Pair, 1, 2, true, None).expect("sub");
+            let (cancelled, _) = c.subscribe(SubKind::Component, 3, 3, true, None).expect("sub");
+            c.insert(4, 5).expect("insert");
+            c.durable_snapshot().expect("checkpoint");
+            c.unsubscribe(cancelled).expect("cancel after the checkpoint");
+            svc.shutdown();
+            (kept, cancelled)
+        };
+        assert!(!crate::wal::segment_path(&dir, 0).exists(), "the 'S' records were pruned");
+        for round in 0..2 {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("recovers");
+            let ids: Vec<u64> = svc.client().subs_info().iter().map(|s| s.id).collect();
+            assert_eq!(ids, vec![kept], "round {round}: {cancelled} stays cancelled");
+            svc.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1755,8 +1858,8 @@ mod tests {
         assert!(err.contains("n = 8"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Past a snapshot the pruned WAL no longer names any vertex, so a
-        // *larger* n would replay cleanly: the snapshot header rejects it.
+        // Past a checkpoint the pruned WAL no longer names any vertex, so
+        // a *larger* n would replay cleanly: the checkpoint's n rejects it.
         let dir = tmp_dir("wrong_n_snap");
         {
             let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
@@ -1773,7 +1876,7 @@ mod tests {
     }
 
     /// A forest delete seals a generation whose rebuild is held open; the
-    /// epoch cadence and an explicit `SNAPSHOT` still write snapshots
+    /// epoch cadence and an explicit `SNAPSHOT` still write checkpoints
     /// (the live edge set is exact while sealed), the WAL still prunes,
     /// and a restart recovers the oracle's partition.
     #[test]
@@ -1828,7 +1931,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One deletion-bearing history with a cadence snapshot in its middle,
+    /// One deletion-bearing history with a cadence checkpoint in its middle,
     /// replayed through both doors — a restart on its directory, and a
     /// fresh follower of a hub serving that directory — lands on one
     /// state: epoch, live edge set, partition, analytics, and a clean
@@ -1941,9 +2044,12 @@ mod tests {
             Err(ServiceError::ReadOnlyFollower)
         );
         // The replication stream is the only write path; epochs mirror
-        // the primary's (here: a snapshot at 3 then batches 4 and 5).
+        // the primary's (here: a checkpoint at 3 then batches 4 and 5).
         let ins = |u, v| LogRecord::Ops(vec![Update::Insert(u, v)]);
-        c.apply_log(3, LogRecord::EdgeSet(vec![(1, 2)])).expect("snapshot bootstrap");
+        let checkpoint = LogRecord::Checkpoint { n: 64, subs: Vec::new(), edges: vec![(1, 2)] };
+        c.apply_log(3, checkpoint).expect("checkpoint bootstrap");
+        assert_eq!(c.epoch(), 0, "a checkpoint lands behind: the epoch holds");
+        c.apply_log(3, LogRecord::CaughtUp).expect("caught up");
         assert_eq!(c.epoch(), 3);
         c.apply_log(4, ins(2, 3)).expect("batch");
         c.apply_log(5, LogRecord::Ops(Vec::new())).expect("query-only epoch");

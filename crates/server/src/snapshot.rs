@@ -1,28 +1,23 @@
-//! Durable, epoch-keyed snapshots of the **live edge set**: the state a
-//! restart (or a follower bootstrap) needs, frozen at an epoch boundary so
-//! recovery replays only the WAL suffix past it (and sealed segments below
-//! it can be pruned). The edge set is exact in every generation state — a
-//! sealed generation freezes only the partition, never the edges — so a
-//! snapshot never waits for a rebuild.
-//!
-//! One file per snapshot, `snap-<epoch>.ccsnap`: the magic `CCSNAP02`,
+//! The legacy snapshot reader, kept only to migrate data directories an
+//! earlier release left behind. Those releases stored the live edge set
+//! beside the log as `snap-<epoch>.ccsnap` files: the magic `CCSNAP02`,
 //! then two [`cc_graph::io::binary`] records — a 16-byte header
 //! `(epoch u64 LE, n u64 LE)` and the edge set as
-//! [`cc_graph::io::binary::encode_edge_batch`] `(epoch, edges)`. Files are
-//! written to a `.tmp`
-//! sibling, fsynced, then renamed, so a crash mid-write never leaves a
-//! plausible-but-partial snapshot under the real name; stray `.tmp` files
-//! are ignored (and cleaned) by the loader. Loading walks epochs downward
-//! and skips undecodable files, so a corrupt latest snapshot degrades to
-//! the previous one plus a longer WAL replay, never to a wrong state.
+//! [`cc_graph::io::binary::encode_edge_batch`] `(epoch, edges)`. Recovery
+//! reads the newest decodable file once as a leading checkpoint, writes a
+//! `'C'` WAL record in its place and deletes the files ([`remove_all`]).
+//! Loading walks epochs downward and skips undecodable files, so a corrupt
+//! latest snapshot degrades to the previous one plus a longer replay,
+//! never to a wrong state; stray `.tmp` files from an interrupted write
+//! are swept.
 
-use crate::wal::WalError;
+use crate::wal::{LogRecord, WalError};
 use cc_graph::io::binary::{self, CodecError};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of every snapshot file this build writes.
+/// Magic prefix of the legacy snapshot files this build migrates.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CCSNAP02";
 
 /// The snapshot file name for an epoch.
@@ -34,50 +29,10 @@ fn parse_snapshot_epoch(name: &str) -> Option<u64> {
     name.strip_prefix("snap-")?.strip_suffix(".ccsnap")?.parse().ok()
 }
 
-/// A snapshot recovered from disk.
-#[derive(Debug)]
-pub struct LoadedSnapshot {
-    /// The epoch the edge set was frozen at.
-    pub epoch: u64,
-    /// The vertex count of the service that wrote it.
-    pub n: usize,
-    /// The live edge set at that epoch.
-    pub edges: Vec<(u32, u32)>,
-    /// Newer snapshot files that failed to decode and were skipped (a
-    /// non-zero count means recovery fell back and will replay more WAL).
-    pub skipped_corrupt: usize,
-}
-
-/// Atomically writes the live edge set of an `n`-vertex service at
-/// `epoch` into `dir`; returns the final path. The directory itself is
-/// fsynced after the rename: the caller prunes the previous snapshot and
-/// covered WAL segments next, and a machine crash must never journal
-/// those unlinks without the rename that justified them.
-pub fn write_snapshot(
-    dir: &Path,
-    epoch: u64,
-    n: usize,
-    edges: &[(u32, u32)],
-) -> std::io::Result<PathBuf> {
-    let final_path = snapshot_path(dir, epoch);
-    let tmp_path = final_path.with_extension("ccsnap.tmp");
-    {
-        let mut w = BufWriter::new(File::create(&tmp_path)?);
-        binary::write_magic(&mut w, SNAPSHOT_MAGIC)?;
-        let mut header = epoch.to_le_bytes().to_vec();
-        header.extend_from_slice(&(n as u64).to_le_bytes());
-        binary::append_record(&mut w, &header)?;
-        binary::append_record(&mut w, &binary::encode_edge_batch(epoch, edges))?;
-        w.flush()?;
-        w.get_ref().sync_data()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    File::open(dir)?.sync_all()?;
-    Ok(final_path)
-}
-
-/// Reads and fully validates one snapshot file (`skipped_corrupt` is 0).
-pub fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, WalError> {
+/// Reads and fully validates one snapshot file, as the epoch and
+/// [`LogRecord::Checkpoint`] recovery applies (with no subscriptions: the
+/// log beside a legacy snapshot restates those as `'S'` records).
+pub fn read_snapshot(path: &Path) -> Result<(u64, LogRecord), WalError> {
     let codec = |source: CodecError| WalError::Codec { path: path.to_path_buf(), source };
     let corrupt = |detail: String| WalError::Corrupt { path: path.to_path_buf(), detail };
     let file =
@@ -85,35 +40,30 @@ pub fn read_snapshot(path: &Path) -> Result<LoadedSnapshot, WalError> {
     let mut reader = BufReader::new(file);
     binary::read_magic(&mut reader, SNAPSHOT_MAGIC).map_err(codec)?;
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
-    let header =
-        records.next().map_err(codec)?.ok_or_else(|| corrupt("no header record".into()))?;
-    if header.len() != 16 {
-        return Err(corrupt(format!("snapshot header of {} bytes, expected 16", header.len())));
-    }
+    let header = records.next().map_err(codec)?.filter(|h| h.len() == 16);
+    let header = header.ok_or_else(|| corrupt("no 16-byte header record".into()))?;
     let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
     let (epoch, n) = (le(&header[..8]), usize::try_from(le(&header[8..])).unwrap_or(usize::MAX));
     let at = records.offset();
-    let Some(payload) = records.next().map_err(codec)? else {
-        return Err(corrupt("snapshot has no edge record".into()));
-    };
+    let payload = records.next().map_err(codec)?;
+    let payload = payload.ok_or_else(|| corrupt("snapshot has no edge record".into()))?;
     let (edge_epoch, edges) = binary::decode_edge_batch(&payload, at).map_err(codec)?;
     if edge_epoch != epoch {
         return Err(corrupt(format!(
             "snapshot header frozen at epoch {epoch} but edge set at {edge_epoch}"
         )));
     }
-    Ok(LoadedSnapshot { epoch, n, edges, skipped_corrupt: 0 })
+    Ok((epoch, LogRecord::Checkpoint { n, subs: Vec::new(), edges }))
 }
 
 /// Loads the newest decodable snapshot in `dir` (`Ok(None)` if there is
 /// none), skipping corrupt files and sweeping stray `.tmp` leftovers.
 ///
 /// Snapshot files present but **none** decodable is a hard error, not
-/// `Ok(None)`: older snapshots and covered WAL segments are pruned, so
-/// "no snapshot" and "all snapshots corrupt" recover very different
-/// histories — silently picking the empty one would serve a wrong
-/// partition.
-pub fn load_latest(dir: &Path) -> Result<Option<LoadedSnapshot>, WalError> {
+/// `Ok(None)`: the log segments they cover were pruned, so "no snapshot"
+/// and "all snapshots corrupt" recover very different histories —
+/// silently picking the empty one would serve a wrong partition.
+pub fn load_latest(dir: &Path) -> Result<Option<(u64, LogRecord)>, WalError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -126,32 +76,21 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedSnapshot>, WalError> {
         if name.ends_with(".tmp") {
             // An interrupted write; the real name was never created.
             let _ = std::fs::remove_file(entry.path());
-            continue;
-        }
-        if let Some(e) = parse_snapshot_epoch(name) {
+        } else if let Some(e) = parse_snapshot_epoch(name) {
             epochs.push(e);
         }
     }
     epochs.sort_unstable();
-    let mut skipped_corrupt = 0;
-    let mut last_err: Option<WalError> = None;
+    let mut last_err = None;
     for &epoch in epochs.iter().rev() {
         let path = snapshot_path(dir, epoch);
         match read_snapshot(&path) {
-            Ok(snap) if snap.epoch == epoch => {
-                return Ok(Some(LoadedSnapshot { skipped_corrupt, ..snap }));
+            Ok((stored, record)) if stored == epoch => return Ok(Some((epoch, record))),
+            Ok((stored, _)) => {
+                let detail = format!("snapshot named for epoch {epoch} stores {stored}");
+                last_err = Some(WalError::Corrupt { path, detail });
             }
-            Ok(LoadedSnapshot { epoch: stored_epoch, .. }) => {
-                skipped_corrupt += 1;
-                last_err = Some(WalError::Corrupt {
-                    path,
-                    detail: format!("snapshot named for epoch {epoch} stores {stored_epoch}"),
-                });
-            }
-            Err(e) => {
-                skipped_corrupt += 1;
-                last_err = Some(e);
-            }
+            Err(e) => last_err = Some(e),
         }
     }
     match last_err {
@@ -161,23 +100,19 @@ pub fn load_latest(dir: &Path) -> Result<Option<LoadedSnapshot>, WalError> {
             detail: format!(
                 "{} snapshot file(s) present but none decodable (last failure: {e}); \
                  refusing to recover as if no snapshot was ever taken",
-                skipped_corrupt
+                epochs.len()
             ),
         }),
     }
 }
 
-/// Removes snapshots with epochs below `epoch` (best-effort; called
-/// after a successful snapshot write, keeping only the newest).
-pub fn prune_older_than(dir: &Path, epoch: u64) {
+/// Deletes every legacy snapshot file in `dir` (best-effort: one left
+/// behind is migrated again at the next start).
+pub fn remove_all(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(e) = parse_snapshot_epoch(name) {
-            if e < epoch {
-                let _ = std::fs::remove_file(entry.path());
-            }
+        if entry.file_name().to_str().and_then(parse_snapshot_epoch).is_some() {
+            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
@@ -185,6 +120,7 @@ pub fn prune_older_than(dir: &Path, epoch: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufWriter, Write};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         crate::scratch_dir(&format!("snap_{tag}"))
@@ -200,15 +136,21 @@ mod tests {
         w.flush().expect("flush");
     }
 
+    /// Writes a `CCSNAP02` file as the earlier releases did.
+    fn write_legacy(dir: &Path, epoch: u64, n: u64, edges: &[(u32, u32)]) {
+        let mut header = epoch.to_le_bytes().to_vec();
+        header.extend_from_slice(&n.to_le_bytes());
+        let body = binary::encode_edge_batch(epoch, edges);
+        write_raw(&snapshot_path(dir, epoch), SNAPSHOT_MAGIC, &[header, body]);
+    }
+
     #[test]
     fn write_load_roundtrip_prefers_newest() {
         let dir = tmp_dir("roundtrip");
-        write_snapshot(&dir, 3, 10, &[]).expect("write");
-        write_snapshot(&dir, 8, 10, &[(0, 1), (1, 2)]).expect("write");
-        let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!((snap.epoch, snap.n), (8, 10));
-        assert_eq!(snap.edges, vec![(0, 1), (1, 2)]);
-        assert_eq!(snap.skipped_corrupt, 0);
+        write_legacy(&dir, 3, 10, &[]);
+        write_legacy(&dir, 8, 10, &[(0, 1), (1, 2)]);
+        let want = LogRecord::Checkpoint { n: 10, subs: vec![], edges: vec![(0, 1), (1, 2)] };
+        assert_eq!(load_latest(&dir).expect("load"), Some((8, want)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -218,7 +160,7 @@ mod tests {
     #[test]
     fn ccsnap01_file_is_bad_magic_and_load_latest_falls_back_past_it() {
         let dir = tmp_dir("v1");
-        write_snapshot(&dir, 2, 3, &[(1, 2)]).expect("write");
+        write_legacy(&dir, 2, 3, &[(1, 2)]);
         let v1 = snapshot_path(&dir, 4);
         let labels = binary::encode_labels(4, &[0, 0, 2]);
         write_raw(&v1, b"CCSNAP01", &[labels, binary::encode_edge_batch(4, &[(0, 1)])]);
@@ -227,8 +169,8 @@ mod tests {
             matches!(err, WalError::Codec { source: CodecError::BadMagic { .. }, .. }),
             "{err}"
         );
-        let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!((snap.epoch, snap.edges, snap.skipped_corrupt), (2, vec![(1, 2)], 1));
+        let want = LogRecord::Checkpoint { n: 3, subs: vec![], edges: vec![(1, 2)] };
+        assert_eq!(load_latest(&dir).expect("load"), Some((2, want)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -265,18 +207,16 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_older() {
         let dir = tmp_dir("fallback");
-        write_snapshot(&dir, 2, 6, &[(0, 1)]).expect("write");
-        write_snapshot(&dir, 5, 6, &[(2, 3)]).expect("write");
+        write_legacy(&dir, 2, 6, &[(0, 1)]);
+        write_legacy(&dir, 5, 6, &[(2, 3)]);
         // Flip a byte in the newest snapshot's payload.
         let newest = snapshot_path(&dir, 5);
         let mut bytes = std::fs::read(&newest).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&newest, &bytes).expect("write");
-        let snap = load_latest(&dir).expect("load").expect("some");
-        assert_eq!(snap.epoch, 2);
-        assert_eq!(snap.edges, vec![(0, 1)]);
-        assert_eq!(snap.skipped_corrupt, 1);
+        let want = LogRecord::Checkpoint { n: 6, subs: vec![], edges: vec![(0, 1)] };
+        assert_eq!(load_latest(&dir).expect("load"), Some((2, want)));
         // Direct reads of the corrupt file surface typed context.
         let err = read_snapshot(&newest).unwrap_err();
         assert!(err.to_string().contains("offset"), "{err}");
@@ -286,7 +226,7 @@ mod tests {
     #[test]
     fn all_snapshots_corrupt_is_a_hard_error_not_fresh_start() {
         let dir = tmp_dir("allcorrupt");
-        write_snapshot(&dir, 7, 3, &[(0, 1)]).expect("write");
+        write_legacy(&dir, 7, 3, &[(0, 1)]);
         let path = snapshot_path(&dir, 7);
         let mut bytes = std::fs::read(&path).expect("read");
         let last = bytes.len() - 1;
@@ -322,15 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_only_older() {
-        let dir = tmp_dir("prune");
+    fn remove_all_deletes_every_snapshot_file_and_nothing_else() {
+        let dir = tmp_dir("remove");
         for e in [1u64, 4, 9] {
-            write_snapshot(&dir, e, 2, &[]).expect("write");
+            write_legacy(&dir, e, 2, &[]);
         }
-        prune_older_than(&dir, 9);
-        assert!(!snapshot_path(&dir, 1).exists());
-        assert!(!snapshot_path(&dir, 4).exists());
-        assert!(snapshot_path(&dir, 9).exists());
+        std::fs::write(dir.join("wal-00000000.log"), b"CCWALS02").expect("write");
+        remove_all(&dir);
+        assert!(load_latest(&dir).expect("load").is_none());
+        assert!(dir.join("wal-00000000.log").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,42 +1,37 @@
 //! The write-ahead log: segmented, checksummed, group-committed batch
-//! durability for the connectivity service.
+//! durability for the connectivity service — and its only file kind.
 //!
 //! ## Format
 //!
 //! A WAL directory holds numbered segments `wal-<seq>.log`. Each segment
-//! starts with a version magic — `CCWALS02` for segments this release
-//! writes — and is a sequence of [`cc_graph::io::binary`] records. In a
-//! v2 segment a record payload's first byte is its **kind**:
+//! starts with the magic `CCWALS02` and is a sequence of
+//! [`cc_graph::io::binary`] records. A record payload's first byte is its
+//! **kind**:
 //!
 //! - [`REC_INSERTS`] (`'I'`) — an insert-only batch; the body is
 //!   [`cc_graph::io::binary::encode_edge_batch`] `(epoch, inserts)`.
 //! - [`REC_OPS`] (`'D'`) — a deletion-bearing batch; the body is
-//!   [`encode_update_batch`] `(epoch, ops)`, preserving the in-batch
-//!   order of inserts and deletes (queries are never durable).
+//!   `epoch (u64 LE)`, `m (u32 LE)`, then `m` ops as `tag (u8: 'I'|'D'),
+//!   u (u32 LE), v (u32 LE)` in batch order (queries are never durable).
+//! - [`REC_CHECKPOINT`] (`'C'`) — a checkpoint: the sum of every batch up
+//!   to its epoch. The body is `epoch (u64 LE)`, `n (u64 LE)`, the
+//!   durable subscription registry as `k (u32 LE)` and `k` `'S'` register
+//!   payloads, then the live edge set as an `encode_edge_batch`
+//!   `(epoch, edges)` body.
 //! - [`REC_SUB`] (`'S'`) — a durable subscription registration or
-//!   cancellation ([`encode_sub_record`]): id, kind, pair, and the
-//!   committed epoch at registration. Sub records are interleaved with
-//!   batch records in append order but carry their *own* epoch stamp
-//!   (a registration races batch appends in either direction), so they
-//!   are exempt from the batch records' strict epoch monotonicity and
-//!   are surfaced separately by recovery
-//!   ([`RecoveryReport::sub_ops`]). [`WalCursor`] skips them: followers
-//!   learn subscriptions from their own clients, never from the
-//!   primary's WAL.
+//!   cancellation: `op (u8: 0 register, 1 cancel)`, `id (u64 LE)`, and for
+//!   a registration `kind (u8)`, `u`, `v (u32 LE)` and the committed
+//!   `epoch (u64 LE)` at registration.
 //!
-//! Segments written before the kind byte existed carry the magic
-//! `CCWALS01` and hold raw edge-batch bodies (insert-only histories by
-//! construction). Readers decode each segment by the magic it opens
-//! with, so a directory mixing v1 segments and newly appended v2
-//! segments recovers — and replicates — seamlessly; writers only ever
-//! start v2 segments.
-//!
-//! An unknown kind byte on a CRC-valid v2 record is *corruption*, never
-//! a skippable tail: silently dropping a record whose retractions we do
-//! not understand would recover a wrong partition. Epochs are strictly
-//! increasing across records; a batch with no durable ops still gets a
+//! Epoch rules: `'I'`/`'D'` epochs strictly increase within a segment; a
+//! `'C'` epoch is at least the previous record's; `'S'` has no ordering
+//! key and replays in log order. A batch with no durable ops still gets a
 //! (13-byte) record so the recovered epoch matches the served epoch
-//! exactly.
+//! exactly. An unknown kind byte on a CRC-valid record is *corruption*,
+//! never a skippable tail: silently dropping a record whose retractions we
+//! do not understand would recover a wrong partition. [`decode_record`]
+//! is the one body decoder: recovery and followers both feed its
+//! [`LogRecord`] to the service's apply path.
 //!
 //! ## Commit protocol
 //!
@@ -56,24 +51,30 @@
 //! - [`FsyncPolicy::Off`] — flushed to the OS only: survives process
 //!   kills; machine-crash durability is whenever the kernel writes back.
 //!
+//! ## Checkpoints
+//!
+//! [`Wal::checkpoint`] rolls the active segment, appends `'C'` as the new
+//! segment's first record, fsyncs it (and the directory), and only then
+//! prunes every older segment. So the oldest segment always opens with a
+//! `'C'` or is segment 0; a history that does neither has a hole, and
+//! [`WalCursor::oldest`] refuses it with a typed error.
+//!
 //! ## Recovery
 //!
 //! [`Wal::open`] scans existing segments in sequence order and checks
-//! every record — framing, body, strictly increasing batch epochs — but
-//! keeps only the durable subscription records
-//! ([`RecoveryReport::sub_ops`]); the batches stay on disk. A decode
-//! failure in the *final* segment is a torn tail — the crash interrupted
-//! an append — so the tail is dropped (reported in [`RecoveryReport`])
-//! **and physically truncated away**, so the segment scans clean on every
-//! later restart even once it is no longer final. A decode failure in any
-//! earlier segment therefore cannot be explained by a crash mid-append and
-//! is surfaced as a typed [`WalError`] with segment and offset context.
-//! Appends always go to a fresh segment, never after a torn tail; a final
-//! segment torn inside its magic is deleted and the fresh segment reuses
-//! its sequence number, so the log's sequence numbers stay contiguous. The
-//! service then replays the checked log through a [`WalCursor`] over its
-//! own directory — the reader a follower's sender tails it with — one
-//! record at a time.
+//! every record's framing, kind byte and epoch header, but decodes no
+//! body. A framing failure in the *final* segment is a torn tail — the
+//! crash interrupted an append — so the tail is dropped (reported in
+//! [`RecoveryReport`]) **and physically truncated away**, so the segment
+//! scans clean on every later restart even once it is no longer final. A
+//! failure in any earlier segment therefore cannot be explained by a
+//! crash mid-append and is surfaced as a typed [`WalError`] with segment
+//! and offset context. Appends always go to a fresh segment, never after
+//! a torn tail; a final segment torn inside its magic is deleted and the
+//! fresh segment reuses its sequence number, so the log's sequence
+//! numbers stay contiguous. The service then replays the checked log
+//! through a [`WalCursor`] over its own directory — the reader a
+//! follower's sender tails it with — one record at a time.
 
 use crate::obs::{Event, Obs};
 use crate::subs::{SubKind, SubWalOp};
@@ -85,21 +86,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Magic prefix of every WAL segment this release writes (v2: every
-/// record payload leads with a kind byte).
+/// Magic prefix of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"CCWALS02";
-
-/// Magic prefix of legacy v1 segments (raw insert-only edge-batch
-/// records, no kind byte). Read-only: recognized by the recovery scan
-/// and the tail cursor, never written.
-pub const WAL_MAGIC_V1: &[u8; 8] = b"CCWALS01";
 
 /// Record kind byte: insert-only batch (edge-batch body).
 pub const REC_INSERTS: u8 = b'I';
-/// Record kind byte: deletion-bearing batch (update-batch body).
+/// Record kind byte: deletion-bearing batch (ops body).
 pub const REC_OPS: u8 = b'D';
-/// Record kind byte: durable subscription register/cancel
-/// ([`encode_sub_record`] body).
+/// Record kind byte: checkpoint (`n`, subscription registry, live edges).
+pub const REC_CHECKPOINT: u8 = b'C';
+/// Record kind byte: durable subscription register/cancel.
 pub const REC_SUB: u8 = b'S';
 
 /// Sub-record op byte: register.
@@ -107,180 +103,199 @@ const SUB_OP_REGISTER: u8 = 0;
 /// Sub-record op byte: cancel.
 const SUB_OP_CANCEL: u8 = 1;
 
-/// Op tag inside an [`encode_update_batch`] body: insert.
+/// Op tag inside a [`REC_OPS`] body: insert.
 const OP_INSERT: u8 = b'I';
-/// Op tag inside an [`encode_update_batch`] body: delete.
+/// Op tag inside a [`REC_OPS`] body: delete.
 const OP_DELETE: u8 = b'D';
 
-/// Encodes a mixed insert/delete batch body: `epoch (u64 LE)`,
-/// `m (u32 LE)`, then `m` ops as `tag (u8: 'I'|'D'), u (u32 LE),
-/// v (u32 LE)` in batch order. Queries are skipped — they are not
-/// durable. This is the body of [`REC_OPS`] WAL records and of the
-/// replication stream's delta records.
-pub fn encode_update_batch(epoch: u64, ops: &[Update]) -> Vec<u8> {
-    let m = ops.iter().filter(|op| !matches!(op, Update::Query(..))).count();
-    let mut out = Vec::with_capacity(12 + 9 * m);
+/// One unit of durable history, as [`decode_record`] yields it and the
+/// service's apply path consumes it — from its own directory at recovery,
+/// or from a primary's replication stream on a follower.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LogRecord {
+    /// One logged batch: inserts and deletes in submission order.
+    Ops(Vec<Update>),
+    /// A checkpoint: the exact live edge set at its epoch, which replaces
+    /// the engine's wholesale, and the durable subscription registry.
+    Checkpoint {
+        /// The vertex count of the service that wrote it.
+        n: usize,
+        /// The durable subscriptions live at its epoch (registrations).
+        subs: Vec<SubWalOp>,
+        /// The live edge set at its epoch.
+        edges: Vec<(u32, u32)>,
+    },
+    /// A durable subscription register or cancel, applied in log order.
+    Sub(SubWalOp),
+    /// The source reached its live tail at this epoch: a service that fell
+    /// behind catches up here.
+    CaughtUp,
+}
+
+/// Encodes one batch as a full record payload: compact [`REC_INSERTS`]
+/// (an edge-batch body) when no deletion is present, [`REC_OPS`] (a tag
+/// per op) otherwise. Queries are skipped — they are not durable.
+pub(crate) fn encode_ops(epoch: u64, ops: &[Update]) -> Vec<u8> {
+    let tagged = ops.iter().any(|op| matches!(op, Update::Delete(..)));
+    let durable = ops.iter().filter_map(|op| match *op {
+        Update::Insert(u, v) => Some((OP_INSERT, u, v)),
+        Update::Delete(u, v) => Some((OP_DELETE, u, v)),
+        Update::Query(..) => None,
+    });
+    let mut out = Vec::with_capacity(13 + 9 * ops.len());
+    out.push(if tagged { REC_OPS } else { REC_INSERTS });
     out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    for op in ops {
-        let (tag, u, v) = match *op {
-            Update::Insert(u, v) => (OP_INSERT, u, v),
-            Update::Delete(u, v) => (OP_DELETE, u, v),
-            Update::Query(..) => continue,
-        };
-        out.push(tag);
+    out.extend_from_slice(&(durable.clone().count() as u32).to_le_bytes());
+    for (tag, u, v) in durable {
+        if tagged {
+            out.push(tag);
+        }
         out.extend_from_slice(&u.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
     }
     out
 }
 
-/// Decodes an [`encode_update_batch`] body; `offset` is the enclosing
-/// record's byte offset, used only for error context.
-pub fn decode_update_batch(payload: &[u8], offset: u64) -> Result<(u64, Vec<Update>), CodecError> {
-    let bad = |reason: String| CodecError::BadPayload { offset, reason };
-    if payload.len() < 12 {
-        return Err(bad(format!("update batch header needs 12 bytes, have {}", payload.len())));
-    }
-    let epoch = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let m = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-    if payload.len() != 12 + 9 * m {
-        return Err(bad(format!(
-            "update batch of {m} ops needs {} bytes, have {}",
-            12 + 9 * m,
-            payload.len()
-        )));
-    }
-    let mut ops = Vec::with_capacity(m);
-    for i in 0..m {
-        let at = 12 + 9 * i;
-        let u = u32::from_le_bytes(payload[at + 1..at + 5].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(payload[at + 5..at + 9].try_into().expect("4 bytes"));
-        ops.push(match payload[at] {
-            OP_INSERT => Update::Insert(u, v),
-            OP_DELETE => Update::Delete(u, v),
-            other => return Err(bad(format!("unknown op tag {other:?} at op {i}"))),
-        });
-    }
-    Ok((epoch, ops))
-}
-
-/// Encodes a durable subscription operation as a full [`REC_SUB`] WAL
-/// record payload (kind byte included): `'S', op (u8)`, `id (u64 LE)`,
-/// and for a registration additionally `kind (u8: 0 pair, 1 component)`,
-/// `u (u32 LE)`, `v (u32 LE)`, `epoch (u64 LE)` — the committed epoch at
-/// registration time, which is where replay resumes the trigger from.
-pub fn encode_sub_record(op: &SubWalOp) -> Vec<u8> {
+/// Encodes a durable subscription operation as a full [`REC_SUB`] payload.
+fn encode_sub(op: &SubWalOp) -> Vec<u8> {
+    let mut out = vec![REC_SUB];
     match *op {
         SubWalOp::Register { id, kind, u, v, epoch } => {
-            let mut out = Vec::with_capacity(27);
-            out.push(REC_SUB);
             out.push(SUB_OP_REGISTER);
             out.extend_from_slice(&id.to_le_bytes());
             out.push(kind.code());
             out.extend_from_slice(&u.to_le_bytes());
             out.extend_from_slice(&v.to_le_bytes());
             out.extend_from_slice(&epoch.to_le_bytes());
-            out
         }
         SubWalOp::Cancel { id } => {
-            let mut out = Vec::with_capacity(10);
-            out.push(REC_SUB);
             out.push(SUB_OP_CANCEL);
             out.extend_from_slice(&id.to_le_bytes());
-            out
         }
+    }
+    out
+}
+
+/// Length of a [`REC_SUB`] register payload (also one checkpoint
+/// registry entry).
+const SUB_REGISTER_LEN: usize = 27;
+
+/// Encodes a full [`REC_CHECKPOINT`] payload (see the module docs).
+fn encode_checkpoint(epoch: u64, n: usize, subs: &[SubWalOp], edges: &[(u32, u32)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(21 + SUB_REGISTER_LEN * subs.len() + 12 + 8 * edges.len());
+    out.push(REC_CHECKPOINT);
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    out.extend_from_slice(&(subs.len() as u32).to_le_bytes());
+    for sub in subs {
+        out.extend_from_slice(&encode_sub(sub));
+    }
+    out.extend_from_slice(&binary::encode_edge_batch(epoch, edges));
+    out
+}
+
+fn le32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn le64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Checks a record's kind byte and epoch header without decoding its
+/// body: returns the kind and, for every kind but [`REC_SUB`] (which has
+/// no ordering key), the epoch. `offset` is for error context only.
+pub fn record_header(payload: &[u8], offset: u64) -> Result<(u8, Option<u64>), CodecError> {
+    let bad = |reason| Err(CodecError::BadPayload { offset, reason });
+    match payload.first().copied() {
+        Some(REC_SUB) => Ok((REC_SUB, None)),
+        Some(k @ (REC_INSERTS | REC_OPS | REC_CHECKPOINT)) if payload.len() >= 9 => {
+            Ok((k, Some(le64(payload, 1))))
+        }
+        Some(REC_INSERTS | REC_OPS | REC_CHECKPOINT) => bad("record header needs 9 bytes".into()),
+        other => bad(format!("unknown wal record kind {other:?}")),
     }
 }
 
-/// Decodes an [`encode_sub_record`] payload (kind byte included);
-/// `offset` is the enclosing record's byte offset, for error context.
-pub fn decode_sub_record(payload: &[u8], offset: u64) -> Result<SubWalOp, CodecError> {
+/// The one body decoder: maps a full record payload (kind byte included)
+/// to its epoch and [`LogRecord`]. A [`LogRecord::Sub`] has no ordering
+/// key and reads epoch 0. `offset` is the record's byte offset, used only
+/// for error context.
+pub fn decode_record(payload: &[u8], offset: u64) -> Result<(u64, LogRecord), CodecError> {
     let bad = |reason: String| CodecError::BadPayload { offset, reason };
-    if payload.first() != Some(&REC_SUB) || payload.len() < 10 {
-        return Err(bad(format!(
-            "sub record needs >= 10 bytes with kind 'S', have {}",
-            payload.len()
-        )));
+    let (kind, epoch) = record_header(payload, offset)?;
+    let (epoch, len) = (epoch.unwrap_or(0), payload.len());
+    match kind {
+        REC_INSERTS | REC_OPS => {
+            // `'D'` ops carry a tag byte each; `'I'` edges are all inserts.
+            let width = if kind == REC_OPS { 9 } else { 8 };
+            let m = if len >= 13 { le32(payload, 9) as usize } else { 0 };
+            if len != 13 + width * m {
+                return Err(bad(format!(
+                    "batch of {m} ops needs {} bytes, have {len}",
+                    13 + width * m
+                )));
+            }
+            let mut ops = Vec::with_capacity(m);
+            for op in payload[13..].chunks_exact(width) {
+                let (u, v) = (le32(op, width - 8), le32(op, width - 4));
+                ops.push(match if width == 9 { op[0] } else { OP_INSERT } {
+                    OP_INSERT => Update::Insert(u, v),
+                    OP_DELETE => Update::Delete(u, v),
+                    other => {
+                        return Err(bad(format!("unknown op tag {other:?} at op {}", ops.len())))
+                    }
+                });
+            }
+            Ok((epoch, LogRecord::Ops(ops)))
+        }
+        REC_CHECKPOINT => {
+            if len < 21 {
+                return Err(bad(format!("checkpoint header needs 21 bytes, have {len}")));
+            }
+            let (n, k) =
+                (usize::try_from(le64(payload, 9)).unwrap_or(usize::MAX), le32(payload, 17));
+            let edges_at = (k as usize)
+                .checked_mul(SUB_REGISTER_LEN)
+                .map(|b| b + 21)
+                .filter(|&at| at <= len)
+                .ok_or_else(|| bad(format!("checkpoint registry of {k} entries overruns")))?;
+            // Each entry is register-sized, so it decodes as one or not at all.
+            let subs = payload[21..edges_at]
+                .chunks(SUB_REGISTER_LEN)
+                .map(|entry| decode_sub(entry, offset))
+                .collect::<Result<Vec<_>, _>>()?;
+            let (edge_epoch, edges) = binary::decode_edge_batch(&payload[edges_at..], offset)?;
+            if edge_epoch != epoch {
+                return Err(bad(format!(
+                    "checkpoint at epoch {epoch} holds edges at {edge_epoch}"
+                )));
+            }
+            Ok((epoch, LogRecord::Checkpoint { n, subs, edges }))
+        }
+        _ => Ok((0, LogRecord::Sub(decode_sub(payload, offset)?))),
     }
-    let id = u64::from_le_bytes(payload[2..10].try_into().expect("8 bytes"));
+}
+
+/// Decodes a full [`REC_SUB`] payload.
+fn decode_sub(payload: &[u8], offset: u64) -> Result<SubWalOp, CodecError> {
+    let bad = |reason: String| Err(CodecError::BadPayload { offset, reason });
+    if payload.first() != Some(&REC_SUB) || payload.len() < 10 {
+        return bad(format!("sub record needs >= 10 bytes with kind 'S', have {}", payload.len()));
+    }
+    let id = le64(payload, 2);
     match payload[1] {
         SUB_OP_CANCEL if payload.len() == 10 => Ok(SubWalOp::Cancel { id }),
-        SUB_OP_REGISTER if payload.len() == 27 => {
-            let kind = SubKind::from_code(payload[10])
-                .ok_or_else(|| bad(format!("unknown subscription kind {:?}", payload[10])))?;
-            let u = u32::from_le_bytes(payload[11..15].try_into().expect("4 bytes"));
-            let v = u32::from_le_bytes(payload[15..19].try_into().expect("4 bytes"));
-            let epoch = u64::from_le_bytes(payload[19..27].try_into().expect("8 bytes"));
-            Ok(SubWalOp::Register { id, kind, u, v, epoch })
+        SUB_OP_REGISTER if payload.len() == SUB_REGISTER_LEN => {
+            match SubKind::from_code(payload[10]) {
+                Some(kind) => {
+                    let (u, v, epoch) = (le32(payload, 11), le32(payload, 15), le64(payload, 19));
+                    Ok(SubWalOp::Register { id, kind, u, v, epoch })
+                }
+                None => bad(format!("unknown subscription kind {:?}", payload[10])),
+            }
         }
-        op => Err(bad(format!("bad sub record: op {op:?} with {} bytes", payload.len()))),
-    }
-}
-
-/// Builds one WAL record payload for a durable batch: compact
-/// [`REC_INSERTS`] when no deletion is present, [`REC_OPS`] otherwise.
-fn encode_wal_payload(epoch: u64, ops: &[Update]) -> Vec<u8> {
-    if ops.iter().any(|op| matches!(op, Update::Delete(..))) {
-        let mut out = Vec::with_capacity(1 + 12 + 9 * ops.len());
-        out.push(REC_OPS);
-        out.extend_from_slice(&encode_update_batch(epoch, ops));
-        out
-    } else {
-        let edges: Vec<(u32, u32)> = ops
-            .iter()
-            .filter_map(|op| match *op {
-                Update::Insert(u, v) => Some((u, v)),
-                _ => None,
-            })
-            .collect();
-        let mut out = Vec::with_capacity(1 + 12 + 8 * edges.len());
-        out.push(REC_INSERTS);
-        out.extend_from_slice(&binary::encode_edge_batch(epoch, &edges));
-        out
-    }
-}
-
-/// Decodes one WAL record payload (either kind) into `(epoch, ops)`.
-pub fn decode_wal_payload(payload: &[u8], offset: u64) -> Result<(u64, Vec<Update>), CodecError> {
-    match payload.first() {
-        Some(&REC_INSERTS) => {
-            let (epoch, edges) = binary::decode_edge_batch(&payload[1..], offset)?;
-            Ok((epoch, edges.into_iter().map(|(u, v)| Update::Insert(u, v)).collect()))
-        }
-        Some(&REC_OPS) => decode_update_batch(&payload[1..], offset),
-        other => Err(CodecError::BadPayload {
-            offset,
-            reason: format!("unknown wal record kind {other:?}"),
-        }),
-    }
-}
-
-/// Reads a segment's leading magic and returns its format version (1 for
-/// legacy [`WAL_MAGIC_V1`], 2 for [`WAL_MAGIC`]). Any other complete
-/// magic — and any truncation — surfaces as the underlying
-/// [`CodecError`], so callers keep their torn-tail handling.
-fn read_segment_version(r: &mut impl std::io::Read) -> Result<u8, CodecError> {
-    match binary::read_magic(r, WAL_MAGIC) {
-        Ok(()) => Ok(2),
-        Err(CodecError::BadMagic { found, .. }) if found.as_slice() == WAL_MAGIC_V1 => Ok(1),
-        Err(e) => Err(e),
-    }
-}
-
-/// Decodes one record payload according to its segment's format version:
-/// v1 payloads are raw insert-only edge-batch bodies, v2 payloads lead
-/// with a kind byte ([`decode_wal_payload`]).
-fn decode_segment_payload(
-    version: u8,
-    payload: &[u8],
-    offset: u64,
-) -> Result<(u64, Vec<Update>), CodecError> {
-    if version == 1 {
-        let (epoch, edges) = binary::decode_edge_batch(payload, offset)?;
-        Ok((epoch, edges.into_iter().map(|(u, v)| Update::Insert(u, v)).collect()))
-    } else {
-        decode_wal_payload(payload, offset)
+        op => bad(format!("bad sub record: op {op:?} with {} bytes", payload.len())),
     }
 }
 
@@ -318,17 +333,16 @@ impl std::str::FromStr for FsyncPolicy {
     }
 }
 
-/// Configuration of the durability subsystem (WAL + durable snapshots).
+/// Configuration of the durability subsystem (the WAL and its checkpoints).
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// Directory holding WAL segments and snapshots; created on start.
+    /// Directory holding the WAL segments; created on start.
     pub dir: PathBuf,
     /// Fsync discipline for the log.
     pub fsync: FsyncPolicy,
-    /// Write a durable edge-set snapshot every this many epochs (0 = only on
-    /// explicit `SNAPSHOT` requests). Snapshots bound recovery replay to
-    /// the WAL suffix past the snapshot epoch and let older segments be
-    /// pruned.
+    /// Write a checkpoint record every this many epochs (0 = only on
+    /// explicit `SNAPSHOT` requests). A checkpoint bounds recovery replay
+    /// to the log suffix past its epoch and lets older segments be pruned.
     pub snapshot_every: u64,
     /// Roll to a new segment once the active one exceeds this many bytes.
     pub segment_max_bytes: u64,
@@ -339,7 +353,7 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// A config with production-shaped defaults: `batch` fsync, 64 MiB
-    /// segments, a 5 ms group-sync window, periodic snapshots off.
+    /// segments, a 5 ms group-sync window, periodic checkpoints off.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -362,7 +376,7 @@ pub enum WalError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A codec failure inside a segment or snapshot, with byte offset
+    /// A codec failure inside a segment or legacy snapshot, with byte offset
     /// context from [`CodecError`].
     Codec {
         /// The file that failed to decode.
@@ -371,7 +385,7 @@ pub enum WalError {
         source: CodecError,
     },
     /// A structurally impossible WAL state (e.g. corruption in a sealed,
-    /// non-final segment).
+    /// non-final segment, or a history with a hole).
     Corrupt {
         /// The offending file.
         path: PathBuf,
@@ -402,27 +416,9 @@ fn io_err(path: &Path, source: std::io::Error) -> WalError {
     WalError::Io { path: path.to_path_buf(), source }
 }
 
-/// A finished (no longer written) segment the log still tracks so a later
-/// snapshot can prune it.
-#[derive(Clone, Debug)]
-pub struct SealedSegment {
-    /// Segment sequence number.
-    pub seq: u64,
-    /// Segment file path.
-    pub path: PathBuf,
-    /// The highest record epoch in the segment (0 if it has no records).
-    pub last_epoch: u64,
-}
-
 /// What a [`Wal::open`] recovery scan found.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Durable subscription register/cancel records, in log order
-    /// (replayed wholesale after the batches — each registration carries
-    /// its own epoch, and the engine re-evaluates recovered triggers
-    /// against the final recovered labeling, so interleaving with the
-    /// batch records cannot matter).
-    pub sub_ops: Vec<SubWalOp>,
     /// Segments scanned.
     pub segments_scanned: usize,
     /// Bytes dropped from a torn final-segment tail (0 for a clean log).
@@ -457,17 +453,10 @@ pub struct WalStats {
 
 impl std::fmt::Display for WalStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "policy={} segments={} records={} bytes={} syncs={} last_epoch={} torn_bytes={}",
-            self.policy,
-            self.segments,
-            self.records,
-            self.appended_bytes,
-            self.syncs,
-            self.last_epoch,
-            self.torn_bytes,
-        )
+        let WalStats { policy, segments, records, appended_bytes, syncs, last_epoch, torn_bytes } =
+            self;
+        write!(f, "policy={policy} segments={segments} records={records} bytes={appended_bytes} ")?;
+        write!(f, "syncs={syncs} last_epoch={last_epoch} torn_bytes={torn_bytes}")
     }
 }
 
@@ -479,11 +468,10 @@ fn parse_segment_seq(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
 }
 
-/// Scans one segment file, checking every record and collecting its
-/// subscription records into `report`; returns the segment's last
-/// epoch. `is_last` selects torn-tail tolerance: errors in the final
-/// segment truncate (and describe) the tail; anywhere else they are
-/// fatal.
+/// Scans one segment file, checking every record's framing, kind byte and
+/// epoch header (no body is decoded); returns the segment's last epoch.
+/// `is_last` selects torn-tail tolerance: framing errors in the final
+/// segment truncate (and describe) the tail; anywhere else they are fatal.
 fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Result<u64, WalError> {
     let file = File::open(path).map_err(|e| io_err(path, e))?;
     let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
@@ -495,38 +483,29 @@ fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Resu
             Some(format!("{}: dropped torn tail at offset {at}: {e}", path.display()));
         report.torn_at = Some((path.to_path_buf(), at));
     };
-    let version = match read_segment_version(&mut reader) {
-        Ok(v) => v,
-        Err(e) => {
-            // A file torn inside (or before) its magic is an interrupted
-            // segment creation; a complete-but-wrong magic is corruption.
-            if is_last && e.is_truncation() {
-                torn(report, 0, &e);
-                return Ok(0);
-            }
-            return Err(WalError::Codec { path: path.to_path_buf(), source: e });
+    if let Err(e) = binary::read_magic(&mut reader, WAL_MAGIC) {
+        // A file torn inside (or before) its magic is an interrupted
+        // segment creation; a complete-but-wrong magic is corruption.
+        if is_last && e.is_truncation() {
+            torn(report, 0, &e);
+            return Ok(0);
         }
-    };
+        return Err(WalError::Codec { path: path.to_path_buf(), source: e });
+    }
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
     loop {
         let at = records.offset();
         match records.next() {
             Ok(None) => break,
             Ok(Some(payload)) => {
-                // A CRC-valid record that fails here (unknown kind or op
-                // tag, bad body) is corruption even in the final segment:
-                // only `records.next()` failures can be a torn tail.
-                if version >= 2 && payload.first() == Some(&REC_SUB) {
-                    // Sub records carry their own epoch stamp and are
-                    // exempt from the batch epoch monotonicity check.
-                    let op = decode_sub_record(&payload, at)
-                        .map_err(|e| WalError::Codec { path: path.to_path_buf(), source: e })?;
-                    report.sub_ops.push(op);
-                    continue;
-                }
-                let (epoch, _) = decode_segment_payload(version, &payload, at)
+                // A CRC-valid record that fails here (unknown kind, short
+                // header, epoch out of order) is corruption even in the
+                // final segment: only `records.next()` failures can be a
+                // torn tail.
+                let (kind, epoch) = record_header(&payload, at)
                     .map_err(|e| WalError::Codec { path: path.to_path_buf(), source: e })?;
-                if epoch <= last_epoch {
+                let Some(epoch) = epoch else { continue };
+                if epoch < last_epoch || (epoch == last_epoch && kind != REC_CHECKPOINT) {
                     return Err(WalError::Corrupt {
                         path: path.to_path_buf(),
                         detail: format!(
@@ -559,7 +538,8 @@ pub struct Wal {
     seg_path: PathBuf,
     seg_seq: u64,
     seg_bytes: u64,
-    sealed: Vec<SealedSegment>,
+    /// Sequence numbers of the finished segments still on disk, ascending.
+    sealed: Vec<u64>,
     last_epoch: u64,
     records: u64,
     appended_bytes: u64,
@@ -578,6 +558,17 @@ pub struct Wal {
     obs: Option<Arc<Obs>>,
 }
 
+/// Creates segment `seq` in `dir` holding only the magic.
+fn create_segment(dir: &Path, seq: u64) -> Result<(PathBuf, BufWriter<File>), WalError> {
+    let path = segment_path(dir, seq);
+    let io = |e| io_err(&path, e);
+    let mut file =
+        BufWriter::new(OpenOptions::new().create_new(true).write(true).open(&path).map_err(io)?);
+    binary::write_magic(&mut file, WAL_MAGIC).map_err(io)?;
+    file.flush().map_err(io)?;
+    Ok((path, file))
+}
+
 impl Wal {
     /// Opens (creating the directory if needed) the log at `cfg.dir`:
     /// scans every existing segment for recovery, then starts a fresh
@@ -585,39 +576,36 @@ impl Wal {
     /// place of a final segment torn inside its magic).
     pub fn open(cfg: &DurabilityConfig) -> Result<(Wal, RecoveryReport), WalError> {
         std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err(&cfg.dir, e))?;
-        let mut seqs: Vec<u64> = std::fs::read_dir(&cfg.dir)
+        let mut sealed: Vec<u64> = std::fs::read_dir(&cfg.dir)
             .map_err(|e| io_err(&cfg.dir, e))?
             .filter_map(|entry| {
                 let entry = entry.ok()?;
                 parse_segment_seq(entry.file_name().to_str()?)
             })
             .collect();
-        seqs.sort_unstable();
+        sealed.sort_unstable();
 
         let mut report = RecoveryReport::default();
-        let mut sealed = Vec::with_capacity(seqs.len());
         let mut last_epoch = 0u64;
-        for (i, &seq) in seqs.iter().enumerate() {
-            let path = segment_path(&cfg.dir, seq);
-            let is_last = i + 1 == seqs.len();
-            let seg_last = scan_segment(&path, is_last, &mut report)?;
+        for (i, &seq) in sealed.iter().enumerate() {
+            let is_last = i + 1 == sealed.len();
+            let seg_last = scan_segment(&segment_path(&cfg.dir, seq), is_last, &mut report)?;
             last_epoch = last_epoch.max(seg_last);
             report.segments_scanned += 1;
-            sealed.push(SealedSegment { seq, path, last_epoch: seg_last });
         }
 
         // A torn tail was only *skipped* above; make the drop physical.
         // The segment stops being the final one as soon as the fresh
         // active segment below exists, and a sealed segment must scan
         // clean on every later restart.
-        let mut seg_seq = seqs.last().map_or(0, |s| s + 1);
+        let mut seg_seq = sealed.last().map_or(0, |s| s + 1);
         if let Some((torn_path, at)) = &report.torn_at {
             if *at == 0 {
                 // Torn inside its magic: the file goes, and the fresh
                 // segment takes its sequence number, so the log keeps no
                 // gap for a cursor to read as a pruned segment.
                 std::fs::remove_file(torn_path).map_err(|e| io_err(torn_path, e))?;
-                sealed.retain(|s| &s.path != torn_path);
+                sealed.pop();
                 seg_seq -= 1;
             } else {
                 let f = OpenOptions::new()
@@ -629,17 +617,7 @@ impl Wal {
             }
         }
 
-        let seg_path = segment_path(&cfg.dir, seg_seq);
-        let mut file = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(&seg_path)
-                .map_err(|e| io_err(&seg_path, e))?,
-        );
-        binary::write_magic(&mut file, WAL_MAGIC).map_err(|e| io_err(&seg_path, e))?;
-        file.flush().map_err(|e| io_err(&seg_path, e))?;
-
+        let (seg_path, file) = create_segment(&cfg.dir, seg_seq)?;
         let wal = Wal {
             cfg: cfg.clone(),
             file,
@@ -713,24 +691,20 @@ impl Wal {
         }
     }
 
-    /// Appends one batch record (the group commit for every submission in
-    /// the batch) and makes it as durable as the policy promises. The
-    /// bytes always reach the OS before this returns, so acknowledged
-    /// batches survive a process kill under every policy. On failure the
-    /// caller's batch is rejected and the segment is physically rolled
-    /// back to its pre-append length, so the retried epoch never lands
-    /// after garbage or a duplicate; an unrecoverable rollback poisons
-    /// the log (all later appends fail fast).
-    pub fn append(&mut self, epoch: u64, edges: &[(u32, u32)]) -> Result<(), WalError> {
-        let ops: Vec<Update> = edges.iter().map(|&(u, v)| Update::Insert(u, v)).collect();
-        self.append_ops(epoch, &ops)
-    }
-
-    /// [`Self::append`] for mixed insert/delete batches: the record kind
-    /// is chosen per batch (compact [`REC_INSERTS`] when monotone,
-    /// [`REC_OPS`] when a deletion must replay in order). Queries in
-    /// `ops` are skipped — they are not durable.
-    pub fn append_ops(&mut self, epoch: u64, ops: &[Update]) -> Result<(), WalError> {
+    /// The one append path: writes a full record payload (`epoch` is its
+    /// ordering key, `None` for `'S'`) and makes it as durable as the
+    /// policy promises — or fsyncs it outright with `sync_now`. The bytes
+    /// always reach the OS before this returns, so acknowledged batches
+    /// survive a process kill under every policy. On failure the segment
+    /// is physically rolled back to its pre-append length, so a retried
+    /// epoch never lands after garbage or a duplicate; an unrecoverable
+    /// rollback poisons the log (all later appends fail fast).
+    fn append_payload(
+        &mut self,
+        payload: &[u8],
+        epoch: Option<u64>,
+        sync_now: bool,
+    ) -> Result<(), WalError> {
         if self.poisoned {
             return Err(WalError::Corrupt {
                 path: self.seg_path.clone(),
@@ -739,11 +713,11 @@ impl Wal {
                     .into(),
             });
         }
-        let payload = encode_wal_payload(epoch, ops);
         let res = (|| -> std::io::Result<u64> {
-            let written = binary::append_record(&mut self.file, &payload)?;
+            let written = binary::append_record(&mut self.file, payload)?;
             self.file.flush()?;
             match self.cfg.fsync {
+                _ if sync_now => self.sync()?,
                 FsyncPolicy::Always => self.sync()?,
                 FsyncPolicy::Batch => {
                     self.dirty = true;
@@ -765,12 +739,12 @@ impl Wal {
         self.seg_bytes += written;
         self.appended_bytes += written;
         self.records += 1;
-        self.last_epoch = epoch;
+        self.last_epoch = epoch.unwrap_or(self.last_epoch);
         if let Some(o) = &self.obs {
             o.metrics.wal_records_total.inc();
             o.metrics.wal_bytes_total.add(written);
-            o.metrics.wal_last_epoch.set_max(epoch);
-            o.recorder.record(Event::WalAppend { epoch, bytes: written });
+            o.metrics.wal_last_epoch.set_max(self.last_epoch);
+            o.recorder.record(Event::WalAppend { epoch: self.last_epoch, bytes: written });
         }
         if self.seg_bytes >= self.cfg.segment_max_bytes {
             self.roll()?;
@@ -778,53 +752,52 @@ impl Wal {
         Ok(())
     }
 
+    /// Appends one batch record — the group commit for every submission in
+    /// the batch: compact [`REC_INSERTS`] when monotone, [`REC_OPS`] when a
+    /// deletion must replay in order. Queries in `ops` are skipped — they
+    /// are not durable. On failure the caller's batch is rejected.
+    pub fn append_ops(&mut self, epoch: u64, ops: &[Update]) -> Result<(), WalError> {
+        self.append_payload(&encode_ops(epoch, ops), Some(epoch), false)
+    }
+
     /// Appends one durable subscription register/cancel record
-    /// ([`REC_SUB`]) under the same flush/fsync/rollback discipline as
-    /// [`Self::append_ops`]. Sub records never advance the log's batch
-    /// epoch high-water mark — they carry their own epoch stamp inside
-    /// the body.
+    /// ([`REC_SUB`]). Sub records never advance the log's epoch.
     pub fn append_sub(&mut self, op: &SubWalOp) -> Result<(), WalError> {
-        if self.poisoned {
-            return Err(WalError::Corrupt {
-                path: self.seg_path.clone(),
-                detail: "log is poisoned after an unrecoverable append failure; \
-                         restart the service to recover from disk"
-                    .into(),
-            });
+        self.append_payload(&encode_sub(op), None, false)
+    }
+
+    /// Writes a checkpoint at `epoch` — the live edge set of an
+    /// `n`-vertex service and its durable subscription registry — in four
+    /// steps: roll the active segment, append `'C'` as the new segment's
+    /// first record, fsync it and the directory, and only then prune every
+    /// older segment, newest first. A crash anywhere leaves either the old
+    /// history or the checkpoint, never neither; an undeletable segment is
+    /// retried at the next checkpoint, and pruning newest-first keeps the
+    /// oldest survivor the history's true start.
+    pub fn checkpoint(
+        &mut self,
+        epoch: u64,
+        n: usize,
+        subs: &[SubWalOp],
+        edges: &[(u32, u32)],
+    ) -> Result<(), WalError> {
+        self.roll()?;
+        let seq = self.seg_seq;
+        self.append_payload(&encode_checkpoint(epoch, n, subs, edges), Some(epoch), true)?;
+        File::open(&self.cfg.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(&self.cfg.dir, e))?;
+        let before = self.sealed.len();
+        while let Some(i) = self.sealed.iter().rposition(|&s| s < seq) {
+            let gone = std::fs::remove_file(segment_path(&self.cfg.dir, self.sealed[i]));
+            if gone.is_err_and(|e| e.kind() != std::io::ErrorKind::NotFound) {
+                break;
+            }
+            self.sealed.remove(i);
         }
-        let payload = encode_sub_record(op);
-        let res = (|| -> std::io::Result<u64> {
-            let written = binary::append_record(&mut self.file, &payload)?;
-            self.file.flush()?;
-            match self.cfg.fsync {
-                FsyncPolicy::Always => self.sync()?,
-                FsyncPolicy::Batch => {
-                    self.dirty = true;
-                    if self.last_sync.elapsed() >= self.cfg.group_sync_interval {
-                        self.sync()?;
-                    }
-                }
-                FsyncPolicy::Off => {}
-            }
-            Ok(written)
-        })();
-        let written = match res {
-            Ok(w) => w,
-            Err(e) => {
-                self.restore_active_segment();
-                return Err(io_err(&self.seg_path.clone(), e));
-            }
-        };
-        self.seg_bytes += written;
-        self.appended_bytes += written;
-        self.records += 1;
         if let Some(o) = &self.obs {
-            o.metrics.wal_records_total.inc();
-            o.metrics.wal_bytes_total.add(written);
-            o.recorder.record(Event::WalAppend { epoch: self.last_epoch, bytes: written });
-        }
-        if self.seg_bytes >= self.cfg.segment_max_bytes {
-            self.roll()?;
+            o.metrics.wal_prunes_total.add((before - self.sealed.len()) as u64);
+            o.metrics.wal_segments.set(self.sealed.len() as u64 + 1);
         }
         Ok(())
     }
@@ -850,54 +823,18 @@ impl Wal {
     }
 
     /// Seals the active segment and starts the next one. Called on size
-    /// overflow and at durable snapshots (so pruning can retire whole
-    /// segments).
-    pub fn roll(&mut self) -> Result<(), WalError> {
+    /// overflow and at checkpoints (so pruning can retire whole segments).
+    fn roll(&mut self) -> Result<(), WalError> {
         self.sync().map_err(|e| io_err(&self.seg_path.clone(), e))?;
-        self.sealed.push(SealedSegment {
-            seq: self.seg_seq,
-            path: self.seg_path.clone(),
-            last_epoch: self.last_epoch,
-        });
+        self.sealed.push(self.seg_seq);
         self.seg_seq += 1;
-        self.seg_path = segment_path(&self.cfg.dir, self.seg_seq);
-        let mut file = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(&self.seg_path)
-                .map_err(|e| io_err(&self.seg_path, e))?,
-        );
-        binary::write_magic(&mut file, WAL_MAGIC).map_err(|e| io_err(&self.seg_path, e))?;
-        file.flush().map_err(|e| io_err(&self.seg_path, e))?;
-        self.file = file;
+        (self.seg_path, self.file) = create_segment(&self.cfg.dir, self.seg_seq)?;
         self.seg_bytes = binary::MAGIC_LEN as u64;
         if let Some(o) = &self.obs {
             o.metrics.wal_rolls_total.inc();
             o.metrics.wal_segments.set(self.sealed.len() as u64 + 1);
         }
         Ok(())
-    }
-
-    /// Deletes sealed segments whose every record is covered by a durable
-    /// snapshot at `epoch`; returns how many were removed. Best-effort:
-    /// an undeletable file stays tracked and is retried at the next
-    /// snapshot.
-    pub fn prune_covered_by(&mut self, epoch: u64) -> usize {
-        let mut removed = 0;
-        self.sealed.retain(|seg| {
-            if seg.last_epoch <= epoch && std::fs::remove_file(&seg.path).is_ok() {
-                removed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(o) = &self.obs {
-            o.metrics.wal_prunes_total.add(removed as u64);
-            o.metrics.wal_segments.set(self.sealed.len() as u64 + 1);
-        }
-        removed
     }
 
     /// Point-in-time statistics.
@@ -912,32 +849,21 @@ impl Wal {
             torn_bytes: self.torn_bytes,
         }
     }
-
-    /// A read cursor over this log's directory, positioned at byte
-    /// `offset` of segment `seq` (use `(0, MAGIC_LEN as u64)` for the
-    /// oldest possible position; [`WalCursor::next`] rolls forward to the
-    /// oldest existing segment if `seq` was pruned). The cursor reads the
-    /// segment *files* directly, so it stays valid while this `Wal`
-    /// appends, rolls, and prunes concurrently — the replication sender
-    /// tails a live primary through exactly this API.
-    pub fn tail_from(&self, seq: u64, offset: u64) -> WalCursor {
-        WalCursor::open(&self.cfg.dir, seq, offset)
-    }
 }
 
 /// What one [`WalCursor::next`] step produced.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TailEvent {
-    /// The next decoded record: `(epoch, ops)` — inserts and deletes in
-    /// batch order.
-    Record(u64, Vec<Update>),
+    /// The next record's raw payload, kind byte included (decode it with
+    /// [`WalCursor::decode`] or [`decode_record`]; ship it as is).
+    Record(Vec<u8>),
     /// No complete record is available *yet*: the cursor sits at the live
     /// tail (or inside a record the writer has not finished flushing).
     /// Poll again later; the position is unchanged.
     CaughtUp,
-    /// The cursor's segment was pruned beneath it (a durable snapshot
-    /// retired it). The caller must re-bootstrap from the newest snapshot
-    /// and then resume from [`WalCursor::oldest`].
+    /// The cursor's segment was pruned beneath it (a checkpoint retired
+    /// it). The caller resumes from [`WalCursor::oldest`], whose first
+    /// record is that checkpoint.
     Pruned,
 }
 
@@ -958,9 +884,11 @@ pub struct WalCursor {
     dir: PathBuf,
     seq: u64,
     offset: u64,
-    /// The current segment's format version, read lazily from its magic
-    /// (None until the first read of each segment).
-    seg_version: Option<u8>,
+    /// Start offset of the record last yielded, for [`Self::decode`].
+    record_at: u64,
+    /// Set by [`Self::oldest`] past segment 0: the next record is the
+    /// history's first, and must be a checkpoint.
+    needs_checkpoint: bool,
     /// Position of a truncated read already retried once against a
     /// sealed segment: a second truncation there is corruption (sealed
     /// bytes are final), not a flush race.
@@ -968,9 +896,17 @@ pub struct WalCursor {
 }
 
 impl WalCursor {
-    /// Opens a cursor over `dir` at byte `offset` of segment `seq`.
+    /// Opens a cursor over `dir` at byte `offset` of segment `seq` (use
+    /// `(0, MAGIC_LEN as u64)` for the start of segment 0).
     pub fn open(dir: impl Into<PathBuf>, seq: u64, offset: u64) -> WalCursor {
-        WalCursor { dir: dir.into(), seq, offset, seg_version: None, retried_at: None }
+        WalCursor {
+            dir: dir.into(),
+            seq,
+            offset,
+            record_at: offset,
+            needs_checkpoint: false,
+            retried_at: None,
+        }
     }
 
     /// The position as `(segment sequence, byte offset)`.
@@ -979,52 +915,41 @@ impl WalCursor {
     }
 
     /// Repositions the cursor at the start of the oldest segment still
-    /// on disk (or at segment 0 if the directory is empty) — the resume
-    /// point after [`TailEvent::Pruned`] plus a snapshot re-bootstrap.
+    /// on disk (or at segment 0 if the directory is empty) — the start of
+    /// the history, and the resume point after [`TailEvent::Pruned`].
+    /// Past segment 0 the history must open with a checkpoint: if the
+    /// first record read is anything else, [`Self::next`] fails with a
+    /// typed [`WalError::Corrupt`] rather than serve a suffix of it.
     pub fn oldest(&mut self) -> std::io::Result<()> {
         self.seq = first_segment_seq(&self.dir, 0)?.unwrap_or(0);
         self.offset = binary::MAGIC_LEN as u64;
-        self.seg_version = None;
+        self.needs_checkpoint = self.seq > 0;
         Ok(())
     }
 
     /// Repositions the cursor at the start of the next segment on disk
-    /// past its own — the resume point after [`TailEvent::Pruned`] when
-    /// nothing can be pruning (recovery, before the log accepts writes),
-    /// so the missing sequence numbers are a hole on disk: older releases
-    /// left one where a crash tore a segment's creation (no records), and
-    /// a prune that failed to delete one segment but not the next leaves
-    /// one whose records a durable snapshot covers.
+    /// past its own, with no checkpoint required there — the resume point
+    /// after [`TailEvent::Pruned`] for a recovery whose legacy snapshot
+    /// covers the segments that are gone.
     pub fn skip_gap(&mut self) -> std::io::Result<()> {
         if let Some(seq) = first_segment_seq(&self.dir, self.seq + 1)? {
             self.seq = seq;
             self.offset = binary::MAGIC_LEN as u64;
-            self.seg_version = None;
         }
         Ok(())
     }
 
-    /// Whether any segment file newer than the cursor's exists — i.e.
-    /// whether the cursor's segment is sealed.
-    fn newer_segment_exists(&self) -> std::io::Result<bool> {
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        for entry in entries.flatten() {
-            if let Some(s) = entry.file_name().to_str().and_then(parse_segment_seq) {
-                if s > self.seq {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+    /// Decodes a payload this cursor just yielded ([`decode_record`]),
+    /// naming its segment and offset in any error.
+    pub fn decode(&self, payload: &[u8]) -> Result<(u64, LogRecord), WalError> {
+        decode_record(payload, self.record_at)
+            .map_err(|source| WalError::Codec { path: segment_path(&self.dir, self.seq), source })
     }
 
     /// Advances one step. See [`TailEvent`] for the three outcomes; a
     /// returned error means bytes that are actually present failed to
-    /// decode (disk corruption, never a mid-append race).
+    /// frame (disk corruption, never a mid-append race), or a history
+    /// with a hole (see [`Self::oldest`]).
     /// (Deliberately not `Iterator`: `CaughtUp` is a poll outcome, not
     /// an end of stream — mirroring `binary::RecordReader::next`.)
     #[allow(clippy::should_implement_trait)]
@@ -1037,7 +962,7 @@ impl WalCursor {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     // Either the segment was pruned (a newer one exists)
                     // or we are ahead of the writer (nothing yet).
-                    return if self.newer_segment_exists().map_err(io)? {
+                    return if first_segment_seq(&self.dir, self.seq + 1).map_err(io)?.is_some() {
                         Ok(TailEvent::Pruned)
                     } else {
                         Ok(TailEvent::CaughtUp)
@@ -1048,27 +973,27 @@ impl WalCursor {
             let len = file.metadata().map_err(io)?.len();
             // Exactly at (or past — the writer may have truncated a torn
             // tail we never saw) the end of the segment: roll to the next
-            // sequence if one exists, else we are the live tail. This is
-            // the boundary case that must NEVER read as a torn tail.
+            // segment on disk if one exists, else we are the live tail.
+            // This is the boundary case that must NEVER read as a torn
+            // tail. Rolling past missing sequence numbers reads past the
+            // hole a checkpoint leaves when it cannot delete an older
+            // segment: the next segment on disk opens with that checkpoint.
             if self.offset >= len {
-                if self.newer_segment_exists().map_err(io)? {
-                    self.seq += 1;
+                if let Some(next) = first_segment_seq(&self.dir, self.seq + 1).map_err(io)? {
+                    self.seq = next;
                     self.offset = binary::MAGIC_LEN as u64;
-                    self.seg_version = None;
                     continue;
                 }
                 return Ok(TailEvent::CaughtUp);
             }
-            if self.seg_version.is_none() || self.offset < binary::MAGIC_LEN as u64 {
-                // First touch of this segment (or a cursor opened at byte
-                // 0): read the magic to learn the record format — and to
-                // skip it. A partially-written magic is just the live
-                // tail.
-                let mut reader = BufReader::new(&file);
-                match read_segment_version(&mut reader) {
-                    Ok(v) => self.seg_version = Some(v),
+            if self.offset <= binary::MAGIC_LEN as u64 {
+                // Before a segment's first record (or a cursor opened at
+                // byte 0): check the magic — and skip it. A
+                // partially-written magic is just the live tail.
+                match binary::read_magic(&mut BufReader::new(&file), WAL_MAGIC) {
                     Err(e) if e.is_truncation() => return Ok(TailEvent::CaughtUp),
                     Err(e) => return Err(WalError::Codec { path, source: e }),
+                    Ok(()) => {}
                 }
                 if self.offset < binary::MAGIC_LEN as u64 {
                     self.offset = binary::MAGIC_LEN as u64;
@@ -1077,28 +1002,25 @@ impl WalCursor {
                     }
                 }
             }
-            let version = self.seg_version.expect("read above");
             let mut reader = BufReader::new(file);
             std::io::Seek::seek(&mut reader, std::io::SeekFrom::Start(self.offset)).map_err(io)?;
             let mut records = binary::RecordReader::new(reader, self.offset);
             return match records.next() {
                 Ok(Some(payload)) => {
-                    if version >= 2 && payload.first() == Some(&REC_SUB) {
-                        // Subscriptions are primary-local state: the
-                        // replication stream skips them (validated for
-                        // shape, then stepped over) so followers never
-                        // inherit another node's registry.
-                        decode_sub_record(&payload, self.offset)
-                            .map_err(|e| WalError::Codec { path: path.clone(), source: e })?;
-                        self.offset = records.offset();
-                        self.retried_at = None;
-                        continue;
+                    if std::mem::take(&mut self.needs_checkpoint)
+                        && payload.first() != Some(&REC_CHECKPOINT)
+                    {
+                        return Err(WalError::Corrupt {
+                            path,
+                            detail: "history has a hole: the oldest segment is not segment 0 \
+                                     and does not open with a checkpoint"
+                                .into(),
+                        });
                     }
-                    let (epoch, ops) = decode_segment_payload(version, &payload, self.offset)
-                        .map_err(|e| WalError::Codec { path, source: e })?;
+                    self.record_at = self.offset;
                     self.offset = records.offset();
                     self.retried_at = None;
-                    Ok(TailEvent::Record(epoch, ops))
+                    Ok(TailEvent::Record(payload))
                 }
                 // read_up_to saw clean EOF at the record boundary even
                 // though the length probe said there were bytes: the
@@ -1110,7 +1032,7 @@ impl WalCursor {
                     // exists the bytes here are final, but our read may
                     // still have raced the seal's flush: retry exactly
                     // once before calling it corruption.
-                    if !self.newer_segment_exists().map_err(io)? {
+                    if first_segment_seq(&self.dir, self.seq + 1).map_err(io)?.is_none() {
                         self.retried_at = None;
                         return Ok(TailEvent::CaughtUp);
                     }
@@ -1153,16 +1075,16 @@ mod tests {
         DurabilityConfig { fsync: FsyncPolicy::Off, ..DurabilityConfig::new(dir) }
     }
 
-    /// Every batch record in `dir`, read by the cursor recovery replays
+    /// Every record in `dir`, decoded by the cursor recovery replays
     /// with, which must reach the tail without meeting a gap in the
     /// segment sequence.
-    fn logged(dir: &Path) -> Vec<(u64, Vec<Update>)> {
+    fn logged(dir: &Path) -> Vec<(u64, LogRecord)> {
         let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
         cursor.oldest().expect("oldest");
         let mut out = Vec::new();
         loop {
             match cursor.next().expect("tail") {
-                TailEvent::Record(epoch, ops) => out.push((epoch, ops)),
+                TailEvent::Record(payload) => out.push(cursor.decode(&payload).expect("decode")),
                 TailEvent::CaughtUp => return out,
                 TailEvent::Pruned => {
                     panic!("gap in the segment sequence at {:?}", cursor.position())
@@ -1175,6 +1097,10 @@ mod tests {
         edges.iter().map(|&(u, v)| Update::Insert(u, v)).collect()
     }
 
+    fn rec(epoch: u64, ops: Vec<Update>) -> (u64, LogRecord) {
+        (epoch, LogRecord::Ops(ops))
+    }
+
     #[test]
     fn append_and_recover_roundtrip() {
         let dir = tmp_dir("roundtrip");
@@ -1182,9 +1108,9 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
             assert!(logged(&dir).is_empty());
-            wal.append(1, &[(0, 1), (2, 3)]).expect("append");
-            wal.append(2, &[]).expect("append empty");
-            wal.append(3, &[(1, 2)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1), (2, 3)])).expect("append");
+            wal.append_ops(2, &[]).expect("append empty");
+            wal.append_ops(3, &ins(&[(1, 2)])).expect("append");
             wal.flush().expect("flush");
             assert_eq!(wal.stats().records, 3);
             assert_eq!(wal.stats().last_epoch, 3);
@@ -1192,7 +1118,7 @@ mod tests {
         let (wal, rep) = Wal::open(&cfg).expect("reopen");
         assert_eq!(
             logged(&dir),
-            vec![(1, ins(&[(0, 1), (2, 3)])), (2, vec![]), (3, ins(&[(1, 2)]))]
+            vec![rec(1, ins(&[(0, 1), (2, 3)])), rec(2, vec![]), rec(3, ins(&[(1, 2)]))]
         );
         assert_eq!(rep.torn_bytes, 0);
         assert_eq!(wal.stats().last_epoch, 3);
@@ -1224,22 +1150,49 @@ mod tests {
             Update::Insert(1, 2),
             Update::Delete(0, 1),
         ];
-        assert_eq!(logged(&dir), vec![(1, ins(&[(4, 5)])), (2, want_mixed), (3, vec![])]);
+        assert_eq!(logged(&dir), vec![rec(1, ins(&[(4, 5)])), rec(2, want_mixed), rec(3, vec![])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn update_batch_codec_roundtrips_and_rejects_bad_tags() {
         let ops = vec![Update::Insert(7, 9), Update::Delete(9, 7), Update::Insert(0, 1)];
-        let body = encode_update_batch(42, &ops);
-        assert_eq!(decode_update_batch(&body, 0).expect("decode"), (42, ops));
-        let mut bad = body.clone();
-        bad[12] = b'Q'; // first op tag
-        let err = decode_update_batch(&bad, 0).unwrap_err();
+        let payload = encode_ops(42, &ops);
+        assert_eq!(payload[0], REC_OPS, "a deletion makes it an ops record");
+        assert_eq!(decode_record(&payload, 0).expect("decode"), rec(42, ops));
+        let mut bad = payload.clone();
+        bad[13] = b'Q'; // first op tag
+        let err = decode_record(&bad, 0).unwrap_err();
         assert!(err.to_string().contains("unknown op tag"), "{err}");
         // Truncated bodies are length-checked, not silently short-read.
-        let err = decode_update_batch(&body[..body.len() - 1], 0).unwrap_err();
+        let err = decode_record(&payload[..payload.len() - 1], 0).unwrap_err();
         assert!(err.to_string().contains("needs"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_codec_roundtrips_and_rejects_bad_shapes() {
+        let reg = SubWalOp::Register { id: 3, kind: SubKind::Pair, u: 1, v: 2, epoch: 4 };
+        let edges = vec![(0, 1), (5, 4)];
+        let payload = encode_checkpoint(9, 16, &[reg], &edges);
+        assert_eq!(record_header(&payload, 0).expect("header"), (REC_CHECKPOINT, Some(9)));
+        let want = LogRecord::Checkpoint { n: 16, subs: vec![reg], edges: edges.clone() };
+        assert_eq!(decode_record(&payload, 0).expect("decode"), (9, want));
+        // The edge set is frozen at the header's epoch.
+        let mut skewed = payload.clone();
+        let at = payload.len() - 12 - 8 * edges.len();
+        skewed[at] ^= 1;
+        let err = decode_record(&skewed, 0).unwrap_err();
+        assert!(err.to_string().contains("holds edges at"), "{err}");
+        // A registry entry is a registration or nothing.
+        let mut with_cancel = encode_checkpoint(9, 16, &[], &edges);
+        with_cancel[17] = 1;
+        let cancel = encode_sub(&SubWalOp::Cancel { id: 3 });
+        with_cancel.splice(21..21, cancel.into_iter().chain([0; 17]));
+        assert!(decode_record(&with_cancel, 0).is_err());
+        // A registry count past the payload is a typed error, not a panic.
+        let mut overrun = payload.clone();
+        overrun[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_record(&overrun, 0).unwrap_err().to_string().contains("overruns"));
     }
 
     #[test]
@@ -1250,27 +1203,38 @@ mod tests {
         let reg2 = SubWalOp::Register { id: 8, kind: SubKind::Component, u: 5, v: 5, epoch: 2 };
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
-            wal.append(2, &[(2, 3)]).expect("append");
-            // Registrations stamped at epoch 2 land *between* batch
-            // records 2 and 3: legal, despite the batch monotonicity rule.
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+            wal.append_ops(2, &ins(&[(2, 3)])).expect("append");
+            // Registrations land *between* batch records 2 and 3: `'S'`
+            // has no ordering key.
             wal.append_sub(&reg).expect("append sub");
             wal.append_sub(&reg2).expect("append sub");
-            wal.append(3, &[(4, 5)]).expect("append");
+            wal.append_ops(3, &ins(&[(4, 5)])).expect("append");
             wal.append_sub(&SubWalOp::Cancel { id: 8 }).expect("append cancel");
             wal.flush().expect("flush");
             assert_eq!(wal.stats().records, 6);
             assert_eq!(wal.stats().last_epoch, 3, "sub records never advance the epoch");
         }
-        let (wal, rep) = Wal::open(&cfg).expect("reopen");
-        assert_eq!(logged(&dir).len(), 3);
-        assert_eq!(rep.sub_ops, vec![reg, reg2, SubWalOp::Cancel { id: 8 }]);
-        // The replication cursor steps over every sub record: followers
-        // see exactly the batch stream.
-        let mut cur = wal.tail_from(0, binary::MAGIC_LEN as u64);
+        Wal::open(&cfg).expect("reopen");
+        // Recovery replays them in log order...
+        let sub = |op| (0, LogRecord::Sub(op));
+        assert_eq!(
+            logged(&dir),
+            vec![
+                rec(1, ins(&[(0, 1)])),
+                rec(2, ins(&[(2, 3)])),
+                sub(reg),
+                sub(reg2),
+                rec(3, ins(&[(4, 5)])),
+                sub(SubWalOp::Cancel { id: 8 }),
+            ]
+        );
+        // ...and their header carries no epoch, which is how the
+        // replication sender steps over them.
+        let mut cur = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
         let mut epochs = Vec::new();
-        while let TailEvent::Record(e, _) = cur.next().expect("tail") {
-            epochs.push(e);
+        while let TailEvent::Record(payload) = cur.next().expect("tail") {
+            epochs.extend(record_header(&payload, 0).expect("header").1);
         }
         assert_eq!(epochs, vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1279,34 +1243,45 @@ mod tests {
     #[test]
     fn sub_record_codec_rejects_bad_shapes() {
         let reg = SubWalOp::Register { id: 1, kind: SubKind::Component, u: 4, v: 4, epoch: 9 };
-        let enc = encode_sub_record(&reg);
-        assert_eq!(decode_sub_record(&enc, 0).expect("decode"), reg);
+        let enc = encode_sub(&reg);
+        assert_eq!(decode_record(&enc, 0).expect("decode"), (0, LogRecord::Sub(reg)));
         let cancel = SubWalOp::Cancel { id: u64::MAX };
-        let enc_c = encode_sub_record(&cancel);
-        assert_eq!(decode_sub_record(&enc_c, 0).expect("decode"), cancel);
+        let enc_c = encode_sub(&cancel);
+        assert_eq!(decode_record(&enc_c, 0).expect("decode"), (0, LogRecord::Sub(cancel)));
         let mut bad_kind = enc.clone();
         bad_kind[10] = 9;
-        assert!(decode_sub_record(&bad_kind, 0)
+        assert!(decode_record(&bad_kind, 0)
             .unwrap_err()
             .to_string()
             .contains("unknown subscription kind"));
         // A truncated register body is length-checked, not short-read.
-        assert!(decode_sub_record(&enc[..enc.len() - 1], 0).is_err());
-        // And a CRC-valid but malformed sub record is corruption at
-        // recovery, even in the final segment.
+        assert!(decode_record(&enc[..enc.len() - 1], 0).is_err());
+        // And a CRC-valid but malformed sub record passes the header-only
+        // open scan, then fails the replay's decode with its segment named
+        // — even in the final segment.
         let dir = tmp_dir("sub_bad");
         let cfg = small_cfg(&dir);
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
             wal.flush().expect("flush");
         }
         let seg = segment_path(&dir, 0);
         let mut f = OpenOptions::new().append(true).open(&seg).expect("open seg");
         binary::append_record(&mut f, &bad_kind).expect("append record");
         f.sync_data().expect("sync");
-        let msg = Wal::open(&cfg).map(|_| ()).unwrap_err().to_string();
+        Wal::open(&cfg).expect("bodies are decoded at replay, not at open");
+        let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
+        let decoded: Vec<_> = (0..2)
+            .map(|_| match cursor.next().expect("tail") {
+                TailEvent::Record(payload) => cursor.decode(&payload).map(|_| ()),
+                other => panic!("expected a record, got {other:?}"),
+            })
+            .collect();
+        assert!(decoded[0].is_ok());
+        let msg = decoded[1].as_ref().unwrap_err().to_string();
         assert!(msg.contains("unknown subscription kind"), "{msg}");
+        assert!(msg.contains("wal-00000000.log"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1316,7 +1291,7 @@ mod tests {
         let cfg = small_cfg(&dir);
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
             wal.flush().expect("flush");
         }
         // Hand-append a CRC-valid record whose kind byte is unknown: a
@@ -1342,8 +1317,8 @@ mod tests {
         let cfg = small_cfg(&dir);
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
-            wal.append(2, &[(2, 3)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+            wal.append_ops(2, &ins(&[(2, 3)])).expect("append");
             wal.flush().expect("flush");
         }
         // Chop 5 bytes off the only segment: record 2 becomes a torn tail.
@@ -1351,7 +1326,7 @@ mod tests {
         let bytes = std::fs::read(&seg).expect("read");
         std::fs::write(&seg, &bytes[..bytes.len() - 5]).expect("truncate");
         let (wal, rep) = Wal::open(&cfg).expect("reopen");
-        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
+        assert_eq!(logged(&dir), vec![rec(1, ins(&[(0, 1)]))]);
         // Record 2 is 8 (frame) + 21 (kind + epoch + count + 1 edge)
         // bytes; 5 were chopped, so 24 torn bytes remain and are dropped.
         assert_eq!(rep.torn_bytes, 24);
@@ -1363,7 +1338,7 @@ mod tests {
         drop(wal);
         for round in 0..2 {
             let (_, rep) = Wal::open(&cfg).expect("torn tail must not brick later restarts");
-            assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))], "round {round}");
+            assert_eq!(logged(&dir), vec![rec(1, ins(&[(0, 1)]))], "round {round}");
             assert_eq!(rep.torn_bytes, 0, "round {round}: tail was truncated away");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1375,7 +1350,7 @@ mod tests {
         let cfg = small_cfg(&dir);
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
         }
         // A second segment torn inside its magic (creation crashed).
         std::fs::write(segment_path(&dir, 1), b"CCW").expect("write");
@@ -1390,10 +1365,10 @@ mod tests {
         );
         assert!(!segment_path(&dir, 2).exists());
         drop(wal);
-        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
+        assert_eq!(logged(&dir), vec![rec(1, ins(&[(0, 1)]))]);
         let (_, rep) = Wal::open(&cfg).expect("and later restarts stay clean");
         assert_eq!(rep.torn_bytes, 0);
-        assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)]))]);
+        assert_eq!(logged(&dir), vec![rec(1, ins(&[(0, 1)]))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1404,8 +1379,8 @@ mod tests {
         cfg.segment_max_bytes = 1; // roll after every record
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
-            wal.append(1, &[(0, 1)]).expect("append");
-            wal.append(2, &[(2, 3)]).expect("append");
+            wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+            wal.append_ops(2, &ins(&[(2, 3)])).expect("append");
         }
         // Flip a payload byte in the FIRST (sealed, non-final) segment.
         let seg = segment_path(&dir, 0);
@@ -1428,19 +1403,40 @@ mod tests {
         let mut cfg = small_cfg(&dir);
         cfg.segment_max_bytes = 64; // a couple of records per segment
         let (mut wal, _) = Wal::open(&cfg).expect("open");
-        for e in 1..=10u64 {
-            wal.append(e, &[(e as u32, e as u32 + 1)]).expect("append");
+        let edges: Vec<(u32, u32)> = (1..=10).map(|e| (e, e + 1)).collect();
+        for (e, &edge) in (1u64..).zip(&edges) {
+            wal.append_ops(e, &ins(&[edge])).expect("append");
         }
-        let stats = wal.stats();
-        assert!(stats.segments > 2, "expected several segments, got {}", stats.segments);
-        // A snapshot at epoch 10 covers everything sealed.
-        let sealed_before = stats.segments - 1;
-        let removed = wal.prune_covered_by(10);
-        assert_eq!(removed as u64, sealed_before);
-        // Reopen: only the suffix past the prune point remains on disk.
+        assert!(wal.stats().segments > 2, "expected several segments");
+        // A checkpoint at epoch 10 opens a fresh segment and retires every
+        // older one.
+        wal.checkpoint(10, 12, &[], &edges).expect("checkpoint");
+        assert_eq!(wal.stats().segments, 2, "the checkpoint's segment and the active one");
+        wal.append_ops(11, &ins(&[(0, 1)])).expect("append past the checkpoint");
         drop(wal);
         Wal::open(&cfg).expect("reopen");
-        assert!(logged(&dir).iter().all(|(e, _)| *e > 0));
+        let checkpoint = LogRecord::Checkpoint { n: 12, subs: vec![], edges };
+        assert_eq!(logged(&dir), vec![(10, checkpoint), rec(11, ins(&[(0, 1)]))]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The checkpoint's four steps run in order: a `'C'` append that fails
+    /// after the roll prunes nothing, so the history survives whole.
+    #[test]
+    fn a_failed_checkpoint_prunes_nothing() {
+        let dir = tmp_dir("ckpt_fail");
+        let mut cfg = small_cfg(&dir);
+        cfg.segment_max_bytes = 1;
+        let (mut wal, _) = Wal::open(&cfg).expect("open");
+        for e in 1..=3u64 {
+            wal.append_ops(e, &ins(&[(0, e as u32)])).expect("append");
+        }
+        let before = logged(&dir);
+        // An append failure that could not be rolled back poisons the log.
+        wal.poisoned = true;
+        assert!(wal.checkpoint(3, 4, &[], &[(0, 1), (0, 2), (0, 3)]).is_err());
+        assert!(segment_path(&dir, 0).exists(), "segment 0 must survive");
+        assert_eq!(logged(&dir), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1452,7 +1448,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&cfg).expect("open");
             for e in 1..=7u64 {
-                wal.append(e, &[(0, e as u32)]).expect("append");
+                wal.append_ops(e, &ins(&[(0, e as u32)])).expect("append");
             }
         }
         let (_, rep) = Wal::open(&cfg).expect("reopen");
@@ -1472,13 +1468,13 @@ mod tests {
         let dir = tmp_dir("fsync");
         let cfg = DurabilityConfig { fsync: FsyncPolicy::Always, ..DurabilityConfig::new(&dir) };
         let (mut wal, _) = Wal::open(&cfg).expect("open");
-        wal.append(1, &[(0, 1)]).expect("append");
-        wal.append(2, &[(1, 2)]).expect("append");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+        wal.append_ops(2, &ins(&[(1, 2)])).expect("append");
         assert_eq!(wal.stats().syncs, 2);
 
         let dir2 = tmp_dir("fsync_off");
         let (mut wal, _) = Wal::open(&small_cfg(&dir2)).expect("open");
-        wal.append(1, &[(0, 1)]).expect("append");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
         assert_eq!(wal.stats().syncs, 0);
         wal.flush().expect("explicit flush still syncs");
         assert_eq!(wal.stats().syncs, 1);
@@ -1497,7 +1493,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&cfg).expect("open");
         // First append starts with a fresh window: no sync yet, bytes
         // dirty in the OS cache.
-        wal.append(1, &[(0, 1)]).expect("append");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
         let syncs_after_append = wal.stats().syncs;
         std::thread::sleep(Duration::from_millis(3));
         // The idle tick syncs once the window lapses with no new append
@@ -1516,18 +1512,16 @@ mod tests {
         let mut cfg = small_cfg(&dir);
         cfg.segment_max_bytes = 64; // a couple of records per segment
         let (mut wal, _) = Wal::open(&cfg).expect("open");
-        let mut cursor = wal.tail_from(0, binary::MAGIC_LEN as u64);
+        let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
         assert_eq!(cursor.next().expect("tail"), TailEvent::CaughtUp, "empty log");
         let mut seen = Vec::new();
         for e in 1..=9u64 {
-            wal.append(e, &[(e as u32, e as u32 + 1)]).expect("append");
+            wal.append_ops(e, &ins(&[(e as u32, e as u32 + 1)])).expect("append");
             // The cursor sees every record as soon as it is appended,
             // rolling through segment boundaries without torn tails.
             loop {
                 match cursor.next().expect("tail") {
-                    TailEvent::Record(epoch, edges) => {
-                        seen.push((epoch, edges));
-                    }
+                    TailEvent::Record(payload) => seen.push(cursor.decode(&payload).expect("ok")),
                     TailEvent::CaughtUp => break,
                     TailEvent::Pruned => panic!("nothing pruned yet"),
                 }
@@ -1545,23 +1539,23 @@ mod tests {
         let mut cfg = small_cfg(&dir);
         cfg.segment_max_bytes = 1; // roll after every record
         let (mut wal, _) = Wal::open(&cfg).expect("open");
-        wal.append(1, &[(0, 1)]).expect("append");
-        wal.append(2, &[(2, 3)]).expect("append");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+        wal.append_ops(2, &ins(&[(2, 3)])).expect("append");
         // Position the cursor EXACTLY at sealed segment 0's end: the
         // off-by-one trap. It must roll to segment 1 and yield epoch 2,
         // never report a torn tail or stall.
         let seg0_len = std::fs::metadata(segment_path(&dir, 0)).expect("meta").len();
-        let mut cursor = wal.tail_from(0, seg0_len);
-        assert_eq!(cursor.next().expect("roll"), TailEvent::Record(2, ins(&[(2, 3)])));
+        let mut cursor = WalCursor::open(&dir, 0, seg0_len);
+        assert_eq!(cursor.next().expect("roll"), TailEvent::Record(encode_ops(2, &ins(&[(2, 3)]))));
         assert_eq!(cursor.next().expect("tail"), TailEvent::CaughtUp);
         // A cursor positioned at the LIVE segment's exact end is just
         // caught up, and picks up the next append from there.
         let (live_seq, _) = cursor.position();
-        wal.append(3, &[(4, 5)]).expect("append");
+        wal.append_ops(3, &ins(&[(4, 5)])).expect("append");
         let mut events = Vec::new();
         loop {
             match cursor.next().expect("tail") {
-                TailEvent::Record(e, _) => events.push(e),
+                TailEvent::Record(payload) => events.push(cursor.decode(&payload).expect("ok").0),
                 TailEvent::CaughtUp => break,
                 TailEvent::Pruned => panic!("nothing pruned"),
             }
@@ -1578,21 +1572,61 @@ mod tests {
         cfg.segment_max_bytes = 1;
         let (mut wal, _) = Wal::open(&cfg).expect("open");
         for e in 1..=4u64 {
-            wal.append(e, &[(0, e as u32)]).expect("append");
+            wal.append_ops(e, &ins(&[(0, e as u32)])).expect("append");
         }
-        let mut cursor = wal.tail_from(0, binary::MAGIC_LEN as u64);
-        assert!(matches!(cursor.next().expect("tail"), TailEvent::Record(1, _)));
-        // A snapshot retires every sealed segment under the cursor.
-        wal.prune_covered_by(4);
+        let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
+        assert!(matches!(cursor.next().expect("tail"), TailEvent::Record(_)));
+        // A checkpoint retires every sealed segment under the cursor.
+        wal.checkpoint(4, 5, &[], &[(0, 1), (0, 2), (0, 3), (0, 4)]).expect("checkpoint");
         assert_eq!(cursor.next().expect("tail"), TailEvent::Pruned);
-        // The documented recovery: re-bootstrap (a snapshot covers the
-        // gap) and resume from the oldest surviving segment.
+        // The documented recovery: resume from the oldest surviving
+        // segment, which opens with that checkpoint.
         cursor.oldest().expect("oldest");
         match cursor.next().expect("tail") {
-            TailEvent::Record(e, _) => assert!(e >= 4, "epoch {e} should be past the prune"),
-            TailEvent::CaughtUp => {} // everything pruned except the active tail
-            TailEvent::Pruned => panic!("oldest() must land on a live segment"),
+            TailEvent::Record(payload) => {
+                assert_eq!(record_header(&payload, 0).expect("header"), (REC_CHECKPOINT, Some(4)))
+            }
+            other => panic!("oldest() must land on the checkpoint, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A gap in the sequence — what a checkpoint leaves when it cannot
+    /// delete an older segment — is rolled past, not reported as
+    /// `Pruned`: a live reader resuming from the oldest segment would
+    /// otherwise return to the same gap forever.
+    #[test]
+    fn cursor_rolls_past_a_gap_to_the_next_segment_on_disk() {
+        let dir = tmp_dir("cursor_gap");
+        let mut cfg = small_cfg(&dir);
+        cfg.segment_max_bytes = 1; // one record per segment
+        let (mut wal, _) = Wal::open(&cfg).expect("open");
+        for e in 1..=3u64 {
+            wal.append_ops(e, &ins(&[(0, e as u32)])).expect("append");
+        }
+        std::fs::remove_file(segment_path(&dir, 1)).expect("open a gap");
+        let epochs: Vec<u64> = logged(&dir).iter().map(|(e, _)| *e).collect();
+        assert_eq!(epochs, vec![1, 3]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Past segment 0 the history must open with a checkpoint: an
+    /// operator deleting the checkpoint's segment leaves a suffix the
+    /// cursor refuses to serve as if it were the whole history.
+    #[test]
+    fn cursor_refuses_a_history_with_a_hole() {
+        let dir = tmp_dir("cursor_hole");
+        let mut cfg = small_cfg(&dir);
+        cfg.segment_max_bytes = 1;
+        let (mut wal, _) = Wal::open(&cfg).expect("open");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
+        wal.append_ops(2, &ins(&[(1, 2)])).expect("append");
+        std::fs::remove_file(segment_path(&dir, 0)).expect("open a hole");
+        let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
+        cursor.oldest().expect("oldest");
+        let err = cursor.next().unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("hole"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1601,14 +1635,14 @@ mod tests {
         let dir = tmp_dir("cursor_torn");
         let cfg = small_cfg(&dir);
         let (mut wal, _) = Wal::open(&cfg).expect("open");
-        wal.append(1, &[(0, 1)]).expect("append");
+        wal.append_ops(1, &ins(&[(0, 1)])).expect("append");
         drop(wal); // stop the writer; we fake a torn in-flight record
         let seg = segment_path(&dir, 0); // the (only) live segment
         let mut bytes = std::fs::read(&seg).expect("read");
         bytes.extend_from_slice(&[7, 0, 0, 0]); // half a record header
         std::fs::write(&seg, &bytes).expect("write");
         let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
-        assert!(matches!(cursor.next().expect("record 1"), TailEvent::Record(1, _)));
+        assert!(matches!(cursor.next().expect("record 1"), TailEvent::Record(_)));
         assert_eq!(
             cursor.next().expect("a torn live tail is just not-yet-flushed"),
             TailEvent::CaughtUp
@@ -1616,13 +1650,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Hand-writes a legacy v1 segment: `CCWALS01` magic, then raw
-    /// insert-only edge-batch record bodies (no kind byte) — exactly what
-    /// the release before the kind-byte format left on disk.
+    /// Writes a segment in the format of the release before the kind
+    /// byte (`CCWALS01`): bare edge batches behind the old magic.
     fn write_v1_segment(dir: &Path, seq: u64, batches: &[(u64, Vec<(u32, u32)>)]) {
-        std::fs::create_dir_all(dir).expect("mkdir");
         let mut f = BufWriter::new(File::create(segment_path(dir, seq)).expect("create"));
-        binary::write_magic(&mut f, WAL_MAGIC_V1).expect("magic");
+        binary::write_magic(&mut f, b"CCWALS01").expect("magic");
         for (epoch, edges) in batches {
             binary::append_record(&mut f, &binary::encode_edge_batch(*epoch, edges))
                 .expect("record");
@@ -1630,47 +1662,45 @@ mod tests {
         f.flush().expect("flush");
     }
 
+    fn is_bad_magic(e: &WalError, seg: &Path) -> bool {
+        matches!(e, WalError::Codec { path, source: CodecError::BadMagic { found, .. } }
+            if path == seg && found.as_slice() == b"CCWALS01")
+    }
+
+    /// `CCWALS01` segments are no longer read or upgraded: opening the
+    /// log over one is a typed bad-magic error naming the segment, and
+    /// the refusal leaves the directory exactly as it was.
     #[test]
     fn legacy_v1_segments_recover_and_upgrade_in_place() {
         let dir = tmp_dir("v1_upgrade");
         write_v1_segment(&dir, 0, &[(1, vec![(0, 1)]), (2, vec![(2, 3)])]);
-        let cfg = small_cfg(&dir);
-        {
-            // Opening an old-format directory recovers its history...
-            let (mut wal, rep) = Wal::open(&cfg).expect("v1 wal must still open");
-            assert_eq!(logged(&dir), vec![(1, ins(&[(0, 1)])), (2, ins(&[(2, 3)]))]);
-            assert_eq!(rep.torn_bytes, 0);
-            // ...and new appends (deletions included) go to a fresh v2
-            // segment alongside the untouched v1 one.
-            wal.append_ops(3, &[Update::Delete(0, 1)]).expect("append past the upgrade");
-            wal.flush().expect("flush");
-        }
-        let v2_seg = std::fs::read(segment_path(&dir, 1)).expect("new segment");
-        assert_eq!(&v2_seg[..binary::MAGIC_LEN], WAL_MAGIC, "appends use the current format");
-        // A mixed-version directory recovers both formats in order.
-        Wal::open(&cfg).expect("mixed-version reopen");
-        assert_eq!(
-            logged(&dir),
-            vec![(1, ins(&[(0, 1)])), (2, ins(&[(2, 3)])), (3, vec![Update::Delete(0, 1)]),]
-        );
+        let seg = segment_path(&dir, 0);
+        let before = std::fs::read(&seg).expect("read");
+        let err = Wal::open(&small_cfg(&dir)).map(|_| ()).unwrap_err();
+        assert!(is_bad_magic(&err, &seg), "{err}");
+        assert_eq!(std::fs::read(&seg).expect("reread"), before, "the v1 segment is untouched");
+        assert!(!segment_path(&dir, 1).exists(), "no current-format segment is started");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A cursor over a v1 segment followed by a current one stops at the
+    /// v1 segment with a typed bad-magic error; it never skips ahead to
+    /// the records behind it.
     #[test]
     fn cursor_tails_across_a_v1_to_v2_boundary() {
         let dir = tmp_dir("v1_cursor");
         write_v1_segment(&dir, 0, &[(1, vec![(0, 1)])]);
-        let cfg = small_cfg(&dir);
-        let (mut wal, _) = Wal::open(&cfg).expect("open");
-        wal.append_ops(2, &[Update::Insert(1, 2), Update::Delete(0, 1)]).expect("append");
-        let mut cursor = wal.tail_from(0, binary::MAGIC_LEN as u64);
-        assert_eq!(cursor.next().expect("v1 record"), TailEvent::Record(1, ins(&[(0, 1)])));
-        assert_eq!(
-            cursor.next().expect("v2 record across the boundary"),
-            TailEvent::Record(2, vec![Update::Insert(1, 2), Update::Delete(0, 1)])
-        );
-        assert_eq!(cursor.next().expect("tail"), TailEvent::CaughtUp);
+        let v2_dir = tmp_dir("v1_cursor_v2");
+        {
+            let (mut wal, _) = Wal::open(&small_cfg(&v2_dir)).expect("open");
+            wal.append_ops(2, &[Update::Insert(1, 2), Update::Delete(0, 1)]).expect("append");
+            wal.flush().expect("flush");
+        }
+        std::fs::copy(segment_path(&v2_dir, 0), segment_path(&dir, 1)).expect("copy v2 segment");
+        let err = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64).next().unwrap_err();
+        assert!(is_bad_magic(&err, &segment_path(&dir, 0)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&v2_dir);
     }
 
     #[test]

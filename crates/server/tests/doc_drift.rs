@@ -5,10 +5,13 @@
 //! directions: every verb the parsers accept must be documented, and
 //! every verb the document's tables claim must exist in the parsers.
 //! One behavioural claim is held the same way: §1.3's "one representative
-//! per component" is checked against a live server.
+//! per component" is checked against a live server. `DESIGN.md` is held
+//! to the one log format: every WAL kind byte and replication tag the
+//! code defines, and no retired file or stream format.
 
 use cc_server::binproto::BIN_VERBS;
 use cc_server::net::TEXT_VERBS;
+use cc_server::{replication, wal};
 use cc_server::{serve, Service, ServiceConfig, TcpClient};
 
 const PROTOCOL: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROTOCOL.md"));
@@ -174,4 +177,21 @@ fn protocol_doc_is_cross_linked() {
     let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
     assert!(readme.contains("PROTOCOL.md"), "README.md no longer links PROTOCOL.md");
     assert!(design.contains("PROTOCOL.md"), "DESIGN.md no longer links PROTOCOL.md");
+}
+
+#[test]
+fn design_doc_names_every_log_kind_and_no_retired_format() {
+    let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
+    let kinds = [wal::REC_INSERTS, wal::REC_OPS, wal::REC_CHECKPOINT, wal::REC_SUB];
+    for tag in kinds.into_iter().chain([replication::TAG_HELLO, replication::TAG_PING]) {
+        let spelled = format!("`'{}'`", tag as char);
+        assert!(design.contains(&spelled), "DESIGN.md omits the record kind or tag {spelled}");
+    }
+    for magic in [wal::WAL_MAGIC, replication::REPL_MAGIC] {
+        let magic = std::str::from_utf8(magic).expect("ascii magic");
+        assert!(design.contains(magic), "DESIGN.md omits the magic {magic}");
+    }
+    for retired in ["CCREPL01", "CCWALS01", "snap-"] {
+        assert!(!design.contains(retired), "DESIGN.md still names the retired {retired:?}");
+    }
 }

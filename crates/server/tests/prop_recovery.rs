@@ -10,10 +10,17 @@
 //! batches.
 //!
 //! Truncation points (and the epoch each surviving record carries) are
-//! computed here with an independent walk of the segment frames (using
-//! the kind-aware payload decoder, so both `'I'` and `'D'` records are
-//! covered), so a recovery scan that kept one record too many or too
-//! few fails against the oracle, not against itself.
+//! computed here with an independent walk of the segment frames (reading
+//! each record's kind and epoch header, so `'I'`, `'D'` and `'C'` records
+//! are all covered), so a recovery scan that kept one record too many or
+//! too few fails against the oracle, not against itself.
+//!
+//! With a checkpoint cadence the final segment opens with a `'C'` record
+//! whose write pruned every older segment. A crash cannot leave that
+//! record torn *after* its prune (the prune waits for its fsync), so cuts
+//! before its end run against the directory as it stood before the prune
+//! — hard links taken before the checkpointing batch keep those segments
+//! — and must recover the oracle over the older segments.
 
 use cc_baselines::DynamicOracle;
 use cc_graph::io::binary;
@@ -46,6 +53,7 @@ fn durable_cfg(n: usize, dir: &Path, snapshot_every: u64) -> ServiceConfig {
 struct Extent {
     start: u64,
     end: u64,
+    kind: u8,
     epoch: u64,
 }
 
@@ -60,8 +68,9 @@ fn walk_segment(path: &Path) -> (Vec<Extent>, u64) {
         match r.next().expect("untruncated segment decodes") {
             None => break,
             Some(payload) => {
-                let (epoch, _) = wal::decode_wal_payload(&payload, start).expect("wal record");
-                extents.push(Extent { start, end: r.offset(), epoch });
+                let (kind, epoch) = wal::record_header(&payload, start).expect("wal record");
+                let epoch = epoch.expect("no subscription records here");
+                extents.push(Extent { start, end: r.offset(), kind, epoch });
             }
         }
     }
@@ -84,16 +93,20 @@ fn segment_paths(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Newest durable snapshot epoch in `dir` (by filename), 0 if none.
-fn latest_snapshot_epoch(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .expect("wal dir")
-        .flatten()
-        .filter_map(|e| {
-            e.file_name().to_str()?.strip_prefix("snap-")?.strip_suffix(".ccsnap")?.parse().ok()
-        })
-        .max()
-        .unwrap_or(0)
+/// The highest record epoch in the given segments, 0 if none.
+fn last_epoch(segments: &[PathBuf]) -> u64 {
+    segments.iter().filter_map(|p| walk_segment(p).0.last().map(|e| e.epoch)).max().unwrap_or(0)
+}
+
+/// Replaces `to` with hard links to every segment in `from`: appends to a
+/// linked segment stay visible through the link, and a prune unlinks only
+/// the original name.
+fn link_segments(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("mkdir");
+    for seg in segment_paths(from) {
+        std::fs::hard_link(&seg, to.join(seg.file_name().expect("name"))).expect("link");
+    }
 }
 
 /// Dynamic-oracle labeling after the updates of batches `0..prefix`
@@ -108,8 +121,8 @@ fn oracle_prefix(n: usize, batches: &[Vec<Update>], prefix: usize) -> Vec<u32> {
 
 /// Strategy: vertex count, a flat op script (kind 0–4 insert, 5–6
 /// delete, 7 query — enough deletions that most cases carry `'D'`
-/// records), a batch size to cut it into, and a durable-snapshot
-/// cadence (0 = none).
+/// records), a batch size to cut it into, and a checkpoint cadence (0 =
+/// none).
 #[allow(clippy::type_complexity)]
 fn arb_case() -> impl Strategy<Value = (usize, Vec<(u8, u32, u32)>, usize, u64)> {
     (8usize..48).prop_flat_map(|n| {
@@ -142,12 +155,17 @@ proptest! {
             .collect();
 
         // Serve the whole script, one submission (= one batch = one WAL
-        // record) at a time.
+        // record) at a time, linking the segments aside before each batch
+        // whose epoch writes a checkpoint.
+        let pre_prune = base.join("pre-prune");
         {
             let mut svc = Service::start(durable_cfg(n, &wal_dir, snapshot_every))
                 .expect("durable service");
             let client = svc.client();
-            for batch in &batches {
+            for (epoch, batch) in (1u64..).zip(&batches) {
+                if snapshot_every > 0 && epoch % snapshot_every == 0 {
+                    link_segments(&wal_dir, &pre_prune);
+                }
                 client.submit(batch.clone()).expect("submit");
             }
             prop_assert_eq!(client.epoch(), batches.len() as u64,
@@ -156,22 +174,28 @@ proptest! {
         }
 
         // Independent frame walk of the final segment; earlier segments
-        // (sealed at durable snapshots) stay intact across every crash
-        // point, so their last epoch is part of every durable prefix.
+        // stay intact across every crash point, so their last epoch is
+        // part of every durable prefix.
         let segments = segment_paths(&wal_dir);
         let last_seg = segments.last().expect("at least one segment").clone();
         let (extents, file_len) = walk_segment(&last_seg);
-        let earlier_last_epoch: u64 = segments[..segments.len() - 1]
-            .iter()
-            .map(|p| walk_segment(p).0.last().map_or(0, |e| e.epoch))
-            .max()
-            .unwrap_or(0);
-        let snap_epoch = latest_snapshot_epoch(&wal_dir);
-        // Every cadence point wrote its snapshot, deletions or not: none
-        // waits for a clean generation.
+        let earlier_last_epoch = last_epoch(&segments[..segments.len() - 1]);
+        // Every cadence point wrote its checkpoint, deletions or not: none
+        // waits for a clean generation. The last one opens the final
+        // segment, and its prune left no older segment behind.
         let epochs = batches.len() as u64;
         let want = epochs.checked_div(snapshot_every).map_or(0, |k| k * snapshot_every);
-        prop_assert_eq!(snap_epoch, want, "newest snapshot for cadence {}", snapshot_every);
+        let checkpoint_end = match extents.first() {
+            Some(e) if e.kind == wal::REC_CHECKPOINT => {
+                prop_assert_eq!(e.epoch, want, "newest checkpoint for cadence {}", snapshot_every);
+                prop_assert_eq!(segments.len(), 1, "the checkpoint pruned every older segment");
+                e.end
+            }
+            _ => {
+                prop_assert_eq!(want, 0, "cadence {} wrote no checkpoint", snapshot_every);
+                0
+            }
+        };
         let last_bytes = std::fs::read(&last_seg).expect("read last segment");
 
         // Crash points: inside the magic, at the empty-segment boundary,
@@ -187,8 +211,8 @@ proptest! {
         cuts.dedup();
 
         // A final segment holding records yields boundary + two
-        // mid-record cuts per record; one rolled empty at the last
-        // snapshot still yields the mid-magic and clean-empty cuts.
+        // mid-record cuts per record; one still empty yields the
+        // mid-magic and clean-empty cuts.
         prop_assert!(
             cuts.len() >= if extents.is_empty() { 2 } else { 4 },
             "every case must exercise several crash points"
@@ -198,24 +222,27 @@ proptest! {
 
         for (ci, &cut) in cuts.iter().enumerate() {
             // Rebuild the directory with the final segment truncated at
-            // the crash point.
+            // the crash point; a cut before the checkpoint's end is a
+            // crash before its prune.
             let crash_dir = base.join(format!("crash-{ci}"));
             std::fs::create_dir_all(&crash_dir).expect("mkdir");
-            for entry in std::fs::read_dir(&wal_dir).expect("dir").flatten() {
-                let from = entry.path();
-                let to = crash_dir.join(entry.file_name());
-                if from == last_seg {
-                    std::fs::write(&to, &last_bytes[..cut as usize]).expect("truncate");
-                } else {
-                    std::fs::copy(&from, &to).expect("copy");
-                }
+            let older = if cut < checkpoint_end { &pre_prune } else { &wal_dir };
+            for seg in segment_paths(older).iter().filter(|p| p.file_name() != last_seg.file_name())
+            {
+                std::fs::copy(seg, crash_dir.join(seg.file_name().expect("name"))).expect("copy");
             }
+            let to = crash_dir.join(last_seg.file_name().expect("name"));
+            std::fs::write(&to, &last_bytes[..cut as usize]).expect("truncate");
 
-            // The durable prefix: everything in earlier segments and the
-            // snapshot, plus final-segment records wholly before the cut.
+            // The durable prefix: everything in older segments, plus
+            // final-segment records wholly before the cut.
             let survived = extents.iter().filter(|e| e.end <= cut).map(|e| e.epoch).max();
-            let durable_epoch =
-                survived.unwrap_or(0).max(earlier_last_epoch).max(snap_epoch);
+            let older_last_epoch = if cut < checkpoint_end {
+                last_epoch(&segment_paths(&pre_prune))
+            } else {
+                earlier_last_epoch
+            };
+            let durable_epoch = survived.unwrap_or(0).max(older_last_epoch);
             let expect = oracle_prefix(n, &batches, durable_epoch as usize);
 
             let mut svc = Service::start(durable_cfg(n, &crash_dir, 0))
