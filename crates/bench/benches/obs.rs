@@ -20,6 +20,7 @@
 use cc_bench::harness::{write_bench_json, Table};
 use cc_parallel::SplitMix64;
 use cc_server::obs::{Event, Obs};
+use cc_server::request::Verb;
 use cc_server::{Service, ServiceConfig};
 use connectit::Update;
 use std::hint::black_box;
@@ -60,7 +61,7 @@ fn drive_workload(n: usize, batches: usize, batch_ops: usize) -> (f64, u64, f64)
 #[inline(never)]
 fn instrument_one_batch(obs: &Obs, epoch: u64, ops: u64) {
     let m = &obs.metrics;
-    m.record_request(black_box("B"));
+    m.record_request(black_box(Verb::B));
     obs.recorder.record(Event::BatchFormed { epoch, ops });
     m.queue_wait_ns.record_n(black_box(12_345), ops);
     m.apply_ns.record(black_box(67_890));

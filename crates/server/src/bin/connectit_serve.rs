@@ -50,16 +50,14 @@ fn usage() -> ExitCode {
          \x20                      [--batch-ops K] [--batch-wait-us U] [--snapshot-every B]\n\
          \x20                      [--wal-dir DIR] [--fsync always|batch|off]\n\
          \x20                      [--replication-port R | --replicate-from HOST:PORT]\n\
-         \x20                      [--net-shards S] [--idle-timeout-ms MS] [--sub-queue-cap K]\n\
+         \x20                      [--net-shards S] [--idle-timeout-ms MS]\n\
          \x20  --shards is accepted and selects nothing\n\
          \x20  --wal-dir enables the write-ahead log + crash recovery; --snapshot-every\n\
          \x20  then sets the checkpoint cadence\n\
          \x20  --replication-port streams the WAL to followers (requires --wal-dir)\n\
          \x20  --replicate-from makes this a read-only follower of that primary\n\
          \x20  --net-shards: event-loop shards in the wire front end (default: one per\n\
-         \x20  core, capped at 8); --idle-timeout-ms: close idle connections typed;\n\
-         \x20  --sub-queue-cap: pending subscription events a slow text consumer may\n\
-         \x20  queue before a typed sub-overflow close (default 4096)"
+         \x20  core, capped at 8); --idle-timeout-ms: close idle connections typed"
     );
     ExitCode::from(2)
 }
@@ -143,13 +141,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                     return Err("--idle-timeout-ms must be at least 1".into());
                 }
                 opts.net.idle_timeout = Some(Duration::from_millis(ms));
-            }
-            "--sub-queue-cap" => {
-                opts.net.sub_queue_cap =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --sub-queue-cap".to_string())?;
-                if opts.net.sub_queue_cap == 0 {
-                    return Err("--sub-queue-cap must be at least 1".into());
-                }
             }
             other => return Err(format!("unknown argument {other:?}")),
         }

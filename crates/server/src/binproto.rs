@@ -6,6 +6,8 @@
 //! server tells a binary client from a text one on the shared port. After
 //! the magic, both directions carry bare records in the replication codec's
 //! framing (no per-record magic, no stream magic on the response side).
+//! This is the binary codec over the shared request IR of
+//! [`crate::request`]: it decodes a [`BinRequest`] and encodes a [`Reply`].
 //!
 //! ## Request frames
 //!
@@ -77,6 +79,7 @@ use cc_graph::io::binary::{append_record, crc32, RecordReader, MAGIC_LEN};
 use connectit::Update;
 
 use crate::net::MAX_WIRE_BATCH;
+pub use crate::request::{BinRequest, Reply};
 use crate::subs::{SubEvent, SubKind};
 
 /// First byte of [`STREAM_MAGIC`]; no text verb starts with it, so the
@@ -131,85 +134,6 @@ pub mod verb {
     pub const SUBSCRIBE: u8 = 0x0E;
     /// Cancel a subscription by id.
     pub const UNSUBSCRIBE: u8 = 0x0F;
-}
-
-/// Every binary verb, `(text-door name, tag)`, in tag order. The doc-drift
-/// test checks `PROTOCOL.md` documents each tag.
-pub const BIN_VERBS: &[(&str, u8)] = &[
-    ("I", verb::INSERT),
-    ("D", verb::DELETE),
-    ("Q", verb::QUERY),
-    ("QG", verb::QUERY_GEN),
-    ("B", verb::BATCH),
-    ("EPOCH", verb::EPOCH),
-    ("WAIT", verb::WAIT),
-    ("PING", verb::PING),
-    ("QUIESCE", verb::QUIESCE),
-    ("GEN", verb::GEN),
-    ("TOPK", verb::TOPK),
-    ("HIST", verb::HIST),
-    ("SIZE", verb::SIZE),
-    ("SUB", verb::SUBSCRIBE),
-    ("UNSUB", verb::UNSUBSCRIBE),
-];
-
-/// A decoded binary request (header already stripped).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BinRequest {
-    /// `I u v`
-    Insert(u32, u32),
-    /// `D u v`
-    Delete(u32, u32),
-    /// `Q u v`
-    Query(u32, u32),
-    /// `QG u v`
-    QueryGen(u32, u32),
-    /// `B` with decoded ops.
-    Batch(Vec<Update>),
-    /// `EPOCH`
-    Epoch,
-    /// `WAIT epoch timeout_ms`
-    Wait {
-        /// Epoch to wait for.
-        epoch: u64,
-        /// Give up after this many milliseconds.
-        timeout_ms: u64,
-    },
-    /// `PING`
-    Ping,
-    /// `QUIESCE timeout_ms`
-    Quiesce {
-        /// Give up after this many milliseconds.
-        timeout_ms: u64,
-    },
-    /// `GEN`
-    Gen,
-    /// `TOPK k` — top-k largest (multi-vertex) components.
-    Topk {
-        /// How many components to return (clamped server-side to the
-        /// materialized cap).
-        k: u8,
-    },
-    /// `HIST` — component-size histogram.
-    Hist,
-    /// `SIZE v` — size and root of `v`'s component.
-    Size(u32),
-    /// `SUB` — register a subscription.
-    Subscribe {
-        /// Pair or component subscription.
-        kind: SubKind,
-        /// First endpoint (equals `v` for component subscriptions).
-        u: u32,
-        /// Second endpoint / watched vertex.
-        v: u32,
-        /// Whether the registration is WAL-logged and survives restart.
-        durable: bool,
-    },
-    /// `UNSUB id` — cancel a subscription.
-    Unsubscribe {
-        /// Id returned by the `SUB` registration.
-        id: u64,
-    },
 }
 
 /// Frame-level damage: the stream can no longer be trusted, so the server
@@ -449,29 +373,17 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, BinRequest), RequestError>
 pub fn encode_request(corr: u64, req: &BinRequest) -> Vec<u8> {
     let mut p = Vec::with_capacity(32);
     p.extend_from_slice(&corr.to_le_bytes());
+    // Every verb a `BinRequest` can hold has its tag in the verb table.
+    p.push(req.verb().spec().tag.unwrap_or_default());
     match req {
-        BinRequest::Insert(u, v) => {
-            p.push(verb::INSERT);
-            p.extend_from_slice(&u.to_le_bytes());
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        BinRequest::Delete(u, v) => {
-            p.push(verb::DELETE);
-            p.extend_from_slice(&u.to_le_bytes());
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        BinRequest::Query(u, v) => {
-            p.push(verb::QUERY);
-            p.extend_from_slice(&u.to_le_bytes());
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        BinRequest::QueryGen(u, v) => {
-            p.push(verb::QUERY_GEN);
+        BinRequest::Insert(u, v)
+        | BinRequest::Delete(u, v)
+        | BinRequest::Query(u, v)
+        | BinRequest::QueryGen(u, v) => {
             p.extend_from_slice(&u.to_le_bytes());
             p.extend_from_slice(&v.to_le_bytes());
         }
         BinRequest::Batch(ops) => {
-            p.push(verb::BATCH);
             p.extend_from_slice(&(ops.len() as u32).to_le_bytes());
             for op in ops {
                 let (tag, u, v) = match *op {
@@ -484,38 +396,21 @@ pub fn encode_request(corr: u64, req: &BinRequest) -> Vec<u8> {
                 p.extend_from_slice(&v.to_le_bytes());
             }
         }
-        BinRequest::Epoch => p.push(verb::EPOCH),
+        BinRequest::Epoch | BinRequest::Ping | BinRequest::Gen | BinRequest::Hist => {}
         BinRequest::Wait { epoch, timeout_ms } => {
-            p.push(verb::WAIT);
             p.extend_from_slice(&epoch.to_le_bytes());
             p.extend_from_slice(&timeout_ms.to_le_bytes());
         }
-        BinRequest::Ping => p.push(verb::PING),
-        BinRequest::Quiesce { timeout_ms } => {
-            p.push(verb::QUIESCE);
-            p.extend_from_slice(&timeout_ms.to_le_bytes());
-        }
-        BinRequest::Gen => p.push(verb::GEN),
-        BinRequest::Topk { k } => {
-            p.push(verb::TOPK);
-            p.push(*k);
-        }
-        BinRequest::Hist => p.push(verb::HIST),
-        BinRequest::Size(v) => {
-            p.push(verb::SIZE);
-            p.extend_from_slice(&v.to_le_bytes());
-        }
+        BinRequest::Quiesce { timeout_ms } => p.extend_from_slice(&timeout_ms.to_le_bytes()),
+        BinRequest::Topk { k } => p.push(*k),
+        BinRequest::Size(v) => p.extend_from_slice(&v.to_le_bytes()),
         BinRequest::Subscribe { kind, u, v, durable } => {
-            p.push(verb::SUBSCRIBE);
             p.push(kind.code());
             p.extend_from_slice(&u.to_le_bytes());
             p.extend_from_slice(&v.to_le_bytes());
             p.push(*durable as u8);
         }
-        BinRequest::Unsubscribe { id } => {
-            p.push(verb::UNSUBSCRIBE);
-            p.extend_from_slice(&id.to_le_bytes());
-        }
+        BinRequest::Unsubscribe { id } => p.extend_from_slice(&id.to_le_bytes()),
     }
     p
 }
@@ -525,79 +420,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     append_record(&mut out, payload).expect("writing to a Vec cannot fail");
     out
-}
-
-/// A decoded response (the server-to-client half of [`Reply`]'s bodies).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Reply {
-    /// OK with no body (`I`, `D`, `PING`).
-    Ok,
-    /// `Q` answer.
-    Bit(bool),
-    /// `QG` answer with optional generation tag.
-    BitGen(bool, Option<u64>),
-    /// `B` answers, one per query op in submission order.
-    Answers(Vec<(bool, Option<u64>)>),
-    /// `EPOCH` / `WAIT` epoch, or `QUIESCE` generation.
-    Value(u64),
-    /// `GEN` counters.
-    Gen {
-        /// Current generation number.
-        generation: u64,
-        /// Whether deletions have dirtied the live generation.
-        dirty: bool,
-        /// Completed rebuilds.
-        rebuilds: u64,
-        /// Forest (spanning) edges tracked.
-        forest: u64,
-        /// Non-forest edges tracked.
-        nonforest: u64,
-        /// Deletes of absent edges observed.
-        absent: u64,
-    },
-    /// `TOPK` answer: view stamp plus `(root, size)` pairs, largest first.
-    Topk {
-        /// Last delta epoch folded into the published view.
-        epoch: u64,
-        /// Generation the view belongs to.
-        generation: u64,
-        /// Whether the view is frozen at a sealed generation.
-        sealed: bool,
-        /// `(root, size)` pairs, size-descending; singletons excluded.
-        entries: Vec<(u32, u64)>,
-    },
-    /// `HIST` answer: view stamp, live component count, and the full
-    /// log2-bucketed size histogram (bucket `b` counts components of size
-    /// in `[2^b, 2^(b+1))`).
-    Hist {
-        /// Last delta epoch folded into the published view.
-        epoch: u64,
-        /// Generation the view belongs to.
-        generation: u64,
-        /// Whether the view is frozen at a sealed generation.
-        sealed: bool,
-        /// Live component count (histogram buckets sum to this).
-        components: u64,
-        /// All histogram buckets, including zeros.
-        buckets: Vec<u64>,
-    },
-    /// `SIZE` answer: the component's size and canonical root.
-    Size {
-        /// Number of vertices in the component.
-        size: u64,
-        /// Root (representative vertex) of the component.
-        root: u32,
-    },
-    /// `SUB` answer: the subscription id plus the committed epoch at
-    /// registration (events only report merges after this epoch).
-    Subscribed {
-        /// Server-assigned subscription id.
-        id: u64,
-        /// Committed epoch when the registration took effect.
-        epoch: u64,
-    },
-    /// ERR with the text-protocol message spelling.
-    Err(String),
 }
 
 /// Encodes a response frame payload: `corr|status|body`.
@@ -669,6 +491,15 @@ pub fn encode_reply(corr: u64, reply: &Reply) -> Vec<u8> {
             p.push(STATUS_OK);
             p.extend_from_slice(&id.to_le_bytes());
             p.extend_from_slice(&epoch.to_le_bytes());
+        }
+        // No tagged verb answers with a dump; encoding stays total anyway.
+        Reply::Line(line) => {
+            p.push(STATUS_OK);
+            p.extend_from_slice(line.as_bytes());
+        }
+        Reply::Dump(lines) => {
+            p.push(STATUS_OK);
+            p.extend_from_slice(lines.join("\n").as_bytes());
         }
     }
     p
@@ -977,25 +808,10 @@ impl BinClient {
     fn send(&mut self, req: &BinRequest) -> io::Result<u64> {
         let corr = self.next_corr;
         self.next_corr += 1;
-        let tag = match req {
-            BinRequest::Insert(..) => verb::INSERT,
-            BinRequest::Delete(..) => verb::DELETE,
-            BinRequest::Query(..) => verb::QUERY,
-            BinRequest::QueryGen(..) => verb::QUERY_GEN,
-            BinRequest::Batch(_) => verb::BATCH,
-            BinRequest::Epoch => verb::EPOCH,
-            BinRequest::Wait { .. } => verb::WAIT,
-            BinRequest::Ping => verb::PING,
-            BinRequest::Quiesce { .. } => verb::QUIESCE,
-            BinRequest::Gen => verb::GEN,
-            BinRequest::Topk { .. } => verb::TOPK,
-            BinRequest::Hist => verb::HIST,
-            BinRequest::Size(_) => verb::SIZE,
-            BinRequest::Subscribe { .. } => verb::SUBSCRIBE,
-            BinRequest::Unsubscribe { .. } => verb::UNSUBSCRIBE,
-        };
-        append_record(&mut self.writer, &encode_request(corr, req))?;
-        self.pending.insert(corr, tag);
+        let payload = encode_request(corr, req);
+        append_record(&mut self.writer, &payload)?;
+        // Byte 8 of a request payload is its verb tag.
+        self.pending.insert(corr, payload[8]);
         Ok(corr)
     }
 

@@ -1,4 +1,4 @@
-//! The sharded readiness event loop: the wire-speed front door.
+//! The sharded readiness event loop: the one front door.
 //!
 //! `start` (via [`crate::net::serve`]) binds one listener and spawns N
 //! shard threads (`cc-net-<i>`), each owning its accepted connections
@@ -6,57 +6,69 @@
 //! The accept thread round-robins fresh sockets — `TCP_NODELAY` already
 //! set — to shard inboxes and wakes the shard's poll.
 //!
-//! ## Protocol sniff
+//! ## Two codecs, one dispatcher
 //!
 //! A shard reads the first byte of each adopted connection: `0xCC` (the
 //! [`crate::binproto::STREAM_MAGIC`] opener, which no text verb starts
-//! with) selects the in-loop binary protocol; anything else hands the
-//! socket — sniffed bytes replayed — to a dedicated text thread running
-//! the unchanged line protocol, so the text wire format stays stable on
-//! the same port.
+//! with) selects the binary codec, anything else the text codec of
+//! [`crate::net`]. Both decode into the [`crate::request`] IR and feed
+//! the same dispatcher, whose [`Reply`] the connection's codec encodes.
+//! Routing comes from the verb table: follower refusal from
+//! [`crate::request::VerbSpec::update`], offloading from
+//! [`crate::request::VerbSpec::blocking`].
+//!
+//! A binary connection pipelines: every complete frame is dispatched as
+//! soon as it is read, and replies complete out of order by correlation
+//! id. A text connection has at most one request in flight: the shard
+//! stops reading it (and drops its read interest) until that request's
+//! reply is queued, then resumes with the lines already buffered, so
+//! unparsed input stays bounded and replies keep request order.
 //!
 //! ## Cross-connection batch execution
 //!
-//! The perf move this module exists for: each poll round, a shard drains
-//! every ready connection's frames *first*, then executes the round's
-//! decoded requests in two grouped strokes:
+//! Each poll round, a shard drains every ready connection *first*, then
+//! executes the round's decoded requests in two grouped strokes:
 //!
-//! - all `Q`/`QG` reads (and, on a follower, query-only `B` bodies) go
-//!   through **one** [`crate::service::Client::query_many_tagged`] call —
-//!   one epoch-snapshot/view acquire answers every read the round
-//!   collected, across all connections;
-//! - all `I`/`D`/`B` updates concatenate into **one**
+//! - binary `Q`/`QG` reads (and, on a follower, every `Q`/`QG` and
+//!   query-only `B` body) go through **one**
+//!   [`crate::service::Client::query_many_tagged`] call — one
+//!   epoch-snapshot/view acquire answers every read the round collected,
+//!   across all connections;
+//! - all `I`/`D`/`B` updates, and a primary's text `Q`/`QG` (which stay
+//!   linearized at their batch's epoch), concatenate into **one**
 //!   [`crate::service::Client::submit_tagged_async`] group per round, so
 //!   the batch former sees one submission where thread-per-connection
 //!   served dozens, and the shard never parks waiting for the batch — the
 //!   ticket's completion callback wakes the poll and answers are routed
-//!   back per correlation id (responses complete out of order by design).
+//!   back per request.
 //!
 //! The coalesce width (requests per grouped stroke) is recorded in
 //! `net_coalesce_width`; per-connection in-flight depth in
-//! `net_pipeline_depth`; frames in `frames_total{dir=…}`; per-shard
-//! connection counts in `net_shard_connections{shard=…}`.
+//! `net_pipeline_depth`; binary frames in `frames_total{dir=…}`;
+//! per-shard connection counts in `net_shard_connections{shard=…}`.
 //!
 //! ## Backpressure and lifecycle
 //!
 //! Responses drain greedily; leftovers queue per connection and drive
 //! `WRITABLE` interest. A write queue above [`NetConfig::max_wbuf`] drops
 //! read interest until the peer drains it, bounding memory per slow
-//! reader. Frame-level damage answers a correlation-id-0 `ERR` frame and
-//! closes with a typed `bad-frame` reason; idle connections (when
-//! [`NetConfig::idle_timeout`] is set) close `idle-timeout`; every close
-//! lands in the flight recorder. Blocking verbs (`WAIT`, `QUIESCE`) are
-//! offloaded to short-lived helper threads so a barrier never stalls a
-//! shard's other connections.
+//! reader; subscription events that push it past the cap close the
+//! connection `sub-overflow`, on either door. Frame-level damage answers
+//! a correlation-id-0 `ERR` frame and closes `bad-frame`; idle
+//! connections with nothing in flight (when [`NetConfig::idle_timeout`]
+//! is set) close `idle-timeout`; server stop closes every connection
+//! `shutdown`; every close lands in the flight recorder. Blocking verbs
+//! (`WAIT`, `QUIESCE`, `FLUSH`, `SNAPSHOT`) are offloaded to short-lived
+//! helper threads so a barrier never stalls a shard's other connections.
 
 use crate::binproto::{
-    self, encode_event, encode_reply, frame, BinRequest, FrameAssembler, Reply, RequestError,
-    SNIFF_BYTE,
+    decode_request, encode_event, encode_reply, frame, FrameAssembler, RequestError, SNIFF_BYTE,
 };
-use crate::net::{handle_connection, ServerShared, TcpServer};
+use crate::net::{self, Decoded, LineDecoder, ServerShared, TcpServer};
 use crate::obs::{CloseReason, Event, Gauge, Obs};
-use crate::service::{Client, Role, Service, ServiceError, SubmitTicket};
-use crate::subs::{SubEvent, SubSink};
+use crate::request::{endpoints, BinRequest, Reply, Request, Verb};
+use crate::service::{Client, Role, Service, ServiceError, SubmitTicket, TaggedAnswers};
+use crate::subs::{SubEvent, SubKind, SubSink};
 use connectit::Update;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
@@ -72,24 +84,21 @@ use std::time::{Duration, Instant};
 pub struct NetConfig {
     /// Event-loop shards (threads). Each owns its connections end to end.
     pub shards: usize,
-    /// Per-connection read/idle timeout, text and binary alike. `None`
-    /// (the default) never times a connection out.
+    /// Per-connection idle timeout, text and binary alike: a connection
+    /// with nothing in flight that reads nothing for this long closes.
+    /// `None` (the default) never times a connection out.
     pub idle_timeout: Option<Duration>,
     /// Write-queue cap per connection: above it, read interest is dropped
-    /// until the peer drains, so one slow reader cannot balloon memory.
+    /// until the peer drains, so one slow reader cannot balloon memory. A
+    /// subscription event that pushes the queue past it closes the
+    /// connection with a typed `sub-overflow`.
     pub max_wbuf: usize,
-    /// Pending subscription events a **text** connection's push queue may
-    /// hold before the server declares the consumer too slow and closes
-    /// the connection with a typed `sub-overflow`. Binary connections are
-    /// bounded by [`NetConfig::max_wbuf`] instead: an event append that
-    /// pushes the write queue past it closes the connection the same way.
-    pub sub_queue_cap: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(1, 8);
-        NetConfig { shards, idle_timeout: None, max_wbuf: 1 << 20, sub_queue_cap: 4096 }
+        NetConfig { shards, idle_timeout: None, max_wbuf: 1 << 20 }
     }
 }
 
@@ -118,7 +127,7 @@ pub(crate) fn start(
     let mut wakers = Vec::with_capacity(nshards);
     let mut handles = Vec::with_capacity(nshards);
     for (i, gauge) in gauges.into_iter().enumerate() {
-        let mut shard = Shard::new(i, client.clone(), Arc::clone(&shared), &cfg, gauge)?;
+        let mut shard = Shard::new(client.clone(), Arc::clone(&shared), &cfg, gauge)?;
         inboxes.push(Arc::clone(&shard.inbox));
         wakers.push(Arc::clone(&shard.waker));
         handles.push(
@@ -158,21 +167,29 @@ pub(crate) fn start(
     Ok(TcpServer { shared, accept: Some(accept), shards: handles })
 }
 
+/// How a connection's bytes are framed, decided by its first byte.
+enum Door {
+    /// Nothing read yet.
+    Unsniffed,
+    /// Pipelined frames.
+    Binary(FrameAssembler),
+    /// Lines, one request in flight at a time.
+    Text(LineDecoder),
+}
+
 /// One connection owned by a shard.
 struct Conn {
     stream: TcpStream,
-    asm: FrameAssembler,
-    /// First byte examined: the connection is committed to binary.
-    sniffed: bool,
-    /// Bytes read before the sniff decision (replayed on text handoff).
-    prefix: Vec<u8>,
+    door: Door,
     wbuf: Vec<u8>,
     wpos: usize,
-    interest: Interest,
-    /// `connections_total`/`connections_live` counted (binary confirmed).
-    counted: bool,
-    /// Requests decoded but not yet answered on this connection.
+    /// The poll registration; `None` while deregistered (a text
+    /// connection with a request in flight and nothing to write).
+    interest: Option<Interest>,
+    /// Requests dispatched but not yet answered on this connection.
     inflight: u64,
+    /// The text door's request in flight, whose reply line it spells.
+    verb: Verb,
     last_activity: Instant,
     /// Set when the connection must close once its write queue drains.
     closing: Option<CloseReason>,
@@ -183,111 +200,129 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            asm: FrameAssembler::new(),
-            sniffed: false,
-            prefix: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            interest: Interest::READABLE,
-            counted: false,
-            inflight: 0,
-            last_activity: Instant::now(),
-            closing: None,
-            subs: Vec::new(),
-        }
+    fn is_text(&self) -> bool {
+        matches!(self.door, Door::Text(_))
+    }
+
+    fn backlog(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Whether the shard may read more input now. A binary connection
+    /// reads whatever arrives; a text connection waits for its request in
+    /// flight to be answered and its replies to drain below `max_wbuf`.
+    fn reads(&self, max_wbuf: usize) -> bool {
+        self.closing.is_none()
+            && !(self.is_text() && (self.inflight > 0 || self.backlog() > max_wbuf))
     }
 }
 
-/// A shard's subscription push queue: `(token, encoded event frame)`
-/// pairs parked by delivering threads, drained each poll round.
-type PushQueue = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
+/// A shard's subscription push queue: `(token, registration corr, event)`
+/// triples parked by delivering threads, drained each poll round.
+type PushQueue = Arc<Mutex<Vec<(usize, u64, SubEvent)>>>;
 
-/// Event sink for a binary-door subscription: encodes the event frame on
-/// the delivering thread (usually the batcher) and parks it on the shard's
-/// push queue; the woken shard appends it to the connection's write queue.
-struct BinSink {
+/// A subscription's event sink: parks each event on the shard's push
+/// queue and wakes the shard, which encodes it in the connection's codec.
+struct Sink {
     events: PushQueue,
     waker: Arc<Waker>,
     token: usize,
-    /// Correlation id of the `SUB` registration; every event frame for
-    /// this subscription carries it.
+    /// Correlation id of the `SUB` registration; every binary event frame
+    /// for this subscription carries it.
     corr: u64,
 }
 
-impl SubSink for BinSink {
+impl SubSink for Sink {
     fn deliver(&self, ev: &SubEvent) -> bool {
-        self.events.lock().push((self.token, frame(&encode_event(self.corr, ev))));
+        self.events.lock().push((self.token, self.corr, *ev));
         let _ = self.waker.wake();
         true
     }
 }
 
-/// A read request collected into the round's single view acquire.
-struct QueryReq {
+/// A request's share of one grouped stroke: its answers are
+/// `answers[start..start + len]`.
+struct Slot {
     token: usize,
     corr: u64,
-    tag: u8,
+    verb: Verb,
     start: usize,
     len: usize,
-}
-
-/// An update-bearing request's slot in the round's grouped submission.
-struct Route {
-    token: usize,
-    corr: u64,
-    /// The request's verb tag: `B` answers `Answers` (possibly empty),
-    /// bare `I`/`D` answer `Ok`.
-    tag: u8,
-    q_start: usize,
-    q_len: usize,
 }
 
 /// One grouped submission in flight at the batch former.
 struct PendingGroup {
     ticket: SubmitTicket,
-    routes: Vec<Route>,
+    slots: Vec<Slot>,
 }
 
 /// Per-round accumulation across all ready connections.
 #[derive(Default)]
 struct Round {
+    /// The direct-read stroke: pairs answered by one view acquire.
     pairs: Vec<(u32, u32)>,
-    queries: Vec<QueryReq>,
-    group_ops: Vec<Update>,
+    reads: Vec<Slot>,
+    /// The grouped submission: ops for the batch former.
+    ops: Vec<Update>,
     group_queries: usize,
-    routes: Vec<Route>,
+    writes: Vec<Slot>,
+}
+
+impl Round {
+    fn read(
+        &mut self,
+        token: usize,
+        corr: u64,
+        verb: Verb,
+        pairs: impl IntoIterator<Item = (u32, u32)>,
+    ) {
+        let start = self.pairs.len();
+        self.pairs.extend(pairs);
+        self.reads.push(Slot { token, corr, verb, start, len: self.pairs.len() - start });
+    }
+
+    fn submit(
+        &mut self,
+        token: usize,
+        corr: u64,
+        verb: Verb,
+        ops: impl IntoIterator<Item = Update>,
+    ) {
+        let first = self.ops.len();
+        self.ops.extend(ops);
+        let len = self.ops[first..].iter().filter(|op| matches!(op, Update::Query(..))).count();
+        self.writes.push(Slot { token, corr, verb, start: self.group_queries, len });
+        self.group_queries += len;
+    }
 }
 
 struct Shard {
-    id: usize,
     client: Client,
     obs: Arc<Obs>,
     shared: Arc<ServerShared>,
     poll: Poll,
     waker: Arc<Waker>,
     inbox: Arc<Mutex<Vec<TcpStream>>>,
-    /// Results of offloaded blocking verbs (`WAIT`/`QUIESCE`).
+    /// Results of offloaded blocking verbs.
     done: Arc<Mutex<Vec<(usize, u64, Reply)>>>,
-    /// Subscription event frames pushed by [`BinSink`]s from delivering
-    /// threads; drained each poll round.
+    /// Subscription events pushed by [`Sink`]s from delivering threads;
+    /// drained each poll round.
     events: PushQueue,
     conns: HashMap<usize, Conn>,
     next_token: usize,
     groups: Vec<PendingGroup>,
+    /// Text connections whose reply was queued with lines still buffered:
+    /// no readable event will arrive for bytes already read.
+    resume: Vec<usize>,
     gauge: Arc<Gauge>,
     idle_timeout: Option<Duration>,
     max_wbuf: usize,
-    sub_queue_cap: usize,
     num_vertices: usize,
     is_follower: bool,
 }
 
 impl Shard {
     fn new(
-        id: usize,
         client: Client,
         shared: Arc<ServerShared>,
         cfg: &NetConfig,
@@ -299,7 +334,6 @@ impl Shard {
         let num_vertices = client.num_vertices();
         let is_follower = client.role() == Role::Follower;
         Ok(Shard {
-            id,
             client,
             obs,
             shared,
@@ -311,10 +345,10 @@ impl Shard {
             conns: HashMap::new(),
             next_token: 1,
             groups: Vec::new(),
+            resume: Vec::new(),
             gauge,
             idle_timeout: cfg.idle_timeout,
             max_wbuf: cfg.max_wbuf,
-            sub_queue_cap: cfg.sub_queue_cap,
             num_vertices,
             is_follower,
         })
@@ -345,6 +379,7 @@ impl Shard {
             self.drain_offloads();
             self.drain_groups();
             self.drain_events();
+            self.resume_text();
             self.sweep_idle();
         }
         // Orderly teardown: every surviving connection closes `shutdown`.
@@ -352,7 +387,6 @@ impl Shard {
         for t in tokens {
             self.close(t, CloseReason::Shutdown);
         }
-        let _ = self.id;
     }
 
     fn adopt_new(&mut self) {
@@ -363,294 +397,230 @@ impl Shard {
             if self.poll.registry().register(&stream, Token(token), Interest::READABLE).is_err() {
                 continue;
             }
-            self.conns.insert(token, Conn::new(stream));
+            self.conns.insert(
+                token,
+                Conn {
+                    stream,
+                    door: Door::Unsniffed,
+                    wbuf: Vec::new(),
+                    wpos: 0,
+                    interest: Some(Interest::READABLE),
+                    inflight: 0,
+                    verb: Verb::Ping,
+                    last_activity: Instant::now(),
+                    closing: None,
+                    subs: Vec::new(),
+                },
+            );
             self.gauge.inc();
         }
     }
 
-    /// Drains readable bytes, sniffs the protocol on first contact, and
-    /// collects complete frames into the round.
+    /// Reads what the connection may take, sniffs the door on first
+    /// contact, and dispatches what its codec decodes into the round.
     fn handle_readable(&mut self, token: usize, round: &mut Round) {
-        enum After {
-            Keep,
-            HandoffText,
-            Close(CloseReason),
-            /// Best-effort `ERR` then typed close (frame damage).
-            Poison(String),
-        }
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut after = After::Keep;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            let mut tmp = [0u8; 1 << 16];
-            'read: loop {
+        let mut tmp = [0u8; 1 << 16];
+        loop {
+            let mut frames: Vec<Vec<u8>> = Vec::new();
+            let mut poison = None;
+            {
+                let Some(conn) = self.conns.get_mut(&token) else { return };
+                if !conn.reads(self.max_wbuf) {
+                    break;
+                }
                 match conn.stream.read(&mut tmp) {
-                    Ok(0) => {
-                        after = After::Close(CloseReason::Eof);
-                        break 'read;
-                    }
+                    Ok(0) => match &mut conn.door {
+                        Door::Text(dec) => dec.end(),
+                        _ => return self.close(token, CloseReason::Eof),
+                    },
                     Ok(n) => {
                         conn.last_activity = Instant::now();
-                        if !conn.sniffed {
-                            conn.prefix.extend_from_slice(&tmp[..n]);
-                            if conn.prefix[0] != SNIFF_BYTE {
-                                after = After::HandoffText;
-                                break 'read;
-                            }
-                            // Binary confirmed: this is the moment the
-                            // connection enters the global counters (text
-                            // connections count via ConnGuard instead).
-                            conn.sniffed = true;
-                            conn.counted = true;
+                        if let Door::Unsniffed = conn.door {
+                            // The one moment either door's connection
+                            // enters the global counters.
                             self.obs.metrics.connections_total.inc();
                             self.obs.metrics.connections_live.inc();
-                            let prefix = std::mem::take(&mut conn.prefix);
-                            conn.asm.push(&prefix);
-                        } else {
-                            conn.asm.push(&tmp[..n]);
+                            conn.door = if tmp[0] == SNIFF_BYTE {
+                                Door::Binary(FrameAssembler::new())
+                            } else {
+                                Door::Text(LineDecoder::default())
+                            };
+                        }
+                        match &mut conn.door {
+                            Door::Text(dec) => dec.push(&tmp[..n]),
+                            Door::Binary(asm) => {
+                                asm.push(&tmp[..n]);
+                                loop {
+                                    match asm.next_frame() {
+                                        Ok(Some(payload)) => frames.push(payload),
+                                        Ok(None) => break,
+                                        Err(fe) => {
+                                            poison = Some(fe.to_string());
+                                            break;
+                                        }
+                                    }
+                                }
+                            }
+                            Door::Unsniffed => {}
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'read,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue 'read,
-                    Err(_) => {
-                        after = After::Close(CloseReason::IoError);
-                        break 'read;
-                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => return self.close(token, CloseReason::IoError),
                 }
             }
-            if conn.sniffed && conn.closing.is_none() {
-                loop {
-                    match conn.asm.next_frame() {
-                        Ok(Some(payload)) => frames.push(payload),
-                        Ok(None) => break,
-                        Err(fe) => {
-                            after = After::Poison(fe.to_string());
-                            break;
-                        }
-                    }
-                }
+            for payload in frames {
+                self.obs.metrics.frames_in_total.inc();
+                self.on_frame(token, &payload, round);
             }
-        }
-        for payload in frames {
-            self.obs.metrics.frames_in_total.inc();
-            self.on_frame(token, &payload, round);
-        }
-        match after {
-            After::Keep => {}
-            After::HandoffText => self.handoff_text(token),
-            After::Close(reason) => self.close(token, reason),
-            After::Poison(msg) => {
+            if let Some(msg) = poison {
                 self.queue_reply(token, 0, Reply::Err(msg), false);
-                self.close_after_flush(token, CloseReason::BadFrame);
+                return self.close_after_flush(token, CloseReason::BadFrame);
             }
+            self.pump_text(token, round);
         }
+        // A text connection that may not read drops its read interest, so
+        // level-triggered readiness does not spin the shard meanwhile.
+        self.refresh_interest(token);
     }
 
-    /// Decodes one request frame and routes it into the round (reads and
-    /// updates), answers it inline (`EPOCH`/`GEN`/`PING`), or offloads it
-    /// (`WAIT`/`QUIESCE`).
+    /// The binary codec's input half: decodes one request frame for the
+    /// dispatcher.
     fn on_frame(&mut self, token: usize, payload: &[u8], round: &mut Round) {
-        let (corr, req) = match binproto::decode_request(payload) {
-            Ok(ok) => ok,
+        match decode_request(payload) {
+            Ok((corr, req)) => self.dispatch(token, corr, req.into(), round),
             Err(e @ RequestError::ShortHeader(_)) => {
                 self.queue_reply(token, 0, Reply::Err(e.to_string()), false);
                 self.close_after_flush(token, CloseReason::BadFrame);
-                return;
             }
             Err(e) => {
                 let corr = e.corr().unwrap_or(0);
                 self.queue_reply(token, corr, Reply::Err(e.to_string()), false);
-                return;
             }
-        };
-        let verb_name = match req {
-            BinRequest::Insert(..) => "I",
-            BinRequest::Delete(..) => "D",
-            BinRequest::Query(..) => "Q",
-            BinRequest::QueryGen(..) => "QG",
-            BinRequest::Batch(_) => "B",
-            BinRequest::Epoch => "EPOCH",
-            BinRequest::Wait { .. } => "WAIT",
-            BinRequest::Ping => "PING",
-            BinRequest::Quiesce { .. } => "QUIESCE",
-            BinRequest::Gen => "GEN",
-            BinRequest::Topk { .. } => "TOPK",
-            BinRequest::Hist => "HIST",
-            BinRequest::Size(_) => "SIZE",
-            BinRequest::Subscribe { .. } => "SUB",
-            BinRequest::Unsubscribe { .. } => "UNSUB",
-        };
-        self.obs.metrics.record_request(verb_name);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight += 1;
-            self.obs.metrics.net_pipeline_depth.record(conn.inflight);
         }
-        // Per-request validation up front, so one bad request gets its
-        // own ERR instead of poisoning the whole grouped submission.
-        if let Some(bad) = self.out_of_range(&req) {
-            let n = self.num_vertices;
-            let msg = ServiceError::VertexOutOfRange { v: bad, n }.to_string();
-            self.queue_reply(token, corr, Reply::Err(msg), true);
-            return;
+    }
+
+    /// The text codec's input half: hands buffered lines to the
+    /// dispatcher until a request is in flight, the write queue is over
+    /// budget, or more input is needed.
+    fn pump_text(&mut self, token: usize, round: &mut Round) {
+        loop {
+            let decoded = {
+                let Some(conn) = self.conns.get_mut(&token) else { return };
+                if !conn.reads(self.max_wbuf) {
+                    return;
+                }
+                let Door::Text(dec) = &mut conn.door else { return };
+                match dec.next() {
+                    Some(decoded) => decoded,
+                    None => return,
+                }
+            };
+            match decoded {
+                Decoded::Request(req) => self.dispatch(token, 0, req, round),
+                Decoded::Err(msg) => self.queue_reply(token, 0, Reply::Err(msg), false),
+                Decoded::Close(msg, reason) => {
+                    if let Some(msg) = msg {
+                        self.queue_reply(token, 0, Reply::Err(msg), false);
+                    }
+                    return self.close_after_flush(token, reason);
+                }
+            }
         }
-        if self.is_follower && carries_updates(&req) {
-            self.queue_reply(
-                token,
-                corr,
-                Reply::Err(ServiceError::ReadOnlyFollower.to_string()),
-                true,
-            );
-            return;
+    }
+
+    /// Resumes text connections whose replies were queued this round,
+    /// until each is busy again or out of buffered input.
+    fn resume_text(&mut self) {
+        while !self.resume.is_empty() {
+            let mut tokens = std::mem::take(&mut self.resume);
+            tokens.sort_unstable();
+            tokens.dedup();
+            let mut round = Round::default();
+            for token in tokens {
+                self.pump_text(token, &mut round);
+            }
+            self.execute_round(round);
+        }
+    }
+
+    /// The one dispatcher: counts the request, refuses what the verb
+    /// table routes away (out-of-range vertices, updates on a follower),
+    /// collects reads and updates into the round, offloads blocking
+    /// verbs, and answers the rest inline.
+    fn dispatch(&mut self, token: usize, corr: u64, req: Request, round: &mut Round) {
+        let verb = req.verb();
+        self.obs.metrics.record_request(verb);
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.inflight += 1;
+        conn.verb = verb;
+        let text = conn.is_text();
+        self.obs.metrics.net_pipeline_depth.record(conn.inflight);
+        if let Request::Bin(bin) = &req {
+            // Per-request validation up front, so one bad request gets its
+            // own ERR instead of poisoning the whole grouped submission.
+            let refusal = match bin.out_of_range(self.num_vertices) {
+                Some(v) => Some(ServiceError::VertexOutOfRange { v, n: self.num_vertices }),
+                None if self.is_follower && bin.carries_updates() => {
+                    Some(ServiceError::ReadOnlyFollower)
+                }
+                None => None,
+            };
+            if let Some(e) = refusal {
+                return self.queue_reply(token, corr, Reply::Err(e.to_string()), true);
+            }
         }
         match req {
-            BinRequest::Query(u, v) | BinRequest::QueryGen(u, v) => {
-                let tag = if matches!(req, BinRequest::Query(..)) {
-                    binproto::verb::QUERY
+            // A primary's text reads join the batch, linearized at its
+            // epoch; binary reads (and a follower's) share one view.
+            Request::Bin(BinRequest::Query(u, v) | BinRequest::QueryGen(u, v)) => {
+                if text && !self.is_follower {
+                    round.submit(token, corr, verb, [Update::Query(u, v)]);
                 } else {
-                    binproto::verb::QUERY_GEN
-                };
-                round.queries.push(QueryReq { token, corr, tag, start: round.pairs.len(), len: 1 });
-                round.pairs.push((u, v));
-            }
-            BinRequest::Batch(ops) if self.is_follower => {
-                // Query-only (updates were rejected above): answer the
-                // whole body from the round's shared view acquire.
-                let start = round.pairs.len();
-                let len = ops.len();
-                for op in &ops {
-                    let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
-                    round.pairs.push((u, v));
+                    round.read(token, corr, verb, [(u, v)]);
                 }
-                round.queries.push(QueryReq {
-                    token,
-                    corr,
-                    tag: binproto::verb::BATCH,
-                    start,
-                    len,
-                });
             }
-            BinRequest::Insert(u, v) => {
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::INSERT,
-                    q_start: round.group_queries,
-                    q_len: 0,
-                });
-                round.group_ops.push(Update::Insert(u, v));
+            // Query-only (updates were refused above).
+            Request::Bin(BinRequest::Batch(ops)) if self.is_follower => {
+                round.read(token, corr, verb, ops.into_iter().map(endpoints));
             }
-            BinRequest::Delete(u, v) => {
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::DELETE,
-                    q_start: round.group_queries,
-                    q_len: 0,
-                });
-                round.group_ops.push(Update::Delete(u, v));
+            Request::Bin(BinRequest::Batch(ops)) => round.submit(token, corr, verb, ops),
+            Request::Bin(BinRequest::Insert(u, v)) => {
+                round.submit(token, corr, verb, [Update::Insert(u, v)]);
             }
-            BinRequest::Batch(ops) => {
-                let q_len = ops.iter().filter(|op| matches!(op, Update::Query(..))).count();
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::BATCH,
-                    q_start: round.group_queries,
-                    q_len,
-                });
-                round.group_queries += q_len;
-                round.group_ops.extend(ops);
+            Request::Bin(BinRequest::Delete(u, v)) => {
+                round.submit(token, corr, verb, [Update::Delete(u, v)]);
             }
-            BinRequest::Epoch => {
-                let e = self.client.epoch();
-                self.queue_reply(token, corr, Reply::Value(e), true);
-            }
-            BinRequest::Gen => {
-                let info = self.client.generation_info();
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Gen {
-                        generation: info.generation,
-                        dirty: info.dirty,
-                        rebuilds: info.counters.rebuilds,
-                        forest: info.counters.deletes_forest,
-                        nonforest: info.counters.deletes_nonforest,
-                        absent: info.counters.deletes_absent,
-                    },
-                    true,
-                );
-            }
-            BinRequest::Ping => self.queue_reply(token, corr, Reply::Ok, true),
-            BinRequest::Topk { k } => {
-                let (entries, epoch, generation, sealed) = self.client.topk(k as usize);
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Topk { epoch, generation, sealed, entries },
-                    true,
-                );
-            }
-            BinRequest::Hist => {
-                let view = self.client.analytics();
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Hist {
-                        epoch: view.epoch,
-                        generation: view.generation,
-                        sealed: view.sealed,
-                        components: view.components,
-                        buckets: view.hist.to_vec(),
-                    },
-                    true,
-                );
-            }
-            BinRequest::Size(v) => {
-                let reply = match self.client.component_size(v) {
-                    Ok((root, size)) => Reply::Size { size, root },
-                    Err(e) => Reply::Err(e.to_string()),
-                };
-                self.queue_reply(token, corr, reply, true);
-            }
-            BinRequest::Wait { epoch, timeout_ms } => {
-                self.offload(token, corr, move |client| {
-                    match client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)) {
-                        Ok(at) => Reply::Value(at),
-                        Err(e) => Reply::Err(e.to_string()),
-                    }
-                });
-            }
-            BinRequest::Quiesce { timeout_ms } => {
-                self.offload(token, corr, move |client| {
-                    match client.quiesce(Duration::from_millis(timeout_ms)) {
-                        Ok(generation) => Reply::Value(generation),
-                        Err(e) => Reply::Err(e.to_string()),
-                    }
-                });
-            }
-            BinRequest::Subscribe { kind, u, v, durable } => {
-                let sink: Arc<dyn SubSink> = Arc::new(BinSink {
-                    events: Arc::clone(&self.events),
-                    waker: Arc::clone(&self.waker),
-                    token,
-                    corr,
-                });
+            Request::Bin(BinRequest::Subscribe { kind, u, v, durable }) => {
                 // The reply is queued before drain_events runs this round,
-                // so the `Subscribed` frame always precedes the first
-                // event frame even when the registration fires instantly.
-                let reply = match self.client.subscribe(kind, u, v, durable, Some(sink)) {
+                // so it always precedes the first event even when the
+                // registration fires instantly.
+                let reply = match self.client.subscribe(
+                    kind,
+                    u,
+                    v,
+                    durable,
+                    Some(self.sink(token, corr)),
+                ) {
                     Ok((id, epoch)) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.subs.push((id, durable));
-                        }
+                        self.track_sub(token, id, durable);
                         Reply::Subscribed { id, epoch }
                     }
                     Err(e) => Reply::Err(e.to_string()),
                 };
                 self.queue_reply(token, corr, reply, true);
             }
-            BinRequest::Unsubscribe { id } => {
+            Request::SubAttach { id, after_seq } => {
+                let reply = match self.client.attach_sub(id, after_seq, self.sink(token, corr)) {
+                    Ok(_last_seq) => {
+                        self.track_sub(token, id, true);
+                        Reply::Subscribed { id, epoch: self.client.epoch() }
+                    }
+                    Err(e) => Reply::Err(e.to_string()),
+                };
+                self.queue_reply(token, corr, reply, true);
+            }
+            Request::Bin(BinRequest::Unsubscribe { id }) => {
                 let reply = match self.client.unsubscribe(id) {
                     Ok(()) => {
                         if let Some(conn) = self.conns.get_mut(&token) {
@@ -662,91 +632,94 @@ impl Shard {
                 };
                 self.queue_reply(token, corr, reply, true);
             }
+            Request::Quit => self.close_after_flush(token, CloseReason::Quit),
+            Request::Shutdown => {
+                self.queue_reply(token, corr, Reply::Ok, true);
+                self.close_after_flush(token, CloseReason::Shutdown);
+                self.shared.request_shutdown();
+            }
+            req if verb.spec().blocking => self.offload(token, corr, req),
+            req => {
+                let reply = answer(&self.client, req);
+                self.queue_reply(token, corr, reply, true);
+            }
         }
     }
 
-    /// First out-of-range vertex in the request, if any.
-    fn out_of_range(&self, req: &BinRequest) -> Option<u32> {
-        let n = self.num_vertices;
-        let check = |u: u32, v: u32| [u, v].into_iter().find(|&x| x as usize >= n);
-        match req {
-            BinRequest::Insert(u, v)
-            | BinRequest::Delete(u, v)
-            | BinRequest::Query(u, v)
-            | BinRequest::QueryGen(u, v) => check(*u, *v),
-            BinRequest::Batch(ops) => ops.iter().find_map(|op| {
-                let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
-                check(u, v)
-            }),
-            BinRequest::Size(v) => check(*v, *v),
-            _ => None,
+    fn sink(&self, token: usize, corr: u64) -> Arc<dyn SubSink> {
+        Arc::new(Sink {
+            events: Arc::clone(&self.events),
+            waker: Arc::clone(&self.waker),
+            token,
+            corr,
+        })
+    }
+
+    fn track_sub(&mut self, token: usize, id: u64, durable: bool) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.subs.push((id, durable));
         }
     }
 
-    /// Runs a blocking verb on a helper thread; the result lands in the
-    /// shard's done-queue and wakes the poll.
-    fn offload(
-        &self,
-        token: usize,
-        corr: u64,
-        work: impl FnOnce(&Client) -> Reply + Send + 'static,
-    ) {
+    /// Answers a blocking verb on a helper thread; the result lands in
+    /// the shard's done-queue and wakes the poll.
+    fn offload(&self, token: usize, corr: u64, req: Request) {
         let client = self.client.clone();
         let done = Arc::clone(&self.done);
         let waker = Arc::clone(&self.waker);
         let spawned = std::thread::Builder::new().name("cc-net-wait".into()).spawn(move || {
-            let reply = work(&client);
+            let reply = answer(&client, req);
             done.lock().push((token, corr, reply));
             let _ = waker.wake();
         });
         if spawned.is_err() {
-            self.done.lock().push((
-                token,
-                corr,
-                Reply::Err("server out of threads for blocking verb".to_string()),
-            ));
+            let msg = "server out of threads for blocking verb".to_string();
+            self.done.lock().push((token, corr, Reply::Err(msg)));
         }
     }
 
     /// Executes the round's two grouped strokes: one view acquire for all
     /// collected reads, one batch-former submission for all updates.
     fn execute_round(&mut self, round: Round) {
-        let Round { pairs, queries, group_ops, routes, .. } = round;
-        if !queries.is_empty() {
-            self.obs.metrics.net_coalesce_width.record(queries.len() as u64);
-            match self.client.query_many_tagged(&pairs) {
-                Ok(answers) => {
-                    for q in queries {
-                        let slice = &answers[q.start..q.start + q.len];
-                        let reply = match q.tag {
-                            binproto::verb::QUERY => Reply::Bit(slice[0].0),
-                            binproto::verb::QUERY_GEN => Reply::BitGen(slice[0].0, slice[0].1),
-                            _ => Reply::Answers(slice.to_vec()),
-                        };
-                        self.queue_reply(q.token, q.corr, reply, true);
-                    }
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    for q in queries {
-                        self.queue_reply(q.token, q.corr, Reply::Err(msg.clone()), true);
-                    }
-                }
-            }
+        let Round { pairs, reads, ops, writes, .. } = round;
+        if !reads.is_empty() {
+            self.obs.metrics.net_coalesce_width.record(reads.len() as u64);
+            let answers = self.client.query_many_tagged(&pairs);
+            self.answer_slots(reads, answers);
         }
-        if !routes.is_empty() {
-            self.obs.metrics.net_coalesce_width.record(routes.len() as u64);
+        if !writes.is_empty() {
+            self.obs.metrics.net_coalesce_width.record(writes.len() as u64);
             let waker = Arc::clone(&self.waker);
             let notify: Box<dyn Fn() + Send + Sync> = Box::new(move || {
                 let _ = waker.wake();
             });
-            match self.client.submit_tagged_async(group_ops, Some(notify)) {
-                Ok(ticket) => self.groups.push(PendingGroup { ticket, routes }),
-                Err(e) => {
-                    let msg = e.to_string();
-                    for r in routes {
-                        self.queue_reply(r.token, r.corr, Reply::Err(msg.clone()), true);
-                    }
+            match self.client.submit_tagged_async(ops, Some(notify)) {
+                Ok(ticket) => self.groups.push(PendingGroup { ticket, slots: writes }),
+                Err(e) => self.answer_slots(writes, Err(e)),
+            }
+        }
+    }
+
+    /// Routes one stroke's answers back to its requests. A failed stroke
+    /// (WAL failure, shutdown) is every request's error: they shared one
+    /// batch.
+    fn answer_slots(&mut self, slots: Vec<Slot>, answers: Result<TaggedAnswers, ServiceError>) {
+        match answers {
+            Ok(answers) => {
+                for s in slots {
+                    let reply = match (s.verb, &answers[s.start..s.start + s.len]) {
+                        (Verb::Q, &[(bit, _)]) => Reply::Bit(bit),
+                        (Verb::QG, &[(bit, generation)]) => Reply::BitGen(bit, generation),
+                        (Verb::B, slice) => Reply::Answers(slice.to_vec()),
+                        _ => Reply::Ok,
+                    };
+                    self.queue_reply(s.token, s.corr, reply, true);
+                }
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                for s in slots {
+                    self.queue_reply(s.token, s.corr, Reply::Err(msg.clone()), true);
                 }
             }
         }
@@ -759,32 +732,7 @@ impl Shard {
         }
     }
 
-    /// Appends pushed subscription event frames to their connections'
-    /// write queues. Unlike replies, events arrive regardless of whether
-    /// the peer is reading, so a write queue blown past `max_wbuf` here is
-    /// a slow consumer — the connection closes with a typed
-    /// `sub-overflow`, never a silent drop.
-    fn drain_events(&mut self) {
-        let pushed: Vec<(usize, Vec<u8>)> = std::mem::take(&mut *self.events.lock());
-        for (token, bytes) in pushed {
-            let overflow = {
-                let Some(conn) = self.conns.get_mut(&token) else { continue };
-                if conn.closing.is_some() {
-                    continue;
-                }
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.wbuf.len() - conn.wpos > self.max_wbuf
-            };
-            self.obs.metrics.frames_out_total.inc();
-            if overflow {
-                self.close(token, CloseReason::SubOverflow);
-            } else {
-                self.flush_conn(token);
-            }
-        }
-    }
-
-    /// Routes completed grouped submissions back per correlation id.
+    /// Routes completed grouped submissions back to their requests.
     fn drain_groups(&mut self) {
         let mut i = 0;
         while i < self.groups.len() {
@@ -793,61 +741,73 @@ impl Shard {
                 continue;
             };
             let group = self.groups.swap_remove(i);
-            match result {
-                Ok(answers) => {
-                    for r in group.routes {
-                        let reply = if r.tag == binproto::verb::BATCH {
-                            Reply::Answers(answers[r.q_start..r.q_start + r.q_len].to_vec())
-                        } else {
-                            Reply::Ok
-                        };
-                        self.queue_reply(r.token, r.corr, reply, true);
-                    }
+            self.answer_slots(group.slots, result);
+        }
+    }
+
+    /// Appends pushed subscription events to their connections' write
+    /// queues in each connection's codec. Unlike replies, events arrive
+    /// regardless of whether the peer is reading, so a write queue blown
+    /// past `max_wbuf` here is a slow consumer — the connection closes
+    /// with a typed `sub-overflow`, never a silent drop.
+    fn drain_events(&mut self) {
+        let pushed: Vec<(usize, u64, SubEvent)> = std::mem::take(&mut *self.events.lock());
+        for (token, corr, ev) in pushed {
+            let overflow = {
+                let Some(conn) = self.conns.get_mut(&token) else { continue };
+                if conn.closing.is_some() {
+                    continue;
                 }
-                Err(e) => {
-                    // The whole group shared one batch; a rejected batch
-                    // (WAL failure, shutdown) is everyone's error — the
-                    // same contract text submissions co-batched by the
-                    // former already have.
-                    let msg = e.to_string();
-                    for r in group.routes {
-                        self.queue_reply(r.token, r.corr, Reply::Err(msg.clone()), true);
-                    }
+                if conn.is_text() {
+                    net::write_event(&mut conn.wbuf, &ev);
+                } else {
+                    conn.wbuf.extend_from_slice(&frame(&encode_event(corr, &ev)));
+                    self.obs.metrics.frames_out_total.inc();
                 }
+                conn.backlog() > self.max_wbuf
+            };
+            if overflow {
+                self.close(token, CloseReason::SubOverflow);
+            } else {
+                self.flush_conn(token);
             }
         }
     }
 
-    /// Encodes a response frame onto the connection's write queue and
-    /// drains it as far as the socket allows.
-    fn queue_reply(&mut self, token: usize, corr: u64, reply: Reply, dec_inflight: bool) {
+    /// Encodes a reply in the connection's codec onto its write queue and
+    /// drains it as far as the socket allows. `answered` retires one
+    /// in-flight request.
+    fn queue_reply(&mut self, token: usize, corr: u64, reply: Reply, answered: bool) {
         if matches!(reply, Reply::Err(_)) {
             self.obs.metrics.request_errors_total.inc();
         }
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            conn.wbuf.extend_from_slice(&frame(&encode_reply(corr, &reply)));
-            if dec_inflight {
+            if conn.is_text() {
+                net::write_reply(&mut conn.wbuf, conn.verb, &reply);
+            } else {
+                conn.wbuf.extend_from_slice(&frame(&encode_reply(corr, &reply)));
+                self.obs.metrics.frames_out_total.inc();
+            }
+            if answered {
                 conn.inflight = conn.inflight.saturating_sub(1);
+                if conn.inflight == 0 {
+                    // A finished request is activity: the idle clock
+                    // restarts when the reply leaves, not at the read.
+                    conn.last_activity = Instant::now();
+                }
             }
         }
-        self.obs.metrics.frames_out_total.inc();
         self.flush_conn(token);
     }
 
-    /// Drains the write queue; manages `WRITABLE` interest, backpressure,
-    /// and deferred closes.
+    /// Drains the write queue, then closes a closing connection whose
+    /// queue is empty or refreshes its interest.
     fn flush_conn(&mut self, token: usize) {
         let mut close_now = None;
-        let mut reregister = None;
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            loop {
-                if conn.wpos >= conn.wbuf.len() {
-                    conn.wbuf.clear();
-                    conn.wpos = 0;
-                    break;
-                }
+            while conn.wpos < conn.wbuf.len() {
                 match conn.stream.write(&conn.wbuf[conn.wpos..]) {
                     Ok(0) => {
                         close_now = Some(CloseReason::IoError);
@@ -862,50 +822,52 @@ impl Shard {
                     }
                 }
             }
-            if close_now.is_none() {
-                let backlog = conn.wbuf.len() - conn.wpos;
-                if backlog == 0 {
-                    if let Some(reason) = conn.closing {
-                        close_now = Some(reason);
-                    }
-                }
-                let want = if backlog == 0 {
-                    if conn.closing.is_some() {
-                        conn.interest // about to close; interest moot
-                    } else {
-                        Interest::READABLE
-                    }
-                } else if backlog > self.max_wbuf || conn.closing.is_some() {
-                    // Backpressure: stop reading until the peer drains.
-                    Interest::WRITABLE
-                } else {
-                    Interest::READABLE | Interest::WRITABLE
-                };
-                if want != conn.interest {
-                    conn.interest = want;
-                    reregister = Some(want);
-                }
+            if conn.backlog() == 0 {
+                conn.wbuf.clear();
+                conn.wpos = 0;
+                close_now = close_now.or(conn.closing);
             }
         }
-        if let Some(reason) = close_now {
-            self.close(token, reason);
-        } else if let Some(want) = reregister {
-            let conn = &self.conns[&token];
-            let _ = self.poll.registry().reregister(&conn.stream, Token(token), want);
+        match close_now {
+            Some(reason) => self.close(token, reason),
+            None => self.refresh_interest(token),
         }
     }
 
-    fn close_after_flush(&mut self, token: usize, reason: CloseReason) {
-        let pending = {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            conn.closing = Some(reason);
-            conn.wbuf.len() - conn.wpos
+    /// Registers the interest the connection's state calls for: read
+    /// while it [`Conn::reads`], write while it has a backlog, neither
+    /// (deregistered) while a text request is in flight with nothing to
+    /// write. A text connection that may read with lines still buffered
+    /// is queued for [`Shard::resume_text`].
+    fn refresh_interest(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let read = conn.reads(self.max_wbuf) && conn.backlog() <= self.max_wbuf;
+        let want = match (read, conn.backlog() > 0) {
+            (true, false) => Some(Interest::READABLE),
+            (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
+            (false, true) => Some(Interest::WRITABLE),
+            (false, false) => None,
         };
-        if pending == 0 {
-            self.close(token, reason);
-        } else {
-            self.flush_conn(token);
+        if read && matches!(&conn.door, Door::Text(dec) if dec.pending()) {
+            self.resume.push(token);
         }
+        if want == conn.interest {
+            return;
+        }
+        let registry = self.poll.registry();
+        let _ = match (conn.interest, want) {
+            (Some(_), Some(w)) => registry.reregister(&conn.stream, Token(token), w),
+            (None, Some(w)) => registry.register(&conn.stream, Token(token), w),
+            (Some(_), None) => registry.deregister(&conn.stream),
+            (None, None) => Ok(()),
+        };
+        conn.interest = want;
+    }
+
+    fn close_after_flush(&mut self, token: usize, reason: CloseReason) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.closing = Some(reason);
+        self.flush_conn(token);
     }
 
     fn close(&mut self, token: usize, reason: CloseReason) {
@@ -921,48 +883,30 @@ impl Shard {
             }
         }
         self.gauge.dec();
-        if conn.counted {
-            self.obs.metrics.connections_live.dec();
-        } else {
-            // Closed before the sniff decided a protocol: count the
+        if let Door::Unsniffed = conn.door {
+            // Closed before the sniff decided a door: count the
             // connection's whole life here so `connections_total` and the
-            // flight record match the thread-per-connection behavior.
+            // flight record still see it.
             self.obs.metrics.connections_total.inc();
+        } else {
+            self.obs.metrics.connections_live.dec();
         }
         self.obs.recorder.record(Event::ConnClosed { reason });
     }
 
-    /// Hands a text connection (first byte was not the binary sniff byte)
-    /// to a dedicated blocking thread, replaying the sniffed bytes.
-    fn handoff_text(&mut self, token: usize) {
-        let Some(conn) = self.conns.remove(&token) else { return };
-        let _ = self.poll.registry().deregister(&conn.stream);
-        self.gauge.dec();
-        let Conn { stream, prefix, .. } = conn;
-        if stream.set_nonblocking(false).is_err() {
-            self.obs.metrics.connections_total.inc();
-            self.obs.recorder.record(Event::ConnClosed { reason: CloseReason::IoError });
-            return;
-        }
-        if let Some(t) = self.idle_timeout {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let client = self.client.clone();
-        let shared = Arc::clone(&self.shared);
-        let sub_queue_cap = self.sub_queue_cap;
-        let _ = std::thread::Builder::new().name("cc-conn".into()).spawn(move || {
-            let _ = handle_connection(stream, prefix, &client, &shared, sub_queue_cap);
-        });
-    }
-
-    /// Closes binary/unsniffed connections idle past the timeout.
+    /// Closes connections idle past the timeout. A connection with a
+    /// request in flight is waiting on the server, not idle.
     fn sweep_idle(&mut self) {
         let Some(limit) = self.idle_timeout else { return };
         let now = Instant::now();
         let idle: Vec<usize> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.closing.is_none() && now.duration_since(c.last_activity) > limit)
+            .filter(|(_, c)| {
+                c.closing.is_none()
+                    && c.inflight == 0
+                    && now.duration_since(c.last_activity) > limit
+            })
             .map(|(&t, _)| t)
             .collect();
         for t in idle {
@@ -971,11 +915,75 @@ impl Shard {
     }
 }
 
-/// Whether a request carries inserts or deletes (rejected on followers).
-fn carries_updates(req: &BinRequest) -> bool {
-    match req {
-        BinRequest::Insert(..) | BinRequest::Delete(..) => true,
-        BinRequest::Batch(ops) => ops.iter().any(|op| !matches!(op, Update::Query(..))),
-        _ => false,
-    }
+/// The reply to a request the dispatcher answers off the round: inline,
+/// or on a helper thread when its verb blocks.
+fn answer(client: &Client, req: Request) -> Reply {
+    let reply = match req {
+        Request::Bin(BinRequest::Epoch) => Ok(Reply::Value(client.epoch())),
+        Request::Bin(BinRequest::Wait { epoch, timeout_ms }) => {
+            client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)).map(Reply::Value)
+        }
+        Request::Bin(BinRequest::Quiesce { timeout_ms }) => {
+            client.quiesce(Duration::from_millis(timeout_ms)).map(Reply::Value)
+        }
+        Request::Bin(BinRequest::Ping) => Ok(Reply::Ok),
+        Request::Bin(BinRequest::Gen) => {
+            let info = client.generation_info();
+            Ok(Reply::Gen {
+                generation: info.generation,
+                dirty: info.dirty,
+                rebuilds: info.counters.rebuilds,
+                forest: info.counters.deletes_forest,
+                nonforest: info.counters.deletes_nonforest,
+                absent: info.counters.deletes_absent,
+            })
+        }
+        Request::Bin(BinRequest::Topk { k }) => {
+            let (entries, epoch, generation, sealed) = client.topk(k as usize);
+            Ok(Reply::Topk { epoch, generation, sealed, entries })
+        }
+        Request::Bin(BinRequest::Hist) => {
+            let view = client.analytics();
+            Ok(Reply::Hist {
+                epoch: view.epoch,
+                generation: view.generation,
+                sealed: view.sealed,
+                components: view.components,
+                buckets: view.hist.to_vec(),
+            })
+        }
+        Request::Bin(BinRequest::Size(v)) => {
+            client.component_size(v).map(|(root, size)| Reply::Size { size, root })
+        }
+        Request::Label(v) => client.current_label(v).map(|l| Reply::Value(l.into())),
+        Request::Components => Ok(Reply::Value(client.num_components() as u64)),
+        Request::Role => Ok(Reply::Line(client.role().to_string())),
+        Request::Stats => Ok(Reply::Line(client.stats().to_string())),
+        Request::Flush => client.flush_wal().map(|()| Reply::Ok),
+        Request::Snapshot => client.durable_snapshot().map(Reply::Value),
+        Request::WalStats => client.wal_stats().map(Reply::Line),
+        Request::Metrics => Ok(Reply::Dump(client.render_metrics())),
+        Request::Trace(n) => Ok(Reply::Dump(client.trace_events(n))),
+        Request::Subs => Ok(Reply::Dump(
+            client
+                .subs_info()
+                .iter()
+                .map(|s| {
+                    let kind = match s.kind {
+                        SubKind::Pair => "PAIR",
+                        SubKind::Component => "COMPONENT",
+                    };
+                    let (durable, fired) = (u8::from(s.durable), u8::from(s.fired));
+                    format!(
+                        "{} {kind} {} {} {} {durable} {fired}",
+                        s.id, s.u, s.v, s.registered_epoch
+                    )
+                })
+                .collect(),
+        )),
+        // The dispatcher routes every other verb through the round or
+        // the connection; none reaches here.
+        req => return Reply::Err(format!("{} is not answered here", req.verb().spec().text)),
+    };
+    reply.unwrap_or_else(|e| Reply::Err(e.to_string()))
 }

@@ -43,14 +43,16 @@
 //!   to read-replica followers, which bootstrap, replay, tail
 //!   live appends, and serve reads at an honestly-reported replication
 //!   epoch (`WAIT` upgrades bounded staleness to read-your-writes).
-//! - [`net`] / [`evloop`] / [`binproto`] — the wire front end: a sharded,
-//!   readiness-polled event loop (epoll via the offline `mio` shim, with
-//!   a portable `poll(2)` fallback) serving two protocols on one port,
-//!   told apart by a first-byte sniff. The line-based text protocol
-//!   (`I`/`D`/`Q`/`B`/`GEN`/`QUIESCE`/`STATS`/`FLUSH`/`SNAPSHOT`/
-//!   `WALSTATS`/`METRICS`/`TRACE`/`WAIT`/`ROLE`/…) remains the debug
-//!   door, handled by a dedicated thread per connection with a blocking
-//!   [`net::TcpClient`]. The binary protocol ([`binproto`]) frames
+//! - [`request`] / [`net`] / [`evloop`] / [`binproto`] — the wire front
+//!   end: a sharded, readiness-polled event loop (epoll via the offline
+//!   `mio` shim, with a portable `poll(2)` fallback) serving two
+//!   protocols on one port, told apart by a first-byte sniff. Both are
+//!   codecs over one request IR and verb table ([`request`]) feeding one
+//!   dispatcher; no connection gets a thread. The line-based text
+//!   protocol (`I`/`D`/`Q`/`B`/`GEN`/`QUIESCE`/`STATS`/`FLUSH`/
+//!   `SNAPSHOT`/`WALSTATS`/`METRICS`/`TRACE`/`WAIT`/`ROLE`/…) remains
+//!   the debug door, with a blocking [`net::TcpClient`]. The binary
+//!   protocol ([`binproto`]) frames
 //!   correlation-tagged requests in the `cc_graph::io::binary` codec so
 //!   clients pipeline many in-flight requests per connection
 //!   ([`binproto::BinClient`]); each shard coalesces decoded reads
@@ -87,6 +89,7 @@ pub mod generation;
 pub mod net;
 pub mod obs;
 pub mod replication;
+pub mod request;
 pub mod service;
 pub mod snapshot;
 pub mod subs;

@@ -1,14 +1,19 @@
-//! The line-based text protocol over the service, and the TCP front door
-//! shared with the binary protocol (std-only — the workspace has no
-//! crates.io access, so there is no async runtime).
+//! The text protocol's codec, the TCP front door shared with the binary
+//! protocol, and the blocking text client (std-only — the workspace has
+//! no crates.io access, so there is no async runtime).
 //!
 //! Accepted connections land on the sharded readiness event loop in
 //! [`crate::evloop`], which sniffs the first byte: `0xCC` (the
 //! [`crate::binproto::STREAM_MAGIC`] opener, which no text verb starts
-//! with) selects the pipelined binary protocol served in-loop; anything
-//! else hands the connection — sniffed bytes replayed — to a dedicated
-//! text thread running `handle_connection` below, preserving the text
-//! protocol byte for byte as the debug door on the same port.
+//! with) selects the binary codec; anything else selects the text codec
+//! below. Both codecs produce the same [`Request`] IR for the shard's one
+//! dispatcher and encode its [`Reply`]; the text door stays the debug
+//! door on the same port, byte for byte.
+//!
+//! The text codec keeps at most one request in flight per connection:
+//! the shard stops reading a text connection until the in-flight
+//! request's reply is queued, then resumes with any lines already
+//! buffered. Replies therefore come back strictly in request order.
 //!
 //! ## Protocol
 //!
@@ -52,9 +57,10 @@
 //! size=<s>` or `! EVT <id> <seq> <epoch> <gen> COMPONENT <v> root=<r>
 //! size=<s>` — interleaved between replies (never inside a multi-line
 //! dump). [`TcpClient`] stashes them; see PROTOCOL.md for the full
-//! delivery contract. A subscriber that stops reading until the
-//! server-side push queue fills is disconnected with a typed
-//! `sub-overflow` close — events are never silently dropped.
+//! delivery contract. A subscriber whose pushed events back up past the
+//! connection's write budget ([`crate::evloop::NetConfig::max_wbuf`]) is
+//! disconnected with a typed `sub-overflow` close — events are never
+//! silently dropped.
 //!
 //! The three durability verbs answer `ERR durability is not enabled …`
 //! when the server runs without `--wal-dir`. Malformed requests get
@@ -73,9 +79,10 @@
 //! their views converge at the honestly-reported epoch; route heavy
 //! analytical reads there by default (DESIGN.md §12).
 
-use crate::obs::{CloseReason, Event, Obs, DEFAULT_TRACE_EVENTS};
-use crate::service::{Client, Service};
-use crate::subs::{SubEvent, SubKind, SubSink};
+use crate::obs::{CloseReason, DEFAULT_TRACE_EVENTS};
+use crate::request::{BinRequest, Reply, Request, Verb};
+use crate::service::Service;
+use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -84,71 +91,6 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A parsed request line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Request {
-    Insert(u32, u32),
-    Delete(u32, u32),
-    Query(u32, u32),
-    QueryGen(u32, u32),
-    Batch(usize),
-    Label(u32),
-    Components,
-    Topk(usize),
-    Hist,
-    Size(u32),
-    Epoch,
-    Wait(u64, u64),
-    Gen,
-    Quiesce(u64),
-    Role,
-    Stats,
-    Flush,
-    Snapshot,
-    WalStats,
-    Metrics,
-    Trace(usize),
-    Sub { component: bool, u: u32, v: u32, durable: bool },
-    SubAttach { id: u64, after_seq: u64 },
-    Unsub(u64),
-    Subs,
-    Ping,
-    Quit,
-    Shutdown,
-}
-
-/// Every verb the text parser accepts. Exported so the doc-drift test
-/// can hold `PROTOCOL.md` to the parser's actual vocabulary.
-pub const TEXT_VERBS: &[&str] = &[
-    "I",
-    "D",
-    "Q",
-    "QG",
-    "B",
-    "LABEL",
-    "COMPONENTS",
-    "TOPK",
-    "HIST",
-    "SIZE",
-    "EPOCH",
-    "WAIT",
-    "GEN",
-    "QUIESCE",
-    "ROLE",
-    "STATS",
-    "FLUSH",
-    "SNAPSHOT",
-    "WALSTATS",
-    "METRICS",
-    "TRACE",
-    "SUB",
-    "UNSUB",
-    "SUBS",
-    "PING",
-    "QUIT",
-    "SHUTDOWN",
-];
 
 /// Upper bound on `B k` batch sizes, so a hostile header cannot trigger an
 /// unbounded allocation. [`TcpClient::submit`] enforces it client-side.
@@ -178,94 +120,95 @@ fn parse_u64(tok: Option<&str>) -> Result<u64, String> {
         .map_err(|_| "argument is not a 64-bit unsigned integer".to_string())
 }
 
-fn parse_request(line: &str) -> Result<Request, String> {
+/// An optional trailing `u64` argument.
+fn parse_u64_or(tok: Option<&str>, default: u64) -> Result<u64, String> {
+    tok.map_or(Ok(default), |tok| parse_u64(Some(tok)))
+}
+
+/// What one top-level request line parses to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Line {
+    /// A whole request.
+    Request(Request),
+    /// `B k`: a header whose `k` op lines follow.
+    Batch(usize),
+}
+
+fn parse_request(line: &str) -> Result<Line, String> {
     let mut it = line.split_whitespace();
     let cmd = it.next().ok_or_else(|| "empty request".to_string())?;
-    let req = match cmd {
-        "I" => Request::Insert(parse_u32(it.next())?, parse_u32(it.next())?),
-        "D" => Request::Delete(parse_u32(it.next())?, parse_u32(it.next())?),
-        "Q" => Request::Query(parse_u32(it.next())?, parse_u32(it.next())?),
-        "QG" => Request::QueryGen(parse_u32(it.next())?, parse_u32(it.next())?),
-        "B" => {
+    let verb = Verb::from_text(cmd).ok_or_else(|| format!("unknown command {cmd:?}"))?;
+    let req: Request = match verb {
+        Verb::I => BinRequest::Insert(parse_u32(it.next())?, parse_u32(it.next())?).into(),
+        Verb::D => BinRequest::Delete(parse_u32(it.next())?, parse_u32(it.next())?).into(),
+        Verb::Q => BinRequest::Query(parse_u32(it.next())?, parse_u32(it.next())?).into(),
+        Verb::QG => BinRequest::QueryGen(parse_u32(it.next())?, parse_u32(it.next())?).into(),
+        Verb::B => {
             let k = parse_u32(it.next())? as usize;
             if k > MAX_WIRE_BATCH {
                 return Err(format!("batch too large (max {MAX_WIRE_BATCH})"));
             }
-            Request::Batch(k)
+            if it.next().is_some() {
+                return Err(format!("trailing arguments after {cmd}"));
+            }
+            return Ok(Line::Batch(k));
         }
-        "LABEL" => Request::Label(parse_u32(it.next())?),
-        "COMPONENTS" => Request::Components,
-        "TOPK" => {
-            let k = match it.next() {
-                Some(tok) => parse_u64(Some(tok))? as usize,
-                None => DEFAULT_TOPK,
-            };
-            Request::Topk(k)
+        Verb::Label => Request::Label(parse_u32(it.next())?),
+        Verb::Components => Request::Components,
+        Verb::Topk => {
+            // Every k above the materialized cap answers alike.
+            let k = parse_u64_or(it.next(), DEFAULT_TOPK as u64)?;
+            BinRequest::Topk { k: k.min(u64::from(u8::MAX)) as u8 }.into()
         }
-        "HIST" => Request::Hist,
-        "SIZE" => Request::Size(parse_u32(it.next())?),
-        "EPOCH" => Request::Epoch,
-        "WAIT" => {
+        Verb::Hist => BinRequest::Hist.into(),
+        Verb::Size => BinRequest::Size(parse_u32(it.next())?).into(),
+        Verb::Epoch => BinRequest::Epoch.into(),
+        Verb::Wait => {
             let epoch = parse_u64(it.next())?;
-            let timeout_ms = match it.next() {
-                Some(tok) => parse_u64(Some(tok))?,
-                None => DEFAULT_WAIT_TIMEOUT_MS,
-            };
-            Request::Wait(epoch, timeout_ms)
+            let timeout_ms = parse_u64_or(it.next(), DEFAULT_WAIT_TIMEOUT_MS)?;
+            BinRequest::Wait { epoch, timeout_ms }.into()
         }
-        "GEN" => Request::Gen,
-        "QUIESCE" => {
-            let timeout_ms = match it.next() {
-                Some(tok) => parse_u64(Some(tok))?,
-                None => DEFAULT_WAIT_TIMEOUT_MS,
-            };
-            Request::Quiesce(timeout_ms)
+        Verb::Gen => BinRequest::Gen.into(),
+        Verb::Quiesce => {
+            BinRequest::Quiesce { timeout_ms: parse_u64_or(it.next(), DEFAULT_WAIT_TIMEOUT_MS)? }
+                .into()
         }
-        "ROLE" => Request::Role,
-        "STATS" => Request::Stats,
-        "FLUSH" => Request::Flush,
-        "SNAPSHOT" => Request::Snapshot,
-        "WALSTATS" => Request::WalStats,
-        "METRICS" => Request::Metrics,
-        "TRACE" => {
-            let n = match it.next() {
-                Some(tok) => parse_u64(Some(tok))? as usize,
-                None => DEFAULT_TRACE_EVENTS,
-            };
-            Request::Trace(n)
+        Verb::Role => Request::Role,
+        Verb::Stats => Request::Stats,
+        Verb::Flush => Request::Flush,
+        Verb::Snapshot => Request::Snapshot,
+        Verb::WalStats => Request::WalStats,
+        Verb::Metrics => Request::Metrics,
+        Verb::Trace => {
+            Request::Trace(parse_u64_or(it.next(), DEFAULT_TRACE_EVENTS as u64)? as usize)
         }
-        "SUB" => match it.next() {
+        Verb::Sub => match it.next() {
             Some("COMPONENT") => {
                 let v = parse_u32(it.next())?;
                 let durable = parse_sub_flag(&mut it)?;
-                Request::Sub { component: true, u: v, v, durable }
+                BinRequest::Subscribe { kind: SubKind::Component, u: v, v, durable }.into()
             }
             Some("ATTACH") => {
                 let id = parse_u64(it.next())?;
-                let after_seq = match it.next() {
-                    Some(tok) => parse_u64(Some(tok))?,
-                    None => 0,
-                };
-                Request::SubAttach { id, after_seq }
+                Request::SubAttach { id, after_seq: parse_u64_or(it.next(), 0)? }
             }
             tok => {
                 let u = parse_u32(tok)?;
                 let v = parse_u32(it.next())?;
                 let durable = parse_sub_flag(&mut it)?;
-                Request::Sub { component: false, u, v, durable }
+                BinRequest::Subscribe { kind: SubKind::Pair, u, v, durable }.into()
             }
         },
-        "UNSUB" => Request::Unsub(parse_u64(it.next())?),
-        "SUBS" => Request::Subs,
-        "PING" => Request::Ping,
-        "QUIT" => Request::Quit,
-        "SHUTDOWN" => Request::Shutdown,
-        other => return Err(format!("unknown command {other:?}")),
+        Verb::Unsub => BinRequest::Unsubscribe { id: parse_u64(it.next())? }.into(),
+        Verb::Subs => Request::Subs,
+        Verb::Ping => BinRequest::Ping.into(),
+        Verb::Quit => Request::Quit,
+        Verb::Shutdown => Request::Shutdown,
     };
     if it.next().is_some() {
         return Err(format!("trailing arguments after {cmd}"));
     }
-    Ok(req)
+    Ok(Line::Request(req))
 }
 
 /// Parses the optional trailing `DURABLE` flag of a `SUB` request.
@@ -292,45 +235,220 @@ fn parse_batch_op(line: &str) -> Result<Update, String> {
     Ok(op)
 }
 
-/// Writes one `ERR <reason>` reply and counts it: every error line the
-/// server emits, whatever the cause, moves `request_errors_total`.
-fn write_err(
-    w: &mut BufWriter<TcpStream>,
-    obs: &Obs,
-    msg: impl std::fmt::Display,
-) -> std::io::Result<()> {
-    obs.metrics.request_errors_total.inc();
-    writeln!(w, "ERR {msg}")
+/// What the text decoder hands the shard.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Decoded {
+    /// A parsed request for the dispatcher.
+    Request(Request),
+    /// A malformed request: answer `ERR <msg>` and keep the connection.
+    Err(String),
+    /// Framing is lost or the peer is done: answer `ERR <msg>` when one is
+    /// given, then close with the reason.
+    Close(Option<String>, CloseReason),
 }
 
-/// Mirrors one connection's lifetime into the registry: counted on
-/// accept, decremented on drop — so `connections_live` is correct no
-/// matter which of the handler's many exits ran — and stamped into the
-/// flight recorder with the close reason the handler recorded.
-struct ConnGuard {
-    obs: Arc<Obs>,
-    reason: CloseReason,
-    /// The close is already on record (see [`TextSink::deliver`]).
-    recorded: bool,
+/// A `B k` body being collected.
+struct Body {
+    left: usize,
+    ops: Vec<Update>,
+    /// The first malformed op line's error; the whole batch answers it.
+    bad: Option<String>,
 }
 
-impl ConnGuard {
-    fn new(obs: Arc<Obs>) -> ConnGuard {
-        obs.metrics.connections_total.inc();
-        obs.metrics.connections_live.inc();
-        // `IoError` is the default so an early `?` return (peer reset,
-        // broken pipe) needs no bookkeeping; orderly exits overwrite it.
-        ConnGuard { obs, reason: CloseReason::IoError, recorded: false }
+/// The text codec's input half for one connection: buffers the bytes the
+/// shard reads and cuts them into requests, one at a time.
+#[derive(Default)]
+pub(crate) struct LineDecoder {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    start: usize,
+    body: Option<Body>,
+    /// The peer closed its write half: a last unterminated line still
+    /// counts, then the connection closes.
+    eof: bool,
+}
+
+impl LineDecoder {
+    /// Appends freshly read bytes.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
+        self.buf.extend_from_slice(bytes);
     }
-}
 
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.obs.metrics.connections_live.dec();
-        if !self.recorded {
-            self.obs.recorder.record(Event::ConnClosed { reason: self.reason });
+    /// Records that the peer will send nothing more.
+    pub(crate) fn end(&mut self) {
+        self.eof = true;
+    }
+
+    /// Whether [`LineDecoder::next`] has input left to look at.
+    pub(crate) fn pending(&self) -> bool {
+        self.start < self.buf.len() || self.eof
+    }
+
+    /// The next request or framing outcome, or `None` until more bytes
+    /// arrive. A line is refused when no `\n` shows up within its first
+    /// [`MAX_LINE_BYTES`] bytes.
+    pub(crate) fn next(&mut self) -> Option<Decoded> {
+        loop {
+            let rest = &self.buf[self.start..];
+            let window = &rest[..rest.len().min(MAX_LINE_BYTES)];
+            let (len, used) = match window.iter().position(|&b| b == b'\n') {
+                Some(i) => (i, i + 1),
+                None if rest.len() >= MAX_LINE_BYTES => {
+                    let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    return Some(Decoded::Close(Some(msg), CloseReason::OversizedLine));
+                }
+                None if !self.eof => return None,
+                None if !rest.is_empty() => (rest.len(), rest.len()),
+                None if self.body.is_some() => {
+                    return Some(Decoded::Close(None, CloseReason::TruncatedBatch))
+                }
+                None => return Some(Decoded::Close(None, CloseReason::Eof)),
+            };
+            let line = &self.buf[self.start..self.start + len];
+            self.start += used;
+            // A line that is not UTF-8 cannot be a request either: like an
+            // oversized one, it answers `ERR` and closes.
+            let Ok(line) = std::str::from_utf8(line) else {
+                let msg = "stream did not contain valid UTF-8".to_string();
+                return Some(Decoded::Close(Some(msg), CloseReason::OversizedLine));
+            };
+            let line = line.trim();
+            if let Some(body) = &mut self.body {
+                match parse_batch_op(line) {
+                    Ok(op) => body.ops.push(op),
+                    Err(msg) => body.bad = body.bad.take().or(Some(msg)),
+                }
+                body.left -= 1;
+                if body.left > 0 {
+                    continue;
+                }
+                let Body { ops, bad, .. } = self.body.take()?;
+                return Some(match bad {
+                    Some(msg) => Decoded::Err(msg),
+                    None => Decoded::Request(BinRequest::Batch(ops).into()),
+                });
+            }
+            if line.is_empty() {
+                continue;
+            }
+            match parse_request(line) {
+                Ok(Line::Request(req)) => return Some(Decoded::Request(req)),
+                Ok(Line::Batch(0)) => {
+                    return Some(Decoded::Request(BinRequest::Batch(vec![]).into()))
+                }
+                Ok(Line::Batch(k)) => {
+                    self.body =
+                        Some(Body { left: k, ops: Vec::with_capacity(k.min(1 << 16)), bad: None })
+                }
+                // A rejected `B` header is a framing error: the body lines
+                // that follow cannot be delimited, and reading them as
+                // requests would desynchronize every later reply.
+                Err(msg) if line.split_whitespace().next() == Some("B") => {
+                    return Some(Decoded::Close(Some(msg), CloseReason::BadBatchHeader))
+                }
+                Err(msg) => return Some(Decoded::Err(msg)),
+            }
         }
     }
+}
+
+/// Appends the text door's reply to a `verb` request: one line, or for
+/// the dump verbs every line plus a `# EOF` terminator.
+pub(crate) fn write_reply(out: &mut Vec<u8>, verb: Verb, reply: &Reply) {
+    let bit = |b: bool| u8::from(b);
+    let _ = match reply {
+        Reply::Err(msg) => writeln!(out, "ERR {msg}"),
+        Reply::Ok => writeln!(
+            out,
+            "{}",
+            match verb {
+                Verb::Ping => "PONG",
+                Verb::Shutdown => "BYE",
+                _ => "OK",
+            }
+        ),
+        Reply::Bit(b) => writeln!(out, "{}", bit(*b)),
+        Reply::BitGen(b, None) => writeln!(out, "{}", bit(*b)),
+        Reply::BitGen(b, Some(generation)) => writeln!(out, "{} G {generation}", bit(*b)),
+        Reply::Answers(answers) if answers.is_empty() => writeln!(out, "OK"),
+        Reply::Answers(answers) => {
+            let bits: String = answers.iter().map(|&(a, _)| if a { '1' } else { '0' }).collect();
+            writeln!(out, "OK {bits}")
+        }
+        Reply::Value(v) => {
+            let prefix = match verb {
+                Verb::Label => "L",
+                Verb::Components => "C",
+                Verb::Quiesce => "G",
+                Verb::Snapshot => "SNAP",
+                _ => "E",
+            };
+            writeln!(out, "{prefix} {v}")
+        }
+        Reply::Gen { generation, dirty, rebuilds, forest, nonforest, absent } => writeln!(
+            out,
+            "G {generation} dirty={} rebuilds={rebuilds} forest={forest} nonforest={nonforest} \
+             absent={absent}",
+            bit(*dirty)
+        ),
+        Reply::Topk { epoch, generation, sealed, entries } => {
+            let _ = write!(
+                out,
+                "K k={} epoch={epoch} gen={generation} sealed={}",
+                entries.len(),
+                bit(*sealed)
+            );
+            for (root, size) in entries {
+                let _ = write!(out, " {root}:{size}");
+            }
+            writeln!(out)
+        }
+        Reply::Hist { epoch, generation, sealed, components, buckets } => {
+            let _ = write!(
+                out,
+                "H components={components} epoch={epoch} gen={generation} sealed={}",
+                bit(*sealed)
+            );
+            for (b, count) in buckets.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                let _ = write!(out, " {b}:{count}");
+            }
+            writeln!(out)
+        }
+        Reply::Size { size, root } => writeln!(out, "Z {size} root={root}"),
+        Reply::Subscribed { id, epoch } => writeln!(out, "S {id} {epoch}"),
+        Reply::Line(line) => {
+            let prefix = match verb {
+                Verb::Role => "R",
+                Verb::Stats => "S",
+                _ => "W",
+            };
+            writeln!(out, "{prefix} {line}")
+        }
+        Reply::Dump(lines) => {
+            for line in lines {
+                let _ = writeln!(out, "{line}");
+            }
+            writeln!(out, "# EOF")
+        }
+    };
+}
+
+/// Appends one `! EVT …` push line (the grammar in the module table).
+pub(crate) fn write_event(out: &mut Vec<u8>, ev: &SubEvent) {
+    let _ = match ev.kind {
+        SubKind::Pair => writeln!(
+            out,
+            "! EVT {} {} {} {} PAIR {} {} root={} size={}",
+            ev.id, ev.seq, ev.epoch, ev.generation, ev.u, ev.v, ev.root, ev.size
+        ),
+        SubKind::Component => writeln!(
+            out,
+            "! EVT {} {} {} {} COMPONENT {} root={} size={}",
+            ev.id, ev.seq, ev.epoch, ev.generation, ev.v, ev.root, ev.size
+        ),
+    };
 }
 
 pub(crate) struct ServerShared {
@@ -361,10 +479,9 @@ impl ServerShared {
 }
 
 /// A running TCP front-end over a [`Service`]: the accept thread plus N
-/// event-loop shards (see [`crate::evloop`]). Binary connections are
-/// served in-loop; text connections get a dedicated thread each. The
+/// event-loop shards (see [`crate::evloop`]) serving both doors. The
 /// server stops when a `SHUTDOWN` request arrives or [`TcpServer::stop`]
-/// is called.
+/// is called; every open connection then closes `shutdown`.
 pub struct TcpServer {
     pub(crate) shared: Arc<ServerShared>,
     pub(crate) accept: Option<std::thread::JoinHandle<()>>,
@@ -418,488 +535,6 @@ pub fn serve_with(
     cfg: crate::evloop::NetConfig,
 ) -> std::io::Result<TcpServer> {
     crate::evloop::start(service, addr, cfg)
-}
-
-/// Reads one request line with [`MAX_LINE_BYTES`] enforced. `Ok(0)` is
-/// EOF; `Err` with `InvalidData` means the peer exceeded the cap (the
-/// caller answers `ERR` and closes — resynchronizing inside an unbounded
-/// line is hopeless).
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
-    line.clear();
-    let got = std::io::Read::take(&mut *reader, MAX_LINE_BYTES as u64).read_line(line)?;
-    if got == MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
-    }
-    Ok(got)
-}
-
-/// The server side of a text subscription: a bounded queue between the
-/// service's delivery path and this connection's pusher thread. The
-/// service must never block on (or allocate unboundedly for) a slow
-/// consumer, so a full queue marks the sink dead, flags the overflow,
-/// and shuts the socket down — the connection closes with a typed
-/// `sub-overflow` reason rather than dropping events silently. The
-/// reason is recorded *before* the shutdown, so whoever sees the socket
-/// close finds it in the flight recorder.
-struct TextSink {
-    obs: Arc<Obs>,
-    queue: Mutex<VecDeque<SubEvent>>,
-    cv: Condvar,
-    cap: usize,
-    dead: AtomicBool,
-    overflow: AtomicBool,
-    stream: TcpStream,
-}
-
-impl SubSink for TextSink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
-        if self.dead.load(Ordering::Acquire) {
-            return false;
-        }
-        let mut q = self.queue.lock();
-        if q.len() >= self.cap {
-            drop(q);
-            self.dead.store(true, Ordering::Release);
-            if !self.overflow.swap(true, Ordering::AcqRel) {
-                self.obs.recorder.record(Event::ConnClosed { reason: CloseReason::SubOverflow });
-            }
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-            self.cv.notify_all();
-            return false;
-        }
-        q.push_back(*ev);
-        drop(q);
-        self.cv.notify_all();
-        true
-    }
-}
-
-/// Writes one `! EVT …` push line (the grammar in the module table).
-fn write_evt_line(w: &mut BufWriter<TcpStream>, ev: &SubEvent) -> std::io::Result<()> {
-    match ev.kind {
-        SubKind::Pair => writeln!(
-            w,
-            "! EVT {} {} {} {} PAIR {} {} root={} size={}",
-            ev.id, ev.seq, ev.epoch, ev.generation, ev.u, ev.v, ev.root, ev.size
-        ),
-        SubKind::Component => writeln!(
-            w,
-            "! EVT {} {} {} {} COMPONENT {} root={} size={}",
-            ev.id, ev.seq, ev.epoch, ev.generation, ev.v, ev.root, ev.size
-        ),
-    }
-}
-
-/// The per-connection pusher thread: drains the sink's queue and writes
-/// `! EVT` lines under the shared writer lock, so pushes interleave with
-/// replies only at line boundaries (never inside a multi-line dump).
-fn run_pusher(sink: &TextSink, writer: &Mutex<BufWriter<TcpStream>>) {
-    let mut batch: Vec<SubEvent> = Vec::new();
-    loop {
-        {
-            let mut q = sink.queue.lock();
-            while q.is_empty() {
-                if sink.dead.load(Ordering::Acquire) {
-                    return;
-                }
-                sink.cv.wait_for(&mut q, Duration::from_millis(100));
-            }
-            batch.extend(q.drain(..));
-        }
-        let mut w = writer.lock();
-        for ev in batch.drain(..) {
-            if write_evt_line(&mut w, &ev).is_err() {
-                sink.dead.store(true, Ordering::Release);
-                return;
-            }
-        }
-        if w.flush().is_err() {
-            sink.dead.store(true, Ordering::Release);
-            return;
-        }
-    }
-}
-
-/// One text connection's subscription state: the shared sink (created
-/// lazily on the first `SUB`/`SUB ATTACH`), its pusher thread, and the
-/// ids bound to this connection for teardown.
-struct SubConnState {
-    obs: Arc<Obs>,
-    stream: TcpStream,
-    cap: usize,
-    sink: Option<Arc<TextSink>>,
-    pusher: Option<std::thread::JoinHandle<()>>,
-    subs: Vec<(u64, bool)>,
-}
-
-impl SubConnState {
-    fn ensure_sink(
-        &mut self,
-        writer: &Arc<Mutex<BufWriter<TcpStream>>>,
-    ) -> std::io::Result<Arc<TextSink>> {
-        if let Some(s) = &self.sink {
-            return Ok(Arc::clone(s));
-        }
-        let sink = Arc::new(TextSink {
-            obs: Arc::clone(&self.obs),
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap: self.cap,
-            dead: AtomicBool::new(false),
-            overflow: AtomicBool::new(false),
-            stream: self.stream.try_clone()?,
-        });
-        let psink = Arc::clone(&sink);
-        let pwriter = Arc::clone(writer);
-        self.pusher = Some(
-            std::thread::Builder::new()
-                .name("cc-sub-push".into())
-                .spawn(move || run_pusher(&psink, &pwriter))?,
-        );
-        self.sink = Some(Arc::clone(&sink));
-        Ok(sink)
-    }
-}
-
-/// Serves one text-protocol connection to completion. `prefix` replays
-/// the bytes the event-loop shard consumed while sniffing the protocol,
-/// so the handoff is invisible to the peer. A read timing out (the
-/// configured per-connection idle timeout, armed via `SO_RCVTIMEO` by
-/// the shard before handoff) closes with a typed `idle-timeout` reason.
-/// `sub_queue_cap` bounds the per-connection subscription push queue
-/// ([`crate::evloop::NetConfig::sub_queue_cap`]).
-pub(crate) fn handle_connection(
-    stream: TcpStream,
-    prefix: Vec<u8>,
-    client: &Client,
-    shared: &ServerShared,
-    sub_queue_cap: usize,
-) -> std::io::Result<()> {
-    let obs = client.observability();
-    let mut guard = ConnGuard::new(Arc::clone(&obs));
-    let reader =
-        BufReader::new(std::io::Read::chain(std::io::Cursor::new(prefix), stream.try_clone()?));
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
-    let mut st = SubConnState {
-        obs: Arc::clone(&obs),
-        stream,
-        cap: sub_queue_cap,
-        sink: None,
-        pusher: None,
-        subs: Vec::new(),
-    };
-    let res = serve_text(reader, &writer, client, shared, &obs, &mut guard, &mut st);
-    // Subscription teardown: ephemeral subscriptions die with the
-    // connection; durable ones detach and keep retaining for a later
-    // `SUB ATTACH`.
-    for (id, durable) in st.subs.drain(..) {
-        if durable {
-            client.detach_sub(id);
-        } else {
-            let _ = client.unsubscribe(id);
-        }
-    }
-    if let Some(sink) = st.sink.take() {
-        sink.dead.store(true, Ordering::Release);
-        sink.cv.notify_all();
-        guard.recorded = sink.overflow.load(Ordering::Acquire);
-    }
-    if let Some(h) = st.pusher.take() {
-        let _ = h.join();
-    }
-    res
-}
-
-/// The request/reply loop of [`handle_connection`]. The writer is
-/// behind a mutex shared with the pusher thread; it is locked per
-/// request (after the line is read, so an idle connection never starves
-/// event pushes) and replies flush before the lock drops, keeping the
-/// reply-then-event order observable client-side.
-fn serve_text(
-    mut reader: BufReader<std::io::Chain<std::io::Cursor<Vec<u8>>, TcpStream>>,
-    writer: &Arc<Mutex<BufWriter<TcpStream>>>,
-    client: &Client,
-    shared: &ServerShared,
-    obs: &Arc<Obs>,
-    guard: &mut ConnGuard,
-    st: &mut SubConnState,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    loop {
-        match read_bounded_line(&mut reader, &mut line) {
-            Ok(0) => {
-                guard.reason = CloseReason::Eof;
-                return Ok(());
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                guard.reason = CloseReason::OversizedLine;
-                let mut w = writer.lock();
-                write_err(&mut w, obs, e)?;
-                return w.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                guard.reason = CloseReason::IdleTimeout;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse_request(line.trim());
-        if parsed.is_ok() {
-            // Count by verb only once the line parsed: a request that
-            // never was one shows up in `request_errors_total` instead.
-            if let Some(verb) = line.split_whitespace().next() {
-                obs.metrics.record_request(verb);
-            }
-        }
-        let mut w = writer.lock();
-        match parsed {
-            Err(msg) => {
-                write_err(&mut w, obs, msg)?;
-                // A rejected `B` header is a framing error: the peer is
-                // about to stream body lines we cannot delimit, so
-                // interpreting them as top-level requests would both
-                // execute a rejected batch and desynchronize every later
-                // reply. Close instead.
-                if line.split_whitespace().next() == Some("B") {
-                    guard.reason = CloseReason::BadBatchHeader;
-                    return w.flush();
-                }
-            }
-            Ok(Request::Insert(u, v)) => match client.insert(u, v) {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Delete(u, v)) => match client.delete(u, v) {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Query(u, v)) => match client.query(u, v) {
-                // Exactly one bit, always: pre-QG clients parse this.
-                Ok(c) => writeln!(w, "{}", u8::from(c))?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::QueryGen(u, v)) => match client.query_gen(u, v) {
-                // Staleness honesty: when the answer came from a sealed
-                // generation the reply names it; the tag was decided
-                // under the same lock as the answer, so a seal or commit
-                // racing this request can never mislabel it.
-                Ok((c, Some(generation))) => writeln!(w, "{} G {generation}", u8::from(c))?,
-                Ok((c, None)) => writeln!(w, "{}", u8::from(c))?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Batch(k)) => {
-                let mut ops = Vec::with_capacity(k.min(1 << 16));
-                let mut bad: Option<String> = None;
-                for _ in 0..k {
-                    match read_bounded_line(&mut reader, &mut line) {
-                        Ok(0) => {
-                            // Truncated batch: peer went away.
-                            guard.reason = CloseReason::TruncatedBatch;
-                            return Ok(());
-                        }
-                        Ok(_) => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                            // Oversized body line: the batch framing is
-                            // unrecoverable, same as a rejected header.
-                            guard.reason = CloseReason::OversizedLine;
-                            write_err(&mut w, obs, e)?;
-                            return w.flush();
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            guard.reason = CloseReason::IdleTimeout;
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    match parse_batch_op(line.trim()) {
-                        Ok(op) => ops.push(op),
-                        Err(msg) => bad = bad.or(Some(msg)),
-                    }
-                }
-                if let Some(msg) = bad {
-                    write_err(&mut w, obs, msg)?;
-                } else {
-                    match client.submit(ops) {
-                        Ok(answers) => {
-                            let bits: String =
-                                answers.iter().map(|&a| if a { '1' } else { '0' }).collect();
-                            if bits.is_empty() {
-                                writeln!(w, "OK")?;
-                            } else {
-                                writeln!(w, "OK {bits}")?;
-                            }
-                        }
-                        Err(e) => write_err(&mut w, obs, e)?,
-                    }
-                }
-            }
-            Ok(Request::Label(v)) => match client.current_label(v) {
-                Ok(l) => writeln!(w, "L {l}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Components) => writeln!(w, "C {}", client.num_components())?,
-            Ok(Request::Topk(k)) => {
-                let (items, epoch, generation, sealed) = client.topk(k);
-                let mut reply = format!(
-                    "K k={} epoch={epoch} gen={generation} sealed={}",
-                    items.len(),
-                    u8::from(sealed)
-                );
-                for (root, size) in items {
-                    reply.push_str(&format!(" {root}:{size}"));
-                }
-                writeln!(w, "{reply}")?;
-            }
-            Ok(Request::Hist) => {
-                let view = client.analytics();
-                let mut reply = format!(
-                    "H components={} epoch={} gen={} sealed={}",
-                    view.components,
-                    view.epoch,
-                    view.generation,
-                    u8::from(view.sealed)
-                );
-                for (b, &count) in view.hist.iter().enumerate() {
-                    if count > 0 {
-                        reply.push_str(&format!(" {b}:{count}"));
-                    }
-                }
-                writeln!(w, "{reply}")?;
-            }
-            Ok(Request::Size(v)) => match client.component_size(v) {
-                Ok((root, size)) => writeln!(w, "Z {size} root={root}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Epoch) => writeln!(w, "E {}", client.epoch())?,
-            Ok(Request::Wait(epoch, timeout_ms)) => {
-                match client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)) {
-                    Ok(at) => writeln!(w, "E {at}")?,
-                    Err(e) => write_err(&mut w, obs, e)?,
-                }
-            }
-            Ok(Request::Gen) => {
-                let info = client.generation_info();
-                writeln!(
-                    w,
-                    "G {} dirty={} rebuilds={} forest={} nonforest={} absent={}",
-                    info.generation,
-                    u8::from(info.dirty),
-                    info.counters.rebuilds,
-                    info.counters.deletes_forest,
-                    info.counters.deletes_nonforest,
-                    info.counters.deletes_absent,
-                )?;
-            }
-            Ok(Request::Quiesce(timeout_ms)) => {
-                match client.quiesce(Duration::from_millis(timeout_ms)) {
-                    Ok(generation) => writeln!(w, "G {generation}")?,
-                    Err(e) => write_err(&mut w, obs, e)?,
-                }
-            }
-            Ok(Request::Role) => writeln!(w, "R {}", client.role())?,
-            Ok(Request::Stats) => writeln!(w, "S {}", client.stats())?,
-            Ok(Request::Flush) => match client.flush_wal() {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Snapshot) => match client.durable_snapshot() {
-                Ok(epoch) => writeln!(w, "SNAP {epoch}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::WalStats) => match client.wal_stats() {
-                Ok(s) => writeln!(w, "W {s}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Metrics) => {
-                for l in client.render_metrics() {
-                    writeln!(w, "{l}")?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Trace(n)) => {
-                for l in client.trace_events(n) {
-                    writeln!(w, "{l}")?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Sub { component, u, v, durable }) => match st.ensure_sink(writer) {
-                Err(e) => write_err(&mut w, obs, e)?,
-                Ok(sink) => {
-                    let kind = if component { SubKind::Component } else { SubKind::Pair };
-                    match client.subscribe(kind, u, v, durable, Some(sink as Arc<dyn SubSink>)) {
-                        Ok((id, epoch)) => {
-                            st.subs.push((id, durable));
-                            writeln!(w, "S {id} {epoch}")?;
-                        }
-                        Err(e) => write_err(&mut w, obs, e)?,
-                    }
-                }
-            },
-            Ok(Request::SubAttach { id, after_seq }) => match st.ensure_sink(writer) {
-                Err(e) => write_err(&mut w, obs, e)?,
-                Ok(sink) => match client.attach_sub(id, after_seq, sink as Arc<dyn SubSink>) {
-                    Ok(_last_seq) => {
-                        st.subs.push((id, true));
-                        writeln!(w, "S {id} {}", client.epoch())?;
-                    }
-                    Err(e) => write_err(&mut w, obs, e)?,
-                },
-            },
-            Ok(Request::Unsub(id)) => match client.unsubscribe(id) {
-                Ok(()) => {
-                    st.subs.retain(|&(sid, _)| sid != id);
-                    writeln!(w, "OK")?;
-                }
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Subs) => {
-                for s in client.subs_info() {
-                    let kind = match s.kind {
-                        SubKind::Pair => "PAIR",
-                        SubKind::Component => "COMPONENT",
-                    };
-                    writeln!(
-                        w,
-                        "{} {} {} {} {} {} {}",
-                        s.id,
-                        kind,
-                        s.u,
-                        s.v,
-                        s.registered_epoch,
-                        u8::from(s.durable),
-                        u8::from(s.fired)
-                    )?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Ping) => writeln!(w, "PONG")?,
-            Ok(Request::Quit) => {
-                guard.reason = CloseReason::Quit;
-                return w.flush();
-            }
-            Ok(Request::Shutdown) => {
-                writeln!(w, "BYE")?;
-                w.flush()?;
-                shared.request_shutdown();
-                guard.reason = CloseReason::Shutdown;
-                return Ok(());
-            }
-        }
-        w.flush()?;
-    }
 }
 
 /// A blocking client for the line protocol, used by the load generator,
@@ -1423,74 +1058,78 @@ impl TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::VERBS;
+
+    fn req(r: impl Into<Request>) -> Result<Line, String> {
+        Ok(Line::Request(r.into()))
+    }
 
     #[test]
     fn request_grammar() {
-        assert_eq!(parse_request("I 3 4"), Ok(Request::Insert(3, 4)));
-        assert_eq!(parse_request("D 3 4"), Ok(Request::Delete(3, 4)));
-        assert_eq!(parse_request("Q 0 9"), Ok(Request::Query(0, 9)));
-        assert_eq!(parse_request("QG 0 9"), Ok(Request::QueryGen(0, 9)));
+        use BinRequest as W;
+        let sub = |kind, u, v, durable| W::Subscribe { kind, u, v, durable };
+        assert_eq!(parse_request("I 3 4"), req(W::Insert(3, 4)));
+        assert_eq!(parse_request("D 3 4"), req(W::Delete(3, 4)));
+        assert_eq!(parse_request("Q 0 9"), req(W::Query(0, 9)));
+        assert_eq!(parse_request("QG 0 9"), req(W::QueryGen(0, 9)));
         assert!(parse_request("QG 0").is_err());
         assert!(parse_request("QG 0 9 2").is_err());
-        assert_eq!(parse_request("B 128"), Ok(Request::Batch(128)));
-        assert_eq!(parse_request("LABEL 7"), Ok(Request::Label(7)));
-        assert_eq!(parse_request("TOPK"), Ok(Request::Topk(DEFAULT_TOPK)));
-        assert_eq!(parse_request("TOPK 5"), Ok(Request::Topk(5)));
+        assert_eq!(parse_request("B 128"), Ok(Line::Batch(128)));
+        assert_eq!(parse_request("LABEL 7"), req(Request::Label(7)));
+        assert_eq!(parse_request("TOPK"), req(W::Topk { k: DEFAULT_TOPK as u8 }));
+        assert_eq!(parse_request("TOPK 5"), req(W::Topk { k: 5 }));
+        assert_eq!(parse_request("TOPK 5000"), req(W::Topk { k: u8::MAX }));
         assert!(parse_request("TOPK x").is_err());
         assert!(parse_request("TOPK 5 6").is_err());
-        assert_eq!(parse_request("HIST"), Ok(Request::Hist));
+        assert_eq!(parse_request("HIST"), req(W::Hist));
         assert!(parse_request("HIST 1").is_err());
-        assert_eq!(parse_request("SIZE 9"), Ok(Request::Size(9)));
+        assert_eq!(parse_request("SIZE 9"), req(W::Size(9)));
         assert!(parse_request("SIZE").is_err());
         assert!(parse_request("SIZE x").is_err());
         assert!(parse_request("SIZE 9 1").is_err());
-        assert_eq!(
-            parse_request("SUB 1 2"),
-            Ok(Request::Sub { component: false, u: 1, v: 2, durable: false })
-        );
-        assert_eq!(
-            parse_request("SUB 1 2 DURABLE"),
-            Ok(Request::Sub { component: false, u: 1, v: 2, durable: true })
-        );
-        assert_eq!(
-            parse_request("SUB COMPONENT 7"),
-            Ok(Request::Sub { component: true, u: 7, v: 7, durable: false })
-        );
+        assert_eq!(parse_request("SUB 1 2"), req(sub(SubKind::Pair, 1, 2, false)));
+        assert_eq!(parse_request("SUB 1 2 DURABLE"), req(sub(SubKind::Pair, 1, 2, true)));
+        assert_eq!(parse_request("SUB COMPONENT 7"), req(sub(SubKind::Component, 7, 7, false)));
         assert_eq!(
             parse_request("SUB COMPONENT 7 DURABLE"),
-            Ok(Request::Sub { component: true, u: 7, v: 7, durable: true })
+            req(sub(SubKind::Component, 7, 7, true))
         );
-        assert_eq!(parse_request("SUB ATTACH 3"), Ok(Request::SubAttach { id: 3, after_seq: 0 }));
-        assert_eq!(parse_request("SUB ATTACH 3 9"), Ok(Request::SubAttach { id: 3, after_seq: 9 }));
+        assert_eq!(parse_request("SUB ATTACH 3"), req(Request::SubAttach { id: 3, after_seq: 0 }));
+        assert_eq!(
+            parse_request("SUB ATTACH 3 9"),
+            req(Request::SubAttach { id: 3, after_seq: 9 })
+        );
         assert!(parse_request("SUB").is_err());
         assert!(parse_request("SUB 1").is_err());
         assert!(parse_request("SUB 1 2 FOREVER").is_err());
         assert!(parse_request("SUB 1 2 DURABLE 3").is_err());
         assert!(parse_request("SUB COMPONENT").is_err());
         assert!(parse_request("SUB ATTACH x").is_err());
-        assert_eq!(parse_request("UNSUB 5"), Ok(Request::Unsub(5)));
+        assert_eq!(parse_request("UNSUB 5"), req(W::Unsubscribe { id: 5 }));
         assert!(parse_request("UNSUB").is_err());
         assert!(parse_request("UNSUB x").is_err());
         assert!(parse_request("UNSUB 5 6").is_err());
-        assert_eq!(parse_request("SUBS"), Ok(Request::Subs));
+        assert_eq!(parse_request("SUBS"), req(Request::Subs));
         assert!(parse_request("SUBS 1").is_err());
-        assert_eq!(parse_request("  PING "), Ok(Request::Ping));
-        assert_eq!(parse_request("SHUTDOWN"), Ok(Request::Shutdown));
-        assert_eq!(parse_request("FLUSH"), Ok(Request::Flush));
-        assert_eq!(parse_request("SNAPSHOT"), Ok(Request::Snapshot));
-        assert_eq!(parse_request("WALSTATS"), Ok(Request::WalStats));
-        assert_eq!(parse_request("METRICS"), Ok(Request::Metrics));
-        assert_eq!(parse_request("TRACE"), Ok(Request::Trace(DEFAULT_TRACE_EVENTS)));
-        assert_eq!(parse_request("TRACE 7"), Ok(Request::Trace(7)));
+        assert_eq!(parse_request("  PING "), req(W::Ping));
+        assert_eq!(parse_request("SHUTDOWN"), req(Request::Shutdown));
+        assert_eq!(parse_request("FLUSH"), req(Request::Flush));
+        assert_eq!(parse_request("SNAPSHOT"), req(Request::Snapshot));
+        assert_eq!(parse_request("WALSTATS"), req(Request::WalStats));
+        assert_eq!(parse_request("METRICS"), req(Request::Metrics));
+        assert_eq!(parse_request("TRACE"), req(Request::Trace(DEFAULT_TRACE_EVENTS)));
+        assert_eq!(parse_request("TRACE 7"), req(Request::Trace(7)));
         assert!(parse_request("METRICS all").is_err());
         assert!(parse_request("TRACE x").is_err());
         assert!(parse_request("TRACE 7 9").is_err());
-        assert_eq!(parse_request("ROLE"), Ok(Request::Role));
-        assert_eq!(parse_request("WAIT 9"), Ok(Request::Wait(9, DEFAULT_WAIT_TIMEOUT_MS)));
-        assert_eq!(parse_request("WAIT 9 250"), Ok(Request::Wait(9, 250)));
-        assert_eq!(parse_request("GEN"), Ok(Request::Gen));
-        assert_eq!(parse_request("QUIESCE"), Ok(Request::Quiesce(DEFAULT_WAIT_TIMEOUT_MS)));
-        assert_eq!(parse_request("QUIESCE 250"), Ok(Request::Quiesce(250)));
+        assert_eq!(parse_request("ROLE"), req(Request::Role));
+        let wait = |epoch, timeout_ms| W::Wait { epoch, timeout_ms };
+        assert_eq!(parse_request("WAIT 9"), req(wait(9, DEFAULT_WAIT_TIMEOUT_MS)));
+        assert_eq!(parse_request("WAIT 9 250"), req(wait(9, 250)));
+        assert_eq!(parse_request("GEN"), req(W::Gen));
+        let quiesce = |timeout_ms| W::Quiesce { timeout_ms };
+        assert_eq!(parse_request("QUIESCE"), req(quiesce(DEFAULT_WAIT_TIMEOUT_MS)));
+        assert_eq!(parse_request("QUIESCE 250"), req(quiesce(250)));
         assert!(parse_request("QUIESCE x").is_err());
         assert!(parse_request("QUIESCE 250 7").is_err());
         assert!(parse_request("GEN 1").is_err());
@@ -1507,6 +1146,7 @@ mod tests {
         assert!(parse_request("Q -1 4").is_err());
         assert!(parse_request("NOPE").is_err());
         assert!(parse_request("B 99999999999").is_err());
+        assert!(parse_request("B 2 3").is_err());
         assert!(parse_request("").is_err());
     }
 
@@ -1525,13 +1165,19 @@ mod tests {
         assert!(parse_event_line("! EVT 3 1 42 2 PAIR 5").is_none());
         assert!(parse_event_line("! EVT 3 1 42 2 WEIRD 5 9 root=5 size=4").is_none());
         assert!(parse_event_line("! PING").is_none());
+        // The server's writer and the client's parser agree.
+        let mut out = Vec::new();
+        write_event(&mut out, &ev);
+        let line = String::from_utf8(out).unwrap();
+        assert_eq!(parse_event_line(line.trim_end()), Some(ev));
     }
 
     #[test]
     fn text_verbs_cover_the_parser() {
-        // Every exported verb must parse to *something* other than
+        // Every verb in the table must parse to *something* other than
         // "unknown command" (arguments may still be required).
-        for verb in TEXT_VERBS {
+        for spec in &VERBS {
+            let verb = spec.text;
             let err = parse_request(verb).err();
             if let Some(msg) = err {
                 assert!(
@@ -1552,5 +1198,93 @@ mod tests {
         assert!(parse_batch_op("I one 2").is_err());
         assert!(parse_batch_op("D one 2").is_err());
         assert!(parse_batch_op("I 1 2 3").is_err());
+    }
+
+    fn decode_all(dec: &mut LineDecoder) -> Vec<Decoded> {
+        std::iter::from_fn(|| dec.next()).take(64).collect()
+    }
+
+    #[test]
+    fn decoder_frames_lines_bodies_and_the_end_of_input() {
+        let mut dec = LineDecoder::default();
+        dec.push(b"PING\n\nB 2\nI 1 2\nQ 1");
+        assert_eq!(
+            decode_all(&mut dec),
+            vec![Decoded::Request(BinRequest::Ping.into())],
+            "a blank line is skipped; the body waits for its last line"
+        );
+        dec.push(b" 2\nB 1\nX\nNOPE\n");
+        let batch = BinRequest::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)]);
+        assert_eq!(
+            decode_all(&mut dec),
+            vec![
+                Decoded::Request(batch.into()),
+                Decoded::Err("batch op must be `I u v`, `D u v`, or `Q u v`".into()),
+                Decoded::Err("unknown command \"NOPE\"".into()),
+            ]
+        );
+        // A last line without `\n` still counts once the peer is done.
+        dec.push(b"PING");
+        assert_eq!(decode_all(&mut dec), vec![]);
+        dec.end();
+        assert_eq!(
+            decode_all(&mut dec)[..2],
+            [Decoded::Request(BinRequest::Ping.into()), Decoded::Close(None, CloseReason::Eof)]
+        );
+        let mut dec = LineDecoder::default();
+        dec.push(b"B 3\nI 1 2\n");
+        dec.end();
+        assert_eq!(decode_all(&mut dec)[0], Decoded::Close(None, CloseReason::TruncatedBatch));
+        let mut dec = LineDecoder::default();
+        dec.push(b"B x\nPING\n");
+        assert_eq!(
+            decode_all(&mut dec)[0],
+            Decoded::Close(
+                Some("argument is not a 32-bit unsigned integer".into()),
+                CloseReason::BadBatchHeader
+            )
+        );
+    }
+
+    #[test]
+    fn reply_lines_spell_each_verb() {
+        let line = |verb, reply: Reply| {
+            let mut out = Vec::new();
+            write_reply(&mut out, verb, &reply);
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(line(Verb::Ping, Reply::Ok), "PONG\n");
+        assert_eq!(line(Verb::Shutdown, Reply::Ok), "BYE\n");
+        assert_eq!(line(Verb::B, Reply::Answers(vec![(true, Some(2)), (false, None)])), "OK 10\n");
+        assert_eq!(line(Verb::B, Reply::Answers(vec![])), "OK\n");
+        assert_eq!(line(Verb::QG, Reply::BitGen(true, Some(0))), "1 G 0\n");
+        assert_eq!(line(Verb::Quiesce, Reply::Value(4)), "G 4\n");
+        assert_eq!(line(Verb::Snapshot, Reply::Value(9)), "SNAP 9\n");
+        assert_eq!(line(Verb::Wait, Reply::Value(9)), "E 9\n");
+        assert_eq!(line(Verb::Role, Reply::Line("primary".into())), "R primary\n");
+        assert_eq!(
+            line(Verb::Subs, Reply::Dump(vec!["1 PAIR 1 2 0 0 0".into()])),
+            "1 PAIR 1 2 0 0 0\n# EOF\n"
+        );
+        let hist = Reply::Hist {
+            epoch: 3,
+            generation: 1,
+            sealed: false,
+            components: 5,
+            buckets: vec![4, 0, 1],
+        };
+        assert_eq!(line(Verb::Hist, hist), "H components=5 epoch=3 gen=1 sealed=0 0:4 2:1\n");
+        let topk = Reply::Topk { epoch: 3, generation: 1, sealed: true, entries: vec![(0, 4)] };
+        assert_eq!(line(Verb::Topk, topk), "K k=1 epoch=3 gen=1 sealed=1 0:4\n");
+        assert_eq!(line(Verb::Size, Reply::Size { size: 4, root: 0 }), "Z 4 root=0\n");
+        let gen = Reply::Gen {
+            generation: 2,
+            dirty: true,
+            rebuilds: 1,
+            forest: 3,
+            nonforest: 4,
+            absent: 5,
+        };
+        assert_eq!(line(Verb::Gen, gen), "G 2 dirty=1 rebuilds=1 forest=3 nonforest=4 absent=5\n");
     }
 }

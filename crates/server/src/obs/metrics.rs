@@ -33,6 +33,7 @@
 //! literal `# EOF` line so scrapers never have to guess at the end of a
 //! multi-line reply.
 
+use crate::request::{Verb, VERBS};
 use cc_parallel::hist::LatencyHist;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,38 +98,6 @@ impl Gauge {
         self.0.load(Ordering::Relaxed)
     }
 }
-
-/// Protocol verbs with a per-verb request counter, in export order.
-/// `METRICS` and `TRACE` count themselves like any other verb.
-pub const VERB_NAMES: [&str; 27] = [
-    "I",
-    "D",
-    "Q",
-    "QG",
-    "B",
-    "LABEL",
-    "COMPONENTS",
-    "EPOCH",
-    "WAIT",
-    "GEN",
-    "QUIESCE",
-    "ROLE",
-    "STATS",
-    "FLUSH",
-    "SNAPSHOT",
-    "WALSTATS",
-    "PING",
-    "QUIT",
-    "SHUTDOWN",
-    "METRICS",
-    "TRACE",
-    "TOPK",
-    "HIST",
-    "SIZE",
-    "SUB",
-    "UNSUB",
-    "SUBS",
-];
 
 /// Per-follower replication telemetry, registered by the hub's sender
 /// thread for the lifetime of one follower connection. All fields are
@@ -206,7 +175,8 @@ pub struct Metrics {
     pub net_coalesce_width: LatencyHist,
     pub net_pipeline_depth: LatencyHist,
     net_shards: Mutex<Vec<Arc<Gauge>>>,
-    requests: [Counter; VERB_NAMES.len()],
+    /// One request counter per row of [`VERBS`], indexed by [`Verb`].
+    requests: [Counter; VERBS.len()],
     // replication plane
     pub repl_records_shipped_total: Counter,
     pub repl_bytes_shipped_total: Counter,
@@ -287,18 +257,17 @@ impl Metrics {
         }
     }
 
-    /// Counts one request of the given verb (a [`VERB_NAMES`] entry;
-    /// unknown verbs are counted only by [`Metrics::request_errors_total`]
-    /// at the caller).
-    pub fn record_request(&self, verb: &str) {
-        if let Some(i) = VERB_NAMES.iter().position(|&v| v == verb) {
-            self.requests[i].inc();
-        }
+    /// Counts one request of the given verb. A line or frame that never
+    /// parsed into a verb is counted only by
+    /// [`Metrics::request_errors_total`].
+    #[inline]
+    pub fn record_request(&self, verb: Verb) {
+        self.requests[verb as usize].inc();
     }
 
     /// The request count of one verb (testing / tooling).
-    pub fn requests_for(&self, verb: &str) -> u64 {
-        VERB_NAMES.iter().position(|&v| v == verb).map_or(0, |i| self.requests[i].get())
+    pub fn requests_for(&self, verb: Verb) -> u64 {
+        self.requests[verb as usize].get()
     }
 
     /// Registers the event-loop shard table: one connection gauge per
@@ -415,11 +384,8 @@ impl Metrics {
             out.push(format!("connectit_net_shard_connections{{shard=\"{i}\"}} {}", g.get()));
         }
         out.push("# TYPE connectit_requests_total counter".to_string());
-        for (i, name) in VERB_NAMES.iter().enumerate() {
-            out.push(format!(
-                "connectit_requests_total{{verb=\"{name}\"}} {}",
-                self.requests[i].get()
-            ));
+        for (spec, count) in VERBS.iter().zip(&self.requests) {
+            out.push(format!("connectit_requests_total{{verb=\"{}\"}} {}", spec.text, count.get()));
         }
 
         counter(&mut out, "repl_records_shipped_total", &self.repl_records_shipped_total);
@@ -478,10 +444,9 @@ mod tests {
     #[test]
     fn render_is_typed_and_parseable() {
         let m = Metrics::new();
-        m.record_request("Q");
-        m.record_request("Q");
-        m.record_request("nope-not-a-verb");
-        assert_eq!(m.requests_for("Q"), 2);
+        m.record_request(Verb::Q);
+        m.record_request(Verb::Q);
+        assert_eq!(m.requests_for(Verb::Q), 2);
         m.latency_ns.record(1000);
         let lines = m.render();
         // Every non-comment line is `name[{label}] integer`.

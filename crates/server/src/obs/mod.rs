@@ -12,7 +12,7 @@
 mod metrics;
 mod recorder;
 
-pub use metrics::{Counter, FollowerSlot, Gauge, Metrics, VERB_NAMES};
+pub use metrics::{Counter, FollowerSlot, Gauge, Metrics};
 pub use recorder::{
     CloseReason, Event, Recorder, TraceEntry, DEFAULT_RECORDER_CAPACITY, DEFAULT_TRACE_EVENTS,
 };

@@ -61,9 +61,9 @@ pub enum CloseReason {
     /// Binary stream damage: bad magic, CRC mismatch, oversized or
     /// short-headered frame.
     BadFrame,
-    /// The connection's subscription push queue overflowed (slow
-    /// consumer): the connection is dropped rather than silently losing
-    /// events; durable subscriptions retain for a later `SUB ATTACH`.
+    /// Pushed subscription events outgrew the connection's write budget
+    /// (slow consumer): the connection is dropped rather than silently
+    /// losing events; durable subscriptions retain for a later `SUB ATTACH`.
     SubOverflow,
 }
 

@@ -40,15 +40,14 @@
 //!
 //! [`SubsDispatch`] owns per-subscription channels *outside* the writer
 //! lock: it assigns the per-subscription sequence numbers, pushes events
-//! into whatever [`SubSink`] the owning connection attached (a bounded
-//! text push queue, or a shard event queue for binary connections —
-//! both non-blocking), and retains undelivered events for **durable**
-//! subscriptions so a subscriber can crash, reconnect, and
-//! `SUB ATTACH id after_seq` its way back to exactly-once delivery.
-//! A sink that reports itself dead (connection gone, or its push queue
-//! overflowed — the connection is then dropped with a typed
-//! `ConnClosed{sub-overflow}`, never a silent event drop) detaches; an
-//! ephemeral subscription dies with its sink, a durable one goes back
+//! into whatever [`SubSink`] the owning connection attached (the event
+//! loop shard's push queue, for either door — non-blocking), and retains
+//! undelivered events for **durable** subscriptions so a subscriber can
+//! crash, reconnect, and `SUB ATTACH id after_seq` its way back to
+//! exactly-once delivery. A slow consumer whose events outgrow its write
+//! budget is dropped by the shard with a typed `ConnClosed{sub-overflow}`,
+//! never a silent event drop. A sink that reports itself dead detaches;
+//! an ephemeral subscription dies with its sink, a durable one goes back
 //! to retention.
 
 use cc_unionfind::{MergeOutcome, SizedUnionFind};

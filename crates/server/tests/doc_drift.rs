@@ -1,16 +1,16 @@
 //! Doc-drift gate: `PROTOCOL.md` is the single authoritative protocol
 //! reference, so it must stay in lock-step with the parser tables the
-//! code actually ships — [`cc_server::net::TEXT_VERBS`] and
-//! [`cc_server::binproto::BIN_VERBS`]. Coverage is checked in both
-//! directions: every verb the parsers accept must be documented, and
-//! every verb the document's tables claim must exist in the parsers.
+//! code actually ships — the one verb table, [`cc_server::request::VERBS`].
+//! Coverage is checked in both directions: every verb the table holds must
+//! be documented, and every verb the document's tables claim must exist
+//! in the table, with the table's binary tag. Every row also has its
+//! `connectit_requests_total` counter in a live `METRICS` scrape.
 //! One behavioural claim is held the same way: §1.3's "one representative
 //! per component" is checked against a live server. `DESIGN.md` is held
 //! to the one log format: every WAL kind byte and replication tag the
 //! code defines, and no retired file or stream format.
 
-use cc_server::binproto::BIN_VERBS;
-use cc_server::net::TEXT_VERBS;
+use cc_server::request::VERBS;
 use cc_server::{replication, wal};
 use cc_server::{serve, Service, ServiceConfig, TcpClient};
 
@@ -39,16 +39,25 @@ fn row_verb(line: &str) -> Option<&str> {
     Some(rest[..close].split_whitespace().next().unwrap_or(""))
 }
 
+/// The table's `(text name, tag)` pairs for the verbs with a binary tag.
+fn bin_verbs() -> Vec<(&'static str, u8)> {
+    VERBS.iter().filter_map(|s| s.tag.map(|tag| (s.text, tag))).collect()
+}
+
+fn text_verb(verb: &str) -> bool {
+    VERBS.iter().any(|s| s.text == verb)
+}
+
 #[test]
 fn every_text_verb_the_parser_accepts_is_documented() {
-    let missing: Vec<&str> = TEXT_VERBS.iter().copied().filter(|v| !documented(v)).collect();
-    assert!(missing.is_empty(), "verbs in TEXT_VERBS but absent from PROTOCOL.md: {missing:?}");
+    let missing: Vec<&str> = VERBS.iter().map(|s| s.text).filter(|v| !documented(v)).collect();
+    assert!(missing.is_empty(), "verbs in VERBS but absent from PROTOCOL.md: {missing:?}");
 }
 
 #[test]
 fn every_binary_verb_the_parser_accepts_is_documented() {
     // Each binary verb must appear both by its text name and by its tag.
-    for (name, tag) in BIN_VERBS {
+    for (name, tag) in bin_verbs() {
         assert!(documented(name), "binary verb {name:?} absent from PROTOCOL.md");
         let tag = format!("0x{tag:02X}");
         assert!(
@@ -62,23 +71,19 @@ fn every_binary_verb_the_parser_accepts_is_documented() {
 fn every_documented_text_verb_exists_in_the_parser() {
     // Walk the §1.2 verb-reference table: the first backticked token of
     // each row must be a verb (or a grammar alternative of one) that
-    // TEXT_VERBS actually contains.
+    // VERBS actually contains.
     let table = section("### 1.2 Verb reference", "### 1.3");
     let mut rows = 0;
     for line in table.lines().filter(|l| l.starts_with("| `")) {
         let verb = row_verb(line).unwrap_or_else(|| panic!("unparseable table row: {line}"));
         assert!(
-            TEXT_VERBS.contains(&verb),
+            text_verb(verb),
             "PROTOCOL.md documents text verb {verb:?}, but the parser does not accept it"
         );
         rows += 1;
     }
     // Every verb has at least one row; SUB has three grammar forms.
-    assert!(
-        rows >= TEXT_VERBS.len(),
-        "verb table shrank: {rows} rows for {} verbs",
-        TEXT_VERBS.len()
-    );
+    assert!(rows >= VERBS.len(), "verb table shrank: {rows} rows for {} verbs", VERBS.len());
 }
 
 #[test]
@@ -92,15 +97,33 @@ fn every_documented_binary_verb_exists_in_the_parser_with_the_right_tag() {
         let tag = u8::from_str_radix(tag.trim_start_matches("0x"), 16)
             .unwrap_or_else(|_| panic!("unparseable tag in row: {line}"));
         // The table's verb column uses the long constant name; the text
-        // equivalent column holds the BIN_VERBS key.
+        // equivalent column holds the VERBS text name.
         let text = cols.next().unwrap_or("").trim_matches('`');
-        let entry = BIN_VERBS.iter().find(|(n, _)| *n == text).unwrap_or_else(|| {
+        let bin = bin_verbs();
+        let entry = bin.iter().find(|(n, _)| *n == text).unwrap_or_else(|| {
             panic!("PROTOCOL.md documents binary verb {name} ({text}), unknown to the parser")
         });
         assert_eq!(entry.1, tag, "PROTOCOL.md tag for {name} disagrees with the parser");
         rows += 1;
     }
-    assert_eq!(rows, BIN_VERBS.len(), "binary verb table rows != BIN_VERBS entries");
+    assert_eq!(rows, bin_verbs().len(), "binary verb table rows != tagged VERBS rows");
+}
+
+#[test]
+fn every_verb_row_has_a_requests_counter_in_a_fresh_scrape() {
+    let mut svc =
+        Service::start(ServiceConfig { n: 8, ..ServiceConfig::default() }).expect("start");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let scrape = c.metrics().expect("METRICS");
+    for spec in &VERBS {
+        let want = format!("connectit_requests_total{{verb=\"{}\"}} ", spec.text);
+        assert!(scrape.iter().any(|l| l.starts_with(&want)), "no {want:?} line in METRICS");
+    }
+    let rows = scrape.iter().filter(|l| l.starts_with("connectit_requests_total{")).count();
+    assert_eq!(rows, VERBS.len(), "one requests_total series per verb row");
+    server.stop();
+    svc.shutdown();
 }
 
 #[test]

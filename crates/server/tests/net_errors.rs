@@ -354,7 +354,7 @@ fn stale_queries_report_their_generation_and_quiesce_timeouts_spell_it() {
 
 #[test]
 fn slow_subscription_consumer_gets_a_typed_overflow_close() {
-    // A push queue of exactly one pending event: the burst below must
+    // A write budget smaller than one event line: the burst below must
     // overflow it, and the contract is a typed `sub-overflow` close —
     // never a silent drop.
     let svc = Service::start(ServiceConfig {
@@ -364,7 +364,7 @@ fn slow_subscription_consumer_gets_a_typed_overflow_close() {
         ..ServiceConfig::default()
     })
     .expect("service starts");
-    let cfg = cc_server::NetConfig { sub_queue_cap: 1, ..cc_server::NetConfig::default() };
+    let cfg = cc_server::NetConfig { max_wbuf: 16, ..cc_server::NetConfig::default() };
     let mut server = cc_server::net::serve_with(&svc, "127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
 
@@ -375,8 +375,7 @@ fn slow_subscription_consumer_gets_a_typed_overflow_close() {
     assert!(reply.starts_with("S "), "subscription must be accepted: {reply}");
 
     // A second connection merges component 1 forty-eight times in one
-    // batch: the fires land on the push queue far faster than the pusher
-    // thread can drain them past a cap of one.
+    // batch: the first fire alone outgrows the write budget.
     let (mut r2, mut w2) = raw(addr);
     send_line(&mut w2, "B 48");
     for i in 0..48 {
@@ -633,5 +632,32 @@ fn binary_follower_rejects_updates_and_serves_query_batches() {
         (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))
     );
     server.stop();
+    svc.shutdown();
+}
+
+#[test]
+fn idle_sweep_spares_a_request_in_flight_on_either_door() {
+    // A 100 ms idle timeout and a 400 ms barrier: the connection waits on
+    // the server, not the other way round, so it must get its reply.
+    let svc =
+        Service::start(ServiceConfig { n: 64, role: Role::Follower, ..ServiceConfig::default() })
+            .expect("service starts");
+    let cfg = cc_server::NetConfig {
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..cc_server::NetConfig::default()
+    };
+    let mut server = cc_server::net::serve_with(&svc, "127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr();
+    let (mut r, mut w) = raw(addr);
+    send_line(&mut w, "WAIT 5 400");
+    assert_eq!(read_line(&mut r), "ERR wait for epoch 5 timed out at epoch 0");
+    let mut bin = BinClient::connect(addr).expect("connect");
+    let corr = bin.send_wait(5, 400).expect("send");
+    assert_eq!(
+        bin.reap().expect("reap"),
+        (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))
+    );
+    server.stop();
+    let mut svc = svc;
     svc.shutdown();
 }
