@@ -24,7 +24,8 @@
 use cc_bench::harness::{write_bench_json, Table};
 use cc_parallel::hist::LatencyHist;
 use cc_parallel::SplitMix64;
-use cc_server::{serve, BinClient, Reply, Service, ServiceConfig, TcpClient};
+use cc_server::request::{BinRequest, Request};
+use cc_server::{serve, Reply, Service, ServiceConfig, WireClient};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,92 +109,68 @@ struct Slice {
     seed: u64,
 }
 
-fn drive_text(addr: SocketAddr, w: Slice, hist: &LatencyHist) -> u64 {
-    let Slice { base, sv, rounds, window, seed } = w;
-    let mut c = TcpClient::connect(addr).expect("text connect");
-    let mut rng = SplitMix64::new(seed);
-    let mut dsu = Dsu::new(sv);
+/// Runs one window of requests, each paired with its expected answer:
+/// `None` for an insert's `OK`, `Some(bit)` for a query. Pipelined, the
+/// whole window is in flight at once and replies complete out of order,
+/// keyed by correlation id; otherwise one request at a time. Returns the
+/// query mismatches.
+fn run_window(
+    c: &mut WireClient,
+    window: &[(Request, Option<bool>)],
+    pipeline: bool,
+    hist: &LatencyHist,
+) -> u64 {
+    let depth = if pipeline { window.len().max(1) } else { 1 };
     let mut mismatches = 0u64;
-    for _ in 0..rounds {
-        for (u, v) in pairs(&mut rng, sv, window) {
+    for group in window.chunks(depth) {
+        let mut sent: HashMap<u64, (Instant, Option<bool>)> = HashMap::with_capacity(depth);
+        for (req, want) in group {
             let t0 = Instant::now();
-            c.insert(base + u, base + v).expect("insert");
-            hist.record(t0.elapsed().as_nanos() as u64);
-            dsu.union(u, v);
+            sent.insert(c.send(req).expect("send"), (t0, *want));
         }
-        for (u, v) in pairs(&mut rng, sv, window) {
-            let expect = dsu.connected(u, v);
-            let t0 = Instant::now();
-            let got = c.query(base + u, base + v).expect("query");
+        for _ in 0..group.len() {
+            let (corr, reply) = c.reap().expect("reap");
+            let (t0, want) = sent.remove(&corr).expect("known corr");
             hist.record(t0.elapsed().as_nanos() as u64);
-            mismatches += u64::from(got != expect);
+            match (reply, want) {
+                (Reply::Ok, None) => {}
+                (Reply::Bit(got), Some(want)) => mismatches += u64::from(got != want),
+                (reply, _) => panic!("unexpected reply {reply:?}"),
+            }
         }
     }
     mismatches
 }
 
-fn drive_bin(addr: SocketAddr, w: Slice, hist: &LatencyHist, pipeline: bool) -> u64 {
+fn drive(addr: SocketAddr, w: Slice, hist: &LatencyHist, mode: Mode) -> u64 {
     let Slice { base, sv, rounds, window, seed } = w;
-    let mut c = BinClient::connect(addr).expect("binary connect");
+    let mut c = match mode {
+        Mode::Text => WireClient::text(addr),
+        Mode::Bin | Mode::BinPipe => WireClient::binary(addr),
+    }
+    .expect("connect");
+    let pipeline = mode == Mode::BinPipe;
     let mut rng = SplitMix64::new(seed);
     let mut dsu = Dsu::new(sv);
     let mut mismatches = 0u64;
     for _ in 0..rounds {
         let ins = pairs(&mut rng, sv, window);
-        if pipeline {
-            // Whole insert window in flight at once; replies complete
-            // out of order, keyed by correlation id.
-            let mut sent: HashMap<u64, Instant> = HashMap::with_capacity(window);
-            for &(u, v) in &ins {
-                let corr = c.send_insert(base + u, base + v).expect("send insert");
-                sent.insert(corr, Instant::now());
-            }
-            c.flush().expect("flush");
-            for _ in 0..ins.len() {
-                let (corr, reply) = c.reap().expect("reap insert");
-                hist.record(sent.remove(&corr).expect("known corr").elapsed().as_nanos() as u64);
-                assert!(matches!(reply, Reply::Ok), "insert reply");
-            }
-        } else {
-            for &(u, v) in &ins {
-                let t0 = Instant::now();
-                c.insert(base + u, base + v).expect("insert");
-                hist.record(t0.elapsed().as_nanos() as u64);
-            }
-        }
-        for (u, v) in &ins {
-            dsu.union(*u, *v);
+        let reqs: Vec<(Request, Option<bool>)> = ins
+            .iter()
+            .map(|&(u, v)| (BinRequest::Insert(base + u, base + v).into(), None))
+            .collect();
+        mismatches += run_window(&mut c, &reqs, pipeline, hist);
+        for &(u, v) in &ins {
+            dsu.union(u, v);
         }
         // Queries only reference state acked in this or earlier rounds,
         // so the expected answers are exact even with a full window in
         // flight.
-        let qs = pairs(&mut rng, sv, window);
-        if pipeline {
-            let mut sent: HashMap<u64, (Instant, bool)> = HashMap::with_capacity(window);
-            for &(u, v) in &qs {
-                let expect = dsu.connected(u, v);
-                let corr = c.send_query(base + u, base + v).expect("send query");
-                sent.insert(corr, (Instant::now(), expect));
-            }
-            c.flush().expect("flush");
-            for _ in 0..qs.len() {
-                let (corr, reply) = c.reap().expect("reap query");
-                let (t0, expect) = sent.remove(&corr).expect("known corr");
-                hist.record(t0.elapsed().as_nanos() as u64);
-                match reply {
-                    Reply::Bit(got) => mismatches += u64::from(got != expect),
-                    other => panic!("query reply: {other:?}"),
-                }
-            }
-        } else {
-            for &(u, v) in &qs {
-                let expect = dsu.connected(u, v);
-                let t0 = Instant::now();
-                let got = c.query(base + u, base + v).expect("query");
-                hist.record(t0.elapsed().as_nanos() as u64);
-                mismatches += u64::from(got != expect);
-            }
-        }
+        let reqs: Vec<(Request, Option<bool>)> = pairs(&mut rng, sv, window)
+            .into_iter()
+            .map(|(u, v)| (BinRequest::Query(base + u, base + v).into(), Some(dsu.connected(u, v))))
+            .collect();
+        mismatches += run_window(&mut c, &reqs, pipeline, hist);
     }
     mismatches
 }
@@ -229,11 +206,7 @@ fn run_mode(
                     window,
                     seed: 0x00e7_2026 ^ ((mode.name().len() as u64) << 32) ^ id as u64,
                 };
-                let bad = match mode {
-                    Mode::Text => drive_text(addr, w, hist),
-                    Mode::Bin => drive_bin(addr, w, hist, false),
-                    Mode::BinPipe => drive_bin(addr, w, hist, true),
-                };
+                let bad = drive(addr, w, hist, mode);
                 mismatches.fetch_add(bad, Ordering::Relaxed);
             });
         }

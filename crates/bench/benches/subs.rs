@@ -35,9 +35,8 @@ const DEADLINE: Duration = Duration::from_secs(60);
 struct CollectSink(Mutex<Vec<(SubEvent, Instant)>>);
 
 impl SubSink for CollectSink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
+    fn deliver(&self, ev: &SubEvent) {
         self.0.lock().push((*ev, Instant::now()));
-        true
     }
 }
 

@@ -111,10 +111,11 @@
 use cc_baselines::DynamicOracle;
 use cc_graph::io::binary;
 use cc_parallel::SplitMix64;
-use cc_server::{BinClient, Reply, Service, ServiceConfig, SubEvent, SubKind, TcpClient};
+use cc_server::request::BinRequest;
+use cc_server::{Reply, Service, ServiceConfig, SubEvent, SubKind, WireClient};
 use cc_unionfind::SeqUnionFind;
 use connectit::Update;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -429,168 +430,67 @@ fn read_state(path: &str, o: &GenOpts) -> Result<(usize, Vec<ClientCheckpoint>),
     Ok((batches_done as usize, states))
 }
 
-/// One wire connection: the text line protocol or the pipelined binary
-/// protocol, both on the server's single port (first-byte sniff).
-enum Wire {
-    Text(Box<TcpClient>),
-    /// Binary with a pipeline window: submitted batches are split into up
-    /// to `usize` framed `B` requests kept in flight concurrently and
-    /// reaped in whatever order the server completes them.
-    Bin(Box<BinClient>, usize),
+/// Opens one wire connection: the text door, or the binary door with
+/// `--binary` (both on the server's single port, first-byte sniff).
+fn connect(addr: &str, o: &GenOpts) -> std::io::Result<WireClient> {
+    if o.binary {
+        WireClient::binary(addr)
+    } else {
+        WireClient::text(addr)
+    }
 }
 
-impl Wire {
-    fn connect(addr: &str, o: &GenOpts) -> std::io::Result<Wire> {
-        if o.binary {
-            Ok(Wire::Bin(Box::new(BinClient::connect(addr)?), o.pipeline))
-        } else {
-            Ok(Wire::Text(Box::new(TcpClient::connect(addr)?)))
-        }
+/// Submits a mixed batch; answers in query submission order. With a
+/// `windows > 1` pipeline (`--binary --pipeline N`) the batch is split
+/// into up to `windows` framed `B` requests, all in flight at once.
+/// Reaping is order-free: answers are reassembled by correlation id, so
+/// out-of-order completion (the protocol's contract) is exercised, not
+/// just tolerated.
+fn wire_submit(c: &mut WireClient, ops: &[Update], windows: usize) -> std::io::Result<Vec<bool>> {
+    if windows <= 1 {
+        return Ok(c.submit(ops)?.into_iter().map(|(bit, _)| bit).collect());
     }
-
-    /// Submits a mixed batch; answers in query submission order. On the
-    /// binary wire this is the pipelined hot path.
-    fn submit(&mut self, ops: &[Update]) -> std::io::Result<Vec<bool>> {
-        match self {
-            Wire::Text(c) => c.submit(ops),
-            Wire::Bin(c, windows) => {
-                // Split into up to `windows` framed requests, all in
-                // flight at once. Reaping is order-free: answers are
-                // reassembled by correlation id, so out-of-order
-                // completion (the protocol's contract) is exercised, not
-                // just tolerated.
-                let chunk = ops.len().div_ceil((*windows).max(1)).max(1);
-                let mut order: Vec<u64> = Vec::new();
-                for window in ops.chunks(chunk) {
-                    order.push(c.send_batch(window)?);
-                }
-                let mut by_corr: HashMap<u64, Vec<bool>> = HashMap::new();
-                while c.in_flight() > 0 {
-                    let (corr, reply) = c.reap()?;
-                    let answers = match reply {
-                        Reply::Answers(a) => a.iter().map(|&(bit, _)| bit).collect(),
-                        Reply::Err(msg) => {
-                            return Err(std::io::Error::other(format!("server error: {msg}")))
-                        }
-                        other => {
-                            return Err(std::io::Error::other(format!(
-                                "unexpected B reply {other:?}"
-                            )))
-                        }
-                    };
-                    by_corr.insert(corr, answers);
-                }
-                let mut out = Vec::new();
-                for corr in order {
-                    out.extend(by_corr.remove(&corr).ok_or_else(|| {
-                        std::io::Error::other(format!("no reply for correlation id {corr}"))
-                    })?);
-                }
-                Ok(out)
-            }
-        }
+    for window in ops.chunks(ops.len().div_ceil(windows).max(1)) {
+        c.send(&BinRequest::Batch(window.to_vec()).into())?;
     }
-
-    fn epoch(&mut self) -> std::io::Result<u64> {
-        match self {
-            Wire::Text(c) => c.epoch(),
-            Wire::Bin(c, _) => c.epoch(),
-        }
-    }
-
-    fn wait_epoch(&mut self, epoch: u64, timeout_ms: u64) -> std::io::Result<u64> {
-        match self {
-            Wire::Text(c) => c.wait_epoch(epoch, timeout_ms),
-            Wire::Bin(c, _) => c.wait_epoch(epoch, timeout_ms),
-        }
-    }
-
-    fn quiesce(&mut self, timeout_ms: u64) -> std::io::Result<u64> {
-        match self {
-            Wire::Text(c) => c.quiesce(timeout_ms),
-            Wire::Bin(c, _) => c.quiesce(timeout_ms),
-        }
-    }
-
-    /// `TOPK k`: `(entries, epoch, generation, sealed)`, sizes descending.
-    #[allow(clippy::type_complexity)]
-    fn topk(&mut self, k: usize) -> std::io::Result<(Vec<(u32, u64)>, u64, u64, bool)> {
-        match self {
-            Wire::Text(c) => c.topk(Some(k)),
-            Wire::Bin(c, _) => c.topk(k.min(u8::MAX as usize) as u8),
-        }
-    }
-
-    /// `HIST`: `(components, dense buckets, epoch, generation, sealed)`.
-    #[allow(clippy::type_complexity)]
-    fn hist(&mut self) -> std::io::Result<(u64, Vec<u64>, u64, u64, bool)> {
-        match self {
-            Wire::Text(c) => c.hist(),
-            Wire::Bin(c, _) => c.hist(),
-        }
-    }
-
-    /// `SIZE v`: `(size, root)` of `v`'s component.
-    fn component_size(&mut self, v: u32) -> std::io::Result<(u64, u32)> {
-        match self {
-            Wire::Text(c) => c.component_size(v),
-            Wire::Bin(c, _) => c.component_size(v),
-        }
-    }
-
-    /// Reads `(generation, dirty)` — one side of the churn sandwich.
-    fn generation(&mut self) -> std::io::Result<(u64, bool)> {
-        let bad = |line: &dyn std::fmt::Debug| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad GEN reply {line:?}"))
+    // Correlation ids rise in send order, so the map's order is the
+    // submission order.
+    let mut by_corr: BTreeMap<u64, Vec<(bool, Option<u64>)>> = BTreeMap::new();
+    while c.in_flight() > 0 {
+        let (corr, reply) = c.reap()?;
+        let answers = match reply {
+            Reply::Answers(a) => a,
+            Reply::Err(msg) => return Err(std::io::Error::other(format!("server error: {msg}"))),
+            other => return Err(std::io::Error::other(format!("unexpected B reply {other:?}"))),
         };
-        match self {
-            Wire::Text(c) => {
-                let line = c.gen_line()?;
-                let mut it = line.split_whitespace();
-                let generation =
-                    it.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad(&line))?;
-                let dirty = match it.next() {
-                    Some("dirty=0") => false,
-                    Some("dirty=1") => true,
-                    _ => return Err(bad(&line)),
-                };
-                Ok((generation, dirty))
-            }
-            Wire::Bin(c, _) => {
-                let corr = c.send_gen()?;
-                loop {
-                    let (got, reply) = c.reap()?;
-                    if got != corr {
-                        continue;
-                    }
-                    return match reply {
-                        Reply::Gen { generation, dirty, .. } => Ok((generation, dirty)),
-                        other => Err(bad(&other)),
-                    };
-                }
-            }
-        }
+        by_corr.insert(corr, answers);
     }
+    Ok(by_corr.into_values().flatten().map(|(bit, _)| bit).collect())
 }
 
-/// One transport connection, in-process or over the wire.
+/// One transport connection, in-process or over the wire (with its
+/// `--pipeline` window).
 enum Conn {
     InProc(cc_server::Client),
-    Tcp(Box<Wire>),
+    Tcp(Box<WireClient>, usize),
 }
 
 impl Conn {
+    fn tcp(client: WireClient, o: &GenOpts) -> Conn {
+        Conn::Tcp(Box::new(client), o.pipeline)
+    }
+
     fn submit(&mut self, ops: &[Update]) -> Result<Vec<bool>, String> {
         match self {
             Conn::InProc(c) => c.submit(ops.to_vec()).map_err(|e| e.to_string()),
-            Conn::Tcp(c) => c.submit(ops).map_err(|e| e.to_string()),
+            Conn::Tcp(c, windows) => wire_submit(c, ops, *windows).map_err(|e| e.to_string()),
         }
     }
 
     fn epoch(&mut self) -> Result<u64, String> {
         match self {
             Conn::InProc(c) => Ok(c.epoch()),
-            Conn::Tcp(c) => c.epoch().map_err(|e| e.to_string()),
+            Conn::Tcp(c, _) => c.epoch().map_err(|e| e.to_string()),
         }
     }
 
@@ -602,19 +502,17 @@ impl Conn {
             Conn::InProc(c) => {
                 c.quiesce(Duration::from_millis(timeout_ms)).map_err(|e| e.to_string())
             }
-            Conn::Tcp(c) => c.quiesce(timeout_ms).map_err(|e| e.to_string()),
+            Conn::Tcp(c, _) => c.quiesce(timeout_ms).map_err(|e| e.to_string()),
         }
     }
 
     /// Reads `(generation, dirty)` — one side of the churn sandwich.
     fn generation(&mut self) -> Result<(u64, bool), String> {
-        match self {
-            Conn::InProc(c) => {
-                let info = c.generation_info();
-                Ok((info.generation, info.dirty))
-            }
-            Conn::Tcp(c) => c.generation().map_err(|e| e.to_string()),
-        }
+        let info = match self {
+            Conn::InProc(c) => c.generation_info(),
+            Conn::Tcp(c, _) => c.generation_info().map_err(|e| e.to_string())?,
+        };
+        Ok((info.generation, info.dirty))
     }
 
     /// `TOPK k`: size-descending `(root, size)` entries (singletons
@@ -622,7 +520,10 @@ impl Conn {
     fn topk(&mut self, k: usize) -> Result<Vec<(u32, u64)>, String> {
         match self {
             Conn::InProc(c) => Ok(c.topk(k).0),
-            Conn::Tcp(c) => c.topk(k).map(|(entries, ..)| entries).map_err(|e| e.to_string()),
+            Conn::Tcp(c, _) => c
+                .topk(k.min(u8::MAX as usize) as u8)
+                .map(|(entries, ..)| entries)
+                .map_err(|e| e.to_string()),
         }
     }
 
@@ -633,7 +534,7 @@ impl Conn {
                 let view = c.analytics();
                 Ok((view.components, view.hist.to_vec()))
             }
-            Conn::Tcp(c) => {
+            Conn::Tcp(c, _) => {
                 c.hist().map(|(comp, buckets, ..)| (comp, buckets)).map_err(|e| e.to_string())
             }
         }
@@ -645,7 +546,7 @@ impl Conn {
             Conn::InProc(c) => {
                 c.component_size(v).map(|(_root, size)| size).map_err(|e| e.to_string())
             }
-            Conn::Tcp(c) => {
+            Conn::Tcp(c, _) => {
                 c.component_size(v).map(|(size, _root)| size).map_err(|e| e.to_string())
             }
         }
@@ -658,7 +559,7 @@ impl Conn {
 /// lapses (reads and `WAIT` are idempotent, so a retry is always safe).
 struct FollowerLink {
     addr: String,
-    conn: Option<Wire>,
+    conn: Option<WireClient>,
     retry: Duration,
     opts: GenOpts,
     /// The largest epoch this follower ever reported: `WAIT` replies
@@ -669,7 +570,7 @@ struct FollowerLink {
 impl FollowerLink {
     fn connect(addr: String, o: &GenOpts) -> FollowerLink {
         FollowerLink {
-            conn: Wire::connect(addr.as_str(), o).ok(),
+            conn: connect(addr.as_str(), o).ok(),
             addr,
             retry: Duration::from_secs(o.retry_secs),
             opts: o.clone(),
@@ -682,7 +583,7 @@ impl FollowerLink {
     fn with_retry<T>(
         &mut self,
         what: &str,
-        mut op: impl FnMut(&mut Wire) -> std::io::Result<T>,
+        mut op: impl FnMut(&mut WireClient) -> std::io::Result<T>,
     ) -> Result<T, String> {
         let deadline = Instant::now() + self.retry;
         loop {
@@ -699,7 +600,7 @@ impl FollowerLink {
                 ));
             }
             std::thread::sleep(Duration::from_millis(200));
-            self.conn = Wire::connect(self.addr.as_str(), &self.opts).ok();
+            self.conn = connect(self.addr.as_str(), &self.opts).ok();
         }
     }
 
@@ -711,9 +612,10 @@ impl FollowerLink {
     /// follower's reported epoch never regresses.
     fn wait_and_query(&mut self, epoch: u64, queries: &[Update]) -> Result<Vec<bool>, String> {
         let timeout_ms = self.retry.as_millis() as u64;
+        let windows = self.opts.pipeline;
         let (reached, answers) = self.with_retry("WAIT + queries", |c| {
             let reached = c.wait_epoch(epoch, timeout_ms)?;
-            let answers = c.submit(queries)?;
+            let answers = wire_submit(c, queries, windows)?;
             Ok((reached, answers))
         })?;
         if reached < self.max_epoch_seen {
@@ -795,46 +697,36 @@ fn submit_resilient(
         Ok(answers) => return Ok(Some(answers)),
         Err(e) => e,
     };
-    let (true, Some(addr)) = (o.resume, o.tcp_addr.as_deref()) else {
-        return Err(first_err);
-    };
     let updates: Vec<Update> =
         wire_ops.iter().filter(|op| !matches!(op, Update::Query(..))).copied().collect();
-    let deadline = Instant::now() + Duration::from_secs(o.retry_secs);
-    loop {
-        std::thread::sleep(Duration::from_millis(200));
-        if let Ok(mut c) = Wire::connect(addr, o) {
-            if c.submit(&updates).is_ok() {
-                *conn = Conn::Tcp(Box::new(c));
-                return Ok(None);
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "connection lost ({first_err}) and not restored within {}s",
-                o.retry_secs
-            ));
-        }
-    }
+    reconnect(o, conn, first_err, |c| wire_submit(c, &updates, o.pipeline)).map(|_| None)
 }
 
 /// Reads the primary's epoch, with the same reconnect resilience as
 /// [`submit_resilient`] when `--resume` allows it.
 fn primary_epoch_resilient(o: &GenOpts, conn: &mut Conn) -> Result<u64, String> {
-    let first_err = match conn.epoch() {
-        Ok(e) => return Ok(e),
-        Err(e) => e,
-    };
+    conn.epoch().or_else(|e| reconnect(o, conn, e, WireClient::epoch))
+}
+
+/// After `first_err`, and only in `--resume` mode: reconnects (for up to
+/// `--retry-secs`) until `op` succeeds on a fresh connection, which then
+/// replaces `conn`.
+fn reconnect<T>(
+    o: &GenOpts,
+    conn: &mut Conn,
+    first_err: String,
+    mut op: impl FnMut(&mut WireClient) -> std::io::Result<T>,
+) -> Result<T, String> {
     let (true, Some(addr)) = (o.resume, o.tcp_addr.as_deref()) else {
         return Err(first_err);
     };
     let deadline = Instant::now() + Duration::from_secs(o.retry_secs);
     loop {
         std::thread::sleep(Duration::from_millis(200));
-        if let Ok(mut c) = Wire::connect(addr, o) {
-            if let Ok(e) = c.epoch() {
-                *conn = Conn::Tcp(Box::new(c));
-                return Ok(e);
+        if let Ok(mut c) = connect(addr, o) {
+            if let Ok(v) = op(&mut c) {
+                *conn = Conn::tcp(c, o);
+                return Ok(v);
             }
         }
         if Instant::now() >= deadline {
@@ -1308,7 +1200,7 @@ fn run_sub_worker(
         }
     };
     let addr = o.tcp_addr.as_deref().expect("--subscribe is tcp-only");
-    let mut client = TcpClient::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
+    let mut client = WireClient::text(addr).map_err(|e| format!("connect failed: {e}"))?;
     // Insert-only workload: a sequential union-find is an exact oracle.
     let mut oracle = SeqUnionFind::new(sz);
     let mut rep = WorkerReport::default();
@@ -1366,8 +1258,9 @@ fn run_sub_worker(
                     ((rng.next_u64() >> 32) as usize % sz) as u32,
                 )
             };
+            let (u, v) = (to_global(lu as usize), to_global(lv as usize));
             let (id, _epoch) = client
-                .subscribe_pair(to_global(lu as usize), to_global(lv as usize), durable)
+                .subscribe(SubKind::Pair, u, v, durable)
                 .map_err(|e| format!("SUB failed: {e}"))?;
             let expect = oracle.connected(lu, lv).then_some((0u64, u64::MAX));
             subs.insert(id, SubTrack { lu, lv, expect, fired: false });
@@ -1829,9 +1722,7 @@ fn main() -> ExitCode {
             let conn = match (&service, &o.tcp_addr, o.subscribe) {
                 (_, _, true) => None,
                 (Some(svc), _, _) => Some(Ok(Conn::InProc(svc.client()))),
-                (None, Some(addr), _) => {
-                    Some(Wire::connect(addr.as_str(), &o).map(|c| Conn::Tcp(Box::new(c))))
-                }
+                (None, Some(addr), _) => Some(connect(addr.as_str(), &o).map(|c| Conn::tcp(c, &o))),
                 (None, None, _) => unreachable!("inproc mode always has a service"),
             };
             handles.push(scope.spawn(move || {
@@ -1900,7 +1791,7 @@ fn main() -> ExitCode {
     if o.churn > 0.0 && !failed && final_sizes.len() == o.clients {
         let conn = match (&service, &o.tcp_addr) {
             (Some(svc), _) => Ok(Conn::InProc(svc.client())),
-            (None, Some(addr)) => Wire::connect(addr.as_str(), &o).map(|c| Conn::Tcp(Box::new(c))),
+            (None, Some(addr)) => connect(addr.as_str(), &o).map(|c| Conn::tcp(c, &o)),
             (None, None) => unreachable!("inproc mode always has a service"),
         };
         match conn {
@@ -2005,7 +1896,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        (None, Some(addr)) => match TcpClient::connect(addr.as_str()) {
+        (None, Some(addr)) => match WireClient::text(addr.as_str()) {
             Ok(mut c) => {
                 if let Ok(s) = c.stats_line() {
                     println!("server: {s}");

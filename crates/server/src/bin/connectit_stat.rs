@@ -12,7 +12,7 @@
 //! tool doubles as a plain-text scraper (`--count 1` takes a single
 //! snapshot and exits). `--count 0` (the default) polls until killed.
 
-use cc_server::TcpClient;
+use cc_server::WireClient;
 use std::collections::BTreeMap;
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let mut client = match TcpClient::connect(opts.addr.as_str()) {
+    let mut client = match WireClient::text(opts.addr.as_str()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("connectit-stat: connect to {} failed: {e}", opts.addr);

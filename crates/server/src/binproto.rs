@@ -7,7 +7,9 @@
 //! the magic, both directions carry bare records in the replication codec's
 //! framing (no per-record magic, no stream magic on the response side).
 //! This is the binary codec over the shared request IR of
-//! [`crate::request`]: it decodes a [`BinRequest`] and encodes a [`Reply`].
+//! [`crate::request`]: the server half decodes a [`BinRequest`] and
+//! encodes a [`Reply`]; the client half ([`crate::client::WireClient`]
+//! on the binary door) encodes the request and decodes the reply.
 //!
 //! ## Request frames
 //!
@@ -65,17 +67,15 @@
 //! ```
 //!
 //! Clients must therefore tolerate frames whose correlation id belongs to
-//! no in-flight request — [`BinClient::reap`] stashes them for
-//! [`BinClient::take_events`]. Delivery and slow-consumer semantics are
+//! no in-flight request — [`crate::client::WireClient`] stashes them
+//! with the text door's `! EVT` lines, in one event queue. Delivery and slow-consumer semantics are
 //! those of the text door's `! EVT` lines (see `PROTOCOL.md`): a
 //! connection that lets pushed events back up past the server's write
 //! budget is closed with a typed `sub-overflow` close.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 
-use cc_graph::io::binary::{append_record, crc32, RecordReader, MAGIC_LEN};
+use cc_graph::io::binary::{append_record, crc32, MAGIC_LEN};
 use connectit::Update;
 
 use crate::net::MAX_WIRE_BATCH;
@@ -766,345 +766,6 @@ impl FrameAssembler {
     fn poison(&mut self, e: FrameError) -> FrameError {
         self.poisoned = Some(e.clone());
         e
-    }
-}
-
-/// Blocking, pipelined binary client: `send_*` methods enqueue requests
-/// and return their correlation ids; [`BinClient::reap`] flushes and blocks
-/// for the next response, in whatever order the server completed them.
-pub struct BinClient {
-    writer: io::BufWriter<TcpStream>,
-    reader: RecordReader<TcpStream>,
-    /// corr -> request verb tag, so responses can be decoded.
-    pending: HashMap<u64, u8>,
-    next_corr: u64,
-    /// Pushed subscription events reaped while waiting for replies, as
-    /// `(registration_corr, event)`; drained by [`BinClient::take_events`].
-    events: VecDeque<(u64, SubEvent)>,
-}
-
-impl BinClient {
-    /// Connects, enables `TCP_NODELAY`, and sends the stream magic.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<BinClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = RecordReader::new(stream.try_clone()?, 0);
-        let mut writer = io::BufWriter::new(stream);
-        writer.write_all(&STREAM_MAGIC)?;
-        Ok(BinClient {
-            writer,
-            reader,
-            pending: HashMap::new(),
-            next_corr: 1,
-            events: VecDeque::new(),
-        })
-    }
-
-    /// Requests sent but not yet reaped.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn send(&mut self, req: &BinRequest) -> io::Result<u64> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let payload = encode_request(corr, req);
-        append_record(&mut self.writer, &payload)?;
-        // Byte 8 of a request payload is its verb tag.
-        self.pending.insert(corr, payload[8]);
-        Ok(corr)
-    }
-
-    /// Pipelines an insert; returns its correlation id.
-    pub fn send_insert(&mut self, u: u32, v: u32) -> io::Result<u64> {
-        self.send(&BinRequest::Insert(u, v))
-    }
-
-    /// Pipelines a delete; returns its correlation id.
-    pub fn send_delete(&mut self, u: u32, v: u32) -> io::Result<u64> {
-        self.send(&BinRequest::Delete(u, v))
-    }
-
-    /// Pipelines a query; returns its correlation id.
-    pub fn send_query(&mut self, u: u32, v: u32) -> io::Result<u64> {
-        self.send(&BinRequest::Query(u, v))
-    }
-
-    /// Pipelines a generation-tagged query; returns its correlation id.
-    pub fn send_query_gen(&mut self, u: u32, v: u32) -> io::Result<u64> {
-        self.send(&BinRequest::QueryGen(u, v))
-    }
-
-    /// Pipelines a mixed batch; returns its correlation id.
-    pub fn send_batch(&mut self, ops: &[Update]) -> io::Result<u64> {
-        self.send(&BinRequest::Batch(ops.to_vec()))
-    }
-
-    /// Pipelines an `EPOCH` read; returns its correlation id.
-    pub fn send_epoch(&mut self) -> io::Result<u64> {
-        self.send(&BinRequest::Epoch)
-    }
-
-    /// Pipelines a `WAIT`; returns its correlation id.
-    pub fn send_wait(&mut self, epoch: u64, timeout_ms: u64) -> io::Result<u64> {
-        self.send(&BinRequest::Wait { epoch, timeout_ms })
-    }
-
-    /// Pipelines a `PING`; returns its correlation id.
-    pub fn send_ping(&mut self) -> io::Result<u64> {
-        self.send(&BinRequest::Ping)
-    }
-
-    /// Pipelines a `QUIESCE`; returns its correlation id.
-    pub fn send_quiesce(&mut self, timeout_ms: u64) -> io::Result<u64> {
-        self.send(&BinRequest::Quiesce { timeout_ms })
-    }
-
-    /// Pipelines a `GEN` read; returns its correlation id.
-    pub fn send_gen(&mut self) -> io::Result<u64> {
-        self.send(&BinRequest::Gen)
-    }
-
-    /// Pipelines a `TOPK` read; returns its correlation id.
-    pub fn send_topk(&mut self, k: u8) -> io::Result<u64> {
-        self.send(&BinRequest::Topk { k })
-    }
-
-    /// Pipelines a `HIST` read; returns its correlation id.
-    pub fn send_hist(&mut self) -> io::Result<u64> {
-        self.send(&BinRequest::Hist)
-    }
-
-    /// Pipelines a `SIZE` read; returns its correlation id.
-    pub fn send_size(&mut self, v: u32) -> io::Result<u64> {
-        self.send(&BinRequest::Size(v))
-    }
-
-    /// Pipelines a `SUB` registration; returns its correlation id (also
-    /// the id future event frames for this subscription will carry).
-    pub fn send_subscribe(
-        &mut self,
-        kind: SubKind,
-        u: u32,
-        v: u32,
-        durable: bool,
-    ) -> io::Result<u64> {
-        self.send(&BinRequest::Subscribe { kind, u, v, durable })
-    }
-
-    /// Pipelines an `UNSUB`; returns its correlation id.
-    pub fn send_unsubscribe(&mut self, id: u64) -> io::Result<u64> {
-        self.send(&BinRequest::Unsubscribe { id })
-    }
-
-    /// Pushes buffered request bytes onto the wire.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Flushes, then blocks for the next response frame — not necessarily
-    /// for the oldest request; the server completes out of order. Pushed
-    /// event frames encountered on the way are stashed for
-    /// [`BinClient::take_events`], never returned here.
-    pub fn reap(&mut self) -> io::Result<(u64, Reply)> {
-        self.flush()?;
-        loop {
-            let payload = self
-                .reader
-                .next()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-                })?;
-            if payload.len() < 9 {
-                return Err(bad_reply("short"));
-            }
-            if payload[8] == STATUS_EVT {
-                self.events.push_back(decode_event(&payload)?);
-                continue;
-            }
-            let corr = rd_u64(&payload);
-            let tag = self.pending.remove(&corr).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("response for unknown correlation id {corr}"),
-                )
-            })?;
-            return decode_reply(&payload, tag);
-        }
-    }
-
-    /// Blocks for the next pushed subscription event, draining any stashed
-    /// ones first. Frames answering in-flight requests are an error here —
-    /// reap those before waiting on the event stream.
-    pub fn recv_event(&mut self) -> io::Result<(u64, SubEvent)> {
-        if let Some(ev) = self.events.pop_front() {
-            return Ok(ev);
-        }
-        self.flush()?;
-        let payload = self
-            .reader
-            .next()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-            })?;
-        decode_event(&payload)
-    }
-
-    /// Drains every event stashed by [`BinClient::reap`] so far.
-    pub fn take_events(&mut self) -> Vec<(u64, SubEvent)> {
-        self.events.drain(..).collect()
-    }
-
-    /// Reaps until `corr` answers, buffering nothing: out-of-order replies
-    /// for other requests are an error in this convenience path, so only
-    /// use it when `corr` is the sole in-flight request.
-    fn reap_exact(&mut self, corr: u64) -> io::Result<Reply> {
-        let (got, reply) = self.reap()?;
-        if got != corr {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected reply for {corr}, got {got}"),
-            ));
-        }
-        Ok(reply)
-    }
-
-    fn expect_ok(reply: Reply) -> io::Result<Reply> {
-        match reply {
-            Reply::Err(msg) => Err(io::Error::other(format!("server error: {msg}"))),
-            other => Ok(other),
-        }
-    }
-
-    /// Synchronous insert.
-    pub fn insert(&mut self, u: u32, v: u32) -> io::Result<()> {
-        let corr = self.send_insert(u, v)?;
-        Self::expect_ok(self.reap_exact(corr)?).map(|_| ())
-    }
-
-    /// Synchronous delete.
-    pub fn delete(&mut self, u: u32, v: u32) -> io::Result<()> {
-        let corr = self.send_delete(u, v)?;
-        Self::expect_ok(self.reap_exact(corr)?).map(|_| ())
-    }
-
-    /// Synchronous connectivity query.
-    pub fn query(&mut self, u: u32, v: u32) -> io::Result<bool> {
-        let corr = self.send_query(u, v)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Bit(b) => Ok(b),
-            other => Err(io::Error::other(format!("unexpected Q reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous generation-tagged query.
-    pub fn query_gen(&mut self, u: u32, v: u32) -> io::Result<(bool, Option<u64>)> {
-        let corr = self.send_query_gen(u, v)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::BitGen(b, g) => Ok((b, g)),
-            other => Err(io::Error::other(format!("unexpected QG reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous mixed batch; answers in query submission order.
-    pub fn submit(&mut self, ops: &[Update]) -> io::Result<Vec<(bool, Option<u64>)>> {
-        let corr = self.send_batch(ops)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Answers(a) => Ok(a),
-            other => Err(io::Error::other(format!("unexpected B reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `EPOCH` read.
-    pub fn epoch(&mut self) -> io::Result<u64> {
-        let corr = self.send_epoch()?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Value(v) => Ok(v),
-            other => Err(io::Error::other(format!("unexpected EPOCH reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `WAIT` for an epoch.
-    pub fn wait_epoch(&mut self, epoch: u64, timeout_ms: u64) -> io::Result<u64> {
-        let corr = self.send_wait(epoch, timeout_ms)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Value(v) => Ok(v),
-            other => Err(io::Error::other(format!("unexpected WAIT reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `QUIESCE`; returns the clean generation.
-    pub fn quiesce(&mut self, timeout_ms: u64) -> io::Result<u64> {
-        let corr = self.send_quiesce(timeout_ms)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Value(v) => Ok(v),
-            other => Err(io::Error::other(format!("unexpected QUIESCE reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous liveness probe.
-    pub fn ping(&mut self) -> io::Result<()> {
-        let corr = self.send_ping()?;
-        Self::expect_ok(self.reap_exact(corr)?).map(|_| ())
-    }
-
-    /// Synchronous `TOPK` read: `(entries, epoch, generation, sealed)`,
-    /// entries size-descending with singletons excluded.
-    #[allow(clippy::type_complexity)]
-    pub fn topk(&mut self, k: u8) -> io::Result<(Vec<(u32, u64)>, u64, u64, bool)> {
-        let corr = self.send_topk(k)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Topk { epoch, generation, sealed, entries } => {
-                Ok((entries, epoch, generation, sealed))
-            }
-            other => Err(io::Error::other(format!("unexpected TOPK reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `HIST` read: `(components, buckets, epoch, generation,
-    /// sealed)` with the dense log2 bucket array.
-    #[allow(clippy::type_complexity)]
-    pub fn hist(&mut self) -> io::Result<(u64, Vec<u64>, u64, u64, bool)> {
-        let corr = self.send_hist()?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Hist { epoch, generation, sealed, components, buckets } => {
-                Ok((components, buckets, epoch, generation, sealed))
-            }
-            other => Err(io::Error::other(format!("unexpected HIST reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `SUB` registration: `(subscription_id, epoch, corr)`.
-    /// Events for this subscription arrive tagged with `corr`.
-    pub fn subscribe(
-        &mut self,
-        kind: SubKind,
-        u: u32,
-        v: u32,
-        durable: bool,
-    ) -> io::Result<(u64, u64, u64)> {
-        let corr = self.send_subscribe(kind, u, v, durable)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Subscribed { id, epoch } => Ok((id, epoch, corr)),
-            other => Err(io::Error::other(format!("unexpected SUB reply {other:?}"))),
-        }
-    }
-
-    /// Synchronous `UNSUB`.
-    pub fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
-        let corr = self.send_unsubscribe(id)?;
-        Self::expect_ok(self.reap_exact(corr)?).map(|_| ())
-    }
-
-    /// Synchronous `SIZE` read: `(size, root)` of `v`'s component.
-    pub fn component_size(&mut self, v: u32) -> io::Result<(u64, u32)> {
-        let corr = self.send_size(v)?;
-        match Self::expect_ok(self.reap_exact(corr)?)? {
-            Reply::Size { size, root } => Ok((size, root)),
-            other => Err(io::Error::other(format!("unexpected SIZE reply {other:?}"))),
-        }
     }
 }
 

@@ -233,10 +233,9 @@ struct Sink {
 }
 
 impl SubSink for Sink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
+    fn deliver(&self, ev: &SubEvent) {
         self.events.lock().push((self.token, self.corr, *ev));
         let _ = self.waker.wake();
-        true
     }
 }
 

@@ -51,11 +51,11 @@
 //!   dispatcher; no connection gets a thread. The line-based text
 //!   protocol (`I`/`D`/`Q`/`B`/`GEN`/`QUIESCE`/`STATS`/`FLUSH`/
 //!   `SNAPSHOT`/`WALSTATS`/`METRICS`/`TRACE`/`WAIT`/`ROLE`/…) remains
-//!   the debug door, with a blocking [`net::TcpClient`]. The binary
-//!   protocol ([`binproto`]) frames
+//!   the debug door. The binary protocol ([`binproto`]) frames
 //!   correlation-tagged requests in the `cc_graph::io::binary` codec so
-//!   clients pipeline many in-flight requests per connection
-//!   ([`binproto::BinClient`]); each shard coalesces decoded reads
+//!   clients pipeline many in-flight requests per connection. One
+//!   blocking client, [`client::WireClient`], speaks the same IR over
+//!   either door's codec; each shard coalesces decoded reads
 //!   across all its ready connections into one epoch-snapshot acquire
 //!   and groups updates into single batch-former submissions
 //!   (DESIGN.md §11).
@@ -84,6 +84,7 @@
 
 pub mod analytics;
 pub mod binproto;
+pub mod client;
 pub mod evloop;
 pub mod generation;
 pub mod net;
@@ -96,10 +97,11 @@ pub mod subs;
 pub mod wal;
 
 pub use analytics::{AnalyticsView, HIST_BUCKETS, TOPK_CAP};
-pub use binproto::{BinClient, Reply};
+pub use binproto::Reply;
+pub use client::WireClient;
 pub use evloop::NetConfig;
 pub use generation::{GenCounters, GenInfo, GenerationEngine};
-pub use net::{serve, serve_with, TcpClient, TcpServer};
+pub use net::{serve, serve_with, TcpServer};
 pub use obs::{Metrics, Obs, Recorder};
 pub use replication::{run_follower, serve_replication, ReplicationHub};
 pub use service::{

@@ -1,6 +1,7 @@
-//! The text protocol's codec, the TCP front door shared with the binary
-//! protocol, and the blocking text client (std-only — the workspace has
-//! no crates.io access, so there is no async runtime).
+//! The text protocol's codec — both halves, the server's and the
+//! client's — and the TCP front door shared with the binary protocol
+//! (std-only — the workspace has no crates.io access, so there is no
+//! async runtime).
 //!
 //! Accepted connections land on the sharded readiness event loop in
 //! [`crate::evloop`], which sniffs the first byte: `0xCC` (the
@@ -8,7 +9,9 @@
 //! with) selects the binary codec; anything else selects the text codec
 //! below. Both codecs produce the same [`Request`] IR for the shard's one
 //! dispatcher and encode its [`Reply`]; the text door stays the debug
-//! door on the same port, byte for byte.
+//! door on the same port, byte for byte. The client halves run the other
+//! way — a [`Request`] written as lines, reply lines parsed back into a
+//! [`Reply`] — for [`crate::client::WireClient`] on the text door.
 //!
 //! The text codec keeps at most one request in flight per connection:
 //! the shard stops reading a text connection until the in-flight
@@ -56,7 +59,7 @@
 //! `! ` — `! EVT <id> <seq> <epoch> <gen> PAIR <u> <v> root=<r>
 //! size=<s>` or `! EVT <id> <seq> <epoch> <gen> COMPONENT <v> root=<r>
 //! size=<s>` — interleaved between replies (never inside a multi-line
-//! dump). [`TcpClient`] stashes them; see PROTOCOL.md for the full
+//! dump). [`crate::client::WireClient`] stashes them; see PROTOCOL.md for the full
 //! delivery contract. A subscriber whose pushed events back up past the
 //! connection's write budget ([`crate::evloop::NetConfig::max_wbuf`]) is
 //! disconnected with a typed `sub-overflow` close — events are never
@@ -85,15 +88,15 @@ use crate::service::Service;
 use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::Write;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on `B k` batch sizes, so a hostile header cannot trigger an
-/// unbounded allocation. [`TcpClient::submit`] enforces it client-side.
+/// unbounded allocation. [`crate::client::WireClient`] enforces it
+/// client-side, on both doors.
 pub const MAX_WIRE_BATCH: usize = 1 << 22;
 
 /// Upper bound on a single request line. A longer line cannot be a valid
@@ -451,6 +454,164 @@ pub(crate) fn write_event(out: &mut Vec<u8>, ev: &SubEvent) {
     };
 }
 
+/// Whether the text door answers `verb` with a multi-line dump ended by a
+/// `# EOF` line (a `Reply::Dump`).
+pub(crate) fn multi_line(verb: Verb) -> bool {
+    matches!(verb, Verb::Metrics | Verb::Trace | Verb::Subs)
+}
+
+/// Appends `req` as the text door spells it: the inverse of the
+/// [`LineDecoder`], a `B` header followed by its op lines.
+pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
+    use BinRequest as W;
+    let name = req.verb().spec().text;
+    let flag = |durable: bool| if durable { " DURABLE" } else { "" };
+    let _ = match req {
+        Request::Bin(W::Insert(u, v) | W::Delete(u, v) | W::Query(u, v) | W::QueryGen(u, v)) => {
+            writeln!(out, "{name} {u} {v}")
+        }
+        Request::Bin(W::Batch(ops)) => {
+            let _ = writeln!(out, "{name} {}", ops.len());
+            for &op in ops {
+                let (u, v) = crate::request::endpoints(op);
+                let op = match op {
+                    Update::Insert(..) => "I",
+                    Update::Delete(..) => "D",
+                    Update::Query(..) => "Q",
+                };
+                let _ = writeln!(out, "{op} {u} {v}");
+            }
+            Ok(())
+        }
+        Request::Bin(W::Wait { epoch, timeout_ms }) => writeln!(out, "{name} {epoch} {timeout_ms}"),
+        Request::Bin(W::Quiesce { timeout_ms: x } | W::Unsubscribe { id: x }) => {
+            writeln!(out, "{name} {x}")
+        }
+        Request::Bin(W::Topk { k }) => writeln!(out, "{name} {k}"),
+        Request::Bin(W::Size(v)) | Request::Label(v) => writeln!(out, "{name} {v}"),
+        Request::Trace(n) => writeln!(out, "{name} {n}"),
+        Request::Bin(W::Subscribe { kind: SubKind::Pair, u, v, durable }) => {
+            writeln!(out, "{name} {u} {v}{}", flag(*durable))
+        }
+        Request::Bin(W::Subscribe { kind: SubKind::Component, v, durable, .. }) => {
+            writeln!(out, "{name} COMPONENT {v}{}", flag(*durable))
+        }
+        Request::SubAttach { id, after_seq } => writeln!(out, "{name} ATTACH {id} {after_seq}"),
+        _ => writeln!(out, "{name}"),
+    };
+}
+
+/// Consumes one token: a bare number when `key` is empty, else
+/// `key=<number>`.
+fn field<T: std::str::FromStr>(it: &mut std::str::SplitWhitespace<'_>, key: &str) -> Option<T> {
+    let tok = it.next()?;
+    let val = if key.is_empty() { tok } else { tok.strip_prefix(key)?.strip_prefix('=')? };
+    val.parse().ok()
+}
+
+/// Parses one `a:b` token.
+fn pair<A: std::str::FromStr, B: std::str::FromStr>(tok: &str) -> Option<(A, B)> {
+    let (a, b) = tok.split_once(':')?;
+    Some((a.parse().ok()?, b.parse().ok()?))
+}
+
+/// Parses the text door's reply to a `verb` request back into a
+/// [`Reply`]: the inverse of [`write_reply`]. `lines` is the reply line,
+/// or a dump's lines without the `# EOF` terminator. The door's two
+/// losses stay lost: `B` answers read back without generations, and an
+/// empty answer list is spelled `OK`.
+pub(crate) fn parse_reply(verb: Verb, lines: &[String]) -> Result<Reply, String> {
+    let bad = || format!("unexpected {} reply {lines:?}", verb.spec().text);
+    match lines {
+        [line] if line.starts_with("ERR ") => Ok(Reply::Err(line["ERR ".len()..].to_string())),
+        _ if multi_line(verb) => Ok(Reply::Dump(lines.to_vec())),
+        [line] => parse_reply_line(verb, line).ok_or_else(bad),
+        _ => Err(bad()),
+    }
+}
+
+fn parse_reply_line(verb: Verb, line: &str) -> Option<Reply> {
+    let (head, rest) = line.split_once(' ').unwrap_or((line, ""));
+    if let (Verb::Role, "R") | (Verb::Stats, "S") | (Verb::WalStats, "W") = (verb, head) {
+        return Some(Reply::Line(rest.to_string()));
+    }
+    let mut it = rest.split_whitespace();
+    let it = &mut it;
+    let reply = match (verb, head) {
+        (Verb::Ping, "PONG")
+        | (Verb::Shutdown, "BYE")
+        | (Verb::I | Verb::D | Verb::Flush | Verb::Unsub, "OK") => Reply::Ok,
+        (Verb::Q, "0" | "1") => Reply::Bit(head == "1"),
+        (Verb::QG, "0" | "1") => Reply::BitGen(
+            head == "1",
+            match it.next() {
+                None => None,
+                Some("G") => Some(field(it, "")?),
+                Some(_) => return None,
+            },
+        ),
+        (Verb::B, "OK") => {
+            let bits = it.next().unwrap_or("");
+            bits.bytes().all(|b| b == b'0' || b == b'1').then_some(())?;
+            Reply::Answers(bits.bytes().map(|b| (b == b'1', None)).collect())
+        }
+        (Verb::Label, "L")
+        | (Verb::Components, "C")
+        | (Verb::Epoch | Verb::Wait, "E")
+        | (Verb::Quiesce, "G")
+        | (Verb::Snapshot, "SNAP") => Reply::Value(field(it, "")?),
+        (Verb::Gen, "G") => Reply::Gen {
+            generation: field(it, "")?,
+            dirty: field::<u8>(it, "dirty")? != 0,
+            rebuilds: field(it, "rebuilds")?,
+            forest: field(it, "forest")?,
+            nonforest: field(it, "nonforest")?,
+            absent: field(it, "absent")?,
+        },
+        (Verb::Topk, "K") => {
+            let k: usize = field(it, "k")?;
+            let (epoch, generation) = (field(it, "epoch")?, field(it, "gen")?);
+            let sealed = field::<u8>(it, "sealed")? != 0;
+            let entries: Vec<(u32, u64)> = it.map(pair).collect::<Option<_>>()?;
+            (entries.len() == k).then_some(Reply::Topk { epoch, generation, sealed, entries })?
+        }
+        (Verb::Hist, "H") => {
+            let components = field(it, "components")?;
+            let (epoch, generation) = (field(it, "epoch")?, field(it, "gen")?);
+            let sealed = field::<u8>(it, "sealed")? != 0;
+            let mut buckets = vec![0; crate::analytics::HIST_BUCKETS];
+            for tok in it.by_ref() {
+                let (b, count): (usize, u64) = pair(tok)?;
+                *buckets.get_mut(b)? = count;
+            }
+            Reply::Hist { epoch, generation, sealed, components, buckets }
+        }
+        (Verb::Size, "Z") => Reply::Size { size: field(it, "")?, root: field(it, "root")? },
+        (Verb::Sub, "S") => Reply::Subscribed { id: field(it, "")?, epoch: field(it, "")? },
+        _ => return None,
+    };
+    it.next().is_none().then_some(reply)
+}
+
+/// Parses one `! EVT …` push line back into a [`SubEvent`]: the inverse
+/// of [`write_event`].
+pub(crate) fn parse_event_line(line: &str) -> Option<SubEvent> {
+    let mut it = line.strip_prefix("! EVT ")?.split_whitespace();
+    let it = &mut it;
+    let (id, seq, epoch, generation) =
+        (field(it, "")?, field(it, "")?, field(it, "")?, field(it, "")?);
+    let (kind, u, v) = match it.next()? {
+        "PAIR" => (SubKind::Pair, field(it, "")?, field(it, "")?),
+        "COMPONENT" => {
+            let v = field(it, "")?;
+            (SubKind::Component, v, v)
+        }
+        _ => return None,
+    };
+    let (root, size) = (field(it, "root")?, field(it, "size")?);
+    it.next().is_none().then_some(SubEvent { id, kind, u, v, root, size, epoch, generation, seq })
+}
+
 pub(crate) struct ServerShared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) done_mx: Mutex<bool>,
@@ -535,524 +696,6 @@ pub fn serve_with(
     cfg: crate::evloop::NetConfig,
 ) -> std::io::Result<TcpServer> {
     crate::evloop::start(service, addr, cfg)
-}
-
-/// A blocking client for the line protocol, used by the load generator,
-/// the end-to-end tests, and anyone scripting against `connectit-serve`.
-///
-/// Subscription push lines (`! EVT …`) can arrive between replies; every
-/// read path stashes them into an internal queue — drain it with
-/// [`TcpClient::take_events`], or block for fresh ones with
-/// [`TcpClient::poll_events`].
-pub struct TcpClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    events: VecDeque<SubEvent>,
-    /// Bytes of a line cut short by a [`TcpClient::poll_events`] read
-    /// timeout, re-prefixed to the next read so no byte is ever lost.
-    partial: String,
-}
-
-/// Parses one `! EVT …` push line back into a [`SubEvent`].
-fn parse_event_line(line: &str) -> Option<SubEvent> {
-    let rest = line.strip_prefix("! EVT ")?;
-    let mut it = rest.split_whitespace();
-    let id = it.next()?.parse().ok()?;
-    let seq = it.next()?.parse().ok()?;
-    let epoch = it.next()?.parse().ok()?;
-    let generation = it.next()?.parse().ok()?;
-    let (kind, u, v) = match it.next()? {
-        "PAIR" => {
-            let u = it.next()?.parse().ok()?;
-            let v = it.next()?.parse().ok()?;
-            (SubKind::Pair, u, v)
-        }
-        "COMPONENT" => {
-            let v: u32 = it.next()?.parse().ok()?;
-            (SubKind::Component, v, v)
-        }
-        _ => return None,
-    };
-    let root = it.next()?.strip_prefix("root=")?.parse().ok()?;
-    let size = it.next()?.strip_prefix("size=")?.parse().ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some(SubEvent { id, kind, u, v, root, size, epoch, generation, seq })
-}
-
-fn proto_err(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Consumes one `key=value` token from an analytics reply.
-fn parse_tagged(it: &mut std::str::SplitWhitespace<'_>, key: &str) -> Result<u64, ()> {
-    let tok = it.next().ok_or(())?;
-    let (k, v) = tok.split_once('=').ok_or(())?;
-    if k != key {
-        return Err(());
-    }
-    v.parse().map_err(|_| ())
-}
-
-impl TcpClient {
-    /// Connects to a `connectit-serve` instance.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            events: VecDeque::new(),
-            partial: String::new(),
-        })
-    }
-
-    /// Reads one complete line, resuming any partial line a
-    /// [`TcpClient::poll_events`] timeout left behind.
-    fn next_line(&mut self) -> std::io::Result<String> {
-        let mut line = std::mem::take(&mut self.partial);
-        if self.reader.read_line(&mut line)? == 0 {
-            if line.is_empty() {
-                return Err(proto_err("connection closed by server"));
-            }
-            return Err(proto_err("connection closed mid-line"));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Validates and stashes one `! `-prefixed push line.
-    fn stash_event_line(&mut self, line: &str) -> std::io::Result<()> {
-        let ev = parse_event_line(line)
-            .ok_or_else(|| proto_err(format!("unexpected push line {line:?}")))?;
-        self.events.push_back(ev);
-        Ok(())
-    }
-
-    fn read_reply(&mut self) -> std::io::Result<String> {
-        loop {
-            let line = self.next_line()?;
-            if line.starts_with("! ") {
-                self.stash_event_line(&line)?;
-                continue;
-            }
-            if let Some(msg) = line.strip_prefix("ERR ") {
-                return Err(proto_err(format!("server error: {msg}")));
-            }
-            return Ok(line);
-        }
-    }
-
-    fn roundtrip(&mut self, request: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{request}")?;
-        self.writer.flush()?;
-        self.read_reply()
-    }
-
-    /// `I u v`.
-    pub fn insert(&mut self, u: u32, v: u32) -> std::io::Result<()> {
-        let r = self.roundtrip(&format!("I {u} {v}"))?;
-        if r == "OK" {
-            Ok(())
-        } else {
-            Err(proto_err(format!("unexpected reply {r:?}")))
-        }
-    }
-
-    /// `D u v`.
-    pub fn delete(&mut self, u: u32, v: u32) -> std::io::Result<()> {
-        let r = self.roundtrip(&format!("D {u} {v}"))?;
-        if r == "OK" {
-            Ok(())
-        } else {
-            Err(proto_err(format!("unexpected reply {r:?}")))
-        }
-    }
-
-    /// `Q u v`: the bare connectivity bit (wire-stable across releases).
-    /// Use [`TcpClient::query_gen`] to observe staleness.
-    pub fn query(&mut self, u: u32, v: u32) -> std::io::Result<bool> {
-        let r = self.roundtrip(&format!("Q {u} {v}"))?;
-        match r.as_str() {
-            "1" => Ok(true),
-            "0" => Ok(false),
-            _ => Err(proto_err(format!("unexpected reply {r:?}"))),
-        }
-    }
-
-    /// `QG u v`, keeping the staleness report: `Some(generation)` when
-    /// the reply carried a `G <gen>` suffix (a rebuild was in flight and
-    /// the answer was served from that sealed generation), `None` when
-    /// the answer is exact.
-    pub fn query_gen(&mut self, u: u32, v: u32) -> std::io::Result<(bool, Option<u64>)> {
-        let r = self.roundtrip(&format!("QG {u} {v}"))?;
-        let mut it = r.split_whitespace();
-        let connected = match it.next() {
-            Some("1") => true,
-            Some("0") => false,
-            _ => return Err(proto_err(format!("unexpected reply {r:?}"))),
-        };
-        let generation = match (it.next(), it.next(), it.next()) {
-            (None, _, _) => None,
-            (Some("G"), Some(g), None) => {
-                Some(g.parse().map_err(|_| proto_err(format!("unexpected reply {r:?}")))?)
-            }
-            _ => return Err(proto_err(format!("unexpected reply {r:?}"))),
-        };
-        Ok((connected, generation))
-    }
-
-    /// `B k`: submits a group of operations as one unit; returns the
-    /// query answers in order. Groups larger than [`MAX_WIRE_BATCH`] are
-    /// rejected locally (the server would refuse the header and close).
-    pub fn submit(&mut self, ops: &[Update]) -> std::io::Result<Vec<bool>> {
-        if ops.len() > MAX_WIRE_BATCH {
-            return Err(proto_err(format!(
-                "batch of {} ops exceeds the wire limit of {MAX_WIRE_BATCH}; split it",
-                ops.len()
-            )));
-        }
-        writeln!(self.writer, "B {}", ops.len())?;
-        for op in ops {
-            match *op {
-                Update::Insert(u, v) => writeln!(self.writer, "I {u} {v}")?,
-                Update::Delete(u, v) => writeln!(self.writer, "D {u} {v}")?,
-                Update::Query(u, v) => writeln!(self.writer, "Q {u} {v}")?,
-            }
-        }
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        let rest = reply
-            .strip_prefix("OK")
-            .ok_or_else(|| proto_err(format!("unexpected reply {reply:?}")))?;
-        Ok(rest.trim().chars().map(|c| c == '1').collect())
-    }
-
-    /// `LABEL v`.
-    pub fn label(&mut self, v: u32) -> std::io::Result<u32> {
-        let r = self.roundtrip(&format!("LABEL {v}"))?;
-        r.strip_prefix("L ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `COMPONENTS`.
-    pub fn components(&mut self) -> std::io::Result<usize> {
-        let r = self.roundtrip("COMPONENTS")?;
-        r.strip_prefix("C ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `TOPK [k]`: the largest components as `(root, size)` pairs in
-    /// descending size order (singletons excluded), plus the analytics
-    /// view's `(epoch, generation, sealed)` stamp. `None` asks for the
-    /// server default ([`DEFAULT_TOPK`]).
-    #[allow(clippy::type_complexity)]
-    pub fn topk(&mut self, k: Option<usize>) -> std::io::Result<(Vec<(u32, u64)>, u64, u64, bool)> {
-        let r = match k {
-            Some(k) => self.roundtrip(&format!("TOPK {k}"))?,
-            None => self.roundtrip("TOPK")?,
-        };
-        let rest =
-            r.strip_prefix("K ").ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        let mut it = rest.split_whitespace();
-        let count = parse_tagged(&mut it, "k").map_err(|_| proto_err(r.clone()))?;
-        let epoch = parse_tagged(&mut it, "epoch").map_err(|_| proto_err(r.clone()))?;
-        let generation = parse_tagged(&mut it, "gen").map_err(|_| proto_err(r.clone()))?;
-        let sealed = parse_tagged(&mut it, "sealed").map_err(|_| proto_err(r.clone()))? != 0;
-        let mut items = Vec::with_capacity(count as usize);
-        for tok in it {
-            let (root, size) =
-                tok.split_once(':').ok_or_else(|| proto_err(format!("bad pair in {r:?}")))?;
-            items.push((
-                root.parse().map_err(|_| proto_err(format!("bad pair in {r:?}")))?,
-                size.parse().map_err(|_| proto_err(format!("bad pair in {r:?}")))?,
-            ));
-        }
-        if items.len() as u64 != count {
-            return Err(proto_err(format!("k={count} but {} pairs in {r:?}", items.len())));
-        }
-        Ok((items, epoch, generation, sealed))
-    }
-
-    /// `HIST`: `(components, dense histogram, epoch, generation,
-    /// sealed)`. The histogram is expanded back to all
-    /// [`crate::analytics::HIST_BUCKETS`] power-of-two buckets.
-    #[allow(clippy::type_complexity)]
-    pub fn hist(&mut self) -> std::io::Result<(u64, Vec<u64>, u64, u64, bool)> {
-        let r = self.roundtrip("HIST")?;
-        let rest =
-            r.strip_prefix("H ").ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        let mut it = rest.split_whitespace();
-        let components = parse_tagged(&mut it, "components").map_err(|_| proto_err(r.clone()))?;
-        let epoch = parse_tagged(&mut it, "epoch").map_err(|_| proto_err(r.clone()))?;
-        let generation = parse_tagged(&mut it, "gen").map_err(|_| proto_err(r.clone()))?;
-        let sealed = parse_tagged(&mut it, "sealed").map_err(|_| proto_err(r.clone()))? != 0;
-        let mut hist = vec![0u64; crate::analytics::HIST_BUCKETS];
-        for tok in it {
-            let (b, count) =
-                tok.split_once(':').ok_or_else(|| proto_err(format!("bad bucket in {r:?}")))?;
-            let b: usize = b.parse().map_err(|_| proto_err(format!("bad bucket in {r:?}")))?;
-            if b >= hist.len() {
-                return Err(proto_err(format!("bucket {b} out of range in {r:?}")));
-            }
-            hist[b] = count.parse().map_err(|_| proto_err(format!("bad bucket in {r:?}")))?;
-        }
-        Ok((components, hist, epoch, generation, sealed))
-    }
-
-    /// `SIZE v`: `(size, root)` of `v`'s component.
-    pub fn component_size(&mut self, v: u32) -> std::io::Result<(u64, u32)> {
-        let r = self.roundtrip(&format!("SIZE {v}"))?;
-        let rest =
-            r.strip_prefix("Z ").ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        let (size, root) = rest
-            .split_once(" root=")
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        match (size.parse(), root.parse()) {
-            (Ok(size), Ok(root)) => Ok((size, root)),
-            _ => Err(proto_err(format!("unexpected reply {r:?}"))),
-        }
-    }
-
-    /// `EPOCH`.
-    pub fn epoch(&mut self) -> std::io::Result<u64> {
-        let r = self.roundtrip("EPOCH")?;
-        r.strip_prefix("E ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `WAIT e ms`: blocks until the server's epoch reaches `epoch` (the
-    /// read-your-writes barrier against a follower); returns the epoch
-    /// actually reached. A lapsed timeout is a server-side `ERR`.
-    pub fn wait_epoch(&mut self, epoch: u64, timeout_ms: u64) -> std::io::Result<u64> {
-        let r = self.roundtrip(&format!("WAIT {epoch} {timeout_ms}"))?;
-        r.strip_prefix("E ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `GEN` (raw one-line generation info, `<gen> dirty=<0/1> …`).
-    pub fn gen_line(&mut self) -> std::io::Result<String> {
-        let r = self.roundtrip("GEN")?;
-        r.strip_prefix("G ")
-            .map(str::to_string)
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `QUIESCE ms`: blocks until no generation rebuild is in flight;
-    /// returns the clean generation then serving. A lapsed timeout is a
-    /// server-side `ERR`.
-    pub fn quiesce(&mut self, timeout_ms: u64) -> std::io::Result<u64> {
-        let r = self.roundtrip(&format!("QUIESCE {timeout_ms}"))?;
-        r.strip_prefix("G ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `ROLE`: `"primary"` or `"follower"`.
-    pub fn role(&mut self) -> std::io::Result<String> {
-        let r = self.roundtrip("ROLE")?;
-        r.strip_prefix("R ")
-            .map(str::to_string)
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `STATS` (raw one-line dump).
-    pub fn stats_line(&mut self) -> std::io::Result<String> {
-        let r = self.roundtrip("STATS")?;
-        r.strip_prefix("S ")
-            .map(str::to_string)
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `FLUSH`: fsync the server's WAL now, regardless of policy.
-    pub fn flush_wal(&mut self) -> std::io::Result<()> {
-        match self.roundtrip("FLUSH")?.as_str() {
-            "OK" => Ok(()),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// `SNAPSHOT`: write a checkpoint record; returns its epoch.
-    pub fn durable_snapshot(&mut self) -> std::io::Result<u64> {
-        let r = self.roundtrip("SNAPSHOT")?;
-        r.strip_prefix("SNAP ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// `WALSTATS` (raw one-line dump).
-    pub fn wal_stats_line(&mut self) -> std::io::Result<String> {
-        let r = self.roundtrip("WALSTATS")?;
-        r.strip_prefix("W ")
-            .map(str::to_string)
-            .ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))
-    }
-
-    /// Reads a multi-line reply (`METRICS` / `TRACE`) up to its `# EOF`
-    /// terminator; the terminator is consumed and not returned.
-    fn read_multiline(&mut self) -> std::io::Result<Vec<String>> {
-        let mut out = Vec::new();
-        loop {
-            let line = match self.next_line() {
-                Ok(line) => line,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    return Err(proto_err("connection closed mid-dump (no `# EOF`)"));
-                }
-                Err(e) => return Err(e),
-            };
-            if line.starts_with("! ") {
-                self.stash_event_line(&line)?;
-                continue;
-            }
-            if line == "# EOF" {
-                return Ok(out);
-            }
-            if let Some(msg) = line.strip_prefix("ERR ") {
-                return Err(proto_err(format!("server error: {msg}")));
-            }
-            out.push(line.to_string());
-        }
-    }
-
-    /// `METRICS`: the full Prometheus-style exposition, one element per
-    /// line (`# TYPE …` comments included, `# EOF` terminator stripped).
-    pub fn metrics(&mut self) -> std::io::Result<Vec<String>> {
-        writeln!(self.writer, "METRICS")?;
-        self.writer.flush()?;
-        self.read_multiline()
-    }
-
-    /// `TRACE [n]`: the last `n` flight-recorder events (server default
-    /// when `None`), oldest first, `# EOF` terminator stripped.
-    pub fn trace(&mut self, n: Option<usize>) -> std::io::Result<Vec<String>> {
-        match n {
-            Some(n) => writeln!(self.writer, "TRACE {n}")?,
-            None => writeln!(self.writer, "TRACE")?,
-        }
-        self.writer.flush()?;
-        self.read_multiline()
-    }
-
-    /// `PING`.
-    pub fn ping(&mut self) -> std::io::Result<()> {
-        match self.roundtrip("PING")?.as_str() {
-            "PONG" => Ok(()),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// `SHUTDOWN`: asks the server process to stop accepting and exit.
-    pub fn shutdown_server(&mut self) -> std::io::Result<()> {
-        match self.roundtrip("SHUTDOWN")?.as_str() {
-            "BYE" => Ok(()),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    fn parse_sub_reply(r: &str) -> std::io::Result<(u64, u64)> {
-        let rest =
-            r.strip_prefix("S ").ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        let (id, epoch) =
-            rest.split_once(' ').ok_or_else(|| proto_err(format!("unexpected reply {r:?}")))?;
-        match (id.parse(), epoch.parse()) {
-            (Ok(id), Ok(epoch)) => Ok((id, epoch)),
-            _ => Err(proto_err(format!("unexpected reply {r:?}"))),
-        }
-    }
-
-    /// `SUB u v [DURABLE]`: returns `(id, registration_epoch)`.
-    pub fn subscribe_pair(&mut self, u: u32, v: u32, durable: bool) -> std::io::Result<(u64, u64)> {
-        let req = if durable { format!("SUB {u} {v} DURABLE") } else { format!("SUB {u} {v}") };
-        let r = self.roundtrip(&req)?;
-        Self::parse_sub_reply(&r)
-    }
-
-    /// `SUB COMPONENT v [DURABLE]`: returns `(id, registration_epoch)`.
-    pub fn subscribe_component(&mut self, v: u32, durable: bool) -> std::io::Result<(u64, u64)> {
-        let req = if durable {
-            format!("SUB COMPONENT {v} DURABLE")
-        } else {
-            format!("SUB COMPONENT {v}")
-        };
-        let r = self.roundtrip(&req)?;
-        Self::parse_sub_reply(&r)
-    }
-
-    /// `SUB ATTACH id [after_seq]`: re-binds this connection to a
-    /// durable subscription; the server replays retained events with
-    /// `seq > after_seq` (they land in the event queue). Returns
-    /// `(id, epoch)`.
-    pub fn attach_sub(&mut self, id: u64, after_seq: u64) -> std::io::Result<(u64, u64)> {
-        let r = self.roundtrip(&format!("SUB ATTACH {id} {after_seq}"))?;
-        Self::parse_sub_reply(&r)
-    }
-
-    /// `UNSUB id`.
-    pub fn unsubscribe(&mut self, id: u64) -> std::io::Result<()> {
-        match self.roundtrip(&format!("UNSUB {id}"))?.as_str() {
-            "OK" => Ok(()),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// `SUBS`: the raw subscription-list lines (`# EOF` stripped).
-    pub fn subs(&mut self) -> std::io::Result<Vec<String>> {
-        writeln!(self.writer, "SUBS")?;
-        self.writer.flush()?;
-        self.read_multiline()
-    }
-
-    /// Drains the already-stashed push events without touching the wire.
-    pub fn take_events(&mut self) -> Vec<SubEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// Blocks up to `timeout` for push events: returns stashed ones
-    /// immediately, otherwise reads the socket under a read timeout.
-    /// Must only be called with no request in flight (the only lines
-    /// that can arrive are pushes). An empty result means the timeout
-    /// lapsed quietly.
-    pub fn poll_events(&mut self, timeout: Duration) -> std::io::Result<Vec<SubEvent>> {
-        let deadline = Instant::now() + timeout;
-        while self.events.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            self.reader.get_ref().set_read_timeout(Some(deadline - now))?;
-            let mut line = std::mem::take(&mut self.partial);
-            let res = self.reader.read_line(&mut line);
-            self.reader.get_ref().set_read_timeout(None)?;
-            match res {
-                Ok(0) => return Err(proto_err("connection closed by server")),
-                Ok(_) if line.ends_with('\n') => {
-                    let t = line.trim_end();
-                    if !t.is_empty() {
-                        if let Some(msg) = t.strip_prefix("ERR ") {
-                            return Err(proto_err(format!("server error: {msg}")));
-                        }
-                        self.stash_event_line(t)?;
-                    }
-                }
-                Ok(_) => return Err(proto_err("connection closed mid-line")),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // Keep whatever bytes arrived before the timeout; the
-                    // next read resumes the line.
-                    self.partial = line;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(self.events.drain(..).collect())
-    }
 }
 
 #[cfg(test)]
@@ -1244,6 +887,152 @@ mod tests {
                 CloseReason::BadBatchHeader
             )
         );
+    }
+
+    #[test]
+    fn request_writer_inverts_the_line_decoder() {
+        use BinRequest as W;
+        let sub = |kind, u, v, durable| W::Subscribe { kind, u, v, durable };
+        let mixed = vec![Update::Insert(1, 2), Update::Delete(3, 4), Update::Query(5, 6)];
+        let requests: Vec<Request> = vec![
+            W::Insert(1, 2).into(),
+            W::Delete(3, 4).into(),
+            W::Query(5, 6).into(),
+            W::QueryGen(7, 8).into(),
+            W::Batch(vec![]).into(),
+            W::Batch(mixed).into(),
+            Request::Label(9),
+            Request::Components,
+            W::Epoch.into(),
+            W::Wait { epoch: 9, timeout_ms: 250 }.into(),
+            W::Gen.into(),
+            W::Quiesce { timeout_ms: 250 }.into(),
+            Request::Role,
+            Request::Stats,
+            Request::Flush,
+            Request::Snapshot,
+            Request::WalStats,
+            W::Ping.into(),
+            Request::Quit,
+            Request::Shutdown,
+            Request::Metrics,
+            Request::Trace(7),
+            W::Topk { k: 5 }.into(),
+            W::Hist.into(),
+            W::Size(9).into(),
+            sub(SubKind::Pair, 1, 2, false).into(),
+            sub(SubKind::Pair, 1, 2, true).into(),
+            sub(SubKind::Component, 7, 7, false).into(),
+            sub(SubKind::Component, 7, 7, true).into(),
+            Request::SubAttach { id: 3, after_seq: 9 },
+            W::Unsubscribe { id: 5 }.into(),
+            Request::Subs,
+        ];
+        for spec in &VERBS {
+            assert!(requests.iter().any(|r| r.verb() == spec.verb), "no {} case", spec.text);
+        }
+        for req in requests {
+            let mut bytes = Vec::new();
+            write_request(&mut bytes, &req);
+            let mut dec = LineDecoder::default();
+            dec.push(&bytes);
+            assert_eq!(dec.next(), Some(Decoded::Request(req.clone())), "{bytes:?}");
+            assert_eq!(dec.next(), None, "nothing left over after {req:?}");
+        }
+    }
+
+    #[test]
+    fn reply_parser_inverts_the_reply_writer() {
+        let text = |verb, reply: &Reply| {
+            let mut out = Vec::new();
+            write_reply(&mut out, verb, reply);
+            String::from_utf8(out).unwrap()
+        };
+        let back = |verb, reply: &Reply| {
+            let mut lines: Vec<String> = text(verb, reply).lines().map(str::to_string).collect();
+            if multi_line(verb) && !matches!(reply, Reply::Err(_)) {
+                assert_eq!(lines.pop().as_deref(), Some("# EOF"));
+            }
+            parse_reply(verb, &lines)
+        };
+        let mut buckets = vec![0; crate::analytics::HIST_BUCKETS];
+        (buckets[0], buckets[2]) = (4, 1);
+        let dump = |lines: &[&str]| Reply::Dump(lines.iter().map(|l| l.to_string()).collect());
+        let gen = Reply::Gen {
+            generation: 2,
+            dirty: true,
+            rebuilds: 1,
+            forest: 3,
+            nonforest: 4,
+            absent: 5,
+        };
+        let cases = [
+            (Verb::I, Reply::Ok),
+            (Verb::D, Reply::Ok),
+            (Verb::Flush, Reply::Ok),
+            (Verb::Unsub, Reply::Ok),
+            (Verb::Ping, Reply::Ok),
+            (Verb::Shutdown, Reply::Ok),
+            (Verb::Q, Reply::Bit(true)),
+            (Verb::Q, Reply::Bit(false)),
+            (Verb::QG, Reply::BitGen(true, None)),
+            (Verb::QG, Reply::BitGen(false, Some(3))),
+            (Verb::B, Reply::Answers(vec![(true, None), (false, None)])),
+            (Verb::B, Reply::Answers(vec![])),
+            (Verb::Label, Reply::Value(7)),
+            (Verb::Components, Reply::Value(12)),
+            (Verb::Epoch, Reply::Value(9)),
+            (Verb::Wait, Reply::Value(9)),
+            (Verb::Quiesce, Reply::Value(4)),
+            (Verb::Snapshot, Reply::Value(9)),
+            (Verb::Gen, gen),
+            (Verb::Topk, Reply::Topk { epoch: 3, generation: 1, sealed: true, entries: vec![] }),
+            (
+                Verb::Topk,
+                Reply::Topk {
+                    epoch: 3,
+                    generation: 1,
+                    sealed: false,
+                    entries: vec![(0, 4), (9, 2)],
+                },
+            ),
+            (
+                Verb::Hist,
+                Reply::Hist { epoch: 3, generation: 1, sealed: false, components: 5, buckets },
+            ),
+            (Verb::Size, Reply::Size { size: 4, root: 0 }),
+            (Verb::Sub, Reply::Subscribed { id: 3, epoch: 40 }),
+            (Verb::Role, Reply::Line("primary".into())),
+            (Verb::Stats, Reply::Line("epoch=3 batches=2".into())),
+            (Verb::WalStats, Reply::Line("policy=off records=0".into())),
+            (Verb::Metrics, dump(&["# TYPE connectit_epoch gauge", "connectit_epoch 3"])),
+            (Verb::Trace, dump(&[])),
+            (Verb::Subs, dump(&["1 PAIR 1 2 0 0 0"])),
+            (Verb::Q, Reply::Err("vertex 9 out of range (n = 4)".into())),
+            (Verb::Metrics, Reply::Err("not here".into())),
+        ];
+        for (verb, reply) in &cases {
+            assert_eq!(back(*verb, reply).as_ref(), Ok(reply), "{verb:?}");
+        }
+        // The text door's two losses. `B` answers drop their generations...
+        assert_eq!(
+            back(Verb::B, &Reply::Answers(vec![(true, Some(2)), (false, None)])),
+            Ok(Reply::Answers(vec![(true, None), (false, None)]))
+        );
+        // ...and an empty answer list is spelled like an update's `OK`.
+        assert_eq!(text(Verb::B, &Reply::Answers(vec![])), "OK\n");
+        // Malformed replies are refused, not misread.
+        for (verb, line) in [
+            (Verb::Q, "2"),
+            (Verb::I, "OK 1"),
+            (Verb::B, "OK 12"),
+            (Verb::Epoch, "G 1"),
+            (Verb::Topk, "K k=2 epoch=1 gen=0 sealed=0 1:2"),
+            (Verb::Hist, "H components=1 epoch=0 gen=0 sealed=0 99:1"),
+            (Verb::Size, "Z 4 root=x"),
+        ] {
+            assert!(parse_reply(verb, &[line.to_string()]).is_err(), "{line}");
+        }
     }
 
     #[test]

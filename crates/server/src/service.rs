@@ -972,6 +972,15 @@ impl Client {
         self.inner.engine.num_vertices()
     }
 
+    /// Refuses the first vertex `>= n`.
+    fn in_range(&self, vertices: impl IntoIterator<Item = u32>) -> Result<(), ServiceError> {
+        let n = self.num_vertices();
+        match vertices.into_iter().find(|&v| v as usize >= n) {
+            Some(v) => Err(ServiceError::VertexOutOfRange { v, n }),
+            None => Ok(()),
+        }
+    }
+
     /// Submits a group of operations as one unit and blocks until the
     /// batch containing them completes. Returns the answers to the
     /// submission's queries, in order. Queries may observe other
@@ -987,26 +996,7 @@ impl Client {
     /// The tag is produced by the engine under the same lock (or from
     /// the same view read) as the answer, so it is atomic with it.
     pub fn submit_tagged(&self, ops: Vec<Update>) -> Result<TaggedAnswers, ServiceError> {
-        let n = self.num_vertices();
-        let mut num_queries = 0usize;
-        let mut num_deletes = 0usize;
-        for op in &ops {
-            let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
-            for x in [u, v] {
-                if x as usize >= n {
-                    return Err(ServiceError::VertexOutOfRange { v: x, n });
-                }
-            }
-            num_queries += usize::from(matches!(op, Update::Query(..)));
-            num_deletes += usize::from(matches!(op, Update::Delete(..)));
-        }
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.role() == Role::Follower {
-            return self.answer_on_follower(&ops, num_queries);
-        }
-        self.enqueue(ops, num_queries, num_deletes, false)
+        self.submit_tagged_async(ops, None)?.wait()
     }
 
     /// [`Self::submit_tagged`] without blocking: the group is queued for
@@ -1043,22 +1033,7 @@ impl Client {
             reply.fulfill(self.answer_on_follower(&ops, num_queries));
             return Ok(SubmitTicket { reply });
         }
-        {
-            let mut q = self.inner.q.lock();
-            if q.closed {
-                return Err(ServiceError::Closed);
-            }
-            q.queued_ops += ops.len();
-            q.queue.push_back(Pending {
-                num_queries,
-                num_deletes,
-                ops,
-                enqueued: Instant::now(),
-                reply: Arc::clone(&reply),
-                durable_snapshot: false,
-            });
-        }
-        self.inner.work_cv.notify_all();
+        self.push(ops, num_queries, num_deletes, false, Arc::clone(&reply))?;
         Ok(SubmitTicket { reply })
     }
 
@@ -1068,14 +1043,7 @@ impl Client {
     /// group runs lock-free beside in-flight batches and replicated
     /// applies.
     pub fn query_many_tagged(&self, pairs: &[(u32, u32)]) -> Result<TaggedAnswers, ServiceError> {
-        let n = self.num_vertices();
-        for &(u, v) in pairs {
-            for x in [u, v] {
-                if x as usize >= n {
-                    return Err(ServiceError::VertexOutOfRange { v: x, n });
-                }
-            }
-        }
+        self.in_range(pairs.iter().flat_map(|&(u, v)| [u, v]))?;
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
@@ -1196,16 +1164,7 @@ impl Client {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(ServiceError::Closed);
         }
-        let n = self.num_vertices();
-        let endpoints: &[u32] = match kind {
-            SubKind::Pair => &[u, v],
-            SubKind::Component => &[v],
-        };
-        for &x in endpoints {
-            if x as usize >= n {
-                return Err(ServiceError::VertexOutOfRange { v: x, n });
-            }
-        }
+        self.in_range(if kind == SubKind::Pair { [u, v] } else { [v, v] })?;
         if durable && self.inner.wal.is_none() {
             return Err(ServiceError::DurabilityDisabled);
         }
@@ -1299,15 +1258,16 @@ impl Client {
     }
 
     /// Queues a submission (or a zero-op control carrying only a
-    /// durable-snapshot request) and blocks for its batch.
-    fn enqueue(
+    /// durable-snapshot request) for the batch former, which fulfills
+    /// `reply` once its batch completes.
+    fn push(
         &self,
         ops: Vec<Update>,
         num_queries: usize,
         num_deletes: usize,
         durable_snapshot: bool,
-    ) -> Result<TaggedAnswers, ServiceError> {
-        let reply = ReplySlot::new();
+        reply: Arc<ReplySlot>,
+    ) -> Result<(), ServiceError> {
         {
             let mut q = self.inner.q.lock();
             if q.closed {
@@ -1319,12 +1279,12 @@ impl Client {
                 num_deletes,
                 ops,
                 enqueued: Instant::now(),
-                reply: Arc::clone(&reply),
+                reply,
                 durable_snapshot,
             });
         }
         self.inner.work_cv.notify_all();
-        reply.wait()
+        Ok(())
     }
 
     /// Inserts one edge (batched like any submission).
@@ -1361,12 +1321,7 @@ impl Client {
     /// partition without going through the batch former, concurrently
     /// with in-flight batches (paper Type (i)).
     pub fn query_now(&self, u: u32, v: u32) -> Result<bool, ServiceError> {
-        let n = self.num_vertices();
-        for x in [u, v] {
-            if x as usize >= n {
-                return Err(ServiceError::VertexOutOfRange { v: x, n });
-            }
-        }
+        self.in_range([u, v])?;
         Ok(self.inner.engine.connected(u, v))
     }
 
@@ -1374,10 +1329,7 @@ impl Client {
     /// labeling. Exact between batches on a clean generation; while a
     /// rebuild is in flight it reads the sealed generation's partition.
     pub fn current_label(&self, v: u32) -> Result<u32, ServiceError> {
-        let n = self.num_vertices();
-        if v as usize >= n {
-            return Err(ServiceError::VertexOutOfRange { v, n });
-        }
+        self.in_range([v])?;
         Ok(self.inner.engine.current_label(v))
     }
 
@@ -1412,10 +1364,7 @@ impl Client {
     /// analytics core (the `SIZE` verb). Between publications the
     /// answer may run ahead of the view's epoch, never behind it.
     pub fn component_size(&self, v: u32) -> Result<(u32, u64), ServiceError> {
-        let n = self.num_vertices();
-        if v as usize >= n {
-            return Err(ServiceError::VertexOutOfRange { v, n });
-        }
+        self.in_range([v])?;
         Ok(self.inner.engine.analytics_view().component_of(v))
     }
 
@@ -1457,7 +1406,9 @@ impl Client {
         if !self.wal_enabled() {
             return Err(ServiceError::DurabilityDisabled);
         }
-        self.enqueue(Vec::new(), 0, 0, true)?;
+        let reply = ReplySlot::new();
+        self.push(Vec::new(), 0, 0, true, Arc::clone(&reply))?;
+        reply.wait()?;
         Ok(self.inner.obs.metrics.durable_snapshot_epoch.get())
     }
 

@@ -450,12 +450,13 @@ impl SubsCore {
     }
 }
 
-/// How a sink disposed of one event. A `false` return means the sink is
-/// dead (connection gone or its queue overflowed — the connection layer
-/// handles the typed close); the dispatch detaches it.
+/// Where an attached subscription's events go. A sink always takes the
+/// event: a subscriber that cannot keep up is the connection layer's
+/// business (its typed `sub-overflow` close), and a closed connection
+/// detaches its sinks.
 pub trait SubSink: Send + Sync {
     /// Pushes one event toward the subscriber. Must not block.
-    fn deliver(&self, ev: &SubEvent) -> bool;
+    fn deliver(&self, ev: &SubEvent);
 }
 
 struct SubChannel {
@@ -543,28 +544,19 @@ impl SubsDispatch {
     ) -> Result<u64, AttachError> {
         let mut st = self.inner.lock();
         let c = st.chans.get_mut(&id).ok_or(AttachError::Unknown)?;
-        let mut alive = true;
-        c.retained.retain(|ev| {
-            if ev.seq > after_seq && alive {
-                if sink.deliver(ev) {
-                    false // delivered; drop from retention
-                } else {
-                    alive = false;
-                    true
-                }
-            } else {
-                ev.seq > after_seq // acknowledged events leave retention
-            }
-        });
-        c.sink = if alive { Some(sink) } else { None };
+        // Replayed and acknowledged events alike leave retention.
+        for ev in c.retained.drain(..).filter(|ev| ev.seq > after_seq) {
+            sink.deliver(&ev);
+        }
+        c.sink = Some(sink);
         Ok(c.next_seq - 1)
     }
 
     /// Delivers a drained batch of events in order: assigns sequence
     /// numbers, pushes through attached sinks, retains for detached
     /// durable channels. Returns the ids of **ephemeral** subscriptions
-    /// whose sink died (the caller cancels them in the core). The
-    /// `observe` callback sees every sequenced event (metrics).
+    /// with no sink (the caller cancels them in the core). The `observe`
+    /// callback sees every sequenced event (metrics).
     pub fn deliver(
         &self,
         events: &[PendingEvent],
@@ -578,22 +570,15 @@ impl SubsDispatch {
             ev.seq = c.next_seq;
             c.next_seq += 1;
             observe(&ev, pe.at);
-            let delivered = match &c.sink {
-                Some(s) => s.deliver(&ev),
-                None => false,
-            };
-            if !delivered {
-                if c.sink.is_some() {
-                    c.sink = None; // sink reported itself dead
+            if let Some(s) = &c.sink {
+                s.deliver(&ev);
+            } else if c.durable {
+                if c.retained.len() >= RETAIN_CAP {
+                    c.retained.pop_front();
                 }
-                if c.durable {
-                    if c.retained.len() >= RETAIN_CAP {
-                        c.retained.pop_front();
-                    }
-                    c.retained.push_back(ev);
-                } else {
-                    dead_ephemeral.push(ev.id);
-                }
+                c.retained.push_back(ev);
+            } else {
+                dead_ephemeral.push(ev.id);
             }
         }
         for id in &dead_ephemeral {
@@ -809,14 +794,10 @@ mod tests {
 
     #[test]
     fn dispatch_sequences_retains_and_replays() {
-        struct VecSink(Mutex<Vec<SubEvent>>, std::sync::atomic::AtomicBool);
+        struct VecSink(Mutex<Vec<SubEvent>>);
         impl SubSink for VecSink {
-            fn deliver(&self, ev: &SubEvent) -> bool {
-                if self.1.load(std::sync::atomic::Ordering::Relaxed) {
-                    return false;
-                }
+            fn deliver(&self, ev: &SubEvent) {
                 self.0.lock().push(*ev);
-                true
             }
         }
         let d = SubsDispatch::new();
@@ -839,7 +820,7 @@ mod tests {
         };
         assert!(d.deliver(&[ev(1), ev(2)], |_, _| {}).is_empty());
         // Re-attach after "restart": replay everything past seq 1.
-        let sink = Arc::new(VecSink(Mutex::new(Vec::new()), Default::default()));
+        let sink = Arc::new(VecSink(Mutex::new(Vec::new())));
         assert_eq!(d.attach(id, 1, Arc::clone(&sink) as Arc<dyn SubSink>), Ok(2));
         let got = sink.0.lock().clone();
         assert_eq!(got.len(), 1);
@@ -847,11 +828,10 @@ mod tests {
         // Live delivery now flows through the sink with fresh seqs.
         assert!(d.deliver(&[ev(3)], |_, _| {}).is_empty());
         assert_eq!(sink.0.lock().last().unwrap().seq, 3);
-        // A dead ephemeral sink reports back for core cancellation.
+        // An ephemeral channel with no sink reports back for core
+        // cancellation.
         let id2 = d.reserve();
-        let dead = Arc::new(VecSink(Mutex::new(Vec::new()), Default::default()));
-        dead.1.store(true, std::sync::atomic::Ordering::Relaxed);
-        d.open(id2, false, Some(dead));
+        d.open(id2, false, None);
         let mut e2 = ev(1);
         e2.ev.id = id2;
         assert_eq!(d.deliver(&[e2], |_, _| {}), vec![id2]);

@@ -10,9 +10,9 @@
 
 use cc_graph::io::binary::crc32;
 use cc_server::binproto::{
-    self, frame, BinClient, FrameAssembler, FrameError, MAX_FRAME_PAYLOAD, STREAM_MAGIC,
+    self, frame, FrameAssembler, FrameError, MAX_FRAME_PAYLOAD, STREAM_MAGIC,
 };
-use cc_server::{serve, Role, Service, ServiceConfig, TcpServer};
+use cc_server::{serve, Role, Service, ServiceConfig, TcpServer, WireClient};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -279,10 +279,10 @@ fn live_server_survives_garbage_streams() {
     }
     // After forty hostile connections, a well-behaved one still works
     // on both doors.
-    let mut bin = BinClient::connect(addr).expect("binary connect");
+    let mut bin = WireClient::binary(addr).expect("binary connect");
     bin.insert(1, 2).expect("insert");
     assert!(bin.query(1, 2).expect("query"));
-    let mut text = cc_server::TcpClient::connect(addr).expect("text connect");
+    let mut text = WireClient::text(addr).expect("text connect");
     assert!(text.query(1, 2).expect("text query"));
     server.stop();
     svc.shutdown();

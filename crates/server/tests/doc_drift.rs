@@ -12,7 +12,7 @@
 
 use cc_server::request::VERBS;
 use cc_server::{replication, wal};
-use cc_server::{serve, Service, ServiceConfig, TcpClient};
+use cc_server::{serve, Service, ServiceConfig, WireClient};
 
 const PROTOCOL: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROTOCOL.md"));
 
@@ -114,7 +114,7 @@ fn every_verb_row_has_a_requests_counter_in_a_fresh_scrape() {
     let mut svc =
         Service::start(ServiceConfig { n: 8, ..ServiceConfig::default() }).expect("start");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
-    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let mut c = WireClient::text(server.local_addr()).expect("connect");
     let scrape = c.metrics().expect("METRICS");
     for spec in &VERBS {
         let want = format!("connectit_requests_total{{verb=\"{}\"}} ", spec.text);
@@ -171,14 +171,14 @@ fn label_size_and_topk_name_one_representative() {
     let mut svc =
         Service::start(ServiceConfig { n: n as usize, ..ServiceConfig::default() }).expect("start");
     let server = serve(&svc, "127.0.0.1:0").expect("bind");
-    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
-    let check = |c: &mut TcpClient| {
+    let mut c = WireClient::text(server.local_addr()).expect("connect");
+    let check = |c: &mut WireClient| {
         c.quiesce(30_000).expect("QUIESCE");
         for v in 0..n {
             let (_, root) = c.component_size(v).expect("SIZE");
             assert_eq!(c.label(v).expect("LABEL"), root, "LABEL {v} vs SIZE {v} root=");
         }
-        let (top, ..) = c.topk(None).expect("TOPK");
+        let (top, ..) = c.topk(cc_server::net::DEFAULT_TOPK as u8).expect("TOPK");
         assert!(!top.is_empty());
         for (root, size) in top {
             assert_eq!(c.component_size(root).expect("SIZE"), (size, root), "TOPK entry {root}");

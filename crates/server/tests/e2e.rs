@@ -4,8 +4,10 @@
 //! process and verify recovery from its `--wal-dir`.
 
 use cc_parallel::SplitMix64;
+use cc_server::request::{BinRequest, Request};
 use cc_server::{
-    serve, DurabilityConfig, ExecMode, FsyncPolicy, Service, ServiceConfig, TcpClient,
+    serve, DurabilityConfig, ExecMode, FsyncPolicy, Reply, Service, ServiceConfig, SubKind,
+    WireClient,
 };
 use cc_unionfind::{FindKind, SeqUnionFind, SpliceKind, UfSpec, UniteKind};
 use connectit::Update;
@@ -258,7 +260,7 @@ fn tcp_protocol_end_to_end() {
     std::thread::scope(|s| {
         for t in 0..3u32 {
             s.spawn(move || {
-                let mut c = TcpClient::connect(addr).expect("connect");
+                let mut c = WireClient::text(addr).expect("connect");
                 c.ping().expect("ping");
                 let base = t * 300;
                 c.insert(base, base + 1).expect("insert");
@@ -273,7 +275,7 @@ fn tcp_protocol_end_to_end() {
                     ])
                     .expect("batch");
                 assert_eq!(answers.len(), 2);
-                assert!(!answers[1]);
+                assert!(!answers[1].0);
                 assert_eq!(c.label(base).expect("label"), c.label(base + 3).expect("label"));
                 assert!(c.epoch().expect("epoch") > 0);
                 let comps = c.components().expect("components");
@@ -285,7 +287,7 @@ fn tcp_protocol_end_to_end() {
     });
 
     // Malformed input gets an ERR, connection survives.
-    let mut c = TcpClient::connect(addr).expect("connect");
+    let mut c = WireClient::text(addr).expect("connect");
     assert!(c.query(5000, 0).is_err(), "out-of-range vertex is a server-side error");
     c.ping().expect("connection still alive after ERR");
 
@@ -315,7 +317,7 @@ fn tcp_durability_verbs_end_to_end() {
     })
     .expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
-    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let mut c = WireClient::text(server.local_addr()).expect("connect");
     c.insert(1, 2).expect("insert");
     c.flush_wal().expect("FLUSH");
     let snap_epoch = c.durable_snapshot().expect("SNAPSHOT");
@@ -332,7 +334,7 @@ fn tcp_durability_verbs_end_to_end() {
     let mut svc =
         Service::start(ServiceConfig { n: 16, ..ServiceConfig::default() }).expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
-    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
+    let mut c = WireClient::text(server.local_addr()).expect("connect");
     for r in [c.flush_wal().unwrap_err(), c.durable_snapshot().unwrap_err()] {
         assert!(r.to_string().contains("durability is not enabled"), "{r}");
     }
@@ -357,22 +359,22 @@ fn tcp_evt_size_and_topk_name_the_same_root() {
     })
     .expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
-    let mut c = TcpClient::connect(server.local_addr()).expect("connect");
-    let event = |c: &mut TcpClient| {
+    let mut c = WireClient::text(server.local_addr()).expect("connect");
+    let event = |c: &mut WireClient| {
         let evs = c.poll_events(Duration::from_secs(30)).expect("push line");
         assert_eq!(evs.len(), 1, "{evs:?}");
         evs[0]
     };
-    let check = |c: &mut TcpClient, ev: cc_server::SubEvent, what: &str| {
+    let check = |c: &mut WireClient, ev: cc_server::SubEvent, what: &str| {
         c.wait_epoch(ev.epoch, 30_000).expect("WAIT");
         let (size, root) = c.component_size(1).expect("SIZE");
         assert_eq!((ev.root, ev.size), (root, size), "{what}: EVT vs SIZE");
-        let (topk, _, gen, sealed) = c.topk(None).expect("TOPK");
+        let (topk, _, gen, sealed) = c.topk(cc_server::net::DEFAULT_TOPK as u8).expect("TOPK");
         assert_eq!((ev.generation, false), (gen, sealed), "{what}");
         assert_eq!(topk, vec![(root, size)], "{what}: TOPK");
     };
     c.insert(3, 1).expect("I 3 1");
-    c.subscribe_component(1, false).expect("SUB COMPONENT 1");
+    c.subscribe(SubKind::Component, 1, 1, false).expect("SUB COMPONENT 1");
     c.insert(1, 5).expect("I 1 5");
     let merged = event(&mut c);
     assert_eq!(merged.size, 3);
@@ -382,6 +384,100 @@ fn tcp_evt_size_and_topk_name_the_same_root() {
     let committed = event(&mut c);
     assert_eq!((committed.size, committed.generation), (2, merged.generation + 1));
     check(&mut c, committed, "rebuild commit");
+    server.stop();
+    svc.shutdown();
+}
+
+/// Sends `req` through both doors' clients; the replies must be equal up
+/// to what the text door cannot carry (`B` answers lose their
+/// generations). Returns the text door's reply.
+fn on_both_doors(doors: &mut [WireClient; 2], req: Request) -> Reply {
+    let [text, bin] = doors.each_mut().map(|c| c.call(&req).expect("call"));
+    let bin = match bin {
+        Reply::Answers(a) => Reply::Answers(a.into_iter().map(|(bit, _)| (bit, None)).collect()),
+        r => r,
+    };
+    assert_eq!(text, bin, "{req:?}");
+    text
+}
+
+/// One client, both doors: the same script against one server answers
+/// alike through the text codec and through the binary codec; a
+/// text-only verb is refused on the binary door before it reaches the
+/// wire; each door receives its subscription's pushed event.
+#[test]
+fn one_client_answers_alike_on_both_doors() {
+    use BinRequest as W;
+    let mut svc = Service::start(ServiceConfig {
+        n: 64,
+        shards: 2,
+        batch_max_wait: Duration::from_micros(50),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+    let mut doors =
+        [WireClient::text(addr).expect("text"), WireClient::binary(addr).expect("binary")];
+    let both = on_both_doors;
+
+    // Writes: each door writes the same edges (a repeat changes nothing),
+    // and the batch's queries read state both doors already acked.
+    assert_eq!(both(&mut doors, W::Insert(1, 2).into()), Reply::Ok);
+    assert_eq!(both(&mut doors, W::Insert(2, 3).into()), Reply::Ok);
+    let batch = W::Batch(vec![Update::Insert(4, 5), Update::Query(1, 3), Update::Query(1, 9)]);
+    assert_eq!(both(&mut doors, batch.into()), Reply::Answers(vec![(true, None), (false, None)]));
+    // Reads of one settled state.
+    assert_eq!(both(&mut doors, W::Quiesce { timeout_ms: 10_000 }.into()), Reply::Value(0));
+    assert_eq!(both(&mut doors, W::Query(1, 3).into()), Reply::Bit(true));
+    assert_eq!(both(&mut doors, W::QueryGen(1, 9).into()), Reply::BitGen(false, None));
+    assert!(matches!(both(&mut doors, W::Gen.into()), Reply::Gen { generation: 0, .. }));
+    let Reply::Topk { entries, .. } = both(&mut doors, W::Topk { k: 3 }.into()) else {
+        panic!("TOPK")
+    };
+    assert_eq!(entries.iter().map(|&(_, size)| size).collect::<Vec<_>>(), vec![3, 2]);
+    assert!(matches!(both(&mut doors, W::Hist.into()), Reply::Hist { components: 61, .. }));
+    assert!(matches!(both(&mut doors, W::Size(1).into()), Reply::Size { size: 3, .. }));
+    assert_eq!(both(&mut doors, W::Ping.into()), Reply::Ok);
+    for c in &mut doors {
+        let err = c.query(1, 99).unwrap_err();
+        assert_eq!(err.to_string(), "server error: vertex 99 out of range (n = 64)");
+    }
+    // The text door's `Q` rides a batch, so the epoch is read after it.
+    let Reply::Value(epoch) = both(&mut doors, W::Epoch.into()) else { panic!("EPOCH") };
+    assert_eq!(both(&mut doors, W::Wait { epoch, timeout_ms: 1000 }.into()), Reply::Value(epoch));
+
+    // SUB: ids are the server's, one per registration; the epoch is the
+    // same. The pair is connected already, so each subscription fires at
+    // once, toward its own door.
+    let mut ids = Vec::new();
+    for c in &mut doors {
+        let sub = W::Subscribe { kind: SubKind::Pair, u: 1, v: 3, durable: false };
+        let Reply::Subscribed { id, epoch: at } = c.call(&sub.into()).expect("SUB") else {
+            panic!("SUB")
+        };
+        assert_eq!(at, epoch);
+        let mut evs = c.take_events();
+        if evs.is_empty() {
+            evs = c.poll_events(Duration::from_secs(30)).expect("pushed event");
+        }
+        assert_eq!(evs.len(), 1, "{evs:?}");
+        assert_eq!((evs[0].id, evs[0].u, evs[0].v, evs[0].size), (id, 1, 3, 3));
+        ids.push(id);
+    }
+    assert_ne!(ids[0], ids[1]);
+    for (c, id) in doors.iter_mut().zip(ids) {
+        assert_eq!(c.call(&W::Unsubscribe { id }.into()).expect("UNSUB"), Reply::Ok);
+    }
+
+    // A text-only verb has no binary spelling: refused locally, and the
+    // connection goes on answering.
+    let [text, bin] = &mut doors;
+    let err = bin.call(&Request::Metrics).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(bin.in_flight(), 0);
+    bin.ping().expect("the binary door still answers");
+    assert!(text.metrics().expect("METRICS").iter().any(|l| l.starts_with("connectit_")));
     server.stop();
     svc.shutdown();
 }
@@ -443,7 +539,7 @@ fn binaries_kill_restart_checkpoint_resume() {
 
     // Observe the epoch the durable history reached, then crash.
     let epoch_before = {
-        let mut c = TcpClient::connect(addr).expect("connect");
+        let mut c = WireClient::text(addr).expect("connect");
         c.epoch().expect("epoch")
     };
     assert!(epoch_before > 0);
@@ -487,7 +583,7 @@ fn binaries_kill_restart_checkpoint_resume() {
         .find_map(|t| t.strip_prefix("sweep_checks=")?.parse().ok())
         .expect("sweep_checks in output");
     assert!(sweeps > 0, "resume must re-validate the restored oracle:\n{out}");
-    let mut c = TcpClient::connect(addr).expect("server still serving");
+    let mut c = WireClient::text(addr).expect("server still serving");
     let epoch_after = c.epoch().expect("epoch");
     assert!(epoch_after >= epoch_before, "epoch regressed across the restart");
     c.shutdown_server().expect("shutdown");
@@ -548,7 +644,7 @@ fn binaries_kill_mid_load_and_reconnect() {
     let deadline = Instant::now() + Duration::from_secs(30);
     let epoch_before = loop {
         assert!(Instant::now() < deadline, "load never reached epoch 5");
-        if let Ok(mut c) = TcpClient::connect(addr) {
+        if let Ok(mut c) = WireClient::text(addr) {
             if let Ok(e) = c.epoch() {
                 if e >= 5 {
                     break e;
@@ -573,7 +669,7 @@ fn binaries_kill_mid_load_and_reconnect() {
     assert!(out.status.success(), "mid-load drill failed:\n{stdout}");
     assert!(stdout.contains(" mismatches=0"), "{stdout}");
 
-    let mut c = TcpClient::connect(addr).expect("connect");
+    let mut c = WireClient::text(addr).expect("connect");
     assert!(c.epoch().expect("epoch") >= epoch_before);
     c.shutdown_server().expect("shutdown");
     drain_and_wait(child, reader);
@@ -627,7 +723,7 @@ fn binaries_replication_topology_kill_one_follower() {
     let f2 = spawn_serve_full(&follower_args("0").iter().map(String::as_str).collect::<Vec<_>>());
     let (f1addr, f2addr) = (f1.addr.to_string(), f2.addr.to_string());
     {
-        let mut c = TcpClient::connect(f1.addr).expect("connect follower");
+        let mut c = WireClient::text(f1.addr).expect("connect follower");
         assert_eq!(c.role().expect("ROLE"), "follower");
         // Inserts are rejected with the routing hint, connection intact.
         let err = c.insert(1, 2).expect_err("follower is read-only");
@@ -667,7 +763,7 @@ fn binaries_replication_topology_kill_one_follower() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(Instant::now() < deadline, "follower 1 never reached epoch 10");
-        if let Ok(mut c) = TcpClient::connect(f1.addr) {
+        if let Ok(mut c) = WireClient::text(f1.addr) {
             if c.epoch().map(|e| e >= 10).unwrap_or(false) {
                 break;
             }
@@ -697,20 +793,20 @@ fn binaries_replication_topology_kill_one_follower() {
 
     // Convergence: the restarted follower catches the primary's epoch.
     let primary_epoch = {
-        let mut c = TcpClient::connect(primary.addr).expect("primary alive");
+        let mut c = WireClient::text(primary.addr).expect("primary alive");
         c.epoch().expect("epoch")
     };
-    let mut c = TcpClient::connect(f1.addr).expect("restarted follower alive");
+    let mut c = WireClient::text(f1.addr).expect("restarted follower alive");
     let reached = c.wait_epoch(primary_epoch, 30_000).expect("follower converges");
     assert!(reached >= primary_epoch);
 
     // Tear the topology down through the protocol.
     for s in [f1, f2] {
-        let mut c = TcpClient::connect(s.addr).expect("connect");
+        let mut c = WireClient::text(s.addr).expect("connect");
         c.shutdown_server().expect("shutdown follower");
         drain_and_wait(s.child, s.reader);
     }
-    let mut c = TcpClient::connect(primary.addr).expect("connect");
+    let mut c = WireClient::text(primary.addr).expect("connect");
     c.shutdown_server().expect("shutdown primary");
     drain_and_wait(primary.child, primary.reader);
     let _ = std::fs::remove_dir_all(&dir);
@@ -722,11 +818,11 @@ fn tcp_server_stop_from_host() {
         .expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-    let mut c = TcpClient::connect(addr).expect("connect");
+    let mut c = WireClient::text(addr).expect("connect");
     c.insert(0, 1).expect("insert");
     server.stop();
     svc.shutdown();
     // New connections are refused or die promptly after stop.
-    let alive = TcpClient::connect(addr).and_then(|mut c2| c2.ping());
+    let alive = WireClient::text(addr).and_then(|mut c2| c2.ping());
     assert!(alive.is_err(), "server accepted after stop");
 }

@@ -1,5 +1,5 @@
 //! Protocol error-path coverage for `cc_server::net`, talking raw bytes
-//! over a socket (not through `TcpClient`, which would refuse to emit
+//! over a socket (not through `WireClient`, which would refuse to emit
 //! most of these). Every `ERR` spelling is asserted verbatim, mirroring
 //! the `UfSpec` error-path discipline: an error message is API.
 
@@ -421,7 +421,9 @@ fn slow_subscription_consumer_gets_a_typed_overflow_close() {
 // ---------------------------------------------------------------------------
 
 use cc_graph::io::binary::{crc32, RecordReader};
-use cc_server::binproto::{self, BinClient, Reply, MAX_FRAME_PAYLOAD, STREAM_MAGIC};
+use cc_server::binproto::{self, Reply, MAX_FRAME_PAYLOAD, STREAM_MAGIC};
+use cc_server::request::BinRequest;
+use cc_server::WireClient;
 use connectit::Update;
 
 /// Opens a raw binary connection: magic written, reader positioned after
@@ -470,7 +472,7 @@ fn expect_eof(r: &mut RecordReader<TcpStream>) {
 #[test]
 fn binary_and_text_share_the_port_and_requests_pipeline() {
     let (mut svc, mut server, addr) = start(Role::Primary);
-    let mut bin = BinClient::connect(addr).expect("binary connect");
+    let mut bin = WireClient::binary(addr).expect("binary connect");
     // A text connection next door is untouched by the binary traffic.
     let (mut tr, mut tw) = raw(addr);
 
@@ -494,7 +496,7 @@ fn binary_and_text_share_the_port_and_requests_pipeline() {
     // collected by correlation id in whatever order they complete.
     let mut want = std::collections::HashMap::new();
     for i in 0..64u32 {
-        let corr = bin.send_query(1, 2 + (i % 3)).expect("send");
+        let corr = bin.send(&BinRequest::Query(1, 2 + (i % 3)).into()).expect("send");
         want.insert(corr, (i % 3) < 2);
     }
     assert_eq!(bin.in_flight(), 64);
@@ -603,7 +605,7 @@ fn binary_frame_damage_gets_a_typed_err_and_close() {
         expect_eof(&mut r);
     }
     // The server survived all four autopsies.
-    let mut bin = BinClient::connect(addr).expect("connect");
+    let mut bin = WireClient::binary(addr).expect("connect");
     bin.ping().expect("ping");
     server.stop();
     svc.shutdown();
@@ -612,21 +614,23 @@ fn binary_frame_damage_gets_a_typed_err_and_close() {
 #[test]
 fn binary_follower_rejects_updates_and_serves_query_batches() {
     let (mut svc, mut server, addr) = start(Role::Follower);
-    let mut bin = BinClient::connect(addr).expect("connect");
+    let mut bin = WireClient::binary(addr).expect("connect");
     let deny = "read-only follower: route updates to the primary";
-    let corr = bin.send_insert(1, 2).expect("send");
+    let corr = bin.send(&BinRequest::Insert(1, 2).into()).expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
-    let corr = bin.send_delete(1, 2).expect("send");
+    let corr = bin.send(&BinRequest::Delete(1, 2).into()).expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
     // One update poisons the whole batch, exactly like the text door...
-    let corr = bin.send_batch(&[Update::Insert(1, 2), Update::Query(1, 2)]).expect("send");
+    let corr = bin
+        .send(&BinRequest::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)]).into())
+        .expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
     // ...while query-only batches answer against the replicated state.
     let answers = bin.submit(&[Update::Query(1, 2), Update::Query(3, 3)]).expect("submit");
     assert_eq!(answers, vec![(false, None), (true, None)]);
     assert!(!bin.query(1, 2).expect("query"));
     // WAIT keeps the text spelling for a timed-out barrier.
-    let corr = bin.send_wait(5, 50).expect("send");
+    let corr = bin.send(&BinRequest::Wait { epoch: 5, timeout_ms: 50 }.into()).expect("send");
     assert_eq!(
         bin.reap().expect("reap"),
         (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))
@@ -651,8 +655,8 @@ fn idle_sweep_spares_a_request_in_flight_on_either_door() {
     let (mut r, mut w) = raw(addr);
     send_line(&mut w, "WAIT 5 400");
     assert_eq!(read_line(&mut r), "ERR wait for epoch 5 timed out at epoch 0");
-    let mut bin = BinClient::connect(addr).expect("connect");
-    let corr = bin.send_wait(5, 400).expect("send");
+    let mut bin = WireClient::binary(addr).expect("connect");
+    let corr = bin.send(&BinRequest::Wait { epoch: 5, timeout_ms: 400 }.into()).expect("send");
     assert_eq!(
         bin.reap().expect("reap"),
         (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))

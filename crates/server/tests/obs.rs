@@ -4,6 +4,7 @@
 //! scrapes, and the recorder's trace file must survive a shutdown and
 //! be consumed (logged and removed) by the next run's recovery.
 
+use cc_server::request::BinRequest;
 use cc_server::wal::{DurabilityConfig, FsyncPolicy};
 use cc_server::{Service, ServiceConfig};
 use connectit::Update;
@@ -329,19 +330,19 @@ fn binary_load_populates_net_plane_series_and_stays_monotone() {
     let mut server = cc_server::serve(&svc, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
-    let drive = |bin: &mut cc_server::BinClient| {
+    let drive = |bin: &mut cc_server::WireClient| {
         // A pipelined burst (reads and updates) so the shard's rounds
         // have something to coalesce and the depth histogram something
         // to record.
         for i in 0..32u32 {
-            bin.send_insert(i, i + 1).expect("send");
-            bin.send_query(0, i + 1).expect("send");
+            bin.send(&BinRequest::Insert(i, i + 1).into()).expect("send");
+            bin.send(&BinRequest::Query(0, i + 1).into()).expect("send");
         }
         while bin.in_flight() > 0 {
             bin.reap().expect("reap");
         }
     };
-    let mut bin = cc_server::BinClient::connect(addr).expect("connect");
+    let mut bin = cc_server::WireClient::binary(addr).expect("connect");
     drive(&mut bin);
 
     let first = scrape(&c.render_metrics());

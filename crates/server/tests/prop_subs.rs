@@ -44,9 +44,8 @@ fn cfg(n: usize, shards: usize) -> ServiceConfig {
 struct CollectSink(Mutex<Vec<SubEvent>>);
 
 impl SubSink for CollectSink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
+    fn deliver(&self, ev: &SubEvent) {
         self.0.lock().expect("sink lock").push(*ev);
-        true
     }
 }
 
