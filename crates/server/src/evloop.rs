@@ -14,7 +14,7 @@
 //! [`crate::net`]. Both decode into the [`crate::request`] IR and feed
 //! the same dispatcher, whose [`Reply`] the connection's codec encodes.
 //! Routing comes from the verb table: follower refusal from
-//! [`crate::request::VerbSpec::update`], offloading from
+//! [`crate::request::VerbSpec::update`], parking from
 //! [`crate::request::VerbSpec::blocking`].
 //!
 //! A binary connection pipelines: every complete frame is dispatched as
@@ -57,9 +57,18 @@
 //! a correlation-id-0 `ERR` frame and closes `bad-frame`; idle
 //! connections with nothing in flight (when [`NetConfig::idle_timeout`]
 //! is set) close `idle-timeout`; server stop closes every connection
-//! `shutdown`; every close lands in the flight recorder. Blocking verbs
-//! (`WAIT`, `QUIESCE`, `FLUSH`, `SNAPSHOT`) are offloaded to short-lived
-//! helper threads so a barrier never stalls a shard's other connections.
+//! `shutdown`; every close lands in the flight recorder.
+//!
+//! ## Parked requests
+//!
+//! Nothing waits on a thread. A grouped submission and a blocking verb
+//! (`WAIT`, `QUIESCE`, `FLUSH`, `SNAPSHOT`, each a `service::Barrier`)
+//! both come back from the service as a ticket whose notify wakes the
+//! poll; the shard parks it, with the verb's deadline, in one list it
+//! drains every round. A barrier that holds already is answered inline;
+//! an expired deadline answers the verb's timeout; poll sleeps no longer
+//! than the nearest deadline; a closing connection drops its parked
+//! barriers. `waits_parked` counts the parked barriers over all shards.
 
 use crate::binproto::{
     decode_request, encode_event, encode_reply, frame, FrameAssembler, RequestError, SNIFF_BYTE,
@@ -67,7 +76,9 @@ use crate::binproto::{
 use crate::net::{self, Decoded, LineDecoder, ServerShared, TcpServer};
 use crate::obs::{CloseReason, Event, Gauge, Obs};
 use crate::request::{endpoints, BinRequest, Reply, Request, Verb};
-use crate::service::{Client, Role, Service, ServiceError, SubmitTicket, TaggedAnswers};
+use crate::service::{
+    Barrier, Client, Notify, Role, Service, ServiceError, SubmitTicket, TaggedAnswers, Ticket,
+};
 use crate::subs::{SubEvent, SubKind, SubSink};
 use connectit::Update;
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -249,10 +260,19 @@ struct Slot {
     len: usize,
 }
 
-/// One grouped submission in flight at the batch former.
-struct PendingGroup {
-    ticket: SubmitTicket,
-    slots: Vec<Slot>,
+/// A ticket the shard holds until it resolves.
+enum Parked {
+    /// A grouped submission in flight at the batch former.
+    Group(SubmitTicket, Vec<Slot>),
+    /// A blocking verb; a `WAIT` or `QUIESCE` expires at its deadline.
+    Barrier {
+        token: usize,
+        corr: u64,
+        verb: Verb,
+        barrier: Barrier,
+        ticket: Arc<Ticket<u64>>,
+        deadline: Option<Instant>,
+    },
 }
 
 /// Per-round accumulation across all ready connections.
@@ -302,14 +322,12 @@ struct Shard {
     poll: Poll,
     waker: Arc<Waker>,
     inbox: Arc<Mutex<Vec<TcpStream>>>,
-    /// Results of offloaded blocking verbs.
-    done: Arc<Mutex<Vec<(usize, u64, Reply)>>>,
     /// Subscription events pushed by [`Sink`]s from delivering threads;
     /// drained each poll round.
     events: PushQueue,
     conns: HashMap<usize, Conn>,
     next_token: usize,
-    groups: Vec<PendingGroup>,
+    parked: Vec<Parked>,
     /// Text connections whose reply was queued with lines still buffered:
     /// no readable event will arrive for bytes already read.
     resume: Vec<usize>,
@@ -339,11 +357,10 @@ impl Shard {
             poll,
             waker,
             inbox: Arc::new(Mutex::new(Vec::new())),
-            done: Arc::new(Mutex::new(Vec::new())),
             events: Arc::new(Mutex::new(Vec::new())),
             conns: HashMap::new(),
             next_token: 1,
-            groups: Vec::new(),
+            parked: Vec::new(),
             resume: Vec::new(),
             gauge,
             idle_timeout: cfg.idle_timeout,
@@ -356,7 +373,14 @@ impl Shard {
     fn run(&mut self) {
         let mut events = Events::with_capacity(256);
         while !self.shared.shutdown.load(Ordering::Acquire) {
-            if self.poll.poll(&mut events, Some(POLL_TICK)).is_err() {
+            let now = Instant::now();
+            let tick = self.parked.iter().fold(POLL_TICK, |tick, p| match p {
+                Parked::Barrier { deadline: Some(at), .. } => {
+                    tick.min(at.saturating_duration_since(now))
+                }
+                _ => tick,
+            });
+            if self.poll.poll(&mut events, Some(tick)).is_err() {
                 break;
             }
             self.adopt_new();
@@ -375,8 +399,7 @@ impl Shard {
                 }
             }
             self.execute_round(round);
-            self.drain_offloads();
-            self.drain_groups();
+            self.drain_parked();
             self.drain_events();
             self.resume_text();
             self.sweep_idle();
@@ -545,8 +568,8 @@ impl Shard {
 
     /// The one dispatcher: counts the request, refuses what the verb
     /// table routes away (out-of-range vertices, updates on a follower),
-    /// collects reads and updates into the round, offloads blocking
-    /// verbs, and answers the rest inline.
+    /// collects reads and updates into the round, parks blocking verbs,
+    /// and answers the rest inline.
     fn dispatch(&mut self, token: usize, corr: u64, req: Request, round: &mut Round) {
         let verb = req.verb();
         self.obs.metrics.record_request(verb);
@@ -637,7 +660,7 @@ impl Shard {
                 self.close_after_flush(token, CloseReason::Shutdown);
                 self.shared.request_shutdown();
             }
-            req if verb.spec().blocking => self.offload(token, corr, req),
+            req if verb.spec().blocking => self.park(token, corr, verb, req),
             req => {
                 let reply = answer(&self.client, req);
                 self.queue_reply(token, corr, reply, true);
@@ -660,21 +683,34 @@ impl Shard {
         }
     }
 
-    /// Answers a blocking verb on a helper thread; the result lands in
-    /// the shard's done-queue and wakes the poll.
-    fn offload(&self, token: usize, corr: u64, req: Request) {
-        let client = self.client.clone();
-        let done = Arc::clone(&self.done);
+    /// A notify callback that wakes this shard's poll.
+    fn wake(&self) -> Notify {
         let waker = Arc::clone(&self.waker);
-        let spawned = std::thread::Builder::new().name("cc-net-wait".into()).spawn(move || {
-            let reply = answer(&client, req);
-            done.lock().push((token, corr, reply));
+        Box::new(move || {
             let _ = waker.wake();
-        });
-        if spawned.is_err() {
-            let msg = "server out of threads for blocking verb".to_string();
-            self.done.lock().push((token, corr, Reply::Err(msg)));
+        })
+    }
+
+    /// Parks a blocking verb's ticket until it resolves or its deadline
+    /// lapses; one that resolved at once is answered inline.
+    fn park(&mut self, token: usize, corr: u64, verb: Verb, req: Request) {
+        let (barrier, timeout_ms) = match req {
+            Request::Bin(BinRequest::Wait { epoch, timeout_ms }) => {
+                (Barrier::Epoch(epoch), Some(timeout_ms))
+            }
+            Request::Bin(BinRequest::Quiesce { timeout_ms }) => (Barrier::Clean, Some(timeout_ms)),
+            Request::Flush => (Barrier::Flush, None),
+            Request::Snapshot => (Barrier::Snapshot, None),
+            req => unreachable!("{} is marked blocking but has no barrier", req.verb().spec().text),
+        };
+        let ticket = self.client.barrier(barrier, Some(self.wake()));
+        if let Some(result) = ticket.try_take() {
+            return self.queue_reply(token, corr, barrier_reply(verb, result), true);
         }
+        let deadline =
+            timeout_ms.and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+        self.parked.push(Parked::Barrier { token, corr, verb, barrier, ticket, deadline });
+        self.obs.metrics.waits_parked.inc();
     }
 
     /// Executes the round's two grouped strokes: one view acquire for all
@@ -688,12 +724,8 @@ impl Shard {
         }
         if !writes.is_empty() {
             self.obs.metrics.net_coalesce_width.record(writes.len() as u64);
-            let waker = Arc::clone(&self.waker);
-            let notify: Box<dyn Fn() + Send + Sync> = Box::new(move || {
-                let _ = waker.wake();
-            });
-            match self.client.submit_tagged_async(ops, Some(notify)) {
-                Ok(ticket) => self.groups.push(PendingGroup { ticket, slots: writes }),
+            match self.client.submit_tagged_async(ops, Some(self.wake())) {
+                Ok(ticket) => self.parked.push(Parked::Group(ticket, writes)),
                 Err(e) => self.answer_slots(writes, Err(e)),
             }
         }
@@ -724,23 +756,35 @@ impl Shard {
         }
     }
 
-    fn drain_offloads(&mut self) {
-        let finished: Vec<(usize, u64, Reply)> = std::mem::take(&mut *self.done.lock());
-        for (token, corr, reply) in finished {
-            self.queue_reply(token, corr, reply, true);
+    /// Answers every parked ticket that resolved, and every barrier whose
+    /// deadline lapsed with its timeout error.
+    fn drain_parked(&mut self) {
+        let now = Instant::now();
+        let (client, waits_parked) = (&self.client, &self.obs.metrics.waits_parked);
+        let (mut groups, mut replies) = (Vec::new(), Vec::new());
+        self.parked.retain_mut(|p| match p {
+            Parked::Group(ticket, slots) => {
+                let Some(result) = ticket.try_take() else { return true };
+                groups.push((std::mem::take(slots), result));
+                false
+            }
+            Parked::Barrier { token, corr, verb, barrier, ticket, deadline } => {
+                let expired = deadline.is_some_and(|at| at <= now);
+                let Some(result) =
+                    ticket.try_take().or_else(|| expired.then(|| Err(client.timed_out(*barrier))))
+                else {
+                    return true;
+                };
+                waits_parked.dec();
+                replies.push((*token, *corr, barrier_reply(*verb, result)));
+                false
+            }
+        });
+        for (slots, result) in groups {
+            self.answer_slots(slots, result);
         }
-    }
-
-    /// Routes completed grouped submissions back to their requests.
-    fn drain_groups(&mut self) {
-        let mut i = 0;
-        while i < self.groups.len() {
-            let Some(result) = self.groups[i].ticket.try_take() else {
-                i += 1;
-                continue;
-            };
-            let group = self.groups.swap_remove(i);
-            self.answer_slots(group.slots, result);
+        for (token, corr, reply) in replies {
+            self.queue_reply(token, corr, reply, true);
         }
     }
 
@@ -872,6 +916,11 @@ impl Shard {
     fn close(&mut self, token: usize, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&token) else { return };
         let _ = self.poll.registry().deregister(&conn.stream);
+        // Its parked barriers go with it; the waiter list prunes their
+        // abandoned tickets at its next fire.
+        let parked = self.parked.len();
+        self.parked.retain(|p| !matches!(p, Parked::Barrier { token: t, .. } if *t == token));
+        (self.parked.len()..parked).for_each(|_| self.obs.metrics.waits_parked.dec());
         // Ephemeral subscriptions die with the connection; durable ones
         // only lose their sink and keep accumulating for `SUB ATTACH`.
         for &(id, durable) in &conn.subs {
@@ -914,17 +963,20 @@ impl Shard {
     }
 }
 
-/// The reply to a request the dispatcher answers off the round: inline,
-/// or on a helper thread when its verb blocks.
+/// The reply to a resolved barrier: `FLUSH` answers `OK`, the others
+/// the epoch or generation their ticket resolved to.
+fn barrier_reply(verb: Verb, result: Result<u64, ServiceError>) -> Reply {
+    match result {
+        Ok(_) if verb == Verb::Flush => Reply::Ok,
+        Ok(value) => Reply::Value(value),
+        Err(e) => Reply::Err(e.to_string()),
+    }
+}
+
+/// The reply to a request the dispatcher answers inline, off the round.
 fn answer(client: &Client, req: Request) -> Reply {
     let reply = match req {
         Request::Bin(BinRequest::Epoch) => Ok(Reply::Value(client.epoch())),
-        Request::Bin(BinRequest::Wait { epoch, timeout_ms }) => {
-            client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)).map(Reply::Value)
-        }
-        Request::Bin(BinRequest::Quiesce { timeout_ms }) => {
-            client.quiesce(Duration::from_millis(timeout_ms)).map(Reply::Value)
-        }
         Request::Bin(BinRequest::Ping) => Ok(Reply::Ok),
         Request::Bin(BinRequest::Gen) => {
             let info = client.generation_info();
@@ -958,8 +1010,6 @@ fn answer(client: &Client, req: Request) -> Reply {
         Request::Components => Ok(Reply::Value(client.num_components() as u64)),
         Request::Role => Ok(Reply::Line(client.role().to_string())),
         Request::Stats => Ok(Reply::Line(client.stats().to_string())),
-        Request::Flush => client.flush_wal().map(|()| Reply::Ok),
-        Request::Snapshot => client.durable_snapshot().map(Reply::Value),
         Request::WalStats => client.wal_stats().map(Reply::Line),
         Request::Metrics => Ok(Reply::Dump(client.render_metrics())),
         Request::Trace(n) => Ok(Reply::Dump(client.trace_events(n))),

@@ -52,7 +52,7 @@
 
 use crate::analytics::{Analytics, AnalyticsView};
 use crate::obs::{Event, Obs};
-use crate::service::ExecMode;
+use crate::service::{Barrier, ExecMode, ServiceError, Ticket, Waiters};
 use crate::subs::{PendingEvent, SubInfo, SubKind, SubsCore};
 use cc_unionfind::{MergeOutcome, SizedUnionFind, UfSpec};
 use connectit::{canon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt, Update};
@@ -184,9 +184,11 @@ struct Shared {
     /// long, making the dirty window deterministically observable.
     rebuild_hold: Duration,
     mx: Mutex<WriteState>,
-    /// Signaled on both clean→dirty (wakes the rebuild worker) and
-    /// dirty→clean (wakes `quiesce` waiters) transitions.
+    /// Wakes the rebuild worker on clean→dirty and at shutdown.
     cv: Condvar,
+    /// The service's one waiter list: the engine fires its
+    /// [`Barrier::Clean`] entries, the service its epoch ones.
+    waiters: Waiters,
     view: Mutex<Arc<View>>,
     /// The published analytics view (`TOPK`/`HIST`/`SIZE`), swapped
     /// whole like `view` so analytical reads never take `mx`.
@@ -318,10 +320,11 @@ impl Shared {
         drained.len() as u64
     }
 
-    /// Closes a rebuild attempt begun under `lineage` (caller holds `mx`):
-    /// commits `next` as the new generation, or, if an edge was retracted
-    /// or the engine fell behind since the attempt began, discards it
-    /// (`false`); `pending` stays for the next one.
+    /// Closes a rebuild attempt begun under `lineage` (caller holds `mx`,
+    /// and fires [`Self::fire_clean`] once it is released): commits `next`
+    /// as the new generation, or, if an edge was retracted or the engine
+    /// fell behind since the attempt began, discards it (`false`);
+    /// `pending` stays for the next one.
     fn finish_attempt(
         &self,
         st: &mut WriteState,
@@ -352,8 +355,14 @@ impl Shared {
             o.metrics.rebuild_commit_hold_ns.record_duration(held.elapsed());
             o.recorder.record(Event::RebuildCommitted { generation: st.generation, drained });
         }
-        self.cv.notify_all();
         true
+    }
+
+    /// Resolves every `QUIESCE` once the engine came clean at
+    /// `generation`. Called with `mx` released, after the commit
+    /// republished the view that registration reads.
+    fn fire_clean(&self, generation: u64) {
+        self.waiters.fire(|b| (b == Barrier::Clean).then_some(Ok(generation)));
     }
 }
 
@@ -407,7 +416,10 @@ fn run_rebuilder(shared: &Arc<Shared>) {
             return;
         }
         if shared.finish_attempt(&mut st, next, lineage, build_start) {
+            let generation = st.generation;
+            drop(st);
             snapshot = None;
+            shared.fire_clean(generation);
         }
     }
 }
@@ -457,6 +469,7 @@ impl GenerationEngine {
             aview: Mutex::new(aview),
             mx: Mutex::new(st),
             cv: Condvar::new(),
+            waiters: Waiters::default(),
             doomed: AtomicBool::new(false),
             published_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -661,23 +674,29 @@ impl GenerationEngine {
 
     /// Blocks until the engine is clean (no rebuild owed or in flight);
     /// returns the generation reached, or `Err` with the generation still
-    /// serving when the timeout lapses or the engine shuts down.
+    /// serving when the timeout lapses.
     pub fn quiesce(&self, timeout: Duration) -> Result<u64, u64> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.mx.lock();
-        loop {
-            if !st.dirty {
-                return Ok(st.generation);
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(st.generation);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(st.generation);
-            }
-            self.shared.cv.wait_for(&mut st, deadline - now);
+        let ticket = Ticket::new(None);
+        self.when_clean(&ticket);
+        match ticket.wait(Instant::now().checked_add(timeout)) {
+            Some(Ok(generation)) => Ok(generation),
+            _ => Err(self.generation()),
         }
+    }
+
+    /// Parks `ticket` until the engine is clean, or resolves it to the
+    /// clean generation at once. Reads the view, which every seal and
+    /// commit republishes before it fires, so a shard never waits on `mx`.
+    pub(crate) fn when_clean(&self, ticket: &Arc<Ticket<u64>>) {
+        self.shared.waiters.register(Barrier::Clean, ticket, || {
+            let view = self.view();
+            (!view.sealed).then_some(Ok(view.generation))
+        });
+    }
+
+    /// The one waiter list (see [`Waiters`]).
+    pub(crate) fn waiters(&self) -> &Waiters {
+        &self.shared.waiters
     }
 
     /// The live edge set, for durable snapshots. Exact in every state:
@@ -738,14 +757,17 @@ impl GenerationEngine {
         let Some(next) = self.shared.build_generation(&mut edges, &[]) else {
             return; // shutting down
         };
-        let st = &mut *self.shared.mx.lock();
-        st.behind = false;
-        st.dirty = false;
-        self.shared.install(st, next, None);
-        if let Some(o) = &self.shared.obs {
-            o.metrics.gen_dirty.set(0);
-        }
-        self.shared.cv.notify_all();
+        let generation = {
+            let st = &mut *self.shared.mx.lock();
+            st.behind = false;
+            st.dirty = false;
+            self.shared.install(st, next, None);
+            if let Some(o) = &self.shared.obs {
+                o.metrics.gen_dirty.set(0);
+            }
+            st.generation
+        };
+        self.shared.fire_clean(generation);
     }
 
     /// Publishes the analytics view at batch epoch `epoch` (a
@@ -857,6 +879,7 @@ impl Drop for GenerationEngine {
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
+        self.shared.waiters.fire(|_| Some(Err(ServiceError::Closed)));
     }
 }
 

@@ -35,13 +35,13 @@
 //! | `TOPK [k]`           | `K k=<m> epoch=<e> gen=<g> sealed=<0/1> <root>:<size> …` | the `m ≤ k` largest components as `root:size` pairs, descending (singletons excluded; default `k` is [`DEFAULT_TOPK`], at most [`crate::analytics::TOPK_CAP`]) |
 //! | `HIST`               | `H components=<c> epoch=<e> gen=<g> sealed=<0/1> <b>:<count> …` | component-size histogram: bucket `b` counts components of `2^b ≤ size < 2^(b+1)`; zero buckets are omitted |
 //! | `SIZE v`             | `Z <size> root=<r>`                  | member count (and current representative) of `v`'s component |
-//! | `EPOCH`              | `E <epoch>`                          | completed batches (on a follower: replication epoch) |
+//! | `EPOCH`              | `E <epoch>`                          | committed write batches (follower: replication epoch) |
 //! | `WAIT e [ms]`        | `E <epoch>`                          | block until the epoch reaches `e` (default timeout 10000 ms), then report it |
 //! | `GEN`                | `G <gen> dirty=<0/1> <counters>`     | generation info: serving generation, rebuild-in-flight flag, delete-classification counters |
 //! | `QUIESCE [ms]`       | `G <gen>`                            | block until no rebuild is in flight (default timeout 10000 ms); afterwards queries are exact until the next forest deletion |
 //! | `ROLE`               | `R primary` / `R follower`           | replication role |
 //! | `STATS`              | `S <key=value ...>`                  | one-line stats dump |
-//! | `FLUSH`              | `OK`                                 | fsync the WAL now, regardless of policy |
+//! | `FLUSH`              | `OK`                                 | fsync the WAL after the next batch, regardless of policy |
 //! | `SNAPSHOT`           | `SNAP <epoch>`                       | write a checkpoint record (live edge set) to the WAL at the next batch boundary |
 //! | `WALSTATS`           | `W <key=value ...>`                  | one-line WAL stats dump |
 //! | `METRICS`            | typed lines, then `# EOF`            | multi-line Prometheus-style dump of the metrics registry (the only verbs with multi-line replies are `METRICS`, `TRACE`, and `SUBS`; all end with a literal `# EOF` line) |
@@ -87,12 +87,10 @@ use crate::request::{BinRequest, Reply, Request, Verb};
 use crate::service::Service;
 use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
-use parking_lot::{Condvar, Mutex};
 use std::io::Write;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Upper bound on `B k` batch sizes, so a hostile header cannot trigger an
 /// unbounded allocation. [`crate::client::WireClient`] enforces it
@@ -614,28 +612,19 @@ pub(crate) fn parse_event_line(line: &str) -> Option<SubEvent> {
 
 pub(crate) struct ServerShared {
     pub(crate) shutdown: AtomicBool,
-    pub(crate) done_mx: Mutex<bool>,
-    pub(crate) done_cv: Condvar,
     pub(crate) local_addr: SocketAddr,
 }
 
 impl ServerShared {
     pub(crate) fn new(local_addr: SocketAddr) -> ServerShared {
-        ServerShared {
-            shutdown: AtomicBool::new(false),
-            done_mx: Mutex::new(false),
-            done_cv: Condvar::new(),
-            local_addr,
-        }
+        ServerShared { shutdown: AtomicBool::new(false), local_addr }
     }
 
     pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        *self.done_mx.lock() = true;
-        self.done_cv.notify_all();
         // The accept loop polls the flag (non-blocking listener), so no
         // wake-up connection is needed — shutdown works even when the
         // bound address is not self-connectable (e.g. 0.0.0.0).
+        self.shutdown.store(true, Ordering::Release);
     }
 }
 
@@ -656,14 +645,9 @@ impl TcpServer {
     }
 
     /// Blocks until a `SHUTDOWN` request arrives (or [`TcpServer::stop`]
-    /// is called from another thread), then joins the accept loop.
+    /// is called from another thread): the accept loop and the shards
+    /// exit on the shutdown flag, and this joins them.
     pub fn wait_shutdown(&mut self) {
-        {
-            let mut g = self.shared.done_mx.lock();
-            while !*g {
-                self.shared.done_cv.wait_for(&mut g, Duration::from_millis(50));
-            }
-        }
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }

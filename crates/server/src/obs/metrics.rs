@@ -174,6 +174,7 @@ pub struct Metrics {
     pub frames_out_total: Counter,
     pub net_coalesce_width: LatencyHist,
     pub net_pipeline_depth: LatencyHist,
+    pub waits_parked: Gauge,
     net_shards: Mutex<Vec<Arc<Gauge>>>,
     /// One request counter per row of [`VERBS`], indexed by [`Verb`].
     requests: [Counter; VERBS.len()],
@@ -243,6 +244,7 @@ impl Metrics {
             frames_out_total: Counter::default(),
             net_coalesce_width: LatencyHist::new(),
             net_pipeline_depth: LatencyHist::new(),
+            waits_parked: Gauge::default(),
             net_shards: Mutex::new(Vec::new()),
             requests: std::array::from_fn(|_| Counter::default()),
             repl_records_shipped_total: Counter::default(),
@@ -378,6 +380,7 @@ impl Metrics {
         out.push(format!("connectit_frames_total{{dir=\"out\"}} {}", self.frames_out_total.get()));
         summary(&mut out, "net_coalesce_width", &self.net_coalesce_width);
         summary(&mut out, "net_pipeline_depth", &self.net_pipeline_depth);
+        gauge(&mut out, "waits_parked", &self.waits_parked);
         let shards: Vec<Arc<Gauge>> = self.net_shards.lock().clone();
         out.push("# TYPE connectit_net_shard_connections gauge".to_string());
         for (i, g) in shards.iter().enumerate() {

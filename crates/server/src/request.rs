@@ -61,8 +61,9 @@ pub struct VerbSpec {
     /// Follower routing: the verb carries inserts or deletes, so a
     /// follower refuses it (a `B` only when its body holds one).
     pub update: bool,
-    /// The verb may block on an epoch, a rebuild or the disk, so the
-    /// shard answers it on a helper thread.
+    /// The verb waits on an epoch, a rebuild or the disk: the shard parks
+    /// its ticket (`service::Client::barrier`) and answers it when the
+    /// ticket resolves or its deadline lapses.
     pub blocking: bool,
 }
 

@@ -5,16 +5,19 @@
 //! checkpoint records, and per-operation latency tracking.
 //!
 //! Clients ([`Client`], cheaply cloneable) enqueue submissions — each a
-//! small vector of [`Update`]s — and block on a per-submission reply
-//! slot. A dedicated batch-former thread drains the queue, lingering up
-//! to [`ServiceConfig::batch_max_wait`] to coalesce traffic from many
+//! small vector of [`Update`]s — and block on a per-submission
+//! [`Ticket`]. A dedicated batch-former thread drains the queue, lingering
+//! up to [`ServiceConfig::batch_max_wait`] to coalesce traffic from many
 //! clients into one engine batch of at most
 //! [`ServiceConfig::batch_max_ops`] operations, then runs it through
 //! [`GenerationEngine::process_batch_tagged`] and fans the query answers
-//! back out. Every completed batch bumps the
-//! service epoch. Reads skip the former and the writer lock alike: they
-//! ask the engine's serving partition directly, so readers never block
-//! writers and writers never wait for readers.
+//! back out. Every batch with an insert or a delete bumps the service
+//! epoch; a batch of queries and controls commits nothing. A blocking
+//! verb is a [`Ticket`] parked on one waiter list, or a control riding
+//! the next batch, so nothing waits on a thread. Reads skip the former
+//! and the writer lock alike: they ask the engine's serving partition
+//! directly, so readers never block writers and writers never wait for
+//! readers.
 //!
 //! Replayed history has one door, `apply_log` over a [`LogRecord`]:
 //! crash recovery drives it from the service's own WAL, a follower
@@ -24,6 +27,7 @@
 use crate::analytics::AnalyticsView;
 use crate::generation::{GenInfo, GenerationEngine};
 use crate::obs::{self, Event, Obs};
+use crate::request::endpoints;
 use crate::snapshot;
 use crate::subs::{AttachError, PendingEvent, SubInfo, SubKind, SubSink, SubWalOp, SubsDispatch};
 pub use crate::wal::LogRecord;
@@ -35,7 +39,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// How often the batcher appends fresh flight-recorder events to the
@@ -221,7 +225,7 @@ impl From<WalError> for ServiceError {
 /// A point-in-time view of the service's counters and latency profile.
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
-    /// Completed batches (equals the current epoch).
+    /// Committed write batches (equals the current epoch).
     pub epoch: u64,
     /// Operations processed so far.
     pub ops: u64,
@@ -263,10 +267,27 @@ struct Pending {
     num_queries: usize,
     num_deletes: usize,
     enqueued: Instant,
-    reply: Arc<ReplySlot>,
-    /// Ask the batcher to write a checkpoint after the batch this
-    /// submission lands in (the `SNAPSHOT` control path).
-    durable_snapshot: bool,
+    work: Work,
+}
+
+/// What a queued submission asks of the batcher, and where its result
+/// goes.
+enum Work {
+    /// Operations: the ticket gets their query answers.
+    Ops(Arc<Ticket<TaggedAnswers>>),
+    /// A [`Barrier::Flush`] or [`Barrier::Snapshot`] control (no
+    /// operations): it runs after the batch it rides, and the ticket
+    /// gets the epoch that batch left.
+    Control(Barrier, Arc<Ticket<u64>>),
+}
+
+impl Work {
+    fn fail(self, e: ServiceError) {
+        match self {
+            Work::Ops(ticket) => ticket.fulfill(Err(e)),
+            Work::Control(_, ticket) => ticket.fulfill(Err(e)),
+        }
+    }
 }
 
 /// A query answer paired with the sealed generation it was served from
@@ -275,26 +296,32 @@ struct Pending {
 /// layer never has to re-derive staleness with a racy second read.
 pub type TaggedAnswers = Vec<(bool, Option<u64>)>;
 
-/// A single-use reply mailbox a submitting thread blocks on (or, through
-/// [`SubmitTicket`], polls after a completion callback).
-struct ReplySlot {
-    state: Mutex<Option<Result<TaggedAnswers, ServiceError>>>,
+/// The callback a ticket's producer fires once the result is stored: the
+/// event-loop shards pass their poll waker.
+pub type Notify = Box<dyn Fn() + Send + Sync>;
+
+/// A one-shot result still being produced: a submission's answers
+/// ([`Client::submit_tagged_async`]) or a blocking verb's epoch or
+/// generation. Its producer (a batch, a waiter-list fire, or the request
+/// itself when it already holds) stores the result once; its holder polls
+/// with [`Ticket::try_take`] after the notify callback fires, or blocks
+/// with [`Ticket::wait`]. The two share it as an `Arc`: a holder that
+/// drops its `Arc` abandons the wait.
+pub struct Ticket<T> {
+    state: Mutex<Option<Result<T, ServiceError>>>,
     cv: Condvar,
-    /// Fired after the result is stored — the event-loop shards hang a
-    /// poll waker here so a fulfilled ticket wakes the owning shard.
-    notify: Option<Box<dyn Fn() + Send + Sync>>,
+    notify: Option<Notify>,
 }
 
-impl ReplySlot {
-    fn new() -> Arc<Self> {
-        Self::with_notify(None)
+/// The ticket of a grouped submission.
+pub type SubmitTicket = Arc<Ticket<TaggedAnswers>>;
+
+impl<T> Ticket<T> {
+    pub(crate) fn new(notify: Option<Notify>) -> Arc<Self> {
+        Arc::new(Ticket { state: Mutex::new(None), cv: Condvar::new(), notify })
     }
 
-    fn with_notify(notify: Option<Box<dyn Fn() + Send + Sync>>) -> Arc<Self> {
-        Arc::new(ReplySlot { state: Mutex::new(None), cv: Condvar::new(), notify })
-    }
-
-    fn fulfill(&self, r: Result<TaggedAnswers, ServiceError>) {
+    fn fulfill(&self, r: Result<T, ServiceError>) {
         *self.state.lock() = Some(r);
         self.cv.notify_all();
         if let Some(f) = &self.notify {
@@ -302,37 +329,89 @@ impl ReplySlot {
         }
     }
 
-    fn wait(&self) -> Result<TaggedAnswers, ServiceError> {
-        let mut g = self.state.lock();
+    /// Takes the result if it is stored; `None` while it is still being
+    /// produced. A taken result is gone — callers poll until `Some`, then
+    /// stop.
+    pub fn try_take(&self) -> Option<Result<T, ServiceError>> {
+        self.state.lock().take()
+    }
+
+    /// Blocks until the result is stored, or until `deadline` passes
+    /// (`None` waits for good), and takes it; `None` at the deadline.
+    pub fn wait(&self, deadline: Option<Instant>) -> Option<Result<T, ServiceError>> {
+        let mut state = self.state.lock();
         loop {
-            if let Some(r) = g.take() {
-                return r;
+            if let Some(r) = state.take() {
+                return Some(r);
             }
-            // Timeout is a lost-wakeup backstop, mirroring the pool.
-            self.cv.wait_for(&mut g, Duration::from_millis(10));
+            match deadline {
+                None => self.cv.wait(&mut state),
+                Some(at) => {
+                    let left = at.checked_duration_since(Instant::now())?;
+                    self.cv.wait_for(&mut state, left);
+                }
+            }
         }
     }
 }
 
-/// Handle to an asynchronously submitted operation group (see
-/// [`Client::submit_tagged_async`]): poll with [`SubmitTicket::try_take`]
-/// after the completion callback fires, or block with
-/// [`SubmitTicket::wait`].
-pub struct SubmitTicket {
-    reply: Arc<ReplySlot>,
+/// What a blocking verb waits for. [`Client::barrier`] turns one into a
+/// [`Ticket`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Barrier {
+    /// `WAIT`: the service epoch reaches this one; resolves to the epoch
+    /// reached.
+    Epoch(u64),
+    /// `QUIESCE`: no generation rebuild owed or in flight; resolves to the
+    /// clean generation.
+    Clean,
+    /// `FLUSH`: the WAL is fsynced after the next batch; resolves to the
+    /// epoch it covers.
+    Flush,
+    /// `SNAPSHOT`: a checkpoint is written after the next batch; resolves
+    /// to the epoch it is keyed by.
+    Snapshot,
 }
 
-impl SubmitTicket {
-    /// Takes the result if the batch containing the submission has
-    /// completed; `None` while it is still in flight. A taken result is
-    /// gone — callers poll until `Some`, then stop.
-    pub fn try_take(&self) -> Option<Result<TaggedAnswers, ServiceError>> {
-        self.reply.state.lock().take()
+/// The one waiter list: tickets parked on a [`Barrier::Epoch`] or a
+/// [`Barrier::Clean`], each fired once by whoever moves its condition.
+/// Entries are held weakly, so an abandoned ticket is pruned at the next
+/// fire or registration.
+#[derive(Default)]
+pub(crate) struct Waiters(Mutex<Vec<(Barrier, Weak<Ticket<u64>>)>>);
+
+impl Waiters {
+    /// Parks `ticket` on `barrier` unless `now` resolves it already. `now`
+    /// runs under the list lock and every condition change fires after it
+    /// lands, so a change is seen by `now` or by that fire.
+    pub(crate) fn register(
+        &self,
+        barrier: Barrier,
+        ticket: &Arc<Ticket<u64>>,
+        now: impl FnOnce() -> Option<Result<u64, ServiceError>>,
+    ) {
+        let mut list = self.0.lock();
+        list.retain(|(_, w)| w.strong_count() > 0);
+        match now() {
+            Some(r) => ticket.fulfill(r),
+            None => list.push((barrier, Arc::downgrade(ticket))),
+        }
     }
 
-    /// Blocks until the result is available (the synchronous fallback).
-    pub fn wait(&self) -> Result<TaggedAnswers, ServiceError> {
-        self.reply.wait()
+    /// Resolves every entry `hit` has a result for, and prunes abandoned
+    /// ones.
+    pub(crate) fn fire(&self, hit: impl Fn(Barrier) -> Option<Result<u64, ServiceError>>) {
+        self.0.lock().retain(|&(barrier, ref w)| match (w.upgrade(), hit(barrier)) {
+            (Some(ticket), Some(r)) => {
+                ticket.fulfill(r);
+                false
+            }
+            (ticket, _) => ticket.is_some(),
+        });
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().len()
     }
 }
 
@@ -372,9 +451,6 @@ struct Inner {
     /// section, so two concurrent drains cannot reorder deliveries
     /// within a subscription.
     sub_drain_mx: Mutex<()>,
-    /// Every epoch advance notifies waiters (`WAIT <epoch>`).
-    epoch_mx: Mutex<()>,
-    epoch_cv: Condvar,
     /// Set by shutdown; the follower read path has no queue to observe
     /// closure through, so it checks this flag instead.
     closed: std::sync::atomic::AtomicBool,
@@ -384,8 +460,13 @@ impl Inner {
     fn bump_epoch_to(&self, epoch: u64) {
         self.epoch.fetch_max(epoch, Ordering::AcqRel);
         self.obs.metrics.epoch.set_max(epoch);
-        let _g = self.epoch_mx.lock();
-        self.epoch_cv.notify_all();
+        self.fire_epoch();
+    }
+
+    /// Resolves every `WAIT` whose epoch the service has reached.
+    fn fire_epoch(&self) {
+        let at = self.epoch.load(Ordering::Acquire);
+        self.engine.waiters().fire(|b| matches!(b, Barrier::Epoch(e) if e <= at).then_some(Ok(at)));
     }
 
     fn note_wal_error(&self, msg: &str) {
@@ -710,9 +791,12 @@ fn run_batcher(inner: &Arc<Inner>) {
         // obs bench gate holds us to.
         let metrics = &inner.obs.metrics;
         let formed_at = Instant::now();
-        let next_epoch = inner.epoch.load(Ordering::Relaxed) + 1;
+        // The epoch the batch commits as: the next one if it writes, else
+        // the current one.
+        let writes = pendings.iter().any(|p| p.num_queries < p.ops.len());
+        let epoch = inner.epoch.load(Ordering::Relaxed) + u64::from(writes);
         metrics.batches_total.inc();
-        inner.obs.recorder.record(Event::BatchFormed { epoch: next_epoch, ops: total as u64 });
+        inner.obs.recorder.record(Event::BatchFormed { epoch, ops: total as u64 });
         for p in &pendings {
             let waited = formed_at.saturating_duration_since(p.enqueued);
             metrics.queue_wait_ns.record_duration(waited);
@@ -724,17 +808,18 @@ fn run_batcher(inner: &Arc<Inner>) {
         // take the record, the batch is rejected wholesale (the engine is
         // not mutated), so the in-memory state never runs ahead of what a
         // restart could reconstruct. Insert-only batches keep the
-        // original `'I'` record kind on disk and on the wire.
-        if let Some(w) = &inner.wal {
+        // original `'I'` record kind on disk and on the wire. A batch
+        // that writes nothing commits nothing: no record, no epoch.
+        if let Some(w) = inner.wal.as_ref().filter(|_| writes) {
             let append_start = Instant::now();
-            let append_res = w.lock().append_ops(next_epoch, &batch);
+            let append_res = w.lock().append_ops(epoch, &batch);
             metrics.wal_append_ns.record_duration(append_start.elapsed());
             if let Err(e) = append_res {
                 let err = ServiceError::from(e);
                 inner.note_wal_error(&err.to_string());
                 metrics.batch_rejects_total.inc();
                 for p in pendings {
-                    p.reply.fulfill(Err(err.clone()));
+                    p.work.fail(err.clone());
                 }
                 continue;
             }
@@ -746,7 +831,7 @@ fn run_batcher(inner: &Arc<Inner>) {
         // that returns from `submit` observes stats covering its batch.
         let done_at = Instant::now();
         metrics.apply_ns.record_duration(done_at.saturating_duration_since(apply_start));
-        inner.obs.recorder.record(Event::EngineApplied { epoch: next_epoch, ops: total as u64 });
+        inner.obs.recorder.record(Event::EngineApplied { epoch, ops: total as u64 });
         let (mut ins, mut dels, mut qrs) = (0u64, 0u64, 0u64);
         for p in &pendings {
             qrs += p.num_queries as u64;
@@ -761,43 +846,49 @@ fn run_batcher(inner: &Arc<Inner>) {
         metrics.inserts_total.add(ins);
         metrics.deletes_total.add(dels);
         metrics.queries_total.add(qrs);
-        let epoch = inner.epoch.fetch_add(1, Ordering::Release) + 1;
-        metrics.epoch.set_max(epoch);
-        debug_assert_eq!(epoch, next_epoch);
-        {
-            // Wake any `WAIT <epoch>` blocked on this advance.
-            let _g = inner.epoch_mx.lock();
-            inner.epoch_cv.notify_all();
+        if writes {
+            let advanced = inner.epoch.fetch_add(1, Ordering::Release) + 1;
+            metrics.epoch.set_max(advanced);
+            debug_assert_eq!(advanced, epoch);
+            inner.fire_epoch();
+            // Advance the analytics view to this batch's epoch (deferred
+            // to the rebuild commit while the engine is dirty).
+            inner.engine.publish_analytics(epoch);
+            // Push out any subscription fires this batch's merges
+            // produced, stamped with the epoch that just advanced.
+            inner.drain_sub_events();
         }
-        // Advance the analytics view to this batch's epoch (deferred to
-        // the rebuild commit while the engine is dirty).
-        inner.engine.publish_analytics(epoch);
-        // Push out any subscription fires this batch's merges produced,
-        // stamped with the epoch that just advanced.
-        inner.drain_sub_events();
 
-        // Checkpoints: on the configured epoch cadence, or when a
-        // `SNAPSHOT` control submission rode this batch. A failure is
-        // reported to the requesting submissions (and WALSTATS); the
-        // batch itself already committed.
+        // Controls run after the batch they rode: a checkpoint (also on
+        // the epoch cadence of a committed batch), then one fsync for
+        // every `FLUSH`. A failure goes to the controls that asked (and
+        // WALSTATS); the batch itself already committed.
+        let asked = |b| pendings.iter().any(|p| matches!(p.work, Work::Control(c, _) if c == b));
         let cadence = inner.cfg.durability.as_ref().map_or(0, |d| d.snapshot_every);
-        let snapshot_due = pendings.iter().any(|p| p.durable_snapshot)
-            || (cadence > 0 && epoch.is_multiple_of(cadence));
-        let snapshot_err = (inner.wal.is_some() && snapshot_due)
-            .then(|| inner.write_checkpoint(epoch).err())
-            .flatten();
-        if let Some(e) = &snapshot_err {
+        let snapshot_due =
+            asked(Barrier::Snapshot) || (writes && cadence > 0 && epoch.is_multiple_of(cadence));
+        let snapshot = match inner.wal {
+            Some(_) if snapshot_due => inner.write_checkpoint(epoch),
+            _ => Ok(()),
+        };
+        let flush = match &inner.wal {
+            Some(w) if asked(Barrier::Flush) => w.lock().flush().map_err(ServiceError::from),
+            _ => Ok(()),
+        };
+        for e in [&snapshot, &flush].into_iter().filter_map(|r| r.as_ref().err()) {
             inner.note_wal_error(&e.to_string());
         }
 
         let mut qi = 0usize;
         for p in pendings {
-            let res = answers[qi..qi + p.num_queries].to_vec();
-            qi += p.num_queries;
-            match (&snapshot_err, p.durable_snapshot) {
-                (Some(e), true) => p.reply.fulfill(Err(e.clone())),
-                _ => p.reply.fulfill(Ok(res)),
+            match p.work {
+                Work::Ops(ticket) => ticket.fulfill(Ok(answers[qi..qi + p.num_queries].to_vec())),
+                Work::Control(Barrier::Snapshot, ticket) => {
+                    ticket.fulfill(snapshot.clone().map(|()| epoch))
+                }
+                Work::Control(_, ticket) => ticket.fulfill(flush.clone().map(|()| epoch)),
             }
+            qi += p.num_queries;
         }
     }
 }
@@ -889,8 +980,6 @@ impl Service {
             apply_mx: Mutex::new(()),
             subs: SubsDispatch::new(),
             sub_drain_mx: Mutex::new(()),
-            epoch_mx: Mutex::new(()),
-            epoch_cv: Condvar::new(),
             closed: std::sync::atomic::AtomicBool::new(false),
         });
         if let Some(dcfg) = &inner.cfg.durability {
@@ -935,11 +1024,9 @@ impl Service {
         }
         self.inner.closed.store(true, Ordering::Release);
         self.inner.work_cv.notify_all();
-        {
-            // Unblock `WAIT`ers: the epoch will never advance again.
-            let _g = self.inner.epoch_mx.lock();
-            self.inner.epoch_cv.notify_all();
-        }
+        // Fail every `WAIT` still parked: the epoch will never advance again.
+        let closed = |b| matches!(b, Barrier::Epoch(_)).then_some(Err(ServiceError::Closed));
+        self.inner.engine.waiters().fire(closed);
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
@@ -996,7 +1083,7 @@ impl Client {
     /// The tag is produced by the engine under the same lock (or from
     /// the same view read) as the answer, so it is atomic with it.
     pub fn submit_tagged(&self, ops: Vec<Update>) -> Result<TaggedAnswers, ServiceError> {
-        self.submit_tagged_async(ops, None)?.wait()
+        self.submit_tagged_async(ops, None)?.wait(None).expect("a wait without a deadline returns")
     }
 
     /// [`Self::submit_tagged`] without blocking: the group is queued for
@@ -1009,7 +1096,7 @@ impl Client {
     pub fn submit_tagged_async(
         &self,
         ops: Vec<Update>,
-        notify: Option<Box<dyn Fn() + Send + Sync>>,
+        notify: Option<Notify>,
     ) -> Result<SubmitTicket, ServiceError> {
         let n = self.num_vertices();
         let mut num_queries = 0usize;
@@ -1024,17 +1111,27 @@ impl Client {
             num_queries += usize::from(matches!(op, Update::Query(..)));
             num_deletes += usize::from(matches!(op, Update::Delete(..)));
         }
-        let reply = ReplySlot::with_notify(notify);
+        let ticket = Ticket::new(notify);
         if ops.is_empty() {
-            reply.fulfill(Ok(Vec::new()));
-            return Ok(SubmitTicket { reply });
+            ticket.fulfill(Ok(Vec::new()));
+        } else if self.role() == Role::Follower {
+            // The follower read path: no batch former, no epoch bump —
+            // queries are answered off one view at whatever replication
+            // epoch the follower has reached (readers see at *least* the
+            // state of the reported [`Client::epoch`]; `WAIT` turns that
+            // bound into read-your-writes). Inserts and deletes are
+            // rejected: a follower's only write path is the replication
+            // stream.
+            let pairs: Vec<(u32, u32)> = ops.iter().map(|&op| endpoints(op)).collect();
+            ticket.fulfill(if num_queries == ops.len() {
+                self.query_many_tagged(&pairs)
+            } else {
+                Err(ServiceError::ReadOnlyFollower)
+            });
+        } else {
+            self.push(ops, num_queries, num_deletes, Work::Ops(Arc::clone(&ticket)))?;
         }
-        if self.role() == Role::Follower {
-            reply.fulfill(self.answer_on_follower(&ops, num_queries));
-            return Ok(SubmitTicket { reply });
-        }
-        self.push(ops, num_queries, num_deletes, false, Arc::clone(&reply))?;
-        Ok(SubmitTicket { reply })
+        Ok(ticket)
     }
 
     /// Answers many connectivity queries against **one** view acquire,
@@ -1056,39 +1153,6 @@ impl Client {
         self.inner.obs.metrics.latency_ns.record_n(
             u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             pairs.len() as u64,
-        );
-        Ok(answers)
-    }
-
-    /// The follower read path: no batch former, no epoch bump — queries
-    /// are answered straight off the engine at whatever replication
-    /// epoch the follower has reached (readers see at *least* the state
-    /// of the reported [`Client::epoch`]; `WAIT` turns that bound into
-    /// read-your-writes). Inserts and deletes are rejected: a follower's
-    /// only write path is the replication stream.
-    fn answer_on_follower(
-        &self,
-        ops: &[Update],
-        num_queries: usize,
-    ) -> Result<TaggedAnswers, ServiceError> {
-        if num_queries != ops.len() {
-            return Err(ServiceError::ReadOnlyFollower);
-        }
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(ServiceError::Closed);
-        }
-        let t0 = Instant::now();
-        let answers = ops
-            .iter()
-            .map(|op| {
-                let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
-                self.inner.engine.connected_with_gen(u, v)
-            })
-            .collect();
-        self.inner.obs.metrics.queries_total.add(num_queries as u64);
-        self.inner.obs.metrics.latency_ns.record_n(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            num_queries as u64,
         );
         Ok(answers)
     }
@@ -1126,22 +1190,58 @@ impl Client {
     /// to `target` is visible here). Returns the epoch actually reached;
     /// times out with [`ServiceError::WaitTimeout`].
     pub fn wait_for_epoch(&self, target: u64, timeout: Duration) -> Result<u64, ServiceError> {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.epoch_mx.lock();
-        loop {
-            let at = self.epoch();
-            if at >= target {
-                return Ok(at);
+        self.wait_barrier(Barrier::Epoch(target), Some(timeout))
+    }
+
+    /// The ticket behind a blocking verb (see [`Barrier`]). One that
+    /// holds already, or fails at once (a `FLUSH` without a WAL), comes
+    /// back resolved; otherwise `notify` fires once it resolves. Nothing
+    /// waits on a thread: an epoch or clean-engine barrier parks on the
+    /// waiter list, a `FLUSH` or `SNAPSHOT` rides the next batch as a
+    /// control.
+    pub(crate) fn barrier(&self, barrier: Barrier, notify: Option<Notify>) -> Arc<Ticket<u64>> {
+        let inner = &self.inner;
+        let ticket = Ticket::new(notify);
+        match barrier {
+            Barrier::Epoch(target) => inner.engine.waiters().register(barrier, &ticket, || {
+                let at = self.epoch();
+                let closed = self.is_closed().then_some(Err(ServiceError::Closed));
+                (at >= target).then_some(Ok(at)).or(closed)
+            }),
+            Barrier::Clean => inner.engine.when_clean(&ticket),
+            Barrier::Flush | Barrier::Snapshot => {
+                let control = Work::Control(barrier, Arc::clone(&ticket));
+                let wal = inner.wal.as_ref().ok_or(ServiceError::DurabilityDisabled);
+                if let Err(e) = wal.and_then(|_| self.push(Vec::new(), 0, 0, control)) {
+                    ticket.fulfill(Err(e));
+                }
             }
-            if self.inner.closed.load(Ordering::Acquire) {
-                return Err(ServiceError::Closed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServiceError::WaitTimeout { target, at });
-            }
-            self.inner.epoch_cv.wait_for(&mut g, deadline - now);
         }
+        ticket
+    }
+
+    /// The error a barrier that missed its deadline answers.
+    pub(crate) fn timed_out(&self, barrier: Barrier) -> ServiceError {
+        match barrier {
+            Barrier::Epoch(target) => ServiceError::WaitTimeout { target, at: self.epoch() },
+            _ => ServiceError::QuiesceTimeout { at: self.inner.engine.generation() },
+        }
+    }
+
+    /// Blocks on [`Self::barrier`] until it resolves or `timeout` lapses.
+    fn wait_barrier(
+        &self,
+        barrier: Barrier,
+        timeout: Option<Duration>,
+    ) -> Result<u64, ServiceError> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        self.barrier(barrier, None).wait(deadline).unwrap_or_else(|| Err(self.timed_out(barrier)))
+    }
+
+    /// Tickets on the waiter list, abandoned ones included until the next
+    /// fire or registration prunes them.
+    pub fn waiters(&self) -> usize {
+        self.inner.engine.waiters().len()
     }
 
     /// Registers a subscription (the `SUB` verb): `kind` selects a pair
@@ -1257,16 +1357,14 @@ impl Client {
         self.inner.closed.load(Ordering::Acquire)
     }
 
-    /// Queues a submission (or a zero-op control carrying only a
-    /// durable-snapshot request) for the batch former, which fulfills
-    /// `reply` once its batch completes.
+    /// Queues a submission (or a zero-op control) for the batch former,
+    /// which fulfills its ticket once its batch completes.
     fn push(
         &self,
         ops: Vec<Update>,
         num_queries: usize,
         num_deletes: usize,
-        durable_snapshot: bool,
-        reply: Arc<ReplySlot>,
+        work: Work,
     ) -> Result<(), ServiceError> {
         {
             let mut q = self.inner.q.lock();
@@ -1279,8 +1377,7 @@ impl Client {
                 num_deletes,
                 ops,
                 enqueued: Instant::now(),
-                reply,
-                durable_snapshot,
+                work,
             });
         }
         self.inner.work_cv.notify_all();
@@ -1368,7 +1465,7 @@ impl Client {
         Ok(self.inner.engine.analytics_view().component_of(v))
     }
 
-    /// Number of completed batches (the current epoch).
+    /// Number of committed write batches (the current epoch).
     pub fn epoch(&self) -> u64 {
         self.inner.epoch.load(Ordering::Acquire)
     }
@@ -1385,16 +1482,11 @@ impl Client {
         self.inner.wal.is_some()
     }
 
-    /// Forces the WAL to disk right now, regardless of the fsync policy
-    /// (the `FLUSH` protocol verb). Everything acknowledged before this
-    /// returns survives a machine crash.
+    /// Forces the WAL to disk after the next batch, regardless of the
+    /// fsync policy (the `FLUSH` protocol verb). Everything acknowledged
+    /// before this returns survives a machine crash.
     pub fn flush_wal(&self) -> Result<(), ServiceError> {
-        let w = self.inner.wal.as_ref().ok_or(ServiceError::DurabilityDisabled)?;
-        w.lock().flush().map_err(|e| {
-            let err = ServiceError::from(e);
-            self.inner.note_wal_error(&err.to_string());
-            err
-        })
+        self.wait_barrier(Barrier::Flush, None).map(drop)
     }
 
     /// Writes a checkpoint record of the live edge set at the next batch
@@ -1403,13 +1495,7 @@ impl Client {
     /// rebuild. Recovery replays only the log from that checkpoint on,
     /// and the segments before it are pruned.
     pub fn durable_snapshot(&self) -> Result<u64, ServiceError> {
-        if !self.wal_enabled() {
-            return Err(ServiceError::DurabilityDisabled);
-        }
-        let reply = ReplySlot::new();
-        self.push(Vec::new(), 0, 0, true, Arc::clone(&reply))?;
-        reply.wait()?;
-        Ok(self.inner.obs.metrics.durable_snapshot_epoch.get())
+        self.wait_barrier(Barrier::Snapshot, None)
     }
 
     /// The generation currently serving queries, its dirty flag, and the
@@ -1426,7 +1512,7 @@ impl Client {
     /// [`ServiceError::QuiesceTimeout`], reporting the generation still
     /// serving.
     pub fn quiesce(&self, timeout: Duration) -> Result<u64, ServiceError> {
-        self.inner.engine.quiesce(timeout).map_err(|at| ServiceError::QuiesceTimeout { at })
+        self.wait_barrier(Barrier::Clean, Some(timeout))
     }
 
     /// One-line WAL statistics (the `WALSTATS` protocol verb): policy,
@@ -1869,14 +1955,15 @@ mod tests {
             .expect("segments token");
         assert!(segments <= 2, "covered segments were pruned: {stats}");
         let t0 = Instant::now();
-        assert_eq!(c.durable_snapshot().expect("SNAPSHOT while sealed"), 15);
+        // A `SNAPSHOT` alone commits no batch: it keys at the current epoch.
+        assert_eq!(c.durable_snapshot().expect("SNAPSHOT while sealed"), 14);
         assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
         assert!(c.generation_info().dirty, "still sealed");
         svc.shutdown();
 
         let mut svc = Service::start(durable(Duration::ZERO)).expect("recovers");
         let c = svc.client();
-        assert_eq!(c.epoch(), 15);
+        assert_eq!(c.epoch(), 14);
         assert!(cc_graph::stats::same_partition(&oracle.labels(), &c.labels()));
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,10 +4,10 @@
 //! the `UfSpec` error-path discipline: an error message is API.
 
 use cc_server::net::{DEFAULT_WAIT_TIMEOUT_MS, MAX_LINE_BYTES, MAX_WIRE_BATCH};
-use cc_server::{serve, Role, Service, ServiceConfig, TcpServer};
+use cc_server::{serve, DurabilityConfig, FsyncPolicy, Role, Service, ServiceConfig, TcpServer};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(role: Role) -> (Service, TcpServer, SocketAddr) {
     start_holding(role, Duration::ZERO)
@@ -49,6 +49,25 @@ fn read_line(r: &mut BufReader<TcpStream>) -> String {
     let mut line = String::new();
     r.read_line(&mut line).expect("read");
     line.trim_end().to_string()
+}
+
+/// Sends `request` five times, checks each reply, and asserts that the
+/// median round trip lies in `30..80` ms: a parked barrier answers at
+/// its deadline, not at the next 100 ms poll tick.
+fn answers_at_its_30ms_deadline(addr: SocketAddr, request: &str, want: &str) {
+    let (mut r, mut w) = raw(addr);
+    let mut took: Vec<Duration> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            send_line(&mut w, request);
+            assert_eq!(read_line(&mut r), want);
+            t0.elapsed()
+        })
+        .collect();
+    took.sort_unstable();
+    let median = took[2];
+    let window = Duration::from_millis(30)..Duration::from_millis(80);
+    assert!(window.contains(&median), "{request}: median {median:?} of {took:?}");
 }
 
 #[test]
@@ -183,6 +202,7 @@ fn wait_timeout_spelling_and_success_paths() {
     const { assert!(DEFAULT_WAIT_TIMEOUT_MS >= 1000, "default WAIT timeout is generous") };
     send_line(&mut w, "ROLE");
     assert_eq!(read_line(&mut r), "R follower");
+    answers_at_its_30ms_deadline(addr, "WAIT 5 30", "ERR wait for epoch 5 timed out at epoch 0");
     server.stop();
     svc.shutdown();
 }
@@ -319,6 +339,43 @@ fn stats_and_walstats_shims_stay_wire_stable_over_the_registry() {
 }
 
 #[test]
+fn a_batch_of_queries_commits_nothing() {
+    let dir = cc_server::scratch_dir("net_queries_commit_nothing");
+    let mut svc = Service::start(ServiceConfig {
+        n: 64,
+        batch_max_wait: Duration::from_micros(20),
+        durability: Some(DurabilityConfig {
+            fsync: FsyncPolicy::Batch,
+            ..DurabilityConfig::new(&dir)
+        }),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let (mut r, mut w) = raw(server.local_addr());
+    // A primary's text `Q` rides the batch former, alone in its batch.
+    for _ in 0..3 {
+        send_line(&mut w, "Q 1 2");
+        assert_eq!(read_line(&mut r), "0");
+    }
+    send_line(&mut w, "WALSTATS");
+    let stats = read_line(&mut r);
+    assert!(stats.contains(" records=0 ") && stats.contains(" last_epoch=0 "), "{stats}");
+    send_line(&mut w, "EPOCH");
+    assert_eq!(read_line(&mut r), "E 0");
+    // A `SNAPSHOT` on such a batch keys its checkpoint at the current epoch.
+    send_line(&mut w, "SNAPSHOT");
+    assert_eq!(read_line(&mut r), "SNAP 0");
+    send_line(&mut w, "I 1 2");
+    assert_eq!(read_line(&mut r), "OK");
+    send_line(&mut w, "EPOCH");
+    assert_eq!(read_line(&mut r), "E 1");
+    server.stop();
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stale_queries_report_their_generation_and_quiesce_timeouts_spell_it() {
     // A 60s rebuild hold pins the engine dirty across the whole test.
     let (mut svc, mut server, addr) = start_holding(Role::Primary, Duration::from_secs(60));
@@ -348,6 +405,7 @@ fn stale_queries_report_their_generation_and_quiesce_timeouts_spell_it() {
     // generation it was stuck at.
     send_line(&mut w, "QUIESCE 50");
     assert_eq!(read_line(&mut r), "ERR quiesce timed out at generation 0");
+    answers_at_its_30ms_deadline(addr, "QUIESCE 30", "ERR quiesce timed out at generation 0");
     server.stop();
     svc.shutdown();
 }

@@ -1,6 +1,7 @@
 //! The text door on the event loop: pipelined lines, split `B` bodies,
-//! the line cap's exact boundary, and a blocked barrier that must not
-//! hold up the shard's other connections.
+//! the line cap's exact boundary, a blocked barrier that must not hold
+//! up the shard's other connections, and parked barriers that must not
+//! hold up a stop.
 
 use cc_server::net::{serve_with, MAX_LINE_BYTES};
 use cc_server::{NetConfig, Service, ServiceConfig, TcpServer};
@@ -126,4 +127,29 @@ fn a_blocked_text_wait_does_not_delay_the_shards_other_connections() {
     assert_eq!(read_line(&mut r1), "ERR wait for epoch 5 timed out at epoch 0");
     server.stop();
     svc.shutdown();
+}
+
+#[test]
+fn stop_and_shutdown_with_200_parked_waits_return_promptly() {
+    let (mut svc, mut server, addr) = start(64, NetConfig::default());
+    let obs = svc.client().observability();
+    let waits: Vec<(BufReader<TcpStream>, TcpStream)> = (0..200)
+        .map(|_| {
+            let (r, mut w) = connect(addr);
+            w.write_all(b"WAIT 999 60000\n").expect("write");
+            (r, w)
+        })
+        .collect();
+    let t0 = Instant::now();
+    while obs.metrics.waits_parked.get() < 200 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "WAITs did not park");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t0 = Instant::now();
+    server.stop();
+    svc.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "stop + shutdown took {took:?}");
+    assert_eq!(obs.metrics.waits_parked.get(), 0, "closing connections drop their WAITs");
+    drop(waits);
 }
