@@ -9,9 +9,12 @@
 //! cargo run --release --example dynamic_deletions [scale]
 //! ```
 
-use connectit::{DynUpdate, DynamicConnectivity};
+use cc_graph::stats::same_partition;
+use cc_unionfind::oracle_labels;
+use connectit::{canon_edge, uncanon_edge, DynUpdate, DynamicConnectivity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn main() {
@@ -21,6 +24,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
 
     let mut d = DynamicConnectivity::new(n);
+    // The live edge set, kept beside the structure for Phase 3.
+    let mut live: HashSet<u64> =
+        edges.iter().filter(|&&(u, v)| u != v).map(|&(u, v)| canon_edge(u, v)).collect();
 
     // Phase 1: insert-only (incremental fast path).
     let t0 = Instant::now();
@@ -46,6 +52,7 @@ fn main() {
             .map(|_| {
                 let (u, v) = edges[rng.gen_range(0..edges.len())];
                 deleted += 1;
+                live.remove(&canon_edge(u, v));
                 DynUpdate::Delete(u, v)
             })
             .collect();
@@ -65,10 +72,13 @@ fn main() {
     );
     println!("this is exactly why the paper leaves practical parallel deletions as future work.");
 
-    // Phase 3: verify against a from-scratch recompute.
+    // Phase 3: verify against a from-scratch recompute of the live edges.
     let labels = d.labels();
+    let live: Vec<(u32, u32)> = live.into_iter().map(uncanon_edge).collect();
+    assert_eq!(d.num_edges(), live.len(), "live edge count");
+    assert!(same_partition(&oracle_labels(n, &live), &labels), "partition != recompute");
     println!(
-        "final: {} live edges, {} components",
+        "final: {} live edges, {} components, equal to a from-scratch recompute",
         d.num_edges(),
         cc_graph::stats::count_distinct_labels(&labels)
     );

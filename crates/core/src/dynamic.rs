@@ -1,21 +1,24 @@
 //! Fully-dynamic connectivity: the paper's stated future work ("we are
 //! interested in identifying practical parallel algorithms that support
 //! edge deletions"). This module provides the straightforward baseline such
-//! work would be measured against: insertions are incremental (they
-//! unite in the [`crate::liveness::LivenessTracker`]'s partition, which
-//! also answers the queries), while deletions classify through the
-//! tracker — a deletion of an absent or non-forest (cycle) edge is free,
-//! and only a *forest* deletion falls back to recomputing connectivity
-//! over the surviving edge set: one union-find pass over the live edge
-//! list ([`LivenessTracker::rebuild`]), which hands back the tracker's
-//! new partition and forest.
+//! work would be measured against. A batch runs through the one batch
+//! loop, [`crate::liveness::apply_batch`], which the server's generation
+//! engine applies through too: insertions unite in the tracker's
+//! partition, which also answers the queries, and deletions classify
+//! through it — a deletion of an absent or non-forest (cycle) edge is
+//! free. Only a
+//! *forest* deletion costs something, and this structure's policy is the
+//! synchronous one: at the next query (or the batch's end) it recomputes
+//! connectivity over the surviving edge set, one union-find pass over the
+//! live edge list ([`LivenessTracker::rebuild`]), and adopts the new
+//! partition and forest before it answers.
 //!
 //! The recompute path costs `O(n + m α)` per forest-deletion batch — fine
 //! for workloads where deletions are rare (the paper's motivation: only a
 //! few percent of tweets are ever deleted), and an honest baseline
 //! otherwise.
 
-use crate::liveness::{DeleteClass, LivenessTracker};
+use crate::liveness::{apply_batch, BatchHooks, DeleteCounts, LivenessTracker};
 use cc_graph::VertexId;
 
 /// The fully-dynamic operation type: deletions share [`crate::Update`]
@@ -27,37 +30,82 @@ pub use crate::streaming::Update as DynUpdate;
 /// A fully-dynamic connectivity structure: incremental fast path, rebuild
 /// only on *forest* deletions (see [`crate::liveness`]).
 pub struct DynamicConnectivity {
+    sync: Synchronous,
+    deletes: DeleteCounts,
+}
+
+/// The synchronous policy, as the batch loop's hooks: a query met while
+/// stale rebuilds first.
+struct Synchronous {
     tracker: LivenessTracker,
     rebuilds: usize,
-    nonforest_deletes: usize,
+}
+
+impl Synchronous {
+    /// Recomputes connectivity from the surviving edge set if a forest
+    /// deletion left the tracker stale: its rebuild pass yields the new
+    /// partition and forest in one go.
+    fn refresh(&mut self) {
+        if self.tracker.is_stale() {
+            self.rebuilds += 1;
+            let (n, edges) = (self.tracker.num_vertices(), self.tracker.edge_list());
+            let rebuilt = LivenessTracker::rebuild(n, &edges, || true);
+            self.tracker.adopt(rebuilt.expect("an unconditional rebuild is never aborted"));
+        }
+    }
+}
+
+impl BatchHooks for Synchronous {
+    type Answer = bool;
+
+    fn tracker(&mut self) -> &mut LivenessTracker {
+        &mut self.tracker
+    }
+
+    fn query(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.refresh();
+        self.tracker.partition().same_set(u, v)
+    }
 }
 
 impl DynamicConnectivity {
     /// Creates an empty structure on `n` vertices.
     pub fn new(n: usize) -> Self {
-        DynamicConnectivity { tracker: LivenessTracker::new(n), rebuilds: 0, nonforest_deletes: 0 }
+        let sync = Synchronous { tracker: LivenessTracker::new(n), rebuilds: 0 };
+        DynamicConnectivity { sync, deletes: DeleteCounts::default() }
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.tracker.num_vertices()
+        self.sync.tracker.num_vertices()
     }
 
     /// Number of live edges.
     pub fn num_edges(&self) -> usize {
-        self.tracker.num_edges()
+        self.sync.tracker.num_edges()
+    }
+
+    /// The tracker: its live edges, and the spanning forest of them it
+    /// keeps fresh after every [`Self::process_batch`].
+    pub fn tracker(&self) -> &LivenessTracker {
+        &self.sync.tracker
     }
 
     /// How many deletion-triggered rebuilds have happened (for tests and
     /// cost accounting).
     pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+        self.sync.rebuilds
     }
 
     /// How many deletions were classified as non-forest (cycle) edges and
     /// therefore re-converged for free.
     pub fn nonforest_deletes(&self) -> usize {
-        self.nonforest_deletes
+        self.deletes.nonforest as usize
+    }
+
+    /// Every deletion so far, by class.
+    pub fn delete_counts(&self) -> DeleteCounts {
+        self.deletes
     }
 
     /// Applies a batch; returns query answers in order of appearance.
@@ -65,66 +113,25 @@ impl DynamicConnectivity {
     /// insert-only streaming path) so that deletions interleave
     /// deterministically with queries.
     pub fn process_batch(&mut self, batch: &[DynUpdate]) -> Vec<bool> {
-        let mut answers = Vec::new();
-        for &op in batch {
-            match op {
-                // A merge unites in the tracker's partition; while
-                // stale, novel edges wait for the owed rebuild.
-                DynUpdate::Insert(u, v) => _ = self.tracker.insert(u, v),
-                DynUpdate::Delete(u, v) => match self.tracker.delete(u, v) {
-                    DeleteClass::Absent => {}
-                    // The forest still spans: the labeling stays exact.
-                    DeleteClass::NonForest => self.nonforest_deletes += 1,
-                    // Staleness is now recorded in the tracker; the next
-                    // query (or batch end) pays for the rebuild.
-                    DeleteClass::Forest => {}
-                },
-                DynUpdate::Query(u, v) => {
-                    if self.tracker.is_stale() {
-                        self.rebuild();
-                    }
-                    answers.push(self.connected(u, v));
-                }
-            }
-        }
-        if self.tracker.is_stale() {
-            self.rebuild();
-        }
+        let answers = apply_batch(&mut self.sync, batch, &mut self.deletes);
+        self.sync.refresh();
         answers
     }
 
     /// Single query against the current state.
     pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
-        self.tracker.partition().same_set(u, v)
+        self.sync.tracker.partition().same_set(u, v)
     }
 
     /// Current labeling snapshot.
     pub fn labels(&self) -> Vec<VertexId> {
-        self.tracker.partition().labels()
-    }
-
-    /// Recomputes connectivity from the surviving edge set: the tracker's
-    /// rebuild pass yields its new partition and forest in one go.
-    fn rebuild(&mut self) {
-        self.rebuilds += 1;
-        let (n, edges) = (self.tracker.num_vertices(), self.tracker.edge_list());
-        let rebuilt = LivenessTracker::rebuild(n, &edges, || true)
-            .expect("an unconditional rebuild is never aborted");
-        self.tracker.adopt(rebuilt);
+        self.sync.tracker.partition().labels()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_graph::stats::same_partition;
-    use cc_unionfind::{oracle_labels, SeqUnionFind};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn canon(u: u32, v: u32) -> u64 {
-        crate::liveness::canon_edge(u, v)
-    }
 
     #[test]
     fn insert_then_delete_disconnects() {
@@ -169,6 +176,20 @@ mod tests {
         assert_eq!(d.nonforest_deletes(), 1);
     }
 
+    /// The synchronous policy rebuilds once per stale window, at its
+    /// first query, however many live deletes the window holds.
+    #[test]
+    fn one_rebuild_per_stale_window_at_its_first_query() {
+        use DynUpdate::{Delete, Insert, Query};
+        let mut d = DynamicConnectivity::new(6);
+        d.process_batch(&[Insert(0, 1), Insert(1, 2), Insert(3, 4), Insert(4, 5)]);
+        let ops = [Delete(0, 1), Delete(3, 4), Query(0, 1), Query(3, 4), Delete(1, 2), Query(1, 2)];
+        assert_eq!(d.process_batch(&ops), vec![false, false, false]);
+        assert_eq!(d.rebuilds(), 2);
+        let c = d.delete_counts();
+        assert_eq!((c.forest, c.dirty), (3, 1), "3-4 died in 0-1's window");
+    }
+
     #[test]
     fn duplicate_inserts_and_absent_deletes_are_noops() {
         let mut d = DynamicConnectivity::new(3);
@@ -177,56 +198,5 @@ mod tests {
         d.process_batch(&[DynUpdate::Delete(1, 2)]); // absent
         assert_eq!(d.rebuilds(), 0, "absent delete must not rebuild");
         assert!(d.connected(0, 1));
-    }
-
-    #[test]
-    fn randomized_against_sequential_reference() {
-        let n = 200usize;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut d = DynamicConnectivity::new(n);
-        let mut live: Vec<(u32, u32)> = Vec::new();
-        for _round in 0..30 {
-            let mut batch = Vec::new();
-            for _ in 0..40 {
-                let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
-                match rng.gen_range(0..10) {
-                    0..=5 => batch.push(DynUpdate::Insert(u, v)),
-                    6..=7 if !live.is_empty() => {
-                        let (a, b) = live[rng.gen_range(0..live.len())];
-                        batch.push(DynUpdate::Delete(a, b));
-                    }
-                    _ => batch.push(DynUpdate::Query(u, v)),
-                }
-            }
-            // Maintain the reference edge multiset and compare answers.
-            let mut reference_edges: std::collections::HashSet<u64> =
-                live.iter().map(|&(a, b)| canon(a, b)).collect();
-            let mut expected = Vec::new();
-            for &op in &batch {
-                match op {
-                    DynUpdate::Insert(u, v) => {
-                        if u != v {
-                            reference_edges.insert(canon(u, v));
-                        }
-                    }
-                    DynUpdate::Delete(u, v) => {
-                        reference_edges.remove(&canon(u, v));
-                    }
-                    DynUpdate::Query(u, v) => {
-                        let mut uf = SeqUnionFind::new(n);
-                        for &e in &reference_edges {
-                            uf.union((e >> 32) as u32, e as u32);
-                        }
-                        expected.push(uf.connected(u, v));
-                    }
-                }
-            }
-            let got = d.process_batch(&batch);
-            assert_eq!(got, expected);
-            live = reference_edges.iter().map(|&e| ((e >> 32) as u32, e as u32)).collect();
-        }
-        // Final partition agreement.
-        let expect = oracle_labels(n, &live);
-        assert!(same_partition(&expect, &d.labels()));
     }
 }

@@ -42,7 +42,8 @@ pub use connectivity::{
 };
 pub use dynamic::{DynUpdate, DynamicConnectivity};
 pub use liu_tarjan::{LtConnect, LtScheme};
-pub use liveness::{canon_edge, uncanon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt};
+pub use liveness::{apply_batch, canon_edge, uncanon_edge, BatchHooks, DeleteClass, DeleteCounts};
+pub use liveness::{InsertClass, LivenessTracker, Rebuilt};
 pub use options::{FinishMethod, KOutVariant, SamplingMethod};
 pub use sampling::{identify_frequent, inter_component_edges, run_sampling, SampleOutcome};
 pub use spanning_forest::{is_valid_spanning_forest, spanning_forest, supports_spanning_forest};

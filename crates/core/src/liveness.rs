@@ -27,17 +27,24 @@
 //! Both edge sets are `EdgeTable`s (`edge_table.rs`): flat,
 //! open-addressed arrays of canonical keys ([`canon_edge`]), 8 bytes a
 //! slot. They are two tables, not one with a forest bit. The live set is
-//! the big one — one probe per insert or delete, which a batch loop
-//! starts early with [`LivenessTracker::prefetch`] — while the forest
-//! table is small and built off-lock by [`LivenessTracker::rebuild`], so
-//! that the adopt stays a swap.
+//! the big one — one probe per insert or delete, which the batch loop
+//! starts a few ops early — while the forest table is small and built
+//! off-lock by [`LivenessTracker::rebuild`], so that the adopt stays a
+//! swap.
 //!
-//! This module is deliberately sequential — it is the *classifier*, not
-//! the engine. Both [`crate::DynamicConnectivity`] and the server's
-//! generation engine consult it before deciding whether a retraction
-//! needs a rebuild, and both rebuild through that primitive.
+//! It also holds the one batch loop, [`apply_batch`]: prefetch 8 ops
+//! ahead, classify, apply, answer, and count the deletes by class
+//! ([`DeleteCounts`]). A caller is a [`BatchHooks`] implementation,
+//! monomorphised into the loop: it owns the tracker, folds merges into
+//! whatever it derives from the partition, queues what a stale window
+//! owes an asynchronous rebuild, and answers queries by its policy.
+//! [`crate::DynamicConnectivity`] rebuilds synchronously at a query met
+//! while stale; the server's generation engine answers it from the sealed
+//! partition and rebuilds in the background. Both rebuild through the one
+//! primitive.
 
 use crate::edge_table::EdgeTable;
+use crate::streaming::Update;
 use cc_graph::VertexId;
 use cc_unionfind::{MergeOutcome, SizedUnionFind};
 use std::sync::Arc;
@@ -117,6 +124,93 @@ impl Rebuilt {
     }
 }
 
+/// Per-class counts of the deletes [`apply_batch`] applied.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeleteCounts {
+    /// [`DeleteClass::Absent`] deletes.
+    pub absent: u64,
+    /// [`DeleteClass::NonForest`] deletes.
+    pub nonforest: u64,
+    /// [`DeleteClass::Forest`] deletes, `dirty` included.
+    pub forest: u64,
+    /// The forest deletes that landed while the tracker was already
+    /// stale: live edges the stale forest could not prove redundant, not
+    /// necessarily forest edges of the graph.
+    pub dirty: u64,
+}
+
+/// A caller of [`apply_batch`]: it owns the tracker the loop applies to,
+/// answers queries by its policy, and acts on the loop's events. The
+/// event hooks default to nothing.
+pub trait BatchHooks {
+    /// What [`Self::query`] answers.
+    type Answer;
+    /// The tracker the loop applies to.
+    fn tracker(&mut self) -> &mut LivenessTracker;
+    /// An insert merged two components of the tracker's partition.
+    fn merged(&mut self, _m: &MergeOutcome) {}
+    /// The novel edge `{u, v}` went live while stale: the stale partition
+    /// did not unite it.
+    fn went_live_while_stale(&mut self, _u: VertexId, _v: VertexId) {}
+    /// The live edge `{u, v}` died while stale.
+    fn died_while_stale(&mut self, _u: VertexId, _v: VertexId) {}
+    /// Answers a query. While the tracker is stale its partition is frozen
+    /// at the graph before the forest delete: the policy answers from it,
+    /// or adopts a rebuild first.
+    fn query(&mut self, u: VertexId, v: VertexId) -> Self::Answer;
+}
+
+/// How many ops ahead [`apply_batch`] prefetches: at tens of ns per op,
+/// 8 ops hide most of a DRAM miss without evicting lines still in use.
+const PREFETCH_AHEAD: usize = 8;
+
+/// The batch loop: applies `ops` to `hooks`' tracker in program order —
+/// prefetching 8 ops ahead, classifying, applying, telling `hooks` what
+/// happened — adds each delete's class to `deletes`, and returns the
+/// answers to the queries in order of appearance.
+pub fn apply_batch<H: BatchHooks>(
+    hooks: &mut H,
+    ops: &[Update],
+    deletes: &mut DeleteCounts,
+) -> Vec<H::Answer> {
+    let mut answers = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        // Start loading what a later insert or delete will read: its
+        // live-set slot and, while the partition can still unite, the two
+        // endpoints' words.
+        if let Some(&(Update::Insert(u, v) | Update::Delete(u, v))) = ops.get(i + PREFETCH_AHEAD) {
+            let t = hooks.tracker();
+            t.edges.prefetch(canon_edge(u, v));
+            if !t.stale {
+                t.partition.prefetch(u);
+                t.partition.prefetch(v);
+            }
+        }
+        let t = hooks.tracker();
+        match op {
+            Update::Insert(u, v) => match t.insert(u, v) {
+                InsertClass::Merge(m) => hooks.merged(&m),
+                // Stale, a novel edge classifies as a cycle edge.
+                InsertClass::Cycle if t.stale && u != v => hooks.went_live_while_stale(u, v),
+                _ => {}
+            },
+            // `t.stale` is read before the delete can set it.
+            Update::Delete(u, v) => match (t.stale, t.delete(u, v)) {
+                (_, DeleteClass::Absent) => deletes.absent += 1,
+                (_, DeleteClass::NonForest) => deletes.nonforest += 1,
+                (false, DeleteClass::Forest) => deletes.forest += 1,
+                (true, DeleteClass::Forest) => {
+                    deletes.forest += 1;
+                    deletes.dirty += 1;
+                    hooks.died_while_stale(u, v);
+                }
+            },
+            Update::Query(u, v) => answers.push(hooks.query(u, v)),
+        }
+    }
+    answers
+}
+
 /// Edges unioned between two polls of [`LivenessTracker::rebuild`]'s
 /// `keep_going`: the work a doomed rebuild can still waste.
 const REBUILD_POLL_EDGES: usize = 1 << 16;
@@ -164,19 +258,6 @@ impl LivenessTracker {
     /// Whether `{u, v}` is currently live (a self-loop never is).
     pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
         u != v && self.edges.contains(canon_edge(u, v))
-    }
-
-    /// Starts loading what an insert or delete of `{u, v}` will read —
-    /// its live-set slot and, while the partition can still unite, the
-    /// two endpoints' words — for a batch loop to call a few operations
-    /// ahead.
-    #[inline]
-    pub fn prefetch(&self, u: VertexId, v: VertexId) {
-        self.edges.prefetch(canon_edge(u, v));
-        if !self.stale {
-            self.partition.prefetch(u);
-            self.partition.prefetch(v);
-        }
     }
 
     /// Bytes of slot storage held by the live and forest edge tables.
@@ -362,6 +443,67 @@ mod tests {
         assert_eq!(t.num_edges(), 1);
         assert_eq!(t.num_forest_edges(), 1);
         assert_eq!(t.edge_list(), vec![(1, 2)]);
+    }
+
+    /// Records every hook call, and answers queries off the partition
+    /// as it stands, tagged with its staleness.
+    struct Log {
+        t: LivenessTracker,
+        merges: usize,
+        went_live: Vec<(u32, u32)>,
+        died: Vec<(u32, u32)>,
+    }
+
+    impl BatchHooks for Log {
+        type Answer = (bool, bool);
+        fn tracker(&mut self) -> &mut LivenessTracker {
+            &mut self.t
+        }
+        fn merged(&mut self, _: &MergeOutcome) {
+            self.merges += 1;
+        }
+        fn went_live_while_stale(&mut self, u: u32, v: u32) {
+            self.went_live.push((u, v));
+        }
+        fn died_while_stale(&mut self, u: u32, v: u32) {
+            self.died.push((u, v));
+        }
+        fn query(&mut self, u: u32, v: u32) -> (bool, bool) {
+            (self.t.partition().same_set(u, v), self.t.is_stale())
+        }
+    }
+
+    #[test]
+    fn the_batch_loop_counts_deletes_and_reports_a_stale_window() {
+        use Update::{Delete, Insert, Query};
+        let t = LivenessTracker::new(6);
+        let mut log = Log { t, merges: 0, went_live: Vec::new(), died: Vec::new() };
+        let mut deletes = DeleteCounts::default();
+        let ops = [Insert(0, 1), Insert(1, 2), Insert(2, 0), Insert(3, 4), Query(0, 2)];
+        assert_eq!(apply_batch(&mut log, &ops, &mut deletes), vec![(true, false)]);
+        assert_eq!(log.merges, 3);
+        // A cycle delete and an absent one are free; the forest delete
+        // makes the tracker stale, and the second live delete lands in
+        // the same window.
+        let ops = [
+            Delete(2, 0),
+            Delete(4, 5),
+            Delete(0, 1),
+            Insert(4, 5),
+            Insert(4, 5),
+            Insert(5, 5),
+            Delete(3, 4),
+            Query(0, 1),
+        ];
+        assert_eq!(apply_batch(&mut log, &ops, &mut deletes), vec![(true, true)], "frozen");
+        let want = DeleteCounts { absent: 1, nonforest: 1, forest: 2, dirty: 1 };
+        assert_eq!(deletes, want);
+        assert_eq!(log.went_live, vec![(4, 5)], "once, and never a self-loop");
+        assert_eq!(log.died, vec![(3, 4)]);
+        rebuild_in_place(&mut log.t);
+        let ops = [Query(0, 1), Insert(0, 1), Query(0, 1)];
+        assert_eq!(apply_batch(&mut log, &ops, &mut deletes), vec![(false, false), (true, false)]);
+        assert_eq!(log.merges, 4, "fresh again, 0-1 merges");
     }
 
     #[test]

@@ -40,11 +40,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Update {
     /// Insert undirected edge `{u, v}`.
     Insert(VertexId, VertexId),
-    /// Delete undirected edge `{u, v}` (no-op if absent). Only
-    /// deletion-capable structures ([`crate::DynamicConnectivity`], the
-    /// server's generation engine) accept it; the monotone streaming
-    /// backends below panic, because silently dropping a retraction would
-    /// serve wrong answers.
+    /// Delete undirected edge `{u, v}` (no-op if absent). Only the
+    /// deletion-capable batch loop, [`crate::apply_batch`]
+    /// (behind [`crate::DynamicConnectivity`] and the server's generation
+    /// engine), accepts it; the monotone streaming backends below panic,
+    /// because silently dropping a retraction would serve wrong answers.
     Delete(VertexId, VertexId),
     /// Ask whether `u` and `v` are currently connected.
     Query(VertexId, VertexId),

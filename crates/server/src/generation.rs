@@ -5,16 +5,19 @@
 //!
 //! A union-find is *monotone* — classes only coarsen, so a deletion can
 //! never be applied in place. This module makes deletions first-class
-//! anyway by partitioning time into **generations**:
+//! anyway by partitioning time into **generations**. A batch runs through
+//! the library's one batch loop, [`apply_batch`], with the writer state
+//! as its [`BatchHooks`]; this module adds what a service needs around
+//! it — publication, waiters, metrics and the asynchronous rebuild:
 //!
 //! - **Inserts** unite in the live generation's partition.
 //! - **Deletes** classify through [`connectit::LivenessTracker`] against
 //!   a maintained spanning forest. Deleting an absent or non-forest
 //!   (cycle) edge cannot change connectivity and is *free* — no rebuild,
-//!   just a counter. Only a *forest* deletion seals the current
-//!   generation — O(1): the tracker is stale from here on and a stale
-//!   tracker never unites, so the partition it holds *is* the frozen
-//!   pre-delete state — and a background worker rebuilds from the
+//!   just a counter, mirrored once per batch. Only a *forest* deletion
+//!   seals the current generation — O(1): the tracker is stale from here
+//!   on and a stale tracker never unites, so the partition it holds *is*
+//!   the frozen pre-delete state — and a background worker rebuilds from the
 //!   surviving edge set in **one union-find pass**
 //!   ([`connectit::LivenessTracker::rebuild`]), which yields the next
 //!   partition and forest. The next analytics plane is recounted from
@@ -24,8 +27,8 @@
 //!   [`MergeOutcome`] is what the analytics plane and the subscription
 //!   index fold, on the clean path and in a commit's drain alike.
 //! - **Queries** inside a batch are answered under the writer lock in
-//!   program order; during a rebuild every query sees the *sealed*
-//!   generation — consistent, honestly stale, and reported as such: the
+//!   program order; during a rebuild the *sealed* generation answers
+//!   every query — consistent, honestly stale, and reported as such: the
 //!   `(epoch, generation)` pair extends the service's WAIT/EPOCH
 //!   staleness contract (see `DESIGN.md` §9).
 //!
@@ -45,17 +48,20 @@
 //! Replaying history is a third state, *behind*
 //! ([`GenerationEngine::fall_behind`], entered at recovery and at every
 //! follower (re)connect): the tracker freezes as a forest delete would
-//! leave it, the view seals, and every batch feeds the live edge set only
-//! — no `pending`, no `retracted`, the rebuild worker held — until
-//! [`GenerationEngine::catch_up`] runs one rebuild pass and installs it
-//! under the same generation number (DESIGN.md §7).
+//! leave it, the view seals, and every batch runs the same loop into the
+//! live edge set only — no `pending`, no `retracted`, no counts, the
+//! rebuild worker held — until [`GenerationEngine::catch_up`] runs one
+//! rebuild pass and installs it under the same generation number
+//! (DESIGN.md §7).
 
 use crate::analytics::{Analytics, AnalyticsView};
 use crate::obs::{Event, Obs};
 use crate::service::{Barrier, ExecMode, ServiceError, Ticket, Waiters};
 use crate::subs::{PendingEvent, SubInfo, SubKind, SubsCore};
 use cc_unionfind::{MergeOutcome, SizedUnionFind, UfSpec};
-use connectit::{canon_edge, DeleteClass, InsertClass, LivenessTracker, Rebuilt, Update};
+use connectit::{
+    apply_batch, canon_edge, BatchHooks, DeleteCounts, LivenessTracker, Rebuilt, Update,
+};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,12 +109,12 @@ struct View {
 }
 
 impl View {
-    /// The view of `st`'s partition, sealed iff `st` is dirty.
+    /// The view of `st`'s partition, sealed iff its tracker is stale.
     fn of(st: &WriteState) -> Arc<View> {
         Arc::new(View {
             partition: Arc::clone(st.tracker.partition()),
             generation: st.generation,
-            sealed: st.dirty,
+            sealed: st.tracker.is_stale(),
             num_components: AtomicU64::new(st.analytics.components()),
         })
     }
@@ -120,8 +126,9 @@ impl View {
 }
 
 /// Writer-side state: the liveness tracker (whose partition is the one
-/// connectivity structure) and the rebuild bookkeeping. Held by the batch
-/// former and the rebuild worker.
+/// connectivity structure; stale means dirty — a rebuild is owed or in
+/// flight) and the rebuild bookkeeping. Held by the batch former and the
+/// rebuild worker.
 struct WriteState {
     tracker: LivenessTracker,
     /// Edges that went live while a rebuild was in flight; drained into
@@ -132,8 +139,7 @@ struct WriteState {
     /// struck from its snapshot yet. Non-empty means the attempt in
     /// flight computes over a dead edge and must be discarded.
     retracted: Vec<u64>,
-    dirty: bool,
-    /// Replaying history (see the module docs); implies `dirty`.
+    /// Replaying history (see the module docs); implies a stale tracker.
     behind: bool,
     /// Bumped by every fall behind: a rebuild attempt begun under an older
     /// lineage built from a tracker the catch-up has since replaced, so it
@@ -151,17 +157,48 @@ struct WriteState {
 }
 
 impl WriteState {
-    /// A merge happened in the tracker's partition: the one place the
-    /// views derived from it learn of it, whether the edge came down the
-    /// clean path or out of a commit's pending drain.
-    fn fold_merge(&mut self, m: &MergeOutcome) {
+    /// Whether the rebuild worker has work: a dirty window it may build.
+    fn rebuild_owed(&self) -> bool {
+        self.tracker.is_stale() && !self.behind
+    }
+}
+
+/// The engine's side of the batch loop ([`apply_batch`]). While behind,
+/// what goes live or dies is the catch-up's to read off the live set.
+impl BatchHooks for WriteState {
+    type Answer = (bool, Option<u64>);
+
+    fn tracker(&mut self) -> &mut LivenessTracker {
+        &mut self.tracker
+    }
+
+    /// The one place the views derived from the partition learn of a
+    /// merge, whether the edge came down the clean path or out of a
+    /// commit's pending drain.
+    fn merged(&mut self, m: &MergeOutcome) {
         self.analytics.fold(m);
         self.subs.on_merge(self.tracker.partition(), m, self.generation);
     }
 
-    /// Whether the rebuild worker has work: a dirty window it may build.
-    fn rebuild_owed(&self) -> bool {
-        self.dirty && !self.behind
+    /// The stale tracker unites nothing: the edge waits for the drain.
+    fn went_live_while_stale(&mut self, u: u32, v: u32) {
+        if !self.behind {
+            self.pending.push((u, v));
+        }
+    }
+
+    /// The attempt in flight may span the dead edge.
+    fn died_while_stale(&mut self, u: u32, v: u32) {
+        if !self.behind {
+            self.retracted.push(canon_edge(u, v));
+        }
+    }
+
+    /// Clean or sealed, the tracker's partition serves: a stale one's is
+    /// the pre-delete state, tagged with the generation it seals.
+    fn query(&mut self, u: u32, v: u32) -> (bool, Option<u64>) {
+        let tag = self.tracker.is_stale().then_some(self.generation);
+        (self.tracker.partition().same_set(u, v), tag)
     }
 }
 
@@ -209,15 +246,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// Marks the engine dirty and republishes the (now stale, hence
-    /// frozen) partition as the sealed generation — O(1), nothing is
-    /// copied.
-    fn seal_view(&self, st: &mut WriteState) {
-        st.dirty = true;
+    /// Republishes the (now stale, hence frozen) partition as the sealed
+    /// generation — O(1), nothing is copied.
+    fn seal_view(&self, st: &WriteState) {
         *self.view.lock() = View::of(st);
         // Freeze the analytics view at the seal-time partition; deltas
         // are suspended until the commit swaps in a recomputed plane.
-        self.publish_analytics_locked(st, true);
+        self.publish_analytics_locked(st);
         if let Some(o) = &self.obs {
             o.metrics.gen_dirty.set(1);
         }
@@ -225,9 +260,7 @@ impl Shared {
 
     /// A forest delete seals the generation; the rebuild worker takes it
     /// from here.
-    fn seal(&self, st: &mut WriteState) {
-        debug_assert!(st.retracted.is_empty(), "edges are only retracted while dirty");
-        debug_assert!(st.tracker.is_stale(), "only a forest delete seals");
+    fn seal(&self, st: &WriteState) {
         self.seal_view(st);
         if let Some(o) = &self.obs {
             o.metrics.rebuilds_sealed_total.inc();
@@ -237,10 +270,12 @@ impl Shared {
     }
 
     /// Swaps in a fresh [`AnalyticsView`] of the writer aggregates,
-    /// stamped with the epoch high-water mark, and mirrors the live
-    /// component count into the metrics gauge. Caller holds `mx`.
-    fn publish_analytics_locked(&self, st: &WriteState, sealed: bool) {
+    /// stamped with the epoch high-water mark and sealed iff the tracker
+    /// is stale, and mirrors the live component count into the metrics
+    /// gauge. Caller holds `mx`.
+    fn publish_analytics_locked(&self, st: &WriteState) {
         let epoch = self.published_epoch.load(Ordering::Acquire);
+        let sealed = st.tracker.is_stale();
         let view = st.analytics.view(st.tracker.partition(), epoch, st.generation, sealed);
         *self.aview.lock() = Arc::new(view);
         if let Some(o) = &self.obs {
@@ -307,7 +342,7 @@ impl Shared {
         let drained = std::mem::take(&mut st.pending);
         for &(u, v) in &drained {
             if let Some(m) = st.tracker.reclassify_live(u, v) {
-                st.fold_merge(&m);
+                st.merged(&m);
             }
         }
         *self.view.lock() = View::of(st);
@@ -315,7 +350,7 @@ impl Shared {
         // drained inserts connected fire, stamped `commit_epoch`, and
         // every component subscription observes the identity change.
         st.subs.on_commit(st.tracker.partition(), st.generation, commit_epoch);
-        self.publish_analytics_locked(st, false);
+        self.publish_analytics_locked(st);
         self.publish_table_gauges(st);
         drained.len() as u64
     }
@@ -341,7 +376,6 @@ impl Shared {
             return false;
         };
         st.generation += 1;
-        st.dirty = false;
         st.counters.rebuilds += 1;
         // The epoch high-water mark the dirty window deferred.
         let commit_epoch = self.published_epoch.load(Ordering::Acquire);
@@ -363,20 +397,6 @@ impl Shared {
     /// republished the view that registration reads.
     fn fire_clean(&self, generation: u64) {
         self.waiters.fire(|b| (b == Barrier::Clean).then_some(Ok(generation)));
-    }
-}
-
-/// How many ops ahead the batch loop prefetches: at tens of ns per op, 8
-/// ops hide most of a DRAM miss without evicting lines still in use.
-const PREFETCH_AHEAD: usize = 8;
-
-/// Prefetches what the insert or delete `PREFETCH_AHEAD` ops after
-/// `batch[i]` will read ([`LivenessTracker::prefetch`]), so its misses
-/// overlap the ops in between.
-#[inline]
-fn prefetch_ahead(tracker: &LivenessTracker, batch: &[Update], i: usize) {
-    if let Some(Update::Insert(u, v) | Update::Delete(u, v)) = batch.get(i + PREFETCH_AHEAD) {
-        tracker.prefetch(*u, *v);
     }
 }
 
@@ -453,7 +473,6 @@ impl GenerationEngine {
             tracker: LivenessTracker::new(n),
             pending: Vec::new(),
             retracted: Vec::new(),
-            dirty: false,
             behind: false,
             lineage: 0,
             generation: 0,
@@ -496,8 +515,7 @@ impl GenerationEngine {
     /// returns query answers in order of appearance. While dirty,
     /// inserts accumulate for the next generation and queries answer
     /// from the sealed one. While behind, the batch is replayed into the
-    /// live edge set and answers nothing (a logged batch holds no
-    /// queries).
+    /// live edge set only (a logged batch holds no queries).
     pub fn process_batch(&self, batch: &[Update]) -> Vec<bool> {
         self.process_batch_tagged(batch).into_iter().map(|(a, _)| a).collect()
     }
@@ -510,80 +528,33 @@ impl GenerationEngine {
     /// source the way a separate dirty-flag read could.
     pub fn process_batch_tagged(&self, batch: &[Update]) -> Vec<(bool, Option<u64>)> {
         let st = &mut *self.shared.mx.lock();
-        let mut answers: Vec<(bool, Option<u64>)> = Vec::new();
-        if st.behind {
-            // The frozen tracker unites nothing: `catch_up` materializes
-            // the partition once, however many forest deletes replay.
-            for (i, &op) in batch.iter().enumerate() {
-                prefetch_ahead(&st.tracker, batch, i);
-                match op {
-                    Update::Insert(u, v) => {
-                        st.tracker.insert(u, v);
-                    }
-                    Update::Delete(u, v) => {
-                        st.tracker.delete(u, v);
-                    }
-                    Update::Query(..) => {}
-                }
-            }
-            self.shared.publish_table_gauges(st);
-            return answers;
+        let was_stale = st.tracker.is_stale();
+        let mut d = DeleteCounts::default();
+        let answers = apply_batch(st, batch, &mut d);
+        // The view seals as the batch ends: the partition it serves is
+        // the tracker's either way, frozen since the forest delete.
+        if !was_stale && st.tracker.is_stale() {
+            self.shared.seal(st);
         }
-        for (i, &op) in batch.iter().enumerate() {
-            prefetch_ahead(&st.tracker, batch, i);
-            match op {
-                Update::Insert(u, v) => {
-                    let class = st.tracker.insert(u, v);
-                    if st.dirty {
-                        // The stale tracker unites nothing; what went
-                        // live waits for the commit's drain. A duplicate
-                        // or a self-loop did not, and must not grow the
-                        // list for as long as the window stays open.
-                        if class != InsertClass::Duplicate && u != v {
-                            st.pending.push((u, v));
-                        }
-                    } else if let InsertClass::Merge(m) = class {
-                        st.fold_merge(&m);
-                    }
-                }
-                Update::Query(u, v) => {
-                    // Clean or sealed, the tracker's partition is the one
-                    // serving: a stale tracker's is the pre-delete state.
-                    let connected = st.tracker.partition().same_set(u, v);
-                    answers.push((connected, st.dirty.then_some(st.generation)));
-                }
-                Update::Delete(u, v) => {
-                    let obs = self.shared.obs.as_deref();
-                    match st.tracker.delete(u, v) {
-                        DeleteClass::Absent => {
-                            st.counters.deletes_absent += 1;
-                            if let Some(o) = obs {
-                                o.metrics.deletes_absent_total.inc();
-                            }
-                        }
-                        DeleteClass::NonForest => {
-                            st.counters.deletes_nonforest += 1;
-                            if let Some(o) = obs {
-                                o.metrics.deletes_nonforest_total.inc();
-                            }
-                        }
-                        DeleteClass::Forest => {
-                            st.counters.deletes_forest += 1;
-                            if let Some(o) = obs {
-                                o.metrics.deletes_forest_total.inc();
-                            }
-                            if st.dirty {
-                                st.retracted.push(canon_edge(u, v));
-                                self.shared.doomed.store(true, Ordering::Relaxed);
-                            } else {
-                                self.shared.seal(st);
-                            }
-                        }
-                    }
-                }
+        if !st.retracted.is_empty() {
+            // The attempt in flight may span a dead edge.
+            self.shared.doomed.store(true, Ordering::Relaxed);
+        }
+        // A batch without deletes leaves the shared counters' cache lines
+        // alone.
+        if !st.behind && d != DeleteCounts::default() {
+            let c = &mut st.counters;
+            c.deletes_forest += d.forest;
+            c.deletes_nonforest += d.nonforest;
+            c.deletes_absent += d.absent;
+            if let Some(o) = &self.shared.obs {
+                o.metrics.deletes_forest_total.add(d.forest);
+                o.metrics.deletes_nonforest_total.add(d.nonforest);
+                o.metrics.deletes_absent_total.add(d.absent);
+                o.metrics.deletes_dirty_total.add(d.dirty);
             }
         }
-        if !st.dirty {
+        if !st.tracker.is_stale() {
             // A sealed view's count is fixed; a live one's follows here.
             let components = st.analytics.components();
             self.shared.view.lock().num_components.store(components, Ordering::Relaxed);
@@ -653,7 +624,7 @@ impl GenerationEngine {
     /// The serving generation and telemetry counters (the `GEN` verb).
     pub fn info(&self) -> GenInfo {
         let st = self.shared.mx.lock();
-        GenInfo { generation: st.generation, dirty: st.dirty, counters: st.counters }
+        GenInfo { generation: st.generation, dirty: st.tracker.is_stale(), counters: st.counters }
     }
 
     /// The serving generation number, read off the view — never contends
@@ -664,7 +635,7 @@ impl GenerationEngine {
 
     /// Whether a rebuild is owed or in flight.
     pub fn is_dirty(&self) -> bool {
-        self.shared.mx.lock().dirty
+        self.shared.mx.lock().tracker.is_stale()
     }
 
     /// Number of live edges in the tracker.
@@ -720,12 +691,12 @@ impl GenerationEngine {
         }
         st.behind = true;
         st.lineage += 1;
-        st.tracker.freeze();
         // Both lists name edges the tracker's live set already decides.
         st.pending.clear();
         st.retracted.clear();
         self.shared.doomed.store(true, Ordering::Relaxed);
-        if !st.dirty {
+        if !st.tracker.is_stale() {
+            st.tracker.freeze();
             self.shared.seal_view(st);
         }
     }
@@ -760,7 +731,6 @@ impl GenerationEngine {
         let generation = {
             let st = &mut *self.shared.mx.lock();
             st.behind = false;
-            st.dirty = false;
             self.shared.install(st, next, None);
             if let Some(o) = &self.shared.obs {
                 o.metrics.gen_dirty.set(0);
@@ -778,10 +748,10 @@ impl GenerationEngine {
     pub fn publish_analytics(&self, epoch: u64) {
         self.shared.published_epoch.fetch_max(epoch, Ordering::AcqRel);
         let st = self.shared.mx.lock();
-        if st.dirty {
+        if st.tracker.is_stale() {
             return;
         }
-        self.shared.publish_analytics_locked(&st, false);
+        self.shared.publish_analytics_locked(&st);
     }
 
     /// The current analytics view — one `Arc` clone, never contends
@@ -985,7 +955,7 @@ mod tests {
         /// index is keyed by its roots.
         fn check_commit_invariants(&self, oracle: &DynamicOracle) {
             let st = self.g.shared.mx.lock();
-            assert!(!st.dirty && st.pending.is_empty() && st.retracted.is_empty());
+            assert!(!st.tracker.is_stale() && st.pending.is_empty() && st.retracted.is_empty());
             let mut live = st.tracker.edge_list();
             live.sort_unstable();
             let mut want = oracle.edge_list();
@@ -1073,6 +1043,77 @@ mod tests {
         }
         assert_eq!(s.discarded(), 2);
         assert_eq!(s.obs.metrics.rebuild_commit_hold_ns.count(), 1);
+    }
+
+    /// A second live delete in an open window is a forest delete the
+    /// stale forest could not classify: counted as forest, and as dirty.
+    #[test]
+    fn a_second_live_delete_in_the_window_counts_as_dirty() {
+        let s = Stepped::new(8);
+        s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(3, 4)]);
+        s.g.process_batch(&[Update::Delete(0, 1), Update::Delete(5, 6)]);
+        s.g.process_batch(&[Update::Delete(3, 4)]);
+        let m = &s.obs.metrics;
+        let got = [&m.deletes_forest_total, &m.deletes_dirty_total, &m.deletes_absent_total];
+        assert_eq!(got.map(|c| c.get()), [2, 1, 1]);
+        assert_eq!(m.deletes_nonforest_total.get(), 0);
+        assert_eq!(s.g.info().counters.deletes_forest, 2);
+    }
+
+    /// One batch that seals midway: the loop answers the queries before
+    /// the seal exactly and stops at every one after it, which the sealed
+    /// generation answers; the window's insert and live delete are queued.
+    #[test]
+    fn a_batch_that_seals_midway_tags_only_the_answers_after_the_seal() {
+        let s = Stepped::new(8);
+        s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2)]);
+        let got = s.g.process_batch_tagged(&[
+            Update::Query(0, 2),
+            Update::Delete(1, 2),
+            Update::Query(0, 2),
+            Update::Insert(5, 6),
+            Update::Query(5, 6),
+            Update::Delete(0, 1),
+            Update::Query(0, 1),
+        ]);
+        assert_eq!(got, vec![(true, None), (true, Some(0)), (false, Some(0)), (true, Some(0))]);
+        let st = s.g.shared.mx.lock();
+        assert_eq!(
+            (st.pending.as_slice(), st.retracted.as_slice()),
+            (&[(5, 6)][..], &[canon_edge(0, 1)][..])
+        );
+    }
+
+    /// A replay is the same loop on a frozen tracker: it queues nothing
+    /// for the rebuild worker and counts nothing, in the counters or the
+    /// metrics.
+    #[test]
+    fn a_replay_queues_and_counts_nothing() {
+        let s = Stepped::new(8);
+        s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2)]);
+        s.g.fall_behind();
+        let replay = [
+            Update::Delete(0, 1),
+            Update::Insert(3, 4),
+            Update::Delete(6, 7),
+            Update::Delete(1, 2),
+        ];
+        s.g.process_batch(&replay);
+        {
+            let st = s.g.shared.mx.lock();
+            assert!(st.pending.is_empty() && st.retracted.is_empty());
+            assert_eq!(st.counters, GenCounters::default());
+        }
+        let m = &s.obs.metrics;
+        let classes = [
+            &m.deletes_forest_total,
+            &m.deletes_nonforest_total,
+            &m.deletes_absent_total,
+            &m.deletes_dirty_total,
+        ];
+        assert_eq!(classes.map(|c| c.get()), [0; 4]);
+        s.g.catch_up();
+        assert!(s.g.connected(3, 4) && !s.g.connected(0, 1) && !s.g.connected(1, 2));
     }
 
     proptest::proptest! {

@@ -36,8 +36,7 @@
 //!   group-committed write-ahead log recording each applied batch at its
 //!   epoch boundary, and epoch-keyed checkpoint records of the live edge
 //!   set in the same log, so recovery replays only the log past the
-//!   oldest one. [`snapshot`] reads the snapshot files earlier releases
-//!   kept beside the log, once, to migrate them.
+//!   oldest one.
 //! - [`replication`] — WAL shipping: a primary streams its log
 //!   (checkpoint + batch records, byte for byte as the disk holds them)
 //!   to read-replica followers, which bootstrap, replay, tail
@@ -92,7 +91,6 @@ pub mod obs;
 pub mod replication;
 pub mod request;
 pub mod service;
-pub mod snapshot;
 pub mod subs;
 pub mod wal;
 

@@ -155,6 +155,7 @@ pub struct Metrics {
     pub deletes_forest_total: Counter,
     pub deletes_nonforest_total: Counter,
     pub deletes_absent_total: Counter,
+    pub deletes_dirty_total: Counter,
     pub generation: Gauge,
     pub gen_dirty: Gauge,
     pub live_edges: Gauge,
@@ -227,6 +228,7 @@ impl Metrics {
             deletes_forest_total: Counter::default(),
             deletes_nonforest_total: Counter::default(),
             deletes_absent_total: Counter::default(),
+            deletes_dirty_total: Counter::default(),
             generation: Gauge::default(),
             gen_dirty: Gauge::default(),
             live_edges: Gauge::default(),
@@ -360,6 +362,7 @@ impl Metrics {
         counter(&mut out, "deletes_forest_total", &self.deletes_forest_total);
         counter(&mut out, "deletes_nonforest_total", &self.deletes_nonforest_total);
         counter(&mut out, "deletes_absent_total", &self.deletes_absent_total);
+        counter(&mut out, "deletes_dirty_total", &self.deletes_dirty_total);
         gauge(&mut out, "generation", &self.generation);
         gauge(&mut out, "gen_dirty", &self.gen_dirty);
         gauge(&mut out, "live_edges", &self.live_edges);

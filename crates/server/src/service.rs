@@ -28,7 +28,6 @@ use crate::analytics::AnalyticsView;
 use crate::generation::{GenInfo, GenerationEngine};
 use crate::obs::{self, Event, Obs};
 use crate::request::endpoints;
-use crate::snapshot;
 use crate::subs::{AttachError, PendingEvent, SubInfo, SubKind, SubSink, SubWalOp, SubsDispatch};
 pub use crate::wal::LogRecord;
 use crate::wal::{DurabilityConfig, TailEvent, Wal, WalCursor, WalError, WalStats};
@@ -552,8 +551,8 @@ impl Inner {
 
     /// Writes a checkpoint record at `epoch` — the live edge set and the
     /// durable subscription registry — and prunes every older segment
-    /// ([`Wal::checkpoint`]). Called from the batcher between batches (and
-    /// once by a migrating recovery), so no new operations race it; an
+    /// ([`Wal::checkpoint`]). Called from the batcher between batches, so
+    /// no new operations race it; an
     /// in-flight rebuild does not matter, because the edge set is exact
     /// while sealed too.
     fn write_checkpoint(&self, epoch: u64) -> Result<(), ServiceError> {
@@ -667,26 +666,11 @@ impl Inner {
     /// is `CaughtUp`. Durable subscriptions replay in log order, unarmed;
     /// the catch-up arms them against the recovered partition, so a pair
     /// that connected while the subscriber was down still fires.
-    ///
-    /// A directory a previous release left with `snap-*` files migrates
-    /// once: the newest legacy snapshot is a leading checkpoint, the log
-    /// suffix replays past it, and a `'C'` record at the recovered epoch
-    /// replaces the files (a crash before they are deleted repeats this).
     fn recover(&self, dir: &Path) -> Result<(), ServiceError> {
-        let io = |source| WalError::Io { path: dir.to_path_buf(), source };
         self.engine.fall_behind();
-        let legacy = snapshot::load_latest(dir)?;
-        let migrating = legacy.is_some();
         let mut at = 0;
         let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
-        match legacy {
-            // Pruned segments lie below the legacy snapshot: no hole check.
-            Some((epoch, record)) => {
-                at = epoch;
-                self.apply_log(at, record)?;
-            }
-            None => cursor.oldest().map_err(io)?,
-        }
+        cursor.oldest().map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?;
         loop {
             match cursor.next()? {
                 TailEvent::Record(payload) => {
@@ -700,17 +684,16 @@ impl Inner {
                     }
                 }
                 TailEvent::CaughtUp => break,
-                // Nothing prunes before the log accepts writes: segments a
-                // legacy snapshot covers.
-                TailEvent::Pruned => cursor.skip_gap().map_err(io)?,
+                // The cursor starts at the oldest segment on disk and
+                // nothing prunes before the log accepts writes: a segment
+                // that vanished under it leaves a hole in the history.
+                TailEvent::Pruned => {
+                    let detail = "a segment vanished while recovery read it".into();
+                    return Err(WalError::Corrupt { path: dir.to_path_buf(), detail }.into());
+                }
             }
         }
-        self.apply_log(at, LogRecord::CaughtUp)?;
-        if migrating {
-            self.write_checkpoint(at)?;
-            snapshot::remove_all(dir);
-        }
-        Ok(())
+        self.apply_log(at, LogRecord::CaughtUp)
     }
 }
 
@@ -1760,64 +1743,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A directory in the earlier release's format — a `CCSNAP02` file, its
-    /// covered segments pruned, a log suffix with a re-registered durable
-    /// subscription — boots to the same epoch and partition, leaves no
-    /// `snap-*` file behind, and boots the same again.
-    #[test]
-    fn legacy_snapshot_directory_migrates_to_a_checkpoint() {
-        let dir = tmp_dir("migrate");
-        let write = |path: PathBuf, magic: &[u8; 8], records: &[Vec<u8>]| {
-            let mut w = std::io::BufWriter::new(std::fs::File::create(path).expect("create"));
-            binary::write_magic(&mut w, magic).expect("magic");
-            for r in records {
-                binary::append_record(&mut w, r).expect("record");
-            }
-            std::io::Write::flush(&mut w).expect("flush");
-        };
-        let mut header = 3u64.to_le_bytes().to_vec();
-        header.extend_from_slice(&16u64.to_le_bytes());
-        let edges = binary::encode_edge_batch(3, &[(0, 1), (1, 2), (5, 6)]);
-        write(crate::snapshot::snapshot_path(&dir, 3), b"CCSNAP02", &[header, edges]);
-        let mut sub = vec![b'S', 0];
-        sub.extend_from_slice(&9u64.to_le_bytes());
-        sub.push(SubKind::Pair.code());
-        sub.extend_from_slice(&[4, 0, 0, 0, 7, 0, 0, 0]);
-        sub.extend_from_slice(&3u64.to_le_bytes());
-        let mut inserts = vec![b'I'];
-        inserts.extend_from_slice(&binary::encode_edge_batch(4, &[(2, 3)]));
-        let mut ops = vec![b'D'];
-        ops.extend_from_slice(&5u64.to_le_bytes());
-        ops.extend_from_slice(&2u32.to_le_bytes());
-        ops.extend_from_slice(&[b'D', 5, 0, 0, 0, 6, 0, 0, 0, b'I', 7, 0, 0, 0, 8, 0, 0, 0]);
-        // Segments 0 and 1 were pruned with the snapshot at epoch 3.
-        write(crate::wal::segment_path(&dir, 2), crate::wal::WAL_MAGIC, &[sub, inserts, ops]);
-
-        let mut want: Vec<u32> = (0..16).collect();
-        (want[1], want[2], want[3], want[8]) = (0, 0, 0, 7);
-        for round in 0..2 {
-            let mut svc = Service::start(durable_cfg(16, &dir)).expect("boots");
-            let c = svc.client();
-            assert_eq!(c.epoch(), 5, "round {round}");
-            assert!(cc_graph::stats::same_partition(&c.labels(), &want), "round {round}");
-            let subs: Vec<(u64, u32, u32)> =
-                c.subs_info().iter().map(|s| (s.id, s.u, s.v)).collect();
-            assert_eq!(subs, vec![(9, 4, 7)], "round {round}");
-            assert!(c.wal_stats().expect("wal").contains(" snap_epoch=5 "), "round {round}");
-            let names: Vec<String> = std::fs::read_dir(&dir)
-                .expect("dir")
-                .flatten()
-                .filter_map(|e| e.file_name().into_string().ok())
-                .collect();
-            assert!(names.iter().all(|n| !n.starts_with("snap-")), "round {round}: {names:?}");
-            svc.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A checkpoint prunes the `'S'` records before it and restates the
-    /// registry instead: a subscription registered before it survives, and
-    /// one cancelled after it stays cancelled.
     #[test]
     fn durable_subscriptions_recover_through_a_checkpoint() {
         let dir = tmp_dir("sub_checkpoint");

@@ -376,8 +376,8 @@ pub enum WalError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A codec failure inside a segment or legacy snapshot, with byte offset
-    /// context from [`CodecError`].
+    /// A codec failure inside a segment, with byte offset context from
+    /// [`CodecError`].
     Codec {
         /// The file that failed to decode.
         path: PathBuf,
@@ -924,18 +924,6 @@ impl WalCursor {
         self.seq = first_segment_seq(&self.dir, 0)?.unwrap_or(0);
         self.offset = binary::MAGIC_LEN as u64;
         self.needs_checkpoint = self.seq > 0;
-        Ok(())
-    }
-
-    /// Repositions the cursor at the start of the next segment on disk
-    /// past its own, with no checkpoint required there — the resume point
-    /// after [`TailEvent::Pruned`] for a recovery whose legacy snapshot
-    /// covers the segments that are gone.
-    pub fn skip_gap(&mut self) -> std::io::Result<()> {
-        if let Some(seq) = first_segment_seq(&self.dir, self.seq + 1)? {
-            self.seq = seq;
-            self.offset = binary::MAGIC_LEN as u64;
-        }
         Ok(())
     }
 

@@ -194,6 +194,23 @@ fn label_size_and_topk_name_one_representative() {
     svc.shutdown();
 }
 
+/// The delete-class counters are what churn reports are read from, so
+/// README's metrics table names each one a scrape exposes in full.
+#[test]
+fn every_delete_class_counter_is_in_the_readme_metrics_table() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let scrape = cc_server::obs::Obs::new().metrics.render();
+    let classes: Vec<&str> = scrape
+        .iter()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|name| name.starts_with("connectit_deletes_") && *name != "connectit_deletes_total")
+        .collect();
+    assert!(classes.len() >= 4, "forest, nonforest, absent and dirty: {classes:?}");
+    for name in classes {
+        assert!(readme.contains(&format!("`{name}`")), "README.md's metrics table omits {name}");
+    }
+}
+
 #[test]
 fn protocol_doc_is_cross_linked() {
     let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
@@ -214,7 +231,7 @@ fn design_doc_names_every_log_kind_and_no_retired_format() {
         let magic = std::str::from_utf8(magic).expect("ascii magic");
         assert!(design.contains(magic), "DESIGN.md omits the magic {magic}");
     }
-    for retired in ["CCREPL01", "CCWALS01", "snap-"] {
+    for retired in ["CCREPL01", "CCWALS01", "CCSNAP", "snap-"] {
         assert!(!design.contains(retired), "DESIGN.md still names the retired {retired:?}");
     }
 }
