@@ -19,7 +19,8 @@
 use cc_bench::harness::{write_bench_json, Table};
 use cc_parallel::SplitMix64;
 use cc_server::{
-    run_follower, serve_replication, DurabilityConfig, FsyncPolicy, Role, Service, ServiceConfig,
+    run_follower, serve_with, DurabilityConfig, FsyncPolicy, NetConfig, Role, Service,
+    ServiceConfig,
 };
 use cc_unionfind::SeqUnionFind;
 use connectit::Update;
@@ -199,7 +200,7 @@ fn main() {
         }
     }
     // Full-mode batches are large on purpose: a split-routed client pays
-    // the replication lag (sender poll + follower apply) once per WAIT
+    // the replication lag (WAL read + follower apply) once per WAIT
     // round, so the queries behind each barrier must be numerous enough
     // to amortize it — exactly how a read-scaled deployment would batch.
     let shape = if test_mode {
@@ -245,9 +246,9 @@ fn main() {
     // Phase B: the replication topology. The stream crosses real TCP.
     let dir_b = tmp_dir("topology");
     let mut primary = Service::start(primary_config(shape.n, &dir_b)).expect("primary");
-    let mut hub =
-        serve_replication(&dir_b, "127.0.0.1:0", primary.client().observability()).expect("hub");
-    let addr = hub.local_addr().to_string();
+    let net = NetConfig { replication_port: Some(0), ..NetConfig::default() };
+    let mut server = serve_with(&primary, "127.0.0.1:0", net).expect("replication listener");
+    let addr = server.replication_addr().expect("replication listener").to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut follower_svcs = Vec::new();
     let mut receivers = Vec::new();
@@ -281,14 +282,14 @@ fn main() {
     // Both ends count the stream in their own registries.
     let (shipped, fresh_metrics) =
         (primary.client().observability(), fresh.client().observability());
-    assert!(shipped.metrics.repl_records_shipped_total.get() > 0, "the hub shipped records");
+    assert!(shipped.metrics.repl_records_shipped_total.get() > 0, "the primary shipped records");
     assert!(fresh_metrics.metrics.repl_connects_total.get() >= 1, "the fresh follower connected");
 
     shutdown.store(true, std::sync::atomic::Ordering::Release);
     for h in receivers {
         let _ = h.join();
     }
-    hub.stop();
+    server.stop();
     for mut f in follower_svcs {
         f.shutdown();
     }

@@ -26,7 +26,8 @@
 //! selects nothing).
 //!
 //! `--replication-port` (primary side; requires `--wal-dir`) additionally
-//! serves the WAL-shipping replication stream to followers on that port.
+//! serves the WAL-shipping replication stream to followers on that port,
+//! from the same event-loop shards as the query port.
 //! `--replicate-from HOST:PORT` starts this process as a read-replica
 //! *follower* instead: an in-memory engine fed exclusively by the
 //! primary's replication stream, serving `Q`/`B`/`LABEL`/`COMPONENTS`/
@@ -36,9 +37,7 @@
 //! Serves the line protocol documented in `cc_server::net` until a client
 //! sends `SHUTDOWN`, then prints final stats and exits.
 
-use cc_server::{
-    serve_replication, serve_with, DurabilityConfig, NetConfig, Role, Service, ServiceConfig,
-};
+use cc_server::{serve_with, DurabilityConfig, NetConfig, Role, Service, ServiceConfig};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -69,9 +68,14 @@ struct Opts {
     wal_dir: Option<String>,
     fsync: cc_server::FsyncPolicy,
     snapshot_every: u64,
-    replication_port: Option<u16>,
     replicate_from: Option<String>,
     net: NetConfig,
+}
+
+/// The value after `flag`, parsed; a failure names the flag.
+fn value<T: std::str::FromStr>(flag: &str, it: &mut std::slice::Iter<String>) -> Result<T, String> {
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|_| format!("bad {flag}"))
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -82,66 +86,35 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         wal_dir: None,
         fsync: cc_server::FsyncPolicy::Batch,
         snapshot_every: 0,
-        replication_port: None,
         replicate_from: None,
         net: NetConfig::default(),
     };
     let mut it = args.iter();
-    let next_val = |flag: &str, it: &mut std::slice::Iter<String>| -> Result<String, String> {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--n" => {
-                opts.cfg.n = next_val(a, &mut it)?.parse().map_err(|_| "bad --n".to_string())?
-            }
-            "--shards" => {
-                opts.cfg.shards =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --shards".to_string())?
-            }
-            "--bind" => opts.bind = next_val(a, &mut it)?,
-            "--port" => {
-                opts.port = next_val(a, &mut it)?.parse().map_err(|_| "bad --port".to_string())?
-            }
-            "--batch-ops" => {
-                opts.cfg.batch_max_ops =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --batch-ops".to_string())?
-            }
+            "--n" => opts.cfg.n = value(a, &mut it)?,
+            "--shards" => opts.cfg.shards = value(a, &mut it)?,
+            "--bind" => opts.bind = value(a, &mut it)?,
+            "--port" => opts.port = value(a, &mut it)?,
+            "--batch-ops" => opts.cfg.batch_max_ops = value(a, &mut it)?,
             "--batch-wait-us" => {
-                let us: u64 =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --batch-wait-us".to_string())?;
-                opts.cfg.batch_max_wait = Duration::from_micros(us);
+                opts.cfg.batch_max_wait = Duration::from_micros(value(a, &mut it)?);
             }
-            "--snapshot-every" => {
-                opts.snapshot_every =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --snapshot-every".to_string())?
-            }
-            "--wal-dir" => opts.wal_dir = Some(next_val(a, &mut it)?),
-            "--fsync" => opts.fsync = next_val(a, &mut it)?.parse()?,
-            "--replication-port" => {
-                opts.replication_port = Some(
-                    next_val(a, &mut it)?
-                        .parse()
-                        .map_err(|_| "bad --replication-port".to_string())?,
-                )
-            }
-            "--replicate-from" => opts.replicate_from = Some(next_val(a, &mut it)?),
+            "--snapshot-every" => opts.snapshot_every = value(a, &mut it)?,
+            "--wal-dir" => opts.wal_dir = Some(value(a, &mut it)?),
+            "--fsync" => opts.fsync = it.next().ok_or("--fsync needs a value")?.parse()?,
+            "--replication-port" => opts.net.replication_port = Some(value(a, &mut it)?),
+            "--replicate-from" => opts.replicate_from = Some(value(a, &mut it)?),
             "--net-shards" => {
-                opts.net.shards =
-                    next_val(a, &mut it)?.parse().map_err(|_| "bad --net-shards".to_string())?;
+                opts.net.shards = value(a, &mut it)?;
                 if opts.net.shards == 0 {
                     return Err("--net-shards must be at least 1".into());
                 }
             }
-            "--idle-timeout-ms" => {
-                let ms: u64 = next_val(a, &mut it)?
-                    .parse()
-                    .map_err(|_| "bad --idle-timeout-ms".to_string())?;
-                if ms == 0 {
-                    return Err("--idle-timeout-ms must be at least 1".into());
-                }
-                opts.net.idle_timeout = Some(Duration::from_millis(ms));
-            }
+            "--idle-timeout-ms" => match value(a, &mut it)? {
+                0 => return Err("--idle-timeout-ms must be at least 1".into()),
+                ms => opts.net.idle_timeout = Some(Duration::from_millis(ms)),
+            },
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -151,14 +124,14 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                         the primary (drop --wal-dir)"
                 .into());
         }
-        if opts.replication_port.is_some() {
+        if opts.net.replication_port.is_some() {
             return Err("--replicate-from and --replication-port are mutually exclusive \
                         (a follower does not re-ship the stream)"
                 .into());
         }
         opts.cfg.role = Role::Follower;
     }
-    if opts.replication_port.is_some() && opts.wal_dir.is_none() {
+    if opts.net.replication_port.is_some() && opts.wal_dir.is_none() {
         return Err("--replication-port streams the WAL to followers and needs --wal-dir".into());
     }
     if let Some(dir) = &opts.wal_dir {
@@ -213,20 +186,6 @@ fn main() -> ExitCode {
         }));
     }
 
-    // Primary side of replication: stream the WAL directory to followers
-    // with the service's observability plane attached (per-follower lag
-    // gauges, shipped-record counters, lifecycle events).
-    let mut hub = None;
-    if let Some(rport) = opts.replication_port {
-        let dir = opts.wal_dir.as_deref().expect("checked in parse_args");
-        match serve_replication(dir, (opts.bind.as_str(), rport), client.observability()) {
-            Ok(h) => hub = Some(h),
-            Err(e) => {
-                eprintln!("connectit-serve: replication bind failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     // Follower side: connect to the primary and apply its stream forever.
     let repl_shutdown = Arc::new(AtomicBool::new(false));
     let mut receiver = None;
@@ -246,8 +205,8 @@ fn main() -> ExitCode {
         }
         None => String::new(),
     };
-    let repl_info = match (&hub, &opts.replicate_from) {
-        (Some(h), _) => format!(" replication_addr={}", h.local_addr()),
+    let repl_info = match (server.replication_addr(), &opts.replicate_from) {
+        (Some(addr), _) => format!(" replication_addr={addr}"),
         (None, Some(primary)) => format!(" replicate_from={primary}"),
         (None, None) => String::new(),
     };
@@ -260,9 +219,6 @@ fn main() -> ExitCode {
         opts.cfg.batch_max_wait,
     );
     server.wait_shutdown();
-    if let Some(mut h) = hub {
-        h.stop();
-    }
     repl_shutdown.store(true, Ordering::Release);
     service.shutdown();
     if let Some(h) = receiver {

@@ -140,7 +140,7 @@ pub mod verb {
 /// answers with a correlation-id-0 ERR frame and closes `bad-frame`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// The 8 bytes after the sniff byte were not [`STREAM_MAGIC`].
+    /// The stream did not open with the magic its assembler expects.
     BadMagic,
     /// Declared payload length exceeds [`MAX_FRAME_PAYLOAD`].
     Oversized(u32),
@@ -684,11 +684,14 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
 
 /// Incremental frame reassembly for nonblocking reads: bytes go in as they
 /// arrive, whole payloads come out. Also owns the stream-magic check so the
-/// event loop and the fuzz tests share one state machine.
+/// event loop and the fuzz tests share one state machine. The replication
+/// listener reuses it for a follower's handshake, expecting that stream's
+/// own magic.
 pub struct FrameAssembler {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed (compacted lazily).
     start: usize,
+    magic: [u8; MAGIC_LEN],
     magic_seen: bool,
     /// First frame-level error seen; sticky — a corrupt stream is never
     /// resynchronized, every further call re-reports it.
@@ -704,7 +707,12 @@ impl Default for FrameAssembler {
 impl FrameAssembler {
     /// An assembler expecting [`STREAM_MAGIC`] first.
     pub fn new() -> FrameAssembler {
-        FrameAssembler { buf: Vec::new(), start: 0, magic_seen: false, poisoned: None }
+        FrameAssembler::with_magic(STREAM_MAGIC)
+    }
+
+    /// An assembler expecting `magic` first.
+    pub fn with_magic(magic: [u8; MAGIC_LEN]) -> FrameAssembler {
+        FrameAssembler { buf: Vec::new(), start: 0, magic, magic_seen: false, poisoned: None }
     }
 
     /// Appends freshly read bytes.
@@ -734,7 +742,7 @@ impl FrameAssembler {
                 return Ok(None);
             }
             let got = &self.buf[self.start..self.start + MAGIC_LEN];
-            if got != STREAM_MAGIC {
+            if got != self.magic {
                 return Err(self.poison(FrameError::BadMagic));
             }
             self.start += MAGIC_LEN;

@@ -1,10 +1,12 @@
 //! The sharded readiness event loop: the one front door.
 //!
-//! `start` (via [`crate::net::serve`]) binds one listener and spawns N
-//! shard threads (`cc-net-<i>`), each owning its accepted connections
+//! `start` (via [`crate::net::serve`]) binds the query listener — and,
+//! with [`NetConfig::replication_port`], the replication listener — and
+//! spawns N shard threads (`cc-net-<i>`), each owning its connections
 //! through the offline `mio` shim (epoll on Linux, `poll(2)` fallback).
-//! The accept thread round-robins fresh sockets — `TCP_NODELAY` already
-//! set — to shard inboxes and wakes the shard's poll.
+//! Shard 0 polls the listeners beside its connections and round-robins
+//! accepted sockets — `TCP_NODELAY` already set — to the shards' inboxes,
+//! waking each one's poll. No other thread serves the wire.
 //!
 //! ## Two codecs, one dispatcher
 //!
@@ -69,12 +71,25 @@
 //! an expired deadline answers the verb's timeout; poll sleeps no longer
 //! than the nearest deadline; a closing connection drops its parked
 //! barriers. `waits_parked` counts the parked barriers over all shards.
+//!
+//! ## Followers
+//!
+//! A connection from the replication listener is a follower: the shard
+//! reads its `'H'` handshake with a frame assembler expecting
+//! [`crate::replication::REPL_MAGIC`], then ships it the WAL through a
+//! `replication::Follower`, one write budget (`max_wbuf`) per
+//! round, resuming on `WRITABLE`. At the live tail the follower parks on
+//! the epoch waiter list like a `WAIT` on the next epoch, with the
+//! heartbeat as its deadline. A parked follower counts as a request in
+//! flight, so the idle sweep spares it; one stalled on a full socket does
+//! not. Closing the connection unregisters its telemetry slot.
 
 use crate::binproto::{
     decode_request, encode_event, encode_reply, frame, FrameAssembler, RequestError, SNIFF_BYTE,
 };
-use crate::net::{self, Decoded, LineDecoder, ServerShared, TcpServer};
+use crate::net::{self, Decoded, LineDecoder, TcpServer};
 use crate::obs::{CloseReason, Event, Gauge, Obs};
+use crate::replication::{Follower, REPL_MAGIC};
 use crate::request::{endpoints, BinRequest, Reply, Request, Verb};
 use crate::service::{
     Barrier, Client, Notify, Role, Service, ServiceError, SubmitTicket, TaggedAnswers, Ticket,
@@ -86,7 +101,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,14 +117,23 @@ pub struct NetConfig {
     /// Write-queue cap per connection: above it, read interest is dropped
     /// until the peer drains, so one slow reader cannot balloon memory. A
     /// subscription event that pushes the queue past it closes the
-    /// connection with a typed `sub-overflow`.
+    /// connection with a typed `sub-overflow`. A follower is fed the WAL
+    /// up to it per round.
     pub max_wbuf: usize,
+    /// Serves the WAL-shipping replication stream (`CCREPL02`, see
+    /// [`crate::replication`]) on this port of the query listener's IP
+    /// (0 picks a free one, read back with
+    /// [`TcpServer::replication_addr`]). It ships the service's own WAL:
+    /// an in-memory service fails to start with
+    /// [`ServiceError::DurabilityDisabled`]. `None` (the default) serves
+    /// no followers.
+    pub replication_port: Option<u16>,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
         let shards = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(1, 8);
-        NetConfig { shards, idle_timeout: None, max_wbuf: 1 << 20 }
+        NetConfig { shards, idle_timeout: None, max_wbuf: 1 << 20, replication_port: None }
     }
 }
 
@@ -120,65 +144,86 @@ const WAKER: Token = Token(0);
 /// latency and idle-sweep granularity.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
-/// Binds `addr` and runs the sharded front end over `service`.
+/// Binds `addr` (and the replication port, if any) and runs the sharded
+/// front end over `service`.
 pub(crate) fn start(
     service: &Service,
     addr: impl ToSocketAddrs,
     cfg: NetConfig,
 ) -> io::Result<TcpServer> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(ServerShared::new(listener.local_addr()?));
     let client = service.client();
-    let obs = client.observability();
-    let nshards = cfg.shards.max(1);
-    let gauges = obs.metrics.register_net_shards(nshards);
-
-    let mut inboxes = Vec::with_capacity(nshards);
-    let mut wakers = Vec::with_capacity(nshards);
-    let mut handles = Vec::with_capacity(nshards);
-    for (i, gauge) in gauges.into_iter().enumerate() {
-        let mut shard = Shard::new(client.clone(), Arc::clone(&shared), &cfg, gauge)?;
-        inboxes.push(Arc::clone(&shard.inbox));
-        wakers.push(Arc::clone(&shard.waker));
-        handles.push(
-            std::thread::Builder::new().name(format!("cc-net-{i}")).spawn(move || shard.run())?,
-        );
+    let mut listeners = vec![TcpListener::bind(addr)?];
+    if let Some(port) = cfg.replication_port {
+        client.wal_dir().map_err(|e| io::Error::new(io::ErrorKind::Unsupported, e))?;
+        listeners.push(TcpListener::bind((listeners[0].local_addr()?.ip(), port))?);
     }
-
-    let accept_shared = Arc::clone(&shared);
-    let accept = std::thread::Builder::new().name("cc-accept".into()).spawn(move || {
-        let mut next = 0usize;
-        while !accept_shared.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // TCP_NODELAY on every accepted socket: pipelined
-                    // frames and one-line replies must not eat Nagle
-                    // delays (only the client side set it before).
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    inboxes[next].lock().push(stream);
-                    let _ = wakers[next].wake();
-                    next = (next + 1) % inboxes.len();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-        // Wake every shard so they observe the shutdown flag promptly.
-        for w in &wakers {
-            let _ = w.wake();
-        }
-    })?;
-
-    Ok(TcpServer { shared, accept: Some(accept), shards: handles })
+    let addrs = listeners.iter().map(TcpListener::local_addr).collect::<io::Result<_>>()?;
+    let nshards = cfg.shards.max(1);
+    let polls = (0..nshards).map(|_| Poll::new()).collect::<io::Result<Vec<_>>>()?;
+    for (i, listener) in listeners.iter().enumerate() {
+        listener.set_nonblocking(true)?;
+        polls[0].registry().register(listener, Token(usize::MAX - i), Interest::READABLE)?;
+    }
+    let wakers = polls.iter().map(|p| Waker::new(p.registry(), WAKER).map(Arc::new));
+    let shared = Arc::new(ServerShared {
+        shutdown: AtomicBool::new(false),
+        wakers: wakers.collect::<io::Result<_>>()?,
+        inboxes: (0..nshards).map(|_| Inbox::default()).collect(),
+    });
+    let obs = client.observability();
+    let gauges = obs.metrics.register_net_shards(nshards);
+    let (num_vertices, is_follower) = (client.num_vertices(), client.role() == Role::Follower);
+    let shards = polls.into_iter().zip(gauges).enumerate().map(|(i, (poll, gauge))| {
+        let mut shard = Shard {
+            client: client.clone(),
+            obs: Arc::clone(&obs),
+            shared: Arc::clone(&shared),
+            poll,
+            index: i,
+            listeners: std::mem::take(&mut listeners),
+            next: 0,
+            events: PushQueue::default(),
+            conns: HashMap::new(),
+            next_token: 1,
+            parked: Vec::new(),
+            resume: Vec::new(),
+            gauge,
+            idle_timeout: cfg.idle_timeout,
+            max_wbuf: cfg.max_wbuf,
+            num_vertices,
+            is_follower,
+        };
+        std::thread::Builder::new().name(format!("cc-net-{i}")).spawn(move || shard.run())
+    });
+    let shards = shards.collect::<io::Result<_>>()?;
+    Ok(TcpServer { addrs, shared, shards })
 }
 
-/// How a connection's bytes are framed, decided by its first byte.
+/// Sockets a shard has been handed, each with the door it starts behind.
+type Inbox = Arc<Mutex<Vec<(TcpStream, Door)>>>;
+
+/// What the shards and their [`TcpServer`] share.
+pub(crate) struct ServerShared {
+    shutdown: AtomicBool,
+    /// Each shard's poll waker and inbox, by shard index.
+    wakers: Vec<Arc<Waker>>,
+    inboxes: Vec<Inbox>,
+}
+
+impl ServerShared {
+    /// Raises the shutdown flag and wakes every shard to see it: no
+    /// wake-up connection is needed, so shutdown works even when the bound
+    /// address is not self-connectable (e.g. 0.0.0.0).
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            let _ = waker.wake();
+        }
+    }
+}
+
+/// How a connection's bytes are framed: by its listener, then on the
+/// query listener by its first byte.
 enum Door {
     /// Nothing read yet.
     Unsniffed,
@@ -186,6 +231,10 @@ enum Door {
     Binary(FrameAssembler),
     /// Lines, one request in flight at a time.
     Text(LineDecoder),
+    /// A replication connection awaiting its `'H'` frame.
+    Hello(FrameAssembler),
+    /// A follower past its handshake, fed from the WAL.
+    Follower(Box<Follower>),
 }
 
 /// One connection owned by a shard.
@@ -197,7 +246,8 @@ struct Conn {
     /// The poll registration; `None` while deregistered (a text
     /// connection with a request in flight and nothing to write).
     interest: Option<Interest>,
-    /// Requests dispatched but not yet answered on this connection.
+    /// Requests dispatched but not yet answered on this connection; on a
+    /// follower, 1 while it is parked at the live tail.
     inflight: u64,
     /// The text door's request in flight, whose reply line it spells.
     verb: Verb,
@@ -217,6 +267,12 @@ impl Conn {
 
     fn backlog(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// A follower short of the live tail: it has WAL left to ship, so it
+    /// asks for `WRITABLE` even with an empty queue.
+    fn pumping(&self) -> bool {
+        matches!(self.door, Door::Follower(_)) && self.inflight == 0 && self.closing.is_none()
     }
 
     /// Whether the shard may read more input now. A binary connection
@@ -262,6 +318,9 @@ struct Slot {
 
 /// A ticket the shard holds until it resolves.
 enum Parked {
+    /// A follower at the live tail, woken by the next epoch or, at its
+    /// deadline, for a heartbeat.
+    Tail { token: usize, ticket: Arc<Ticket<u64>>, deadline: Instant },
     /// A grouped submission in flight at the batch former.
     Group(SubmitTicket, Vec<Slot>),
     /// A blocking verb; a `WAIT` or `QUIESCE` expires at its deadline.
@@ -320,8 +379,13 @@ struct Shard {
     obs: Arc<Obs>,
     shared: Arc<ServerShared>,
     poll: Poll,
-    waker: Arc<Waker>,
-    inbox: Arc<Mutex<Vec<TcpStream>>>,
+    index: usize,
+    /// Shard 0's listeners — the query listener, then the replication
+    /// listener if any — polled as `Token(usize::MAX - i)`; the other
+    /// shards hold none.
+    listeners: Vec<TcpListener>,
+    /// The shard handed shard 0's next accepted socket.
+    next: usize,
     /// Subscription events pushed by [`Sink`]s from delivering threads;
     /// drained each poll round.
     events: PushQueue,
@@ -339,43 +403,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(
-        client: Client,
-        shared: Arc<ServerShared>,
-        cfg: &NetConfig,
-        gauge: Arc<Gauge>,
-    ) -> io::Result<Shard> {
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
-        let obs = client.observability();
-        let num_vertices = client.num_vertices();
-        let is_follower = client.role() == Role::Follower;
-        Ok(Shard {
-            client,
-            obs,
-            shared,
-            poll,
-            waker,
-            inbox: Arc::new(Mutex::new(Vec::new())),
-            events: Arc::new(Mutex::new(Vec::new())),
-            conns: HashMap::new(),
-            next_token: 1,
-            parked: Vec::new(),
-            resume: Vec::new(),
-            gauge,
-            idle_timeout: cfg.idle_timeout,
-            max_wbuf: cfg.max_wbuf,
-            num_vertices,
-            is_follower,
-        })
-    }
-
     fn run(&mut self) {
         let mut events = Events::with_capacity(256);
         while !self.shared.shutdown.load(Ordering::Acquire) {
             let now = Instant::now();
             let tick = self.parked.iter().fold(POLL_TICK, |tick, p| match p {
-                Parked::Barrier { deadline: Some(at), .. } => {
+                Parked::Barrier { deadline: Some(at), .. } | Parked::Tail { deadline: at, .. } => {
                     tick.min(at.saturating_duration_since(now))
                 }
                 _ => tick,
@@ -391,11 +424,16 @@ impl Shard {
                 .collect();
             let mut round = Round::default();
             for &(token, readable, writable) in &ready {
+                if token > usize::MAX - self.listeners.len() {
+                    self.accept(usize::MAX - token);
+                    continue;
+                }
                 if readable {
                     self.handle_readable(token, &mut round);
                 }
                 if writable {
                     self.flush_conn(token);
+                    self.pump(token);
                 }
             }
             self.execute_round(round);
@@ -411,9 +449,30 @@ impl Shard {
         }
     }
 
+    /// Takes everything pending on listener `i` and deals it round robin
+    /// to the shards' inboxes, waking each receiving shard. A failed accept
+    /// ends the round; level-triggered readiness retries the rest.
+    fn accept(&mut self, i: usize) {
+        while let Ok((stream, _)) = self.listeners[i].accept() {
+            // TCP_NODELAY on every accepted socket: pipelined frames and
+            // one-line replies must not eat Nagle delays.
+            if stream.set_nodelay(true).and_then(|()| stream.set_nonblocking(true)).is_err() {
+                continue;
+            }
+            let door = match i {
+                0 => Door::Unsniffed,
+                _ => Door::Hello(FrameAssembler::with_magic(*REPL_MAGIC)),
+            };
+            let to = self.next;
+            self.next = (to + 1) % self.shared.inboxes.len();
+            self.shared.inboxes[to].lock().push((stream, door));
+            let _ = self.shared.wakers[to].wake();
+        }
+    }
+
     fn adopt_new(&mut self) {
-        let fresh: Vec<TcpStream> = std::mem::take(&mut *self.inbox.lock());
-        for stream in fresh {
+        let fresh = std::mem::take(&mut *self.shared.inboxes[self.index].lock());
+        for (stream, door) in fresh {
             let token = self.next_token;
             self.next_token += 1;
             if self.poll.registry().register(&stream, Token(token), Interest::READABLE).is_err() {
@@ -423,7 +482,7 @@ impl Shard {
                 token,
                 Conn {
                     stream,
-                    door: Door::Unsniffed,
+                    door,
                     wbuf: Vec::new(),
                     wpos: 0,
                     interest: Some(Interest::READABLE),
@@ -445,6 +504,7 @@ impl Shard {
         loop {
             let mut frames: Vec<Vec<u8>> = Vec::new();
             let mut poison = None;
+            let hello;
             {
                 let Some(conn) = self.conns.get_mut(&token) else { return };
                 if !conn.reads(self.max_wbuf) {
@@ -470,7 +530,7 @@ impl Shard {
                         }
                         match &mut conn.door {
                             Door::Text(dec) => dec.push(&tmp[..n]),
-                            Door::Binary(asm) => {
+                            Door::Binary(asm) | Door::Hello(asm) => {
                                 asm.push(&tmp[..n]);
                                 loop {
                                     match asm.next_frame() {
@@ -483,15 +543,22 @@ impl Shard {
                                     }
                                 }
                             }
-                            Door::Unsniffed => {}
+                            // A follower has nothing more to say.
+                            Door::Follower(_) | Door::Unsniffed => {}
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => return self.close(token, CloseReason::IoError),
                 }
+                hello = matches!(conn.door, Door::Hello(_));
             }
             for payload in frames {
+                // A replication connection's first frame is its `'H'`.
+                if hello {
+                    self.handshake(token, &payload);
+                    break;
+                }
                 self.obs.metrics.frames_in_total.inc();
                 self.on_frame(token, &payload, round);
             }
@@ -504,6 +571,49 @@ impl Shard {
         // A text connection that may not read drops its read interest, so
         // level-triggered readiness does not spin the shard meanwhile.
         self.refresh_interest(token);
+    }
+
+    /// Turns a replication connection whose `'H'` frame arrived into a
+    /// follower and starts feeding it the WAL.
+    fn handshake(&mut self, token: usize, hello: &[u8]) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let dir = self.client.wal_dir().map_err(io::Error::other);
+        match dir.and_then(|dir| Follower::start(hello, &dir, &self.obs, &mut conn.wbuf)) {
+            Ok(follower) => {
+                conn.door = Door::Follower(Box::new(follower));
+                self.pump(token);
+            }
+            Err(_) => self.close(token, CloseReason::BadFrame),
+        }
+    }
+
+    /// Feeds a follower the WAL while its write queue is within
+    /// `max_wbuf`, then flushes. A follower at the live tail parks on the
+    /// next epoch; one parked already waits for that.
+    fn pump(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if !conn.pumping() || conn.backlog() > self.max_wbuf {
+            return;
+        }
+        conn.wbuf.drain(..conn.wpos);
+        conn.wpos = 0;
+        conn.last_activity = Instant::now();
+        let Door::Follower(follower) = &mut conn.door else { return };
+        match follower.fill(&mut conn.wbuf, self.max_wbuf, &self.obs) {
+            Ok(None) => {}
+            Ok(Some((epoch, deadline))) => {
+                conn.inflight = 1;
+                let ticket = self.client.barrier(Barrier::Epoch(epoch), Some(self.wake()));
+                self.parked.push(Parked::Tail { token, ticket, deadline });
+            }
+            // What is queued still goes out: the follower gets a
+            // consistent prefix, then the end of the stream.
+            Err(e) => {
+                eprintln!("cc-net: replication stream to a follower failed: {e}");
+                return self.close_after_flush(token, CloseReason::IoError);
+            }
+        }
+        self.flush_conn(token);
     }
 
     /// The binary codec's input half: decodes one request frame for the
@@ -671,7 +781,7 @@ impl Shard {
     fn sink(&self, token: usize, corr: u64) -> Arc<dyn SubSink> {
         Arc::new(Sink {
             events: Arc::clone(&self.events),
-            waker: Arc::clone(&self.waker),
+            waker: Arc::clone(&self.shared.wakers[self.index]),
             token,
             corr,
         })
@@ -685,7 +795,7 @@ impl Shard {
 
     /// A notify callback that wakes this shard's poll.
     fn wake(&self) -> Notify {
-        let waker = Arc::clone(&self.waker);
+        let waker = Arc::clone(&self.shared.wakers[self.index]);
         Box::new(move || {
             let _ = waker.wake();
         })
@@ -761,8 +871,17 @@ impl Shard {
     fn drain_parked(&mut self) {
         let now = Instant::now();
         let (client, waits_parked) = (&self.client, &self.obs.metrics.waits_parked);
-        let (mut groups, mut replies) = (Vec::new(), Vec::new());
+        let (mut groups, mut replies, mut tails) = (Vec::new(), Vec::new(), Vec::new());
         self.parked.retain_mut(|p| match p {
+            Parked::Tail { token, ticket, deadline } => match ticket.try_take() {
+                None if *deadline > now => true,
+                // The epoch moved, or the heartbeat is due; an error is the
+                // service shutting down.
+                result => {
+                    tails.push((*token, result.is_none_or(|r| r.is_ok())));
+                    false
+                }
+            },
             Parked::Group(ticket, slots) => {
                 let Some(result) = ticket.try_take() else { return true };
                 groups.push((std::mem::take(slots), result));
@@ -785,6 +904,14 @@ impl Shard {
         }
         for (token, corr, reply) in replies {
             self.queue_reply(token, corr, reply, true);
+        }
+        for (token, live) in tails {
+            if !live {
+                self.close(token, CloseReason::Shutdown);
+            } else if let Some(conn) = self.conns.get_mut(&token) {
+                conn.inflight = 0;
+                self.pump(token);
+            }
         }
     }
 
@@ -885,7 +1012,7 @@ impl Shard {
     fn refresh_interest(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         let read = conn.reads(self.max_wbuf) && conn.backlog() <= self.max_wbuf;
-        let want = match (read, conn.backlog() > 0) {
+        let want = match (read, conn.backlog() > 0 || conn.pumping()) {
             (true, false) => Some(Interest::READABLE),
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
             (false, true) => Some(Interest::WRITABLE),
@@ -916,11 +1043,17 @@ impl Shard {
     fn close(&mut self, token: usize, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&token) else { return };
         let _ = self.poll.registry().deregister(&conn.stream);
-        // Its parked barriers go with it; the waiter list prunes their
-        // abandoned tickets at its next fire.
-        let parked = self.parked.len();
-        self.parked.retain(|p| !matches!(p, Parked::Barrier { token: t, .. } if *t == token));
-        (self.parked.len()..parked).for_each(|_| self.obs.metrics.waits_parked.dec());
+        // Its parked barriers (and a follower's parked tail) go with it;
+        // the waiter list prunes their abandoned tickets at its next fire.
+        let waits_parked = &self.obs.metrics.waits_parked;
+        self.parked.retain(|p| match p {
+            Parked::Barrier { token: t, .. } if *t == token => {
+                waits_parked.dec();
+                false
+            }
+            Parked::Tail { token: t, .. } => *t != token,
+            _ => true,
+        });
         // Ephemeral subscriptions die with the connection; durable ones
         // only lose their sink and keep accumulating for `SUB ATTACH`.
         for &(id, durable) in &conn.subs {
@@ -931,13 +1064,14 @@ impl Shard {
             }
         }
         self.gauge.dec();
-        if let Door::Unsniffed = conn.door {
+        match conn.door {
             // Closed before the sniff decided a door: count the
             // connection's whole life here so `connections_total` and the
             // flight record still see it.
-            self.obs.metrics.connections_total.inc();
-        } else {
-            self.obs.metrics.connections_live.dec();
+            Door::Unsniffed => self.obs.metrics.connections_total.inc(),
+            Door::Binary(_) | Door::Text(_) => self.obs.metrics.connections_live.dec(),
+            Door::Hello(_) => {}
+            Door::Follower(f) => self.obs.metrics.unregister_follower(f.slot.id),
         }
         self.obs.recorder.record(Event::ConnClosed { reason });
     }

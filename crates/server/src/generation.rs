@@ -582,23 +582,15 @@ impl GenerationEngine {
     /// or the sealed one while a rebuild is in flight). Never blocks on a
     /// rebuild or a batch.
     pub fn connected(&self, u: u32, v: u32) -> bool {
-        self.connected_with_gen(u, v).0
+        self.view().partition.same_set(u, v)
     }
 
-    /// [`Self::connected`], tagged with the sealed generation the answer
-    /// came from (`Some(gen)` iff a rebuild was in flight). Both halves
-    /// come from the *same* view read, so the tag is atomic with the
-    /// answer — a seal or commit between two separate reads cannot
-    /// mislabel it.
-    pub fn connected_with_gen(&self, u: u32, v: u32) -> (bool, Option<u64>) {
-        let view = self.view();
-        (view.partition.same_set(u, v), view.tag())
-    }
-
-    /// [`Self::connected_with_gen`] over many pairs against **one** view
-    /// acquire: every answer in the result comes from the same serving
-    /// view, which is what makes cross-connection read coalescing in the
-    /// network shards both cheap and consistent.
+    /// [`Self::connected`] over many pairs against **one** view acquire,
+    /// each answer tagged with the sealed generation it came from
+    /// (`Some(gen)` iff a rebuild was in flight). Every answer and its tag
+    /// come from the same serving view, so a seal or commit between two
+    /// reads cannot mislabel one — and cross-connection read coalescing
+    /// in the network shards is both cheap and consistent.
     pub fn connected_many_with_gen(&self, pairs: &[(u32, u32)]) -> Vec<(bool, Option<u64>)> {
         let view = self.view();
         let tag = view.tag();
@@ -631,16 +623,6 @@ impl GenerationEngine {
     /// with the writer lock.
     pub fn generation(&self) -> u64 {
         self.view().generation
-    }
-
-    /// Whether a rebuild is owed or in flight.
-    pub fn is_dirty(&self) -> bool {
-        self.shared.mx.lock().tracker.is_stale()
-    }
-
-    /// Number of live edges in the tracker.
-    pub fn num_live_edges(&self) -> usize {
-        self.shared.mx.lock().tracker.num_edges()
     }
 
     /// Blocks until the engine is clean (no rebuild owed or in flight);
@@ -998,10 +980,10 @@ mod tests {
         s.g.process_batch(&[Update::Delete(0, 1)]);
         let untouched = |s: &Stepped| {
             assert_eq!(s.g.generation(), 0);
-            assert!(s.g.is_dirty());
-            assert_eq!(s.g.connected_with_gen(0, 1), (true, Some(0)), "sealed view");
-            assert_eq!(s.g.connected_with_gen(3, 4), (true, Some(0)), "sealed view");
-            assert_eq!(s.g.connected_with_gen(5, 6), (false, Some(0)), "sealed view");
+            assert!(s.g.info().dirty);
+            assert_eq!(s.g.connected_many_with_gen(&[(0, 1)])[0], (true, Some(0)), "sealed view");
+            assert_eq!(s.g.connected_many_with_gen(&[(3, 4)])[0], (true, Some(0)), "sealed view");
+            assert_eq!(s.g.connected_many_with_gen(&[(5, 6)])[0], (false, Some(0)), "sealed view");
             assert_eq!(s.g.shared.mx.lock().pending, vec![(5, 6)]);
             assert_eq!(s.g.info().counters.rebuilds, 0);
         };
@@ -1034,12 +1016,16 @@ mod tests {
         assert_eq!(retracted, vec![canon_edge(1, 2)]);
         let next = s.build(&retracted);
         assert!(s.finish(next));
-        assert_eq!((s.g.generation(), s.g.is_dirty()), (1, false));
+        assert_eq!((s.g.generation(), s.g.info().dirty), (1, false));
         assert_eq!(s.g.info().counters.rebuilds, 1);
         assert!(s.g.shared.mx.lock().pending.is_empty());
         assert!(s.g.connected(5, 6), "the pending insert was drained");
         for (u, v) in [(0, 1), (1, 2), (3, 4)] {
-            assert_eq!(s.g.connected_with_gen(u, v), (false, None), "{u}-{v} was deleted");
+            assert_eq!(
+                s.g.connected_many_with_gen(&[(u, v)])[0],
+                (false, None),
+                "{u}-{v} was deleted"
+            );
         }
         assert_eq!(s.discarded(), 2);
         assert_eq!(s.obs.metrics.rebuild_commit_hold_ns.count(), 1);
@@ -1163,7 +1149,7 @@ mod tests {
                     }
                     _ => {
                         s.g.fall_behind();
-                        proptest::prop_assert!(s.g.is_dirty());
+                        proptest::prop_assert!(s.g.info().dirty);
                         continue;
                     }
                 };
@@ -1189,13 +1175,13 @@ mod tests {
                     s.check_commit_invariants(&oracle);
                 }
             }
-            proptest::prop_assert!(!s.g.is_dirty());
+            proptest::prop_assert!(!s.g.info().dirty);
             proptest::prop_assert_eq!(s.g.info().counters.rebuilds, commits);
             proptest::prop_assert_eq!(s.g.generation(), commits);
             for u in 0..n as u32 {
                 for v in 0..n as u32 {
                     proptest::prop_assert_eq!(
-                        s.g.connected_with_gen(u, v),
+                        s.g.connected_many_with_gen(&[(u, v)])[0],
                         (oracle.connected(u, v), None)
                     );
                 }
@@ -1241,7 +1227,7 @@ mod tests {
         g.process_batch(&[Update::Delete(1, 2)]);
         // The hold keeps the rebuild in flight: the sealed generation
         // still answers the pre-delete state, and says so.
-        assert!(g.is_dirty());
+        assert!(g.info().dirty);
         assert_eq!(g.generation(), 0);
         assert!(g.connected(0, 2), "the sealed partition is the pre-delete state");
         let a = g.process_batch(&[Update::Query(0, 2)]);
@@ -1255,7 +1241,7 @@ mod tests {
         let g = gen_engine(16, Duration::from_millis(100));
         g.process_batch(&[Update::Insert(0, 1), Update::Insert(2, 3)]);
         g.process_batch(&[Update::Delete(0, 1)]);
-        assert!(g.is_dirty());
+        assert!(g.info().dirty);
         // These arrive mid-rebuild: they must survive the swap.
         g.process_batch(&[Update::Insert(0, 2), Update::Insert(1, 3)]);
         quiesced(&g);
@@ -1270,7 +1256,7 @@ mod tests {
         let g = gen_engine(16, Duration::from_millis(80));
         g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(3, 4)]);
         g.process_batch(&[Update::Delete(0, 1)]);
-        assert!(g.is_dirty());
+        assert!(g.info().dirty);
         // A second live-edge delete while the first rebuild is in flight:
         // its snapshot is now invalid and must be discarded.
         g.process_batch(&[Update::Delete(3, 4)]);
@@ -1356,17 +1342,17 @@ mod tests {
             vec![(true, None)],
             "clean answers are untagged"
         );
-        assert_eq!(g.connected_with_gen(0, 2), (true, None));
+        assert_eq!(g.connected_many_with_gen(&[(0, 2)])[0], (true, None));
         g.process_batch(&[Update::Delete(1, 2)]);
-        assert!(g.is_dirty());
+        assert!(g.info().dirty);
         assert_eq!(
             g.process_batch_tagged(&[Update::Query(0, 2)]),
             vec![(true, Some(0))],
             "sealed answers carry the generation that served them"
         );
-        assert_eq!(g.connected_with_gen(0, 2), (true, Some(0)));
+        assert_eq!(g.connected_many_with_gen(&[(0, 2)])[0], (true, Some(0)));
         assert!(quiesced(&g) >= 1);
-        assert_eq!(g.connected_with_gen(0, 2), (false, None));
+        assert_eq!(g.connected_many_with_gen(&[(0, 2)])[0], (false, None));
     }
 
     #[test]
@@ -1377,7 +1363,7 @@ mod tests {
         // Target: (0,1) survives, (1,2) and (3,4) go, (5,6) is new; the
         // self-loop is dropped (never live).
         g.replace_edges(&[(1, 0), (5, 6), (7, 7)]);
-        assert_eq!(g.num_live_edges(), 2);
+        assert_eq!(g.edge_list().len(), 2);
         g.catch_up();
         assert!(g.connected(0, 1));
         assert!(!g.connected(1, 2), "stale edge gone with the replaced set");
@@ -1429,7 +1415,7 @@ mod tests {
         assert_eq!(v.topk[0].1, 3);
         assert_eq!(v.component_of(2).1, 3);
         g.process_batch(&[Update::Delete(1, 2)]);
-        assert!(g.is_dirty());
+        assert!(g.info().dirty);
         let v = g.analytics_view();
         assert!(v.sealed, "forest delete freezes the analytics view");
         assert_eq!(v.components, 6, "sealed view keeps the pre-delete partition");
@@ -1477,7 +1463,7 @@ mod tests {
         let mut s = Stepped::new(8);
         s.g.process_batch(&[Update::Insert(0, 1), Update::Insert(1, 2), Update::Insert(4, 5)]);
         s.g.process_batch(&[Update::Delete(0, 1)]);
-        assert!(s.g.is_dirty());
+        assert!(s.g.info().dirty);
         // The sealed view is the tracker's own partition, not a copy, and
         // the flood cannot move it: a stale tracker never unites.
         let sealed = s.g.view();
@@ -1492,7 +1478,11 @@ mod tests {
         assert!(Arc::ptr_eq(&sealed, &s.g.view()), "no republication while sealed");
         assert!(Arc::ptr_eq(&sealed.partition, s.g.shared.mx.lock().tracker.partition()));
         assert_eq!(sealed.partition.roots().collect::<Vec<_>>(), frozen);
-        assert_eq!(s.g.connected_with_gen(6, 7), (false, Some(0)), "6-7 waits for the commit");
+        assert_eq!(
+            s.g.connected_many_with_gen(&[(6, 7)])[0],
+            (false, Some(0)),
+            "6-7 waits for the commit"
+        );
         let pending = s.g.shared.mx.lock().pending.clone();
         assert_eq!(pending.len(), 1, "4-5 was live before, 3-3 never is, 6-7 is new once");
         assert_eq!(pending, vec![(6, 7)]);
@@ -1513,10 +1503,10 @@ mod tests {
         g.fall_behind();
         g.replace_edges(&[(0, 1), (1, 2)]);
         g.process_batch(&[Update::Insert(3, 4), Update::Delete(1, 2), Update::Insert(2, 3)]);
-        assert!(g.is_dirty() && g.is_behind());
+        assert!(g.info().dirty && g.is_behind());
         assert!(!g.connected(0, 1), "the frozen partition unites nothing");
         g.catch_up();
-        assert!(!g.is_dirty());
+        assert!(!g.info().dirty);
         assert_eq!(g.generation(), 0);
         let info = g.info();
         assert_eq!(info.counters, GenCounters::default(), "replay is not live traffic");
@@ -1524,7 +1514,7 @@ mod tests {
         // 1-2 died; 2-3-4 live; 0-1 live.
         assert!(!g.connected(0, 2));
         assert!(g.connected(2, 4));
-        assert_eq!(g.num_live_edges(), 3);
+        assert_eq!(g.edge_list().len(), 3);
     }
 
     /// A follower reconnect lands mid-rebuild: the attempt in flight was

@@ -39,15 +39,18 @@
 //!   oldest one.
 //! - [`replication`] — WAL shipping: a primary streams its log
 //!   (checkpoint + batch records, byte for byte as the disk holds them)
-//!   to read-replica followers, which bootstrap, replay, tail
-//!   live appends, and serve reads at an honestly-reported replication
-//!   epoch (`WAIT` upgrades bounded staleness to read-your-writes).
+//!   from its event-loop shards — a follower is one more connection,
+//!   parked on the epoch waiter list at the live tail — to read-replica
+//!   followers, which bootstrap, replay, tail live appends, and serve
+//!   reads at an honestly-reported replication epoch (`WAIT` upgrades
+//!   bounded staleness to read-your-writes).
 //! - [`request`] / [`net`] / [`evloop`] / [`binproto`] — the wire front
 //!   end: a sharded, readiness-polled event loop (epoll via the offline
 //!   `mio` shim, with a portable `poll(2)` fallback) serving two
 //!   protocols on one port, told apart by a first-byte sniff. Both are
 //!   codecs over one request IR and verb table ([`request`]) feeding one
-//!   dispatcher; no connection gets a thread. The line-based text
+//!   dispatcher; no connection (a follower's included) and no listener
+//!   gets a thread. The line-based text
 //!   protocol (`I`/`D`/`Q`/`B`/`GEN`/`QUIESCE`/`STATS`/`FLUSH`/
 //!   `SNAPSHOT`/`WALSTATS`/`METRICS`/`TRACE`/`WAIT`/`ROLE`/…) remains
 //!   the debug door. The binary protocol ([`binproto`]) frames
@@ -101,7 +104,7 @@ pub use evloop::NetConfig;
 pub use generation::{GenCounters, GenInfo, GenerationEngine};
 pub use net::{serve, serve_with, TcpServer};
 pub use obs::{Metrics, Obs, Recorder};
-pub use replication::{run_follower, serve_replication, ReplicationHub};
+pub use replication::run_follower;
 pub use service::{
     Client, ExecMode, LogRecord, Role, Service, ServiceConfig, ServiceError, ServiceStats,
 };

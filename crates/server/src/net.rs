@@ -89,7 +89,6 @@ use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
 use std::io::Write;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on `B k` batch sizes, so a hostile header cannot trigger an
@@ -610,47 +609,35 @@ pub(crate) fn parse_event_line(line: &str) -> Option<SubEvent> {
     it.next().is_none().then_some(SubEvent { id, kind, u, v, root, size, epoch, generation, seq })
 }
 
-pub(crate) struct ServerShared {
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) local_addr: SocketAddr,
-}
-
-impl ServerShared {
-    pub(crate) fn new(local_addr: SocketAddr) -> ServerShared {
-        ServerShared { shutdown: AtomicBool::new(false), local_addr }
-    }
-
-    pub(crate) fn request_shutdown(&self) {
-        // The accept loop polls the flag (non-blocking listener), so no
-        // wake-up connection is needed — shutdown works even when the
-        // bound address is not self-connectable (e.g. 0.0.0.0).
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
-/// A running TCP front-end over a [`Service`]: the accept thread plus N
-/// event-loop shards (see [`crate::evloop`]) serving both doors. The
-/// server stops when a `SHUTDOWN` request arrives or [`TcpServer::stop`]
-/// is called; every open connection then closes `shutdown`.
+/// A running TCP front-end over a [`Service`]: N event-loop shards (see
+/// [`crate::evloop`]) serving both doors, and followers when a replication
+/// port is configured. The server stops when a `SHUTDOWN` request arrives
+/// or [`TcpServer::stop`] is called; every open connection then closes
+/// `shutdown`.
 pub struct TcpServer {
-    pub(crate) shared: Arc<ServerShared>,
-    pub(crate) accept: Option<std::thread::JoinHandle<()>>,
+    /// The query listener's bound address, then the replication
+    /// listener's if any.
+    pub(crate) addrs: Vec<SocketAddr>,
+    pub(crate) shared: Arc<crate::evloop::ServerShared>,
     pub(crate) shards: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl TcpServer {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.addrs[0]
+    }
+
+    /// The replication listener's bound address, when
+    /// [`crate::evloop::NetConfig::replication_port`] asked for one.
+    pub fn replication_addr(&self) -> Option<SocketAddr> {
+        self.addrs.get(1).copied()
     }
 
     /// Blocks until a `SHUTDOWN` request arrives (or [`TcpServer::stop`]
-    /// is called from another thread): the accept loop and the shards
-    /// exit on the shutdown flag, and this joins them.
+    /// is called from another thread): the shards exit on the shutdown
+    /// flag, and this joins them.
     pub fn wait_shutdown(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
         for h in self.shards.drain(..) {
             let _ = h.join();
         }
@@ -666,14 +653,13 @@ impl TcpServer {
 /// Binds `addr` and serves the given service on both protocols (the
 /// text debug door and the pipelined binary protocol, sniffed per
 /// connection) with default [`crate::evloop::NetConfig`] settings.
-/// Returns immediately; the accept loop and event-loop shards run on
-/// background threads.
+/// Returns immediately; the event-loop shards run on background threads.
 pub fn serve(service: &Service, addr: impl ToSocketAddrs) -> std::io::Result<TcpServer> {
     serve_with(service, addr, crate::evloop::NetConfig::default())
 }
 
 /// [`serve`] with explicit front-end tuning (shard count, idle timeout,
-/// write-buffer backpressure cap).
+/// write-buffer backpressure cap, replication port).
 pub fn serve_with(
     service: &Service,
     addr: impl ToSocketAddrs,

@@ -16,17 +16,31 @@
 //! | `'C'` | the WAL checkpoint body ([`wal::REC_CHECKPOINT`]) | primary → follower | the exact live edge set at its epoch |
 //! | `'I'` | the WAL insert-only batch body ([`wal::REC_INSERTS`]) | primary → follower | one insert-only batch |
 //! | `'D'` | the WAL ops body ([`wal::REC_OPS`])         | primary → follower | one deletion-bearing batch |
-//! | `'P'` | `sent_epoch: u64 LE`                        | primary → follower | the sender reached the live tail at this epoch: sent at the first catch-up after each connect or checkpoint, then as the idle heartbeat |
+//! | `'P'` | `sent_epoch: u64 LE`                        | primary → follower | the primary's stream reached the live tail at this epoch: sent at the first catch-up after each connect or checkpoint, then as the idle heartbeat |
 //!
 //! ## Primary side
 //!
-//! [`serve_replication`] binds a listener next to the query port. Each
-//! follower connection gets a sender thread that reads the handshake and
-//! then *tails the WAL directory* from its oldest segment through
-//! [`crate::wal::WalCursor`]: the sender reads the same segment files the
-//! service is appending to, so replication needs no hooks in the hot
-//! write path at all. It ships every record past the follower's epoch
-//! unchanged and skips `'S'` records (subscriptions are a node's own).
+//! The primary serves followers from its wire front end: a
+//! [`crate::evloop::NetConfig::replication_port`] binds a second listener
+//! next to the query port, and each connection it accepts lands on an
+//! event-loop shard like any other — no thread per follower. The shard
+//! reads the `'H'` handshake through the binary door's frame assembler
+//! (expecting [`REPL_MAGIC`]), then feeds the connection a `Follower`:
+//! a [`crate::wal::WalCursor`] tailing the service's own WAL directory
+//! from its oldest segment. The cursor reads the same segment files the
+//! service is appending to, so replication needs no hooks in the hot write
+//! path at all. It ships every record past the follower's epoch unchanged
+//! and skips `'S'` records (subscriptions are a node's own).
+//!
+//! A round moves records into the connection's write queue until its
+//! backlog passes [`crate::evloop::NetConfig::max_wbuf`], and resumes when
+//! the socket drains: a stalled follower holds at most that plus one
+//! record, and a catch-up reads the disk one write budget per round. At
+//! the live tail the shard sends any `'P'` owed and parks the follower on
+//! the epoch waiter list — a `WAIT` on the next epoch, whose deadline is
+//! the heartbeat. The commit that publishes the epoch wakes it; a lapsed
+//! deadline sends the heartbeat `'P'` and parks again.
+//!
 //! The oldest segment opens with a checkpoint (or is segment 0), so a
 //! follower whose epoch predates the pruned history gets that checkpoint
 //! first. A [`crate::wal::TailEvent::Pruned`] mid-stream (a checkpoint
@@ -63,11 +77,11 @@ use crate::service::Client;
 use crate::wal::{self, LogRecord, TailEvent, WalCursor};
 use cc_graph::io::binary::{self, CodecError};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::net::TcpStream;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Magic prefix of both directions of the replication stream.
 pub const REPL_MAGIC: &[u8; 8] = b"CCREPL02";
@@ -75,24 +89,19 @@ pub const REPL_MAGIC: &[u8; 8] = b"CCREPL02";
 /// Record tag: follower handshake (`last_epoch: u64 LE`).
 pub const TAG_HELLO: u8 = b'H';
 /// Record tag: caught up (`sent_epoch: u64 LE`) — everything through
-/// that epoch has been shipped and the sender sits at the live tail. Sent
+/// that epoch has been shipped and the primary sits at the live tail. Sent
 /// at the first catch-up after each connect or checkpoint, so a follower
 /// of a busy primary catches up, and again as the idle heartbeat, which
-/// makes a caught-up sender *write*: a dead follower surfaces as a send
-/// error instead of a leaked sender thread polling the WAL forever.
+/// makes a quiet stream *write*: a dead follower surfaces as a send error.
 pub const TAG_PING: u8 = b'P';
 
-/// How long a caught-up sender sleeps before polling the WAL again. Kept
-/// short: this bounds the added replication latency over the primary's
-/// group-commit window.
-const TAIL_POLL: Duration = Duration::from_millis(2);
-
-/// How often a caught-up sender heartbeats a quiet stream.
+/// How long a follower parked at the live tail waits for the next epoch
+/// before it is sent a heartbeat `'P'`.
 const HEARTBEAT: Duration = Duration::from_millis(500);
 
-/// Socket read timeout — the granularity at which blocked reads notice a
-/// shutdown request (reads retry through [`binary::RetryRead`], so a
-/// timeout never tears a record).
+/// Socket read timeout — the granularity at which a follower's blocked
+/// reads notice a shutdown request (reads retry through
+/// [`binary::RetryRead`], so a timeout never tears a record).
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// How long a follower waits between reconnect attempts.
@@ -102,92 +111,6 @@ fn proto_err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A running replication listener on the primary. Dropping it (or
-/// calling [`ReplicationHub::stop`]) stops accepting and asks every
-/// sender thread to wind down.
-pub struct ReplicationHub {
-    shared: Arc<HubShared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-struct HubShared {
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
-    /// The primary service's observability plane: shipped-record
-    /// counters, per-follower slots (epoch lag, records/bytes shipped) and
-    /// lifecycle events.
-    obs: Arc<Obs>,
-}
-
-impl ReplicationHub {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    /// Stops accepting followers and signals sender threads to exit (they
-    /// notice within one poll interval). Idempotent.
-    pub fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplicationHub {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Binds `addr` and serves the WAL directory `wal_dir` to every follower
-/// that connects. The primary's `Service` must already have been started
-/// with durability in the same directory (replication ships the WAL; an
-/// in-memory primary has nothing to ship). `obs` is the primary's
-/// observability plane: each follower connection registers a telemetry
-/// slot (rendered as `connectit_follower_*` series by `METRICS`), mirrors
-/// shipped records/bytes into the registry, and stamps connect /
-/// caught-up / pruned-rebootstrap lifecycle events into the recorder.
-pub fn serve_replication(
-    wal_dir: impl Into<PathBuf>,
-    addr: impl ToSocketAddrs,
-    obs: Arc<Obs>,
-) -> std::io::Result<ReplicationHub> {
-    let dir = wal_dir.into();
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(HubShared {
-        shutdown: AtomicBool::new(false),
-        local_addr: listener.local_addr()?,
-        obs,
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept = std::thread::Builder::new().name("cc-repl-accept".into()).spawn(move || {
-        while !accept_shared.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let dir = dir.clone();
-                    let conn_shared = Arc::clone(&accept_shared);
-                    let _ =
-                        std::thread::Builder::new().name("cc-repl-send".into()).spawn(move || {
-                            if let Err(e) = stream_to_follower(stream, &dir, &conn_shared) {
-                                // A follower going away mid-stream is
-                                // normal (it reconnects and handshakes);
-                                // only log decode-side failures.
-                                if e.kind() == std::io::ErrorKind::InvalidData {
-                                    eprintln!("cc-repl-send: {e}");
-                                }
-                            }
-                        });
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-    })?;
-    Ok(ReplicationHub { shared, accept: Some(accept) })
-}
-
 /// An `'H'` or `'P'` payload: the tag, then one epoch as `u64 LE`.
 fn epoch_record(tag: u8, epoch: u64) -> Vec<u8> {
     let mut out = vec![tag];
@@ -195,113 +118,114 @@ fn epoch_record(tag: u8, epoch: u64) -> Vec<u8> {
     out
 }
 
-/// Keeps a follower's telemetry slot registered for exactly the sender
-/// thread's lifetime: dropping the guard (any exit path, `?` included)
-/// removes the slot, so `METRICS` never renders series for a follower
-/// that is gone.
-struct FollowerGuard {
-    obs: Arc<Obs>,
-    slot: Arc<FollowerSlot>,
+/// The primary's half of one follower connection: where its WAL cursor
+/// stands and what the follower is owed. The event-loop shard owning the
+/// connection drives it with [`Follower::fill`], and unregisters its
+/// telemetry `slot` when the connection closes.
+pub(crate) struct Follower {
+    cursor: WalCursor,
+    /// The highest epoch shipped (at first, the handshake's).
+    sent_epoch: u64,
+    /// Whether this catch-up still owes the follower its `'P'`: a busy
+    /// primary is never quiet for a heartbeat, so the first arrival at the
+    /// live tail after a connect or a checkpoint says so at once.
+    owe_caught_up: bool,
+    last_write: Instant,
+    pub(crate) slot: Arc<FollowerSlot>,
 }
 
-impl Drop for FollowerGuard {
-    fn drop(&mut self) {
-        self.obs.metrics.unregister_follower(self.slot.id);
-    }
-}
-
-/// The per-follower sender loop: handshake, bootstrap, then tail the WAL.
-fn stream_to_follower(stream: TcpStream, dir: &Path, shared: &HubShared) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let keep_going = || !shared.shutdown.load(Ordering::Acquire);
-    let mut reader = BufReader::new(binary::RetryRead::new(stream.try_clone()?, keep_going));
-    binary::read_magic(&mut reader, REPL_MAGIC).map_err(|e| proto_err(e.to_string()))?;
-    let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
-    let hello = records.next().map_err(|e| proto_err(e.to_string()))?.unwrap_or_default();
-    if hello.len() != 9 || hello[0] != TAG_HELLO {
-        return Err(proto_err(format!("bad handshake record of {} bytes", hello.len())));
-    }
-    let follower_epoch = u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"));
-    let obs = &shared.obs;
-    obs.metrics.repl_connects_total.inc();
-    let slot = obs.metrics.register_follower(follower_epoch);
-    obs.recorder.record(Event::FollowerConnected { id: slot.id, epoch: follower_epoch });
-    let g = FollowerGuard { obs: Arc::clone(obs), slot };
-
-    let mut w = BufWriter::new(stream);
-    binary::write_magic(&mut w, REPL_MAGIC)?;
-    w.flush()?;
-
-    // The follower holds the history through its handshake epoch; the
-    // cursor starts at the history's start and ships what lies past it.
-    let mut sent_epoch = follower_epoch;
-    let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
-    cursor.oldest()?;
-    let mut last_write = std::time::Instant::now();
-    // Whether this catch-up still owes the follower its `'P'`: a busy
-    // primary is never quiet for a heartbeat, so the first arrival at the
-    // live tail after a connect or a checkpoint says so at once.
-    let mut owe_caught_up = true;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(());
+impl Follower {
+    /// Accepts the `'H'` payload `hello`: registers the follower's
+    /// telemetry slot (rendered as `connectit_follower_*` series by
+    /// `METRICS`), stamps its connect event, writes the primary's magic to
+    /// `out`, and opens a cursor at the start of the history in `dir`.
+    pub(crate) fn start(
+        hello: &[u8],
+        dir: &Path,
+        obs: &Obs,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<Follower> {
+        if hello.len() != 9 || hello[0] != TAG_HELLO {
+            return Err(proto_err(format!("bad handshake record of {} bytes", hello.len())));
         }
-        match cursor.next() {
-            Ok(TailEvent::Record(payload)) => {
-                // `'S'` carries no epoch; history the follower already
-                // has (its handshake epoch) is skipped.
-                let epoch = match wal::record_header(&payload, 0) {
-                    Ok((_, Some(epoch))) if epoch > sent_epoch => epoch,
-                    Ok(_) => continue,
-                    Err(e) => return Err(proto_err(format!("wal record: {e}"))),
-                };
-                // Counted before the bytes go out, so a counter is never
-                // behind what a follower demonstrably received.
-                let bytes = payload.len() as u64;
-                if payload[0] == wal::REC_CHECKPOINT {
-                    obs.metrics.repl_snapshots_shipped_total.inc();
-                    owe_caught_up = true;
-                } else {
-                    obs.metrics.repl_records_shipped_total.inc();
-                    g.slot.records.fetch_add(1, Ordering::Relaxed);
+        let epoch = u64::from_le_bytes(hello[1..9].try_into().expect("8 bytes"));
+        // The follower holds the history through its handshake epoch; the
+        // cursor starts at the history's start and ships what lies past it.
+        let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
+        cursor.oldest()?;
+        obs.metrics.repl_connects_total.inc();
+        let slot = obs.metrics.register_follower(epoch);
+        obs.recorder.record(Event::FollowerConnected { id: slot.id, epoch });
+        binary::write_magic(out, REPL_MAGIC)?;
+        let last_write = Instant::now();
+        Ok(Follower { cursor, sent_epoch: epoch, owe_caught_up: true, last_write, slot })
+    }
+
+    /// Appends the records past the follower's epoch to `out` until it
+    /// holds more than `budget` bytes (`Ok(None)`: call again once the
+    /// socket drains) or the cursor reaches the live tail. There it
+    /// appends any `'P'` owed — the first catch-up's, or a heartbeat's —
+    /// and returns `Some((epoch, heartbeat))`: call again once the service
+    /// reaches `epoch`, or at the `heartbeat` deadline.
+    pub(crate) fn fill(
+        &mut self,
+        out: &mut Vec<u8>,
+        budget: usize,
+        obs: &Obs,
+    ) -> std::io::Result<Option<(u64, Instant)>> {
+        let (metrics, slot) = (&obs.metrics, &self.slot);
+        while out.len() <= budget {
+            match self.cursor.next().map_err(|e| proto_err(format!("wal tail failed: {e}")))? {
+                TailEvent::Record(payload) => {
+                    // `'S'` carries no epoch; history the follower already
+                    // has (its handshake epoch) is skipped.
+                    let epoch = match wal::record_header(&payload, 0) {
+                        Ok((_, Some(epoch))) if epoch > self.sent_epoch => epoch,
+                        Ok(_) => continue,
+                        Err(e) => return Err(proto_err(format!("wal record: {e}"))),
+                    };
+                    // Counted as the bytes are queued, so a counter is
+                    // never behind what a follower demonstrably received.
+                    let bytes = payload.len() as u64;
+                    if payload[0] == wal::REC_CHECKPOINT {
+                        metrics.repl_snapshots_shipped_total.inc();
+                        self.owe_caught_up = true;
+                    } else {
+                        metrics.repl_records_shipped_total.inc();
+                        slot.records.fetch_add(1, Ordering::Relaxed);
+                    }
+                    metrics.repl_bytes_shipped_total.add(bytes);
+                    slot.bytes.fetch_add(bytes, Ordering::Relaxed);
+                    slot.sent_epoch.store(epoch, Ordering::Relaxed);
+                    binary::append_record(out, &payload)?;
+                    self.sent_epoch = epoch;
+                    self.last_write = Instant::now();
                 }
-                obs.metrics.repl_bytes_shipped_total.add(bytes);
-                g.slot.bytes.fetch_add(bytes, Ordering::Relaxed);
-                g.slot.sent_epoch.store(epoch, Ordering::Relaxed);
-                binary::append_record(&mut w, &payload)?;
-                w.flush()?;
-                sent_epoch = epoch;
-                last_write = std::time::Instant::now();
-            }
-            Ok(TailEvent::CaughtUp) => {
-                // The catch-up is stamped once per connect or checkpoint;
-                // steady-state polling would flood the recorder. After it,
-                // heartbeat a quiet stream: the write is how a sender
-                // notices its follower died (the WAL poll never would),
-                // bounding this thread's lifetime to one heartbeat past
-                // the disconnect instead of forever.
-                if owe_caught_up {
-                    obs.recorder
-                        .record(Event::FollowerCaughtUp { id: g.slot.id, epoch: sent_epoch });
+                TailEvent::CaughtUp => {
+                    // The catch-up is stamped once per connect or
+                    // checkpoint; every heartbeat would flood the recorder.
+                    if self.owe_caught_up {
+                        let ev = Event::FollowerCaughtUp { id: slot.id, epoch: self.sent_epoch };
+                        obs.recorder.record(ev);
+                    }
+                    if std::mem::take(&mut self.owe_caught_up)
+                        || self.last_write.elapsed() >= HEARTBEAT
+                    {
+                        binary::append_record(out, &epoch_record(TAG_PING, self.sent_epoch))?;
+                        self.last_write = Instant::now();
+                    }
+                    return Ok(Some((self.sent_epoch + 1, self.last_write + HEARTBEAT)));
                 }
-                if std::mem::take(&mut owe_caught_up) || last_write.elapsed() >= HEARTBEAT {
-                    binary::append_record(&mut w, &epoch_record(TAG_PING, sent_epoch))?;
-                    w.flush()?;
-                    last_write = std::time::Instant::now();
+                TailEvent::Pruned => {
+                    // A checkpoint retired the cursor's segment: the oldest
+                    // segment opens with it, and covers what was pruned.
+                    obs.recorder.record(Event::FollowerPruned { id: slot.id });
+                    self.owe_caught_up = true;
+                    self.cursor.oldest()?;
                 }
-                std::thread::sleep(TAIL_POLL);
             }
-            Ok(TailEvent::Pruned) => {
-                // A checkpoint retired the cursor's segment: the oldest
-                // segment opens with it, and covers what was pruned.
-                obs.recorder.record(Event::FollowerPruned { id: g.slot.id });
-                owe_caught_up = true;
-                cursor.oldest()?;
-            }
-            Err(e) => return Err(proto_err(format!("wal tail failed: {e}"))),
         }
+        Ok(None)
     }
 }
 
@@ -375,7 +299,7 @@ fn follow_once(
     }
     obs.metrics.repl_connects_total.inc();
     // The handshake epoch is what the follower serves; whatever the
-    // sender ships past it replays into a frozen tracker until its `'P'`.
+    // primary ships past it replays into a frozen tracker until its `'P'`.
     client.fall_behind();
     let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
     loop {
@@ -428,9 +352,12 @@ fn follow_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evloop::NetConfig;
+    use crate::net::{serve_with, TcpServer};
     use crate::service::{Role, Service, ServiceConfig};
     use crate::wal::{DurabilityConfig, FsyncPolicy};
     use connectit::Update;
+    use std::net::{SocketAddr, TcpListener};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
 
@@ -465,13 +392,30 @@ mod tests {
         c.wait_for_epoch(target, Duration::from_secs(20)).expect("replica catches up");
     }
 
+    /// Serves `primary` on 127.0.0.1 with `cfg` and a replication listener
+    /// on `port`; returns the server and that listener's address.
+    fn serve_followers_with(
+        primary: &Service,
+        port: u16,
+        cfg: NetConfig,
+    ) -> (TcpServer, SocketAddr) {
+        let cfg = NetConfig { replication_port: Some(port), ..cfg };
+        let server = serve_with(primary, "127.0.0.1:0", cfg).expect("serve");
+        let addr = server.replication_addr().expect("replication listener");
+        (server, addr)
+    }
+
+    fn serve_followers(primary: &Service, port: u16) -> (TcpServer, SocketAddr) {
+        serve_followers_with(primary, port, NetConfig { shards: 2, ..NetConfig::default() })
+    }
+
     #[test]
     fn follower_tails_live_primary() {
         let dir = tmp_dir("tail");
         let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
         let p = primary.client();
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
-        let addr = hub.local_addr().to_string();
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let addr = addr.to_string();
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(64);
@@ -494,14 +438,14 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Checkpoints prune the segment a caught-up follower's sender is
-    /// tailing. The sender moves to the checkpoint (or has already read
+    /// Checkpoints prune the segment a caught-up follower's cursor is
+    /// tailing. The cursor moves to the checkpoint (or has already read
     /// past it), and the follower reconverges on the same connection
     /// without a rebuild.
     #[test]
@@ -509,13 +453,18 @@ mod tests {
         let dir = tmp_dir("live_prune");
         let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
         let p = primary.client();
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
+        let (mut server, addr) = serve_followers(&primary, 0);
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(64);
         let fc = f.client();
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         let mut oracle = cc_baselines::DynamicOracle::new(64);
+        // Past `WAIT` the follower is live: a catch-up's rebuild may pick
+        // any spanning forest, so no round may straddle it.
+        let warm_up = vec![Update::Insert(60, 61)];
+        oracle.apply_batch(&warm_up);
+        p.submit(warm_up).expect("submit");
+        wait_epoch(&fc, p.epoch());
         for round in 0..8u32 {
             // A cycle edge and its deletion: a live follower classifies
             // that delete as non-forest, so nothing here owes a rebuild.
@@ -537,7 +486,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -567,12 +516,12 @@ mod tests {
         let dir = tmp_dir("ping");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
         primary.client().insert(1, 2).expect("insert");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
+        let (mut server, addr) = serve_followers(&primary, 0);
 
         // Raw inspection: the bootstrap history, then `'P'` the moment the
-        // sender is caught up, then `'P'` again as the heartbeat of a
+        // stream is caught up, then `'P'` again as the heartbeat of a
         // stream left quiet.
-        let mut records = fake_follower(hub.local_addr(), 0);
+        let mut records = fake_follower(addr, 0);
         let mut pings = 0;
         for _ in 0..10 {
             let payload = records.next().expect("framed record").expect("stream open");
@@ -596,8 +545,7 @@ mod tests {
         // and still applies what comes after it.
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         let p = primary.client();
         wait_epoch(&f.client(), p.epoch());
         std::thread::sleep(Duration::from_millis(700)); // > one heartbeat
@@ -607,14 +555,14 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A primary committing every 50 ms is never quiet for a `HEARTBEAT`:
-    /// the follower catches up on the `'P'` its sender owes the first
+    /// the follower catches up on the `'P'` the primary owes the first
     /// arrival at the live tail, and serves exact reads behind `WAIT`
     /// while the writes go on.
     #[test]
@@ -637,11 +585,10 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(200));
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", p.observability()).expect("hub");
+        let (mut server, addr) = serve_followers(&primary, 0);
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(256);
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         let fc = f.client();
         let top = linked.load(Ordering::Acquire);
         let target = p.epoch();
@@ -654,7 +601,7 @@ mod tests {
         writer.join().expect("writer");
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -723,21 +670,22 @@ mod tests {
         f.shutdown();
     }
 
-    /// A history with a hole — the checkpoint's segment deleted beside
-    /// the pruned ones — is the state the primary's own recovery refuses.
-    /// The sender must drop the connection rather than stream the suffix
-    /// as if it were the whole history.
+    /// A history with a hole — the checkpoint's segment deleted from
+    /// under a running primary, beside the segments it pruned — is the
+    /// state the primary's own recovery refuses. The shard must end the
+    /// stream rather than ship the suffix as if it were the whole history.
     #[test]
     fn unreadable_snapshot_store_fails_the_stream_not_silently_skips() {
         let dir = tmp_dir("hole");
-        let mut primary = Service::start(primary_cfg(16, &dir)).expect("primary");
-        primary.client().insert(0, 1).expect("insert");
-        primary.client().durable_snapshot().expect("checkpoint prunes segment 0");
-        primary.shutdown();
-        // A restart opens a fresh segment for the records past it.
-        let mut primary = Service::start(primary_cfg(16, &dir)).expect("primary recovers");
-        primary.client().insert(2, 3).expect("insert past the checkpoint");
-        primary.shutdown();
+        let mut cfg = primary_cfg(16, &dir);
+        // One-byte segments: every record rolls the log, so the records
+        // past the checkpoint land in segments of their own.
+        cfg.durability.as_mut().expect("durable").segment_max_bytes = 1;
+        let mut primary = Service::start(cfg).expect("primary");
+        let p = primary.client();
+        p.insert(0, 1).expect("insert");
+        p.durable_snapshot().expect("checkpoint prunes segment 0");
+        p.insert(2, 3).expect("insert past the checkpoint");
         let mut segs: Vec<_> = std::fs::read_dir(&dir)
             .expect("dir")
             .flatten()
@@ -747,12 +695,120 @@ mod tests {
         segs.sort();
         assert!(segs.len() >= 2 && segs[0] != "wal-00000000.log", "{segs:?}");
         std::fs::remove_file(dir.join(&segs[0])).expect("delete the checkpoint's segment");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let mut records = fake_follower(hub.local_addr(), 0);
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let mut records = fake_follower(addr, 0);
         let got = records.next();
         assert!(matches!(got, Ok(None) | Err(_)), "stream must end without records, got {got:?}");
-        hub.stop();
+        assert_eq!(p.observability().metrics.followers_live.get(), 0, "its slot is gone");
+        server.stop();
+        primary.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A follower that handshakes and then never reads costs the primary
+    /// one write budget: what it is shipped stops growing while the
+    /// primary appends far more WAL than the budget and the socket buffers
+    /// hold. Once it reads, every record arrives, in order, through the
+    /// primary's epoch.
+    #[test]
+    fn a_stalled_follower_holds_one_write_budget_then_catches_up() {
+        let dir = tmp_dir("stall");
+        let n = 1u32 << 16;
+        let mut primary = Service::start(primary_cfg(n as usize, &dir)).expect("primary");
+        let p = primary.client();
+        let cfg = NetConfig { shards: 2, max_wbuf: 64 << 10, ..NetConfig::default() };
+        let (mut server, addr) = serve_followers_with(&primary, 0, cfg);
+        let mut records = fake_follower(addr, 0);
+        let obs = p.observability();
+        let metrics = &obs.metrics;
+        let mut x = 1u32;
+        let mut batch = || -> Vec<Update> {
+            (0..1 << 15)
+                .map(|_| {
+                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    Update::Insert(x % n, (x >> 16) % n)
+                })
+                .collect()
+        };
+        let appended = metrics.wal_bytes_total.get();
+        while metrics.wal_bytes_total.get() - appended < 16 << 20 {
+            p.submit(batch()).expect("submit");
+        }
+        // The counter settles once the socket is full.
+        let mut shipped = metrics.repl_bytes_shipped_total.get();
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let now = metrics.repl_bytes_shipped_total.get();
+            if now == shipped {
+                break;
+            }
+            shipped = now;
+        }
+        assert!(shipped < 8 << 20, "{shipped} bytes shipped to a follower that reads nothing");
+        p.submit(batch()).expect("submit");
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(metrics.repl_bytes_shipped_total.get(), shipped, "still stalled");
+
+        let target = p.epoch();
+        let mut last = 0;
+        loop {
+            let payload = records.next().expect("framed record").expect("stream open");
+            match wal::record_header(&payload, 0) {
+                Ok((_, Some(epoch))) => {
+                    assert_eq!(epoch, last + 1, "records in order, none skipped");
+                    last = epoch;
+                }
+                _ if payload[0] == TAG_PING && payload[1..] == target.to_le_bytes() => break,
+                _ => assert_eq!(payload[0], TAG_PING, "only records and pings"),
+            }
+        }
+        assert_eq!(last, target);
+        drop(records);
+        server.stop();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A follower parked at the live tail is a request in flight, not an
+    /// idle connection: a 100 ms idle timeout leaves it connected through
+    /// a quiet second, and it still gets the next record.
+    #[test]
+    fn a_caught_up_follower_outlives_the_idle_timeout() {
+        let dir = tmp_dir("idle");
+        let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
+        let p = primary.client();
+        p.insert(1, 2).expect("insert");
+        let idle_timeout = Some(Duration::from_millis(100));
+        let cfg = NetConfig { shards: 2, idle_timeout, ..NetConfig::default() };
+        let (mut server, addr) = serve_followers_with(&primary, 0, cfg);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut f = follower(32);
+        let fc = f.client();
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
+        wait_epoch(&fc, p.epoch());
+        std::thread::sleep(Duration::from_secs(1));
+        p.insert(2, 3).expect("insert after the quiet second");
+        wait_epoch(&fc, p.epoch());
+        assert!(fc.query(1, 3).expect("read"));
+        assert_eq!(fc.observability().metrics.repl_connects_total.get(), 1, "never reconnected");
+
+        shutdown.store(true, Ordering::Release);
+        h.join().expect("receiver exits");
+        server.stop();
+        primary.shutdown();
+        f.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Replication ships the service's own WAL: an in-memory service has
+    /// none, and asking it for a replication listener is a typed error.
+    #[test]
+    fn an_in_memory_primary_refuses_a_replication_listener() {
+        let svc = Service::start(ServiceConfig { n: 8, ..ServiceConfig::default() }).expect("svc");
+        let cfg = NetConfig { replication_port: Some(0), ..NetConfig::default() };
+        let err = serve_with(&svc, "127.0.0.1:0", cfg).err().expect("refused");
+        let typed = err.get_ref().and_then(|e| e.downcast_ref::<crate::ServiceError>());
+        assert_eq!(typed, Some(&crate::ServiceError::DurabilityDisabled), "{err}");
     }
 
     #[test]
@@ -769,8 +825,8 @@ mod tests {
         p.insert(8, 9).expect("insert past the snapshot");
         let target = p.epoch();
 
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let addr = hub.local_addr().to_string();
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let addr = addr.to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
         let h = run_follower(f.client(), addr, Arc::clone(&shutdown)).expect("recv");
@@ -786,7 +842,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -814,11 +870,10 @@ mod tests {
         p.insert(11, 12).expect("insert past the snapshot");
         let target = p.epoch();
 
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
+        let (mut server, addr) = serve_followers(&primary, 0);
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         let fc = f.client();
         wait_epoch(&fc, target);
         p.quiesce(Duration::from_secs(20)).expect("primary commits");
@@ -833,7 +888,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -843,8 +898,8 @@ mod tests {
     fn follower_replays_deletions_in_order() {
         let dir = tmp_dir("delete");
         let mut primary = Service::start(primary_cfg(64, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let addr = hub.local_addr().to_string();
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let addr = addr.to_string();
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(64);
@@ -874,7 +929,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -894,8 +949,8 @@ mod tests {
         // Raw inspection: the bootstrap record is the edge set, not the
         // labeling (phantom spanning edges would mis-classify the
         // follower's later deletes).
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let mut records = fake_follower(hub.local_addr(), 0);
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let mut records = fake_follower(addr, 0);
         let payload = records.next().expect("framed record").expect("stream open");
         assert_eq!(payload[0], wal::REC_CHECKPOINT, "bootstrap must ship the live edge set");
         let (epoch, LogRecord::Checkpoint { edges, .. }) =
@@ -911,8 +966,7 @@ mod tests {
         // snapshot forest deletion exactly like the primary does.
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         p.delete(0, 1).expect("forest delete past the snapshot");
         let fc = f.client();
         wait_epoch(&fc, p.epoch());
@@ -926,7 +980,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -938,13 +992,12 @@ mod tests {
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
         let p = primary.client();
         let obs = p.observability();
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Arc::clone(&obs)).expect("hub");
+        let (mut server, addr) = serve_followers(&primary, 0);
         p.insert(1, 2).expect("insert");
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut f = follower(32);
-        let h = run_follower(f.client(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let h = run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
         wait_epoch(&f.client(), p.epoch());
 
         // Primary side: the slot exists, ships are mirrored, and the
@@ -965,15 +1018,9 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
-        // The sender thread notices the hub shutdown within one poll and
-        // its guard unregisters the slot.
-        for _ in 0..500 {
-            if obs.metrics.followers_live.get() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Stopping the server closes the connection, which unregisters
+        // the slot.
+        server.stop();
         assert_eq!(obs.metrics.followers_live.get(), 0, "slot must unregister on disconnect");
         primary.shutdown();
         f.shutdown();
@@ -989,25 +1036,23 @@ mod tests {
 
         let (port, h) = {
             let mut primary = Service::start(primary_cfg(48, &dir)).expect("primary");
-            let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-            let addr = hub.local_addr();
+            let (mut server, addr) = serve_followers(&primary, 0);
             let h =
                 run_follower(f.client(), addr.to_string(), Arc::clone(&shutdown)).expect("recv");
             let p = primary.client();
             p.insert(1, 2).expect("insert");
             wait_epoch(&fc, p.epoch());
             assert!(fc.query(1, 2).expect("read"));
-            hub.stop();
+            server.stop();
             primary.shutdown();
             (addr.port(), h)
         };
 
-        // Primary (and hub) come back on the same port from the same WAL
-        // dir; the follower reconnects, handshakes with its epoch, and
-        // resumes the stream.
+        // Primary (and its replication listener) come back on the same
+        // port from the same WAL dir; the follower reconnects, handshakes
+        // with its epoch, and resumes the stream.
         let mut primary = Service::start(primary_cfg(48, &dir)).expect("primary recovers");
-        let mut hub =
-            serve_replication(&dir, format!("127.0.0.1:{port}"), Obs::new()).expect("hub rebinds");
+        let (mut server, _) = serve_followers(&primary, port);
         let p = primary.client();
         p.insert(2, 3).expect("insert after restart");
         wait_epoch(&fc, p.epoch());
@@ -1015,7 +1060,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1031,8 +1076,8 @@ mod tests {
     fn follower_retracts_edges_deleted_while_disconnected() {
         let dir = tmp_dir("retract");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let addr = hub.local_addr().to_string();
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let addr = addr.to_string();
         let p = primary.client();
         p.insert(0, 1).expect("insert");
         p.insert(1, 2).expect("insert");
@@ -1056,7 +1101,7 @@ mod tests {
         assert!(snap_epoch > fc.epoch(), "the follower's epoch predates the snapshot");
 
         // Reconnect. The handshake epoch predates the snapshot, so the
-        // sender bootstraps with the edge set; converging to it must
+        // primary bootstraps it with the edge set; converging to it must
         // retract the follower's stale 1-2 edge.
         let shutdown2 = Arc::new(AtomicBool::new(false));
         let h2 = run_follower(f.client(), addr, Arc::clone(&shutdown2)).expect("recv");
@@ -1071,7 +1116,7 @@ mod tests {
 
         shutdown2.store(true, Ordering::Release);
         h2.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1081,8 +1126,8 @@ mod tests {
     fn restarted_follower_reconverges() {
         let dir = tmp_dir("fresh");
         let mut primary = Service::start(primary_cfg(32, &dir)).expect("primary");
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
-        let addr = hub.local_addr().to_string();
+        let (mut server, addr) = serve_followers(&primary, 0);
+        let addr = addr.to_string();
         let p = primary.client();
         p.insert(5, 6).expect("insert");
 
@@ -1111,7 +1156,7 @@ mod tests {
 
         shutdown2.store(true, Ordering::Release);
         h2.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         primary.shutdown();
         f2.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -1498,6 +1498,14 @@ impl Client {
         self.wait_barrier(Barrier::Clean, Some(timeout))
     }
 
+    /// The directory the replication listener ships: the service's own
+    /// WAL. An in-memory service (a follower included) has no log to
+    /// ship, so it gets [`ServiceError::DurabilityDisabled`].
+    pub(crate) fn wal_dir(&self) -> Result<PathBuf, ServiceError> {
+        let durability = self.inner.cfg.durability.as_ref();
+        durability.map(|d| d.dir.clone()).ok_or(ServiceError::DurabilityDisabled)
+    }
+
     /// One-line WAL statistics (the `WALSTATS` protocol verb): policy,
     /// segment/record/byte/sync counters, the last logged and
     /// last-snapshotted epochs, torn bytes dropped by recovery, and the
@@ -1896,12 +1904,13 @@ mod tests {
 
     /// One deletion-bearing history with a cadence checkpoint in its middle,
     /// replayed through both doors — a restart on its directory, and a
-    /// fresh follower of a hub serving that directory — lands on one
+    /// fresh follower of the restarted primary's replication listener —
+    /// lands on one
     /// state: epoch, live edge set, partition, analytics, and a clean
     /// generation 0 that counted no rebuild.
     #[test]
     fn same_log_same_state_through_both_doors() {
-        use crate::replication::{run_follower, serve_replication};
+        use crate::replication::run_follower;
         let dir = tmp_dir("two_doors");
         let cfg = || ServiceConfig {
             durability: Some(DurabilityConfig {
@@ -1935,7 +1944,8 @@ mod tests {
         let mut restarted = Service::start(cfg()).expect("recovers");
         let r = restarted.client();
         assert!(r.wal_stats().expect("wal").contains(" snap_epoch=6 "));
-        let mut hub = serve_replication(&dir, "127.0.0.1:0", Obs::new()).expect("hub");
+        let net = crate::NetConfig { replication_port: Some(0), ..crate::NetConfig::default() };
+        let mut server = crate::serve_with(&restarted, "127.0.0.1:0", net).expect("serve");
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut follower = Service::start(ServiceConfig {
             n: 48,
@@ -1944,8 +1954,8 @@ mod tests {
         })
         .expect("follower");
         let f = follower.client();
-        let h = run_follower(f.clone(), hub.local_addr().to_string(), Arc::clone(&shutdown))
-            .expect("recv");
+        let addr = server.replication_addr().expect("replication listener").to_string();
+        let h = run_follower(f.clone(), addr, Arc::clone(&shutdown)).expect("recv");
         f.wait_for_epoch(10, Duration::from_secs(20)).expect("follower catches up");
         assert_eq!(f.observability().metrics.repl_snapshots_applied_total.get(), 1);
 
@@ -1972,7 +1982,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Release);
         h.join().expect("receiver exits");
-        hub.stop();
+        server.stop();
         follower.shutdown();
         restarted.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
