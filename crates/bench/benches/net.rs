@@ -24,7 +24,7 @@
 use cc_bench::harness::{write_bench_json, Table};
 use cc_parallel::hist::LatencyHist;
 use cc_parallel::SplitMix64;
-use cc_server::request::{BinRequest, Request};
+use cc_server::request::Request;
 use cc_server::{serve, Reply, Service, ServiceConfig, WireClient};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -155,10 +155,8 @@ fn drive(addr: SocketAddr, w: Slice, hist: &LatencyHist, mode: Mode) -> u64 {
     let mut mismatches = 0u64;
     for _ in 0..rounds {
         let ins = pairs(&mut rng, sv, window);
-        let reqs: Vec<(Request, Option<bool>)> = ins
-            .iter()
-            .map(|&(u, v)| (BinRequest::Insert(base + u, base + v).into(), None))
-            .collect();
+        let reqs: Vec<(Request, Option<bool>)> =
+            ins.iter().map(|&(u, v)| (Request::Insert(base + u, base + v), None)).collect();
         mismatches += run_window(&mut c, &reqs, pipeline, hist);
         for &(u, v) in &ins {
             dsu.union(u, v);
@@ -168,7 +166,7 @@ fn drive(addr: SocketAddr, w: Slice, hist: &LatencyHist, mode: Mode) -> u64 {
         // flight.
         let reqs: Vec<(Request, Option<bool>)> = pairs(&mut rng, sv, window)
             .into_iter()
-            .map(|(u, v)| (BinRequest::Query(base + u, base + v).into(), Some(dsu.connected(u, v))))
+            .map(|(u, v)| (Request::Query(base + u, base + v), Some(dsu.connected(u, v))))
             .collect();
         mismatches += run_window(&mut c, &reqs, pipeline, hist);
     }

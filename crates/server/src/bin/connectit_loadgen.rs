@@ -91,7 +91,7 @@
 //!
 //! ## Subscription mode (`--subscribe`)
 //!
-//! With `--subscribe` (tcp text mode), each client registers pair
+//! With `--subscribe` (tcp mode, either door), each client registers pair
 //! subscriptions (`SUB u v`) against an insert-only stream over its
 //! private slice and validates the push-delivery contract *exactly*:
 //! a subscription fires exactly once, if and only if its pair is
@@ -111,7 +111,7 @@
 use cc_baselines::DynamicOracle;
 use cc_graph::io::binary;
 use cc_parallel::SplitMix64;
-use cc_server::request::BinRequest;
+use cc_server::request::Request;
 use cc_server::{Reply, Service, ServiceConfig, SubEvent, SubKind, WireClient};
 use cc_unionfind::SeqUnionFind;
 use connectit::Update;
@@ -205,7 +205,7 @@ fn usage() -> ExitCode {
          \x20        connection (batches split into N windows reaped out of order)\n\
          \x20  --subscribe: register pair subscriptions (SUB u v) alongside an insert-only\n\
          \x20        stream and validate every pushed event exactly — no missed, duplicate,\n\
-         \x20        ghost, or mis-stamped fires (tcp text mode; incompatible with --binary,\n\
+         \x20        ghost, or mis-stamped fires (tcp mode, either door; incompatible with\n\
          \x20        --churn and --follower); composes with --kill-after/--resume using a\n\
          \x20        durable-subscription sidecar next to --state FILE"
     );
@@ -316,9 +316,6 @@ fn parse_args(args: &[String]) -> Result<GenOpts, String> {
     if o.subscribe {
         if o.tcp_addr.is_none() {
             return Err("--subscribe needs --mode tcp (events are pushed over the wire)".into());
-        }
-        if o.binary {
-            return Err("--subscribe drives the text protocol's push lines; drop --binary".into());
         }
         if o.churn > 0.0 {
             return Err("--subscribe validates one-shot pair fires over an insert-only \
@@ -451,7 +448,7 @@ fn wire_submit(c: &mut WireClient, ops: &[Update], windows: usize) -> std::io::R
         return Ok(c.submit(ops)?.into_iter().map(|(bit, _)| bit).collect());
     }
     for window in ops.chunks(ops.len().div_ceil(windows).max(1)) {
-        c.send(&BinRequest::Batch(window.to_vec()).into())?;
+        c.send(&Request::Batch(window.to_vec()))?;
     }
     // Correlation ids rise in send order, so the map's order is the
     // submission order.
@@ -1200,7 +1197,7 @@ fn run_sub_worker(
         }
     };
     let addr = o.tcp_addr.as_deref().expect("--subscribe is tcp-only");
-    let mut client = WireClient::text(addr).map_err(|e| format!("connect failed: {e}"))?;
+    let mut client = connect(addr, o).map_err(|e| format!("connect failed: {e}"))?;
     // Insert-only workload: a sequential union-find is an exact oracle.
     let mut oracle = SeqUnionFind::new(sz);
     let mut rep = WorkerReport::default();
@@ -1896,7 +1893,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        (None, Some(addr)) => match WireClient::text(addr.as_str()) {
+        (None, Some(addr)) => match connect(addr, &o) {
             Ok(mut c) => {
                 if let Ok(s) = c.stats_line() {
                     println!("server: {s}");

@@ -7,9 +7,10 @@
 //! the magic, both directions carry bare records in the replication codec's
 //! framing (no per-record magic, no stream magic on the response side).
 //! This is the binary codec over the shared request IR of
-//! [`crate::request`]: the server half decodes a [`BinRequest`] and
+//! [`crate::request`]: the server half decodes a [`Request`] and
 //! encodes a [`Reply`]; the client half ([`crate::client::WireClient`]
-//! on the binary door) encodes the request and decodes the reply.
+//! on the binary door) encodes the request and decodes the reply. Every
+//! verb has a tag, so the two doors speak the same verb set.
 //!
 //! ## Request frames
 //!
@@ -37,8 +38,16 @@
 //! | 0x0B | TOPK    | `k:u8`                                      |
 //! | 0x0C | HIST    | none                                        |
 //! | 0x0D | SIZE    | `v:u32le`                                   |
-//! | 0x0E | SUB     | `kind:u8 u:u32le v:u32le flags:u8` (kind 0=pair 1=component, flags bit0=durable) |
+//! | 0x0E | SUB     | `kind:u8 u:u32le v:u32le flags:u8` (kind 0=pair 1=component, flags 0 or 1=durable), or `2:u8 id:u64le after_seq:u64le` (`SUB ATTACH`) |
 //! | 0x0F | UNSUB   | `id:u64le`                                  |
+//! | 0x10 | LABEL   | `v:u32le`                                   |
+//! | 0x1A | TRACE   | `n:u64le`                                   |
+//!
+//! Tags `0x11`–`0x1B` other than `TRACE` (`COMPONENTS`, `ROLE`, `STATS`,
+//! `FLUSH`, `SNAPSHOT`, `WALSTATS`, `QUIT`, `SHUTDOWN`, `METRICS`, `SUBS`)
+//! take no arguments. `ROLE`, `STATS`, `WALSTATS`, `METRICS`, `TRACE` and
+//! `SUBS` answer one UTF-8 body (a dump's lines joined by `\n`, no
+//! `# EOF`); `QUIT` closes the connection once its replies are flushed.
 //!
 //! ## Response frames
 //!
@@ -79,8 +88,13 @@ use cc_graph::io::binary::{append_record, crc32, MAGIC_LEN};
 use connectit::Update;
 
 use crate::net::MAX_WIRE_BATCH;
-pub use crate::request::{BinRequest, Reply};
+pub use crate::request::Reply;
+use crate::request::{Request, Verb};
 use crate::subs::{SubEvent, SubKind};
+
+// `benchmark/src/bin/layers.rs` still names the request type by its older
+// spelling; the `[benchmark]` rework moves it to `Request` and retires this.
+pub use crate::request::Request as BinRequest;
 
 /// First byte of [`STREAM_MAGIC`]; no text verb starts with it, so the
 /// server's first-byte sniff is unambiguous.
@@ -102,7 +116,11 @@ pub const STATUS_ERR: u8 = 1;
 /// 53-byte event layout (see the module docs).
 pub const STATUS_EVT: u8 = 2;
 
-/// Verb tags (request header byte 8).
+/// The `SUB` kind byte that selects the `SUB ATTACH` layout.
+const SUB_ATTACH: u8 = 2;
+
+/// Verb tags (request header byte 8), each written here once and named by
+/// its verb's row of [`crate::request::VERBS`].
 pub mod verb {
     /// Insert an edge.
     pub const INSERT: u8 = 0x01;
@@ -134,6 +152,30 @@ pub mod verb {
     pub const SUBSCRIBE: u8 = 0x0E;
     /// Cancel a subscription by id.
     pub const UNSUBSCRIBE: u8 = 0x0F;
+    /// Current component label of one vertex.
+    pub const LABEL: u8 = 0x10;
+    /// Current component count.
+    pub const COMPONENTS: u8 = 0x11;
+    /// Replication role.
+    pub const ROLE: u8 = 0x12;
+    /// One-line stats dump.
+    pub const STATS: u8 = 0x13;
+    /// Fsync the WAL after the next batch.
+    pub const FLUSH: u8 = 0x14;
+    /// Write a checkpoint at the next batch boundary.
+    pub const SNAPSHOT: u8 = 0x15;
+    /// One-line WAL stats dump.
+    pub const WALSTATS: u8 = 0x16;
+    /// Close this connection.
+    pub const QUIT: u8 = 0x17;
+    /// Stop the server.
+    pub const SHUTDOWN: u8 = 0x18;
+    /// Metrics registry exposition.
+    pub const METRICS: u8 = 0x19;
+    /// Last flight-recorder events.
+    pub const TRACE: u8 = 0x1A;
+    /// Live subscriptions.
+    pub const SUBS: u8 = 0x1B;
 }
 
 /// Frame-level damage: the stream can no longer be trusted, so the server
@@ -205,12 +247,19 @@ pub enum RequestError {
         /// The offending op tag.
         tag: u8,
     },
-    /// `SUB` kind byte outside 0/1.
+    /// `SUB` kind byte outside 0/1/2.
     BadSubKind {
         /// Correlation id to answer on.
         corr: u64,
         /// The offending kind byte.
         kind: u8,
+    },
+    /// `SUB` flags byte outside 0/1.
+    BadSubFlags {
+        /// Correlation id to answer on.
+        corr: u64,
+        /// The offending flags byte.
+        flags: u8,
     },
 }
 
@@ -223,7 +272,8 @@ impl RequestError {
             | RequestError::BadArgs { corr, .. }
             | RequestError::BatchTooLarge { corr }
             | RequestError::BadBatchTag { corr, .. }
-            | RequestError::BadSubKind { corr, .. } => Some(corr),
+            | RequestError::BadSubKind { corr, .. }
+            | RequestError::BadSubFlags { corr, .. } => Some(corr),
         }
     }
 }
@@ -249,6 +299,9 @@ impl std::fmt::Display for RequestError {
             RequestError::BadSubKind { kind, .. } => {
                 write!(f, "bad SUB payload: unknown subscription kind {kind:#04x}")
             }
+            RequestError::BadSubFlags { flags, .. } => {
+                write!(f, "bad SUB payload: unknown subscription flags {flags:#04x}")
+            }
         }
     }
 }
@@ -262,51 +315,33 @@ fn rd_u64(b: &[u8]) -> u64 {
 }
 
 /// Decodes a request frame payload into `(corr_id, request)`.
-pub fn decode_request(payload: &[u8]) -> Result<(u64, BinRequest), RequestError> {
+pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), RequestError> {
     if payload.len() < 9 {
         return Err(RequestError::ShortHeader(payload.len()));
     }
-    let corr = rd_u64(payload);
-    let tag = payload[8];
-    let args = &payload[9..];
-    let fixed = |verb: &'static str, want: usize| -> Result<(), RequestError> {
-        if args.len() == want {
-            Ok(())
-        } else {
-            Err(RequestError::BadArgs { corr, verb, want, have: args.len() })
-        }
+    let (corr, tag, args) = (rd_u64(payload), payload[8], &payload[9..]);
+    let verb = Verb::from_tag(tag).ok_or(RequestError::UnknownVerb { corr, tag })?;
+    let name = verb.spec().text;
+    let fixed = |want: usize| match args.len() == want {
+        true => Ok(args),
+        false => Err(RequestError::BadArgs { corr, verb: name, want, have: args.len() }),
     };
-    let req = match tag {
-        verb::INSERT => {
-            fixed("I", 8)?;
-            BinRequest::Insert(rd_u32(args), rd_u32(&args[4..]))
-        }
-        verb::DELETE => {
-            fixed("D", 8)?;
-            BinRequest::Delete(rd_u32(args), rd_u32(&args[4..]))
-        }
-        verb::QUERY => {
-            fixed("Q", 8)?;
-            BinRequest::Query(rd_u32(args), rd_u32(&args[4..]))
-        }
-        verb::QUERY_GEN => {
-            fixed("QG", 8)?;
-            BinRequest::QueryGen(rd_u32(args), rd_u32(&args[4..]))
-        }
-        verb::BATCH => {
+    let pair = || fixed(8).map(|a| (rd_u32(a), rd_u32(&a[4..])));
+    let req = match verb {
+        Verb::I => pair().map(|(u, v)| Request::Insert(u, v))?,
+        Verb::D => pair().map(|(u, v)| Request::Delete(u, v))?,
+        Verb::Q => pair().map(|(u, v)| Request::Query(u, v))?,
+        Verb::QG => pair().map(|(u, v)| Request::QueryGen(u, v))?,
+        Verb::B => {
             if args.len() < 4 {
-                return Err(RequestError::BadArgs { corr, verb: "B", want: 4, have: args.len() });
+                return Err(RequestError::BadArgs { corr, verb: name, want: 4, have: args.len() });
             }
             let k = rd_u32(args) as usize;
             if k > MAX_WIRE_BATCH {
                 return Err(RequestError::BatchTooLarge { corr });
             }
-            let want = 4 + k * 9;
-            if args.len() != want {
-                return Err(RequestError::BadArgs { corr, verb: "B", want, have: args.len() });
-            }
             let mut ops = Vec::with_capacity(k);
-            for chunk in args[4..].chunks_exact(9) {
+            for chunk in fixed(4 + k * 9)?[4..].chunks_exact(9) {
                 let (u, v) = (rd_u32(&chunk[1..]), rd_u32(&chunk[5..]));
                 ops.push(match chunk[0] {
                     0 => Update::Insert(u, v),
@@ -315,75 +350,62 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, BinRequest), RequestError>
                     t => return Err(RequestError::BadBatchTag { corr, tag: t }),
                 });
             }
-            BinRequest::Batch(ops)
+            Request::Batch(ops)
         }
-        verb::EPOCH => {
-            fixed("EPOCH", 0)?;
-            BinRequest::Epoch
+        Verb::Label => Request::Label(rd_u32(fixed(4)?)),
+        Verb::Wait => {
+            fixed(16).map(|a| Request::Wait { epoch: rd_u64(a), timeout_ms: rd_u64(&a[8..]) })?
         }
-        verb::WAIT => {
-            fixed("WAIT", 16)?;
-            BinRequest::Wait { epoch: rd_u64(args), timeout_ms: rd_u64(&args[8..]) }
+        Verb::Quiesce => Request::Quiesce { timeout_ms: rd_u64(fixed(8)?) },
+        Verb::Trace => Request::Trace(rd_u64(fixed(8)?) as usize),
+        Verb::Topk => Request::Topk { k: fixed(1)?[0] },
+        Verb::Size => Request::Size(rd_u32(fixed(4)?)),
+        Verb::Sub if args.first() == Some(&SUB_ATTACH) => {
+            let a = fixed(17)?;
+            Request::SubAttach { id: rd_u64(&a[1..]), after_seq: rd_u64(&a[9..]) }
         }
-        verb::PING => {
-            fixed("PING", 0)?;
-            BinRequest::Ping
-        }
-        verb::QUIESCE => {
-            fixed("QUIESCE", 8)?;
-            BinRequest::Quiesce { timeout_ms: rd_u64(args) }
-        }
-        verb::GEN => {
-            fixed("GEN", 0)?;
-            BinRequest::Gen
-        }
-        verb::TOPK => {
-            fixed("TOPK", 1)?;
-            BinRequest::Topk { k: args[0] }
-        }
-        verb::HIST => {
-            fixed("HIST", 0)?;
-            BinRequest::Hist
-        }
-        verb::SIZE => {
-            fixed("SIZE", 4)?;
-            BinRequest::Size(rd_u32(args))
-        }
-        verb::SUBSCRIBE => {
-            fixed("SUB", 10)?;
-            let kind = SubKind::from_code(args[0])
-                .ok_or(RequestError::BadSubKind { corr, kind: args[0] })?;
-            BinRequest::Subscribe {
-                kind,
-                u: rd_u32(&args[1..]),
-                v: rd_u32(&args[5..]),
-                durable: args[9] & 1 != 0,
+        Verb::Sub => {
+            let a = fixed(10)?;
+            let kind =
+                SubKind::from_code(a[0]).ok_or(RequestError::BadSubKind { corr, kind: a[0] })?;
+            if a[9] > 1 {
+                return Err(RequestError::BadSubFlags { corr, flags: a[9] });
             }
+            Request::Subscribe { kind, u: rd_u32(&a[1..]), v: rd_u32(&a[5..]), durable: a[9] == 1 }
         }
-        verb::UNSUBSCRIBE => {
-            fixed("UNSUB", 8)?;
-            BinRequest::Unsubscribe { id: rd_u64(args) }
-        }
-        t => return Err(RequestError::UnknownVerb { corr, tag: t }),
+        Verb::Unsub => Request::Unsubscribe { id: rd_u64(fixed(8)?) },
+        Verb::Components => fixed(0).map(|_| Request::Components)?,
+        Verb::Epoch => fixed(0).map(|_| Request::Epoch)?,
+        Verb::Gen => fixed(0).map(|_| Request::Gen)?,
+        Verb::Role => fixed(0).map(|_| Request::Role)?,
+        Verb::Stats => fixed(0).map(|_| Request::Stats)?,
+        Verb::Flush => fixed(0).map(|_| Request::Flush)?,
+        Verb::Snapshot => fixed(0).map(|_| Request::Snapshot)?,
+        Verb::WalStats => fixed(0).map(|_| Request::WalStats)?,
+        Verb::Ping => fixed(0).map(|_| Request::Ping)?,
+        Verb::Quit => fixed(0).map(|_| Request::Quit)?,
+        Verb::Shutdown => fixed(0).map(|_| Request::Shutdown)?,
+        Verb::Metrics => fixed(0).map(|_| Request::Metrics)?,
+        Verb::Hist => fixed(0).map(|_| Request::Hist)?,
+        Verb::Subs => fixed(0).map(|_| Request::Subs)?,
     };
     Ok((corr, req))
 }
 
 /// Encodes a request frame (header + args, ready for [`frame`]).
-pub fn encode_request(corr: u64, req: &BinRequest) -> Vec<u8> {
+pub fn encode_request(corr: u64, req: &Request) -> Vec<u8> {
     let mut p = Vec::with_capacity(32);
     p.extend_from_slice(&corr.to_le_bytes());
-    // Every verb a `BinRequest` can hold has its tag in the verb table.
-    p.push(req.verb().spec().tag.unwrap_or_default());
-    match req {
-        BinRequest::Insert(u, v)
-        | BinRequest::Delete(u, v)
-        | BinRequest::Query(u, v)
-        | BinRequest::QueryGen(u, v) => {
+    p.push(req.verb().spec().tag);
+    match *req {
+        Request::Insert(u, v)
+        | Request::Delete(u, v)
+        | Request::Query(u, v)
+        | Request::QueryGen(u, v) => {
             p.extend_from_slice(&u.to_le_bytes());
             p.extend_from_slice(&v.to_le_bytes());
         }
-        BinRequest::Batch(ops) => {
+        Request::Batch(ref ops) => {
             p.extend_from_slice(&(ops.len() as u32).to_le_bytes());
             for op in ops {
                 let (tag, u, v) = match *op {
@@ -396,21 +418,29 @@ pub fn encode_request(corr: u64, req: &BinRequest) -> Vec<u8> {
                 p.extend_from_slice(&v.to_le_bytes());
             }
         }
-        BinRequest::Epoch | BinRequest::Ping | BinRequest::Gen | BinRequest::Hist => {}
-        BinRequest::Wait { epoch, timeout_ms } => {
+        Request::Wait { epoch, timeout_ms } => {
             p.extend_from_slice(&epoch.to_le_bytes());
             p.extend_from_slice(&timeout_ms.to_le_bytes());
         }
-        BinRequest::Quiesce { timeout_ms } => p.extend_from_slice(&timeout_ms.to_le_bytes()),
-        BinRequest::Topk { k } => p.push(*k),
-        BinRequest::Size(v) => p.extend_from_slice(&v.to_le_bytes()),
-        BinRequest::Subscribe { kind, u, v, durable } => {
+        Request::Quiesce { timeout_ms: x } | Request::Unsubscribe { id: x } => {
+            p.extend_from_slice(&x.to_le_bytes())
+        }
+        Request::Trace(n) => p.extend_from_slice(&(n as u64).to_le_bytes()),
+        Request::Topk { k } => p.push(k),
+        Request::Size(v) | Request::Label(v) => p.extend_from_slice(&v.to_le_bytes()),
+        Request::Subscribe { kind, u, v, durable } => {
             p.push(kind.code());
             p.extend_from_slice(&u.to_le_bytes());
             p.extend_from_slice(&v.to_le_bytes());
-            p.push(*durable as u8);
+            p.push(durable as u8);
         }
-        BinRequest::Unsubscribe { id } => p.extend_from_slice(&id.to_le_bytes()),
+        Request::SubAttach { id, after_seq } => {
+            p.push(SUB_ATTACH);
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&after_seq.to_le_bytes());
+        }
+        // Every other verb takes no arguments.
+        _ => {}
     }
     p
 }
@@ -492,7 +522,6 @@ pub fn encode_reply(corr: u64, reply: &Reply) -> Vec<u8> {
             p.extend_from_slice(&id.to_le_bytes());
             p.extend_from_slice(&epoch.to_le_bytes());
         }
-        // No tagged verb answers with a dump; encoding stays total anyway.
         Reply::Line(line) => {
             p.push(STATUS_OK);
             p.extend_from_slice(line.as_bytes());
@@ -581,8 +610,15 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
     if status != STATUS_OK {
         return Err(bad_reply("unknown-status"));
     }
+    let text = || String::from_utf8(body.to_vec()).map_err(|_| bad_reply("text"));
     let reply = match req_verb {
         verb::INSERT | verb::DELETE | verb::PING | verb::UNSUBSCRIBE => Reply::Ok,
+        verb::FLUSH | verb::QUIT | verb::SHUTDOWN => Reply::Ok,
+        verb::ROLE | verb::STATS | verb::WALSTATS => Reply::Line(text()?),
+        verb::METRICS | verb::TRACE | verb::SUBS if body.is_empty() => Reply::Dump(Vec::new()),
+        verb::METRICS | verb::TRACE | verb::SUBS => {
+            Reply::Dump(text()?.split('\n').map(str::to_string).collect())
+        }
         verb::SUBSCRIBE => {
             if body.len() != 16 {
                 return Err(bad_reply("SUB"));
@@ -613,7 +649,12 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
             }
             Reply::Answers(answers)
         }
-        verb::EPOCH | verb::WAIT | verb::QUIESCE => {
+        verb::EPOCH
+        | verb::WAIT
+        | verb::QUIESCE
+        | verb::LABEL
+        | verb::COMPONENTS
+        | verb::SNAPSHOT => {
             if body.len() != 8 {
                 return Err(bad_reply("epoch"));
             }
@@ -781,7 +822,7 @@ impl FrameAssembler {
 mod tests {
     use super::*;
 
-    fn roundtrip(req: BinRequest) {
+    fn roundtrip(req: Request) {
         let corr = 0xDEAD_BEEF_u64;
         let payload = encode_request(corr, &req);
         let (got_corr, got) = decode_request(&payload).expect("decode");
@@ -791,26 +832,26 @@ mod tests {
 
     #[test]
     fn request_roundtrips() {
-        roundtrip(BinRequest::Insert(1, 2));
-        roundtrip(BinRequest::Delete(3, 4));
-        roundtrip(BinRequest::Query(5, 6));
-        roundtrip(BinRequest::QueryGen(7, 8));
-        roundtrip(BinRequest::Batch(vec![
+        roundtrip(Request::Insert(1, 2));
+        roundtrip(Request::Delete(3, 4));
+        roundtrip(Request::Query(5, 6));
+        roundtrip(Request::QueryGen(7, 8));
+        roundtrip(Request::Batch(vec![
             Update::Insert(1, 2),
             Update::Delete(3, 4),
             Update::Query(5, 6),
         ]));
-        roundtrip(BinRequest::Epoch);
-        roundtrip(BinRequest::Wait { epoch: 42, timeout_ms: 1000 });
-        roundtrip(BinRequest::Ping);
-        roundtrip(BinRequest::Quiesce { timeout_ms: 9 });
-        roundtrip(BinRequest::Gen);
-        roundtrip(BinRequest::Topk { k: 10 });
-        roundtrip(BinRequest::Hist);
-        roundtrip(BinRequest::Size(7));
-        roundtrip(BinRequest::Subscribe { kind: SubKind::Pair, u: 3, v: 9, durable: true });
-        roundtrip(BinRequest::Subscribe { kind: SubKind::Component, u: 5, v: 5, durable: false });
-        roundtrip(BinRequest::Unsubscribe { id: 0x0102_0304_0506_0708 });
+        roundtrip(Request::Epoch);
+        roundtrip(Request::Wait { epoch: 42, timeout_ms: 1000 });
+        roundtrip(Request::Ping);
+        roundtrip(Request::Quiesce { timeout_ms: 9 });
+        roundtrip(Request::Gen);
+        roundtrip(Request::Topk { k: 10 });
+        roundtrip(Request::Hist);
+        roundtrip(Request::Size(7));
+        roundtrip(Request::Subscribe { kind: SubKind::Pair, u: 3, v: 9, durable: true });
+        roundtrip(Request::Subscribe { kind: SubKind::Component, u: 5, v: 5, durable: false });
+        roundtrip(Request::Unsubscribe { id: 0x0102_0304_0506_0708 });
     }
 
     #[test]
@@ -869,8 +910,8 @@ mod tests {
     #[test]
     fn assembler_reassembles_split_frames() {
         let mut bytes = STREAM_MAGIC.to_vec();
-        let p1 = encode_request(1, &BinRequest::Query(0, 1));
-        let p2 = encode_request(2, &BinRequest::Epoch);
+        let p1 = encode_request(1, &Request::Query(0, 1));
+        let p2 = encode_request(2, &Request::Epoch);
         bytes.extend_from_slice(&frame(&p1));
         bytes.extend_from_slice(&frame(&p2));
         // Feed one byte at a time: frames must come out whole and in order.
@@ -904,7 +945,7 @@ mod tests {
 
         let mut asm = FrameAssembler::new();
         asm.push(&STREAM_MAGIC);
-        let mut f = frame(&encode_request(1, &BinRequest::Ping));
+        let mut f = frame(&encode_request(1, &Request::Ping));
         let last = f.len() - 1;
         f[last] ^= 0xFF; // flip a payload byte -> CRC mismatch
         asm.push(&f);
@@ -970,7 +1011,7 @@ mod tests {
     fn bad_sub_kind_is_recoverable() {
         let mut payload = encode_request(
             9,
-            &BinRequest::Subscribe { kind: SubKind::Pair, u: 1, v: 2, durable: false },
+            &Request::Subscribe { kind: SubKind::Pair, u: 1, v: 2, durable: false },
         );
         payload[9] = 0x07; // corrupt the kind byte
         let err = decode_request(&payload).expect_err("bad kind must not decode");

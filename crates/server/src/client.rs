@@ -13,11 +13,11 @@
 //! in whatever order the server completes them. [`WireClient::call`] is
 //! one round trip, and every verb has one typed convenience over it.
 //!
-//! Refusals are local and typed: a text-only verb on the binary door, or a
-//! `B` of more than [`MAX_WIRE_BATCH`] ops, is
-//! [`io::ErrorKind::InvalidInput`] before any byte is written, and the
-//! connection stays usable. A server `ERR` becomes an [`io::Error`]
-//! reading `server error: <msg>` on both doors.
+//! Every verb goes through either door. The one local refusal is a `B` of
+//! more than [`MAX_WIRE_BATCH`] ops: [`io::ErrorKind::InvalidInput`]
+//! before any byte is written, and the connection stays usable. A server
+//! `ERR` becomes an [`io::Error`] reading `server error: <msg>` on both
+//! doors.
 //!
 //! Subscription events (`! EVT` lines, binary event frames) may arrive
 //! between replies on either door; every read stashes them into one
@@ -29,7 +29,7 @@ use crate::binproto::{
 };
 use crate::generation::{GenCounters, GenInfo};
 use crate::net::{multi_line, parse_event_line, parse_reply, write_request, MAX_WIRE_BATCH};
-use crate::request::{BinRequest, Reply, Request, Verb};
+use crate::request::{Reply, Request, Verb};
 use crate::service::TaggedAnswers;
 use crate::subs::{SubEvent, SubKind};
 use cc_graph::io::binary::append_record;
@@ -96,7 +96,7 @@ fn unexpected(reply: Reply) -> io::Error {
 /// or any other shape is an error.
 macro_rules! expect {
     ($client:ident, $req:expr, $pat:pat => $out:expr) => {
-        match $client.call(&Request::from($req))? {
+        match $client.call(&$req)? {
             $pat => Ok($out),
             Reply::Err(msg) => Err(server_error(&msg)),
             other => Err(unexpected(other)),
@@ -158,32 +158,24 @@ impl WireClient {
 
     /// Queues `req` (unflushed) and returns its correlation id. Refuses
     /// locally, with [`io::ErrorKind::InvalidInput`] and nothing written,
-    /// a verb the binary door has no tag for and a `B` over
-    /// [`MAX_WIRE_BATCH`] ops.
+    /// a `B` over [`MAX_WIRE_BATCH`] ops.
     pub fn send(&mut self, req: &Request) -> io::Result<u64> {
-        let refuse = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
-        if let Request::Bin(BinRequest::Batch(ops)) = req {
+        if let Request::Batch(ops) = req {
             if ops.len() > MAX_WIRE_BATCH {
-                return refuse(format!(
+                let msg = format!(
                     "batch of {} ops exceeds the wire limit of {MAX_WIRE_BATCH}; split it",
                     ops.len()
-                ));
+                );
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
             }
         }
         let corr = self.next_corr;
-        match (req, self.is_binary()) {
-            (Request::Bin(bin), true) => {
-                append_record(&mut self.writer, &encode_request(corr, bin))?;
-            }
-            (_, true) => {
-                let verb = req.verb().spec().text;
-                return refuse(format!("{verb} has no binary tag; use the text door"));
-            }
-            (_, false) => {
-                let mut line = Vec::new();
-                write_request(&mut line, req);
-                self.writer.write_all(&line)?;
-            }
+        if self.is_binary() {
+            append_record(&mut self.writer, &encode_request(corr, req))?;
+        } else {
+            let mut line = Vec::new();
+            write_request(&mut line, req);
+            self.writer.write_all(&line)?;
         }
         self.next_corr += 1;
         self.pending.insert(corr, req.verb());
@@ -229,7 +221,7 @@ impl WireClient {
     /// `ERR` (its last word before a close), or a protocol violation.
     fn stray(&self, unit: &[u8]) -> io::Error {
         let reply = match self.inbound {
-            Inbound::Frames(_) => decode_reply(unit, crate::binproto::verb::PING).ok().map(|r| r.1),
+            Inbound::Frames(_) => decode_reply(unit, Verb::Ping.spec().tag).ok().map(|r| r.1),
             Inbound::Lines { .. } => parse_reply(Verb::Ping, &[text_line(unit)]).ok(),
         };
         match reply {
@@ -248,8 +240,7 @@ impl WireClient {
             let corr =
                 unit.get(..8).map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
             let Some(verb) = self.pending.remove(&corr) else { return Err(self.stray(&unit)) };
-            // Only tagged verbs are ever sent on this door.
-            return decode_reply(&unit, verb.spec().tag.unwrap_or_default());
+            return decode_reply(&unit, verb.spec().tag);
         }
         let Some((corr, verb)) = self.pending.pop_first() else { return Err(self.stray(&unit)) };
         let mut lines = vec![text_line(&unit)];
@@ -310,38 +301,38 @@ impl WireClient {
 
     /// `I u v`.
     pub fn insert(&mut self, u: u32, v: u32) -> io::Result<()> {
-        expect!(self, BinRequest::Insert(u, v), Reply::Ok => ())
+        expect!(self, Request::Insert(u, v), Reply::Ok => ())
     }
 
     /// `D u v`.
     pub fn delete(&mut self, u: u32, v: u32) -> io::Result<()> {
-        expect!(self, BinRequest::Delete(u, v), Reply::Ok => ())
+        expect!(self, Request::Delete(u, v), Reply::Ok => ())
     }
 
     /// `Q u v`: the bare connectivity bit.
     pub fn query(&mut self, u: u32, v: u32) -> io::Result<bool> {
-        expect!(self, BinRequest::Query(u, v), Reply::Bit(b) => b)
+        expect!(self, Request::Query(u, v), Reply::Bit(b) => b)
     }
 
     /// `QG u v`: the bit plus `Some(generation)` when a sealed generation
     /// served it (a rebuild was in flight), `None` when it is exact.
     pub fn query_gen(&mut self, u: u32, v: u32) -> io::Result<(bool, Option<u64>)> {
-        expect!(self, BinRequest::QueryGen(u, v), Reply::BitGen(b, g) => (b, g))
+        expect!(self, Request::QueryGen(u, v), Reply::BitGen(b, g) => (b, g))
     }
 
     /// `B k`: submits `ops` as one unit; returns the query answers in
     /// order, each tagged like [`WireClient::query_gen`]'s. The text door
     /// does not carry the tags, so its answers are all `None`.
     pub fn submit(&mut self, ops: &[Update]) -> io::Result<TaggedAnswers> {
-        expect!(self, BinRequest::Batch(ops.to_vec()), Reply::Answers(a) => a)
+        expect!(self, Request::Batch(ops.to_vec()), Reply::Answers(a) => a)
     }
 
-    /// `LABEL v` (text door).
+    /// `LABEL v`.
     pub fn label(&mut self, v: u32) -> io::Result<u32> {
         expect!(self, Request::Label(v), Reply::Value(l) => l as u32)
     }
 
-    /// `COMPONENTS` (text door).
+    /// `COMPONENTS`.
     pub fn components(&mut self) -> io::Result<usize> {
         expect!(self, Request::Components, Reply::Value(c) => c as usize)
     }
@@ -350,7 +341,7 @@ impl WireClient {
     /// `(root, size)` pairs size-descending with singletons excluded.
     #[allow(clippy::type_complexity)]
     pub fn topk(&mut self, k: u8) -> io::Result<(Vec<(u32, u64)>, u64, u64, bool)> {
-        expect!(self, BinRequest::Topk { k },
+        expect!(self, Request::Topk { k },
             Reply::Topk { epoch, generation, sealed, entries } => (entries, epoch, generation, sealed))
     }
 
@@ -358,32 +349,32 @@ impl WireClient {
     /// [`crate::analytics::HIST_BUCKETS`] log2 buckets.
     #[allow(clippy::type_complexity)]
     pub fn hist(&mut self) -> io::Result<(u64, Vec<u64>, u64, u64, bool)> {
-        expect!(self, BinRequest::Hist,
+        expect!(self, Request::Hist,
             Reply::Hist { epoch, generation, sealed, components, buckets } =>
                 (components, buckets, epoch, generation, sealed))
     }
 
     /// `SIZE v`: `(size, root)` of `v`'s component.
     pub fn component_size(&mut self, v: u32) -> io::Result<(u64, u32)> {
-        expect!(self, BinRequest::Size(v), Reply::Size { size, root } => (size, root))
+        expect!(self, Request::Size(v), Reply::Size { size, root } => (size, root))
     }
 
     /// `EPOCH`.
     pub fn epoch(&mut self) -> io::Result<u64> {
-        expect!(self, BinRequest::Epoch, Reply::Value(e) => e)
+        expect!(self, Request::Epoch, Reply::Value(e) => e)
     }
 
     /// `WAIT epoch timeout_ms`: blocks until the server's epoch reaches
     /// `epoch`; returns the epoch reached. A lapsed timeout is a server
     /// error.
     pub fn wait_epoch(&mut self, epoch: u64, timeout_ms: u64) -> io::Result<u64> {
-        expect!(self, BinRequest::Wait { epoch, timeout_ms }, Reply::Value(e) => e)
+        expect!(self, Request::Wait { epoch, timeout_ms }, Reply::Value(e) => e)
     }
 
     /// `GEN`: the serving generation, its dirty flag and the delete
     /// counters.
     pub fn generation_info(&mut self) -> io::Result<GenInfo> {
-        expect!(self, BinRequest::Gen,
+        expect!(self, Request::Gen,
         Reply::Gen { generation, dirty, rebuilds, forest, nonforest, absent } => GenInfo {
             generation,
             dirty,
@@ -399,36 +390,36 @@ impl WireClient {
     /// `QUIESCE timeout_ms`: blocks until no rebuild is in flight; returns
     /// the clean generation. A lapsed timeout is a server error.
     pub fn quiesce(&mut self, timeout_ms: u64) -> io::Result<u64> {
-        expect!(self, BinRequest::Quiesce { timeout_ms }, Reply::Value(g) => g)
+        expect!(self, Request::Quiesce { timeout_ms }, Reply::Value(g) => g)
     }
 
-    /// `ROLE` (text door): `"primary"` or `"follower"`.
+    /// `ROLE`: `"primary"` or `"follower"`.
     pub fn role(&mut self) -> io::Result<String> {
         expect!(self, Request::Role, Reply::Line(line) => line)
     }
 
-    /// `STATS` (text door): the one-line dump.
+    /// `STATS`: the one-line dump.
     pub fn stats_line(&mut self) -> io::Result<String> {
         expect!(self, Request::Stats, Reply::Line(line) => line)
     }
 
-    /// `FLUSH` (text door): fsync the server's WAL now.
+    /// `FLUSH`: fsync the server's WAL now.
     pub fn flush_wal(&mut self) -> io::Result<()> {
         expect!(self, Request::Flush, Reply::Ok => ())
     }
 
-    /// `SNAPSHOT` (text door): write a checkpoint record; returns its
+    /// `SNAPSHOT`: write a checkpoint record; returns its
     /// epoch.
     pub fn durable_snapshot(&mut self) -> io::Result<u64> {
         expect!(self, Request::Snapshot, Reply::Value(e) => e)
     }
 
-    /// `WALSTATS` (text door): the one-line dump.
+    /// `WALSTATS`: the one-line dump.
     pub fn wal_stats_line(&mut self) -> io::Result<String> {
         expect!(self, Request::WalStats, Reply::Line(line) => line)
     }
 
-    /// `METRICS` (text door): the exposition, one element per line,
+    /// `METRICS`: the exposition, one element per line,
     /// `# EOF` stripped.
     pub fn metrics(&mut self) -> io::Result<Vec<String>> {
         expect!(self, Request::Metrics, Reply::Dump(lines) => lines)
@@ -436,10 +427,10 @@ impl WireClient {
 
     /// `PING`.
     pub fn ping(&mut self) -> io::Result<()> {
-        expect!(self, BinRequest::Ping, Reply::Ok => ())
+        expect!(self, Request::Ping, Reply::Ok => ())
     }
 
-    /// `SHUTDOWN` (text door): asks the server to stop.
+    /// `SHUTDOWN`: asks the server to stop.
     pub fn shutdown_server(&mut self) -> io::Result<()> {
         expect!(self, Request::Shutdown, Reply::Ok => ())
     }
@@ -454,11 +445,11 @@ impl WireClient {
         v: u32,
         durable: bool,
     ) -> io::Result<(u64, u64)> {
-        expect!(self, BinRequest::Subscribe { kind, u, v, durable },
+        expect!(self, Request::Subscribe { kind, u, v, durable },
             Reply::Subscribed { id, epoch } => (id, epoch))
     }
 
-    /// `SUB ATTACH id after_seq` (text door): re-binds this connection to
+    /// `SUB ATTACH id after_seq`: re-binds this connection to
     /// a durable subscription; retained events with `seq > after_seq`
     /// are replayed into the event queue. Returns `(id, epoch)`.
     pub fn attach_sub(&mut self, id: u64, after_seq: u64) -> io::Result<(u64, u64)> {
@@ -468,10 +459,10 @@ impl WireClient {
 
     /// `UNSUB id`.
     pub fn unsubscribe(&mut self, id: u64) -> io::Result<()> {
-        expect!(self, BinRequest::Unsubscribe { id }, Reply::Ok => ())
+        expect!(self, Request::Unsubscribe { id }, Reply::Ok => ())
     }
 
-    /// `SUBS` (text door): the subscription-list lines, `# EOF` stripped.
+    /// `SUBS`: the subscription-list lines, `# EOF` stripped.
     pub fn subs(&mut self) -> io::Result<Vec<String>> {
         expect!(self, Request::Subs, Reply::Dump(lines) => lines)
     }

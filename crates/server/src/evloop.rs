@@ -31,13 +31,13 @@
 //! Each poll round, a shard drains every ready connection *first*, then
 //! executes the round's decoded requests in two grouped strokes:
 //!
-//! - binary `Q`/`QG` reads (and, on a follower, every `Q`/`QG` and
+//! - `Q`/`QG` reads from either door (and, on a follower, every
 //!   query-only `B` body) go through **one**
 //!   [`crate::service::Client::query_many_tagged`] call — one
 //!   epoch-snapshot/view acquire answers every read the round collected,
-//!   across all connections;
-//! - all `I`/`D`/`B` updates, and a primary's text `Q`/`QG` (which stay
-//!   linearized at their batch's epoch), concatenate into **one**
+//!   across all connections. The batcher publishes a batch before it
+//!   acks it, so a connection reads its own acknowledged writes;
+//! - all `I`/`D`/`B` updates concatenate into **one**
 //!   [`crate::service::Client::submit_tagged_async`] group per round, so
 //!   the batch former sees one submission where thread-per-connection
 //!   served dozens, and the shard never parks waiting for the batch — the
@@ -90,7 +90,7 @@ use crate::binproto::{
 use crate::net::{self, Decoded, LineDecoder, TcpServer};
 use crate::obs::{CloseReason, Event, Gauge, Obs};
 use crate::replication::{Follower, REPL_MAGIC};
-use crate::request::{endpoints, BinRequest, Reply, Request, Verb};
+use crate::request::{endpoints, Reply, Request, Verb};
 use crate::service::{
     Barrier, Client, Notify, Role, Service, ServiceError, SubmitTicket, TaggedAnswers, Ticket,
 };
@@ -620,7 +620,7 @@ impl Shard {
     /// dispatcher.
     fn on_frame(&mut self, token: usize, payload: &[u8], round: &mut Round) {
         match decode_request(payload) {
-            Ok((corr, req)) => self.dispatch(token, corr, req.into(), round),
+            Ok((corr, req)) => self.dispatch(token, corr, req, round),
             Err(e @ RequestError::ShortHeader(_)) => {
                 self.queue_reply(token, 0, Reply::Err(e.to_string()), false);
                 self.close_after_flush(token, CloseReason::BadFrame);
@@ -686,44 +686,31 @@ impl Shard {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         conn.inflight += 1;
         conn.verb = verb;
-        let text = conn.is_text();
         self.obs.metrics.net_pipeline_depth.record(conn.inflight);
-        if let Request::Bin(bin) = &req {
-            // Per-request validation up front, so one bad request gets its
-            // own ERR instead of poisoning the whole grouped submission.
-            let refusal = match bin.out_of_range(self.num_vertices) {
-                Some(v) => Some(ServiceError::VertexOutOfRange { v, n: self.num_vertices }),
-                None if self.is_follower && bin.carries_updates() => {
-                    Some(ServiceError::ReadOnlyFollower)
-                }
-                None => None,
-            };
-            if let Some(e) = refusal {
-                return self.queue_reply(token, corr, Reply::Err(e.to_string()), true);
+        // Per-request validation up front, so one bad request gets its own
+        // ERR instead of poisoning the whole grouped submission.
+        let refusal = match req.out_of_range(self.num_vertices) {
+            Some(v) => Some(ServiceError::VertexOutOfRange { v, n: self.num_vertices }),
+            None if self.is_follower && req.carries_updates() => {
+                Some(ServiceError::ReadOnlyFollower)
             }
+            None => None,
+        };
+        if let Some(e) = refusal {
+            return self.queue_reply(token, corr, Reply::Err(e.to_string()), true);
         }
         match req {
-            // A primary's text reads join the batch, linearized at its
-            // epoch; binary reads (and a follower's) share one view.
-            Request::Bin(BinRequest::Query(u, v) | BinRequest::QueryGen(u, v)) => {
-                if text && !self.is_follower {
-                    round.submit(token, corr, verb, [Update::Query(u, v)]);
-                } else {
-                    round.read(token, corr, verb, [(u, v)]);
-                }
+            Request::Query(u, v) | Request::QueryGen(u, v) => {
+                round.read(token, corr, verb, [(u, v)])
             }
             // Query-only (updates were refused above).
-            Request::Bin(BinRequest::Batch(ops)) if self.is_follower => {
+            Request::Batch(ops) if self.is_follower => {
                 round.read(token, corr, verb, ops.into_iter().map(endpoints));
             }
-            Request::Bin(BinRequest::Batch(ops)) => round.submit(token, corr, verb, ops),
-            Request::Bin(BinRequest::Insert(u, v)) => {
-                round.submit(token, corr, verb, [Update::Insert(u, v)]);
-            }
-            Request::Bin(BinRequest::Delete(u, v)) => {
-                round.submit(token, corr, verb, [Update::Delete(u, v)]);
-            }
-            Request::Bin(BinRequest::Subscribe { kind, u, v, durable }) => {
+            Request::Batch(ops) => round.submit(token, corr, verb, ops),
+            Request::Insert(u, v) => round.submit(token, corr, verb, [Update::Insert(u, v)]),
+            Request::Delete(u, v) => round.submit(token, corr, verb, [Update::Delete(u, v)]),
+            Request::Subscribe { kind, u, v, durable } => {
                 // The reply is queued before drain_events runs this round,
                 // so it always precedes the first event even when the
                 // registration fires instantly.
@@ -752,7 +739,7 @@ impl Shard {
                 };
                 self.queue_reply(token, corr, reply, true);
             }
-            Request::Bin(BinRequest::Unsubscribe { id }) => {
+            Request::Unsubscribe { id } => {
                 let reply = match self.client.unsubscribe(id) {
                     Ok(()) => {
                         if let Some(conn) = self.conns.get_mut(&token) {
@@ -805,10 +792,8 @@ impl Shard {
     /// lapses; one that resolved at once is answered inline.
     fn park(&mut self, token: usize, corr: u64, verb: Verb, req: Request) {
         let (barrier, timeout_ms) = match req {
-            Request::Bin(BinRequest::Wait { epoch, timeout_ms }) => {
-                (Barrier::Epoch(epoch), Some(timeout_ms))
-            }
-            Request::Bin(BinRequest::Quiesce { timeout_ms }) => (Barrier::Clean, Some(timeout_ms)),
+            Request::Wait { epoch, timeout_ms } => (Barrier::Epoch(epoch), Some(timeout_ms)),
+            Request::Quiesce { timeout_ms } => (Barrier::Clean, Some(timeout_ms)),
             Request::Flush => (Barrier::Flush, None),
             Request::Snapshot => (Barrier::Snapshot, None),
             req => unreachable!("{} is marked blocking but has no barrier", req.verb().spec().text),
@@ -1110,9 +1095,9 @@ fn barrier_reply(verb: Verb, result: Result<u64, ServiceError>) -> Reply {
 /// The reply to a request the dispatcher answers inline, off the round.
 fn answer(client: &Client, req: Request) -> Reply {
     let reply = match req {
-        Request::Bin(BinRequest::Epoch) => Ok(Reply::Value(client.epoch())),
-        Request::Bin(BinRequest::Ping) => Ok(Reply::Ok),
-        Request::Bin(BinRequest::Gen) => {
+        Request::Epoch => Ok(Reply::Value(client.epoch())),
+        Request::Ping => Ok(Reply::Ok),
+        Request::Gen => {
             let info = client.generation_info();
             Ok(Reply::Gen {
                 generation: info.generation,
@@ -1123,11 +1108,11 @@ fn answer(client: &Client, req: Request) -> Reply {
                 absent: info.counters.deletes_absent,
             })
         }
-        Request::Bin(BinRequest::Topk { k }) => {
+        Request::Topk { k } => {
             let (entries, epoch, generation, sealed) = client.topk(k as usize);
             Ok(Reply::Topk { epoch, generation, sealed, entries })
         }
-        Request::Bin(BinRequest::Hist) => {
+        Request::Hist => {
             let view = client.analytics();
             Ok(Reply::Hist {
                 epoch: view.epoch,
@@ -1137,9 +1122,7 @@ fn answer(client: &Client, req: Request) -> Reply {
                 buckets: view.hist.to_vec(),
             })
         }
-        Request::Bin(BinRequest::Size(v)) => {
-            client.component_size(v).map(|(root, size)| Reply::Size { size, root })
-        }
+        Request::Size(v) => client.component_size(v).map(|(root, size)| Reply::Size { size, root }),
         Request::Label(v) => client.current_label(v).map(|l| Reply::Value(l.into())),
         Request::Components => Ok(Reply::Value(client.num_components() as u64)),
         Request::Role => Ok(Reply::Line(client.role().to_string())),

@@ -83,7 +83,7 @@
 //! analytical reads there by default (DESIGN.md §12).
 
 use crate::obs::{CloseReason, DEFAULT_TRACE_EVENTS};
-use crate::request::{BinRequest, Reply, Request, Verb};
+use crate::request::{Reply, Request, Verb};
 use crate::service::Service;
 use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
@@ -139,10 +139,10 @@ fn parse_request(line: &str) -> Result<Line, String> {
     let cmd = it.next().ok_or_else(|| "empty request".to_string())?;
     let verb = Verb::from_text(cmd).ok_or_else(|| format!("unknown command {cmd:?}"))?;
     let req: Request = match verb {
-        Verb::I => BinRequest::Insert(parse_u32(it.next())?, parse_u32(it.next())?).into(),
-        Verb::D => BinRequest::Delete(parse_u32(it.next())?, parse_u32(it.next())?).into(),
-        Verb::Q => BinRequest::Query(parse_u32(it.next())?, parse_u32(it.next())?).into(),
-        Verb::QG => BinRequest::QueryGen(parse_u32(it.next())?, parse_u32(it.next())?).into(),
+        Verb::I => Request::Insert(parse_u32(it.next())?, parse_u32(it.next())?),
+        Verb::D => Request::Delete(parse_u32(it.next())?, parse_u32(it.next())?),
+        Verb::Q => Request::Query(parse_u32(it.next())?, parse_u32(it.next())?),
+        Verb::QG => Request::QueryGen(parse_u32(it.next())?, parse_u32(it.next())?),
         Verb::B => {
             let k = parse_u32(it.next())? as usize;
             if k > MAX_WIRE_BATCH {
@@ -158,20 +158,19 @@ fn parse_request(line: &str) -> Result<Line, String> {
         Verb::Topk => {
             // Every k above the materialized cap answers alike.
             let k = parse_u64_or(it.next(), DEFAULT_TOPK as u64)?;
-            BinRequest::Topk { k: k.min(u64::from(u8::MAX)) as u8 }.into()
+            Request::Topk { k: k.min(u64::from(u8::MAX)) as u8 }
         }
-        Verb::Hist => BinRequest::Hist.into(),
-        Verb::Size => BinRequest::Size(parse_u32(it.next())?).into(),
-        Verb::Epoch => BinRequest::Epoch.into(),
+        Verb::Hist => Request::Hist,
+        Verb::Size => Request::Size(parse_u32(it.next())?),
+        Verb::Epoch => Request::Epoch,
         Verb::Wait => {
             let epoch = parse_u64(it.next())?;
             let timeout_ms = parse_u64_or(it.next(), DEFAULT_WAIT_TIMEOUT_MS)?;
-            BinRequest::Wait { epoch, timeout_ms }.into()
+            Request::Wait { epoch, timeout_ms }
         }
-        Verb::Gen => BinRequest::Gen.into(),
+        Verb::Gen => Request::Gen,
         Verb::Quiesce => {
-            BinRequest::Quiesce { timeout_ms: parse_u64_or(it.next(), DEFAULT_WAIT_TIMEOUT_MS)? }
-                .into()
+            Request::Quiesce { timeout_ms: parse_u64_or(it.next(), DEFAULT_WAIT_TIMEOUT_MS)? }
         }
         Verb::Role => Request::Role,
         Verb::Stats => Request::Stats,
@@ -186,7 +185,7 @@ fn parse_request(line: &str) -> Result<Line, String> {
             Some("COMPONENT") => {
                 let v = parse_u32(it.next())?;
                 let durable = parse_sub_flag(&mut it)?;
-                BinRequest::Subscribe { kind: SubKind::Component, u: v, v, durable }.into()
+                Request::Subscribe { kind: SubKind::Component, u: v, v, durable }
             }
             Some("ATTACH") => {
                 let id = parse_u64(it.next())?;
@@ -196,12 +195,12 @@ fn parse_request(line: &str) -> Result<Line, String> {
                 let u = parse_u32(tok)?;
                 let v = parse_u32(it.next())?;
                 let durable = parse_sub_flag(&mut it)?;
-                BinRequest::Subscribe { kind: SubKind::Pair, u, v, durable }.into()
+                Request::Subscribe { kind: SubKind::Pair, u, v, durable }
             }
         },
-        Verb::Unsub => BinRequest::Unsubscribe { id: parse_u64(it.next())? }.into(),
+        Verb::Unsub => Request::Unsubscribe { id: parse_u64(it.next())? },
         Verb::Subs => Request::Subs,
-        Verb::Ping => BinRequest::Ping.into(),
+        Verb::Ping => Request::Ping,
         Verb::Quit => Request::Quit,
         Verb::Shutdown => Request::Shutdown,
     };
@@ -327,7 +326,7 @@ impl LineDecoder {
                 let Body { ops, bad, .. } = self.body.take()?;
                 return Some(match bad {
                     Some(msg) => Decoded::Err(msg),
-                    None => Decoded::Request(BinRequest::Batch(ops).into()),
+                    None => Decoded::Request(Request::Batch(ops)),
                 });
             }
             if line.is_empty() {
@@ -335,9 +334,7 @@ impl LineDecoder {
             }
             match parse_request(line) {
                 Ok(Line::Request(req)) => return Some(Decoded::Request(req)),
-                Ok(Line::Batch(0)) => {
-                    return Some(Decoded::Request(BinRequest::Batch(vec![]).into()))
-                }
+                Ok(Line::Batch(0)) => return Some(Decoded::Request(Request::Batch(vec![]))),
                 Ok(Line::Batch(k)) => {
                     self.body =
                         Some(Body { left: k, ops: Vec::with_capacity(k.min(1 << 16)), bad: None })
@@ -460,14 +457,14 @@ pub(crate) fn multi_line(verb: Verb) -> bool {
 /// Appends `req` as the text door spells it: the inverse of the
 /// [`LineDecoder`], a `B` header followed by its op lines.
 pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
-    use BinRequest as W;
     let name = req.verb().spec().text;
     let flag = |durable: bool| if durable { " DURABLE" } else { "" };
     let _ = match req {
-        Request::Bin(W::Insert(u, v) | W::Delete(u, v) | W::Query(u, v) | W::QueryGen(u, v)) => {
-            writeln!(out, "{name} {u} {v}")
-        }
-        Request::Bin(W::Batch(ops)) => {
+        Request::Insert(u, v)
+        | Request::Delete(u, v)
+        | Request::Query(u, v)
+        | Request::QueryGen(u, v) => writeln!(out, "{name} {u} {v}"),
+        Request::Batch(ops) => {
             let _ = writeln!(out, "{name} {}", ops.len());
             for &op in ops {
                 let (u, v) = crate::request::endpoints(op);
@@ -480,17 +477,17 @@ pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
             }
             Ok(())
         }
-        Request::Bin(W::Wait { epoch, timeout_ms }) => writeln!(out, "{name} {epoch} {timeout_ms}"),
-        Request::Bin(W::Quiesce { timeout_ms: x } | W::Unsubscribe { id: x }) => {
+        Request::Wait { epoch, timeout_ms } => writeln!(out, "{name} {epoch} {timeout_ms}"),
+        Request::Quiesce { timeout_ms: x } | Request::Unsubscribe { id: x } => {
             writeln!(out, "{name} {x}")
         }
-        Request::Bin(W::Topk { k }) => writeln!(out, "{name} {k}"),
-        Request::Bin(W::Size(v)) | Request::Label(v) => writeln!(out, "{name} {v}"),
+        Request::Topk { k } => writeln!(out, "{name} {k}"),
+        Request::Size(v) | Request::Label(v) => writeln!(out, "{name} {v}"),
         Request::Trace(n) => writeln!(out, "{name} {n}"),
-        Request::Bin(W::Subscribe { kind: SubKind::Pair, u, v, durable }) => {
+        Request::Subscribe { kind: SubKind::Pair, u, v, durable } => {
             writeln!(out, "{name} {u} {v}{}", flag(*durable))
         }
-        Request::Bin(W::Subscribe { kind: SubKind::Component, v, durable, .. }) => {
+        Request::Subscribe { kind: SubKind::Component, v, durable, .. } => {
             writeln!(out, "{name} COMPONENT {v}{}", flag(*durable))
         }
         Request::SubAttach { id, after_seq } => writeln!(out, "{name} ATTACH {id} {after_seq}"),
@@ -673,13 +670,13 @@ mod tests {
     use super::*;
     use crate::request::VERBS;
 
-    fn req(r: impl Into<Request>) -> Result<Line, String> {
-        Ok(Line::Request(r.into()))
+    fn req(r: Request) -> Result<Line, String> {
+        Ok(Line::Request(r))
     }
 
     #[test]
     fn request_grammar() {
-        use BinRequest as W;
+        use Request as W;
         let sub = |kind, u, v, durable| W::Subscribe { kind, u, v, durable };
         assert_eq!(parse_request("I 3 4"), req(W::Insert(3, 4)));
         assert_eq!(parse_request("D 3 4"), req(W::Delete(3, 4)));
@@ -823,15 +820,15 @@ mod tests {
         dec.push(b"PING\n\nB 2\nI 1 2\nQ 1");
         assert_eq!(
             decode_all(&mut dec),
-            vec![Decoded::Request(BinRequest::Ping.into())],
+            vec![Decoded::Request(Request::Ping)],
             "a blank line is skipped; the body waits for its last line"
         );
         dec.push(b" 2\nB 1\nX\nNOPE\n");
-        let batch = BinRequest::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)]);
+        let batch = Request::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)]);
         assert_eq!(
             decode_all(&mut dec),
             vec![
-                Decoded::Request(batch.into()),
+                Decoded::Request(batch),
                 Decoded::Err("batch op must be `I u v`, `D u v`, or `Q u v`".into()),
                 Decoded::Err("unknown command \"NOPE\"".into()),
             ]
@@ -842,7 +839,7 @@ mod tests {
         dec.end();
         assert_eq!(
             decode_all(&mut dec)[..2],
-            [Decoded::Request(BinRequest::Ping.into()), Decoded::Close(None, CloseReason::Eof)]
+            [Decoded::Request(Request::Ping), Decoded::Close(None, CloseReason::Eof)]
         );
         let mut dec = LineDecoder::default();
         dec.push(b"B 3\nI 1 2\n");
@@ -861,47 +858,7 @@ mod tests {
 
     #[test]
     fn request_writer_inverts_the_line_decoder() {
-        use BinRequest as W;
-        let sub = |kind, u, v, durable| W::Subscribe { kind, u, v, durable };
-        let mixed = vec![Update::Insert(1, 2), Update::Delete(3, 4), Update::Query(5, 6)];
-        let requests: Vec<Request> = vec![
-            W::Insert(1, 2).into(),
-            W::Delete(3, 4).into(),
-            W::Query(5, 6).into(),
-            W::QueryGen(7, 8).into(),
-            W::Batch(vec![]).into(),
-            W::Batch(mixed).into(),
-            Request::Label(9),
-            Request::Components,
-            W::Epoch.into(),
-            W::Wait { epoch: 9, timeout_ms: 250 }.into(),
-            W::Gen.into(),
-            W::Quiesce { timeout_ms: 250 }.into(),
-            Request::Role,
-            Request::Stats,
-            Request::Flush,
-            Request::Snapshot,
-            Request::WalStats,
-            W::Ping.into(),
-            Request::Quit,
-            Request::Shutdown,
-            Request::Metrics,
-            Request::Trace(7),
-            W::Topk { k: 5 }.into(),
-            W::Hist.into(),
-            W::Size(9).into(),
-            sub(SubKind::Pair, 1, 2, false).into(),
-            sub(SubKind::Pair, 1, 2, true).into(),
-            sub(SubKind::Component, 7, 7, false).into(),
-            sub(SubKind::Component, 7, 7, true).into(),
-            Request::SubAttach { id: 3, after_seq: 9 },
-            W::Unsubscribe { id: 5 }.into(),
-            Request::Subs,
-        ];
-        for spec in &VERBS {
-            assert!(requests.iter().any(|r| r.verb() == spec.verb), "no {} case", spec.text);
-        }
-        for req in requests {
+        for req in crate::request::tests::one_of_each() {
             let mut bytes = Vec::new();
             write_request(&mut bytes, &req);
             let mut dec = LineDecoder::default();

@@ -1,15 +1,16 @@
 //! The request IR both wire codecs share, and the one verb table.
 //!
 //! The text codec ([`crate::net`]) parses lines into a [`Request`]; the
-//! binary codec ([`crate::binproto`]) decodes frames into its tagged half,
-//! [`BinRequest`]. Both feed one dispatcher on the event-loop shards
+//! binary codec ([`crate::binproto`]) decodes frames into the same
+//! [`Request`]. Both feed one dispatcher on the event-loop shards
 //! ([`crate::evloop`]), which answers with a [`Reply`] that the
 //! connection's codec encodes.
 //!
 //! [`VERBS`] is the only list of verbs. The text parser looks names up in
 //! it, the dispatcher reads its routing columns, the metrics registry
-//! labels `connectit_requests_total{verb=…}` from it, and the doc-drift
-//! test holds both `PROTOCOL.md` verb tables to it.
+//! labels `connectit_requests_total{verb=…}` from it, the binary codec maps
+//! tags to verbs through it, and the doc-drift test holds `PROTOCOL.md`'s
+//! verb table to it.
 
 use crate::binproto::verb as tag;
 use crate::subs::SubKind;
@@ -56,8 +57,8 @@ pub struct VerbSpec {
     /// The text door's spelling, which is also the verb's metrics label
     /// (`connectit_requests_total{verb="<text>"}`).
     pub text: &'static str,
-    /// The binary door's tag; `None` for verbs only the text door speaks.
-    pub tag: Option<u8>,
+    /// The binary door's tag (request header byte 8).
+    pub tag: u8,
     /// Follower routing: the verb carries inserts or deletes, so a
     /// follower refuses it (a `B` only when its body holds one).
     pub update: bool,
@@ -72,45 +73,39 @@ const READ: bool = false;
 const BLOCKS: bool = true;
 const INLINE: bool = false;
 
-const fn row(
-    verb: Verb,
-    text: &'static str,
-    tag: Option<u8>,
-    update: bool,
-    blocking: bool,
-) -> VerbSpec {
+const fn row(verb: Verb, text: &'static str, tag: u8, update: bool, blocking: bool) -> VerbSpec {
     VerbSpec { verb, text, tag, update, blocking }
 }
 
 /// Every verb, in `connectit_requests_total` export order.
 pub const VERBS: [VerbSpec; 27] = [
-    row(Verb::I, "I", Some(tag::INSERT), UPDATE, INLINE),
-    row(Verb::D, "D", Some(tag::DELETE), UPDATE, INLINE),
-    row(Verb::Q, "Q", Some(tag::QUERY), READ, INLINE),
-    row(Verb::QG, "QG", Some(tag::QUERY_GEN), READ, INLINE),
-    row(Verb::B, "B", Some(tag::BATCH), UPDATE, INLINE),
-    row(Verb::Label, "LABEL", None, READ, INLINE),
-    row(Verb::Components, "COMPONENTS", None, READ, INLINE),
-    row(Verb::Epoch, "EPOCH", Some(tag::EPOCH), READ, INLINE),
-    row(Verb::Wait, "WAIT", Some(tag::WAIT), READ, BLOCKS),
-    row(Verb::Gen, "GEN", Some(tag::GEN), READ, INLINE),
-    row(Verb::Quiesce, "QUIESCE", Some(tag::QUIESCE), READ, BLOCKS),
-    row(Verb::Role, "ROLE", None, READ, INLINE),
-    row(Verb::Stats, "STATS", None, READ, INLINE),
-    row(Verb::Flush, "FLUSH", None, READ, BLOCKS),
-    row(Verb::Snapshot, "SNAPSHOT", None, READ, BLOCKS),
-    row(Verb::WalStats, "WALSTATS", None, READ, INLINE),
-    row(Verb::Ping, "PING", Some(tag::PING), READ, INLINE),
-    row(Verb::Quit, "QUIT", None, READ, INLINE),
-    row(Verb::Shutdown, "SHUTDOWN", None, READ, INLINE),
-    row(Verb::Metrics, "METRICS", None, READ, INLINE),
-    row(Verb::Trace, "TRACE", None, READ, INLINE),
-    row(Verb::Topk, "TOPK", Some(tag::TOPK), READ, INLINE),
-    row(Verb::Hist, "HIST", Some(tag::HIST), READ, INLINE),
-    row(Verb::Size, "SIZE", Some(tag::SIZE), READ, INLINE),
-    row(Verb::Sub, "SUB", Some(tag::SUBSCRIBE), READ, INLINE),
-    row(Verb::Unsub, "UNSUB", Some(tag::UNSUBSCRIBE), READ, INLINE),
-    row(Verb::Subs, "SUBS", None, READ, INLINE),
+    row(Verb::I, "I", tag::INSERT, UPDATE, INLINE),
+    row(Verb::D, "D", tag::DELETE, UPDATE, INLINE),
+    row(Verb::Q, "Q", tag::QUERY, READ, INLINE),
+    row(Verb::QG, "QG", tag::QUERY_GEN, READ, INLINE),
+    row(Verb::B, "B", tag::BATCH, UPDATE, INLINE),
+    row(Verb::Label, "LABEL", tag::LABEL, READ, INLINE),
+    row(Verb::Components, "COMPONENTS", tag::COMPONENTS, READ, INLINE),
+    row(Verb::Epoch, "EPOCH", tag::EPOCH, READ, INLINE),
+    row(Verb::Wait, "WAIT", tag::WAIT, READ, BLOCKS),
+    row(Verb::Gen, "GEN", tag::GEN, READ, INLINE),
+    row(Verb::Quiesce, "QUIESCE", tag::QUIESCE, READ, BLOCKS),
+    row(Verb::Role, "ROLE", tag::ROLE, READ, INLINE),
+    row(Verb::Stats, "STATS", tag::STATS, READ, INLINE),
+    row(Verb::Flush, "FLUSH", tag::FLUSH, READ, BLOCKS),
+    row(Verb::Snapshot, "SNAPSHOT", tag::SNAPSHOT, READ, BLOCKS),
+    row(Verb::WalStats, "WALSTATS", tag::WALSTATS, READ, INLINE),
+    row(Verb::Ping, "PING", tag::PING, READ, INLINE),
+    row(Verb::Quit, "QUIT", tag::QUIT, READ, INLINE),
+    row(Verb::Shutdown, "SHUTDOWN", tag::SHUTDOWN, READ, INLINE),
+    row(Verb::Metrics, "METRICS", tag::METRICS, READ, INLINE),
+    row(Verb::Trace, "TRACE", tag::TRACE, READ, INLINE),
+    row(Verb::Topk, "TOPK", tag::TOPK, READ, INLINE),
+    row(Verb::Hist, "HIST", tag::HIST, READ, INLINE),
+    row(Verb::Size, "SIZE", tag::SIZE, READ, INLINE),
+    row(Verb::Sub, "SUB", tag::SUBSCRIBE, READ, INLINE),
+    row(Verb::Unsub, "UNSUB", tag::UNSUBSCRIBE, READ, INLINE),
+    row(Verb::Subs, "SUBS", tag::SUBS, READ, INLINE),
 ];
 
 impl Verb {
@@ -123,78 +118,16 @@ impl Verb {
     pub fn from_text(text: &str) -> Option<Verb> {
         VERBS.iter().find(|s| s.text == text).map(|s| s.verb)
     }
+
+    /// The verb the binary door tags `tag`.
+    pub fn from_tag(tag: u8) -> Option<Verb> {
+        VERBS.iter().find(|s| s.tag == tag).map(|s| s.verb)
+    }
 }
 
-/// One decoded request, from either door.
+/// One decoded request, from either door: one variant per request shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// A verb with a binary tag.
-    Bin(BinRequest),
-    /// `LABEL v`
-    Label(u32),
-    /// `COMPONENTS`
-    Components,
-    /// `ROLE`
-    Role,
-    /// `STATS`
-    Stats,
-    /// `FLUSH`
-    Flush,
-    /// `SNAPSHOT`
-    Snapshot,
-    /// `WALSTATS`
-    WalStats,
-    /// `METRICS`
-    Metrics,
-    /// `TRACE n`
-    Trace(usize),
-    /// `SUB ATTACH id after_seq`
-    SubAttach {
-        /// Id of the durable subscription to re-bind.
-        id: u64,
-        /// Replay retained events with a larger sequence number.
-        after_seq: u64,
-    },
-    /// `SUBS`
-    Subs,
-    /// `QUIT`
-    Quit,
-    /// `SHUTDOWN`
-    Shutdown,
-}
-
-impl From<BinRequest> for Request {
-    fn from(req: BinRequest) -> Request {
-        Request::Bin(req)
-    }
-}
-
-impl Request {
-    /// The request's verb.
-    pub fn verb(&self) -> Verb {
-        match self {
-            Request::Bin(req) => req.verb(),
-            Request::Label(_) => Verb::Label,
-            Request::Components => Verb::Components,
-            Request::Role => Verb::Role,
-            Request::Stats => Verb::Stats,
-            Request::Flush => Verb::Flush,
-            Request::Snapshot => Verb::Snapshot,
-            Request::WalStats => Verb::WalStats,
-            Request::Metrics => Verb::Metrics,
-            Request::Trace(_) => Verb::Trace,
-            Request::SubAttach { .. } => Verb::Sub,
-            Request::Subs => Verb::Subs,
-            Request::Quit => Verb::Quit,
-            Request::Shutdown => Verb::Shutdown,
-        }
-    }
-}
-
-/// The verbs with a binary tag: the binary codec's whole vocabulary. A
-/// text-only verb cannot be expressed here, so it cannot be encoded.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BinRequest {
     /// `I u v`
     Insert(u32, u32),
     /// `D u v`
@@ -205,6 +138,10 @@ pub enum BinRequest {
     QueryGen(u32, u32),
     /// `B` with decoded ops.
     Batch(Vec<Update>),
+    /// `LABEL v`
+    Label(u32),
+    /// `COMPONENTS`
+    Components,
     /// `EPOCH`
     Epoch,
     /// `WAIT epoch timeout_ms`
@@ -214,15 +151,33 @@ pub enum BinRequest {
         /// Give up after this many milliseconds.
         timeout_ms: u64,
     },
-    /// `PING`
-    Ping,
+    /// `GEN`
+    Gen,
     /// `QUIESCE timeout_ms`
     Quiesce {
         /// Give up after this many milliseconds.
         timeout_ms: u64,
     },
-    /// `GEN`
-    Gen,
+    /// `ROLE`
+    Role,
+    /// `STATS`
+    Stats,
+    /// `FLUSH`
+    Flush,
+    /// `SNAPSHOT`
+    Snapshot,
+    /// `WALSTATS`
+    WalStats,
+    /// `PING`
+    Ping,
+    /// `QUIT`
+    Quit,
+    /// `SHUTDOWN`
+    Shutdown,
+    /// `METRICS`
+    Metrics,
+    /// `TRACE n`
+    Trace(usize),
     /// `TOPK k` — top-k largest (multi-vertex) components.
     Topk {
         /// How many components to return (clamped server-side to the
@@ -244,32 +199,53 @@ pub enum BinRequest {
         /// Whether the registration is WAL-logged and survives restart.
         durable: bool,
     },
+    /// `SUB ATTACH id after_seq`
+    SubAttach {
+        /// Id of the durable subscription to re-bind.
+        id: u64,
+        /// Replay retained events with a larger sequence number.
+        after_seq: u64,
+    },
     /// `UNSUB id` — cancel a subscription.
     Unsubscribe {
         /// Id returned by the `SUB` registration.
         id: u64,
     },
+    /// `SUBS`
+    Subs,
 }
 
-impl BinRequest {
+impl Request {
     /// The request's verb.
     pub fn verb(&self) -> Verb {
         match self {
-            BinRequest::Insert(..) => Verb::I,
-            BinRequest::Delete(..) => Verb::D,
-            BinRequest::Query(..) => Verb::Q,
-            BinRequest::QueryGen(..) => Verb::QG,
-            BinRequest::Batch(_) => Verb::B,
-            BinRequest::Epoch => Verb::Epoch,
-            BinRequest::Wait { .. } => Verb::Wait,
-            BinRequest::Ping => Verb::Ping,
-            BinRequest::Quiesce { .. } => Verb::Quiesce,
-            BinRequest::Gen => Verb::Gen,
-            BinRequest::Topk { .. } => Verb::Topk,
-            BinRequest::Hist => Verb::Hist,
-            BinRequest::Size(_) => Verb::Size,
-            BinRequest::Subscribe { .. } => Verb::Sub,
-            BinRequest::Unsubscribe { .. } => Verb::Unsub,
+            Request::Insert(..) => Verb::I,
+            Request::Delete(..) => Verb::D,
+            Request::Query(..) => Verb::Q,
+            Request::QueryGen(..) => Verb::QG,
+            Request::Batch(_) => Verb::B,
+            Request::Label(_) => Verb::Label,
+            Request::Components => Verb::Components,
+            Request::Epoch => Verb::Epoch,
+            Request::Wait { .. } => Verb::Wait,
+            Request::Gen => Verb::Gen,
+            Request::Quiesce { .. } => Verb::Quiesce,
+            Request::Role => Verb::Role,
+            Request::Stats => Verb::Stats,
+            Request::Flush => Verb::Flush,
+            Request::Snapshot => Verb::Snapshot,
+            Request::WalStats => Verb::WalStats,
+            Request::Ping => Verb::Ping,
+            Request::Quit => Verb::Quit,
+            Request::Shutdown => Verb::Shutdown,
+            Request::Metrics => Verb::Metrics,
+            Request::Trace(_) => Verb::Trace,
+            Request::Topk { .. } => Verb::Topk,
+            Request::Hist => Verb::Hist,
+            Request::Size(_) => Verb::Size,
+            Request::Subscribe { .. } | Request::SubAttach { .. } => Verb::Sub,
+            Request::Unsubscribe { .. } => Verb::Unsub,
+            Request::Subs => Verb::Subs,
         }
     }
 
@@ -277,15 +253,15 @@ impl BinRequest {
     pub(crate) fn out_of_range(&self, n: usize) -> Option<u32> {
         let check = |u: u32, v: u32| [u, v].into_iter().find(|&x| x as usize >= n);
         match *self {
-            BinRequest::Insert(u, v)
-            | BinRequest::Delete(u, v)
-            | BinRequest::Query(u, v)
-            | BinRequest::QueryGen(u, v) => check(u, v),
-            BinRequest::Batch(ref ops) => ops.iter().find_map(|&op| {
+            Request::Insert(u, v)
+            | Request::Delete(u, v)
+            | Request::Query(u, v)
+            | Request::QueryGen(u, v) => check(u, v),
+            Request::Batch(ref ops) => ops.iter().find_map(|&op| {
                 let (u, v) = endpoints(op);
                 check(u, v)
             }),
-            BinRequest::Size(v) => check(v, v),
+            Request::Size(v) | Request::Label(v) => check(v, v),
             _ => None,
         }
     }
@@ -294,7 +270,7 @@ impl BinRequest {
     /// ([`VerbSpec::update`]) and, for `B`, its body holds one.
     pub(crate) fn carries_updates(&self) -> bool {
         match self {
-            BinRequest::Batch(ops) => ops.iter().any(|op| !matches!(op, Update::Query(..))),
+            Request::Batch(ops) => ops.iter().any(|op| !matches!(op, Update::Query(..))),
             req => req.verb().spec().update,
         }
     }
@@ -376,30 +352,88 @@ pub enum Reply {
         /// Committed epoch when the registration took effect.
         epoch: u64,
     },
-    /// A one-line dump (`ROLE`, `STATS`, `WALSTATS`). Only text-only
-    /// verbs answer with it.
+    /// A one-line dump (`ROLE`, `STATS`, `WALSTATS`).
     Line(String),
-    /// A multi-line dump (`METRICS`, `TRACE`, `SUBS`). Only text-only
-    /// verbs answer with it.
+    /// A multi-line dump (`METRICS`, `TRACE`, `SUBS`).
     Dump(Vec<String>),
     /// ERR with the text-protocol message spelling.
     Err(String),
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One request of every verb, every `SUB` shape and both `B` bodies'
+    /// extremes.
+    pub(crate) fn one_of_each() -> Vec<Request> {
+        let sub = |kind, u, v, durable| Request::Subscribe { kind, u, v, durable };
+        let mixed = vec![Update::Insert(1, 2), Update::Delete(3, 4), Update::Query(5, 6)];
+        let requests = vec![
+            Request::Insert(1, 2),
+            Request::Delete(3, 4),
+            Request::Query(5, 6),
+            Request::QueryGen(7, 8),
+            Request::Batch(vec![]),
+            Request::Batch(mixed),
+            Request::Label(9),
+            Request::Components,
+            Request::Epoch,
+            Request::Wait { epoch: 9, timeout_ms: 250 },
+            Request::Gen,
+            Request::Quiesce { timeout_ms: 250 },
+            Request::Role,
+            Request::Stats,
+            Request::Flush,
+            Request::Snapshot,
+            Request::WalStats,
+            Request::Ping,
+            Request::Quit,
+            Request::Shutdown,
+            Request::Metrics,
+            Request::Trace(7),
+            Request::Topk { k: 5 },
+            Request::Hist,
+            Request::Size(9),
+            sub(SubKind::Pair, 1, 2, false),
+            sub(SubKind::Pair, 1, 2, true),
+            sub(SubKind::Component, 7, 7, false),
+            sub(SubKind::Component, 7, 7, true),
+            Request::SubAttach { id: 3, after_seq: 9 },
+            Request::Unsubscribe { id: 5 },
+            Request::Subs,
+        ];
+        for spec in &VERBS {
+            assert!(requests.iter().any(|r| r.verb() == spec.verb), "no {} case", spec.text);
+        }
+        requests
+    }
 
     #[test]
     fn every_row_sits_at_its_verbs_index_and_spells_uniquely() {
         for (i, spec) in VERBS.iter().enumerate() {
             assert_eq!(spec.verb as usize, i, "{} is out of place", spec.text);
             assert_eq!(Verb::from_text(spec.text), Some(spec.verb));
+            assert_eq!(Verb::from_tag(spec.tag), Some(spec.verb), "{} shares its tag", spec.text);
         }
-        let mut tags: Vec<u8> = VERBS.iter().filter_map(|s| s.tag).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), VERBS.iter().filter(|s| s.tag.is_some()).count());
         assert_eq!(Verb::from_text("NOPE"), None);
+        assert_eq!(Verb::from_tag(0), None);
+    }
+
+    #[test]
+    fn every_verb_round_trips_through_both_codecs() {
+        use crate::binproto::{decode_request, encode_request};
+        use crate::net::{write_request, Decoded, LineDecoder};
+        for req in one_of_each() {
+            let payload = encode_request(0xDEAD_BEEF, &req);
+            assert_eq!(payload[8], req.verb().spec().tag);
+            assert_eq!(decode_request(&payload), Ok((0xDEAD_BEEF, req.clone())));
+            let mut line = Vec::new();
+            write_request(&mut line, &req);
+            let mut dec = LineDecoder::default();
+            dec.push(&line);
+            assert_eq!(dec.next(), Some(Decoded::Request(req.clone())), "{line:?}");
+            assert_eq!(dec.next(), None, "nothing left over after {req:?}");
+        }
     }
 }

@@ -12,6 +12,7 @@ use cc_graph::io::binary::crc32;
 use cc_server::binproto::{
     self, frame, FrameAssembler, FrameError, MAX_FRAME_PAYLOAD, STREAM_MAGIC,
 };
+use cc_server::request::Request;
 use cc_server::{serve, Role, Service, ServiceConfig, TcpServer, WireClient};
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -148,6 +149,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// `decode_request` never panics on an arbitrary payload, and every
+    /// payload it accepts re-encodes to exactly its bytes: one request has
+    /// one encoding. Most `cut`s are some verb's exact argument length, and
+    /// `shape` folds the `SUB` kind and flags, the `B` count and its op tags
+    /// toward the values that decode.
+    #[test]
+    fn decoded_requests_re_encode_to_their_bytes(
+        corr in proptest::collection::vec(0u8..=255, 8..9),
+        tag in 0u8..0x20,
+        args in proptest::collection::vec(0u8..=255, 0..48),
+        cut in 0usize..8,
+        shape in 0u8..2,
+    ) {
+        let mut args = args[..args.len().min([0, 1, 4, 8, 10, 16, 17, 48][cut])].to_vec();
+        if shape == 1 {
+            if let Some(kind) = args.first_mut() {
+                *kind %= 4;
+            }
+            if let Some(flags) = args.get_mut(9).filter(|_| tag == 0x0E) {
+                *flags %= 3;
+            }
+            if tag == 0x05 && args.len() >= 4 {
+                let k = (args.len() - 4) / 9;
+                args.truncate(4 + 9 * k);
+                args[..4].copy_from_slice(&(k as u32).to_le_bytes());
+                for op in args[4..].chunks_mut(9) {
+                    op[0] %= 4;
+                }
+            }
+        }
+        let payload = [&corr[..], &[tag], &args[..]].concat();
+        if let Ok((corr, req)) = binproto::decode_request(&payload) {
+            prop_assert_eq!(binproto::encode_request(corr, &req), payload);
+        }
+    }
+}
+
 /// Whether frame `i`'s bytes (header included) end before offset `at`
 /// in the full stream — i.e. the flip cannot have touched it.
 fn stream_frame_untouched(payloads: &[Vec<u8>], i: usize, at: usize) -> bool {
@@ -187,7 +228,7 @@ fn sniff_ambiguity_is_resolved_by_exact_magic_only() {
         asm.push(&[b]);
         assert!(asm.next_frame().expect("no error").is_none());
     }
-    asm.push(&frame(&binproto::encode_request(1, &binproto::BinRequest::Ping)));
+    asm.push(&frame(&binproto::encode_request(1, &Request::Ping)));
     assert!(asm.next_frame().expect("frame").is_some());
 }
 
@@ -251,11 +292,8 @@ fn live_server_survives_garbage_streams() {
             // Valid magic + one valid frame + corrupted tail.
             2 => {
                 bytes.extend_from_slice(&STREAM_MAGIC);
-                bytes.extend_from_slice(&frame(&binproto::encode_request(
-                    1,
-                    &binproto::BinRequest::Ping,
-                )));
-                let mut f = frame(&binproto::encode_request(2, &binproto::BinRequest::Ping));
+                bytes.extend_from_slice(&frame(&binproto::encode_request(1, &Request::Ping)));
+                let mut f = frame(&binproto::encode_request(2, &Request::Ping));
                 let at = 8 + (next() as usize % (f.len() - 8));
                 f[at] ^= 1 << (next() % 8);
                 bytes.extend_from_slice(&f);

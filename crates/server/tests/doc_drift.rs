@@ -1,10 +1,10 @@
 //! Doc-drift gate: `PROTOCOL.md` is the single authoritative protocol
 //! reference, so it must stay in lock-step with the parser tables the
 //! code actually ships — the one verb table, [`cc_server::request::VERBS`].
-//! Coverage is checked in both directions: every verb the table holds must
-//! be documented, and every verb the document's tables claim must exist
-//! in the table, with the table's binary tag. Every row also has its
-//! `connectit_requests_total` counter in a live `METRICS` scrape.
+//! Coverage is checked in both directions: every verb the table holds has
+//! exactly one row in the document's verb table, with the table's binary
+//! tag, and the document's table has no row the code lacks. Every row also
+//! has its `connectit_requests_total` counter in a live `METRICS` scrape.
 //! One behavioural claim is held the same way: §1.3's "one representative
 //! per component" is checked against a live server. `DESIGN.md` is held
 //! to the one log format: every WAL kind byte and replication tag the
@@ -39,74 +39,52 @@ fn row_verb(line: &str) -> Option<&str> {
     Some(rest[..close].split_whitespace().next().unwrap_or(""))
 }
 
-/// The table's `(text name, tag)` pairs for the verbs with a binary tag.
-fn bin_verbs() -> Vec<(&'static str, u8)> {
-    VERBS.iter().filter_map(|s| s.tag.map(|tag| (s.text, tag))).collect()
-}
-
-fn text_verb(verb: &str) -> bool {
-    VERBS.iter().any(|s| s.text == verb)
-}
-
 #[test]
 fn every_text_verb_the_parser_accepts_is_documented() {
     let missing: Vec<&str> = VERBS.iter().map(|s| s.text).filter(|v| !documented(v)).collect();
     assert!(missing.is_empty(), "verbs in VERBS but absent from PROTOCOL.md: {missing:?}");
 }
 
+/// The §1.2 table's `(text name, tag)` rows: the first backticked token of
+/// the request column and the tag column.
+fn table_rows() -> Vec<(&'static str, u8)> {
+    let table = section("### 1.2 Verb reference", "### 1.3");
+    let rows = table.lines().filter(|l| l.starts_with("| `")).map(|line| {
+        let verb = row_verb(line).unwrap_or_else(|| panic!("unparseable table row: {line}"));
+        let tag = line.split('|').nth(2).unwrap_or("").trim();
+        let tag = u8::from_str_radix(tag.trim_start_matches("0x"), 16)
+            .unwrap_or_else(|_| panic!("unparseable tag in row: {line}"));
+        (verb, tag)
+    });
+    rows.collect()
+}
+
 #[test]
 fn every_binary_verb_the_parser_accepts_is_documented() {
-    // Each binary verb must appear both by its text name and by its tag.
-    for (name, tag) in bin_verbs() {
-        assert!(documented(name), "binary verb {name:?} absent from PROTOCOL.md");
-        let tag = format!("0x{tag:02X}");
-        assert!(
-            PROTOCOL.contains(&tag),
-            "binary tag {tag} (verb {name:?}) absent from PROTOCOL.md"
-        );
+    // Every verb has a tag, and one row of §1.2 spells both.
+    let rows = table_rows();
+    for spec in &VERBS {
+        let mine: Vec<u8> = rows.iter().filter(|r| r.0 == spec.text).map(|r| r.1).collect();
+        assert_eq!(mine, [spec.tag], "PROTOCOL.md §1.2 rows for {} ({:#04x})", spec.text, spec.tag);
     }
 }
 
 #[test]
 fn every_documented_text_verb_exists_in_the_parser() {
-    // Walk the §1.2 verb-reference table: the first backticked token of
-    // each row must be a verb (or a grammar alternative of one) that
-    // VERBS actually contains.
-    let table = section("### 1.2 Verb reference", "### 1.3");
-    let mut rows = 0;
-    for line in table.lines().filter(|l| l.starts_with("| `")) {
-        let verb = row_verb(line).unwrap_or_else(|| panic!("unparseable table row: {line}"));
+    for (verb, _) in table_rows() {
         assert!(
-            text_verb(verb),
-            "PROTOCOL.md documents text verb {verb:?}, but the parser does not accept it"
+            VERBS.iter().any(|s| s.text == verb),
+            "PROTOCOL.md documents verb {verb:?}, but the parser does not accept it"
         );
-        rows += 1;
     }
-    // Every verb has at least one row; SUB has three grammar forms.
-    assert!(rows >= VERBS.len(), "verb table shrank: {rows} rows for {} verbs", VERBS.len());
 }
 
 #[test]
 fn every_documented_binary_verb_exists_in_the_parser_with_the_right_tag() {
-    let table = section("### 2.2 Verb tags", "### 2.3");
-    let mut rows = 0;
-    for line in table.lines().filter(|l| l.starts_with("| 0x")) {
-        let mut cols = line.split('|').skip(1).map(str::trim);
-        let tag = cols.next().unwrap_or("");
-        let name = cols.next().unwrap_or("").trim_matches('`');
-        let tag = u8::from_str_radix(tag.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|_| panic!("unparseable tag in row: {line}"));
-        // The table's verb column uses the long constant name; the text
-        // equivalent column holds the VERBS text name.
-        let text = cols.next().unwrap_or("").trim_matches('`');
-        let bin = bin_verbs();
-        let entry = bin.iter().find(|(n, _)| *n == text).unwrap_or_else(|| {
-            panic!("PROTOCOL.md documents binary verb {name} ({text}), unknown to the parser")
-        });
-        assert_eq!(entry.1, tag, "PROTOCOL.md tag for {name} disagrees with the parser");
-        rows += 1;
+    for (verb, tag) in table_rows() {
+        let spec = VERBS.iter().find(|s| s.text == verb);
+        assert!(spec.is_some_and(|s| s.tag == tag), "PROTOCOL.md tag {tag:#04x} for {verb}");
     }
-    assert_eq!(rows, bin_verbs().len(), "binary verb table rows != tagged VERBS rows");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! process and verify recovery from its `--wal-dir`.
 
 use cc_parallel::SplitMix64;
-use cc_server::request::{BinRequest, Request};
+use cc_server::request::Request;
 use cc_server::{
     serve, DurabilityConfig, ExecMode, FsyncPolicy, Reply, Service, ServiceConfig, SubKind,
     WireClient,
@@ -402,16 +402,17 @@ fn on_both_doors(doors: &mut [WireClient; 2], req: Request) -> Reply {
 }
 
 /// One client, both doors: the same script against one server answers
-/// alike through the text codec and through the binary codec; a
-/// text-only verb is refused on the binary door before it reaches the
-/// wire; each door receives its subscription's pushed event.
+/// alike through the text codec and through the binary codec, for every
+/// verb; each door receives its subscription's pushed event.
 #[test]
 fn one_client_answers_alike_on_both_doors() {
-    use BinRequest as W;
+    use Request as W;
+    let dir = tmp_dir("both_doors");
     let mut svc = Service::start(ServiceConfig {
         n: 64,
         shards: 2,
         batch_max_wait: Duration::from_micros(50),
+        durability: Some(DurabilityConfig::new(&dir)),
         ..ServiceConfig::default()
     })
     .expect("service");
@@ -423,39 +424,48 @@ fn one_client_answers_alike_on_both_doors() {
 
     // Writes: each door writes the same edges (a repeat changes nothing),
     // and the batch's queries read state both doors already acked.
-    assert_eq!(both(&mut doors, W::Insert(1, 2).into()), Reply::Ok);
-    assert_eq!(both(&mut doors, W::Insert(2, 3).into()), Reply::Ok);
+    assert_eq!(both(&mut doors, W::Insert(1, 2)), Reply::Ok);
+    assert_eq!(both(&mut doors, W::Insert(2, 3)), Reply::Ok);
     let batch = W::Batch(vec![Update::Insert(4, 5), Update::Query(1, 3), Update::Query(1, 9)]);
-    assert_eq!(both(&mut doors, batch.into()), Reply::Answers(vec![(true, None), (false, None)]));
+    assert_eq!(both(&mut doors, batch), Reply::Answers(vec![(true, None), (false, None)]));
     // Reads of one settled state.
-    assert_eq!(both(&mut doors, W::Quiesce { timeout_ms: 10_000 }.into()), Reply::Value(0));
-    assert_eq!(both(&mut doors, W::Query(1, 3).into()), Reply::Bit(true));
-    assert_eq!(both(&mut doors, W::QueryGen(1, 9).into()), Reply::BitGen(false, None));
-    assert!(matches!(both(&mut doors, W::Gen.into()), Reply::Gen { generation: 0, .. }));
-    let Reply::Topk { entries, .. } = both(&mut doors, W::Topk { k: 3 }.into()) else {
-        panic!("TOPK")
-    };
+    assert_eq!(both(&mut doors, W::Quiesce { timeout_ms: 10_000 }), Reply::Value(0));
+    assert_eq!(both(&mut doors, W::Query(1, 3)), Reply::Bit(true));
+    assert_eq!(both(&mut doors, W::QueryGen(1, 9)), Reply::BitGen(false, None));
+    assert!(matches!(both(&mut doors, W::Gen), Reply::Gen { generation: 0, .. }));
+    let Reply::Topk { entries, .. } = both(&mut doors, W::Topk { k: 3 }) else { panic!("TOPK") };
     assert_eq!(entries.iter().map(|&(_, size)| size).collect::<Vec<_>>(), vec![3, 2]);
-    assert!(matches!(both(&mut doors, W::Hist.into()), Reply::Hist { components: 61, .. }));
-    assert!(matches!(both(&mut doors, W::Size(1).into()), Reply::Size { size: 3, .. }));
-    assert_eq!(both(&mut doors, W::Ping.into()), Reply::Ok);
+    assert!(matches!(both(&mut doors, W::Hist), Reply::Hist { components: 61, .. }));
+    let Reply::Size { size: 3, root } = both(&mut doors, W::Size(1)) else { panic!("SIZE") };
+    assert_eq!(both(&mut doors, W::Label(3)), Reply::Value(root.into()));
+    assert_eq!(both(&mut doors, W::Components), Reply::Value(61));
+    assert_eq!(both(&mut doors, W::Role), Reply::Line("primary".into()));
+    assert_eq!(both(&mut doors, W::Ping), Reply::Ok);
     for c in &mut doors {
         let err = c.query(1, 99).unwrap_err();
         assert_eq!(err.to_string(), "server error: vertex 99 out of range (n = 64)");
+        let err = c.label(99).unwrap_err();
+        assert_eq!(err.to_string(), "server error: vertex 99 out of range (n = 64)");
     }
-    // The text door's `Q` rides a batch, so the epoch is read after it.
-    let Reply::Value(epoch) = both(&mut doors, W::Epoch.into()) else { panic!("EPOCH") };
-    assert_eq!(both(&mut doors, W::Wait { epoch, timeout_ms: 1000 }.into()), Reply::Value(epoch));
+    // Reads commit nothing, so both doors read one epoch after them.
+    let Reply::Value(epoch) = both(&mut doors, W::Epoch) else { panic!("EPOCH") };
+    assert_eq!(both(&mut doors, W::Wait { epoch, timeout_ms: 1000 }), Reply::Value(epoch));
+    assert_eq!(both(&mut doors, W::Flush), Reply::Ok);
+    assert_eq!(both(&mut doors, W::Snapshot), Reply::Value(epoch));
+    // The counter dumps move between the two calls; their shape does not.
+    for req in [W::Metrics, W::Trace(5), W::Stats, W::WalStats] {
+        let [text, bin] = doors.each_mut().map(|c| c.call(&req).expect("dump"));
+        assert_eq!(std::mem::discriminant(&text), std::mem::discriminant(&bin), "{req:?}");
+        assert!(matches!(text, Reply::Dump(_) | Reply::Line(_)), "{req:?}: {text:?}");
+    }
 
     // SUB: ids are the server's, one per registration; the epoch is the
     // same. The pair is connected already, so each subscription fires at
     // once, toward its own door.
     let mut ids = Vec::new();
-    for c in &mut doors {
-        let sub = W::Subscribe { kind: SubKind::Pair, u: 1, v: 3, durable: false };
-        let Reply::Subscribed { id, epoch: at } = c.call(&sub.into()).expect("SUB") else {
-            panic!("SUB")
-        };
+    for (c, durable) in doors.iter_mut().zip([true, false]) {
+        let sub = W::Subscribe { kind: SubKind::Pair, u: 1, v: 3, durable };
+        let Reply::Subscribed { id, epoch: at } = c.call(&sub).expect("SUB") else { panic!("SUB") };
         assert_eq!(at, epoch);
         let mut evs = c.take_events();
         if evs.is_empty() {
@@ -466,20 +476,24 @@ fn one_client_answers_alike_on_both_doors() {
         ids.push(id);
     }
     assert_ne!(ids[0], ids[1]);
+    let Reply::Dump(subs) = both(&mut doors, W::Subs) else { panic!("SUBS") };
+    assert_eq!(subs.len(), 2, "{subs:?}");
+    // Either door re-binds the durable one; its acked fire is not replayed.
+    let attach = W::SubAttach { id: ids[0], after_seq: 1 };
+    assert_eq!(both(&mut doors, attach), Reply::Subscribed { id: ids[0], epoch });
     for (c, id) in doors.iter_mut().zip(ids) {
-        assert_eq!(c.call(&W::Unsubscribe { id }.into()).expect("UNSUB"), Reply::Ok);
+        assert_eq!(c.call(&W::Unsubscribe { id }).expect("UNSUB"), Reply::Ok);
+        assert!(c.take_events().is_empty());
     }
-
-    // A text-only verb has no binary spelling: refused locally, and the
-    // connection goes on answering.
-    let [text, bin] = &mut doors;
-    let err = bin.call(&Request::Metrics).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
-    assert_eq!(bin.in_flight(), 0);
-    bin.ping().expect("the binary door still answers");
-    assert!(text.metrics().expect("METRICS").iter().any(|l| l.starts_with("connectit_")));
+    // `QUIT` closes either door once its replies are out.
+    for c in &mut doors {
+        c.send(&W::Quit).expect("QUIT");
+        let err = c.reap().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    }
     server.stop();
     svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The deterministic crash drill: loadgen checkpoints its oracle with

@@ -353,10 +353,11 @@ fn a_batch_of_queries_commits_nothing() {
     .expect("service starts");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
     let (mut r, mut w) = raw(server.local_addr());
-    // A primary's text `Q` rides the batch former, alone in its batch.
+    // A query-only `B` rides the batch former, alone in its batch.
     for _ in 0..3 {
+        send_line(&mut w, "B 1");
         send_line(&mut w, "Q 1 2");
-        assert_eq!(read_line(&mut r), "0");
+        assert_eq!(read_line(&mut r), "OK 0");
     }
     send_line(&mut w, "WALSTATS");
     let stats = read_line(&mut r);
@@ -480,7 +481,7 @@ fn slow_subscription_consumer_gets_a_typed_overflow_close() {
 
 use cc_graph::io::binary::{crc32, RecordReader};
 use cc_server::binproto::{self, Reply, MAX_FRAME_PAYLOAD, STREAM_MAGIC};
-use cc_server::request::BinRequest;
+use cc_server::request::Request;
 use cc_server::WireClient;
 use connectit::Update;
 
@@ -554,7 +555,7 @@ fn binary_and_text_share_the_port_and_requests_pipeline() {
     // collected by correlation id in whatever order they complete.
     let mut want = std::collections::HashMap::new();
     for i in 0..64u32 {
-        let corr = bin.send(&BinRequest::Query(1, 2 + (i % 3)).into()).expect("send");
+        let corr = bin.send(&Request::Query(1, 2 + (i % 3))).expect("send");
         want.insert(corr, (i % 3) < 2);
     }
     assert_eq!(bin.in_flight(), 64);
@@ -605,10 +606,10 @@ fn binary_request_errors_answer_exact_spellings_and_stay_open() {
     send_frame(&mut w, &p, 0);
     expect_err(&mut r, 10, &format!("batch too large (max {MAX_WIRE_BATCH})"));
     // Out-of-range vertices reuse the service spelling, per request.
-    send_frame(&mut w, &binproto::encode_request(11, &binproto::BinRequest::Query(99, 0)), 0);
+    send_frame(&mut w, &binproto::encode_request(11, &Request::Query(99, 0)), 0);
     expect_err(&mut r, 11, "vertex 99 out of range (n = 64)");
     // All recoverable: the connection still answers.
-    send_frame(&mut w, &binproto::encode_request(12, &binproto::BinRequest::Ping), 0);
+    send_frame(&mut w, &binproto::encode_request(12, &Request::Ping), 0);
     assert_eq!(read_reply(&mut r), (12, binproto::STATUS_OK, vec![]));
     server.stop();
     svc.shutdown();
@@ -620,7 +621,7 @@ fn binary_frame_damage_gets_a_typed_err_and_close() {
     // CRC damage: corr-0 ERR, then close (`bad-frame`).
     {
         let (mut r, mut w) = raw_bin(addr);
-        let p = binproto::encode_request(1, &binproto::BinRequest::Ping);
+        let p = binproto::encode_request(1, &Request::Ping);
         let stored = crc32(&p) ^ 1;
         let computed = crc32(&p);
         send_frame(&mut w, &p, 1);
@@ -674,21 +675,20 @@ fn binary_follower_rejects_updates_and_serves_query_batches() {
     let (mut svc, mut server, addr) = start(Role::Follower);
     let mut bin = WireClient::binary(addr).expect("connect");
     let deny = "read-only follower: route updates to the primary";
-    let corr = bin.send(&BinRequest::Insert(1, 2).into()).expect("send");
+    let corr = bin.send(&Request::Insert(1, 2)).expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
-    let corr = bin.send(&BinRequest::Delete(1, 2).into()).expect("send");
+    let corr = bin.send(&Request::Delete(1, 2)).expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
     // One update poisons the whole batch, exactly like the text door...
-    let corr = bin
-        .send(&BinRequest::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)]).into())
-        .expect("send");
+    let corr =
+        bin.send(&Request::Batch(vec![Update::Insert(1, 2), Update::Query(1, 2)])).expect("send");
     assert_eq!(bin.reap().expect("reap"), (corr, Reply::Err(deny.into())));
     // ...while query-only batches answer against the replicated state.
     let answers = bin.submit(&[Update::Query(1, 2), Update::Query(3, 3)]).expect("submit");
     assert_eq!(answers, vec![(false, None), (true, None)]);
     assert!(!bin.query(1, 2).expect("query"));
     // WAIT keeps the text spelling for a timed-out barrier.
-    let corr = bin.send(&BinRequest::Wait { epoch: 5, timeout_ms: 50 }.into()).expect("send");
+    let corr = bin.send(&Request::Wait { epoch: 5, timeout_ms: 50 }).expect("send");
     assert_eq!(
         bin.reap().expect("reap"),
         (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))
@@ -714,7 +714,7 @@ fn idle_sweep_spares_a_request_in_flight_on_either_door() {
     send_line(&mut w, "WAIT 5 400");
     assert_eq!(read_line(&mut r), "ERR wait for epoch 5 timed out at epoch 0");
     let mut bin = WireClient::binary(addr).expect("connect");
-    let corr = bin.send(&BinRequest::Wait { epoch: 5, timeout_ms: 400 }.into()).expect("send");
+    let corr = bin.send(&Request::Wait { epoch: 5, timeout_ms: 400 }).expect("send");
     assert_eq!(
         bin.reap().expect("reap"),
         (corr, Reply::Err("wait for epoch 5 timed out at epoch 0".into()))

@@ -4,7 +4,7 @@
 //! scrapes, and the recorder's trace file must survive a shutdown and
 //! be consumed (logged and removed) by the next run's recovery.
 
-use cc_server::request::BinRequest;
+use cc_server::request::Request;
 use cc_server::wal::{DurabilityConfig, FsyncPolicy};
 use cc_server::{Service, ServiceConfig};
 use connectit::Update;
@@ -335,8 +335,8 @@ fn binary_load_populates_net_plane_series_and_stays_monotone() {
         // have something to coalesce and the depth histogram something
         // to record.
         for i in 0..32u32 {
-            bin.send(&BinRequest::Insert(i, i + 1).into()).expect("send");
-            bin.send(&BinRequest::Query(0, i + 1).into()).expect("send");
+            bin.send(&Request::Insert(i, i + 1)).expect("send");
+            bin.send(&Request::Query(0, i + 1)).expect("send");
         }
         while bin.in_flight() > 0 {
             bin.reap().expect("reap");

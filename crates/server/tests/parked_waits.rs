@@ -4,7 +4,7 @@
 
 #![cfg(target_os = "linux")]
 
-use cc_server::request::{BinRequest, Request};
+use cc_server::request::Request;
 use cc_server::{serve, Reply, Service, ServiceConfig, WireClient};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -21,8 +21,8 @@ fn threads() -> usize {
 /// with a `PING` whose reply, reaped first, proves every `WAIT` before it
 /// was read and parked.
 fn park_waits(addr: SocketAddr, waits: usize, epoch: u64) -> Vec<WireClient> {
-    let wait = Request::Bin(BinRequest::Wait { epoch, timeout_ms: u64::MAX });
-    let ping = Request::Bin(BinRequest::Ping);
+    let wait = Request::Wait { epoch, timeout_ms: u64::MAX };
+    let ping = Request::Ping;
     let mut conns: Vec<WireClient> =
         (0..CONNS).map(|_| WireClient::binary(addr).expect("connect")).collect();
     for i in 0..waits {
