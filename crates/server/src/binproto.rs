@@ -89,7 +89,7 @@ use connectit::Update;
 
 use crate::net::MAX_WIRE_BATCH;
 pub use crate::request::Reply;
-use crate::request::{Request, Verb};
+use crate::request::{Request, Shape, Verb};
 use crate::subs::{SubEvent, SubKind};
 
 // `benchmark/src/bin/layers.rs` still names the request type by its older
@@ -611,31 +611,29 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
         return Err(bad_reply("unknown-status"));
     }
     let text = || String::from_utf8(body.to_vec()).map_err(|_| bad_reply("text"));
-    let reply = match req_verb {
-        verb::INSERT | verb::DELETE | verb::PING | verb::UNSUBSCRIBE => Reply::Ok,
-        verb::FLUSH | verb::QUIT | verb::SHUTDOWN => Reply::Ok,
-        verb::ROLE | verb::STATS | verb::WALSTATS => Reply::Line(text()?),
-        verb::METRICS | verb::TRACE | verb::SUBS if body.is_empty() => Reply::Dump(Vec::new()),
-        verb::METRICS | verb::TRACE | verb::SUBS => {
-            Reply::Dump(text()?.split('\n').map(str::to_string).collect())
-        }
-        verb::SUBSCRIBE => {
+    let shape = Verb::from_tag(req_verb).ok_or_else(|| bad_reply("unknown-verb"))?.spec().shape;
+    let reply = match shape {
+        Shape::Ok => Reply::Ok,
+        Shape::Line => Reply::Line(text()?),
+        Shape::Dump if body.is_empty() => Reply::Dump(Vec::new()),
+        Shape::Dump => Reply::Dump(text()?.split('\n').map(str::to_string).collect()),
+        Shape::Subscribed => {
             if body.len() != 16 {
                 return Err(bad_reply("SUB"));
             }
             Reply::Subscribed { id: rd_u64(body), epoch: rd_u64(&body[8..]) }
         }
-        verb::QUERY => {
+        Shape::Bit => {
             if body.len() != 1 {
                 return Err(bad_reply("Q"));
             }
             Reply::Bit(body[0] != 0)
         }
-        verb::QUERY_GEN => {
+        Shape::BitGen => {
             let (b, gen) = read_tagged(body).ok_or_else(|| bad_reply("QG"))?;
             Reply::BitGen(b, gen)
         }
-        verb::BATCH => {
+        Shape::Answers => {
             if body.len() < 4 {
                 return Err(bad_reply("B"));
             }
@@ -649,18 +647,13 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
             }
             Reply::Answers(answers)
         }
-        verb::EPOCH
-        | verb::WAIT
-        | verb::QUIESCE
-        | verb::LABEL
-        | verb::COMPONENTS
-        | verb::SNAPSHOT => {
+        Shape::Value => {
             if body.len() != 8 {
                 return Err(bad_reply("epoch"));
             }
             Reply::Value(rd_u64(body))
         }
-        verb::GEN => {
+        Shape::Gen => {
             if body.len() != 41 {
                 return Err(bad_reply("GEN"));
             }
@@ -673,7 +666,7 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
                 absent: rd_u64(&body[33..]),
             }
         }
-        verb::TOPK => {
+        Shape::Topk => {
             if body.len() < 21 {
                 return Err(bad_reply("TOPK"));
             }
@@ -692,7 +685,7 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
                 entries,
             }
         }
-        verb::HIST => {
+        Shape::Hist => {
             if body.len() < 29 {
                 return Err(bad_reply("HIST"));
             }
@@ -712,13 +705,12 @@ pub fn decode_reply(payload: &[u8], req_verb: u8) -> io::Result<(u64, Reply)> {
                 buckets,
             }
         }
-        verb::SIZE => {
+        Shape::Size => {
             if body.len() != 12 {
                 return Err(bad_reply("SIZE"));
             }
             Reply::Size { size: rd_u64(body), root: rd_u32(&body[8..]) }
         }
-        _ => return Err(bad_reply("unknown-verb")),
     };
     Ok((corr, reply))
 }

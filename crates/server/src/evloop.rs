@@ -254,10 +254,11 @@ struct Conn {
     last_activity: Instant,
     /// Set when the connection must close once its write queue drains.
     closing: Option<CloseReason>,
-    /// Subscriptions registered on this connection, `(id, durable)`.
-    /// Ephemeral ones die with the connection; durable ones detach and
-    /// keep accumulating events server-side for a later `SUB ATTACH`.
-    subs: Vec<(u64, bool)>,
+    /// Subscriptions registered or attached on this connection, each
+    /// durable one with the sink it bound. Ephemeral ones die with the
+    /// connection; a durable one loses that sink, if it still holds it,
+    /// and keeps accumulating events server-side for a later `SUB ATTACH`.
+    subs: Vec<(u64, Option<Arc<dyn SubSink>>)>,
 }
 
 impl Conn {
@@ -714,15 +715,10 @@ impl Shard {
                 // The reply is queued before drain_events runs this round,
                 // so it always precedes the first event even when the
                 // registration fires instantly.
-                let reply = match self.client.subscribe(
-                    kind,
-                    u,
-                    v,
-                    durable,
-                    Some(self.sink(token, corr)),
-                ) {
+                let sink = self.sink(token, corr);
+                let reply = match self.client.subscribe(kind, u, v, durable, Some(sink.clone())) {
                     Ok((id, epoch)) => {
-                        self.track_sub(token, id, durable);
+                        self.track_sub(token, id, durable.then_some(sink));
                         Reply::Subscribed { id, epoch }
                     }
                     Err(e) => Reply::Err(e.to_string()),
@@ -730,9 +726,10 @@ impl Shard {
                 self.queue_reply(token, corr, reply, true);
             }
             Request::SubAttach { id, after_seq } => {
-                let reply = match self.client.attach_sub(id, after_seq, self.sink(token, corr)) {
+                let sink = self.sink(token, corr);
+                let reply = match self.client.attach_sub(id, after_seq, sink.clone()) {
                     Ok(_last_seq) => {
-                        self.track_sub(token, id, true);
+                        self.track_sub(token, id, Some(sink));
                         Reply::Subscribed { id, epoch: self.client.epoch() }
                     }
                     Err(e) => Reply::Err(e.to_string()),
@@ -774,9 +771,9 @@ impl Shard {
         })
     }
 
-    fn track_sub(&mut self, token: usize, id: u64, durable: bool) {
+    fn track_sub(&mut self, token: usize, id: u64, durable_sink: Option<Arc<dyn SubSink>>) {
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.subs.push((id, durable));
+            conn.subs.push((id, durable_sink));
         }
     }
 
@@ -1041,11 +1038,12 @@ impl Shard {
         });
         // Ephemeral subscriptions die with the connection; durable ones
         // only lose their sink and keep accumulating for `SUB ATTACH`.
-        for &(id, durable) in &conn.subs {
-            if durable {
-                self.client.detach_sub(id);
-            } else {
-                let _ = self.client.unsubscribe(id);
+        for (id, durable_sink) in &conn.subs {
+            match durable_sink {
+                Some(sink) => self.client.detach_sub(*id, sink),
+                None => {
+                    let _ = self.client.unsubscribe(*id);
+                }
             }
         }
         self.gauge.dec();

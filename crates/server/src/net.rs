@@ -83,7 +83,7 @@
 //! analytical reads there by default (DESIGN.md §12).
 
 use crate::obs::{CloseReason, DEFAULT_TRACE_EVENTS};
-use crate::request::{Reply, Request, Verb};
+use crate::request::{Reply, Request, Shape, Verb};
 use crate::service::Service;
 use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
@@ -355,45 +355,29 @@ impl LineDecoder {
 /// the dump verbs every line plus a `# EOF` terminator.
 pub(crate) fn write_reply(out: &mut Vec<u8>, verb: Verb, reply: &Reply) {
     let bit = |b: bool| u8::from(b);
+    let head = verb.spec().head;
     let _ = match reply {
         Reply::Err(msg) => writeln!(out, "ERR {msg}"),
-        Reply::Ok => writeln!(
-            out,
-            "{}",
-            match verb {
-                Verb::Ping => "PONG",
-                Verb::Shutdown => "BYE",
-                _ => "OK",
-            }
-        ),
+        Reply::Ok => writeln!(out, "{head}"),
         Reply::Bit(b) => writeln!(out, "{}", bit(*b)),
         Reply::BitGen(b, None) => writeln!(out, "{}", bit(*b)),
         Reply::BitGen(b, Some(generation)) => writeln!(out, "{} G {generation}", bit(*b)),
-        Reply::Answers(answers) if answers.is_empty() => writeln!(out, "OK"),
+        Reply::Answers(answers) if answers.is_empty() => writeln!(out, "{head}"),
         Reply::Answers(answers) => {
             let bits: String = answers.iter().map(|&(a, _)| if a { '1' } else { '0' }).collect();
-            writeln!(out, "OK {bits}")
+            writeln!(out, "{head} {bits}")
         }
-        Reply::Value(v) => {
-            let prefix = match verb {
-                Verb::Label => "L",
-                Verb::Components => "C",
-                Verb::Quiesce => "G",
-                Verb::Snapshot => "SNAP",
-                _ => "E",
-            };
-            writeln!(out, "{prefix} {v}")
-        }
+        Reply::Value(v) => writeln!(out, "{head} {v}"),
         Reply::Gen { generation, dirty, rebuilds, forest, nonforest, absent } => writeln!(
             out,
-            "G {generation} dirty={} rebuilds={rebuilds} forest={forest} nonforest={nonforest} \
-             absent={absent}",
+            "{head} {generation} dirty={} rebuilds={rebuilds} forest={forest} \
+             nonforest={nonforest} absent={absent}",
             bit(*dirty)
         ),
         Reply::Topk { epoch, generation, sealed, entries } => {
             let _ = write!(
                 out,
-                "K k={} epoch={epoch} gen={generation} sealed={}",
+                "{head} k={} epoch={epoch} gen={generation} sealed={}",
                 entries.len(),
                 bit(*sealed)
             );
@@ -405,7 +389,7 @@ pub(crate) fn write_reply(out: &mut Vec<u8>, verb: Verb, reply: &Reply) {
         Reply::Hist { epoch, generation, sealed, components, buckets } => {
             let _ = write!(
                 out,
-                "H components={components} epoch={epoch} gen={generation} sealed={}",
+                "{head} components={components} epoch={epoch} gen={generation} sealed={}",
                 bit(*sealed)
             );
             for (b, count) in buckets.iter().enumerate().filter(|&(_, &c)| c > 0) {
@@ -413,16 +397,9 @@ pub(crate) fn write_reply(out: &mut Vec<u8>, verb: Verb, reply: &Reply) {
             }
             writeln!(out)
         }
-        Reply::Size { size, root } => writeln!(out, "Z {size} root={root}"),
-        Reply::Subscribed { id, epoch } => writeln!(out, "S {id} {epoch}"),
-        Reply::Line(line) => {
-            let prefix = match verb {
-                Verb::Role => "R",
-                Verb::Stats => "S",
-                _ => "W",
-            };
-            writeln!(out, "{prefix} {line}")
-        }
+        Reply::Size { size, root } => writeln!(out, "{head} {size} root={root}"),
+        Reply::Subscribed { id, epoch } => writeln!(out, "{head} {id} {epoch}"),
+        Reply::Line(line) => writeln!(out, "{head} {line}"),
         Reply::Dump(lines) => {
             for line in lines {
                 let _ = writeln!(out, "{line}");
@@ -451,7 +428,7 @@ pub(crate) fn write_event(out: &mut Vec<u8>, ev: &SubEvent) {
 /// Whether the text door answers `verb` with a multi-line dump ended by a
 /// `# EOF` line (a `Reply::Dump`).
 pub(crate) fn multi_line(verb: Verb) -> bool {
-    matches!(verb, Verb::Metrics | Verb::Trace | Verb::Subs)
+    verb.spec().shape == Shape::Dump
 }
 
 /// Appends `req` as the text door spells it: the inverse of the
@@ -525,18 +502,15 @@ pub(crate) fn parse_reply(verb: Verb, lines: &[String]) -> Result<Reply, String>
 }
 
 fn parse_reply_line(verb: Verb, line: &str) -> Option<Reply> {
+    let spec = verb.spec();
     let (head, rest) = line.split_once(' ').unwrap_or((line, ""));
-    if let (Verb::Role, "R") | (Verb::Stats, "S") | (Verb::WalStats, "W") = (verb, head) {
-        return Some(Reply::Line(rest.to_string()));
-    }
     let mut it = rest.split_whitespace();
     let it = &mut it;
-    let reply = match (verb, head) {
-        (Verb::Ping, "PONG")
-        | (Verb::Shutdown, "BYE")
-        | (Verb::I | Verb::D | Verb::Flush | Verb::Unsub, "OK") => Reply::Ok,
-        (Verb::Q, "0" | "1") => Reply::Bit(head == "1"),
-        (Verb::QG, "0" | "1") => Reply::BitGen(
+    let reply = match spec.shape {
+        // A bit reply has no head: the bit leads the line.
+        Shape::Bit | Shape::BitGen if head != "0" && head != "1" => return None,
+        Shape::Bit => Reply::Bit(head == "1"),
+        Shape::BitGen => Reply::BitGen(
             head == "1",
             match it.next() {
                 None => None,
@@ -544,17 +518,16 @@ fn parse_reply_line(verb: Verb, line: &str) -> Option<Reply> {
                 Some(_) => return None,
             },
         ),
-        (Verb::B, "OK") => {
+        _ if head != spec.head => return None,
+        Shape::Line => return Some(Reply::Line(rest.to_string())),
+        Shape::Ok => Reply::Ok,
+        Shape::Answers => {
             let bits = it.next().unwrap_or("");
             bits.bytes().all(|b| b == b'0' || b == b'1').then_some(())?;
             Reply::Answers(bits.bytes().map(|b| (b == b'1', None)).collect())
         }
-        (Verb::Label, "L")
-        | (Verb::Components, "C")
-        | (Verb::Epoch | Verb::Wait, "E")
-        | (Verb::Quiesce, "G")
-        | (Verb::Snapshot, "SNAP") => Reply::Value(field(it, "")?),
-        (Verb::Gen, "G") => Reply::Gen {
+        Shape::Value => Reply::Value(field(it, "")?),
+        Shape::Gen => Reply::Gen {
             generation: field(it, "")?,
             dirty: field::<u8>(it, "dirty")? != 0,
             rebuilds: field(it, "rebuilds")?,
@@ -562,14 +535,14 @@ fn parse_reply_line(verb: Verb, line: &str) -> Option<Reply> {
             nonforest: field(it, "nonforest")?,
             absent: field(it, "absent")?,
         },
-        (Verb::Topk, "K") => {
+        Shape::Topk => {
             let k: usize = field(it, "k")?;
             let (epoch, generation) = (field(it, "epoch")?, field(it, "gen")?);
             let sealed = field::<u8>(it, "sealed")? != 0;
             let entries: Vec<(u32, u64)> = it.map(pair).collect::<Option<_>>()?;
             (entries.len() == k).then_some(Reply::Topk { epoch, generation, sealed, entries })?
         }
-        (Verb::Hist, "H") => {
+        Shape::Hist => {
             let components = field(it, "components")?;
             let (epoch, generation) = (field(it, "epoch")?, field(it, "gen")?);
             let sealed = field::<u8>(it, "sealed")? != 0;
@@ -580,9 +553,9 @@ fn parse_reply_line(verb: Verb, line: &str) -> Option<Reply> {
             }
             Reply::Hist { epoch, generation, sealed, components, buckets }
         }
-        (Verb::Size, "Z") => Reply::Size { size: field(it, "")?, root: field(it, "root")? },
-        (Verb::Sub, "S") => Reply::Subscribed { id: field(it, "")?, epoch: field(it, "")? },
-        _ => return None,
+        Shape::Size => Reply::Size { size: field(it, "")?, root: field(it, "root")? },
+        Shape::Subscribed => Reply::Subscribed { id: field(it, "")?, epoch: field(it, "")? },
+        Shape::Dump => return None,
     };
     it.next().is_none().then_some(reply)
 }

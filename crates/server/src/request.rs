@@ -9,8 +9,9 @@
 //! [`VERBS`] is the only list of verbs. The text parser looks names up in
 //! it, the dispatcher reads its routing columns, the metrics registry
 //! labels `connectit_requests_total{verb=…}` from it, the binary codec maps
-//! tags to verbs through it, and the doc-drift test holds `PROTOCOL.md`'s
-//! verb table to it.
+//! tags to verbs through it, both codecs spell and parse replies from its
+//! reply columns, and the doc-drift test holds `PROTOCOL.md`'s verb table
+//! to it.
 
 use crate::binproto::verb as tag;
 use crate::subs::SubKind;
@@ -66,6 +67,30 @@ pub struct VerbSpec {
     /// its ticket (`service::Client::barrier`) and answers it when the
     /// ticket resolves or its deadline lapses.
     pub blocking: bool,
+    /// The first token of the text door's OK reply line; empty for the
+    /// bit replies, whose bit is the line, for dumps and for `QUIT`.
+    pub head: &'static str,
+    /// The [`Reply`] variant that answers the verb when it succeeds.
+    pub shape: Shape,
+}
+
+/// The shape of a verb's successful reply: which [`Reply`] variant
+/// carries it, and so how each door spells and parses its body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)] // each variant is named by its Reply variant
+pub enum Shape {
+    Ok,
+    Bit,
+    BitGen,
+    Answers,
+    Value,
+    Gen,
+    Topk,
+    Hist,
+    Size,
+    Subscribed,
+    Line,
+    Dump,
 }
 
 const UPDATE: bool = true;
@@ -73,39 +98,47 @@ const READ: bool = false;
 const BLOCKS: bool = true;
 const INLINE: bool = false;
 
-const fn row(verb: Verb, text: &'static str, tag: u8, update: bool, blocking: bool) -> VerbSpec {
-    VerbSpec { verb, text, tag, update, blocking }
+const fn row(
+    verb: Verb,
+    text: &'static str,
+    tag: u8,
+    update: bool,
+    blocking: bool,
+    head: &'static str,
+    shape: Shape,
+) -> VerbSpec {
+    VerbSpec { verb, text, tag, update, blocking, head, shape }
 }
 
 /// Every verb, in `connectit_requests_total` export order.
 pub const VERBS: [VerbSpec; 27] = [
-    row(Verb::I, "I", tag::INSERT, UPDATE, INLINE),
-    row(Verb::D, "D", tag::DELETE, UPDATE, INLINE),
-    row(Verb::Q, "Q", tag::QUERY, READ, INLINE),
-    row(Verb::QG, "QG", tag::QUERY_GEN, READ, INLINE),
-    row(Verb::B, "B", tag::BATCH, UPDATE, INLINE),
-    row(Verb::Label, "LABEL", tag::LABEL, READ, INLINE),
-    row(Verb::Components, "COMPONENTS", tag::COMPONENTS, READ, INLINE),
-    row(Verb::Epoch, "EPOCH", tag::EPOCH, READ, INLINE),
-    row(Verb::Wait, "WAIT", tag::WAIT, READ, BLOCKS),
-    row(Verb::Gen, "GEN", tag::GEN, READ, INLINE),
-    row(Verb::Quiesce, "QUIESCE", tag::QUIESCE, READ, BLOCKS),
-    row(Verb::Role, "ROLE", tag::ROLE, READ, INLINE),
-    row(Verb::Stats, "STATS", tag::STATS, READ, INLINE),
-    row(Verb::Flush, "FLUSH", tag::FLUSH, READ, BLOCKS),
-    row(Verb::Snapshot, "SNAPSHOT", tag::SNAPSHOT, READ, BLOCKS),
-    row(Verb::WalStats, "WALSTATS", tag::WALSTATS, READ, INLINE),
-    row(Verb::Ping, "PING", tag::PING, READ, INLINE),
-    row(Verb::Quit, "QUIT", tag::QUIT, READ, INLINE),
-    row(Verb::Shutdown, "SHUTDOWN", tag::SHUTDOWN, READ, INLINE),
-    row(Verb::Metrics, "METRICS", tag::METRICS, READ, INLINE),
-    row(Verb::Trace, "TRACE", tag::TRACE, READ, INLINE),
-    row(Verb::Topk, "TOPK", tag::TOPK, READ, INLINE),
-    row(Verb::Hist, "HIST", tag::HIST, READ, INLINE),
-    row(Verb::Size, "SIZE", tag::SIZE, READ, INLINE),
-    row(Verb::Sub, "SUB", tag::SUBSCRIBE, READ, INLINE),
-    row(Verb::Unsub, "UNSUB", tag::UNSUBSCRIBE, READ, INLINE),
-    row(Verb::Subs, "SUBS", tag::SUBS, READ, INLINE),
+    row(Verb::I, "I", tag::INSERT, UPDATE, INLINE, "OK", Shape::Ok),
+    row(Verb::D, "D", tag::DELETE, UPDATE, INLINE, "OK", Shape::Ok),
+    row(Verb::Q, "Q", tag::QUERY, READ, INLINE, "", Shape::Bit),
+    row(Verb::QG, "QG", tag::QUERY_GEN, READ, INLINE, "", Shape::BitGen),
+    row(Verb::B, "B", tag::BATCH, UPDATE, INLINE, "OK", Shape::Answers),
+    row(Verb::Label, "LABEL", tag::LABEL, READ, INLINE, "L", Shape::Value),
+    row(Verb::Components, "COMPONENTS", tag::COMPONENTS, READ, INLINE, "C", Shape::Value),
+    row(Verb::Epoch, "EPOCH", tag::EPOCH, READ, INLINE, "E", Shape::Value),
+    row(Verb::Wait, "WAIT", tag::WAIT, READ, BLOCKS, "E", Shape::Value),
+    row(Verb::Gen, "GEN", tag::GEN, READ, INLINE, "G", Shape::Gen),
+    row(Verb::Quiesce, "QUIESCE", tag::QUIESCE, READ, BLOCKS, "G", Shape::Value),
+    row(Verb::Role, "ROLE", tag::ROLE, READ, INLINE, "R", Shape::Line),
+    row(Verb::Stats, "STATS", tag::STATS, READ, INLINE, "S", Shape::Line),
+    row(Verb::Flush, "FLUSH", tag::FLUSH, READ, BLOCKS, "OK", Shape::Ok),
+    row(Verb::Snapshot, "SNAPSHOT", tag::SNAPSHOT, READ, BLOCKS, "SNAP", Shape::Value),
+    row(Verb::WalStats, "WALSTATS", tag::WALSTATS, READ, INLINE, "W", Shape::Line),
+    row(Verb::Ping, "PING", tag::PING, READ, INLINE, "PONG", Shape::Ok),
+    row(Verb::Quit, "QUIT", tag::QUIT, READ, INLINE, "", Shape::Ok),
+    row(Verb::Shutdown, "SHUTDOWN", tag::SHUTDOWN, READ, INLINE, "BYE", Shape::Ok),
+    row(Verb::Metrics, "METRICS", tag::METRICS, READ, INLINE, "", Shape::Dump),
+    row(Verb::Trace, "TRACE", tag::TRACE, READ, INLINE, "", Shape::Dump),
+    row(Verb::Topk, "TOPK", tag::TOPK, READ, INLINE, "K", Shape::Topk),
+    row(Verb::Hist, "HIST", tag::HIST, READ, INLINE, "H", Shape::Hist),
+    row(Verb::Size, "SIZE", tag::SIZE, READ, INLINE, "Z", Shape::Size),
+    row(Verb::Sub, "SUB", tag::SUBSCRIBE, READ, INLINE, "S", Shape::Subscribed),
+    row(Verb::Unsub, "UNSUB", tag::UNSUBSCRIBE, READ, INLINE, "OK", Shape::Ok),
+    row(Verb::Subs, "SUBS", tag::SUBS, READ, INLINE, "", Shape::Dump),
 ];
 
 impl Verb {
@@ -418,6 +451,59 @@ pub(crate) mod tests {
         }
         assert_eq!(Verb::from_text("NOPE"), None);
         assert_eq!(Verb::from_tag(0), None);
+    }
+
+    /// A reply of each row's shape goes through both doors' writers and
+    /// parsers, each reading only the row: the binary door keeps it whole,
+    /// the text door keeps it but for a dump's `# EOF` terminator.
+    #[test]
+    fn every_rows_reply_round_trips_through_both_doors() {
+        use crate::binproto::{decode_reply, encode_reply};
+        use crate::net::{parse_reply, write_reply};
+        let mut buckets = vec![0; crate::analytics::HIST_BUCKETS];
+        (buckets[0], buckets[3]) = (5, 1);
+        for spec in &VERBS {
+            let reply = match spec.shape {
+                Shape::Ok => Reply::Ok,
+                Shape::Bit => Reply::Bit(true),
+                Shape::BitGen => Reply::BitGen(false, Some(4)),
+                Shape::Answers => Reply::Answers(vec![(true, None), (false, None)]),
+                Shape::Value => Reply::Value(17),
+                Shape::Gen => Reply::Gen {
+                    generation: 2,
+                    dirty: true,
+                    rebuilds: 1,
+                    forest: 3,
+                    nonforest: 4,
+                    absent: 5,
+                },
+                Shape::Topk => {
+                    Reply::Topk { epoch: 9, generation: 2, sealed: true, entries: vec![(4, 3)] }
+                }
+                Shape::Hist => Reply::Hist {
+                    epoch: 9,
+                    generation: 2,
+                    sealed: false,
+                    components: 6,
+                    buckets: buckets.clone(),
+                },
+                Shape::Size => Reply::Size { size: 3, root: 4 },
+                Shape::Subscribed => Reply::Subscribed { id: 7, epoch: 9 },
+                Shape::Line => Reply::Line("key=1 other=2".into()),
+                Shape::Dump => Reply::Dump(vec!["first line".into(), "second".into()]),
+            };
+            let payload = encode_reply(11, &reply);
+            assert_eq!(decode_reply(&payload, spec.tag).expect(spec.text), (11, reply.clone()));
+            let mut out = Vec::new();
+            write_reply(&mut out, spec.verb, &reply);
+            let text = String::from_utf8(out).expect("utf-8");
+            assert!(text.starts_with(spec.head), "{}: {text:?}", spec.text);
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            if spec.shape == Shape::Dump {
+                assert_eq!(lines.pop().as_deref(), Some("# EOF"), "{}", spec.text);
+            }
+            assert_eq!(parse_reply(spec.verb, &lines), Ok(reply), "{}: {text:?}", spec.text);
+        }
     }
 
     #[test]

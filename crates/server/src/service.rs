@@ -1317,12 +1317,13 @@ impl Client {
         }
     }
 
-    /// Detaches the sink from a subscription without cancelling it: the
-    /// connection-close path. A durable subscription keeps retaining
-    /// events for a later [`Client::attach_sub`]; an ephemeral one
-    /// should be [`Client::unsubscribe`]d instead.
-    pub fn detach_sub(&self, id: u64) {
-        self.inner.subs.detach(id);
+    /// Detaches `sink` from a subscription without cancelling it, if the
+    /// subscription still holds it: the connection-close path. A durable
+    /// subscription keeps retaining events for a later
+    /// [`Client::attach_sub`]; an ephemeral one should be
+    /// [`Client::unsubscribe`]d instead.
+    pub fn detach_sub(&self, id: u64, sink: &Arc<dyn SubSink>) {
+        self.inner.subs.detach(id, sink);
     }
 
     /// Lists the live subscriptions (the `SUBS` verb), id-ascending.

@@ -469,8 +469,9 @@ struct SubChannel {
 /// Outcome of [`SubsDispatch::attach`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum AttachError {
-    /// No channel with that id (never registered, cancelled, or an
-    /// ephemeral subscription that died with its connection).
+    /// No durable channel with that id (never registered, cancelled, or
+    /// ephemeral: an ephemeral subscription lives and dies with the
+    /// connection that registered it).
     Unknown,
 }
 
@@ -519,12 +520,16 @@ impl SubsDispatch {
             .insert(id, SubChannel { durable, next_seq: 1, retained: VecDeque::new(), sink });
     }
 
-    /// Detaches the sink (connection closed); a durable channel keeps
-    /// retaining, an ephemeral one is expected to be cancelled by the
-    /// caller right after.
-    pub fn detach(&self, id: u64) {
+    /// Detaches `sink` (its connection closed) if the channel still holds
+    /// it — a later [`Self::attach`] from another connection keeps its
+    /// events. A durable channel keeps retaining; an ephemeral one is
+    /// expected to be cancelled by the caller right after.
+    pub fn detach(&self, id: u64, sink: &Arc<dyn SubSink>) {
         if let Some(c) = self.inner.lock().chans.get_mut(&id) {
-            c.sink = None;
+            if c.sink.as_ref().is_some_and(|s| std::ptr::addr_eq(Arc::as_ptr(s), Arc::as_ptr(sink)))
+            {
+                c.sink = None;
+            }
         }
     }
 
@@ -543,7 +548,7 @@ impl SubsDispatch {
         sink: Arc<dyn SubSink>,
     ) -> Result<u64, AttachError> {
         let mut st = self.inner.lock();
-        let c = st.chans.get_mut(&id).ok_or(AttachError::Unknown)?;
+        let c = st.chans.get_mut(&id).filter(|c| c.durable).ok_or(AttachError::Unknown)?;
         // Replayed and acknowledged events alike leave retention.
         for ev in c.retained.drain(..).filter(|ev| ev.seq > after_seq) {
             sink.deliver(&ev);

@@ -61,33 +61,37 @@
 //!
 //! ## Recovery
 //!
-//! [`Wal::open`] scans existing segments in sequence order and checks
-//! every record's framing, kind byte and epoch header, but decodes no
-//! body. A framing failure in the *final* segment is a torn tail — the
-//! crash interrupted an append — so the tail is dropped (reported in
-//! [`RecoveryReport`]) **and physically truncated away**, so the segment
-//! scans clean on every later restart even once it is no longer final. A
-//! failure in any earlier segment therefore cannot be explained by a
-//! crash mid-append and is surfaced as a typed [`WalError`] with segment
-//! and offset context. Appends always go to a fresh segment, never after
-//! a torn tail; a final segment torn inside its magic is deleted and the
-//! fresh segment reuses its sequence number, so the log's sequence
-//! numbers stay contiguous. The service then replays the checked log
-//! through a [`WalCursor`] over its own directory — the reader a
-//! follower's sender tails it with — one record at a time.
+//! [`WalCursor`] is the log's one reader: magic, framing, truncation and
+//! hole rules live in its `next` alone. [`Wal::open`] walks it from the
+//! oldest segment and checks every record's kind byte and epoch header,
+//! but decodes no body. Where the cursor stops short in the *final*
+//! segment is a torn tail — the crash interrupted an append — so the tail
+//! is dropped (reported in [`RecoveryReport`]) **and physically truncated
+//! away**, so the segment reads clean on every later restart even once it
+//! is no longer final. The same bytes in any earlier segment cannot be
+//! explained by a crash mid-append, and the cursor surfaces them as a
+//! typed [`WalError`] with segment and offset context. Appends always go
+//! to a fresh segment, never after a torn tail; a final segment torn
+//! inside its magic is deleted and the fresh segment reuses its sequence
+//! number, so the log's sequence numbers stay contiguous. The service
+//! then replays the checked log through a second cursor — the reader a
+//! follower's stream tails it with — one record at a time, opening each
+//! segment once.
 
 use crate::obs::{Event, Obs};
 use crate::subs::{SubKind, SubWalOp};
 use cc_graph::io::binary::{self, CodecError};
 use connectit::Update;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Magic prefix of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"CCWALS02";
+/// Byte offset of a segment's first record, just past [`WAL_MAGIC`].
+const MAGIC: u64 = binary::MAGIC_LEN as u64;
 
 /// Record kind byte: insert-only batch (edge-batch body).
 pub const REC_INSERTS: u8 = b'I';
@@ -416,19 +420,15 @@ fn io_err(path: &Path, source: std::io::Error) -> WalError {
     WalError::Io { path: path.to_path_buf(), source }
 }
 
-/// What a [`Wal::open`] recovery scan found.
+/// What the check [`Wal::open`] runs over the log found.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Segments scanned.
+    /// Segments on disk at open, each walked by the check.
     pub segments_scanned: usize,
     /// Bytes dropped from a torn final-segment tail (0 for a clean log).
     pub torn_bytes: u64,
     /// Human description of the torn tail, when one was dropped.
     pub torn_detail: Option<String>,
-    /// Where the torn tail started (segment path, byte offset); the
-    /// opener physically truncates it away so the segment, once no
-    /// longer final, scans clean on every later restart.
-    torn_at: Option<(PathBuf, u64)>,
 }
 
 /// Statistics of a live [`Wal`], one-line formatted for the `WALSTATS`
@@ -466,69 +466,6 @@ pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 
 fn parse_segment_seq(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
-}
-
-/// Scans one segment file, checking every record's framing, kind byte and
-/// epoch header (no body is decoded); returns the segment's last epoch.
-/// `is_last` selects torn-tail tolerance: framing errors in the final
-/// segment truncate (and describe) the tail; anywhere else they are fatal.
-fn scan_segment(path: &Path, is_last: bool, report: &mut RecoveryReport) -> Result<u64, WalError> {
-    let file = File::open(path).map_err(|e| io_err(path, e))?;
-    let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
-    let mut reader = BufReader::new(file);
-    let mut last_epoch = 0u64;
-    let torn = |report: &mut RecoveryReport, at: u64, e: &CodecError| {
-        report.torn_bytes += file_len.saturating_sub(at);
-        report.torn_detail =
-            Some(format!("{}: dropped torn tail at offset {at}: {e}", path.display()));
-        report.torn_at = Some((path.to_path_buf(), at));
-    };
-    if let Err(e) = binary::read_magic(&mut reader, WAL_MAGIC) {
-        // A file torn inside (or before) its magic is an interrupted
-        // segment creation; a complete-but-wrong magic is corruption.
-        if is_last && e.is_truncation() {
-            torn(report, 0, &e);
-            return Ok(0);
-        }
-        return Err(WalError::Codec { path: path.to_path_buf(), source: e });
-    }
-    let mut records = binary::RecordReader::new(reader, binary::MAGIC_LEN as u64);
-    loop {
-        let at = records.offset();
-        match records.next() {
-            Ok(None) => break,
-            Ok(Some(payload)) => {
-                // A CRC-valid record that fails here (unknown kind, short
-                // header, epoch out of order) is corruption even in the
-                // final segment: only `records.next()` failures can be a
-                // torn tail.
-                let (kind, epoch) = record_header(&payload, at)
-                    .map_err(|e| WalError::Codec { path: path.to_path_buf(), source: e })?;
-                let Some(epoch) = epoch else { continue };
-                if epoch < last_epoch || (epoch == last_epoch && kind != REC_CHECKPOINT) {
-                    return Err(WalError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!(
-                            "record epoch {epoch} at offset {at} does not increase past \
-                             {last_epoch}"
-                        ),
-                    });
-                }
-                last_epoch = epoch;
-            }
-            Err(e) => {
-                // Any malformed record ends the scan: a torn tail in the
-                // final segment is the crash we exist to absorb; the same
-                // bytes in a sealed segment mean the disk lied.
-                if is_last {
-                    torn(report, at, &e);
-                    return Ok(last_epoch);
-                }
-                return Err(WalError::Codec { path: path.to_path_buf(), source: e });
-            }
-        }
-    }
-    Ok(last_epoch)
 }
 
 /// A live, appendable write-ahead log.
@@ -571,13 +508,16 @@ fn create_segment(dir: &Path, seq: u64) -> Result<(PathBuf, BufWriter<File>), Wa
 
 impl Wal {
     /// Opens (creating the directory if needed) the log at `cfg.dir`:
-    /// scans every existing segment for recovery, then starts a fresh
-    /// active segment after the highest existing sequence number (or in
-    /// place of a final segment torn inside its magic).
+    /// walks a [`WalCursor`] over the whole history, checking each
+    /// record's header and epoch order, truncates the torn tail where the
+    /// cursor stopped, then starts a fresh active segment after the
+    /// highest existing sequence number (or in place of a final segment
+    /// torn inside its magic).
     pub fn open(cfg: &DurabilityConfig) -> Result<(Wal, RecoveryReport), WalError> {
-        std::fs::create_dir_all(&cfg.dir).map_err(|e| io_err(&cfg.dir, e))?;
-        let mut sealed: Vec<u64> = std::fs::read_dir(&cfg.dir)
-            .map_err(|e| io_err(&cfg.dir, e))?
+        let dir = &cfg.dir;
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let mut sealed: Vec<u64> = std::fs::read_dir(dir)
+            .map_err(|e| io_err(dir, e))?
             .filter_map(|entry| {
                 let entry = entry.ok()?;
                 parse_segment_seq(entry.file_name().to_str()?)
@@ -585,35 +525,68 @@ impl Wal {
             .collect();
         sealed.sort_unstable();
 
-        let mut report = RecoveryReport::default();
-        let mut last_epoch = 0u64;
-        for (i, &seq) in sealed.iter().enumerate() {
-            let is_last = i + 1 == sealed.len();
-            let seg_last = scan_segment(&segment_path(&cfg.dir, seq), is_last, &mut report)?;
-            last_epoch = last_epoch.max(seg_last);
-            report.segments_scanned += 1;
+        let mut report = RecoveryReport { segments_scanned: sealed.len(), ..Default::default() };
+        let mut cursor = WalCursor::open(dir, 0, MAGIC);
+        cursor.oldest().map_err(|e| io_err(dir, e))?;
+        let (mut last_epoch, mut seg, mut seg_last) = (0u64, cursor.seq, 0u64);
+        loop {
+            let payload = match cursor.next()? {
+                TailEvent::Record(payload) => payload,
+                TailEvent::CaughtUp => break,
+                TailEvent::Pruned => {
+                    let detail = "a segment vanished while the log was opened".into();
+                    return Err(WalError::Corrupt { path: dir.clone(), detail });
+                }
+            };
+            let (at, path) = (cursor.record_at, || segment_path(dir, cursor.seq));
+            // The cursor framed this record; one that fails here (unknown
+            // kind, short header, epoch out of order) is corruption even
+            // in the final segment, never a torn tail.
+            let (kind, epoch) = record_header(&payload, at)
+                .map_err(|source| WalError::Codec { path: path(), source })?;
+            let Some(epoch) = epoch else { continue };
+            if cursor.seq != seg {
+                (seg, seg_last) = (cursor.seq, 0);
+            }
+            if epoch < seg_last || (epoch == seg_last && kind != REC_CHECKPOINT) {
+                let detail = format!(
+                    "record epoch {epoch} at offset {at} does not increase past {seg_last}"
+                );
+                return Err(WalError::Corrupt { path: path(), detail });
+            }
+            seg_last = epoch;
+            last_epoch = last_epoch.max(epoch);
         }
 
-        // A torn tail was only *skipped* above; make the drop physical.
-        // The segment stops being the final one as soon as the fresh
-        // active segment below exists, and a sealed segment must scan
-        // clean on every later restart.
+        // Bytes past where the cursor stopped in the final segment are a
+        // torn tail: the crash interrupted an append (or, under the magic,
+        // a segment's creation). The drop is physical, because the segment
+        // stops being the final one as soon as the fresh active segment
+        // below exists, and a sealed segment must read clean on every
+        // later restart.
         let mut seg_seq = sealed.last().map_or(0, |s| s + 1);
-        if let Some((torn_path, at)) = &report.torn_at {
-            if *at == 0 {
-                // Torn inside its magic: the file goes, and the fresh
-                // segment takes its sequence number, so the log keeps no
-                // gap for a cursor to read as a pruned segment.
-                std::fs::remove_file(torn_path).map_err(|e| io_err(torn_path, e))?;
-                sealed.pop();
-                seg_seq -= 1;
-            } else {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(torn_path)
-                    .map_err(|e| io_err(torn_path, e))?;
-                f.set_len(*at).map_err(|e| io_err(torn_path, e))?;
-                f.sync_data().map_err(|e| io_err(torn_path, e))?;
+        let (seq, at) = cursor.position();
+        if sealed.last() == Some(&seq) {
+            let path = segment_path(dir, seq);
+            let io = |e| io_err(&path, e);
+            let len = std::fs::metadata(&path).map_err(io)?.len();
+            if len < MAGIC || at < len {
+                let from = if len < MAGIC { 0 } else { at };
+                report.torn_bytes = len - from;
+                let dropped = format!("dropped {} torn bytes at offset {from}", len - from);
+                report.torn_detail = Some(format!("{}: {dropped}", path.display()));
+                if from == 0 {
+                    // The fresh segment takes the torn one's sequence
+                    // number, so the log keeps no gap for a cursor to read
+                    // as pruned.
+                    std::fs::remove_file(&path).map_err(io)?;
+                    sealed.pop();
+                    seg_seq -= 1;
+                } else {
+                    let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
+                    f.set_len(from).map_err(io)?;
+                    f.sync_data().map_err(io)?;
+                }
             }
         }
 
@@ -623,7 +596,7 @@ impl Wal {
             file,
             seg_path,
             seg_seq,
-            seg_bytes: binary::MAGIC_LEN as u64,
+            seg_bytes: MAGIC,
             sealed,
             last_epoch,
             records: 0,
@@ -829,7 +802,7 @@ impl Wal {
         self.sealed.push(self.seg_seq);
         self.seg_seq += 1;
         (self.seg_path, self.file) = create_segment(&self.cfg.dir, self.seg_seq)?;
-        self.seg_bytes = binary::MAGIC_LEN as u64;
+        self.seg_bytes = MAGIC;
         if let Some(o) = &self.obs {
             o.metrics.wal_rolls_total.inc();
             o.metrics.wal_segments.set(self.sealed.len() as u64 + 1);
@@ -867,19 +840,32 @@ pub enum TailEvent {
     Pruned,
 }
 
-/// A polling read cursor over a WAL directory, independent of the
-/// [`Wal`] writer (it re-opens segment files as it goes, so a live
-/// primary can keep appending, rolling, and pruning).
+/// A polling read cursor over a WAL directory, and the log's one reader:
+/// [`Wal::open`]'s check, the service's replay and every follower's
+/// stream walk it. Independent of the [`Wal`] writer, it keeps its
+/// segment open across records — one open and one magic check per
+/// segment — and looks at the directory only at a segment's end or where
+/// it stops short of a whole record, so a live primary can keep
+/// appending, rolling and pruning beneath it.
 ///
-/// The roll rule: a cursor positioned exactly at the end of a segment
-/// first checks whether a *newer* segment file exists — if so, the
-/// segment is sealed and the cursor rolls to the next sequence number
-/// (never reporting the boundary as a torn tail); only when no newer
-/// segment exists is the position the live tail ([`TailEvent::CaughtUp`]).
-/// A truncated record is likewise [`TailEvent::CaughtUp`] — the writer
-/// flushes whole records, but a large record can cross the reader's
-/// glimpse mid-write — whereas a CRC mismatch or garbage framing on a
-/// *complete* record is a hard [`WalError`].
+/// The rules, which hold for every reader:
+///
+/// - **Segment end.** If a *newer* segment exists, the segment is sealed:
+///   the cursor rolls to the next segment on disk (past any gap a
+///   checkpoint left when it could not delete an older segment), never
+///   reporting the boundary as a torn tail — or reports
+///   [`TailEvent::Pruned`] if its own segment is gone. Otherwise the
+///   position is the live tail ([`TailEvent::CaughtUp`]).
+/// - **Stopping short.** A record or magic that does not frame (torn,
+///   failing its CRC, an implausible length) stops the cursor: it drops
+///   its buffer and seeks back to the record's start, so it re-reads
+///   whatever the writer puts there. In the final segment that is
+///   [`TailEvent::CaughtUp`] — a writer mid-flush, or after a crash the
+///   torn tail [`Wal::open`] truncates. Once a newer segment exists the
+///   bytes are final: the cursor reads them once more (its first read may
+///   have raced the seal), then fails with a typed [`WalError`].
+/// - **Corruption.** A complete magic other than [`WAL_MAGIC`] is a hard
+///   error anywhere, and so is a history with a hole ([`Self::oldest`]).
 pub struct WalCursor {
     dir: PathBuf,
     seq: u64,
@@ -889,10 +875,9 @@ pub struct WalCursor {
     /// Set by [`Self::oldest`] past segment 0: the next record is the
     /// history's first, and must be a checkpoint.
     needs_checkpoint: bool,
-    /// Position of a truncated read already retried once against a
-    /// sealed segment: a second truncation there is corruption (sealed
-    /// bytes are final), not a flush race.
-    retried_at: Option<(u64, u64)>,
+    /// Segment `seq`, its magic checked, read up to `offset`; `None`
+    /// until a step opens it.
+    file: Option<BufReader<File>>,
 }
 
 impl WalCursor {
@@ -905,7 +890,7 @@ impl WalCursor {
             offset,
             record_at: offset,
             needs_checkpoint: false,
-            retried_at: None,
+            file: None,
         }
     }
 
@@ -922,8 +907,9 @@ impl WalCursor {
     /// typed [`WalError::Corrupt`] rather than serve a suffix of it.
     pub fn oldest(&mut self) -> std::io::Result<()> {
         self.seq = first_segment_seq(&self.dir, 0)?.unwrap_or(0);
-        self.offset = binary::MAGIC_LEN as u64;
+        self.offset = MAGIC;
         self.needs_checkpoint = self.seq > 0;
+        self.file = None;
         Ok(())
     }
 
@@ -936,102 +922,88 @@ impl WalCursor {
 
     /// Advances one step. See [`TailEvent`] for the three outcomes; a
     /// returned error means bytes that are actually present failed to
-    /// frame (disk corruption, never a mid-append race), or a history
-    /// with a hole (see [`Self::oldest`]).
+    /// frame in a sealed segment (disk corruption, never a mid-append
+    /// race), a wrong magic, or a history with a hole (see
+    /// [`Self::oldest`]).
     /// (Deliberately not `Iterator`: `CaughtUp` is a poll outcome, not
     /// an end of stream — mirroring `binary::RecordReader::next`.)
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<TailEvent, WalError> {
+        // Whether this step already re-read its position after seeing a
+        // newer segment, whose existence makes the bytes here final.
+        let mut reread = false;
         loop {
             let path = segment_path(&self.dir, self.seq);
             let io = |e: std::io::Error| io_err(&path, e);
-            let file = match File::open(&path) {
-                Ok(f) => f,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            let read = match self.file.as_mut() {
+                Some(file) => binary::RecordReader::new(file, self.offset).next(),
+                None => match File::open(&path) {
+                    Ok(f) => {
+                        let mut file = BufReader::new(f);
+                        match binary::read_magic(&mut file, WAL_MAGIC) {
+                            Ok(()) => {
+                                self.offset = self.offset.max(MAGIC);
+                                file.seek(std::io::SeekFrom::Start(self.offset)).map_err(io)?;
+                                self.file = Some(file);
+                                continue;
+                            }
+                            Err(e) if e.is_truncation() => Err(e),
+                            Err(source) => return Err(WalError::Codec { path, source }),
+                        }
+                    }
                     // Either the segment was pruned (a newer one exists)
                     // or we are ahead of the writer (nothing yet).
-                    return if first_segment_seq(&self.dir, self.seq + 1).map_err(io)?.is_some() {
-                        Ok(TailEvent::Pruned)
-                    } else {
-                        Ok(TailEvent::CaughtUp)
-                    };
-                }
-                Err(e) => return Err(io_err(&path, e)),
-            };
-            let len = file.metadata().map_err(io)?.len();
-            // Exactly at (or past — the writer may have truncated a torn
-            // tail we never saw) the end of the segment: roll to the next
-            // segment on disk if one exists, else we are the live tail.
-            // This is the boundary case that must NEVER read as a torn
-            // tail. Rolling past missing sequence numbers reads past the
-            // hole a checkpoint leaves when it cannot delete an older
-            // segment: the next segment on disk opens with that checkpoint.
-            if self.offset >= len {
-                if let Some(next) = first_segment_seq(&self.dir, self.seq + 1).map_err(io)? {
-                    self.seq = next;
-                    self.offset = binary::MAGIC_LEN as u64;
-                    continue;
-                }
-                return Ok(TailEvent::CaughtUp);
-            }
-            if self.offset <= binary::MAGIC_LEN as u64 {
-                // Before a segment's first record (or a cursor opened at
-                // byte 0): check the magic — and skip it. A
-                // partially-written magic is just the live tail.
-                match binary::read_magic(&mut BufReader::new(&file), WAL_MAGIC) {
-                    Err(e) if e.is_truncation() => return Ok(TailEvent::CaughtUp),
-                    Err(e) => return Err(WalError::Codec { path, source: e }),
-                    Ok(()) => {}
-                }
-                if self.offset < binary::MAGIC_LEN as u64 {
-                    self.offset = binary::MAGIC_LEN as u64;
-                    if self.offset >= len {
-                        continue; // magic-only file: re-run the boundary check
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        let pruned = first_segment_seq(&self.dir, self.seq + 1).map_err(io)?;
+                        return Ok(pruned.map_or(TailEvent::CaughtUp, |_| TailEvent::Pruned));
                     }
-                }
-            }
-            let mut reader = BufReader::new(file);
-            std::io::Seek::seek(&mut reader, std::io::SeekFrom::Start(self.offset)).map_err(io)?;
-            let mut records = binary::RecordReader::new(reader, self.offset);
-            return match records.next() {
+                    Err(e) => return Err(io(e)),
+                },
+            };
+            match read {
                 Ok(Some(payload)) => {
                     if std::mem::take(&mut self.needs_checkpoint)
                         && payload.first() != Some(&REC_CHECKPOINT)
                     {
-                        return Err(WalError::Corrupt {
-                            path,
-                            detail: "history has a hole: the oldest segment is not segment 0 \
-                                     and does not open with a checkpoint"
-                                .into(),
-                        });
+                        let detail = "history has a hole: the oldest segment is not segment 0 \
+                                      and does not open with a checkpoint";
+                        return Err(WalError::Corrupt { path, detail: detail.into() });
                     }
+                    // Past the frame: `len`, `crc`, then the payload.
                     self.record_at = self.offset;
-                    self.offset = records.offset();
-                    self.retried_at = None;
-                    Ok(TailEvent::Record(payload))
+                    self.offset += 8 + payload.len() as u64;
+                    return Ok(TailEvent::Record(payload));
                 }
-                // read_up_to saw clean EOF at the record boundary even
-                // though the length probe said there were bytes: the
-                // writer truncated a torn tail between our two looks.
-                Ok(None) => Ok(TailEvent::CaughtUp),
-                Err(e) if e.is_truncation() => {
-                    // In the live (final) segment this is the writer
-                    // mid-flush — poll again later. If a newer segment
-                    // exists the bytes here are final, but our read may
-                    // still have raced the seal's flush: retry exactly
-                    // once before calling it corruption.
+                // The segment's end: the boundary case that must NEVER
+                // read as a torn tail.
+                Ok(None) => {
+                    let Some(next) = first_segment_seq(&self.dir, self.seq + 1).map_err(io)? else {
+                        return Ok(TailEvent::CaughtUp);
+                    };
+                    if !path.exists() {
+                        self.file = None;
+                        return Ok(TailEvent::Pruned);
+                    }
+                    // A record appended between our read and the roll
+                    // that created `next` is visible now.
+                    if !std::mem::replace(&mut reread, true) {
+                        continue;
+                    }
+                    (self.seq, self.offset, self.file, reread) = (next, MAGIC, None, false);
+                }
+                Err(binary::CodecError::Io(e)) => return Err(io(e)),
+                Err(e) => {
+                    if let Some(file) = self.file.as_mut() {
+                        file.seek(std::io::SeekFrom::Start(self.offset)).map_err(io)?;
+                    }
                     if first_segment_seq(&self.dir, self.seq + 1).map_err(io)?.is_none() {
-                        self.retried_at = None;
                         return Ok(TailEvent::CaughtUp);
                     }
-                    if self.retried_at == Some((self.seq, self.offset)) {
+                    if std::mem::replace(&mut reread, true) {
                         return Err(WalError::Codec { path, source: e });
                     }
-                    self.retried_at = Some((self.seq, self.offset));
-                    continue;
                 }
-                Err(e) => Err(WalError::Codec { path, source: e }),
-            };
+            }
         }
     }
 }
@@ -1618,6 +1590,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A segment torn inside its magic is an interrupted creation only
+    /// while it is the final one: once a newer segment exists the cursor
+    /// fails with a typed error naming it, for the open check and every
+    /// reader alike, instead of rolling past the records it may have held.
+    #[test]
+    fn sealed_segment_torn_inside_its_magic_is_fatal_to_every_reader() {
+        let dir = tmp_dir("sealed_torn_magic");
+        let mut cfg = small_cfg(&dir);
+        cfg.segment_max_bytes = 1; // one record per segment
+        {
+            let (mut wal, _) = Wal::open(&cfg).expect("open");
+            for e in 1..=3u64 {
+                wal.append_ops(e, &ins(&[(0, e as u32)])).expect("append");
+            }
+        }
+        let seg = segment_path(&dir, 1);
+        std::fs::write(&seg, b"CCW").expect("tear segment 1 inside its magic");
+        let mut cursor = WalCursor::open(&dir, 0, binary::MAGIC_LEN as u64);
+        assert!(matches!(cursor.next().expect("segment 0"), TailEvent::Record(_)));
+        let is_torn_magic = |e: &WalError| {
+            matches!(e, WalError::Codec { path, source: CodecError::BadMagic { found, .. } }
+                if *path == seg && found.as_slice() == b"CCW")
+        };
+        let err = cursor.next().unwrap_err();
+        assert!(is_torn_magic(&err), "{err}");
+        let err = Wal::open(&cfg).map(|_| ()).unwrap_err();
+        assert!(is_torn_magic(&err), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn cursor_truncated_live_tail_is_caught_up_not_error() {
         let dir = tmp_dir("cursor_torn");
@@ -1659,7 +1661,7 @@ mod tests {
     /// log over one is a typed bad-magic error naming the segment, and
     /// the refusal leaves the directory exactly as it was.
     #[test]
-    fn legacy_v1_segments_recover_and_upgrade_in_place() {
+    fn legacy_v1_segments_are_refused_and_left_untouched() {
         let dir = tmp_dir("v1_upgrade");
         write_v1_segment(&dir, 0, &[(1, vec![(0, 1)]), (2, vec![(2, 3)])]);
         let seg = segment_path(&dir, 0);
@@ -1675,7 +1677,7 @@ mod tests {
     /// v1 segment with a typed bad-magic error; it never skips ahead to
     /// the records behind it.
     #[test]
-    fn cursor_tails_across_a_v1_to_v2_boundary() {
+    fn cursor_refuses_a_v1_segment_before_a_v2_one() {
         let dir = tmp_dir("v1_cursor");
         write_v1_segment(&dir, 0, &[(1, vec![(0, 1)])]);
         let v2_dir = tmp_dir("v1_cursor_v2");

@@ -8,9 +8,11 @@
 //! One behavioural claim is held the same way: §1.3's "one representative
 //! per component" is checked against a live server. `DESIGN.md` is held
 //! to the one log format: every WAL kind byte and replication tag the
-//! code defines, and no retired file or stream format.
+//! code defines, and no retired file or stream format — and every test
+//! it cites as holding an invariant exists. §1.2's text-reply column is
+//! held to each row's reply head.
 
-use cc_server::request::VERBS;
+use cc_server::request::{Shape, VERBS};
 use cc_server::{replication, wal};
 use cc_server::{serve, Service, ServiceConfig, WireClient};
 
@@ -84,6 +86,30 @@ fn every_documented_binary_verb_exists_in_the_parser_with_the_right_tag() {
     for (verb, tag) in table_rows() {
         let spec = VERBS.iter().find(|s| s.text == verb);
         assert!(spec.is_some_and(|s| s.tag == tag), "PROTOCOL.md tag {tag:#04x} for {verb}");
+    }
+}
+
+/// §1.2's text-reply column spells each row's reply: a line led by the
+/// row's head, the bit itself for `Q`/`QG`, a dump ended by `# EOF`, and
+/// nothing for `QUIT`.
+#[test]
+fn every_text_reply_column_opens_with_its_rows_head() {
+    let table = section("### 1.2 Verb reference", "### 1.3");
+    for line in table.lines().filter(|l| l.starts_with("| `")) {
+        let verb = row_verb(line).unwrap_or_default();
+        let spec = VERBS.iter().find(|s| s.text == verb).expect("a row per verb");
+        let cell = line.split('|').nth(4).unwrap_or("").trim();
+        let spelled = match spec.shape {
+            Shape::Bit | Shape::BitGen => cell.starts_with("`1` / `0`"),
+            Shape::Dump => cell.ends_with("then `# EOF`"),
+            _ if spec.head.is_empty() => cell == "—",
+            _ => row_verb(cell) == Some(spec.head),
+        };
+        assert!(
+            spelled,
+            "PROTOCOL.md §1.2 replies {cell:?} to {verb}; its head is {:?}",
+            spec.head
+        );
     }
 }
 
@@ -211,5 +237,68 @@ fn design_doc_names_every_log_kind_and_no_retired_format() {
     }
     for retired in ["CCREPL01", "CCWALS01", "CCSNAP", "snap-"] {
         assert!(!design.contains(retired), "DESIGN.md still names the retired {retired:?}");
+    }
+}
+
+/// Every `.rs` file under the workspace's `crates/`, as `(path, source)`.
+fn workspace_sources() -> Vec<(std::path::PathBuf, String)> {
+    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..")];
+    let mut out = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable crates dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).expect("readable source");
+                out.push((path, src));
+            }
+        }
+    }
+    out
+}
+
+/// The tests `DESIGN.md` cites as `module::tests::name`,
+/// `module::tests::{a, b}` (across lines too) and `tests/<file>.rs`
+/// exist: the cited name is a `fn` in a `module.rs`, and the file is an
+/// integration test of some crate.
+#[test]
+fn every_test_design_doc_cites_exists() {
+    let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
+    let sources = workspace_sources();
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let ident = |s: &'static str| &s[..s.len() - s.trim_start_matches(is_ident).len()];
+    let mut cited = 0;
+    for (at, _) in design.match_indices("::tests::") {
+        let module = &design[design[..at].trim_end_matches(is_ident).len()..at];
+        let rest = &design[at + "::tests::".len()..];
+        let names: Vec<&str> = match rest.strip_prefix('{') {
+            Some(list) => {
+                list[..list.find('}').expect("closed brace")].split(',').map(str::trim).collect()
+            }
+            None => vec![ident(rest)],
+        };
+        for name in names {
+            let file = format!("{module}.rs");
+            let found = sources.iter().any(|(path, src)| {
+                path.file_name().is_some_and(|f| f == file.as_str())
+                    && src.contains(&format!("fn {name}("))
+            });
+            assert!(found, "DESIGN.md cites {module}::tests::{name}, which no {file} defines");
+            cited += 1;
+        }
+    }
+    assert!(cited >= 17, "only {cited} `module::tests::name` citations parsed");
+    for (at, _) in design.match_indices("tests/") {
+        let rest = &design[at + "tests/".len()..];
+        let file = ident(rest);
+        if !rest[file.len()..].starts_with(".rs") {
+            continue;
+        }
+        let found = sources.iter().any(|(path, _)| {
+            path.parent().and_then(|d| d.file_name()).is_some_and(|d| d == "tests")
+                && path.file_stem().is_some_and(|f| f == file)
+        });
+        assert!(found, "DESIGN.md cites tests/{file}.rs, which no crate has");
     }
 }

@@ -388,6 +388,63 @@ fn tcp_evt_size_and_topk_name_the_same_root() {
     svc.shutdown();
 }
 
+/// A durable subscription's events go to the connection that attached
+/// it last: closing the connection that registered it detaches a sink
+/// the subscription no longer holds, so the later attach keeps receiving.
+#[test]
+fn closing_the_registering_connection_keeps_a_later_attach() {
+    let dir = tmp_dir("sub_owner");
+    let mut svc = Service::start(ServiceConfig {
+        n: 16,
+        shards: 2,
+        batch_max_wait: Duration::from_micros(50),
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+    let obs = svc.client().observability();
+    let mut a = WireClient::text(addr).expect("connect A");
+    let (id, _) = a.subscribe(SubKind::Pair, 1, 2, true).expect("SUB 1 2 DURABLE");
+    let mut b = WireClient::text(addr).expect("connect B");
+    b.attach_sub(id, 0).expect("SUB ATTACH");
+    drop(a);
+    // The insert must land after the shard has closed A.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while obs.metrics.connections_live.get() > 1 {
+        assert!(Instant::now() < deadline, "A's close was never processed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut c = WireClient::text(addr).expect("connect C");
+    c.insert(1, 2).expect("I 1 2");
+    let evs = b.poll_events(Duration::from_secs(10)).expect("pushed event");
+    assert_eq!(evs.len(), 1, "{evs:?}");
+    assert_eq!((evs[0].id, evs[0].u, evs[0].v), (id, 1, 2));
+    server.stop();
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `SUB ATTACH` binds a durable subscription only: a live ephemeral id
+/// answers the unknown-subscription error, and its owner keeps it.
+#[test]
+fn sub_attach_refuses_an_ephemeral_subscription() {
+    let mut svc = Service::start(ServiceConfig { n: 16, shards: 2, ..ServiceConfig::default() })
+        .expect("service");
+    let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+    let mut a = WireClient::text(server.local_addr()).expect("connect A");
+    let (id, _) = a.subscribe(SubKind::Pair, 1, 2, false).expect("SUB 1 2");
+    let mut b = WireClient::text(server.local_addr()).expect("connect B");
+    let err = b.attach_sub(id, 0).unwrap_err();
+    assert_eq!(err.to_string(), format!("server error: unknown subscription id {id}"));
+    b.insert(1, 2).expect("I 1 2");
+    let evs = a.poll_events(Duration::from_secs(10)).expect("pushed event");
+    assert_eq!(evs.iter().map(|ev| ev.id).collect::<Vec<_>>(), vec![id]);
+    server.stop();
+    svc.shutdown();
+}
+
 /// Sends `req` through both doors' clients; the replies must be equal up
 /// to what the text door cannot carry (`B` answers lose their
 /// generations). Returns the text door's reply.
