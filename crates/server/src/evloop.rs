@@ -51,11 +51,16 @@
 //!
 //! ## Backpressure and lifecycle
 //!
-//! Responses drain greedily; leftovers queue per connection and drive
-//! `WRITABLE` interest. A write queue above [`NetConfig::max_wbuf`] drops
-//! read interest until the peer drains it, bounding memory per slow
-//! reader; subscription events that push it past the cap close the
-//! connection `sub-overflow`, on either door. Frame-level damage answers
+//! Replies queue on their connection's write queue as the round answers
+//! them, and each connection is flushed once per round, after the
+//! round's strokes, parked tickets and pushed events: 64 pipelined
+//! frames answered in one round leave in one `write(2)`, not 64
+//! (`net_writes_total` counts the calls). Leftovers drive `WRITABLE`
+//! interest. A write queue above [`NetConfig::max_wbuf`] stops the shard
+//! reading that connection, on either door, until the peer drains it,
+//! bounding memory per slow reader; a subscription event that the
+//! socket's refusals push past the cap closes the connection
+//! `sub-overflow`, on either door. Frame-level damage answers
 //! a correlation-id-0 `ERR` frame and closes `bad-frame`; idle
 //! connections with nothing in flight (when [`NetConfig::idle_timeout`]
 //! is set) close `idle-timeout`; server stop closes every connection
@@ -187,6 +192,7 @@ pub(crate) fn start(
             next_token: 1,
             parked: Vec::new(),
             resume: Vec::new(),
+            dirty: Vec::new(),
             gauge,
             idle_timeout: cfg.idle_timeout,
             max_wbuf: cfg.max_wbuf,
@@ -276,12 +282,13 @@ impl Conn {
         matches!(self.door, Door::Follower(_)) && self.inflight == 0 && self.closing.is_none()
     }
 
-    /// Whether the shard may read more input now. A binary connection
-    /// reads whatever arrives; a text connection waits for its request in
-    /// flight to be answered and its replies to drain below `max_wbuf`.
+    /// Whether the shard may read more input now: on either door, not
+    /// while its write queue is above `max_wbuf`; on the text door, not
+    /// while its request is in flight either.
     fn reads(&self, max_wbuf: usize) -> bool {
         self.closing.is_none()
-            && !(self.is_text() && (self.inflight > 0 || self.backlog() > max_wbuf))
+            && self.backlog() <= max_wbuf
+            && !(self.is_text() && self.inflight > 0)
     }
 }
 
@@ -396,6 +403,8 @@ struct Shard {
     /// Text connections whose reply was queued with lines still buffered:
     /// no readable event will arrive for bytes already read.
     resume: Vec<usize>,
+    /// Connections read or replied to since the last [`Shard::flush_dirty`].
+    dirty: Vec<usize>,
     gauge: Arc<Gauge>,
     idle_timeout: Option<Duration>,
     max_wbuf: usize,
@@ -440,6 +449,7 @@ impl Shard {
             self.execute_round(round);
             self.drain_parked();
             self.drain_events();
+            self.flush_dirty();
             self.resume_text();
             self.sweep_idle();
         }
@@ -569,9 +579,10 @@ impl Shard {
             }
             self.pump_text(token, round);
         }
-        // A text connection that may not read drops its read interest, so
-        // level-triggered readiness does not spin the shard meanwhile.
-        self.refresh_interest(token);
+        // A connection that may not read drops its read interest at the
+        // round's flush, so level-triggered readiness does not spin the
+        // shard meanwhile.
+        self.dirty.push(token);
     }
 
     /// Turns a replication connection whose `'H'` frame arrived into a
@@ -674,6 +685,7 @@ impl Shard {
                 self.pump_text(token, &mut round);
             }
             self.execute_round(round);
+            self.flush_dirty();
         }
     }
 
@@ -905,6 +917,11 @@ impl Shard {
     fn drain_events(&mut self) {
         let pushed: Vec<(usize, u64, SubEvent)> = std::mem::take(&mut *self.events.lock());
         for (token, corr, ev) in pushed {
+            // What the socket takes first is not the peer's fault: the
+            // round's own unsent replies never count as a slow consumer.
+            if self.conns.get(&token).is_some_and(|c| c.closing.is_none() && c.backlog() > 0) {
+                self.flush_conn(token);
+            }
             let overflow = {
                 let Some(conn) = self.conns.get_mut(&token) else { continue };
                 if conn.closing.is_some() {
@@ -921,14 +938,14 @@ impl Shard {
             if overflow {
                 self.close(token, CloseReason::SubOverflow);
             } else {
-                self.flush_conn(token);
+                self.dirty.push(token);
             }
         }
     }
 
-    /// Encodes a reply in the connection's codec onto its write queue and
-    /// drains it as far as the socket allows. `answered` retires one
-    /// in-flight request.
+    /// Encodes a reply in the connection's codec onto its write queue,
+    /// which the round's [`Shard::flush_dirty`] drains. `answered` retires
+    /// one in-flight request.
     fn queue_reply(&mut self, token: usize, corr: u64, reply: Reply, answered: bool) {
         if matches!(reply, Reply::Err(_)) {
             self.obs.metrics.request_errors_total.inc();
@@ -950,7 +967,19 @@ impl Shard {
                 }
             }
         }
-        self.flush_conn(token);
+        self.dirty.push(token);
+    }
+
+    /// Flushes each connection read or replied to since the last flush,
+    /// once: one `write(2)` per connection per round, however many
+    /// replies it queued.
+    fn flush_dirty(&mut self) {
+        let mut tokens = std::mem::take(&mut self.dirty);
+        tokens.sort_unstable();
+        tokens.dedup();
+        for token in tokens {
+            self.flush_conn(token);
+        }
     }
 
     /// Drains the write queue, then closes a closing connection whose
@@ -965,7 +994,10 @@ impl Shard {
                         close_now = Some(CloseReason::IoError);
                         break;
                     }
-                    Ok(n) => conn.wpos += n,
+                    Ok(n) => {
+                        conn.wpos += n;
+                        self.obs.metrics.net_writes_total.inc();
+                    }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -993,7 +1025,7 @@ impl Shard {
     /// is queued for [`Shard::resume_text`].
     fn refresh_interest(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        let read = conn.reads(self.max_wbuf) && conn.backlog() <= self.max_wbuf;
+        let read = conn.reads(self.max_wbuf);
         let want = match (read, conn.backlog() > 0 || conn.pumping()) {
             (true, false) => Some(Interest::READABLE),
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),

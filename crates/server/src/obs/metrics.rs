@@ -173,6 +173,7 @@ pub struct Metrics {
     pub request_errors_total: Counter,
     pub frames_in_total: Counter,
     pub frames_out_total: Counter,
+    pub net_writes_total: Counter,
     pub net_coalesce_width: LatencyHist,
     pub net_pipeline_depth: LatencyHist,
     pub waits_parked: Gauge,
@@ -244,6 +245,7 @@ impl Metrics {
             request_errors_total: Counter::default(),
             frames_in_total: Counter::default(),
             frames_out_total: Counter::default(),
+            net_writes_total: Counter::default(),
             net_coalesce_width: LatencyHist::new(),
             net_pipeline_depth: LatencyHist::new(),
             waits_parked: Gauge::default(),
@@ -381,6 +383,7 @@ impl Metrics {
         out.push("# TYPE connectit_frames_total counter".to_string());
         out.push(format!("connectit_frames_total{{dir=\"in\"}} {}", self.frames_in_total.get()));
         out.push(format!("connectit_frames_total{{dir=\"out\"}} {}", self.frames_out_total.get()));
+        counter(&mut out, "net_writes_total", &self.net_writes_total);
         summary(&mut out, "net_coalesce_width", &self.net_coalesce_width);
         summary(&mut out, "net_pipeline_depth", &self.net_pipeline_depth);
         gauge(&mut out, "waits_parked", &self.waits_parked);
@@ -478,12 +481,14 @@ mod tests {
         let m = Metrics::new();
         m.frames_in_total.add(5);
         m.frames_out_total.add(4);
+        m.net_writes_total.add(2);
         m.net_coalesce_width.record(3);
         let shards = m.register_net_shards(2);
         shards[1].inc();
         let lines = m.render().join("\n");
         assert!(lines.contains("connectit_frames_total{dir=\"in\"} 5"));
         assert!(lines.contains("connectit_frames_total{dir=\"out\"} 4"));
+        assert!(lines.contains("connectit_net_writes_total 2"));
         assert!(lines.contains("connectit_net_coalesce_width_count 1"));
         assert!(lines.contains("connectit_net_shard_connections{shard=\"0\"} 0"));
         assert!(lines.contains("connectit_net_shard_connections{shard=\"1\"} 1"));

@@ -20,20 +20,28 @@
 //! slots, a power of two). When full, the oldest event is silently
 //! overwritten; `TRACE [n]` dumps the most recent `n` events still
 //! resident. On shutdown (and periodically from the batcher) the ring
-//! is appended to `<wal-dir>/trace-<pid>.log`; on restart the previous
-//! run's file tail is surfaced and the file removed, so SIGKILL
-//! post-mortems are self-serve.
+//! is appended to `<wal-dir>/trace-<pid>.log`, which stays within
+//! [`TRACE_FILE_CAP`] bytes; on restart the previous run's file tail is
+//! surfaced and the file removed, so SIGKILL post-mortems are self-serve.
 
 use parking_lot::Mutex;
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Default number of ring slots (power of two).
 pub const DEFAULT_RECORDER_CAPACITY: usize = 4096;
+
+/// Byte cap on a trace file. A rendered line is at most 123 bytes (`T`,
+/// two 20-digit `u64`s, and `Unknown kind=… a=… b=…` with three more), so
+/// the newest half of the cap, which a flush that would pass the cap
+/// rewrites the file to, holds at least 32 KiB / 128 B = 256 lines: more
+/// than a restart surfaces (20) or a bare `TRACE` dumps
+/// ([`DEFAULT_TRACE_EVENTS`]).
+pub const TRACE_FILE_CAP: u64 = 64 << 10;
 
 /// Default number of events a bare `TRACE` dumps.
 pub const DEFAULT_TRACE_EVENTS: usize = 64;
@@ -343,9 +351,11 @@ impl Recorder {
     }
 
     /// Appends every event not yet flushed to `path`, creating the file
-    /// on first use. Returns the number of lines appended. Callers are
-    /// the batcher's idle tick, shutdown, and the serve binary's panic
-    /// hook — never an event writer.
+    /// on first use. A flush that would take the file past
+    /// [`TRACE_FILE_CAP`] rewrites it (through a renamed `.tmp` sibling)
+    /// to its newest lines within half the cap instead. Returns the number
+    /// of lines flushed. Callers are the batcher's idle tick, shutdown,
+    /// and the serve binary's panic hook — never an event writer.
     pub fn flush_to_file(&self, path: &Path) -> std::io::Result<usize> {
         let mut flushed = self.flushed.lock();
         let head = self.head.load(Ordering::Acquire);
@@ -357,15 +367,46 @@ impl Recorder {
             .into_iter()
             .filter(|e| e.seq > *flushed)
             .collect::<Vec<_>>();
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut buf = String::with_capacity(fresh.len() * 48);
         for e in &fresh {
             buf.push_str(&e.to_string());
             buf.push('\n');
         }
-        file.write_all(buf.as_bytes())?;
+        let len = std::fs::metadata(path).map_or(0, |m| m.len());
+        if len + buf.len() as u64 <= TRACE_FILE_CAP {
+            OpenOptions::new().create(true).append(true).open(path)?.write_all(buf.as_bytes())?;
+        } else {
+            let mut text = read_tail(path, TRACE_FILE_CAP / 2).unwrap_or_default();
+            text.extend_from_slice(buf.as_bytes());
+            let tmp = path.with_extension("log.tmp");
+            std::fs::write(&tmp, line_tail(&text, TRACE_FILE_CAP / 2))?;
+            std::fs::rename(&tmp, path)?;
+        }
         *flushed = head;
         Ok(fresh.len())
+    }
+}
+
+/// The whole lines among the last `max` bytes of the file at `path`.
+pub(crate) fn read_tail(path: &Path, max: u64) -> std::io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    // One byte before the window tells whether it opens on a line.
+    let from = file.metadata()?.len().saturating_sub(max + 1);
+    file.seek(SeekFrom::Start(from))?;
+    let mut bytes = Vec::new();
+    file.take(max + 1).read_to_end(&mut bytes)?;
+    Ok(line_tail(&bytes, max).to_vec())
+}
+
+/// The longest suffix of `bytes` within `max` bytes that starts a line.
+fn line_tail(bytes: &[u8], max: u64) -> &[u8] {
+    let cut = bytes.len().saturating_sub(max as usize);
+    if cut == 0 {
+        return bytes;
+    }
+    match bytes[cut - 1..].iter().position(|&b| b == b'\n') {
+        Some(i) => &bytes[cut + i..],
+        None => &[],
     }
 }
 

@@ -723,3 +723,54 @@ fn idle_sweep_spares_a_request_in_flight_on_either_door() {
     let mut svc = svc;
     svc.shutdown();
 }
+
+#[test]
+fn a_binary_client_that_stops_reading_is_not_read_until_it_drains() {
+    // A 4 KiB write budget, and a pipelined burst of `STATS` frames whose
+    // replies (~34 MB) are far more than the server's send buffer
+    // (tcp_wmem caps it at 4 MiB by default) and the client's receive
+    // buffer (which grows only as the client reads) hold together: once
+    // they fill, the shard must stop reading the connection, on the
+    // binary door as on the text door.
+    const BURST: u64 = 250_000;
+    let svc = Service::start(ServiceConfig { n: 64, ..ServiceConfig::default() })
+        .expect("service starts");
+    let cfg = cc_server::NetConfig { max_wbuf: 4096, ..cc_server::NetConfig::default() };
+    let mut server = cc_server::net::serve_with(&svc, "127.0.0.1:0", cfg).expect("bind");
+    let client = svc.client();
+    let frames_in = || {
+        let scrape = client.render_metrics();
+        let line =
+            scrape.iter().find_map(|l| l.strip_prefix("connectit_frames_total{dir=\"in\"} "));
+        line.expect("frames-in series").parse::<u64>().expect("a count")
+    };
+    let (mut r, mut w) = raw_bin(server.local_addr());
+    let writer = std::thread::spawn(move || {
+        let stats = |corr| binproto::frame(&binproto::encode_request(corr, &Request::Stats));
+        let burst: Vec<u8> = (1..=BURST).flat_map(stats).collect();
+        w.write_all(&burst).expect("burst");
+        w
+    });
+    // Not reading: the shard's frame count stalls short of the burst.
+    let (mut seen, mut since) = (frames_in(), Instant::now());
+    while since.elapsed() < Duration::from_millis(500) {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = frames_in();
+        assert!(now < BURST, "the shard read all {BURST} frames while their replies sat unsent");
+        if now != seen {
+            (seen, since) = (now, Instant::now());
+        }
+    }
+    // Draining: every reply arrives, in order.
+    let mut bytes = 0;
+    for want in 1..=BURST {
+        let (corr, status, body) = read_reply(&mut r);
+        assert_eq!((corr, status), (want, binproto::STATUS_OK));
+        bytes += 17 + body.len() as u64;
+    }
+    assert!(bytes > 24 << 20, "the burst must dwarf the socket buffers: {bytes} bytes");
+    drop(writer.join().expect("writer"));
+    server.stop();
+    let mut svc = svc;
+    svc.shutdown();
+}

@@ -4,11 +4,15 @@
 //! scrapes, and the recorder's trace file must survive a shutdown and
 //! be consumed (logged and removed) by the next run's recovery.
 
+use cc_graph::io::binary::RecordReader;
+use cc_server::binproto;
 use cc_server::request::Request;
 use cc_server::wal::{DurabilityConfig, FsyncPolicy};
 use cc_server::{Service, ServiceConfig};
 use connectit::Update;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -379,6 +383,45 @@ fn binary_load_populates_net_plane_series_and_stays_monotone() {
     assert!(
         second["connectit_net_pipeline_depth_count"] > first["connectit_net_pipeline_depth_count"]
     );
+    server.stop();
+    svc.shutdown();
+}
+
+#[test]
+fn a_round_of_pipelined_replies_leaves_in_one_flush() {
+    // One write carries the binary magic and 64 `Q` frames, so one shard
+    // round reads and answers them all: their 64 reply frames leave in a
+    // handful of `write(2)` calls, not one each.
+    let mut svc =
+        Service::start(ServiceConfig { n: 256, ..ServiceConfig::default() }).expect("service");
+    let c = svc.client();
+    let mut server = cc_server::serve(&svc, "127.0.0.1:0").expect("bind");
+    let mut burst = binproto::STREAM_MAGIC.to_vec();
+    for corr in 1..=64u32 {
+        let q = Request::Query(corr, corr + 1);
+        burst.extend(binproto::frame(&binproto::encode_request(corr.into(), &q)));
+    }
+    let before = scrape(&c.render_metrics());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&burst).expect("burst");
+    let mut replies = RecordReader::new(stream, 0);
+    for want in 1..=64u64 {
+        let payload = replies.next().expect("read").expect("a reply frame");
+        assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), want);
+    }
+    // Closing, and waiting for the shard to see it, orders its counter
+    // updates for that round before the scrape.
+    drop(replies);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while scrape(&c.render_metrics())["connectit_connections_live"] > 0 {
+        assert!(std::time::Instant::now() < deadline, "the shard never saw the close");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let after = scrape(&c.render_metrics());
+    let rose = |name: &str| after[name] - before[name];
+    assert_eq!(rose("connectit_frames_total{dir=\"out\"}"), 64);
+    let writes = rose("connectit_net_writes_total");
+    assert!((1..=4).contains(&writes), "64 reply frames took {writes} writes");
     server.stop();
     svc.shutdown();
 }
