@@ -56,7 +56,7 @@ fn drive_workload(n: usize, batches: usize, batch_ops: usize) -> (f64, u64, f64)
     (total_ops / elapsed.max(1e-9), executed, elapsed)
 }
 
-/// One batch's worth of instrumentation, exactly as the batcher and its
+/// One batch's worth of instrumentation, exactly as a batch leader and its
 /// downstream layers pay it (counters, histograms, recorder events).
 #[inline(never)]
 fn instrument_one_batch(obs: &Obs, epoch: u64, ops: u64) {

@@ -116,7 +116,7 @@ fn client_loop(
         }
         let answers = match follower {
             None => {
-                // Single node: the whole mixed batch rides the batcher.
+                // Single node: the whole mixed batch rides the queue.
                 let mut wire = Vec::with_capacity(shape.batch_ops);
                 for &(is_query, lu, lv) in &script {
                     wire.push(if is_query {

@@ -1,12 +1,11 @@
 //! Service-layer benchmark: mixed insert/query throughput of the full
-//! service stack including the batch former and reply fan-out.
+//! service stack including the group commit and reply fan-out.
 
 use cc_parallel::SplitMix64;
 use cc_server::{Client, Service, ServiceConfig};
 use connectit::Update;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Duration;
 
 fn mixed_batch(n: usize, ops: usize, seed: u64) -> Vec<Update> {
     let mut rng = SplitMix64::new(seed);
@@ -30,13 +29,8 @@ fn bench_full_service(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(ops as u64));
     group.bench_function("submit_4096_chunks", |b| {
-        let svc = Service::start(ServiceConfig {
-            n,
-            shards: 4,
-            batch_max_wait: Duration::from_micros(20),
-            ..ServiceConfig::default()
-        })
-        .expect("service");
+        let svc = Service::start(ServiceConfig { n, shards: 4, ..ServiceConfig::default() })
+            .expect("service");
         let client: Client = svc.client();
         b.iter(|| {
             for chunk in mixed_batch(n, ops, 23).chunks(4096) {

@@ -51,7 +51,7 @@ impl CollectSink {
 }
 
 /// Waits until `sink` has collected `want` events (fires are drained on
-/// the batcher's idle tick, so delivery can trail the submit).
+/// the service's idle tick, so delivery can trail the submit).
 fn await_events(sink: &CollectSink, want: usize) -> bool {
     let t0 = Instant::now();
     while sink.len() < want {

@@ -211,8 +211,9 @@ pub fn apply_batch<H: BatchHooks>(
     answers
 }
 
-/// Edges unioned between two polls of [`LivenessTracker::rebuild`]'s
-/// `keep_going`: the work a doomed rebuild can still waste.
+/// Edges unioned (or forest edges tabled) between two polls of
+/// [`LivenessTracker::rebuild`]'s `keep_going`: the work a doomed rebuild
+/// can still waste.
 const REBUILD_POLL_EDGES: usize = 1 << 16;
 
 impl LivenessTracker {
@@ -332,8 +333,14 @@ impl LivenessTracker {
     pub fn replace_edges(&mut self, edges: &[(VertexId, VertexId)]) {
         debug_assert!(self.stale, "replace_edges requires a stale tracker");
         self.edges = EdgeTable::with_capacity(edges.len());
-        for &(u, v) in edges.iter().filter(|&&(u, v)| u != v) {
-            self.edges.insert(canon_edge(u, v));
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            // Start loading a later edge's home slot, as `apply_batch` does.
+            if let Some(&(a, b)) = edges.get(i + PREFETCH_AHEAD) {
+                self.edges.prefetch(canon_edge(a, b));
+            }
+            if u != v {
+                self.edges.insert(canon_edge(u, v));
+            }
         }
         self.forest = EdgeTable::new();
     }
@@ -364,8 +371,13 @@ impl LivenessTracker {
         // Collected last, so the table is sized for the forest that exists
         // rather than the `n - 1` edges it might have had.
         let mut table = EdgeTable::with_capacity(forest.len());
-        for e in forest {
-            table.insert(e);
+        for chunk in forest.chunks(REBUILD_POLL_EDGES) {
+            if !keep_going() {
+                return None;
+            }
+            for &e in chunk {
+                table.insert(e);
+            }
         }
         Some(Rebuilt { partition: Arc::new(partition), forest: table })
     }

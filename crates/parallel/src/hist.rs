@@ -116,7 +116,7 @@ fn bucket_lower(idx: usize) -> u64 {
 /// convention) with cheap percentile extraction.
 ///
 /// Recording is wait-free (one relaxed `fetch_add` per sample plus min/max
-/// maintenance), so many threads — e.g. the service's batch former and its
+/// maintenance), so many threads — e.g. the service's batch leaders and its
 /// protocol threads — can record into one shared instance. Values are
 /// quantized to ~3% relative error; `min`/`max` are tracked exactly.
 ///

@@ -1,7 +1,7 @@
 //! The incremental analytics plane: delta-maintained component
 //! aggregates served from epoch-versioned, lock-free views.
 //!
-//! The batch former already observes every union that actually merges
+//! The batch apply already observes every union that actually merges
 //! two components ([`connectit::InsertClass::Merge`]) and every
 //! generation rebuild that re-partitions them. This module folds that
 //! [`MergeOutcome`] stream into always-current aggregates without ever

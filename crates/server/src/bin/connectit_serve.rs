@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! connectit-serve [--n N] [--shards S] [--bind ADDR] [--port P]
-//!                 [--batch-ops K] [--batch-wait-us U] [--snapshot-every B]
+//!                 [--batch-ops K] [--snapshot-every B]
 //!                 [--wal-dir DIR] [--fsync always|batch|off]
 //!                 [--replication-port R | --replicate-from HOST:PORT]
 //!                 [--net-shards S] [--idle-timeout-ms MS]
@@ -14,7 +14,9 @@
 //! `idle-timeout` close reason in the flight recorder.
 //!
 //! `--shards` is accepted and selects nothing (see
-//! `cc_server::ExecMode`).
+//! `cc_server::ExecMode`). `--batch-ops` caps the operations in one
+//! batch; no timer forms a batch: it is whatever queued while the last
+//! one applied (see `cc_server::service`).
 //!
 //! `--wal-dir` turns on durability: every applied batch is logged to a
 //! segmented, checksummed write-ahead log before it commits, and startup
@@ -46,11 +48,12 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: connectit-serve [--n N] [--shards S] [--bind ADDR] [--port P]\n\
-         \x20                      [--batch-ops K] [--batch-wait-us U] [--snapshot-every B]\n\
+         \x20                      [--batch-ops K] [--snapshot-every B]\n\
          \x20                      [--wal-dir DIR] [--fsync always|batch|off]\n\
          \x20                      [--replication-port R | --replicate-from HOST:PORT]\n\
          \x20                      [--net-shards S] [--idle-timeout-ms MS]\n\
          \x20  --shards is accepted and selects nothing\n\
+         \x20  --batch-ops caps a batch: whatever queued while the last one applied\n\
          \x20  --wal-dir enables the write-ahead log + crash recovery; --snapshot-every\n\
          \x20  then sets the checkpoint cadence\n\
          \x20  --replication-port streams the WAL to followers (requires --wal-dir)\n\
@@ -97,9 +100,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--bind" => opts.bind = value(a, &mut it)?,
             "--port" => opts.port = value(a, &mut it)?,
             "--batch-ops" => opts.cfg.batch_max_ops = value(a, &mut it)?,
-            "--batch-wait-us" => {
-                opts.cfg.batch_max_wait = Duration::from_micros(value(a, &mut it)?);
-            }
             "--snapshot-every" => opts.snapshot_every = value(a, &mut it)?,
             "--wal-dir" => opts.wal_dir = Some(value(a, &mut it)?),
             "--fsync" => opts.fsync = it.next().ok_or("--fsync needs a value")?.parse()?,
@@ -211,12 +211,11 @@ fn main() -> ExitCode {
         (None, None) => String::new(),
     };
     println!(
-        "connectit-serve listening on {} role={} n={} batch_ops={} batch_wait={:?}{wal_info}{repl_info}",
+        "connectit-serve listening on {} role={} n={} batch_ops={}{wal_info}{repl_info}",
         server.local_addr(),
         client.role(),
         client.num_vertices(),
         opts.cfg.batch_max_ops,
-        opts.cfg.batch_max_wait,
     );
     server.wait_shutdown();
     repl_shutdown.store(true, Ordering::Release);

@@ -21,7 +21,7 @@
 //! The correlation id is an opaque client-chosen token echoed on the
 //! response; clients pipeline many requests per connection and the server
 //! may complete them **out of order** (reads overtake updates that are
-//! still riding the batch former). Verb tags and argument layouts:
+//! still queued or in a batch). Verb tags and argument layouts:
 //!
 //! | tag  | verb    | args                                        |
 //! |------|---------|---------------------------------------------|

@@ -35,14 +35,19 @@
 //!   query-only `B` body) go through **one**
 //!   [`crate::service::Client::query_many_tagged`] call — one
 //!   epoch-snapshot/view acquire answers every read the round collected,
-//!   across all connections. The batcher publishes a batch before it
-//!   acks it, so a connection reads its own acknowledged writes;
+//!   across all connections. A leader publishes a batch before it acks
+//!   it, so a connection reads its own acknowledged writes;
 //! - all `I`/`D`/`B` updates concatenate into **one**
-//!   [`crate::service::Client::submit_tagged_async`] group per round, so
-//!   the batch former sees one submission where thread-per-connection
-//!   served dozens, and the shard never parks waiting for the batch — the
-//!   ticket's completion callback wakes the poll and answers are routed
-//!   back per request.
+//!   `Client::submit_tagged_async` group per round, so
+//!   the queue sees one submission where thread-per-connection served
+//!   dozens. If that submission found no batch in flight, or a leader
+//!   handed the queue on, the shard leads at the end of the round — after
+//!   the read stroke's replies are written, so reads never wait behind a
+//!   WAL append — and answers its own group in the same round; with one
+//!   shard, writes apply with no thread hand-off. Otherwise it never
+//!   parks waiting: the ticket's completion callback wakes the poll and
+//!   answers are routed back per request. A shard that led runs the WAL
+//!   sync that fell due once the round's replies are flushed.
 //!
 //! The coalesce width (requests per grouped stroke) is recorded in
 //! `net_coalesce_width`; per-connection in-flight depth in
@@ -193,6 +198,7 @@ pub(crate) fn start(
             parked: Vec::new(),
             resume: Vec::new(),
             dirty: Vec::new(),
+            led: false,
             gauge,
             idle_timeout: cfg.idle_timeout,
             max_wbuf: cfg.max_wbuf,
@@ -329,7 +335,7 @@ enum Parked {
     /// A follower at the live tail, woken by the next epoch or, at its
     /// deadline, for a heartbeat.
     Tail { token: usize, ticket: Arc<Ticket<u64>>, deadline: Instant },
-    /// A grouped submission in flight at the batch former.
+    /// A grouped submission queued or in a batch.
     Group(SubmitTicket, Vec<Slot>),
     /// A blocking verb; a `WAIT` or `QUIESCE` expires at its deadline.
     Barrier {
@@ -342,13 +348,32 @@ enum Parked {
     },
 }
 
+impl Parked {
+    /// [`Ticket::take_lead`] on the parked ticket (a follower's tail is
+    /// never queued, so never offered the lead).
+    fn take_lead(&self) -> bool {
+        match self {
+            Parked::Tail { ticket, .. } | Parked::Barrier { ticket, .. } => ticket.take_lead(),
+            Parked::Group(ticket, _) => ticket.take_lead(),
+        }
+    }
+
+    /// [`Ticket::abandon`] on the parked ticket, as it is dropped.
+    fn abandon(&self) -> bool {
+        match self {
+            Parked::Tail { ticket, .. } | Parked::Barrier { ticket, .. } => ticket.abandon(),
+            Parked::Group(ticket, _) => ticket.abandon(),
+        }
+    }
+}
+
 /// Per-round accumulation across all ready connections.
 #[derive(Default)]
 struct Round {
     /// The direct-read stroke: pairs answered by one view acquire.
     pairs: Vec<(u32, u32)>,
     reads: Vec<Slot>,
-    /// The grouped submission: ops for the batch former.
+    /// The grouped submission: ops for the submission queue.
     ops: Vec<Update>,
     group_queries: usize,
     writes: Vec<Slot>,
@@ -405,6 +430,9 @@ struct Shard {
     resume: Vec<usize>,
     /// Connections read or replied to since the last [`Shard::flush_dirty`].
     dirty: Vec<usize>,
+    /// Set when this shard led a batch this round: the WAL sync that fell
+    /// due runs once the round's replies are flushed.
+    led: bool,
     gauge: Arc<Gauge>,
     idle_timeout: Option<Duration>,
     max_wbuf: usize,
@@ -451,12 +479,20 @@ impl Shard {
             self.drain_events();
             self.flush_dirty();
             self.resume_text();
+            if std::mem::take(&mut self.led) {
+                self.client.sync_wal_if_due();
+            }
             self.sweep_idle();
         }
         // Orderly teardown: every surviving connection closes `shutdown`.
         let tokens: Vec<usize> = self.conns.keys().copied().collect();
         for t in tokens {
             self.close(t, CloseReason::Shutdown);
+        }
+        // Groups still parked are given up too; one holding the queue's
+        // lead hands it on.
+        if std::mem::take(&mut self.parked).iter().fold(false, |any, p| p.abandon() | any) {
+            self.client.lead();
         }
     }
 
@@ -685,6 +721,7 @@ impl Shard {
                 self.pump_text(token, &mut round);
             }
             self.execute_round(round);
+            self.drain_parked();
             self.flush_dirty();
         }
     }
@@ -817,8 +854,12 @@ impl Shard {
         self.obs.metrics.waits_parked.inc();
     }
 
-    /// Executes the round's two grouped strokes: one view acquire for all
-    /// collected reads, one batch-former submission for all updates.
+    /// Executes the round's two grouped strokes — one view acquire for
+    /// all collected reads, one queued submission for all updates — then
+    /// leads the queue if a ticket of this shard was offered the lead: its
+    /// own submission found no leader, or a leader handed the queue on.
+    /// The read stroke's replies leave first, so reads never wait behind
+    /// a WAL append.
     fn execute_round(&mut self, round: Round) {
         let Round { pairs, reads, ops, writes, .. } = round;
         if !reads.is_empty() {
@@ -832,6 +873,13 @@ impl Shard {
                 Ok(ticket) => self.parked.push(Parked::Group(ticket, writes)),
                 Err(e) => self.answer_slots(writes, Err(e)),
             }
+        }
+        // A lead that ends by offering the queue to this shard again is
+        // taken here too. What the batches fulfil is drained after this,
+        // in the round.
+        while self.parked.iter().fold(false, |any, p| p.take_lead() | any) {
+            self.flush_dirty();
+            self.led |= self.client.lead();
         }
     }
 
@@ -1059,15 +1107,20 @@ impl Shard {
         let _ = self.poll.registry().deregister(&conn.stream);
         // Its parked barriers (and a follower's parked tail) go with it;
         // the waiter list prunes their abandoned tickets at its next fire.
-        let waits_parked = &self.obs.metrics.waits_parked;
+        // A queued barrier holding the queue's lead hands it on.
+        let (waits_parked, mut offered) = (&self.obs.metrics.waits_parked, false);
         self.parked.retain(|p| match p {
             Parked::Barrier { token: t, .. } if *t == token => {
                 waits_parked.dec();
+                offered |= p.abandon();
                 false
             }
             Parked::Tail { token: t, .. } => *t != token,
             _ => true,
         });
+        if offered {
+            self.led |= self.client.lead();
+        }
         // Ephemeral subscriptions die with the connection; durable ones
         // only lose their sink and keep accumulating for `SUB ATTACH`.
         for (id, durable_sink) in &conn.subs {

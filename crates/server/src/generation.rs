@@ -63,6 +63,7 @@ use connectit::{
     apply_batch, canon_edge, BatchHooks, DeleteCounts, LivenessTracker, Rebuilt, Update,
 };
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,7 +128,7 @@ impl View {
 
 /// Writer-side state: the liveness tracker (whose partition is the one
 /// connectivity structure; stale means dirty — a rebuild is owed or in
-/// flight) and the rebuild bookkeeping. Held by the batch former and the
+/// flight) and the rebuild bookkeeping. Held by the batch leader and the
 /// rebuild worker.
 struct WriteState {
     tracker: LivenessTracker,
@@ -152,7 +153,7 @@ struct WriteState {
     analytics: Analytics,
     /// The subscription plane's trigger index, keyed by the same
     /// partition's roots: folds the same merges, buffers fires for the
-    /// batcher to stamp and dispatch (DESIGN.md §13).
+    /// batch leader to stamp and dispatch (DESIGN.md §13).
     subs: SubsCore,
 }
 
@@ -205,6 +206,13 @@ impl BatchHooks for WriteState {
 /// An edge list, as the tracker snapshots it and writers queue it.
 type Edges = Vec<(u32, u32)>;
 
+/// What the rebuild worker runs every 5 ms, waiting or rebuilding
+/// ([`GenerationEngine::set_idle_hook`]).
+pub type IdleHook = Box<dyn Fn() + Send + Sync>;
+
+/// How often the rebuild worker runs its [`IdleHook`].
+const IDLE_TICK: Duration = Duration::from_millis(5);
+
 /// The rebuild worker's live-edge snapshot, with the lineage it was taken
 /// under.
 type Snapshot = Option<(u64, Edges)>;
@@ -223,6 +231,8 @@ struct Shared {
     mx: Mutex<WriteState>,
     /// Wakes the rebuild worker on clean→dirty and at shutdown.
     cv: Condvar,
+    /// Held while the hook runs, so clearing it waits one out.
+    idle: Mutex<Option<IdleHook>>,
     /// The service's one waiter list: the engine fires its
     /// [`Barrier::Clean`] entries, the service its epoch ones.
     waiters: Waiters,
@@ -308,17 +318,26 @@ impl Shared {
 
     /// Builds the next generation outside every lock: strike `retracted`
     /// from the snapshot, one union-find pass for partition and forest,
-    /// then the aggregates recounted from the partition.
+    /// then the aggregates recounted from the partition. `poll` runs at
+    /// every poll of the pass and before the recount.
     /// `None` once a further retraction (or shutdown) dooms the attempt.
-    fn build_generation(&self, edges: &mut Edges, retracted: &[u64]) -> Option<NextGeneration> {
+    fn build_generation(
+        &self,
+        edges: &mut Edges,
+        retracted: &[u64],
+        poll: impl Fn(),
+    ) -> Option<NextGeneration> {
         if !retracted.is_empty() {
             let mut dead = retracted.to_vec();
             dead.sort_unstable();
             edges.retain(|&(u, v)| dead.binary_search(&canon_edge(u, v)).is_err());
         }
-        let keep_going =
-            || !self.doomed.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Acquire);
+        let keep_going = || {
+            poll();
+            !self.doomed.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Acquire)
+        };
         let rebuilt = LivenessTracker::rebuild(self.n, edges, keep_going)?;
+        poll();
         // With nothing live every vertex is a singleton: no root scan (a
         // fresh service's start catches up over an empty log).
         let analytics = if edges.is_empty() {
@@ -398,12 +417,26 @@ impl Shared {
     fn fire_clean(&self, generation: u64) {
         self.waiters.fire(|b| (b == Barrier::Clean).then_some(Ok(generation)));
     }
+
+    /// Runs the idle hook if [`IDLE_TICK`] has passed since `last`. The
+    /// rebuild worker calls it while it waits and at every poll of a
+    /// rebuild, so a running rebuild holds the idle duties back by one
+    /// poll interval, not to its end.
+    fn idle_if_due(&self, last: &Cell<Instant>) {
+        if last.get().elapsed() >= IDLE_TICK {
+            if let Some(hook) = &*self.idle.lock() {
+                hook();
+            }
+            last.set(Instant::now());
+        }
+    }
 }
 
 /// The background rebuild loop (one dedicated thread per service).
 fn run_rebuilder(shared: &Arc<Shared>) {
     // The live-edge snapshot of the dirty window being rebuilt.
     let mut snapshot: Snapshot = None;
+    let last_idle = Cell::new(Instant::now());
     loop {
         let retracted;
         {
@@ -415,7 +448,11 @@ fn run_rebuilder(shared: &Arc<Shared>) {
                 if st.rebuild_owed() {
                     break;
                 }
-                shared.cv.wait(&mut st);
+                if shared.cv.wait_for(&mut st, IDLE_TICK).timed_out() {
+                    drop(st);
+                    shared.idle_if_due(&last_idle);
+                    st = shared.mx.lock();
+                }
             }
             retracted = shared.begin_attempt(&mut st, &mut snapshot);
         }
@@ -425,12 +462,13 @@ fn run_rebuilder(shared: &Arc<Shared>) {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            std::thread::sleep(left.min(Duration::from_millis(10)));
+            std::thread::sleep(left.min(IDLE_TICK));
+            shared.idle_if_due(&last_idle);
         }
         let build_start = Instant::now();
         let (lineage, edges) = snapshot.as_mut().expect("begin_attempt took the snapshot");
         let lineage = *lineage;
-        let next = shared.build_generation(edges, &retracted);
+        let next = shared.build_generation(edges, &retracted, || shared.idle_if_due(&last_idle));
         let mut st = shared.mx.lock();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -488,6 +526,7 @@ impl GenerationEngine {
             aview: Mutex::new(aview),
             mx: Mutex::new(st),
             cv: Condvar::new(),
+            idle: Mutex::new(None),
             waiters: Waiters::default(),
             doomed: AtomicBool::new(false),
             published_epoch: AtomicU64::new(0),
@@ -504,6 +543,15 @@ impl GenerationEngine {
 
     fn view(&self) -> Arc<View> {
         Arc::clone(&self.shared.view.lock())
+    }
+
+    /// Installs (or, with `None`, removes) the hook the rebuild worker
+    /// runs every 5 ms: while it waits with nothing to rebuild, and at
+    /// the polls of a rebuild in flight (every 2^16 edges it unions or
+    /// tables, and before the aggregate recount).
+    /// Removal waits out a run in progress.
+    pub fn set_idle_hook(&self, hook: Option<IdleHook>) {
+        *self.shared.idle.lock() = hook;
     }
 
     /// Number of vertices.
@@ -631,7 +679,7 @@ impl GenerationEngine {
     pub fn quiesce(&self, timeout: Duration) -> Result<u64, u64> {
         let ticket = Ticket::new(None);
         self.when_clean(&ticket);
-        match ticket.wait(Instant::now().checked_add(timeout)) {
+        match ticket.wait(Instant::now().checked_add(timeout), || {}) {
             Some(Ok(generation)) => Ok(generation),
             _ => Err(self.generation()),
         }
@@ -707,7 +755,7 @@ impl GenerationEngine {
         };
         // Only live deletes doom, and none run while behind.
         self.shared.doomed.store(false, Ordering::Relaxed);
-        let Some(next) = self.shared.build_generation(&mut edges, &[]) else {
+        let Some(next) = self.shared.build_generation(&mut edges, &[], || {}) else {
             return; // shutting down
         };
         let generation = {
@@ -800,7 +848,7 @@ impl GenerationEngine {
 
     /// Drains buffered subscription fires, stamping unstamped ones with
     /// `epoch` (see [`crate::subs::SubsCore::drain_fires`]). Called by
-    /// the batch former right after it publishes that epoch, and by the
+    /// a batch's leader right after it publishes that epoch, and by the
     /// follower apply path at its replicated epoch.
     pub fn drain_sub_fires(&self, epoch: u64) -> Vec<PendingEvent> {
         let mut st = self.shared.mx.lock();
@@ -847,6 +895,21 @@ mod tests {
 
     fn quiesced(g: &GenerationEngine) -> u64 {
         g.quiesce(Duration::from_secs(30)).expect("quiesce")
+    }
+
+    #[test]
+    fn a_rebuild_polls_at_every_chunk_and_before_the_recount() {
+        let g = gen_engine(1 << 10, Duration::ZERO);
+        // Two whole 2^16-edge chunks and one edge more, spanned by a forest
+        // of fewer than 2^16 edges.
+        let mut edges: Edges = (0..(2 << 16) + 1).map(|i| (i % 1024, i / 1024)).collect();
+        let polls = Cell::new(0);
+        g.shared.build_generation(&mut edges, &[], || polls.set(polls.get() + 1)).expect("built");
+        assert_eq!(
+            polls.get(),
+            3 + 1 + 1,
+            "each chunk of the pass and the forest, then the recount"
+        );
     }
 
     /// An engine whose worker was retired, and the worker's loop body taken
@@ -897,7 +960,7 @@ mod tests {
 
         fn build(&mut self, retracted: &[u64]) -> Option<NextGeneration> {
             let (_, edges) = self.snapshot.as_mut().expect("begin() came first");
-            self.g.shared.build_generation(edges, retracted)
+            self.g.shared.build_generation(edges, retracted, || {})
         }
 
         fn finish(&mut self, next: Option<NextGeneration>) -> bool {

@@ -15,8 +15,9 @@
 //!   (non-forest and absent deletions are free), and queries during a
 //!   rebuild serve the sealed generation with an honest
 //!   `(epoch, generation)` staleness report (DESIGN.md §9).
-//! - [`service::Service`] — a time/size-bounded batch former coalescing
-//!   many clients' submissions into engine batches, lock-free reads
+//! - [`service::Service`] — group commit with no batch-former thread: a
+//!   submitter that finds no batch in flight leads the next one, taking
+//!   everything queued into one engine batch; lock-free reads
 //!   straight off the serving partition (reads never block writers),
 //!   per-operation latency tracking via `cc_parallel::hist::LatencyHist`,
 //!   and a cloneable in-process [`service::Client`].
@@ -59,8 +60,8 @@
 //!   blocking client, [`client::WireClient`], speaks the same IR over
 //!   either door's codec; each shard coalesces decoded reads
 //!   across all its ready connections into one epoch-snapshot acquire
-//!   and groups updates into single batch-former submissions
-//!   (DESIGN.md §11).
+//!   and groups updates into one submission per round, which the shard
+//!   itself leads when no batch is in flight (DESIGN.md §11).
 //! - [`obs`] — the observability plane: a per-service metrics registry
 //!   (relaxed-atomic counters/gauges/histograms mirrored at write time,
 //!   scraped lock-free by the multi-line `METRICS` verb) and a

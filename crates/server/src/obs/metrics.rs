@@ -8,7 +8,7 @@
 //! [`LatencyHist`] record, itself a handful of relaxed `fetch_add`s) on
 //! pre-registered series — no allocation, no locking, no formatting.
 //! Subsystems update the registry *at write time*, so the scrape never
-//! has to reach into the batcher, the WAL writer, or the generation
+//! has to reach into the batch leader, the WAL writer, or the generation
 //! engine's writer lock to compute a value.
 //!
 //! ## Read path
@@ -16,7 +16,7 @@
 //! [`Metrics::render`] reads every series with relaxed atomic loads and
 //! formats the exposition. The only lock it takes is the registry's own
 //! follower-table mutex (see [`Metrics::register_follower`]) — held for
-//! a `Vec` clone, never taken by the batch former, the WAL writer, or
+//! a `Vec` clone, never taken by a batch leader, the WAL writer, or
 //! any query path. The lock-by-lock audit lives in `DESIGN.md` §10.
 //!
 //! ## Exposition grammar (wire-stable)

@@ -19,7 +19,7 @@
 //! Capacity is fixed at construction ([`DEFAULT_RECORDER_CAPACITY`]
 //! slots, a power of two). When full, the oldest event is silently
 //! overwritten; `TRACE [n]` dumps the most recent `n` events still
-//! resident. On shutdown (and periodically from the batcher) the ring
+//! resident. On shutdown (and periodically from the idle tick) the ring
 //! is appended to `<wal-dir>/trace-<pid>.log`, which stays within
 //! [`TRACE_FILE_CAP`] bytes; on restart the previous run's file tail is
 //! surfaced and the file removed, so SIGKILL post-mortems are self-serve.
@@ -112,7 +112,7 @@ impl CloseReason {
 /// enum's layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// The batcher coalesced pending submissions into one batch.
+    /// A leader took pending submissions off the queue as one batch.
     BatchFormed {
         /// Epoch the batch will commit as.
         epoch: u64,
@@ -263,7 +263,7 @@ pub struct Recorder {
     head: AtomicU64,
     start: Instant,
     /// Sequence already appended to the trace file; guards the file
-    /// against duplicate flushes. Only the batcher's periodic flush and
+    /// against duplicate flushes. Only the idle tick's periodic flush and
     /// shutdown take it — never an event writer.
     flushed: Mutex<u64>,
 }
@@ -354,7 +354,7 @@ impl Recorder {
     /// on first use. A flush that would take the file past
     /// [`TRACE_FILE_CAP`] rewrites it (through a renamed `.tmp` sibling)
     /// to its newest lines within half the cap instead. Returns the number
-    /// of lines flushed. Callers are the batcher's idle tick, shutdown,
+    /// of lines flushed. Callers are the service's idle tick, shutdown,
     /// and the serve binary's panic hook — never an event writer.
     pub fn flush_to_file(&self, path: &Path) -> std::io::Result<usize> {
         let mut flushed = self.flushed.lock();

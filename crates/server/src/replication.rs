@@ -369,7 +369,6 @@ mod tests {
         ServiceConfig {
             n,
             shards: 2,
-            batch_max_wait: Duration::from_micros(20),
             durability: Some(DurabilityConfig {
                 fsync: FsyncPolicy::Off,
                 ..DurabilityConfig::new(dir)

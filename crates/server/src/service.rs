@@ -1,23 +1,28 @@
-//! The long-running connectivity service: a time/size-bounded batch
-//! former in front of a [`crate::generation::GenerationEngine`] (one
-//! partition under the edge-liveness tracker, plus the background
-//! rebuilder that gives the service deletions), write-ahead logging with
-//! checkpoint records, and per-operation latency tracking.
+//! The long-running connectivity service: group commit in front of a
+//! [`crate::generation::GenerationEngine`] (one partition under the
+//! edge-liveness tracker, plus the background rebuilder that gives the
+//! service deletions), write-ahead logging with checkpoint records, and
+//! per-operation latency tracking.
 //!
 //! Clients ([`Client`], cheaply cloneable) enqueue submissions — each a
-//! small vector of [`Update`]s — and block on a per-submission
-//! [`Ticket`]. A dedicated batch-former thread drains the queue, lingering
-//! up to [`ServiceConfig::batch_max_wait`] to coalesce traffic from many
-//! clients into one engine batch of at most
-//! [`ServiceConfig::batch_max_ops`] operations, then runs it through
-//! [`GenerationEngine::process_batch_tagged`] and fans the query answers
-//! back out. Every batch with an insert or a delete bumps the service
-//! epoch; a batch of queries and controls commits nothing. A blocking
-//! verb is a [`Ticket`] parked on one waiter list, or a control riding
-//! the next batch, so nothing waits on a thread. Reads skip the former
-//! and the writer lock alike: they ask the engine's serving partition
-//! directly, so readers never block writers and writers never wait for
-//! readers.
+//! small vector of [`Update`]s — and wait on a per-submission [`Ticket`].
+//! No thread forms batches. A submitter that finds no batch in flight
+//! leads: it takes whole submissions off the queue, up to
+//! [`ServiceConfig::batch_max_ops`] operations, runs them through
+//! [`GenerationEngine::process_batch_tagged`] as one batch and fans the
+//! query answers back out; whatever queued meanwhile is the next batch.
+//! A leader runs one batch — the one carrying its own submission — then
+//! hands the queue to the owner of its oldest submission, so no
+//! submitter leads for ever, and a submitter that returns while that
+//! owner wakes joins its batch. In process the leader is the thread in
+//! [`Client::submit`] (or `FLUSH` and `SNAPSHOT`); on the event loop it
+//! is a shard, at the end of its round.
+//! Every batch with an insert or a delete bumps the service epoch; a
+//! batch of queries and controls commits nothing. A blocking verb is a
+//! [`Ticket`] parked on one waiter list, or a control riding the next
+//! batch, so nothing waits on a thread. Reads skip the queue and the
+//! writer lock alike: they ask the engine's serving partition directly,
+//! so readers never block writers and writers never wait for readers.
 //!
 //! Replayed history has one door, `apply_log` over a [`LogRecord`]:
 //! crash recovery drives it from the service's own WAL, a follower
@@ -37,11 +42,11 @@ use connectit::Update;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// How often the batcher appends fresh flight-recorder events to the
+/// How often the idle tick appends fresh flight-recorder events to the
 /// trace file while durability is on: a SIGKILL loses at most this
 /// window of events (plus whatever the ring had not yet flushed).
 const TRACE_FLUSH_INTERVAL: Duration = Duration::from_millis(500);
@@ -102,13 +107,10 @@ pub struct ServiceConfig {
     pub spec: UfSpec,
     /// Selects nothing (see [`ExecMode`]).
     pub mode: ExecMode,
-    /// Soft cap on operations per formed batch: the former stops taking
-    /// whole submissions once the cap is reached (a single oversized
+    /// Soft cap on operations per batch: a leader stops taking whole
+    /// submissions once the cap is reached (a single oversized
     /// submission still runs as one batch).
     pub batch_max_ops: usize,
-    /// How long the former lingers for more traffic before running a
-    /// partially-filled batch.
-    pub batch_max_wait: Duration,
     /// Selects nothing (see [`ExecMode`]).
     pub seed: u64,
     /// Test knob: hold every background generation rebuild open for at
@@ -132,7 +134,6 @@ impl Default for ServiceConfig {
             spec: UfSpec::fastest(),
             mode: ExecMode::Auto,
             batch_max_ops: 1 << 16,
-            batch_max_wait: Duration::from_micros(100),
             seed: 0x5eed,
             rebuild_hold: Duration::ZERO,
             durability: None,
@@ -269,8 +270,9 @@ struct Pending {
     work: Work,
 }
 
-/// What a queued submission asks of the batcher, and where its result
+/// What a queued submission asks of its batch, and where its result
 /// goes.
+#[derive(Clone)]
 enum Work {
     /// Operations: the ticket gets their query answers.
     Ops(Arc<Ticket<TaggedAnswers>>),
@@ -287,6 +289,16 @@ impl Work {
             Work::Control(_, ticket) => ticket.fulfill(Err(e)),
         }
     }
+
+    /// Offers the queue's lead to the ticket's owner (see
+    /// [`Ticket::offer_lead`]); `wake` also wakes it. `false` if the owner
+    /// has gone.
+    fn offer_lead(&self, wake: bool) -> bool {
+        match self {
+            Work::Ops(ticket) => ticket.offer_lead(wake),
+            Work::Control(_, ticket) => ticket.offer_lead(wake),
+        }
+    }
 }
 
 /// A query answer paired with the sealed generation it was served from
@@ -295,29 +307,44 @@ impl Work {
 /// layer never has to re-derive staleness with a racy second read.
 pub type TaggedAnswers = Vec<(bool, Option<u64>)>;
 
-/// The callback a ticket's producer fires once the result is stored: the
-/// event-loop shards pass their poll waker.
+/// The callback a ticket's producer fires once the result is stored, or
+/// once the queue's lead is handed to the ticket's holder: the event-loop
+/// shards pass their poll waker.
 pub type Notify = Box<dyn Fn() + Send + Sync>;
 
 /// A one-shot result still being produced: a submission's answers
-/// ([`Client::submit_tagged_async`]) or a blocking verb's epoch or
+/// (`Client::submit_tagged_async`) or a blocking verb's epoch or
 /// generation. Its producer (a batch, a waiter-list fire, or the request
 /// itself when it already holds) stores the result once; its holder polls
 /// with [`Ticket::try_take`] after the notify callback fires, or blocks
-/// with [`Ticket::wait`]. The two share it as an `Arc`: a holder that
+/// with `Ticket::wait`. The two share it as an `Arc`: a holder that
 /// drops its `Arc` abandons the wait.
+///
+/// A queued submission's ticket may also be offered the queue's lead:
+/// its holder then leads (`Client::lead`). A holder that gives the ticket
+/// up first calls `Ticket::abandon`, so no offer lands on a holder that
+/// has gone.
 pub struct Ticket<T> {
     state: Mutex<Option<Result<T, ServiceError>>>,
     cv: Condvar,
     notify: Option<Notify>,
+    /// [`NO_OFFER`], [`OFFERED`] or [`ABANDONED`].
+    lead: AtomicU8,
 }
+
+/// A ticket's lead states: nothing offered, the queue's lead offered to
+/// the holder, or the holder gone (no offer lands any more).
+const NO_OFFER: u8 = 0;
+const OFFERED: u8 = 1;
+const ABANDONED: u8 = 2;
 
 /// The ticket of a grouped submission.
 pub type SubmitTicket = Arc<Ticket<TaggedAnswers>>;
 
 impl<T> Ticket<T> {
     pub(crate) fn new(notify: Option<Notify>) -> Arc<Self> {
-        Arc::new(Ticket { state: Mutex::new(None), cv: Condvar::new(), notify })
+        let lead = AtomicU8::new(NO_OFFER);
+        Arc::new(Ticket { state: Mutex::new(None), cv: Condvar::new(), notify, lead })
     }
 
     fn fulfill(&self, r: Result<T, ServiceError>) {
@@ -326,6 +353,40 @@ impl<T> Ticket<T> {
         if let Some(f) = &self.notify {
             f();
         }
+    }
+
+    /// Marks the holder as the queue's next leader. `wake` wakes it — a
+    /// blocked holder and the notify alike; without it the holder is the
+    /// caller, about to look. Returns `false`, offering nothing, if the
+    /// holder abandoned the ticket.
+    fn offer_lead(&self, wake: bool) -> bool {
+        let to = self.lead.compare_exchange(NO_OFFER, OFFERED, Ordering::AcqRel, Ordering::Acquire);
+        if to == Err(ABANDONED) {
+            return false;
+        }
+        if wake {
+            // Taking the lock orders this after a holder's check and
+            // before its sleep.
+            drop(self.state.lock());
+            self.cv.notify_all();
+            if let Some(f) = &self.notify {
+                f();
+            }
+        }
+        true
+    }
+
+    /// Whether the queue's lead was offered to this ticket's holder since
+    /// the last call; the holder then leads ([`Client::lead`]).
+    pub(crate) fn take_lead(&self) -> bool {
+        self.lead.compare_exchange(OFFERED, NO_OFFER, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    /// Gives the ticket up: no offer lands after this. Returns whether one
+    /// had landed and was not yet taken; the holder then leads once
+    /// ([`Client::lead`]), which hands the queue on.
+    pub(crate) fn abandon(&self) -> bool {
+        self.lead.swap(ABANDONED, Ordering::AcqRel) == OFFERED
     }
 
     /// Takes the result if it is stored; `None` while it is still being
@@ -337,11 +398,22 @@ impl<T> Ticket<T> {
 
     /// Blocks until the result is stored, or until `deadline` passes
     /// (`None` waits for good), and takes it; `None` at the deadline.
-    pub fn wait(&self, deadline: Option<Instant>) -> Option<Result<T, ServiceError>> {
+    /// Runs `lead` whenever the queue's lead is offered to this holder.
+    pub(crate) fn wait(
+        &self,
+        deadline: Option<Instant>,
+        lead: impl Fn(),
+    ) -> Option<Result<T, ServiceError>> {
         let mut state = self.state.lock();
         loop {
             if let Some(r) = state.take() {
                 return Some(r);
+            }
+            if self.take_lead() {
+                drop(state);
+                lead();
+                state = self.state.lock();
+                continue;
             }
             match deadline {
                 None => self.cv.wait(&mut state),
@@ -414,17 +486,19 @@ impl Waiters {
     }
 }
 
+/// Submissions waiting for a batch. Invariant: a non-empty queue has a
+/// leader running, or a lead offered to one of its submitters.
 struct SubmitQueue {
     queue: VecDeque<Pending>,
-    queued_ops: usize,
-    closed: bool,
+    /// Set while a leader runs a batch; set and cleared under this lock,
+    /// so a push and the leader check are one critical section.
+    leading: bool,
 }
 
 struct Inner {
     engine: GenerationEngine,
     cfg: ServiceConfig,
     q: Mutex<SubmitQueue>,
-    work_cv: Condvar,
     epoch: AtomicU64,
     /// The observability plane. The registry's `inserts/deletes/queries`
     /// counters and `latency_ns` histogram are the *authoritative*
@@ -434,8 +508,8 @@ struct Inner {
     /// Where the flight recorder flushes (`<wal-dir>/trace-<pid>.log`);
     /// `None` without durability (the ring stays in memory for `TRACE`).
     trace_path: Option<PathBuf>,
-    /// The write-ahead log, when durability is on. Locked by the batcher
-    /// for appends and by clients for `FLUSH`/`WALSTATS`.
+    /// The write-ahead log, when durability is on. Locked by a leader for
+    /// appends, controls and the due sync, and by clients for `WALSTATS`.
     wal: Option<Mutex<Wal>>,
     /// The most recent durability failure, surfaced through `WALSTATS`.
     last_wal_error: Mutex<Option<String>>,
@@ -450,8 +524,8 @@ struct Inner {
     /// section, so two concurrent drains cannot reorder deliveries
     /// within a subscription.
     sub_drain_mx: Mutex<()>,
-    /// Set by shutdown; the follower read path has no queue to observe
-    /// closure through, so it checks this flag instead.
+    /// Set by shutdown, under the queue lock so that a push and the
+    /// drain agree on it.
     closed: std::sync::atomic::AtomicBool,
 }
 
@@ -482,10 +556,12 @@ impl Inner {
         }
     }
 
-    /// The batcher's idle tick: sync pending WAL bytes once the
-    /// group-commit window lapses with no append to piggyback on. Must
-    /// be called without the queue lock held — an `fdatasync` can take
-    /// milliseconds and clients block on that lock to submit.
+    /// The due sync of [`crate::wal::FsyncPolicy::Batch`]: syncs pending
+    /// WAL bytes once the group-sync window has lapsed. A leader calls it
+    /// after its batch's tickets are fulfilled, and the idle tick when
+    /// traffic stops. Must be called without the queue lock held — an
+    /// `fdatasync` can take milliseconds and clients block on that lock
+    /// to submit.
     fn maybe_sync_wal(&self) {
         if let Some(w) = &self.wal {
             if let Err(e) = w.lock().sync_if_due() {
@@ -500,8 +576,8 @@ impl Inner {
     /// service epoch read *here* — after the batch that produced them
     /// advanced it — so every event carries the exact epoch its merge
     /// committed at. Only epoch-authoritative callers may use this:
-    /// the batcher right after publishing, and the follower apply
-    /// paths at their replicated epoch.
+    /// a leader right after publishing, and the follower apply paths at
+    /// their replicated epoch.
     fn drain_sub_events(&self) {
         if !self.engine.has_sub_fires() {
             return;
@@ -513,13 +589,13 @@ impl Inner {
     }
 
     /// Prompt-path drain, for delivering a registration-time fire
-    /// without waiting on the batcher: it only drains when every
+    /// without waiting on a batch: it only drains when every
     /// buffered fire is already stamped. A concurrently applied but
     /// not-yet-published batch leaves unstamped merge fires in the
     /// buffer, and stamping those with the still-old committed epoch
     /// would violate the delivery contract — in that case the whole
     /// buffer (registration fire included, order preserved) is left
-    /// for the batcher's imminent post-publish drain.
+    /// for that batch's imminent post-publish drain.
     fn drain_sub_events_prompt(&self) {
         if !self.engine.has_sub_fires() {
             return;
@@ -551,7 +627,7 @@ impl Inner {
 
     /// Writes a checkpoint record at `epoch` — the live edge set and the
     /// durable subscription registry — and prunes every older segment
-    /// ([`Wal::checkpoint`]). Called from the batcher between batches, so
+    /// ([`Wal::checkpoint`]). Called by the leader between batches, so
     /// no new operations race it; an
     /// in-flight rebuild does not matter, because the edge set is exact
     /// while sealed too.
@@ -695,71 +771,52 @@ impl Inner {
         }
         self.apply_log(at, LogRecord::CaughtUp)
     }
-}
 
-/// The batch former: runs on a dedicated thread until the service closes
-/// and the queue drains.
-fn run_batcher(inner: &Arc<Inner>) {
-    let mut last_trace_flush = Instant::now();
-    loop {
-        if last_trace_flush.elapsed() >= TRACE_FLUSH_INTERVAL {
-            inner.flush_trace();
-            last_trace_flush = Instant::now();
-        }
-        let mut pendings: Vec<Pending> = Vec::new();
-        {
-            let mut q = inner.q.lock();
-            loop {
-                if !q.queue.is_empty() {
-                    break;
+    /// One leadership term. Claims the queue if no leader holds it and
+    /// work is queued — else returns `false` at once — then commits one
+    /// batch of whole submissions, up to [`ServiceConfig::batch_max_ops`]
+    /// operations, and offers what is left to the owner of its oldest
+    /// submission. One batch per term: a submitter that returns while
+    /// the heir wakes joins the heir's batch. Only an heir that abandoned
+    /// its ticket refuses the offer; this leader then runs the next batch
+    /// too, so the queue is never left without a leader.
+    fn lead(&self) -> bool {
+        let mut led = false;
+        loop {
+            let pendings = {
+                let mut q = self.q.lock();
+                if q.leading || q.queue.is_empty() {
+                    return led;
                 }
-                if q.closed {
-                    return;
-                }
-                if inner.work_cv.wait_for(&mut q, Duration::from_millis(5)).timed_out() {
-                    // Idle tick: the group-commit window may have lapsed
-                    // with no new append to piggyback on, so sync the
-                    // pending WAL bytes — with the queue lock released,
-                    // because clients block on it to submit and an
-                    // fdatasync can take milliseconds. Fresh trace events
-                    // ride along to the trace file on the same cadence.
-                    drop(q);
-                    inner.maybe_sync_wal();
-                    // A rebuild commit may have landed fires while the
-                    // queue sat empty; push them out now rather than at
-                    // the next batch.
-                    inner.drain_sub_events();
-                    if last_trace_flush.elapsed() >= TRACE_FLUSH_INTERVAL {
-                        inner.flush_trace();
-                        last_trace_flush = Instant::now();
+                q.leading = true;
+                let mut pendings: Vec<Pending> = Vec::new();
+                let mut took = 0usize;
+                while let Some(front) = q.queue.front() {
+                    if took > 0 && took + front.ops.len() > self.cfg.batch_max_ops {
+                        break;
                     }
-                    q = inner.q.lock();
+                    took += front.ops.len();
+                    pendings.extend(q.queue.pop_front());
                 }
-            }
-            // Time/size-bounded forming: linger for more traffic while
-            // below the size cap and within the time bound.
-            let deadline = Instant::now() + inner.cfg.batch_max_wait;
-            while q.queued_ops < inner.cfg.batch_max_ops && !q.closed {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                if inner.work_cv.wait_for(&mut q, deadline - now).timed_out() {
-                    break;
-                }
-            }
-            let mut took = 0usize;
-            while let Some(front) = q.queue.front() {
-                if took > 0 && took + front.ops.len() > inner.cfg.batch_max_ops {
-                    break;
-                }
-                let p = q.queue.pop_front().expect("front exists");
-                q.queued_ops -= p.ops.len();
-                took += p.ops.len();
-                pendings.push(p);
+                pendings
+            };
+            self.commit(pendings);
+            led = true;
+            let heir = {
+                let mut q = self.q.lock();
+                q.leading = false;
+                q.queue.front().map(|p| p.work.clone())
+            };
+            // An heir whose owner has gone takes no offer: lead on for it.
+            if heir.is_none_or(|heir| heir.offer_lead(true)) {
+                return true;
             }
         }
+    }
 
+    /// One batch, in order: WAL append, apply, epoch publish, analytics
+    /// and subscription drain, controls, then every ticket fulfilled.
+    fn commit(&self, pendings: Vec<Pending>) {
         let total: usize = pendings.iter().map(|p| p.ops.len()).sum();
         let mut batch = Vec::with_capacity(total);
         for p in &pendings {
@@ -767,19 +824,19 @@ fn run_batcher(inner: &Arc<Inner>) {
         }
 
         // Stage boundaries of the per-batch latency breakdown: queue
-        // wait (per submission, below) → WAL append (fsync inside, timed
-        // by the WAL itself) → engine apply. All
+        // wait (per submission, below) → WAL append (an `always` fsync
+        // inside, timed by the WAL itself) → engine apply. All
         // instrumentation is a few relaxed atomics per *batch*, not per
         // operation — that amortization is the near-zero-cost claim the
         // obs bench gate holds us to.
-        let metrics = &inner.obs.metrics;
+        let metrics = &self.obs.metrics;
         let formed_at = Instant::now();
         // The epoch the batch commits as: the next one if it writes, else
         // the current one.
         let writes = pendings.iter().any(|p| p.num_queries < p.ops.len());
-        let epoch = inner.epoch.load(Ordering::Relaxed) + u64::from(writes);
+        let epoch = self.epoch.load(Ordering::Relaxed) + u64::from(writes);
         metrics.batches_total.inc();
-        inner.obs.recorder.record(Event::BatchFormed { epoch, ops: total as u64 });
+        self.obs.recorder.record(Event::BatchFormed { epoch, ops: total as u64 });
         for p in &pendings {
             let waited = formed_at.saturating_duration_since(p.enqueued);
             metrics.queue_wait_ns.record_duration(waited);
@@ -793,28 +850,28 @@ fn run_batcher(inner: &Arc<Inner>) {
         // restart could reconstruct. Insert-only batches keep the
         // original `'I'` record kind on disk and on the wire. A batch
         // that writes nothing commits nothing: no record, no epoch.
-        if let Some(w) = inner.wal.as_ref().filter(|_| writes) {
+        if let Some(w) = self.wal.as_ref().filter(|_| writes) {
             let append_start = Instant::now();
             let append_res = w.lock().append_ops(epoch, &batch);
             metrics.wal_append_ns.record_duration(append_start.elapsed());
             if let Err(e) = append_res {
                 let err = ServiceError::from(e);
-                inner.note_wal_error(&err.to_string());
+                self.note_wal_error(&err.to_string());
                 metrics.batch_rejects_total.inc();
                 for p in pendings {
                     p.work.fail(err.clone());
                 }
-                continue;
+                return;
             }
         }
         let apply_start = Instant::now();
-        let answers = inner.engine.process_batch_tagged(&batch);
+        let answers = self.engine.process_batch_tagged(&batch);
 
         // Account everything *before* fulfilling any reply, so a client
         // that returns from `submit` observes stats covering its batch.
         let done_at = Instant::now();
         metrics.apply_ns.record_duration(done_at.saturating_duration_since(apply_start));
-        inner.obs.recorder.record(Event::EngineApplied { epoch, ops: total as u64 });
+        self.obs.recorder.record(Event::EngineApplied { epoch, ops: total as u64 });
         let (mut ins, mut dels, mut qrs) = (0u64, 0u64, 0u64);
         for p in &pendings {
             qrs += p.num_queries as u64;
@@ -830,16 +887,16 @@ fn run_batcher(inner: &Arc<Inner>) {
         metrics.deletes_total.add(dels);
         metrics.queries_total.add(qrs);
         if writes {
-            let advanced = inner.epoch.fetch_add(1, Ordering::Release) + 1;
+            let advanced = self.epoch.fetch_add(1, Ordering::Release) + 1;
             metrics.epoch.set_max(advanced);
             debug_assert_eq!(advanced, epoch);
-            inner.fire_epoch();
+            self.fire_epoch();
             // Advance the analytics view to this batch's epoch (deferred
             // to the rebuild commit while the engine is dirty).
-            inner.engine.publish_analytics(epoch);
+            self.engine.publish_analytics(epoch);
             // Push out any subscription fires this batch's merges
             // produced, stamped with the epoch that just advanced.
-            inner.drain_sub_events();
+            self.drain_sub_events();
         }
 
         // Controls run after the batch they rode: a checkpoint (also on
@@ -847,19 +904,19 @@ fn run_batcher(inner: &Arc<Inner>) {
         // every `FLUSH`. A failure goes to the controls that asked (and
         // WALSTATS); the batch itself already committed.
         let asked = |b| pendings.iter().any(|p| matches!(p.work, Work::Control(c, _) if c == b));
-        let cadence = inner.cfg.durability.as_ref().map_or(0, |d| d.snapshot_every);
+        let cadence = self.cfg.durability.as_ref().map_or(0, |d| d.snapshot_every);
         let snapshot_due =
             asked(Barrier::Snapshot) || (writes && cadence > 0 && epoch.is_multiple_of(cadence));
-        let snapshot = match inner.wal {
-            Some(_) if snapshot_due => inner.write_checkpoint(epoch),
+        let snapshot = match self.wal {
+            Some(_) if snapshot_due => self.write_checkpoint(epoch),
             _ => Ok(()),
         };
-        let flush = match &inner.wal {
+        let flush = match &self.wal {
             Some(w) if asked(Barrier::Flush) => w.lock().flush().map_err(ServiceError::from),
             _ => Ok(()),
         };
         for e in [&snapshot, &flush].into_iter().filter_map(|r| r.as_ref().err()) {
-            inner.note_wal_error(&e.to_string());
+            self.note_wal_error(&e.to_string());
         }
 
         let mut qi = 0usize;
@@ -874,14 +931,26 @@ fn run_batcher(inner: &Arc<Inner>) {
             qi += p.num_queries;
         }
     }
+
+    /// The idle duties, run by the rebuild worker every 5 ms, a running
+    /// rebuild included: the due WAL sync once traffic stops,
+    /// subscription fires a rebuild commit stamped, and the trace flush.
+    fn idle_tick(&self, last_trace_flush: &Mutex<Instant>) {
+        self.maybe_sync_wal();
+        self.drain_sub_events_prompt();
+        let mut last = last_trace_flush.lock();
+        if last.elapsed() >= TRACE_FLUSH_INTERVAL {
+            self.flush_trace();
+            *last = Instant::now();
+        }
+    }
 }
 
 /// A running connectivity service. Dropping it (or calling
-/// [`Service::shutdown`]) closes the submission queue, drains what is
-/// already enqueued, and joins the batch-former thread.
+/// [`Service::shutdown`]) closes the submission queue and drains what is
+/// already enqueued.
 pub struct Service {
     inner: Arc<Inner>,
-    batcher: Option<std::thread::JoinHandle<()>>,
 }
 
 /// The vertex-range check replayed history passes: every `(u, v)` must lie
@@ -905,7 +974,7 @@ impl Service {
     /// Starts the service: builds the generation engine, and — when
     /// durability is configured — rebuilds it from the log (its oldest
     /// checkpoint plus the records past it), resuming at the recovered
-    /// epoch before spawning the batch former.
+    /// epoch.
     pub fn start(cfg: ServiceConfig) -> Result<Service, ServiceError> {
         if cfg.batch_max_ops == 0 {
             return Err(ServiceError::Config("batch_max_ops must be at least 1".into()));
@@ -953,8 +1022,7 @@ impl Service {
         let inner = Arc::new(Inner {
             engine,
             cfg,
-            q: Mutex::new(SubmitQueue { queue: VecDeque::new(), queued_ops: 0, closed: false }),
-            work_cv: Condvar::new(),
+            q: Mutex::new(SubmitQueue { queue: VecDeque::new(), leading: false }),
             epoch: AtomicU64::new(0),
             obs,
             trace_path,
@@ -973,23 +1041,16 @@ impl Service {
         // gauge).
         inner.engine.publish_analytics(inner.epoch.load(Ordering::Acquire));
         inner.obs.metrics.subs_active.set(inner.engine.subs_len() as u64);
-        // A follower has no batch former: writes arrive only through the
-        // replication apply path, and reads go straight to the engine.
-        let batcher = match inner.cfg.role {
-            Role::Follower => None,
-            Role::Primary => {
-                let b_inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("cc-batch-former".into())
-                        .spawn(move || run_batcher(&b_inner))
-                        .map_err(|e| {
-                            ServiceError::Config(format!("failed to spawn batch former: {e}"))
-                        })?,
-                )
+        // The idle duties ride the rebuild worker's wait. The hook holds
+        // the service weakly, and shutdown removes it.
+        let weak = Arc::downgrade(&inner);
+        let last_trace_flush = Mutex::new(Instant::now());
+        inner.engine.set_idle_hook(Some(Box::new(move || {
+            if let Some(inner) = weak.upgrade() {
+                inner.idle_tick(&last_trace_flush);
             }
-        };
-        Ok(Service { inner, batcher })
+        })));
+        Ok(Service { inner })
     }
 
     /// A handle for submitting operations; clone freely across threads.
@@ -997,21 +1058,30 @@ impl Service {
         Client { inner: Arc::clone(&self.inner) }
     }
 
-    /// Closes the queue, drains already-enqueued submissions, joins the
-    /// batch former, and (when durability is on) syncs the WAL so a clean
-    /// shutdown leaves nothing in volatile buffers. Idempotent.
+    /// Closes the queue, drains already-enqueued submissions (leading
+    /// them here, or waiting out the leader that holds them), and (when
+    /// durability is on) syncs the WAL so a clean shutdown leaves nothing
+    /// in volatile buffers. Idempotent.
     pub fn shutdown(&mut self) {
-        {
-            let mut q = self.inner.q.lock();
-            q.closed = true;
-        }
+        // A running idle tick finishes first; none runs after this.
+        self.inner.engine.set_idle_hook(None);
+        // Under the queue lock: a push sees it, or this drain sees the push.
+        let q = self.inner.q.lock();
         self.inner.closed.store(true, Ordering::Release);
-        self.inner.work_cv.notify_all();
+        drop(q);
         // Fail every `WAIT` still parked: the epoch will never advance again.
         let closed = |b| matches!(b, Barrier::Epoch(_)).then_some(Err(ServiceError::Closed));
         self.inner.engine.waiters().fire(closed);
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
+        // Drain what is queued: lead it here, or wait out the leader
+        // running; nothing joins the queue any more.
+        loop {
+            if self.inner.lead() {
+                continue;
+            }
+            if !self.inner.q.lock().leading {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
         }
         if let Some(w) = &self.inner.wal {
             if let Err(e) = w.lock().flush() {
@@ -1066,17 +1136,20 @@ impl Client {
     /// The tag is produced by the engine under the same lock (or from
     /// the same view read) as the answer, so it is atomic with it.
     pub fn submit_tagged(&self, ops: Vec<Update>) -> Result<TaggedAnswers, ServiceError> {
-        self.submit_tagged_async(ops, None)?.wait(None).expect("a wait without a deadline returns")
+        let ticket = self.submit_tagged_async(ops, None)?;
+        self.settle(&ticket, None).expect("a wait without a deadline returns")
     }
 
-    /// [`Self::submit_tagged`] without blocking: the group is queued for
-    /// the batch former and a [`SubmitTicket`] comes back immediately.
-    /// `notify` (if any) fires once the result is stored — the network
-    /// shards pass their poll waker so a completed batch wakes the event
-    /// loop instead of parking a thread per submission. Validation errors
-    /// are still synchronous; on a follower the ticket is fulfilled
-    /// before returning (the follower read path has no batch former).
-    pub fn submit_tagged_async(
+    /// [`Self::submit_tagged`] without blocking: the group is queued and a
+    /// [`SubmitTicket`] comes back immediately. `notify` (if any) fires
+    /// once the result is stored — the network shards pass their poll
+    /// waker so a completed batch wakes the event loop instead of parking
+    /// a thread per submission — and when the queue's lead is offered to
+    /// the holder, who then calls [`Self::lead`] (a ticket whose
+    /// [`Ticket::take_lead`] is true). Validation errors are still
+    /// synchronous; on a follower the ticket is fulfilled before
+    /// returning (the follower read path has no queue).
+    pub(crate) fn submit_tagged_async(
         &self,
         ops: Vec<Update>,
         notify: Option<Notify>,
@@ -1098,7 +1171,7 @@ impl Client {
         if ops.is_empty() {
             ticket.fulfill(Ok(Vec::new()));
         } else if self.role() == Role::Follower {
-            // The follower read path: no batch former, no epoch bump —
+            // The follower read path: no queue, no epoch bump —
             // queries are answered off one view at whatever replication
             // epoch the follower has reached (readers see at *least* the
             // state of the reported [`Client::epoch`]; `WAIT` turns that
@@ -1118,7 +1191,7 @@ impl Client {
     }
 
     /// Answers many connectivity queries against **one** view acquire,
-    /// skipping the batch former: the read-coalescing primitive behind
+    /// skipping the queue: the read-coalescing primitive behind
     /// cross-connection batch execution in the network shards. The whole
     /// group runs lock-free beside in-flight batches and replicated
     /// applies.
@@ -1218,7 +1291,42 @@ impl Client {
         timeout: Option<Duration>,
     ) -> Result<u64, ServiceError> {
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
-        self.barrier(barrier, None).wait(deadline).unwrap_or_else(|| Err(self.timed_out(barrier)))
+        let ticket = self.barrier(barrier, None);
+        self.settle(&ticket, deadline).unwrap_or_else(|| Err(self.timed_out(barrier)))
+    }
+
+    /// Blocks on `ticket` like [`Ticket::wait`], leading the queue on this
+    /// thread whenever its lead is offered to the ticket.
+    fn settle<T>(
+        &self,
+        ticket: &Ticket<T>,
+        deadline: Option<Instant>,
+    ) -> Option<Result<T, ServiceError>> {
+        let lead = || {
+            if self.inner.lead() {
+                self.inner.maybe_sync_wal();
+            }
+        };
+        let result = ticket.wait(deadline, lead);
+        // Timed out: an offer that landed meanwhile is taken up here.
+        if result.is_none() && ticket.abandon() {
+            lead();
+        }
+        result
+    }
+
+    /// Leads the submission queue if no leader holds it and work is
+    /// queued: one batch (more only for heirs that abandoned their
+    /// tickets), whose tickets are all fulfilled when this returns (see
+    /// the module docs). Returns whether it led; a
+    /// leader then owes [`Self::sync_wal_if_due`] once its replies are out.
+    pub(crate) fn lead(&self) -> bool {
+        self.inner.lead()
+    }
+
+    /// Runs the WAL sync that fell due under the `batch` fsync policy.
+    pub(crate) fn sync_wal_if_due(&self) {
+        self.inner.maybe_sync_wal();
     }
 
     /// Tickets on the waiter list, abandoned ones included until the next
@@ -1341,8 +1449,9 @@ impl Client {
         self.inner.closed.load(Ordering::Acquire)
     }
 
-    /// Queues a submission (or a zero-op control) for the batch former,
-    /// which fulfills its ticket once its batch completes.
+    /// Queues a submission (or a zero-op control); a batch fulfills its
+    /// ticket. A submission that finds no leader running offers its own
+    /// ticket the lead.
     fn push(
         &self,
         ops: Vec<Update>,
@@ -1350,21 +1459,20 @@ impl Client {
         num_deletes: usize,
         work: Work,
     ) -> Result<(), ServiceError> {
-        {
-            let mut q = self.inner.q.lock();
-            if q.closed {
-                return Err(ServiceError::Closed);
-            }
-            q.queued_ops += ops.len();
-            q.queue.push_back(Pending {
-                num_queries,
-                num_deletes,
-                ops,
-                enqueued: Instant::now(),
-                work,
-            });
+        let mut q = self.inner.q.lock();
+        if self.is_closed() {
+            return Err(ServiceError::Closed);
         }
-        self.inner.work_cv.notify_all();
+        if !q.leading {
+            work.offer_lead(false);
+        }
+        q.queue.push_back(Pending {
+            num_queries,
+            num_deletes,
+            ops,
+            enqueued: Instant::now(),
+            work,
+        });
         Ok(())
     }
 
@@ -1399,7 +1507,7 @@ impl Client {
     }
 
     /// Lock-free read-side query: answered directly against the serving
-    /// partition without going through the batch former, concurrently
+    /// partition without going through the queue, concurrently
     /// with in-flight batches (paper Type (i)).
     pub fn query_now(&self, u: u32, v: u32) -> Result<bool, ServiceError> {
         self.in_range([u, v])?;
@@ -1416,7 +1524,7 @@ impl Client {
 
     /// Current number of connected components, served O(1) from the
     /// delta-maintained analytics publication — no label scan. May lag
-    /// an in-flight batch (the batcher publishes before fulfilling its
+    /// an in-flight batch (a leader publishes before fulfilling its
     /// pendings, so a client always observes its own completed writes);
     /// during a sealed generation it reports the frozen pre-deletion
     /// partition, exactly like `Q` does.
@@ -1571,7 +1679,7 @@ impl Client {
     /// Renders the metrics registry in the `METRICS` verb's exposition
     /// format, without the `# EOF` terminator (the wire layer and file
     /// writers append it). Lock-free: every value is a relaxed atomic
-    /// load of a write-time mirror — no batcher, WAL, or engine lock.
+    /// load of a write-time mirror — no queue, WAL, or engine lock.
     pub fn render_metrics(&self) -> Vec<String> {
         self.inner.obs.metrics.render()
     }
@@ -1608,11 +1716,49 @@ mod tests {
         crate::scratch_dir(&format!("svc_{tag}"))
     }
 
+    #[test]
+    fn a_leader_runs_one_batch_then_offers_the_oldest_submission_the_lead() {
+        let cfg = ServiceConfig { n: 64, batch_max_ops: 1, ..ServiceConfig::default() };
+        let svc = Service::start(cfg).expect("start");
+        let client = svc.client();
+        let tickets: Vec<SubmitTicket> = (0..4)
+            .map(|i| client.submit_tagged_async(vec![Update::Insert(i, i + 1)], None))
+            .collect::<Result<_, _>>()
+            .expect("queued");
+        let offered = || tickets.iter().map(|t| t.take_lead()).collect::<Vec<_>>();
+        assert_eq!(offered(), [true; 4], "every push found no leader running");
+        assert!(client.lead());
+        let done = || tickets.iter().map(|t| t.try_take().is_some()).collect::<Vec<_>>();
+        assert_eq!(done(), [true, false, false, false], "one submission a batch, one batch a turn");
+        assert_eq!(offered(), [false, true, false, false], "the oldest queued holds the offer");
+        assert!(client.lead());
+        assert_eq!(done(), [false, true, false, false]);
+        assert_eq!(offered(), [false, false, true, false]);
+        while client.lead() {}
+        assert_eq!(done(), [false, false, true, true]);
+    }
+
+    #[test]
+    fn an_abandoned_heir_takes_no_offer_and_the_leader_leads_on() {
+        let cfg = ServiceConfig { n: 64, batch_max_ops: 1, ..ServiceConfig::default() };
+        let svc = Service::start(cfg).expect("start");
+        let client = svc.client();
+        let tickets: Vec<SubmitTicket> = (0..4)
+            .map(|i| client.submit_tagged_async(vec![Update::Insert(i, i + 1)], None))
+            .collect::<Result<_, _>>()
+            .expect("queued");
+        assert!(tickets.iter().all(|t| t.take_lead()));
+        assert!(!tickets[1].abandon(), "no offer was pending");
+        assert!(client.lead());
+        let done = || tickets.iter().map(|t| t.try_take().is_some()).collect::<Vec<_>>();
+        assert_eq!(done(), [true, true, false, false], "the leader ran the gone heir's batch");
+        assert!(tickets[2].abandon(), "the next heir holds the offer");
+    }
+
     fn durable_cfg(n: usize, dir: &std::path::Path) -> ServiceConfig {
         ServiceConfig {
             n,
             shards: 2,
-            batch_max_wait: Duration::from_micros(20),
             durability: Some(DurabilityConfig {
                 fsync: FsyncPolicy::Off,
                 ..DurabilityConfig::new(dir)
@@ -1990,13 +2136,8 @@ mod tests {
     }
 
     fn small_service() -> Service {
-        Service::start(ServiceConfig {
-            n: 64,
-            shards: 4,
-            batch_max_wait: Duration::from_micros(50),
-            ..ServiceConfig::default()
-        })
-        .expect("service starts")
+        Service::start(ServiceConfig { n: 64, shards: 4, ..ServiceConfig::default() })
+            .expect("service starts")
     }
 
     #[test]
@@ -2153,13 +2294,9 @@ mod tests {
 
     #[test]
     fn many_threads_one_service() {
-        let mut svc = Service::start(ServiceConfig {
-            n: 4096,
-            shards: 4,
-            batch_max_wait: Duration::from_micros(200),
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
+        let mut svc =
+            Service::start(ServiceConfig { n: 4096, shards: 4, ..ServiceConfig::default() })
+                .expect("service starts");
         let c = svc.client();
         std::thread::scope(|s| {
             for t in 0..4u32 {

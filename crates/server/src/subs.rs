@@ -24,8 +24,8 @@
 //! ## Stamping discipline
 //!
 //! Fires are buffered, not delivered inline: the engine does not know
-//! the epoch a batch will commit as (the batch former assigns it after
-//! the apply). The batcher drains the buffer via
+//! the epoch a batch will commit as (its leader assigns it after the
+//! apply). The leader drains the buffer via
 //! [`crate::GenerationEngine::drain_sub_fires`] immediately after it
 //! publishes an epoch, stamping every unstamped fire with exactly that
 //! `(epoch, generation)`. Rebuild commits stamp their fires at the
@@ -200,7 +200,7 @@ impl SubEntry {
     }
 }
 
-/// An unstamped (or commit-stamped) fire awaiting the batcher's drain.
+/// An unstamped (or commit-stamped) fire awaiting a leader's drain.
 struct Fire {
     ev: SubEvent,
     /// `None` until the drain stamps the publishing epoch.
@@ -393,8 +393,8 @@ impl SubsCore {
     }
 
     /// Drains buffered fires, stamping every unstamped one with `epoch`.
-    /// Called by the batch former right after it publishes that epoch
-    /// (and on its idle tick), and by the follower apply path.
+    /// Called by a batch's leader right after it publishes that epoch,
+    /// and by the follower apply path.
     pub fn drain_fires(&mut self, epoch: u64) -> Vec<PendingEvent> {
         if self.fires.is_empty() {
             return Vec::new();
@@ -416,7 +416,7 @@ impl SubsCore {
     /// delivery path after a registration uses this: if an applied but
     /// not-yet-published batch left unstamped fires in the buffer,
     /// draining now would stamp them with the *previous* epoch, so the
-    /// whole buffer is left for the batcher's post-publish drain —
+    /// whole buffer is left for the leader's post-publish drain —
     /// which also keeps per-subscription delivery order intact.
     pub fn drain_stamped_fires(&mut self) -> Vec<PendingEvent> {
         if self.fires.is_empty() || self.fires.iter().any(|f| f.epoch.is_none()) {

@@ -35,19 +35,21 @@
 //!
 //! ## Commit protocol
 //!
-//! The batch former appends one record per *formed* batch — the group
-//! commit: every client submission coalesced into that batch shares the
-//! one append (and at most one fsync). The append happens **before** the
-//! batch is applied to the engine and long before any client reply, so an
-//! acknowledged operation is always recoverable. How hard "recoverable"
-//! is depends on [`FsyncPolicy`]:
+//! A batch's leader appends one record per batch — the group commit:
+//! every client submission in that batch shares the one append (and at
+//! most one fsync). The append happens **before** the batch is applied to
+//! the engine and long before any client reply, so an acknowledged
+//! operation is always recoverable. How hard "recoverable" is depends on
+//! [`FsyncPolicy`]:
 //!
-//! - [`FsyncPolicy::Always`] — `fdatasync` after every record: survives
-//!   machine crashes.
-//! - [`FsyncPolicy::Batch`] — flushed to the OS after every record,
-//!   `fdatasync` at most every [`DurabilityConfig::group_sync_interval`]:
-//!   survives process kills outright; a machine crash can lose at most
-//!   the last interval of acknowledged batches.
+//! - [`FsyncPolicy::Always`] — `fdatasync` after every record, before its
+//!   ack: survives machine crashes.
+//! - [`FsyncPolicy::Batch`] — flushed to the OS after every record;
+//!   [`Wal::sync_if_due`] runs `fdatasync` once
+//!   [`DurabilityConfig::group_sync_interval`] has lapsed, after the
+//!   batch's acks (the service's leader, or its idle tick when traffic
+//!   stops): survives process kills outright; a machine crash can lose
+//!   at most the last interval of acknowledged batches.
 //! - [`FsyncPolicy::Off`] — flushed to the OS only: survives process
 //!   kills; machine-crash durability is whenever the kernel writes back.
 //!
@@ -692,12 +694,7 @@ impl Wal {
             match self.cfg.fsync {
                 _ if sync_now => self.sync()?,
                 FsyncPolicy::Always => self.sync()?,
-                FsyncPolicy::Batch => {
-                    self.dirty = true;
-                    if self.last_sync.elapsed() >= self.cfg.group_sync_interval {
-                        self.sync()?;
-                    }
-                }
+                FsyncPolicy::Batch => self.dirty = true,
                 FsyncPolicy::Off => {}
             }
             Ok(written)
@@ -775,9 +772,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Syncs pending bytes if the group-commit window has lapsed with no
-    /// new append to piggyback on (the batcher calls this while idle, so
-    /// the [`FsyncPolicy::Batch`] loss bound holds even when traffic
+    /// Syncs pending bytes if the group-sync window has lapsed: the
+    /// [`FsyncPolicy::Batch`] sync, which no append runs (the service's
+    /// leader calls this after its acks, and its idle tick while traffic
     /// pauses).
     pub fn sync_if_due(&mut self) -> Result<(), WalError> {
         if self.dirty

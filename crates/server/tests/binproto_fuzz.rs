@@ -241,7 +241,6 @@ fn start() -> (Service, TcpServer, SocketAddr) {
         n: 64,
         shards: 2,
         role: Role::Primary,
-        batch_max_wait: Duration::from_micros(20),
         ..ServiceConfig::default()
     })
     .expect("service starts");

@@ -155,13 +155,8 @@ fn drive_clients(svc: &Service, n: usize, clients: usize, batches: usize) -> (u6
 #[test]
 fn concurrent_clients_linearizable_waitfree() {
     let n = 4096;
-    let mut svc = Service::start(ServiceConfig {
-        n,
-        shards: 4,
-        batch_max_wait: Duration::from_micros(100),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n, shards: 4, ..ServiceConfig::default() })
+        .expect("service");
     let (queries, mismatches) = drive_clients(&svc, n, 4, 20);
     assert!(queries > 1000, "drove {queries} queries");
     assert_eq!(mismatches, 0);
@@ -181,7 +176,6 @@ fn concurrent_clients_linearizable_phased() {
         shards: 4,
         spec: UfSpec::rem(UniteKind::RemCas, SpliceKind::Splice, FindKind::Naive),
         mode: ExecMode::Phased,
-        batch_max_wait: Duration::from_micros(100),
         ..ServiceConfig::default()
     })
     .expect("service");
@@ -198,14 +192,9 @@ fn finish_spec_vocabulary_serves_any_variant() {
     for spec_str in ["rem-lock+halve-one+compress", "hooks+split", "jtb+two-try"] {
         let spec: UfSpec = spec_str.parse().expect("valid spec");
         let n = 1024;
-        let mut svc = Service::start(ServiceConfig {
-            n,
-            shards: 4,
-            spec,
-            batch_max_wait: Duration::from_micros(50),
-            ..ServiceConfig::default()
-        })
-        .expect("service");
+        let mut svc =
+            Service::start(ServiceConfig { n, shards: 4, spec, ..ServiceConfig::default() })
+                .expect("service");
         let (queries, mismatches) = drive_clients(&svc, n, 2, 6);
         assert!(queries > 100, "{spec_str}");
         assert_eq!(mismatches, 0, "{spec_str}");
@@ -219,13 +208,8 @@ fn finish_spec_vocabulary_serves_any_variant() {
 #[test]
 fn snapshot_matches_oracle_after_quiescence() {
     let n = 512;
-    let mut svc = Service::start(ServiceConfig {
-        n,
-        shards: 3,
-        batch_max_wait: Duration::from_micros(10),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n, shards: 3, ..ServiceConfig::default() })
+        .expect("service");
     let client = svc.client();
     let mut rng = SplitMix64::new(7);
     let mut oracle = SeqUnionFind::new(n);
@@ -246,13 +230,8 @@ fn snapshot_matches_oracle_after_quiescence() {
 
 #[test]
 fn tcp_protocol_end_to_end() {
-    let mut svc = Service::start(ServiceConfig {
-        n: 1024,
-        shards: 4,
-        batch_max_wait: Duration::from_micros(50),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n: 1024, shards: 4, ..ServiceConfig::default() })
+        .expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
@@ -308,7 +287,6 @@ fn tcp_durability_verbs_end_to_end() {
     let mut svc = Service::start(ServiceConfig {
         n: 256,
         shards: 2,
-        batch_max_wait: Duration::from_micros(50),
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Off,
             ..DurabilityConfig::new(&dir)
@@ -351,13 +329,8 @@ fn tcp_durability_verbs_end_to_end() {
 /// the three reads describe one state.
 #[test]
 fn tcp_evt_size_and_topk_name_the_same_root() {
-    let mut svc = Service::start(ServiceConfig {
-        n: 64,
-        shards: 2,
-        batch_max_wait: Duration::from_micros(50),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n: 64, shards: 2, ..ServiceConfig::default() })
+        .expect("service");
     let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
     let mut c = WireClient::text(server.local_addr()).expect("connect");
     let event = |c: &mut WireClient| {
@@ -397,7 +370,6 @@ fn closing_the_registering_connection_keeps_a_later_attach() {
     let mut svc = Service::start(ServiceConfig {
         n: 16,
         shards: 2,
-        batch_max_wait: Duration::from_micros(50),
         durability: Some(DurabilityConfig::new(&dir)),
         ..ServiceConfig::default()
     })
@@ -468,7 +440,6 @@ fn one_client_answers_alike_on_both_doors() {
     let mut svc = Service::start(ServiceConfig {
         n: 64,
         shards: 2,
-        batch_max_wait: Duration::from_micros(50),
         durability: Some(DurabilityConfig::new(&dir)),
         ..ServiceConfig::default()
     })

@@ -52,7 +52,6 @@ fn sixteen_followers_cost_no_thread_and_one_insert_reaches_them_all() {
     let dir = cc_server::scratch_dir("followers_on_shards");
     let mut svc = Service::start(ServiceConfig {
         n: 64,
-        batch_max_wait: Duration::from_micros(20),
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Off,
             ..DurabilityConfig::new(&dir)

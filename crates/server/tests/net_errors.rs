@@ -21,7 +21,6 @@ fn start_holding(role: Role, rebuild_hold: Duration) -> (Service, TcpServer, Soc
         n: 64,
         shards: 2,
         role,
-        batch_max_wait: Duration::from_micros(20),
         rebuild_hold,
         ..ServiceConfig::default()
     })
@@ -343,7 +342,6 @@ fn a_batch_of_queries_commits_nothing() {
     let dir = cc_server::scratch_dir("net_queries_commit_nothing");
     let mut svc = Service::start(ServiceConfig {
         n: 64,
-        batch_max_wait: Duration::from_micros(20),
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Batch,
             ..DurabilityConfig::new(&dir)
@@ -416,13 +414,8 @@ fn slow_subscription_consumer_gets_a_typed_overflow_close() {
     // A write budget smaller than one event line: the burst below must
     // overflow it, and the contract is a typed `sub-overflow` close —
     // never a silent drop.
-    let svc = Service::start(ServiceConfig {
-        n: 64,
-        shards: 2,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("service starts");
+    let svc = Service::start(ServiceConfig { n: 64, shards: 2, ..ServiceConfig::default() })
+        .expect("service starts");
     let cfg = cc_server::NetConfig { max_wbuf: 16, ..cc_server::NetConfig::default() };
     let mut server = cc_server::net::serve_with(&svc, "127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();

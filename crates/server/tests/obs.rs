@@ -31,7 +31,6 @@ fn durable_cfg(n: usize, dir: &std::path::Path) -> ServiceConfig {
     ServiceConfig {
         n,
         shards: 2,
-        batch_max_wait: Duration::from_micros(20),
         // `Always` so every appended batch records an fsync sample.
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Always,
@@ -191,7 +190,6 @@ fn a_doomed_rebuild_attempt_is_counted_not_committed() {
     let mut svc = Service::start(ServiceConfig {
         n: 64,
         shards: 2,
-        batch_max_wait: Duration::from_micros(20),
         rebuild_hold: hold,
         ..ServiceConfig::default()
     })
@@ -219,13 +217,8 @@ fn a_doomed_rebuild_attempt_is_counted_not_committed() {
 /// rebuild commit refreshes the gauge.
 #[test]
 fn components_gauge_is_live_between_snapshots() {
-    let mut svc = Service::start(ServiceConfig {
-        n: 64,
-        shards: 2,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n: 64, shards: 2, ..ServiceConfig::default() })
+        .expect("service");
     let c = svc.client();
 
     let at_start = scrape(&c.render_metrics());
@@ -270,12 +263,8 @@ fn components_gauge_is_live_between_snapshots() {
 #[test]
 fn edge_table_gauges_follow_the_live_set() {
     let n = 256u32;
-    let mut svc = Service::start(ServiceConfig {
-        n: n as usize,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n: n as usize, ..ServiceConfig::default() })
+        .expect("service");
     let c = svc.client();
 
     // A quarter of the ops delete a live edge, the rest insert a random
@@ -323,13 +312,8 @@ fn edge_table_gauges_follow_the_live_set() {
 /// pipeline-depth histograms, all monotone across scrapes.
 #[test]
 fn binary_load_populates_net_plane_series_and_stays_monotone() {
-    let mut svc = Service::start(ServiceConfig {
-        n: 256,
-        shards: 2,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("service");
+    let mut svc = Service::start(ServiceConfig { n: 256, shards: 2, ..ServiceConfig::default() })
+        .expect("service");
     let c = svc.client();
     let mut server = cc_server::serve(&svc, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();

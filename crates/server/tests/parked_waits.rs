@@ -47,12 +47,8 @@ fn settles(want: u64, probe: impl Fn() -> u64) -> Duration {
 
 #[test]
 fn a_thousand_parked_waits_cost_no_thread_and_one_insert_answers_them() {
-    let mut svc = Service::start(ServiceConfig {
-        n: 64,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("start");
+    let mut svc =
+        Service::start(ServiceConfig { n: 64, ..ServiceConfig::default() }).expect("start");
     let client = svc.client();
     let obs = client.observability();
     let parked = || obs.metrics.waits_parked.get();

@@ -24,12 +24,7 @@ use std::time::Duration;
 const QUIESCE: Duration = Duration::from_secs(20);
 
 fn cfg(n: usize, shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        n,
-        shards,
-        batch_max_wait: Duration::from_micros(10),
-        ..ServiceConfig::default()
-    }
+    ServiceConfig { n, shards, ..ServiceConfig::default() }
 }
 
 /// Recomputes every analytics answer from scratch out of a labeling:
@@ -185,7 +180,6 @@ fn sealed_window_serves_the_frozen_partition() {
     let mut svc = Service::start(ServiceConfig {
         n: 12,
         shards: 2,
-        batch_max_wait: Duration::from_micros(10),
         rebuild_hold: Duration::from_millis(400),
         ..ServiceConfig::default()
     })

@@ -27,12 +27,7 @@ use std::time::Duration;
 const QUIESCE: Duration = Duration::from_secs(20);
 
 fn cfg(n: usize, shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        n,
-        shards,
-        batch_max_wait: Duration::from_micros(10),
-        ..ServiceConfig::default()
-    }
+    ServiceConfig { n, shards, ..ServiceConfig::default() }
 }
 
 /// Materializes one scripted op. Kinds: 0–4 insert, 5–6 delete the

@@ -29,7 +29,6 @@ use cc_server::{wal, DurabilityConfig, FsyncPolicy, Service, ServiceConfig};
 use connectit::Update;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     cc_server::scratch_dir(&format!("prop_rec_{tag}"))
@@ -39,7 +38,6 @@ fn durable_cfg(n: usize, dir: &Path, snapshot_every: u64) -> ServiceConfig {
     ServiceConfig {
         n,
         shards: 2,
-        batch_max_wait: Duration::from_micros(10),
         durability: Some(DurabilityConfig {
             fsync: FsyncPolicy::Off,
             snapshot_every,

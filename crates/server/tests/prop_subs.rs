@@ -31,12 +31,7 @@ const QUIESCE: Duration = Duration::from_secs(20);
 const SETTLE: Duration = Duration::from_secs(10);
 
 fn cfg(n: usize, shards: usize) -> ServiceConfig {
-    ServiceConfig {
-        n,
-        shards,
-        batch_max_wait: Duration::from_micros(10),
-        ..ServiceConfig::default()
-    }
+    ServiceConfig { n, shards, ..ServiceConfig::default() }
 }
 
 /// A sink that appends every delivered event to a shared vector.
@@ -313,7 +308,6 @@ fn pending_pairs_fire_at_the_rebuild_commit() {
     let mut svc = Service::start(ServiceConfig {
         n: 16,
         shards: 2,
-        batch_max_wait: Duration::from_micros(10),
         rebuild_hold: Duration::from_millis(300),
         ..ServiceConfig::default()
     })

@@ -10,12 +10,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn start(n: usize, cfg: NetConfig) -> (Service, TcpServer, SocketAddr) {
-    let svc = Service::start(ServiceConfig {
-        n,
-        batch_max_wait: Duration::from_micros(20),
-        ..ServiceConfig::default()
-    })
-    .expect("service starts");
+    let svc =
+        Service::start(ServiceConfig { n, ..ServiceConfig::default() }).expect("service starts");
     let server = serve_with(&svc, "127.0.0.1:0", cfg).expect("bind");
     let addr = server.local_addr();
     (svc, server, addr)
