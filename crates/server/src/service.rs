@@ -35,13 +35,12 @@ use crate::obs::{self, Event, Obs};
 use crate::request::endpoints;
 use crate::subs::{AttachError, PendingEvent, SubInfo, SubKind, SubSink, SubWalOp, SubsDispatch};
 pub use crate::wal::LogRecord;
-use crate::wal::{DurabilityConfig, TailEvent, Wal, WalCursor, WalError, WalStats};
-use cc_graph::io::binary;
+use crate::wal::{DurabilityConfig, Wal, WalError, WalStats};
 use cc_unionfind::UfSpec;
 use connectit::Update;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -736,40 +735,23 @@ impl Inner {
         Ok(())
     }
 
-    /// Crash recovery, as a follower of this service's own directory: each
-    /// record of a cursor from the oldest segment goes through
+    /// Crash recovery, as a follower of this service's own directory: the
+    /// log's one walk ([`Wal::replay`]) hands each record to
     /// [`Self::apply_log`] with the engine behind, then the end of the log
     /// is `CaughtUp`. Durable subscriptions replay in log order, unarmed;
     /// the catch-up arms them against the recovered partition, so a pair
-    /// that connected while the subscriber was down still fires.
-    fn recover(&self, dir: &Path) -> Result<(), ServiceError> {
+    /// that connected while the subscriber was down still fires. Nothing
+    /// here touches `self.wal`: the writer the walk yields is returned
+    /// for the caller to install.
+    fn recover(&self, dcfg: &DurabilityConfig) -> Result<Wal, ServiceError> {
         self.engine.fall_behind();
-        let mut at = 0;
-        let mut cursor = WalCursor::open(dir, 0, binary::MAGIC_LEN as u64);
-        cursor.oldest().map_err(|source| WalError::Io { path: dir.to_path_buf(), source })?;
-        loop {
-            match cursor.next()? {
-                TailEvent::Record(payload) => {
-                    let (epoch, record) = cursor.decode(&payload)?;
-                    // `'S'` has no epoch; a checkpoint restates its own; a
-                    // batch is new only past the history already applied.
-                    let stale = epoch < at || (epoch == at && matches!(record, LogRecord::Ops(_)));
-                    if matches!(record, LogRecord::Sub(_)) || !stale {
-                        at = at.max(epoch);
-                        self.apply_log(epoch, record)?;
-                    }
-                }
-                TailEvent::CaughtUp => break,
-                // The cursor starts at the oldest segment on disk and
-                // nothing prunes before the log accepts writes: a segment
-                // that vanished under it leaves a hole in the history.
-                TailEvent::Pruned => {
-                    let detail = "a segment vanished while recovery read it".into();
-                    return Err(WalError::Corrupt { path: dir.to_path_buf(), detail }.into());
-                }
-            }
-        }
-        self.apply_log(at, LogRecord::CaughtUp)
+        let (mut wal, _) = Wal::replay(dcfg, |cursor, payload| {
+            let (epoch, record) = cursor.decode(payload)?;
+            self.apply_log(epoch, record)
+        })?;
+        self.apply_log(wal.stats().last_epoch, LogRecord::CaughtUp)?;
+        wal.attach_obs(Arc::clone(&self.obs));
+        Ok(wal)
     }
 
     /// One leadership term. Claims the queue if no leader holds it and
@@ -973,8 +955,8 @@ fn check_vertices(
 impl Service {
     /// Starts the service: builds the generation engine, and — when
     /// durability is configured — rebuilds it from the log (its oldest
-    /// checkpoint plus the records past it), resuming at the recovered
-    /// epoch.
+    /// checkpoint plus the records past it) in one walk, resuming at the
+    /// recovered epoch. The log takes appends only after that walk.
     pub fn start(cfg: ServiceConfig) -> Result<Service, ServiceError> {
         if cfg.batch_max_ops == 0 {
             return Err(ServiceError::Config("batch_max_ops must be at least 1".into()));
@@ -998,44 +980,37 @@ impl Service {
         )
         .map_err(ServiceError::Config)?;
 
-        let mut wal = None;
-        let mut trace_path = None;
-        if let Some(dcfg) = &cfg.durability {
-            // Scan (and re-open) the log first — this also creates the
-            // directory and truncates a torn tail — so recovery below
-            // replays a checked log.
-            let (mut w, _) = Wal::open(dcfg)?;
-            w.attach_obs(Arc::clone(&obs));
-            wal = Some(Mutex::new(w));
-            // Surface (and consume) the trace a previous run flushed here
-            // — after a SIGKILL this is the crash post-mortem — then
-            // claim this run's own trace file.
+        // Surface (and consume) the trace a previous run flushed to the WAL
+        // directory — after a SIGKILL this is the crash post-mortem — then
+        // claim this run's own trace file.
+        let trace_path = cfg.durability.as_ref().map(|dcfg| {
             for (file, tail) in obs::drain_previous_traces(&dcfg.dir, TRACE_TAIL_LINES) {
                 eprintln!("recovered flight-recorder tail from {file}:");
                 for line in tail {
                     eprintln!("  {line}");
                 }
             }
-            trace_path = Some(dcfg.dir.join(format!("trace-{}.log", std::process::id())));
-        }
+            dcfg.dir.join(format!("trace-{}.log", std::process::id()))
+        });
 
-        let inner = Arc::new(Inner {
+        let mut inner = Inner {
             engine,
             cfg,
             q: Mutex::new(SubmitQueue { queue: VecDeque::new(), leading: false }),
             epoch: AtomicU64::new(0),
             obs,
             trace_path,
-            wal,
+            wal: None,
             last_wal_error: Mutex::new(None),
             apply_mx: Mutex::new(()),
             subs: SubsDispatch::new(),
             sub_drain_mx: Mutex::new(()),
             closed: std::sync::atomic::AtomicBool::new(false),
-        });
+        };
         if let Some(dcfg) = &inner.cfg.durability {
-            inner.recover(&dcfg.dir)?;
+            inner.wal = Some(Mutex::new(inner.recover(dcfg)?));
         }
+        let inner = Arc::new(inner);
         // Stamp the analytics view with the starting epoch so TOPK/HIST
         // report an honest starting point (this also sets the components
         // gauge).
@@ -1709,7 +1684,7 @@ fn sanitize_error_token(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::FsyncPolicy;
+    use crate::wal::{FsyncPolicy, WalCursor};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1831,17 +1806,66 @@ mod tests {
         restart(2, &want);
         restart(2, &want);
 
-        // Segments 1 and 2 are empty, 3 gets a record; deleting 2 leaves
-        // the hole an older release left at a torn roll.
+        // The record lands in segment 1. Renaming it to 2 leaves the hole
+        // an older release left at a torn roll: it started the fresh
+        // segment past the torn one's number.
         {
             let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
             svc.client().insert(2, 3).expect("insert");
             svc.shutdown();
         }
-        std::fs::remove_file(crate::wal::segment_path(&dir, 2)).expect("open a hole");
+        let seg = |seq| crate::wal::segment_path(&dir, seq);
+        std::fs::rename(seg(1), seg(2)).expect("open a hole");
         (want[3], want[4]) = (1, 1);
         restart(3, &want);
         restart(3, &want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `wal-*.log` names in `dir` with their bytes, in sequence order.
+    fn segment_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("wal-"))
+            .map(|name| (name.clone(), std::fs::read(dir.join(&name)).expect("read segment")))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A start that writes nothing leaves no empty segment behind: the
+    /// next start reuses its sequence number.
+    #[test]
+    fn restarts_that_write_nothing_leave_one_segment() {
+        let dir = tmp_dir("idle_restarts");
+        for _ in 0..5 {
+            Service::start(durable_cfg(16, &dir)).expect("service").shutdown();
+        }
+        let names: Vec<String> = segment_files(&dir).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["wal-00000000.log"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Recovery that refuses the log refuses it before the log acts on
+    /// the directory: the torn tail stays, and no segment is started.
+    #[test]
+    fn a_failed_recovery_leaves_the_segments_as_it_found_them() {
+        let dir = tmp_dir("failed_recovery");
+        {
+            let mut svc = Service::start(durable_cfg(16, &dir)).expect("service");
+            svc.client().insert(14, 15).expect("insert");
+            svc.client().insert(0, 1).expect("insert");
+            svc.shutdown();
+        }
+        let seg = crate::wal::segment_path(&dir, 0);
+        let bytes = std::fs::read(&seg).expect("read");
+        std::fs::write(&seg, &bytes[..bytes.len() - 5]).expect("tear the tail");
+        let before = segment_files(&dir);
+        let err = Service::start(durable_cfg(8, &dir)).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("n = 8"), "{err}");
+        assert_eq!(segment_files(&dir), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -64,21 +64,23 @@
 //! ## Recovery
 //!
 //! [`WalCursor`] is the log's one reader: magic, framing, truncation and
-//! hole rules live in its `next` alone. [`Wal::open`] walks it from the
-//! oldest segment and checks every record's kind byte and epoch header,
-//! but decodes no body. Where the cursor stops short in the *final*
-//! segment is a torn tail — the crash interrupted an append — so the tail
-//! is dropped (reported in [`RecoveryReport`]) **and physically truncated
-//! away**, so the segment reads clean on every later restart even once it
-//! is no longer final. The same bytes in any earlier segment cannot be
-//! explained by a crash mid-append, and the cursor surfaces them as a
-//! typed [`WalError`] with segment and offset context. Appends always go
-//! to a fresh segment, never after a torn tail; a final segment torn
-//! inside its magic is deleted and the fresh segment reuses its sequence
-//! number, so the log's sequence numbers stay contiguous. The service
-//! then replays the checked log through a second cursor — the reader a
-//! follower's stream tails it with — one record at a time, opening each
-//! segment once.
+//! hole rules live in its `next` alone. Recovery walks it once, from the
+//! oldest segment: [`Wal::replay`] checks every record's kind byte and
+//! epoch header and hands each record that is new to the service, which
+//! decodes and applies it; [`Wal::open`] is the same walk with nothing to
+//! apply. Where the cursor stops short in the *final* segment is a torn
+//! tail — the crash interrupted an append — so once the walk is caught up
+//! the tail is dropped (reported in [`RecoveryReport`]) **and physically
+//! truncated away**, so the segment reads clean on every later restart
+//! even once it is no longer final. The same bytes in any earlier segment
+//! cannot be explained by a crash mid-append, and the cursor surfaces
+//! them as a typed [`WalError`] with segment and offset context. Appends
+//! always go to a fresh segment, never after a torn tail; a final segment
+//! that holds no complete record (torn inside its magic, or left by a
+//! start that wrote nothing) is deleted and the fresh segment reuses its
+//! sequence number, so the log's sequence numbers stay contiguous and
+//! idle restarts add no segments. A walk that fails leaves the directory
+//! as it found it.
 
 use crate::obs::{Event, Obs};
 use crate::subs::{SubKind, SubWalOp};
@@ -422,10 +424,10 @@ fn io_err(path: &Path, source: std::io::Error) -> WalError {
     WalError::Io { path: path.to_path_buf(), source }
 }
 
-/// What the check [`Wal::open`] runs over the log found.
+/// What the recovery walk ([`Wal::replay`], [`Wal::open`]) found.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Segments on disk at open, each walked by the check.
+    /// Segments on disk at open, each walked once.
     pub segments_scanned: usize,
     /// Bytes dropped from a torn final-segment tail (0 for a clean log).
     pub torn_bytes: u64,
@@ -509,13 +511,26 @@ fn create_segment(dir: &Path, seq: u64) -> Result<(PathBuf, BufWriter<File>), Wa
 }
 
 impl Wal {
-    /// Opens (creating the directory if needed) the log at `cfg.dir`:
-    /// walks a [`WalCursor`] over the whole history, checking each
-    /// record's header and epoch order, truncates the torn tail where the
-    /// cursor stopped, then starts a fresh active segment after the
-    /// highest existing sequence number (or in place of a final segment
-    /// torn inside its magic).
+    /// Opens the log at `cfg.dir` with nothing to apply: [`Self::replay`]'s
+    /// walk alone.
     pub fn open(cfg: &DurabilityConfig) -> Result<(Wal, RecoveryReport), WalError> {
+        Self::replay(cfg, |_, _| Ok(()))
+    }
+
+    /// Recovery's one walk of the history at `cfg.dir` (creating the
+    /// directory if needed): a [`WalCursor`] from the oldest segment,
+    /// checking each record's header and its epoch order within the
+    /// segment, hands every record that is new past the history already
+    /// walked to `apply`, with the cursor to decode it by. Only once the
+    /// cursor is caught up does the directory change: the torn tail is
+    /// truncated where the cursor stopped, and a fresh active segment
+    /// starts after the highest existing sequence number — or in place of
+    /// a final segment that holds no complete record. An `Err`, the
+    /// walk's or `apply`'s, leaves every segment as it was.
+    pub fn replay<E: From<WalError>>(
+        cfg: &DurabilityConfig,
+        mut apply: impl FnMut(&WalCursor, &[u8]) -> Result<(), E>,
+    ) -> Result<(Wal, RecoveryReport), E> {
         let dir = &cfg.dir;
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
         let mut sealed: Vec<u64> = std::fs::read_dir(dir)
@@ -535,9 +550,12 @@ impl Wal {
             let payload = match cursor.next()? {
                 TailEvent::Record(payload) => payload,
                 TailEvent::CaughtUp => break,
+                // The cursor starts at the oldest segment on disk and
+                // nothing prunes before the log accepts writes: a segment
+                // that vanished under it leaves a hole in the history.
                 TailEvent::Pruned => {
-                    let detail = "a segment vanished while the log was opened".into();
-                    return Err(WalError::Corrupt { path: dir.clone(), detail });
+                    let detail = "a segment vanished while recovery read it".into();
+                    return Err(WalError::Corrupt { path: dir.clone(), detail }.into());
                 }
             };
             let (at, path) = (cursor.record_at, || segment_path(dir, cursor.seq));
@@ -546,18 +564,25 @@ impl Wal {
             // in the final segment, never a torn tail.
             let (kind, epoch) = record_header(&payload, at)
                 .map_err(|source| WalError::Codec { path: path(), source })?;
-            let Some(epoch) = epoch else { continue };
-            if cursor.seq != seg {
-                (seg, seg_last) = (cursor.seq, 0);
+            if let Some(epoch) = epoch {
+                if cursor.seq != seg {
+                    (seg, seg_last) = (cursor.seq, 0);
+                }
+                if epoch < seg_last || (epoch == seg_last && kind != REC_CHECKPOINT) {
+                    let detail = format!(
+                        "record epoch {epoch} at offset {at} does not increase past {seg_last}"
+                    );
+                    return Err(WalError::Corrupt { path: path(), detail }.into());
+                }
+                seg_last = epoch;
+                // A checkpoint restates its own epoch; a batch is new only
+                // past the history already walked. `'S'` has no epoch.
+                if epoch < last_epoch || (epoch == last_epoch && kind != REC_CHECKPOINT) {
+                    continue;
+                }
+                last_epoch = epoch;
             }
-            if epoch < seg_last || (epoch == seg_last && kind != REC_CHECKPOINT) {
-                let detail = format!(
-                    "record epoch {epoch} at offset {at} does not increase past {seg_last}"
-                );
-                return Err(WalError::Corrupt { path: path(), detail });
-            }
-            seg_last = epoch;
-            last_epoch = last_epoch.max(epoch);
+            apply(&cursor, &payload)?;
         }
 
         // Bytes past where the cursor stopped in the final segment are a
@@ -572,23 +597,24 @@ impl Wal {
             let path = segment_path(dir, seq);
             let io = |e| io_err(&path, e);
             let len = std::fs::metadata(&path).map_err(io)?.len();
-            if len < MAGIC || at < len {
-                let from = if len < MAGIC { 0 } else { at };
+            let from = if len < MAGIC { 0 } else { at };
+            if from < len {
                 report.torn_bytes = len - from;
                 let dropped = format!("dropped {} torn bytes at offset {from}", len - from);
                 report.torn_detail = Some(format!("{}: {dropped}", path.display()));
-                if from == 0 {
-                    // The fresh segment takes the torn one's sequence
-                    // number, so the log keeps no gap for a cursor to read
-                    // as pruned.
-                    std::fs::remove_file(&path).map_err(io)?;
-                    sealed.pop();
-                    seg_seq -= 1;
-                } else {
-                    let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
-                    f.set_len(from).map_err(io)?;
-                    f.sync_data().map_err(io)?;
-                }
+            }
+            if at <= MAGIC {
+                // No complete record: the fresh segment takes this one's
+                // sequence number, so restarts that write nothing leave no
+                // empty segments behind, and the log keeps no gap for a
+                // cursor to read as pruned.
+                std::fs::remove_file(&path).map_err(io)?;
+                sealed.pop();
+                seg_seq = seq;
+            } else if from < len {
+                let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
+                f.set_len(from).map_err(io)?;
+                f.sync_data().map_err(io)?;
             }
         }
 
@@ -838,12 +864,12 @@ pub enum TailEvent {
 }
 
 /// A polling read cursor over a WAL directory, and the log's one reader:
-/// [`Wal::open`]'s check, the service's replay and every follower's
-/// stream walk it. Independent of the [`Wal`] writer, it keeps its
-/// segment open across records — one open and one magic check per
-/// segment — and looks at the directory only at a segment's end or where
-/// it stops short of a whole record, so a live primary can keep
-/// appending, rolling and pruning beneath it.
+/// the recovery walk ([`Wal::replay`]) and every follower's stream walk
+/// it. Independent of the [`Wal`] writer, it keeps its segment open
+/// across records — one open and one magic check per segment — and looks
+/// at the directory only at a segment's end or where it stops short of a
+/// whole record, so a live primary can keep appending, rolling and
+/// pruning beneath it.
 ///
 /// The rules, which hold for every reader:
 ///
@@ -858,9 +884,9 @@ pub enum TailEvent {
 ///   its buffer and seeks back to the record's start, so it re-reads
 ///   whatever the writer puts there. In the final segment that is
 ///   [`TailEvent::CaughtUp`] — a writer mid-flush, or after a crash the
-///   torn tail [`Wal::open`] truncates. Once a newer segment exists the
-///   bytes are final: the cursor reads them once more (its first read may
-///   have raced the seal), then fails with a typed [`WalError`].
+///   torn tail the recovery walk truncates. Once a newer segment exists
+///   the bytes are final: the cursor reads them once more (its first read
+///   may have raced the seal), then fails with a typed [`WalError`].
 /// - **Corruption.** A complete magic other than [`WAL_MAGIC`] is a hard
 ///   error anywhere, and so is a history with a hole ([`Self::oldest`]).
 pub struct WalCursor {
@@ -1213,9 +1239,9 @@ mod tests {
             .contains("unknown subscription kind"));
         // A truncated register body is length-checked, not short-read.
         assert!(decode_record(&enc[..enc.len() - 1], 0).is_err());
-        // And a CRC-valid but malformed sub record passes the header-only
-        // open scan, then fails the replay's decode with its segment named
-        // — even in the final segment.
+        // And a CRC-valid but malformed sub record passes `Wal::open`'s
+        // walk, which decodes no body, then fails a decode with its
+        // segment named — even in the final segment.
         let dir = tmp_dir("sub_bad");
         let cfg = small_cfg(&dir);
         {
@@ -1326,6 +1352,22 @@ mod tests {
         let (_, rep) = Wal::open(&cfg).expect("and later restarts stay clean");
         assert_eq!(rep.torn_bytes, 0);
         assert_eq!(logged(&dir), vec![rec(1, ins(&[(0, 1)]))]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An open that appends nothing leaves a segment holding no record;
+    /// the next open deletes it and starts its own under that number.
+    #[test]
+    fn opens_that_append_nothing_leave_one_segment() {
+        let dir = tmp_dir("idle_opens");
+        let cfg = small_cfg(&dir);
+        for _ in 0..5 {
+            let (wal, rep) = Wal::open(&cfg).expect("open");
+            assert_eq!((wal.seg_seq, rep.torn_bytes), (0, 0), "a bare magic is not torn");
+        }
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).expect("dir").flatten().map(|e| e.file_name()).collect();
+        assert_eq!(names, ["wal-00000000.log"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1589,7 +1631,7 @@ mod tests {
 
     /// A segment torn inside its magic is an interrupted creation only
     /// while it is the final one: once a newer segment exists the cursor
-    /// fails with a typed error naming it, for the open check and every
+    /// fails with a typed error naming it, for recovery and every
     /// reader alike, instead of rolling past the records it may have held.
     #[test]
     fn sealed_segment_torn_inside_its_magic_is_fatal_to_every_reader() {
